@@ -2,8 +2,11 @@
 
 All tables are tab-separated with a header row, LF line endings, dot
 decimals, and no quoting.  Intensities are bead-summary level, one column per
-array.  Exit codes: 0 ok, 2 partial convergence, 3 unsupported method,
-64 usage error, 65 data format error, 70 internal numeric failure.
+array.  Arrays are fitted and corrected one after another; the ``--threads``
+flag is accepted for compatibility and ignored, because the per-gene work
+holds the interpreter lock.  Exit codes: 0 ok, 2 partial convergence,
+3 unsupported method, 64 usage error, 65 data format error, 70 internal
+numeric failure.
 """
 
 from __future__ import annotations
@@ -12,17 +15,14 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import correct, estimate, oracle, series, simulate, validation
-from .dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
-                    GammaLognormal, GammaNormal, GammaParams, GBGB, GBNormal,
-                    GBParams, LognormalParams, MODEL_KINDS, NormalParams)
+from .dists import MODEL_KINDS, model_from_values, model_to_values, param_names
 from .errors import (BeadcorrError, DataFormatError, DegenerateControlsError,
-                     InvalidParameterError, UnsupportedMethodError)
+                     DomainError, InvalidParameterError, UnsupportedMethodError)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -82,12 +82,24 @@ def load_config(path=None) -> RunConfig:
                             f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
         except OSError as exc:
             raise DataFormatError(f"cannot read config {path}: {exc}") from exc
+
+    def section(cls, prefix, **kwargs):
+        # the defaults are valid, so a rejected section names the keys the file set
+        try:
+            return cls(**kwargs)
+        except DomainError as exc:
+            keys = ", ".join(k for k in values
+                             if k.startswith(prefix) and values[k] != CONFIG_DEFAULTS[k])
+            raise DataFormatError(f"{path}: bad value for {keys}: {exc}") from exc
+
     return RunConfig(
-        series_cfg=series.SeriesConfig(
+        series_cfg=section(
+            series.SeriesConfig, "series_",
             rel_tol=values["series_rel_tol"],
             max_terms_per_index=values["series_max_terms"],
             stable_window=values["series_stable_window"]),
-        quad_cfg=oracle.QuadConfig(
+        quad_cfg=section(
+            oracle.QuadConfig, "quad_",
             abs_tol=values["quad_abs_tol"], rel_tol=values["quad_rel_tol"],
             max_subdivisions=values["quad_max_subdivisions"]),
         budget=estimate.FitBudget(
@@ -175,66 +187,12 @@ def _fmt(x):
 
 
 # ---------------------------------------------------------------------------
-# Model parameter (de)serialization for the fit table / --params flag
+# Model parameters for the fit table / --params flag
 # ---------------------------------------------------------------------------
-
-_PARAM_FIELDS = {
-    "exp_normal": ("theta", "mu", "sigma"),
-    "exp_gamma": ("theta", "alpha", "beta"),
-    "gamma_normal": ("alpha", "beta", "mu", "sigma"),
-    "exp_lognormal": ("theta", "mu", "sigma"),
-    "gamma_lognormal": ("alpha", "beta", "mu", "sigma"),
-    "gb_gb": ("a1", "c1", "d1", "u1", "v1", "a2", "c2", "d2", "u2", "v2"),
-    "gb_normal": ("a1", "c1", "d1", "u1", "v1", "mu", "sigma"),
-}
-
-
-def model_to_values(m):
-    kind = m.kind
-    s, b = m.signal, m.noise
-    if kind == "exp_normal":
-        return [s.theta, b.mu, b.sigma]
-    if kind == "exp_gamma":
-        return [s.theta, b.alpha, b.beta]
-    if kind == "gamma_normal":
-        return [s.alpha, s.beta, b.mu, b.sigma]
-    if kind == "exp_lognormal":
-        return [s.theta, b.mu, b.sigma]
-    if kind == "gamma_lognormal":
-        return [s.alpha, s.beta, b.mu, b.sigma]
-    if kind == "gb_gb":
-        return [s.a, s.c, s.d, s.u, s.v, b.a, b.c, b.d, b.u, b.v]
-    if kind == "gb_normal":
-        return [s.a, s.c, s.d, s.u, s.v, b.mu, b.sigma]
-    raise InvalidParameterError(f"unknown model kind {kind!r}")
-
-
-def model_from_values(kind, values):
-    v = dict(zip(_PARAM_FIELDS[kind], [float(x) for x in values]))
-    if kind == "exp_normal":
-        return ExpNormal(ExpParams(v["theta"]), NormalParams(v["mu"], v["sigma"]))
-    if kind == "exp_gamma":
-        return ExpGamma(ExpParams(v["theta"]), GammaParams(v["alpha"], v["beta"]))
-    if kind == "gamma_normal":
-        return GammaNormal(GammaParams(v["alpha"], v["beta"]),
-                           NormalParams(v["mu"], v["sigma"]))
-    if kind == "exp_lognormal":
-        return ExpLognormal(ExpParams(v["theta"]),
-                            LognormalParams(v["mu"], v["sigma"]))
-    if kind == "gamma_lognormal":
-        return GammaLognormal(GammaParams(v["alpha"], v["beta"]),
-                              LognormalParams(v["mu"], v["sigma"]))
-    sig = GBParams(v["a1"], v["c1"], v["d1"], v["u1"], v["v1"])
-    if kind == "gb_gb":
-        return GBGB(sig, GBParams(v["a2"], v["c2"], v["d2"], v["u2"], v["v2"]))
-    if kind == "gb_normal":
-        return GBNormal(sig, NormalParams(v["mu"], v["sigma"]))
-    raise InvalidParameterError(f"unknown model kind {kind!r}")
-
 
 def parse_inline_params(kind, text):
     """--params 'theta=0.01,mu=100,sigma=15' -> ModelSpec."""
-    fields = _PARAM_FIELDS[kind]
+    fields = param_names(kind)
     given = {}
     for piece in text.split(","):
         if "=" not in piece:
@@ -244,7 +202,11 @@ def parse_inline_params(kind, text):
         if key not in fields:
             raise InvalidParameterError(
                 f"unknown parameter {key!r} for {kind}; expected {fields}")
-        given[key] = float(val)
+        try:
+            given[key] = float(val)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"non-numeric value {val!r} for {key} in --params") from exc
     missing = [f for f in fields if f not in given]
     if missing:
         raise InvalidParameterError(f"--params missing {missing} for {kind}")
@@ -255,18 +217,8 @@ def parse_inline_params(kind, text):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _pool_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def cmd_fit(dataset: ArrayDataset, model_kind, method, run_cfg: RunConfig,
-            threads=1):
-    """Fit every array independently; returns (tsv text, exit code)."""
-    fields = _PARAM_FIELDS[model_kind]
-
+def cmd_fit(dataset: ArrayDataset, model_kind, method, run_cfg: RunConfig):
+    """Fit every array independently, in order; returns (tsv text, exit code)."""
     def fit_one(j):
         problem = estimate.EstimationProblem(
             dataset.observed[:, j], dataset.negatives[:, j], model_kind,
@@ -279,8 +231,9 @@ def cmd_fit(dataset: ArrayDataset, model_kind, method, run_cfg: RunConfig,
             return estimate.fit_plugin(problem)
         raise UnsupportedMethodError(f"unknown method {method!r}")
 
-    results = _pool_map(fit_one, list(range(len(dataset.array_names))), threads)
-    lines = ["\t".join(["array"] + list(fields) + ["loglik", "converged"])]
+    results = [fit_one(j) for j in range(len(dataset.array_names))]
+    lines = ["\t".join(["array"] + list(param_names(model_kind))
+                       + ["loglik", "converged"])]
     all_ok = True
     for name, res in zip(dataset.array_names, results):
         vals = model_to_values(res.params)
@@ -292,32 +245,45 @@ def cmd_fit(dataset: ArrayDataset, model_kind, method, run_cfg: RunConfig,
 
 def read_fit_table(path, model_kind):
     """Fit-table TSV -> {array name: ModelSpec}."""
-    fields = _PARAM_FIELDS[model_kind]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [l for l in fh.read().split("\n") if l]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = [l for l in fh.read().split("\n") if l]
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise DataFormatError(f"{path}: empty fit table")
     header = lines[0].split("\t")
-    expected = ["array"] + list(fields)
+    expected = ["array"] + list(param_names(model_kind))
     if header[:len(expected)] != expected:
         raise DataFormatError(
             f"{path}: fit table header {header} does not start with {expected}")
     out = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        out[cells[0]] = model_from_values(model_kind, cells[1:1 + len(fields)])
+        if len(cells) < len(expected):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected at least {len(expected)} columns, "
+                f"got {len(cells)}")
+        try:
+            values = [float(cell) for cell in cells[1:len(expected)]]
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{path}:{lineno}: non-numeric parameter cell") from exc
+        out[cells[0]] = model_from_values(model_kind, values)
     return out
 
 
-def cmd_correct(dataset: ArrayDataset, models, run_cfg: RunConfig, threads=1,
-                variant="rma"):
-    """Correct every array; returns (corrected tsv, diagnostics tsv)."""
+def cmd_correct(dataset: ArrayDataset, models, run_cfg: RunConfig, variant="rma"):
+    """Correct every array, in order; returns (corrected tsv, diagnostics tsv)."""
     def one(j):
         name = dataset.array_names[j]
         m = models[name] if isinstance(models, dict) else models
         return correct.correct_array(dataset.observed[:, j], m,
                                      run_cfg.series_cfg,
-                                     exp_normal_variant=variant)
+                                     exp_normal_variant=variant,
+                                     qcfg=run_cfg.quad_cfg)
 
-    results = _pool_map(one, list(range(len(dataset.array_names))), threads)
+    results = [one(j) for j in range(len(dataset.array_names))]
     lines = ["\t".join(["ProbeID"] + dataset.array_names)]
     for i, pid in enumerate(dataset.probe_ids):
         row = [pid] + [_fmt(results[j][0][i]) for j in range(len(results))]
@@ -383,7 +349,7 @@ def _build_parser():
     fit.add_argument("--method", default="mle", choices=["mle", "moments", "plugin"])
     fit.add_argument("--config")
     fit.add_argument("--out", required=True)
-    fit.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    fit.add_argument("--threads", type=int, help="accepted and ignored")
 
     corr = sub.add_parser("correct", help="apply the corrector per array")
     corr.add_argument("observed")
@@ -395,7 +361,7 @@ def _build_parser():
     corr.add_argument("--config")
     corr.add_argument("--out", required=True)
     corr.add_argument("--diagnostics")
-    corr.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    corr.add_argument("--threads", type=int, help="accepted and ignored")
 
     sim = sub.add_parser("simulate", help="write a simulated dataset")
     sim.add_argument("--model", required=True)
@@ -445,8 +411,7 @@ def main(argv=None):
             _check_model_kind(args.model, MODEL_KINDS, parser)
             run_cfg = load_config(args.config)
             dataset = ingest(args.observed, args.negatives)
-            tsv, code = cmd_fit(dataset, args.model, args.method, run_cfg,
-                                threads=args.threads)
+            tsv, code = cmd_fit(dataset, args.model, args.method, run_cfg)
             _write_text(args.out, tsv)
             return code
 
@@ -466,7 +431,6 @@ def main(argv=None):
                 parser.exit(EXIT_USAGE,
                             "beadcorr: error: correct needs --params or --fit-table\n")
             corrected, diags = cmd_correct(dataset, models, run_cfg,
-                                           threads=args.threads,
                                            variant=args.variant)
             _write_text(args.out, corrected)
             if args.diagnostics:

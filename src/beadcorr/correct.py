@@ -20,7 +20,7 @@ from scipy.signal import fftconvolve
 from . import oracle, series, specfun
 from .dists import (ExpLognormal, ExpParams, GammaLognormal, GammaParams,
                     GBGB, GBNormal, GBParams, LognormalParams, ModelSpec,
-                    NormalParams, dist_logpdf)
+                    NormalParams, dist_logpdf, gb_support_upper)
 from .errors import (BeadcorrError, DomainError, InvalidParameterError,
                      NumericUnderflowError, SeriesError)
 
@@ -225,6 +225,36 @@ def correct_gamma_normal(p, g: GammaParams, b: NormalParams,
     return g.alpha * g.beta * num / den * math.exp(sn - sd)
 
 
+def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
+                      max_points):
+    """Uniform grids for the FFT convolution of the gamma and normal densities.
+
+    Spacing h = min(sigma, beta)/resolution; the signal grid s starts at 0 and
+    reaches past both the gamma's 1 - 1e-13 quantile and p_max - mu + 12 sigma,
+    the noise grid spans mu +- 12 sigma.  Returns (h, s, signal density,
+    noise density, grid of p for the full convolution).  Requires alpha >= 1
+    so the gridded signal density is bounded, and at most max_points signal
+    nodes.
+    """
+    if g.alpha < 1.0:
+        raise InvalidParameterError(
+            "grid backend requires gamma shape >= 1 (bounded density)")
+    h = min(b.sigma, g.beta) / resolution
+    s_max = float(_sp.gammaincinv(g.alpha, 1.0 - 1e-13)) * g.beta
+    s_max = max(s_max, p_max - b.mu + 12.0 * b.sigma)
+    n_s = int(s_max / h) + 1
+    if n_s > max_points:
+        raise InvalidParameterError(
+            "grid backend resolution too fine for the parameter range")
+    s = np.arange(n_s) * h
+    fs = np.exp(dist_logpdf(g, s))
+    b_lo = b.mu - 12.0 * b.sigma
+    n_b = int(24.0 * b.sigma / h) + 1
+    fb = np.exp(dist_logpdf(b, b_lo + np.arange(n_b) * h))
+    p_grid = b_lo + np.arange(n_s + n_b - 1) * h
+    return h, s, fs, fb, p_grid
+
+
 def gamma_normal_grid_posterior(p_values, g: GammaParams, b: NormalParams,
                                 resolution: int = 64):
     """Posterior means on a uniform grid via FFT convolution of the densities.
@@ -233,28 +263,11 @@ def gamma_normal_grid_posterior(p_values, g: GammaParams, b: NormalParams,
     the quadrature path to ~1e-4 relative at the default resolution.  Requires
     alpha >= 1 so the gridded signal density is bounded.
     """
-    if g.alpha < 1.0:
-        raise InvalidParameterError(
-            "grid backend requires gamma shape >= 1 (bounded density)")
     p_values = np.asarray(p_values, dtype=float)
-    h = min(b.sigma, g.beta) / resolution
-    s_max = float(_sp.gammaincinv(g.alpha, 1.0 - 1e-13)) * g.beta
-    s_max = max(s_max, float(np.max(p_values)) - b.mu + 12.0 * b.sigma)
-    n_s = int(s_max / h) + 1
-    if n_s > 1 << 22:
-        raise InvalidParameterError(
-            "grid backend resolution too fine for the parameter range")
-    s = np.arange(n_s) * h
-    fs = np.exp(dist_logpdf(g, s))
-    b_lo = b.mu - 12.0 * b.sigma
-    n_b = int(24.0 * b.sigma / h) + 1
-    bb = b_lo + np.arange(n_b) * h
-    fb = np.exp(dist_logpdf(b, bb))
-    den = fftconvolve(fs, fb) * h
-    num = fftconvolve(s * fs, fb) * h
-    p_grid = s[0] + b_lo + np.arange(den.size) * h
-    den_i = np.interp(p_values, p_grid, den)
-    num_i = np.interp(p_values, p_grid, num)
+    h, s, fs, fb, p_grid = gamma_normal_grid(float(np.max(p_values)), g, b,
+                                             resolution, 1 << 22)
+    den_i = np.interp(p_values, p_grid, fftconvolve(fs, fb) * h)
+    num_i = np.interp(p_values, p_grid, fftconvolve(s * fs, fb) * h)
     if np.any(den_i <= 0):
         raise NumericUnderflowError("grid marginal vanished at a requested point")
     return num_i / den_i
@@ -270,24 +283,40 @@ def _fallback(p, model, reason, qcfg, with_info):
                                             fallback_reason=reason), with_info)
 
 
+def _series_correct(p, model, den_series, num_series, value_of, cfg, qcfg,
+                    with_info):
+    """Series route shared by the series correctors, with quadrature fallback.
+
+    value_of(log num, log den) turns the two kernel sums into the corrected
+    value.  Genes outside the convergence region, series that cancel or fail,
+    and values outside (0, p) go to quadrature with the reason recorded.
+    """
+    if not series.convergence_ok(model, p, cfg):
+        return _fallback(p, model, "outside series convergence region", qcfg, with_info)
+    try:
+        den = den_series(p, model.signal, model.noise, cfg)
+        num = num_series(p, model.signal, model.noise, cfg)
+        if den.sign <= 0 or num.sign <= 0:
+            return _fallback(p, model, "series cancellation", qcfg, with_info)
+        value = value_of(num.log_abs, den.log_abs)
+    except SeriesError as exc:
+        return _fallback(p, model, str(exc), qcfg, with_info)
+    if not (0.0 < value < p):
+        return _fallback(p, model, "series value escaped (0, p)", qcfg, with_info)
+    return _with_info(value, _SERIES_INFO, with_info)
+
+
 def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams,
                           cfg: series.SeriesConfig = series.SeriesConfig(),
                           qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity p - E[B | P = p] under exponential + lognormal."""
     if p <= 0:
         raise DomainError(f"correct_exp_lognormal requires p > 0, got {p}")
-    model = ExpLognormal(e, l)
-    if not series.convergence_ok(model, p, cfg):
-        return _fallback(p, model, "outside series convergence region", qcfg, with_info)
-    try:
-        den = series.exp_lognormal_den_series(p, e, l, cfg)
-        num = series.exp_lognormal_num_series(p, e, l, cfg)
-        value = p - math.exp(l.mu + 0.5 * l.sigma ** 2 + num.log_abs - den.log_abs)
-    except SeriesError as exc:
-        return _fallback(p, model, str(exc), qcfg, with_info)
-    if not (0.0 < value < p):
-        return _fallback(p, model, "series value escaped (0, p)", qcfg, with_info)
-    return _with_info(value, _SERIES_INFO, with_info)
+    shift = l.mu + 0.5 * l.sigma ** 2
+    return _series_correct(
+        p, ExpLognormal(e, l), series.exp_lognormal_den_series,
+        series.exp_lognormal_num_series,
+        lambda lnum, lden: p - math.exp(shift + lnum - lden), cfg, qcfg, with_info)
 
 
 def correct_gamma_lognormal(p, g: GammaParams, l: LognormalParams,
@@ -296,44 +325,22 @@ def correct_gamma_lognormal(p, g: GammaParams, l: LognormalParams,
     """Corrected intensity under gamma + lognormal: p times the kernel ratio."""
     if p <= 0:
         raise DomainError(f"correct_gamma_lognormal requires p > 0, got {p}")
-    model = GammaLognormal(g, l)
-    if not series.convergence_ok(model, p, cfg):
-        return _fallback(p, model, "outside series convergence region", qcfg, with_info)
-    try:
-        den = series.gamma_lognormal_den_series(p, g, l, cfg)
-        num = series.gamma_lognormal_num_series(p, g, l, cfg)
-        if den.sign <= 0 or num.sign <= 0:
-            return _fallback(p, model, "series cancellation", qcfg, with_info)
-        value = p * math.exp(num.log_abs - den.log_abs)
-    except SeriesError as exc:
-        return _fallback(p, model, str(exc), qcfg, with_info)
-    if not (0.0 < value < p):
-        return _fallback(p, model, "series value escaped (0, p)", qcfg, with_info)
-    return _with_info(value, _SERIES_INFO, with_info)
+    return _series_correct(
+        p, GammaLognormal(g, l), series.gamma_lognormal_den_series,
+        series.gamma_lognormal_num_series,
+        lambda lnum, lden: p * math.exp(lnum - lden), cfg, qcfg, with_info)
 
 
 def correct_gb(p, s: GBParams, b: GBParams,
                cfg: series.SeriesConfig = series.SeriesConfig(),
                qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity under the GB + GB convolution."""
-    model = GBGB(s, b)
-    from .dists import gb_support_upper
     upper = gb_support_upper(s) + gb_support_upper(b)
     if not (0 < p < upper):
         raise DomainError(f"p={p} outside the convolution support (0, {upper})")
-    if not series.convergence_ok(model, p, cfg):
-        return _fallback(p, model, "outside series convergence region", qcfg, with_info)
-    try:
-        den = series.gb_pair_den_series(p, s, b, cfg)
-        num = series.gb_pair_num_series(p, s, b, cfg)
-        if den.sign <= 0 or num.sign <= 0:
-            return _fallback(p, model, "series cancellation", qcfg, with_info)
-        value = p * math.exp(num.log_abs - den.log_abs)
-    except SeriesError as exc:
-        return _fallback(p, model, str(exc), qcfg, with_info)
-    if not (0.0 < value < p):
-        return _fallback(p, model, "series value escaped (0, p)", qcfg, with_info)
-    return _with_info(value, _SERIES_INFO, with_info)
+    return _series_correct(
+        p, GBGB(s, b), series.gb_pair_den_series, series.gb_pair_num_series,
+        lambda lnum, lden: p * math.exp(lnum - lden), cfg, qcfg, with_info)
 
 
 def correct_gb_normal(p, s: GBParams, b: NormalParams,
@@ -342,20 +349,10 @@ def correct_gb_normal(p, s: GBParams, b: NormalParams,
     """Corrected intensity under the GB + normal convolution."""
     if p <= 0:
         raise DomainError(f"correct_gb_normal requires p > 0, got {p}")
-    model = GBNormal(s, b)  # validates b.mu > 0
-    if not series.convergence_ok(model, p, cfg):
-        return _fallback(p, model, "outside series convergence region", qcfg, with_info)
-    try:
-        den = series.gb_normal_den_series(p, s, b, cfg)
-        num = series.gb_normal_num_series(p, s, b, cfg)
-        if den.sign <= 0 or num.sign <= 0:
-            return _fallback(p, model, "series cancellation", qcfg, with_info)
-        value = (p - b.mu) * math.exp(num.log_abs - den.log_abs)
-    except SeriesError as exc:
-        return _fallback(p, model, str(exc), qcfg, with_info)
-    if not (0.0 < value < p):
-        return _fallback(p, model, "series value escaped (0, p)", qcfg, with_info)
-    return _with_info(value, _SERIES_INFO, with_info)
+    return _series_correct(
+        p, GBNormal(s, b),  # validates b.mu > 0
+        series.gb_normal_den_series, series.gb_normal_num_series,
+        lambda lnum, lden: (p - b.mu) * math.exp(lnum - lden), cfg, qcfg, with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,11 @@ class GeneDiagnostic:
     error: Optional[str] = None
 
 
-def _correct_one(p, m: ModelSpec, cfg, variant):
+def _correct_one(p, m: ModelSpec, cfg, variant, qcfg=None):
+    """(value, CorrectionInfo) of one gene; variant picks the exp_normal form.
+
+    qcfg sets the quadrature fallback of the series correctors.
+    """
     kind = m.kind
     if kind == "exp_normal":
         fn = correct_mbcb if variant == "mbcb" else correct_rma
@@ -379,23 +380,25 @@ def _correct_one(p, m: ModelSpec, cfg, variant):
     if kind == "gamma_normal":
         return correct_gamma_normal(p, m.signal, m.noise), CorrectionInfo("quadrature")
     if kind == "exp_lognormal":
-        return correct_exp_lognormal(p, m.signal, m.noise, cfg, with_info=True)
+        return correct_exp_lognormal(p, m.signal, m.noise, cfg, qcfg, with_info=True)
     if kind == "gamma_lognormal":
-        return correct_gamma_lognormal(p, m.signal, m.noise, cfg, with_info=True)
+        return correct_gamma_lognormal(p, m.signal, m.noise, cfg, qcfg, with_info=True)
     if kind == "gb_gb":
-        return correct_gb(p, m.signal, m.noise, cfg, with_info=True)
+        return correct_gb(p, m.signal, m.noise, cfg, qcfg, with_info=True)
     if kind == "gb_normal":
-        return correct_gb_normal(p, m.signal, m.noise, cfg, with_info=True)
+        return correct_gb_normal(p, m.signal, m.noise, cfg, qcfg, with_info=True)
     raise InvalidParameterError(f"unknown model kind {kind!r}")
 
 
 def correct_array(observed, m: ModelSpec,
                   cfg: series.SeriesConfig = series.SeriesConfig(),
-                  exp_normal_variant: str = "rma"):
+                  exp_normal_variant: str = "rma",
+                  qcfg: oracle.QuadConfig = None):
     """Apply the model's corrector gene by gene.
 
     Order is preserved and a failing gene never aborts the batch: its output
-    is NaN and the diagnostic row records the error.
+    is NaN and the diagnostic row records the error.  qcfg sets the
+    quadrature fallback of the series correctors (default oracle.QuadConfig()).
     Returns (corrected array, list of GeneDiagnostic).
     """
     observed = np.asarray(observed, dtype=float)
@@ -403,7 +406,7 @@ def correct_array(observed, m: ModelSpec,
     diags = []
     for i, p in enumerate(observed):
         try:
-            value, info = _correct_one(float(p), m, cfg, exp_normal_variant)
+            value, info = _correct_one(float(p), m, cfg, exp_normal_variant, qcfg)
             corrected[i] = value
             diags.append(GeneDiagnostic(index=i, path=info.path,
                                         error=info.fallback_reason))

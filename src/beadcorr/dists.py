@@ -8,9 +8,9 @@ implementations because the convolution models use both forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Union
+from typing import Union, get_type_hints
 
 import numpy as np
 from scipy import special as _sp
@@ -165,8 +165,55 @@ class GBNormal:
 ModelSpec = Union[ExpNormal, ExpGamma, GammaNormal, ExpLognormal,
                   GammaLognormal, GBGB, GBNormal]
 
-MODEL_KINDS = ("exp_normal", "exp_gamma", "gamma_normal", "exp_lognormal",
-               "gamma_lognormal", "gb_gb", "gb_normal")
+#: model class of every kind, in the documented order
+MODEL_TYPES = {cls.kind: cls for cls in (ExpNormal, ExpGamma, GammaNormal,
+                                         ExpLognormal, GammaLognormal, GBGB,
+                                         GBNormal)}
+
+MODEL_KINDS = tuple(MODEL_TYPES)
+
+
+# ---------------------------------------------------------------------------
+# Parameter (de)serialization, derived from the dataclass fields
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _layout(kind):
+    """((parameter class, field names, name suffix) for signal, then noise).
+
+    GB blocks carry the suffix 1 as signal and 2 as noise, so the two blocks
+    of gb_gb get distinct names.
+    """
+    if kind not in MODEL_TYPES:
+        raise InvalidParameterError(f"unknown model kind {kind!r}")
+    hints = get_type_hints(MODEL_TYPES[kind])
+    out = []
+    for component, suffix in (("signal", "1"), ("noise", "2")):
+        ptype = hints[component]
+        out.append((ptype, tuple(f.name for f in fields(ptype)),
+                    suffix if ptype is GBParams else ""))
+    return tuple(out)
+
+
+def param_names(kind):
+    """Parameter names of a model kind: signal fields, then noise fields."""
+    return tuple(name + suffix for _, names, suffix in _layout(kind)
+                 for name in names)
+
+
+def model_to_values(m: ModelSpec):
+    """Parameter values of a model, in param_names(m.kind) order."""
+    return [getattr(component, name)
+            for component, (_, names, _) in zip((m.signal, m.noise), _layout(m.kind))
+            for name in names]
+
+
+def model_from_values(kind, values):
+    """Model of the given kind from values in param_names(kind) order."""
+    values = [float(x) for x in values]
+    (signal_type, signal_names, _), (noise_type, _, _) = _layout(kind)
+    n = len(signal_names)
+    return MODEL_TYPES[kind](signal_type(*values[:n]), noise_type(*values[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +364,6 @@ def dist_support(params):
     if isinstance(params, GBParams):
         return (0.0, gb_support_upper(params))
     return (0.0, math.inf)
-
-
-def dist_mean(params):
-    if isinstance(params, ExpParams):
-        return 1.0 / params.theta
-    if isinstance(params, GammaParams):
-        return params.alpha * params.beta
-    if isinstance(params, NormalParams):
-        return params.mu
-    if isinstance(params, LognormalParams):
-        return math.exp(params.mu + 0.5 * params.sigma ** 2)
-    if isinstance(params, GBParams):
-        knots, cdf, to_x = _gb_inversion_table(params)
-        xs = to_x(knots)
-        # trapezoid of x dF over the tabulated CDF
-        return float(np.trapezoid(xs, cdf))
-    raise TypeError(f"no mean for {type(params)}")
 
 
 def pdf(x, m: ModelSpec, component: str):

@@ -16,12 +16,14 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as _opt
 from scipy import special as _sp
+from scipy.signal import fftconvolve
 
 from . import correct, series, specfun
-from .dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
-                    GammaLognormal, GammaNormal, GammaParams, GBGB, GBNormal,
-                    GBParams, LognormalParams, MODEL_KINDS, ModelSpec,
-                    NormalParams, dist_logpdf, gb_from_gamma, gb_support_upper)
+from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
+                    GBParams, LognormalParams, MODEL_KINDS, MODEL_TYPES,
+                    ModelSpec, NormalParams, dist_logpdf, gb_from_gamma,
+                    gb_support_upper, model_from_values, model_to_values,
+                    param_names)
 from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
                      InvalidParameterError, UnsupportedMethodError)
 
@@ -67,8 +69,10 @@ class FitBudget:
     n_starts: int = 5
     max_iter: int = 500
     seed: int = 0
-    jitter: float = 0.15
-    polish: bool = False
+
+
+#: standard deviation of the random offsets of the extra optimizer starts
+_START_JITTER = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -101,26 +105,14 @@ def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams):
 def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams):
     """Grid-convolution marginal (bounded-density shapes); quadrature catches the rest."""
     p = np.asarray(p, dtype=float)
-    if g.alpha >= 1.0:
-        try:
-            from scipy.signal import fftconvolve
-            h = min(b.sigma, g.beta) / 48.0
-            s_max = float(_sp.gammaincinv(g.alpha, 1.0 - 1e-13)) * g.beta
-            s_max = max(s_max, float(np.max(p)) - b.mu + 12.0 * b.sigma)
-            n_s = int(s_max / h) + 1
-            if n_s <= (1 << 21):
-                s = np.arange(n_s) * h
-                fs = np.exp(dist_logpdf(g, s))
-                b_lo = b.mu - 12.0 * b.sigma
-                n_b = int(24.0 * b.sigma / h) + 1
-                fb = np.exp(dist_logpdf(b, b_lo + np.arange(n_b) * h))
-                den = fftconvolve(fs, fb) * h
-                p_grid = b_lo + np.arange(den.size) * h
-                vals = np.interp(p, p_grid, den)
-                with np.errstate(divide="ignore"):
-                    return np.log(np.maximum(vals, 0.0))
-        except MemoryError:
-            pass
+    try:
+        h, _, fs, fb, p_grid = correct.gamma_normal_grid(float(np.max(p)), g, b,
+                                                         48, 1 << 21)
+        vals = np.interp(p, p_grid, fftconvolve(fs, fb) * h)
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(vals, 0.0))
+    except (InvalidParameterError, MemoryError):
+        pass
     from . import oracle
     q = oracle.QuadConfig()
     return np.array([oracle.marginal_log_pdf_quadrature(pi, GammaNormal(g, b), q)
@@ -476,19 +468,12 @@ def _signal_block(problem, kind):
     raise InvalidParameterError(f"unknown model kind {kind!r}")
 
 
-_MODEL_BUILDERS = {
-    "exp_normal": ExpNormal, "exp_gamma": ExpGamma, "gamma_normal": GammaNormal,
-    "exp_lognormal": ExpLognormal, "gamma_lognormal": GammaLognormal,
-    "gb_gb": GBGB, "gb_normal": GBNormal,
-}
-
-
 def init_params(problem: EstimationProblem) -> ModelSpec:
     """Starting parameters: noise from control moments, signal from the
     control-mean-subtracted observations (floored at the 1% quantile)."""
     kind = problem.model_kind
-    return _MODEL_BUILDERS[kind](_signal_block(problem, kind),
-                                 _noise_block(problem, kind))
+    return MODEL_TYPES[kind](_signal_block(problem, kind),
+                             _noise_block(problem, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -523,37 +508,22 @@ _GB_BOUNDS = [(math.log(0.02), math.log(50.0)), (-_LOGIT_CLIP, _LOGIT_CLIP),
               (math.log(1e-2), math.log(1e4))]
 
 
-def _family_codec(kind):
-    """(to_vec(model) -> list, from_vec(list) -> model, bounds) for NM space."""
-    if kind == "exp_normal":
-        return (lambda m: [math.log(m.signal.theta), m.noise.mu, math.log(m.noise.sigma)],
-                lambda x: ExpNormal(ExpParams(math.exp(x[0])),
-                                    NormalParams(float(x[1]), math.exp(x[2]))),
-                [(None, None)] * 3)
-    if kind == "exp_gamma":
-        return (lambda m: [math.log(m.signal.theta), math.log(m.noise.alpha),
-                           math.log(m.noise.beta)],
-                lambda x: ExpGamma(ExpParams(math.exp(x[0])),
-                                   GammaParams(math.exp(x[1]), math.exp(x[2]))),
-                [(None, None)] * 3)
-    if kind == "gamma_normal":
-        return (lambda m: [math.log(m.signal.alpha), math.log(m.signal.beta),
-                           m.noise.mu, math.log(m.noise.sigma)],
-                lambda x: GammaNormal(GammaParams(math.exp(x[0]), math.exp(x[1])),
-                                      NormalParams(float(x[2]), math.exp(x[3]))),
-                [(None, None)] * 4)
-    if kind == "exp_lognormal":
-        return (lambda m: [math.log(m.signal.theta), m.noise.mu, math.log(m.noise.sigma)],
-                lambda x: ExpLognormal(ExpParams(math.exp(x[0])),
-                                       LognormalParams(float(x[1]), math.exp(x[2]))),
-                [(None, None)] * 3)
-    if kind == "gamma_lognormal":
-        return (lambda m: [math.log(m.signal.alpha), math.log(m.signal.beta),
-                           m.noise.mu, math.log(m.noise.sigma)],
-                lambda x: GammaLognormal(GammaParams(math.exp(x[0]), math.exp(x[1])),
-                                         LognormalParams(float(x[2]), math.exp(x[3]))),
-                [(None, None)] * 4)
-    raise InvalidParameterError(f"no joint codec for {kind}")
+def _joint_codec(kind):
+    """(to_vec(model) -> list, from_vec(list) -> model, bounds) for NM space.
+
+    The vector holds the parameters in param_names order, each on the log
+    scale except the location mu.
+    """
+    logged = [name != "mu" for name in param_names(kind)]
+
+    def to_vec(m):
+        return [math.log(v) if lg else v for v, lg in zip(model_to_values(m), logged)]
+
+    def from_vec(x):
+        return model_from_values(kind, [math.exp(v) if lg else v
+                                        for v, lg in zip(x, logged)])
+
+    return to_vec, from_vec, [(None, None)] * len(logged)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +545,7 @@ def _nm_maximize(objective, x0, bounds, budget, rng):
     total_nfev = 0
     starts = [np.asarray(x0, dtype=float)]
     for _ in range(budget.n_starts - 1):
-        starts.append(np.asarray(x0) + rng.normal(0.0, budget.jitter, len(x0)))
+        starts.append(np.asarray(x0) + rng.normal(0.0, _START_JITTER, len(x0)))
     lo = np.array([-np.inf if b_ is None or b_[0] is None else b_[0] for b_ in bounds])
     hi = np.array([np.inf if b_ is None or b_[1] is None else b_[1] for b_ in bounds])
     starts = [np.clip(st, lo, hi) for st in starts]
@@ -607,7 +577,7 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     if kind in ("gb_gb", "gb_normal"):
         return _fit_mle_gb(problem, start, budget, rng)
 
-    to_vec, from_vec, bounds = _family_codec(kind)
+    to_vec, from_vec, bounds = _joint_codec(kind)
 
     def objective(x):
         return loglik(from_vec(x), problem)
@@ -618,29 +588,6 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     return FitResult(params=params, loglik=ll, converged=bool(best.success),
                      iterations=nfev, method="mle",
                      diagnostics={"profile_flatness": flat})
-
-
-def _gb_chain(x):
-    """d(natural params)/d(transformed coords) for the GB block."""
-    a, c, d, u, v = (math.exp(x[0]), _inv_logit(x[1]), math.exp(x[2]),
-                     math.exp(x[3]), math.exp(x[4]))
-    return np.array([a, c * (1.0 - c), d, u, v])
-
-
-def _polish_gb(objective_and_grad, x0, budget):
-    """Short analytic-gradient ascent from the simplex optimum."""
-    def neg(x):
-        try:
-            v, g = objective_and_grad(x)
-        except (BeadcorrError, OverflowError, FloatingPointError):
-            return 1e100, np.zeros(len(x))
-        if math.isnan(v):
-            return 1e100, np.zeros(len(x))
-        return -v, -np.asarray(g)
-
-    res = _opt.minimize(neg, x0, method="L-BFGS-B", jac=True, bounds=_GB_BOUNDS,
-                        options={"maxiter": 60, "ftol": 1e-13, "gtol": 1e-9})
-    return res
 
 
 def _fit_mle_gb(problem, start, budget, rng):
@@ -658,43 +605,21 @@ def _fit_mle_gb(problem, start, budget, rng):
         def noise_obj(x):
             return float(np.sum(dist_logpdf(_gb_from_vec(x), problem.negatives)))
 
-        def noise_obj_grad(x):
-            g = _gb_from_vec(x)
-            return noise_obj(x), _gb_density_grad(problem.negatives, g) * _gb_chain(x)
-
         x0 = _gb_to_vec(start.noise)
         best_n, noise_iters, _ = _nm_maximize(noise_obj, x0, _GB_BOUNDS, budget, rng)
-        xn = best_n.x
-        if budget.polish:
-            pol = _polish_gb(noise_obj_grad, xn, budget)
-            if -pol.fun >= -best_n.fun:
-                xn = pol.x
-            noise_iters += pol.nfev
-        noise = _gb_from_vec(xn)
+        noise = _gb_from_vec(best_n.x)
         noise_ok = bool(best_n.success)
 
     # Stage 2: signal from the gene marginals with noise fixed
-    builder = _MODEL_BUILDERS[kind]
+    builder = MODEL_TYPES[kind]
 
     def signal_obj(x):
         m = builder(_gb_from_vec(x), noise)
         return float(np.sum(log_marginal(m, problem.observed, cfg)))
 
-    def signal_obj_grad(x):
-        m = builder(_gb_from_vec(x), noise)
-        score = (score_gb_normal(m, problem)[2:] if kind == "gb_normal"
-                 else score_gb(m, problem)[5:])
-        return signal_obj(x), score * _gb_chain(x)
-
     best_s, sig_iters, flat = _nm_maximize(signal_obj, _gb_to_vec(start.signal),
                                            _GB_BOUNDS, budget, rng)
-    xs = best_s.x
-    if budget.polish:
-        pol = _polish_gb(signal_obj_grad, xs, budget)
-        if -pol.fun >= -best_s.fun:
-            xs = pol.x
-        sig_iters += pol.nfev
-    params = builder(_gb_from_vec(xs), noise)
+    params = builder(_gb_from_vec(best_s.x), noise)
     ll = loglik(params, problem)
 
     grad_norm = None
@@ -748,7 +673,7 @@ def fit_moments(problem: EstimationProblem) -> FitResult:
         sig2 = math.log1p(vB / (mB * mB))
         noise = LognormalParams(math.log(mB) - sig2 / 2.0, math.sqrt(sig2))
 
-    params = _MODEL_BUILDERS[kind](signal, noise)
+    params = MODEL_TYPES[kind](signal, noise)
     return FitResult(params=params, loglik=loglik(params, problem),
                      converged=True, iterations=0, method="moments",
                      diagnostics={"variance_clamped": clamped})

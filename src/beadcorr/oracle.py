@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .dists import (ModelSpec, NormalParams, dist_logpdf, dist_logpdf_scalar,
                     dist_support)
-from .errors import NumericUnderflowError, QuadratureError
+from .errors import DomainError, NumericUnderflowError, QuadratureError
 
 _LOG_TINY = math.log(1e-300)
 
@@ -29,8 +29,11 @@ class QuadConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
+            raise DomainError("quadrature tolerances must be positive")
+        # QUADPACK needs more subintervals than the (up to 3) interior knots
+        if self.max_subdivisions < 4:
+            raise DomainError("max_subdivisions must be >= 4")
 
 
 def _integration_domain(p, m: ModelSpec):

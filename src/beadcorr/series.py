@@ -335,26 +335,29 @@ class _GBNormalWorkspace:
         self.off = off
         self.fall = _BinomTable(s.v - 1.0)
         self.rise = _RisingTable(s.u + s.v)
-        self._glogs = np.zeros((0, 0))
-        self._gexp = np.zeros((0, 0))
-        self._gmax = 0.0
+        self._blocks = {}
 
     def binom_grid_exp(self, imax, nmax):
-        """signs * exp(log grid - gmax) cached; returns (slice, gmax)."""
-        g = self._glogs
-        if g.shape[0] < imax or g.shape[1] < nmax:
-            ni = max(imax, g.shape[0] * 2, 16)
-            nn = max(nmax, g.shape[1] * 2, 16)
-            logs = np.empty((ni, nn))
-            signs = np.empty((ni, nn))
-            for i in range(ni):
+        """(signs * exp(log grid - gmax), gmax) over the leading imax x nmax block.
+
+        The request is served from the smallest square power-of-two block
+        (at least 16) that holds it, scaled by that block's largest entry.
+        The result therefore depends only on the request, not on how far
+        earlier genes grew the grid, and no entry overflows.
+        """
+        size = max(16, 1 << (max(imax, nmax) - 1).bit_length())
+        hit = self._blocks.get(size)
+        if hit is None:
+            logs = np.empty((size, size))
+            signs = np.empty((size, size))
+            for i in range(size):
                 r = self.s.a * (self.s.u + i) - 1.0 + self.off
-                logs[i], signs[i] = specfun.gen_binomial_log_array(r, nn)
-            gmax = float(np.max(logs[signs != 0])) if np.any(signs != 0) else 0.0
+                logs[i], signs[i] = specfun.gen_binomial_log_array(r, size)
+            live = logs[signs != 0]
+            gmax = float(np.max(live)) if live.size else 0.0
             with np.errstate(under="ignore"):
-                self._gexp = signs * np.exp(logs - gmax)
-            self._glogs, self._gmax = logs, gmax
-        return self._gexp[:imax, :nmax], self._gmax
+                hit = self._blocks[size] = (signs * np.exp(logs - gmax), gmax)
+        return hit[0][:imax, :nmax], hit[1]
 
 
 # ---------------------------------------------------------------------------

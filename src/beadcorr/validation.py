@@ -105,25 +105,6 @@ def _case_ok(kind, m, p):
     return series.convergence_ok(m, p)
 
 
-def _corrected_value(kind, m, p, cfg):
-    if kind == "exp_normal":
-        return correct.correct_rma(p, m.signal, m.noise), "closed"
-    if kind == "exp_normal_mbcb":
-        return correct.correct_mbcb(p, m.signal, m.noise), "closed"
-    if kind == "exp_gamma":
-        return correct.correct_exp_gamma(p, m.signal, m.noise), "closed"
-    if kind == "gamma_normal":
-        return correct.correct_gamma_normal(p, m.signal, m.noise), "quadrature"
-    dispatch = {
-        "exp_lognormal": correct.correct_exp_lognormal,
-        "gamma_lognormal": correct.correct_gamma_lognormal,
-        "gb_gb": correct.correct_gb,
-        "gb_normal": correct.correct_gb_normal,
-    }
-    value, info = dispatch[kind](p, m.signal, m.noise, cfg, with_info=True)
-    return value, info.path
-
-
 @dataclass(frozen=True)
 class ValidationRow:
     index: int
@@ -144,14 +125,15 @@ def run_validation(kind: str, n_draws: int, seed: int,
     tol = TOLERANCES[kind]
     rng = np.random.default_rng(seed)
     qcfg = oracle.QuadConfig()
+    variant = "mbcb" if kind == "exp_normal_mbcb" else "rma"
     rows = []
     for i in range(n_draws):
         m, p = draw_case(kind, rng)
-        value, path = _corrected_value(kind, m, p, cfg)
+        value, info = correct._correct_one(p, m, cfg, variant)
         ref = oracle.posterior_mean_quadrature(p, m, qcfg)
         rel = abs(value - ref) / abs(ref)
         rows.append(ValidationRow(index=i, p=p, corrected=value, reference=ref,
-                                  rel_error=rel, path=path,
+                                  rel_error=rel, path=info.path,
                                   within_tol=bool(rel <= tol)))
     return rows, tol
 

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from beadcorr import cli
-from beadcorr.errors import DataFormatError
+from beadcorr import cli, simulate
+from beadcorr.errors import DataFormatError, InvalidParameterError
 
 
 def run_cli(*args):
@@ -90,6 +90,29 @@ class TestConfig:
         with pytest.raises(DataFormatError, match="unknown key"):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("line", ["quad_abs_tol=0", "quad_max_subdivisions=1"])
+    def test_bad_quad_value_rejected(self, tmp_path, line):
+        path = tmp_path / "cfg"
+        write(path, line + "\n")
+        with pytest.raises(DataFormatError, match=line.partition("=")[0]):
+            cli.load_config(str(path))
+
+    def test_quad_keys_reach_the_fallback(self, tmp_path):
+        # the reference gamma_lognormal gene lies outside the series region,
+        # so it is corrected by the quadrature fallback the quad_* keys govern
+        m = simulate.REFERENCE_MODELS["gamma_lognormal"][0]
+        obs, neg = tmp_path / "obs.tsv", tmp_path / "neg.tsv"
+        write(obs, "ProbeID\tA1\ng1\t12.28949685\n")
+        write(neg, "ProbeID\tA1\nn1\t2.5\nn2\t3.5\n")
+        ds = cli.ingest(obs, neg)
+        cfg = tmp_path / "cfg"
+        write(cfg, "quad_abs_tol=1e-3\nquad_rel_tol=1e-3\n")
+        default_tsv, default_diag = cli.cmd_correct(ds, m, cli.load_config(None))
+        loose_tsv, loose_diag = cli.cmd_correct(ds, m, cli.load_config(str(cfg)))
+        assert "\tquadrature\t" in default_diag
+        assert loose_diag == default_diag
+        assert loose_tsv != default_tsv
+
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg"
         write(path, "optimizer_seed=9\n")
@@ -100,7 +123,10 @@ class TestConfig:
 class TestParamsRoundTrip:
     @pytest.mark.parametrize("kind,text", [
         ("exp_normal", "theta=0.01,mu=100,sigma=15"),
+        ("exp_gamma", "theta=0.05,alpha=2,beta=4"),
         ("gamma_normal", "alpha=2,beta=50,mu=100,sigma=15"),
+        ("exp_lognormal", "theta=0.08,mu=1.3,sigma=0.5"),
+        ("gamma_lognormal", "alpha=1.8,beta=3.5,mu=1,sigma=0.5"),
         ("gb_gb", "a1=1,c1=0.5,d1=1,u1=2,v1=3,a2=1,c2=0.5,d2=1,u2=1,v2=2"),
         ("gb_normal", "a1=1,c1=0.5,d1=2,u1=1.5,v1=2,mu=0.3,sigma=0.06"),
     ])
@@ -111,9 +137,31 @@ class TestParamsRoundTrip:
         assert m == m2
 
     def test_missing_param_rejected(self):
-        from beadcorr.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError, match="missing"):
             cli.parse_inline_params("exp_normal", "theta=0.01,mu=100")
+
+    def test_non_numeric_param_rejected(self):
+        with pytest.raises(InvalidParameterError, match="theta"):
+            cli.parse_inline_params("exp_normal", "theta=abc,mu=100,sigma=15")
+
+
+class TestReadFitTable:
+    HEADER = "array\ttheta\tmu\tsigma\tloglik\tconverged\n"
+
+    @pytest.mark.parametrize("text,match", [
+        (HEADER + "A1\t0.01\t100.0\n", "fit.tsv:2: expected at least 4 columns"),
+        (HEADER + "A1\t0.01\tlots\t15.0\t-5.0\t1\n", "fit.tsv:2: non-numeric"),
+        ("", "empty fit table"),
+    ], ids=["short_row", "non_numeric_cell", "empty"])
+    def test_malformed_table_rejected(self, tmp_path, text, match):
+        path = tmp_path / "fit.tsv"
+        write(path, text)
+        with pytest.raises(DataFormatError, match=match):
+            cli.read_fit_table(path, "exp_normal")
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match="cannot read"):
+            cli.read_fit_table(tmp_path / "absent.tsv", "exp_normal")
 
 
 class TestPipeline:
@@ -237,6 +285,33 @@ class TestExitCodes:
         r = run_cli("fit", str(obs), str(neg), "--model", "gb_gb",
                     "--method", "moments", "--out", str(tmp_path / "x.tsv"))
         assert r.returncode == 3
+
+    def test_malformed_fit_table_exit_code(self, tmp_path, tables):
+        obs, neg = tables
+        fit = tmp_path / "fit.tsv"
+        write(fit, "array\ttheta\tmu\tsigma\nA1\t0.01\n")
+        r = run_cli("correct", str(obs), str(neg), "--model", "exp_normal",
+                    "--fit-table", str(fit), "--out", str(tmp_path / "c.tsv"))
+        assert r.returncode == 65, r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_non_numeric_params_exit_code(self, tmp_path, tables):
+        obs, neg = tables
+        r = run_cli("correct", str(obs), str(neg), "--model", "exp_normal",
+                    "--params", "theta=abc,mu=100,sigma=15",
+                    "--out", str(tmp_path / "c.tsv"))
+        assert r.returncode == 64, r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_bad_config_value_exit_code(self, tmp_path, tables):
+        obs, neg = tables
+        cfg = tmp_path / "cfg"
+        write(cfg, "quad_abs_tol=0\n")
+        r = run_cli("correct", str(obs), str(neg), "--model", "exp_normal",
+                    "--params", "theta=0.01,mu=100,sigma=15", "--config", str(cfg),
+                    "--out", str(tmp_path / "c.tsv"))
+        assert r.returncode == 65, r.stderr
+        assert "quad_abs_tol" in r.stderr and "Traceback" not in r.stderr
 
     def test_data_format_error(self, tmp_path, tables):
         _, neg = tables

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from beadcorr import correct, oracle, series
+from beadcorr import correct, oracle, series, simulate
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
-                            gb_from_gamma)
+                            gb_from_gamma, gb_logpdf, normal_logpdf)
 from beadcorr.errors import NumericUnderflowError
 
 Q = oracle.QuadConfig()
@@ -222,6 +223,36 @@ class TestSeriesCorrectors:
         assert info.path == "quadrature"
         assert info.fallback_reason is not None
         assert got == pytest.approx(ref, rel=1e-6)
+
+    def test_gb_normal_bits_independent_of_history(self):
+        # a deeper gene grows the cached coefficient grid; a shallower gene
+        # corrected afterwards must keep the bits it has in a fresh workspace
+        m = simulate.REFERENCE_MODELS["gb_normal"][0]
+        series._gb_normal_workspace.cache_clear()
+        fresh = correct.correct_gb_normal(5.0, m.signal, m.noise, CFG)
+        series._gb_normal_workspace.cache_clear()
+        correct.correct_gb_normal(11.6, m.signal, m.noise, CFG)
+        after = correct.correct_gb_normal(5.0, m.signal, m.noise, CFG)
+        assert after == fresh
+
+    @pytest.mark.parametrize("a", [20.0, 50.0])
+    def test_gb_normal_large_a(self, a):
+        # the series keeps the noise positive, so its reference integrates
+        # the signal over (0, p); a deeper gene first must not move the bits
+        s, b, p = GBParams(a, 1.0, 20.0, 2.0, 10.0), NormalParams(1.0, 0.3), 14.0
+
+        def f(x):
+            return math.exp(gb_logpdf(x, s) + normal_logpdf(p - x, b))
+
+        opts = dict(points=[p - b.mu], epsabs=0.0, epsrel=1e-13, limit=500)
+        ref = quad(lambda x: x * f(x), 0.0, p, **opts)[0] / quad(f, 0.0, p, **opts)[0]
+        series._gb_normal_workspace.cache_clear()
+        got, info = correct.correct_gb_normal(p, s, b, CFG, with_info=True)
+        assert info.path == "series"
+        assert got == pytest.approx(ref, rel=1e-9)
+        with np.errstate(over="ignore"):  # density tail in the deeper gene's fallback
+            correct.correct_gb_normal(19.0, s, b, CFG)
+        assert correct.correct_gb_normal(p, s, b, CFG) == got
 
 
 class TestCorrectArray:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from beadcorr import estimate, oracle, series
+from beadcorr import estimate, oracle, series, simulate
 from beadcorr.dists import (ExpNormal, ExpParams, GammaNormal, GammaParams,
                             GBGB, GBNormal, GBParams, NormalParams,
-                            dist_sample)
+                            dist_sample, model_to_values, param_names)
 from beadcorr.errors import (DegenerateControlsError, InvalidParameterError,
                              UnsupportedMethodError)
 
@@ -208,6 +208,22 @@ class TestScores:
         from beadcorr.errors import DomainError
         with pytest.raises(DomainError):
             estimate.score_gb(GBGB(s, b), prob)
+
+
+class TestJointCodec:
+    @pytest.mark.parametrize("kind", ["exp_normal", "exp_gamma", "gamma_normal",
+                                      "exp_lognormal", "gamma_lognormal"])
+    def test_round_trip(self, kind):
+        m = simulate.REFERENCE_MODELS[kind][0]
+        to_vec, from_vec, bounds = estimate._joint_codec(kind)
+        x = to_vec(m)
+        assert len(x) == len(bounds) == len(param_names(kind))
+        # mu is optimized as is, every other parameter on the log scale
+        for name, xi, v in zip(param_names(kind), x, model_to_values(m)):
+            assert xi == (v if name == "mu" else math.log(v))
+        back = from_vec(x)
+        assert type(back) is type(m)
+        assert model_to_values(back) == pytest.approx(model_to_values(m), rel=1e-15)
 
 
 class TestFitMle:

@@ -221,6 +221,18 @@ class TestGBNormalSeries:
         with pytest.raises(DomainError):
             series.gb_normal_den_series(0.1, UNIFORM, NormalParams(0.25, 0.02), CFG)
 
+    def test_large_a_grid_finite_and_history_free(self):
+        # at a = 50 the log binomial grid spans hundreds of e-folds: a served
+        # block must not overflow, and a small request must keep its bits
+        # after a large one has been served
+        s = GBParams(50.0, 1.0, 20.0, 2.0, 10.0)
+        small, _ = series._GBNormalWorkspace(s, 0).binom_grid_exp(40, 30)
+        ws = series._GBNormalWorkspace(s, 0)
+        big, _ = ws.binom_grid_exp(399, 200)
+        assert np.all(np.isfinite(big)) and np.max(np.abs(big)) <= 1.0
+        again, _ = ws.binom_grid_exp(40, 30)
+        np.testing.assert_array_equal(again, small)
+
 
 class TestConvergenceRegion:
     def test_safe_inside(self):
