@@ -37,7 +37,6 @@ CONFIG_ENV_VAR = "BEADCORR_CONFIG"
 CONFIG_DEFAULTS = {
     "series_rel_tol": 1e-10,
     "series_max_terms": 200,
-    "series_stable_window": 3,
     "quad_abs_tol": 1e-10,
     "quad_rel_tol": 1e-8,
     "quad_max_subdivisions": 2000,
@@ -46,8 +45,8 @@ CONFIG_DEFAULTS = {
     "optimizer_seed": 0,
 }
 
-_INT_KEYS = {"series_max_terms", "series_stable_window", "quad_max_subdivisions",
-             "optimizer_starts", "optimizer_max_iter", "optimizer_seed"}
+_INT_KEYS = {"series_max_terms", "quad_max_subdivisions", "optimizer_starts",
+             "optimizer_max_iter", "optimizer_seed"}
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ def load_config(path=None) -> RunConfig:
         series_cfg=section(
             series.SeriesConfig, "series_",
             rel_tol=values["series_rel_tol"],
-            max_terms_per_index=values["series_max_terms"],
-            stable_window=values["series_stable_window"]),
+            max_terms_per_index=values["series_max_terms"]),
         quad_cfg=section(
             oracle.QuadConfig, "quad_",
             abs_tol=values["quad_abs_tol"], rel_tol=values["quad_rel_tol"],

@@ -111,17 +111,8 @@ def log_truncated_gamma_integral(a, lam, p):
         reg = _sp.gammainc(a, x)
         if reg > 1e-290:
             return -a * math.log(lam) + _sp.gammaln(a) + math.log(reg)
-        # deep underflow: small-x series of the incomplete integral
-        term = 1.0 / a
-        total = term
-        k = 0
-        while True:
-            k += 1
-            term *= x / (a + k)
-            total += term
-            if term < 1e-18 * total or k > 10000:
-                break
-        return a * math.log(p) - x + math.log(total)
+        # deep underflow of the regularized form
+        return -a * math.log(lam) + specfun.log_lower_incomplete_gamma(a, x)
     mu = -lam
     x = mu * p
     if x < 700.0:

@@ -8,6 +8,7 @@ implementations because the convolution models use both forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Union, get_type_hints
@@ -19,6 +20,9 @@ from scipy.optimize import brentq
 
 from . import specfun
 from .errors import InvalidParameterError
+
+#: log of the largest float; exp of anything above it overflows
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +238,15 @@ def gb_logpdf(x, p: GBParams):
     inside = (x > 0) & (x < upper)
     if np.any(inside):
         xi = x[inside]
-        t = np.exp(p.a * (np.log(xi) - math.log(p.d)))
+        lt = p.a * (np.log(xi) - math.log(p.d))
+        big = lt > _LOG_FLOAT_MAX   # (x/d)^a overflows: log1p(c t) in logs
+        t = np.exp(np.where(big, 0.0, lt))
+        rise = np.log1p(p.c * t)
+        if np.any(big):
+            rise[big] = np.logaddexp(0.0, math.log(p.c) + lt[big])
         lf = (math.log(p.a) + (p.a * p.u - 1.0) * np.log(xi)
               - p.a * p.u * math.log(p.d) - specfun.log_beta(p.u, p.v)
-              - (p.u + p.v) * np.log1p(p.c * t))
+              - (p.u + p.v) * rise)
         if p.c != 1.0:
             lf = lf + (p.v - 1.0) * np.log1p(-(1.0 - p.c) * t)
         out[inside] = lf
@@ -343,7 +352,11 @@ def dist_logpdf_scalar(params):
             if x <= 0.0 or x >= upper:
                 return -math.inf
             lx = math.log(x)
-            t = math.exp(a * (lx - ld))
+            lt = a * (lx - ld)
+            if lt > _LOG_FLOAT_MAX:   # (x/d)^a overflows: log1p(c t) in logs
+                lct = math.log(c) + lt
+                return const + (a * u - 1.0) * lx - (u + v) * (lct + math.log1p(math.exp(-lct)))
+            t = math.exp(lt)
             out = const + (a * u - 1.0) * lx - (u + v) * math.log1p(c * t)
             if omc > 0.0:
                 out += (v - 1.0) * math.log1p(-omc * t)

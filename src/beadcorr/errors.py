@@ -27,7 +27,8 @@ class SeriesError(BeadcorrError):
 
 
 class SeriesNonConvergenceError(SeriesError):
-    """Term caps were exhausted before the partial sums stabilized."""
+    """The truncation box lies past the term caps, or the confirmation box
+    moved the sum by more than the tolerance."""
 
 
 class SeriesDivergenceError(SeriesError):

@@ -18,12 +18,11 @@ from scipy import optimize as _opt
 from scipy import special as _sp
 from scipy.signal import fftconvolve
 
-from . import correct, series, specfun
+from . import correct, series
 from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
                     GBParams, LognormalParams, MODEL_KINDS, MODEL_TYPES,
                     ModelSpec, NormalParams, dist_logpdf, gb_from_gamma,
-                    gb_support_upper, model_from_values, model_to_values,
-                    param_names)
+                    model_from_values, model_to_values, param_names)
 from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
                      InvalidParameterError, UnsupportedMethodError)
 
@@ -122,17 +121,15 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams):
 def _log_marginal_series(p, m: ModelSpec, cfg):
     """Per-gene series marginals for the lognormal-noise and GB families.
 
-    The GB families use a batched evaluation: one adaptive run at the
-    worst-case observation fixes the truncation box (expansion ratios are
-    monotone in p, so that box is conservative for every gene), then all
-    genes are evaluated on it with shared coefficient tables.
+    The GB families are summed in one batch on a shared truncation box (see
+    ``series.marginal_gb_log_batch``); the lognormal-noise families gene by
+    gene.  Genes outside the series convergence region, and batched genes
+    whose sums fail their confirmation, go to quadrature.
     """
     p = np.asarray(p, dtype=float)
     kind = m.kind
-    if kind == "gb_gb":
-        return _gb_pair_marginal_log_batch(p, m.signal, m.noise, cfg)
-    if kind == "gb_normal":
-        return _gb_normal_marginal_log_batch(p, m.signal, m.noise, cfg)
+    if kind in ("gb_gb", "gb_normal"):
+        return _gb_marginal_log(p, m, cfg)
     out = np.empty(p.shape)
     off_region = []
     for i, pi in enumerate(p):
@@ -148,14 +145,12 @@ def _log_marginal_series(p, m: ModelSpec, cfg):
                 den = series.exp_lognormal_den_series(pi, m.signal, m.noise, cfg)
                 out[i] = (math.log(m.signal.theta) - m.signal.theta * pi
                           + den.log_abs)
-            elif kind == "gamma_lognormal":
+            else:
                 g = m.signal
                 den = series.gamma_lognormal_den_series(pi, g, m.noise, cfg)
                 out[i] = ((g.alpha - 1.0) * math.log(pi) - pi / g.beta
                           - g.alpha * math.log(g.beta) - _sp.gammaln(g.alpha)
                           + den.log_abs)
-            else:
-                raise InvalidParameterError(f"no series marginal for {kind}")
         except DomainError:
             out[i] = -np.inf
     if off_region:
@@ -176,115 +171,14 @@ def _quadrature_marginal_log(p_vals, m):
     return out
 
 
-def _gb_pair_marginal_log_batch(p, s: GBParams, b: GBParams, cfg):
-    out = np.full(p.shape, -np.inf)
-    upper = gb_support_upper(s) + gb_support_upper(b)
-    inside = (p > 0) & (p < upper)
-    model = GBGB(s, b)
-    ok = inside.copy()
-    for i in np.nonzero(inside)[0]:
-        if not series.convergence_ok(model, float(p[i]), cfg):
-            ok[i] = False
-    hard = inside & ~ok
-    if np.any(hard):
-        # marginal exists but the expansion does not converge: quadrature
-        out[hard] = _quadrature_marginal_log(p[hard], model)
-    if not np.any(ok):
-        return out
-    pk = p[ok]
-    p_ref = float(np.max(pk))
-    ref = series.gb_pair_den_series(p_ref, s, b, cfg)
-    cap = cfg.max_terms_per_index
-    L, M, N, R = (min(t + 4, cap) for t in ref.terms_used)
-
-    ws = series._gb_pair_workspace(s, b, 0, 0)
-    lc1 = math.log1p(-s.c) if s.c < 1 else -math.inf
-    lc2 = math.log1p(-b.c) if b.c < 1 else -math.inf
-    ln1 = math.log(s.c) if s.c > 0 else -math.inf
-    ln2 = math.log(b.c) if b.c > 0 else -math.inf
-    a1 = series._gb_axis_arrays(ws.fall1, False, L, lc1)
-    a3 = series._gb_axis_arrays(ws.rise1, True, N, ln1)
-    a2 = series._gb_axis_arrays(ws.fall2, False, M, lc2)
-    a4 = series._gb_axis_arrays(ws.rise2, True, R, ln2)
-    v1, m1 = series._scaled_exp(*a1)
-    v3, m3 = series._scaled_exp(*a3)
-    v2, m2 = series._scaled_exp(*a2)
-    v4, m4 = series._scaled_exp(*a4)
-    conv13 = np.convolve(v1, v3)
-    conv24 = np.convolve(v2, v4)
-    E, gmax = ws.lbeta_grid_exp(conv13.size, conv24.size)
-    scale = m1 + m3 + m2 + m4 + gmax
-
-    lx1 = s.a * (np.log(pk) - math.log(s.d))
-    lx2 = b.a * (np.log(pk) - math.log(b.d))
-    with np.errstate(under="ignore"):
-        X1 = np.exp(np.outer(lx1, np.arange(conv13.size)))
-        X2 = np.exp(np.outer(lx2, np.arange(conv24.size)))
-    sand = (X1 * conv13) @ E
-    tot = np.einsum("ij,ij->i", sand, X2 * conv24)
-    log_k1 = (math.log(s.a) + math.log(b.a)
-              - s.a * s.u * math.log(s.d) - b.a * b.u * math.log(b.d)
-              - specfun.log_beta(s.u, s.v) - specfun.log_beta(b.u, b.v))
-    vals = np.full(pk.shape, -np.inf)
-    good = tot > 0
-    vals[good] = (log_k1 + (s.a * s.u + b.a * b.u - 1.0) * np.log(pk[good])
-                  + np.log(tot[good]) + scale)
-    out[ok] = vals
-    return out
-
-
-def _gb_normal_marginal_log_batch(p, s: GBParams, b: NormalParams, cfg):
-    out = np.full(p.shape, -np.inf)
-    model = GBNormal(s, b)
-    inside = p > 0
-    ok = inside.copy()
-    for i in np.nonzero(inside)[0]:
-        if not series.convergence_ok(model, float(p[i]), cfg):
-            ok[i] = False
-    hard = inside & ~ok
-    if np.any(hard):
-        out[hard] = _quadrature_marginal_log(p[hard], model)
-    if not np.any(ok):
-        return out
-    pk = p[ok]
-    p_ref = float(np.max(pk))
-    ref = series.gb_normal_den_series(p_ref, s, b, cfg)
-    cap = cfg.max_terms_per_index
-    L, M, N = (min(t + 4, cap) for t in ref.terms_used)
-
-    ws = series._gb_normal_workspace(s, 0)
-    lc = math.log1p(-s.c) if s.c < 1 else -math.inf
-    lm = math.log(s.c) if s.c > 0 else -math.inf
-    a1 = series._gb_axis_arrays(ws.fall, False, L, lc)
-    a2 = series._gb_axis_arrays(ws.rise, True, M, lm)
-    v1, m1 = series._scaled_exp(*a1)
-    v2, m2 = series._scaled_exp(*a2)
-    conv12 = np.convolve(v1, v2)
-    Gm, gmax = ws.binom_grid_exp(conv12.size, N)
-    scale = m1 + m2 + gmax
-
-    pm = pk - b.mu
-    ly = s.a * (np.log(pm) - math.log(s.d))
-    with np.errstate(under="ignore"):
-        Y = np.exp(np.outer(ly, np.arange(conv12.size)))
-    # per-gene Gaussian moment columns I_n over [-(p-mu)/sigma, mu/sigma]
-    lo = -pm / b.sigma
-    hi = b.mu / b.sigma
-    tab = np.zeros((N, pk.size))
-    for gi in range(pk.size):
-        tab[:, gi] = specfun.gaussian_moment_table(N, float(lo[gi]), hi)
-    with np.errstate(under="ignore"):
-        t_pow = np.exp(np.outer(np.arange(N), np.log(b.sigma) - np.log(pm)))
-    vn = (t_pow * tab).T  # genes x N
-    sand = (Y * conv12) @ Gm
-    tot = np.einsum("ij,ij->i", sand, vn)
-    log_k2 = (math.log(s.a) - s.a * s.u * math.log(s.d)
-              - specfun.log_beta(s.u, s.v) - 0.5 * math.log(2.0 * math.pi))
-    vals = np.full(pk.shape, -np.inf)
-    good = tot > 0
-    vals[good] = (log_k2 + (s.a * s.u - 1.0) * np.log(pm[good])
-                  + np.log(tot[good]) + scale)
-    out[ok] = vals
+def _gb_marginal_log(p, m: ModelSpec, cfg):
+    batch = (series.marginal_gb_log_batch if m.kind == "gb_gb"
+             else series.marginal_gb_normal_log_batch)
+    out, ok = batch(p, m.signal, m.noise, cfg)
+    if not ok.all():
+        # the series does not deliver these genes; quadrature gives -inf
+        # outside the support
+        out[~ok] = _quadrature_marginal_log(p[~ok], m)
     return out
 
 

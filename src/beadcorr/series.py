@@ -1,17 +1,20 @@
-"""Truncation-controlled evaluation of the convolution series.
+"""Truncated evaluation of the convolution series on one box per gene.
 
 Each convolution model whose marginal/posterior has no closed form is written
-as an infinite sum of binomial-expansion terms.  This module evaluates those
-sums with explicit convergence control:
+as an infinite sum of binomial-expansion terms, handled as log-magnitude plus
+sign because the coefficients mix huge gamma factors with tiny geometric ones.
 
-* every term magnitude is handled as log-magnitude plus sign, because the
-  coefficients mix huge gamma factors with tiny geometric ones;
-* each summation index grows geometrically until enlarging it changes the
-  total by less than ``rel_tol`` for ``stable_window`` consecutive sweeps;
-* indices whose coefficients cut off exactly (integer binomials, degenerate
-  mixture weights) are truncated at the cutoff;
-* outside the documented convergence region the evaluators raise rather than
-  return a silently wrong value -- callers fall back to quadrature.
+* The truncation box is computed from (model, p, cfg) before anything is
+  summed: per summation index, the first index past which the remaining terms
+  are below ``rel_tol`` of the total, judged from closed-form axis values and
+  the index's own term magnitudes (exact cutoffs give -inf magnitudes).
+* An evaluator sums on that box and on a confirmation box one eighth deeper
+  along every index.  It raises -- callers fall back to quadrature -- when
+  the two differ by ``rel_tol`` or more, when a depth lies past
+  ``max_terms_per_index``, or when the sum overflows.
+* The gate (``convergence_ok``) accepts a gene when every depth of both
+  kernels lies within 85% of the cap, besides its ratio and cancellation
+  checks; the batched GB likelihood sums on the largest box of its genes.
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -23,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
 import numpy as np
 from scipy import special as _sp
 
 from . import specfun
-from .dists import (ExpParams, GammaParams, GBParams, LognormalParams,
-                    ModelSpec, NormalParams, gb_support_upper)
+from .dists import (ExpParams, GammaParams, GBGB, GBNormal, GBParams,
+                    LognormalParams, ModelSpec, NormalParams, gb_support_upper)
 from .errors import (DomainError, SeriesDivergenceError,
                      SeriesNonConvergenceError)
 
@@ -37,11 +41,13 @@ _NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Stabilization policy for the infinite sums.
+    """Truncation policy for the infinite sums.
 
-    rel_tol: relative agreement required between consecutive partial sums.
-    max_terms_per_index: cap on each summation index.
-    stable_window: consecutive stable enlargements before convergence is declared.
+    rel_tol: bound on the neglected tail of every summation index, relative
+        to the total; also the agreement required between the sums on the
+        truncation box and on the confirmation box.
+    max_terms_per_index: cap on each summation index; a gene whose box needs
+        a deeper index is refused (the gate already refuses past 85% of it).
     literal_beta_args: audit mode for the GB-pair series; evaluates the
         uncorrected beta-function arguments (diverges for e.g. uniform
         components, kept only so the corrected form can be compared).
@@ -49,19 +55,22 @@ class SeriesConfig:
 
     rel_tol: float = 1e-10
     max_terms_per_index: int = 200
-    stable_window: int = 3
     literal_beta_args: bool = False
 
     def __post_init__(self):
         if not (self.rel_tol > 0):
             raise DomainError("rel_tol must be positive")
-        if self.max_terms_per_index < 1 or self.stable_window < 1:
-            raise DomainError("max_terms_per_index and stable_window must be >= 1")
+        if self.max_terms_per_index < 1:
+            raise DomainError("max_terms_per_index must be >= 1")
 
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """Converged (or partial) sum in log-magnitude + sign form."""
+    """Confirmed (or partial) sum in log-magnitude + sign form.
+
+    terms_used is the truncation box; the value is the sum on its
+    confirmation box, one eighth deeper along every index.
+    """
 
     log_abs: float
     sign: float
@@ -78,131 +87,206 @@ class SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# Shared growth controller
+# Truncation boxes
 # ---------------------------------------------------------------------------
 
-def _rel_change(log_new, sign_new, log_old, sign_old):
-    if log_new == _NEG_INF and log_old == _NEG_INF:
-        return 0.0
-    m = max(log_new, log_old)
-    a = sign_new * math.exp(log_new - m)
-    b = sign_old * math.exp(log_old - m)
-    return abs(a - b) / max(abs(a), 1e-300)
+#: margin (log units) between a term and rel_tol; a geometric tail with ratio
+#: up to 0.9 sums to at most ten times its first term
+TAIL_MARGIN = 2.3
+#: wider margin for the gamma-lognormal noise-power axis, which decays only
+#: polynomially times the noise tail weight
+LN_TAIL_MARGIN = 4.6
+#: the gate accepts a gene when every depth lies within this share of the cap
+GATE_DEPTH_FRACTION = 0.85
 
 
-def _abs_delta_log(log_new, sign_new, log_old, sign_old):
-    m = max(log_new, log_old)
-    if m == _NEG_INF:
-        return _NEG_INF
-    d = abs(sign_new * math.exp(log_new - m) - sign_old * math.exp(log_old - m))
-    return m + math.log(d) if d > 0 else _NEG_INF
+def _depth(log_terms, log_limit):
+    """First index past which every term is at most log_limit (at least 1).
 
-
-def _next_size(size, cap, hard, gentle=False):
-    limit = cap if hard is None else min(cap, hard)
-    if gentle:
-        # confirmation step after a stable enlargement: just past the edge
-        return min(limit, size + max(1, size // 8))
-    return min(limit, max(size + 1, int(size * 1.6) + 1))
-
-
-def _adaptive_sum(total_fn, hards, cfg: SeriesConfig, label: str,
-                  alternating=None) -> SeriesValue:
-    """Grow a multi-index rectangular partial sum until it stabilizes.
-
-    total_fn(sizes) must return (log_abs, sign) of the partial sum over the
-    box ``[0, sizes[0]) x ... x [0, sizes[-1])``.  Axes flagged alternating
-    get a divergence guard (growing contributions mean the binomial expansion
-    is outside its radius); positive axes may legitimately grow to a peak
-    before their factorial decay sets in.
+    Terms past an exact cutoff are -inf.  The depth equals len(log_terms)
+    when the last term is still above the limit: it then lies past them.
     """
-    cap = cfg.max_terms_per_index
-    naxes = len(hards)
-    if alternating is None:
-        alternating = [True] * naxes
-    sizes = [1 if h is None else min(1, h) or 1 for h in hards]
-    frozen = [h is not None and sizes[ax] >= h for ax, h in enumerate(hards)]
-    streak = [0] * naxes
-    grow_hist = [[] for _ in range(naxes)]  # log|delta| per growth, divergence guard
+    above = np.flatnonzero(~(log_terms <= log_limit))
+    return int(above[-1]) + 1 if above.size else 1
 
-    log_tot, sign_tot = total_fn(tuple(sizes))
-    sweeps = 0
-    while True:
-        if all(frozen):
-            vsizes = [s if hards[ax] is not None and s >= hards[ax]
-                      else _next_size(s, cap, hards[ax], gentle=True)
-                      for ax, s in enumerate(sizes)]
-            if vsizes == sizes:
-                return SeriesValue(log_tot, sign_tot, tuple(sizes), True)
-            vlog, vsign = total_fn(tuple(vsizes))
-            if _rel_change(vlog, vsign, log_tot, sign_tot) < cfg.rel_tol:
-                return SeriesValue(vlog, vsign, tuple(vsizes), True)
-            # verification failed: keep growing
-            sizes = vsizes
-            log_tot, sign_tot = vlog, vsign
-            frozen = [hards[ax] is not None and sizes[ax] >= hards[ax]
-                      for ax in range(naxes)]
-            streak = [0] * naxes
 
-        sweeps += 1
-        if sweeps > 400:
+def _grow(box):
+    """The confirmation box: every index one eighth deeper (at least one)."""
+    return tuple(n + max(1, n // 8) for n in box)
+
+
+def _rising_terms(table: _CoefTable, log_r, n):
+    """log |C(q+k-1, k) r^k| relative to the axis value (1+r)^(-q), k < n."""
+    return (table.get(n)[0] + _geometric_logs(n, log_r)
+            + table.arg * float(np.logaddexp(0.0, log_r)))
+
+
+def _falling_terms(table: _CoefTable, log_r, n):
+    """log |C(v-1, l) r^l| relative to the axis value (1-r)^(v-1), l < n.
+
+    Past the expansion radius (r >= 1) the value gives no scale, and the raw
+    magnitudes are returned; they then grow unless v is an integer.
+    """
+    logs = table.get(n)[0] + _geometric_logs(n, log_r)
+    if log_r < 0.0:
+        logs -= table.arg * math.log1p(-math.exp(log_r))
+    return logs
+
+
+def _gb_log_ratios(g: GBParams, log_x):
+    """log of the falling-axis ratio (1-c)x and the rising-axis ratio cx."""
+    return ((math.log1p(-g.c) if g.c < 1 else _NEG_INF) + log_x,
+            (math.log(g.c) if g.c > 0 else _NEG_INF) + log_x)
+
+
+def _max_convolve(a, b):
+    """out[i] = max over j + k = i of a[j] + b[k] (log-magnitude convolution)."""
+    shifted = np.full((a.size, a.size + b.size - 1), _NEG_INF)
+    rows = np.arange(a.size)[:, None]
+    shifted[rows, rows + np.arange(b.size)] = a[:, None] + b
+    return np.max(shifted, axis=0)
+
+
+def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
+    # positive terms: the tail is judged against the largest one
+    theta = 0.0 if e is None else e.theta
+    terms = [_lognormal_weight_terms(p, theta, l, shift, cfg.max_terms_per_index + 1)
+             for shift in (0, 1)]
+    return tuple((_depth(lt, float(np.max(lt)) + math.log(cfg.rel_tol) - TAIL_MARGIN),)
+                 for lt in terms)
+
+
+def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams, cfg):
+    n = cfg.max_terms_per_index + 1
+    limit = math.log(cfg.rel_tol) - LN_TAIL_MARGIN
+    log_p = math.log(p)
+    k = np.arange(n, dtype=float)
+    # binomial axis: term magnitude with n = 0 against the leading term,
+    # allowing for the exp(b/beta) factor (bounded by exp(p/beta)) that the
+    # cross terms carry
+    lead = float(_sp.log_ndtr((log_p - l.mu) / l.sigma))
+    common = (-k * log_p + k * (l.mu + 0.5 * k * l.sigma ** 2)
+              + _sp.log_ndtr((log_p - (l.mu + k * l.sigma ** 2)) / l.sigma)
+              + p / g.beta - lead)
+    # factorial axis: sum_n (b/beta)^n / n! against exp(b/beta) leaves at most
+    # the Poisson(p/beta) upper tail
+    with np.errstate(divide="ignore"):
+        tail = np.log(_sp.pdtrc(k - 1.0, p / g.beta))
+    tail[0] = 0.0
+    return tuple((_depth(specfun.gen_binomial_log_array(g.alpha - 1.0 + top, n)[0]
+                         + common, limit), _depth(tail, limit))
+                 for top in (0, 1))
+
+
+def _gb_pair_boxes(p, s: GBParams, b: GBParams, cfg):
+    # the beta-grid factor decreases along every index, so each axis is
+    # judged by its own terms; the num kernel's offsets change no index
+    n = cfg.max_terms_per_index + 1
+    limit = math.log(cfg.rel_tol) - TAIL_MARGIN
+    ws = _gb_pair_workspace(s, b, 0, 0)
+    fall1, rise1 = _gb_log_ratios(s, s.a * (math.log(p) - math.log(s.d)))
+    fall2, rise2 = _gb_log_ratios(b, b.a * (math.log(p) - math.log(b.d)))
+    box = (_depth(_falling_terms(ws.fall1, fall1, n), limit),
+           _depth(_falling_terms(ws.fall2, fall2, n), limit),
+           _depth(_rising_terms(ws.rise1, rise1, n), limit),
+           _depth(_rising_terms(ws.rise2, rise2, n), limit))
+    return box, box
+
+
+def _gb_normal_boxes(p, s: GBParams, b: NormalParams, cfg):
+    n = cfg.max_terms_per_index + 1
+    limit = math.log(cfg.rel_tol) - TAIL_MARGIN
+    pm = p - b.mu
+    fall, rise = _gb_log_ratios(s, s.a * (math.log(pm) - math.log(s.d)))
+    lv = _moment_logs(pm, b, n)[0]
+    top = float(np.max(lv))
+    with np.errstate(under="ignore"):
+        ev = np.exp(lv - top)
+    ws = _gb_normal_workspace(s, 0)
+    fall_terms = _falling_terms(ws.fall, fall, n)
+    rise_terms = _rising_terms(ws.rise, rise, n)
+    boxes = []
+    for off in (0, 1):
+        ws = _gb_normal_workspace(s, off)
+        # row i = l + m carries the moment sum over n, which grows with i;
+        # the sum of its term magnitudes stands for it
+        _, scaled, peak = ws.log_grid(n, n)
+        with np.errstate(divide="ignore"):
+            row = np.log(scaled @ ev) + peak + top
+        growth = row - row[0]
+        L = _depth(fall_terms + growth, limit)
+        M = _depth(rise_terms + growth, limit)
+        if max(L, M) >= n:
+            boxes.append((L, M, n))
+            continue
+        # moment axis: every (l, m) row of the box, weighted by its axis terms
+        weight = _max_convolve(fall_terms[:L], rise_terms[:M])
+        cols = np.max(weight[:, None] + ws.log_grid(L + M - 1, n)[0], axis=0) + lv
+        boxes.append((L, M, _depth(cols, row[0] + limit)))
+    return tuple(boxes)
+
+
+_BOX_BUILDERS = {
+    "exp_lognormal": _exp_lognormal_boxes,
+    "gamma_lognormal": _gamma_lognormal_boxes,
+    "gb_gb": _gb_pair_boxes,
+    "gb_normal": _gb_normal_boxes,
+}
+
+
+@lru_cache(maxsize=64)
+def _boxes(kind, p, signal, noise, cfg):
+    """(den box, num box) of a series family at observation p.
+
+    Cached so the gate and the two kernels of one gene share the decision.
+    """
+    return _BOX_BUILDERS[kind](p, signal, noise, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Summation on a box
+# ---------------------------------------------------------------------------
+
+def _confirmed_sum(total_fn, box, cfg, label) -> SeriesValue:
+    """The sum on the grown box, confirmed against the sum on the box.
+
+    total_fn(sizes) returns (log_abs, sign) of the partial sum over
+    ``[0, sizes[0]) x ... x [0, sizes[-1])``.
+    """
+    if max(box) > cfg.max_terms_per_index:
+        raise SeriesNonConvergenceError(
+            f"{label}: truncation depths {box} lie past the cap "
+            f"({cfg.max_terms_per_index})")
+    log_tot, sign_tot = total_fn(box)
+    wide_log, wide_sign = total_fn(_grow(box))
+    if max(log_tot, wide_log) > 690.0:
+        raise SeriesDivergenceError(
+            f"{label}: partial sums overflowing; expansion outside its "
+            f"convergence region")
+    if log_tot != _NEG_INF or wide_log != _NEG_INF:
+        m = max(log_tot, wide_log)
+        a, b = sign_tot * math.exp(log_tot - m), wide_sign * math.exp(wide_log - m)
+        moved = abs(a - b) / max(abs(b), 1e-300)
+        if not moved < cfg.rel_tol:
             raise SeriesNonConvergenceError(
-                f"{label}: growth loop exceeded sweep budget",
-                partial=SeriesValue(log_tot, sign_tot, tuple(sizes), False))
+                f"{label}: confirmation box {_grow(box)} moved the sum by "
+                f"{moved:.2e} relative",
+                partial=SeriesValue(wide_log, wide_sign, box, False))
+    return SeriesValue(wide_log, wide_sign, box, True)
 
-        for ax in range(naxes):
-            if frozen[ax]:
-                continue
-            new = _next_size(sizes[ax], cap, hards[ax], gentle=streak[ax] > 0)
-            if new == sizes[ax]:
-                # cannot grow further
-                if hards[ax] is not None and sizes[ax] >= hards[ax]:
-                    frozen[ax] = True
-                    continue
-                raise SeriesNonConvergenceError(
-                    f"{label}: index {ax} hit the cap ({cap}) before stabilizing",
-                    partial=SeriesValue(log_tot, sign_tot, tuple(sizes), False))
-            old_log, old_sign = log_tot, sign_tot
-            sizes[ax] = new
-            log_tot, sign_tot = total_fn(tuple(sizes))
-            if log_tot > 690.0:
-                raise SeriesDivergenceError(
-                    f"{label}: partial sums overflowing; expansion outside "
-                    f"its convergence region")
-            delta = _rel_change(log_tot, sign_tot, old_log, old_sign)
-            dlog = _abs_delta_log(log_tot, sign_tot, old_log, old_sign)
-            hist = grow_hist[ax]
-            if delta >= cfg.rel_tol:
-                hist.append(dlog)
-            # within the documented convergence gates, alternating-axis term
-            # peaks sit below index 48; sustained substantial growth past it
-            # means the binomial expansion is outside its radius (plateaus
-            # with ~unit ratio wobble by less than the 0.1 log-unit step)
-            if (alternating[ax] and sizes[ax] >= 48 and len(hist) >= 3
-                    and hist[-3] > _NEG_INF
-                    and hist[-1] > hist[-2] + 0.1 > hist[-3] + 0.2):
-                raise SeriesDivergenceError(
-                    f"{label}: term contributions growing along index {ax}; "
-                    f"expansion outside its convergence region",
-                    partial=SeriesValue(log_tot, sign_tot, tuple(sizes), False))
-            if delta < cfg.rel_tol:
-                streak[ax] += 1
-                if streak[ax] >= cfg.stable_window or sizes[ax] >= (
-                        cap if hards[ax] is None else min(cap, hards[ax])):
-                    frozen[ax] = True
-            else:
-                streak[ax] = 0
-                if sizes[ax] >= cap:
-                    partial = SeriesValue(log_tot, sign_tot, tuple(sizes), False)
-                    if (alternating[ax] and len(hist) >= 2
-                            and hist[-1] > hist[-2] > _NEG_INF):
-                        raise SeriesDivergenceError(
-                            f"{label}: index {ax} capped with growing terms; "
-                            f"expansion outside its convergence region",
-                            partial=partial)
-                    raise SeriesNonConvergenceError(
-                        f"{label}: index {ax} hit the cap ({cap}) while still "
-                        f"moving by {delta:.2e} relative", partial=partial)
+
+def _confirmed_batch(total_fn, box, cfg):
+    """Per-gene (log sum on the grown box, ok) for a shared box.
+
+    total_fn(sizes) returns (per-gene sums, common log scale); ok marks genes
+    whose sum is finite, positive and within rel_tol of the sum on the box.
+    """
+    base, base_scale = total_fn(box)
+    wide, scale = total_fn(_grow(box))
+    with np.errstate(all="ignore"):
+        moved = np.abs(wide - base * np.exp(base_scale - scale))
+        ok = np.isfinite(wide) & (wide > 0) & (moved < cfg.rel_tol * wide)
+        return np.where(ok, np.log(np.where(ok, wide, 1.0)) + scale, -np.inf), ok
 
 
 def _scaled_exp(logs, signs):
@@ -229,43 +313,30 @@ def _geometric_logs(n, log_ratio):
     return out
 
 
-def _hard_from(signs, g):
-    """Exact truncation index: first zero coefficient, or 1 if the geometric
-    ratio is exactly zero (0^0 = 1 convention keeps the first term)."""
-    if g == 0.0:
-        return 1
-    zero = np.nonzero(signs == 0.0)[0]
-    return int(zero[0]) if zero.size else None
-
-
 # ---------------------------------------------------------------------------
 # Cached p-independent coefficient tables
 # ---------------------------------------------------------------------------
 
-class _BinomTable:
-    """Lazily grown (log|C(r, k)|, sign) rows for a fixed real r."""
+class _CoefTable:
+    """Lazily grown (log|coefficient|, sign) rows of fn(arg, n): falling
+    binomials C(arg, k) or rising ones C(arg+k-1, k)."""
 
-    def __init__(self, r):
-        self.r = r
-        self.logs, self.signs = specfun.gen_binomial_log_array(r, 8)
+    def __init__(self, fn, arg):
+        self.fn, self.arg = fn, arg
+        self.logs, self.signs = fn(arg, 8)
 
     def get(self, n):
         if n > self.logs.size:
-            self.logs, self.signs = specfun.gen_binomial_log_array(self.r, n + 8)
+            self.logs, self.signs = self.fn(self.arg, n + 8)
         return self.logs[:n], self.signs[:n]
 
 
-class _RisingTable:
-    """Lazily grown log C(q+k-1, k) rows for a fixed q > 0 (all positive)."""
+def _falling_table(v):
+    return _CoefTable(specfun.gen_binomial_log_array, v - 1.0)
 
-    def __init__(self, q):
-        self.q = q
-        self.logs = specfun.rising_binomial_log_array(q, 8)[0]
 
-    def get(self, n):
-        if n > self.logs.size:
-            self.logs = specfun.rising_binomial_log_array(self.q, n + 8)[0]
-        return self.logs[:n]
+def _rising_table(q):
+    return _CoefTable(specfun.rising_binomial_log_array, q)
 
 
 @lru_cache(maxsize=64)
@@ -284,10 +355,8 @@ class _GBPairWorkspace:
     def __init__(self, s, b, off1, off2):
         self.s, self.b = s, b
         self.off1, self.off2 = off1, off2
-        self.fall1 = _BinomTable(s.v - 1.0)
-        self.fall2 = _BinomTable(b.v - 1.0)
-        self.rise1 = _RisingTable(s.u + s.v)
-        self.rise2 = _RisingTable(b.u + b.v)
+        self.fall1, self.fall2 = _falling_table(s.v), _falling_table(b.v)
+        self.rise1, self.rise2 = _rising_table(s.u + s.v), _rising_table(b.u + b.v)
         self._grid = np.zeros((0, 0))
         self._grid_exp = np.zeros((0, 0))
         self._gmax = 0.0
@@ -317,6 +386,21 @@ class _GBPairWorkspace:
             self._grid, self._gmax = g, gmax
         return self._grid_exp[:imax, :jmax], self._gmax
 
+    def parts(self, lg1, lg2, lg3, lg4, sizes):
+        """Scaled axis vectors, their convolutions, beta grid and log scale.
+
+        lg1..lg4 are the log geometric ratios of the l, m, n and r axes.
+        """
+        L, M, N, R = sizes
+        v1, m1 = _scaled_exp(*_gb_axis_arrays(self.fall1, L, lg1))
+        v3, m3 = _scaled_exp(*_gb_axis_arrays(self.rise1, N, lg3))
+        v2, m2 = _scaled_exp(*_gb_axis_arrays(self.fall2, M, lg2))
+        v4, m4 = _scaled_exp(*_gb_axis_arrays(self.rise2, R, lg4))
+        conv13 = np.convolve(v1, v3)
+        conv24 = np.convolve(v2, v4)
+        E, gmax = self.lbeta_grid_exp(conv13.size, conv24.size)
+        return v1, v3, v2, v4, conv13, conv24, E, m1 + m3 + m2 + m4 + gmax
+
 
 @lru_cache(maxsize=64)
 def _gb_normal_workspace(s: GBParams, off: int):
@@ -333,9 +417,23 @@ class _GBNormalWorkspace:
     def __init__(self, s, off):
         self.s = s
         self.off = off
-        self.fall = _BinomTable(s.v - 1.0)
-        self.rise = _RisingTable(s.u + s.v)
+        self.fall, self.rise = _falling_table(s.v), _rising_table(s.u + s.v)
         self._blocks = {}
+        self._log_grid = (np.zeros((0, 0)),) * 3
+
+    def _rows(self, i, n):
+        return specfun.gen_binomial_log_array(self.s.a * (self.s.u + i) - 1.0 + self.off, n)
+
+    def log_grid(self, imax, n):
+        """(log|C|, |C| over its row's largest entry, log of that entry) for
+        C = C(a(u+i) - 1 + off, k) over the leading imax rows, k < n."""
+        logs = self._log_grid[0]
+        if logs.shape[0] < imax or logs.shape[1] != n:
+            logs = self._rows(np.arange(max(imax, 2 * logs.shape[0])), n)[0]
+            peak = np.max(logs, axis=1)
+            with np.errstate(under="ignore"):
+                self._log_grid = (logs, np.exp(logs - peak[:, None]), peak)
+        return tuple(part[:imax] for part in self._log_grid)
 
     def binom_grid_exp(self, imax, nmax):
         """(signs * exp(log grid - gmax), gmax) over the leading imax x nmax block.
@@ -348,16 +446,22 @@ class _GBNormalWorkspace:
         size = max(16, 1 << (max(imax, nmax) - 1).bit_length())
         hit = self._blocks.get(size)
         if hit is None:
-            logs = np.empty((size, size))
-            signs = np.empty((size, size))
-            for i in range(size):
-                r = self.s.a * (self.s.u + i) - 1.0 + self.off
-                logs[i], signs[i] = specfun.gen_binomial_log_array(r, size)
+            logs, signs = self._rows(np.arange(size), size)
             live = logs[signs != 0]
             gmax = float(np.max(live)) if live.size else 0.0
             with np.errstate(under="ignore"):
                 hit = self._blocks[size] = (signs * np.exp(logs - gmax), gmax)
         return hit[0][:imax, :nmax], hit[1]
+
+
+@lru_cache(maxsize=8)
+def _moment_logs(pm, b: NormalParams, n):
+    """(log |t^k I_k|, sign I_k), k < n: t = sigma/(p - mu) times the Gaussian
+    moments I_k over [-(p - mu)/sigma, mu/sigma]."""
+    table = specfun.gaussian_moment_table(n, -pm / b.sigma, b.mu / b.sigma)
+    with np.errstate(divide="ignore"):
+        logs = np.arange(n) * (math.log(b.sigma) - math.log(pm)) + np.log(np.abs(table))
+    return logs, np.sign(table)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +486,9 @@ def _eval_lognormal_exp_series(p, e: ExpParams | None, l, shift, cfg, label):
     if p <= 0:
         raise DomainError(f"{label} requires p > 0, got {p}")
     theta = 0.0 if e is None else e.theta
-    cache = {"n": 0, "lt": np.zeros(0)}
-
-    def terms(n):
-        if cache["n"] < n:
-            cache["lt"] = _lognormal_weight_terms(p, theta, l, shift, n)
-            cache["n"] = n
-        return cache["lt"][:n]
 
     def total(sizes):
-        lt = terms(sizes[0])
+        lt = _lognormal_weight_terms(p, theta, l, shift, sizes[0])
         m = float(np.max(lt))
         if m == _NEG_INF:
             return _NEG_INF, 0.0
@@ -399,8 +496,8 @@ def _eval_lognormal_exp_series(p, e: ExpParams | None, l, shift, cfg, label):
             vals = np.exp(lt - m)
         return _finish(math.fsum(vals.tolist()), m)
 
-    hard = 1 if theta == 0.0 else None
-    return _adaptive_sum(total, [hard], cfg, label, alternating=[False])
+    box = _boxes("exp_lognormal", p, e, l, cfg)[shift]
+    return _confirmed_sum(total, box, cfg, label)
 
 
 def exp_lognormal_den_series(p, e: ExpParams, l: LognormalParams,
@@ -424,27 +521,19 @@ def _eval_gamma_lognormal(p, g: GammaParams, l: LognormalParams, top_shift,
     """top_shift = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k)."""
     if p <= 0:
         raise DomainError(f"{label} requires p > 0, got {p}")
-    binom = _BinomTable(g.alpha - 1.0 + top_shift)
     log_p = math.log(p)
-    state = {"n": 0, "E": np.zeros(0)}
-
-    def exptable(n):
-        if state["n"] < n:
-            t = np.arange(n, dtype=float)
-            state["E"] = (t * (l.mu + 0.5 * t * l.sigma ** 2)
-                          + _sp.log_ndtr((log_p - (l.mu + t * l.sigma ** 2)) / l.sigma))
-            state["n"] = n
-        return state["E"][:n]
 
     def total(sizes):
         K, N = sizes
-        blogs, bsigns = binom.get(K)
+        blogs, bsigns = specfun.gen_binomial_log_array(g.alpha - 1.0 + top_shift, K)
         kk = np.arange(K, dtype=float)
         nn = np.arange(N, dtype=float)
+        t = np.arange(K + N - 1, dtype=float)
+        E = (t * (l.mu + 0.5 * t * l.sigma ** 2)
+             + _sp.log_ndtr((log_p - (l.mu + t * l.sigma ** 2)) / l.sigma))
         bk = blogs - kk * log_p
         sk = bsigns * np.where(kk % 2 == 0, 1.0, -1.0)
         bn = -_sp.gammaln(nn + 1.0) - nn * math.log(g.beta)
-        E = exptable(K + N - 1)
         te = bk[:, None] + bn[None, :] + E[(np.arange(K)[:, None] + np.arange(N)[None, :])]
         m = float(np.max(te))
         if m == _NEG_INF:
@@ -453,10 +542,8 @@ def _eval_gamma_lognormal(p, g: GammaParams, l: LognormalParams, top_shift,
             grid = sk[:, None] * np.exp(te - m)
         return _finish(math.fsum(np.sum(grid, axis=1).tolist()), m)
 
-    blogs0, bsigns0 = binom.get(cfg.max_terms_per_index)
-    hard_k = _hard_from(bsigns0, 1.0)
-    return _adaptive_sum(total, [hard_k, None], cfg, label,
-                         alternating=[True, False])
+    box = _boxes("gamma_lognormal", p, g, l, cfg)[top_shift]
+    return _confirmed_sum(total, box, cfg, label)
 
 
 def gamma_lognormal_den_series(p, g: GammaParams, l: LognormalParams,
@@ -475,81 +562,42 @@ def gamma_lognormal_num_series(p, g: GammaParams, l: LognormalParams,
 # GB + GB quadruple series
 # ---------------------------------------------------------------------------
 
-def _gb_axis_arrays(table, rising, n, log_ratio):
+def _gb_axis_arrays(table, n, log_ratio):
     """Signed, geometric-folded coefficient arrays for one GB expansion axis."""
-    if rising:
-        logs = table.get(n).copy()
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    else:
-        blogs, bsigns = table.get(n)
-        logs = blogs.copy()
-        signs = bsigns * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    logs += _geometric_logs(n, log_ratio)
+    blogs, bsigns = table.get(n)
+    logs = blogs + _geometric_logs(n, log_ratio)
+    signs = bsigns * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     signs = np.where(np.isneginf(logs), np.where(np.arange(n) == 0, signs, 0.0), signs)
     return logs, signs
 
 
 def _gb_pair_eval(p, s, b, off1, off2, cfg, label, want_grad=False):
+    upper = gb_support_upper(s) + gb_support_upper(b)
+    if not (0 < p < upper):
+        raise DomainError(f"{label}: p={p} outside the convolution support (0, {upper})")
+    box = _boxes("gb_gb", p, s, b, cfg)[off1]
     if off1 == 0 and off2 == 0 and cfg.literal_beta_args:
         off1, off2 = -1, -1
     elif off1 == 1 and cfg.literal_beta_args:
         off1, off2 = 0, -1
     ws = _gb_pair_workspace(s, b, off1, off2)
-    upper = gb_support_upper(s) + gb_support_upper(b)
-    if not (0 < p < upper):
-        raise DomainError(f"{label}: p={p} outside the convolution support (0, {upper})")
 
-    lx1 = s.a * (math.log(p) - math.log(s.d))
-    lx2 = b.a * (math.log(p) - math.log(b.d))
-    lg1 = (math.log1p(-s.c) if s.c < 1 else _NEG_INF) + lx1   # (1-c1) x1 per l
-    lg3 = (math.log(s.c) if s.c > 0 else _NEG_INF) + lx1      # c1 x1 per n
-    lg2 = (math.log1p(-b.c) if b.c < 1 else _NEG_INF) + lx2
-    lg4 = (math.log(b.c) if b.c > 0 else _NEG_INF) + lx2
-
-    def axes(sizes):
-        L, M, N, R = sizes
-        a1 = _gb_axis_arrays(ws.fall1, False, L, lg1)
-        a3 = _gb_axis_arrays(ws.rise1, True, N, lg3)
-        a2 = _gb_axis_arrays(ws.fall2, False, M, lg2)
-        a4 = _gb_axis_arrays(ws.rise2, True, R, lg4)
-        return a1, a2, a3, a4
-
-    def parts(sizes):
-        (l1, s1), (l2, s2), (l3, s3), (l4, s4) = axes(sizes)
-        v1, m1 = _scaled_exp(l1, s1)
-        v3, m3 = _scaled_exp(l3, s3)
-        v2, m2 = _scaled_exp(l2, s2)
-        v4, m4 = _scaled_exp(l4, s4)
-        conv13 = np.convolve(v1, v3)
-        conv24 = np.convolve(v2, v4)
-        E, gmax = ws.lbeta_grid_exp(conv13.size, conv24.size)
-        scale = m1 + m3 + m2 + m4 + gmax
-        return (v1, v3, v2, v4, conv13, conv24, E, scale)
+    lg1, lg3 = _gb_log_ratios(s, s.a * (math.log(p) - math.log(s.d)))
+    lg2, lg4 = _gb_log_ratios(b, b.a * (math.log(p) - math.log(b.d)))
 
     def total(sizes):
-        _, _, _, _, conv13, conv24, E, scale = parts(sizes)
+        _, _, _, _, conv13, conv24, E, scale = ws.parts(lg1, lg2, lg3, lg4, sizes)
         rows = conv13 * (E @ conv24)
         return _finish(math.fsum(rows.tolist()), scale)
 
-    # exact truncation of each axis
-    capn = cfg.max_terms_per_index
-    h_l = _hard_from(_gb_axis_arrays(ws.fall1, False, capn, lg1)[1], 1.0)
-    h_m = _hard_from(_gb_axis_arrays(ws.fall2, False, capn, lg2)[1], 1.0)
-    h_n = 1 if s.c == 0.0 else None
-    h_r = 1 if b.c == 0.0 else None
-    if s.c == 1.0:
-        h_l = 1
-    if b.c == 1.0:
-        h_m = 1
-
-    result = _adaptive_sum(total, [h_l, h_m, h_n, h_r], cfg, label)
+    result = _confirmed_sum(total, box, cfg, label)
     if not want_grad:
         return result
 
-    # Signal-block derivative sums on the converged box, shared scale cancels
+    # Signal-block derivative sums on the confirmed box, shared scale cancels
     # in the returned ratios d(log series)/d(param).
     sizes = result.terms_used
-    v1, v3, v2, v4, conv13, conv24, E, _ = parts(sizes)
+    v1, v3, v2, v4, conv13, conv24, E, _ = ws.parts(lg1, lg2, lg3, lg4, sizes)
     L, M, N, R = sizes
     base_rows = E @ conv24
     S0 = float(np.sum(conv13 * base_rows))
@@ -618,6 +666,13 @@ def gb_pair_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
 # GB + normal triple series
 # ---------------------------------------------------------------------------
 
+def _gb_normal_parts(ws, lg1, lg2, L, M):
+    """Scaled l and m axis vectors, their convolution, and its log scale."""
+    v1, m1 = _scaled_exp(*_gb_axis_arrays(ws.fall, L, lg1))
+    v2, m2 = _scaled_exp(*_gb_axis_arrays(ws.rise, M, lg2))
+    return v1, v2, np.convolve(v1, v2), m1 + m2
+
+
 def _gb_normal_eval(p, s, b: NormalParams, off, cfg, label, want_grad=False):
     if p <= 0:
         raise DomainError(f"{label} requires p > 0, got {p}")
@@ -625,48 +680,27 @@ def _gb_normal_eval(p, s, b: NormalParams, off, cfg, label, want_grad=False):
         raise DomainError(
             f"{label}: series formulation requires p > noise mu, got p={p}, mu={b.mu}")
     ws = _gb_normal_workspace(s, off)
-
+    box = _boxes("gb_normal", p, s, b, cfg)[off]
     pm = p - b.mu
-    lyd = s.a * (math.log(pm) - math.log(s.d))
-    lg1 = (math.log1p(-s.c) if s.c < 1 else _NEG_INF) + lyd
-    lg2 = (math.log(s.c) if s.c > 0 else _NEG_INF) + lyd
-    log_t = math.log(b.sigma) - math.log(pm)
-    lo, hi = -pm / b.sigma, b.mu / b.sigma
-    state = {"n": 0, "vlog": np.zeros(0), "vsign": np.zeros(0)}
-
-    def moment_axis(n):
-        if state["n"] < n:
-            table = specfun.gaussian_moment_table(n, lo, hi)
-            with np.errstate(divide="ignore"):
-                state["vlog"] = np.arange(n) * log_t + np.log(np.abs(table))
-            state["vsign"] = np.sign(table)
-            state["n"] = n
-        return state["vlog"][:n], state["vsign"][:n]
+    lg1, lg2 = _gb_log_ratios(s, s.a * (math.log(pm) - math.log(s.d)))
+    wide = _grow(box)
 
     def parts(sizes):
         L, M, N = sizes
-        l1, s1 = _gb_axis_arrays(ws.fall, False, L, lg1)
-        l2, s2 = _gb_axis_arrays(ws.rise, True, M, lg2)
-        v1, m1 = _scaled_exp(l1, s1)
-        v2, m2 = _scaled_exp(l2, s2)
-        conv12 = np.convolve(v1, v2)
-        vlog, vsign = moment_axis(N)
-        vn, mv = _scaled_exp(vlog, vsign)
-        Gm, gmax = ws.binom_grid_exp(conv12.size, N)
-        return v1, v2, conv12, vn, Gm, m1 + m2 + mv + gmax
+        v1, v2, conv12, scale = _gb_normal_parts(ws, lg1, lg2, L, M)
+        # the gate read the same (cached) moment table to fix the box
+        vlog, vsign = _moment_logs(pm, b, max(wide[2], cfg.max_terms_per_index + 1))
+        vn, mv = _scaled_exp(vlog[:N], vsign[:N])
+        # both sums read one scaled grid, so the confirmation sees truncation only
+        grid, gmax = ws.binom_grid_exp(wide[0] + wide[1] - 1, wide[2])
+        return v1, v2, conv12, vn, grid[:conv12.size, :N], scale + mv + gmax
 
     def total(sizes):
         _, _, conv12, vn, Gm, scale = parts(sizes)
         rows = conv12 * (Gm @ vn)
         return _finish(math.fsum(rows.tolist()), scale)
 
-    capn = cfg.max_terms_per_index
-    h_l = _hard_from(_gb_axis_arrays(ws.fall, False, capn, lg1)[1], 1.0)
-    h_m = 1 if s.c == 0.0 else None
-    if s.c == 1.0:
-        h_l = 1
-
-    result = _adaptive_sum(total, [h_l, h_m, None], cfg, label)
+    result = _confirmed_sum(total, box, cfg, label)
     if not want_grad:
         return result
 
@@ -733,16 +767,25 @@ def gb_normal_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
 # Marginal densities assembled from the series
 # ---------------------------------------------------------------------------
 
+def _gb_pair_log_const(s: GBParams, b: GBParams):
+    return (math.log(s.a) + math.log(b.a)
+            - s.a * s.u * math.log(s.d) - b.a * b.u * math.log(b.d)
+            - specfun.log_beta(s.u, s.v) - specfun.log_beta(b.u, b.v))
+
+
+def _gb_normal_log_const(s: GBParams):
+    return (math.log(s.a) - s.a * s.u * math.log(s.d) - specfun.log_beta(s.u, s.v)
+            - 0.5 * math.log(2.0 * math.pi))
+
+
 def marginal_gb_log(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
     den = gb_pair_den_series(p, s, b, cfg)
     if den.sign <= 0:
         raise SeriesDivergenceError(
             "gb_pair_den series converged to a nonpositive value; cancellation "
             "has destroyed the result")
-    log_k1 = (math.log(s.a) + math.log(b.a)
-              - s.a * s.u * math.log(s.d) - b.a * b.u * math.log(b.d)
-              - specfun.log_beta(s.u, s.v) - specfun.log_beta(b.u, b.v))
-    return log_k1 + (s.a * s.u + b.a * b.u - 1.0) * math.log(p) + den.log_abs
+    return (_gb_pair_log_const(s, b) + (s.a * s.u + b.a * b.u - 1.0) * math.log(p)
+            + den.log_abs)
 
 
 def marginal_gb(p, s: GBParams, b: GBParams, cfg=SeriesConfig()) -> float:
@@ -755,11 +798,8 @@ def marginal_gb_normal_log(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()):
     if den.sign <= 0:
         raise SeriesDivergenceError(
             "gb_normal_den series converged to a nonpositive value")
-    pm = p - b.mu
-    log_k2 = (math.log(s.a) + (s.a * s.u - 1.0) * math.log(pm)
-              - s.a * s.u * math.log(s.d) - specfun.log_beta(s.u, s.v)
-              - 0.5 * math.log(2.0 * math.pi))
-    return log_k2 + den.log_abs
+    return (_gb_normal_log_const(s) + (s.a * s.u - 1.0) * math.log(p - b.mu)
+            + den.log_abs)
 
 
 def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> float:
@@ -767,8 +807,88 @@ def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> f
     return math.exp(marginal_gb_normal_log(p, s, b, cfg))
 
 
+def _marginal_log_batch(model, p, cfg, kernel):
+    """Series log marginals of model at every observation of the array p.
+
+    The genes the gate accepts are summed together on one box, the
+    elementwise largest of their own den boxes, with shared coefficient
+    tables: kernel(accepted p, box) returns the batch total function and
+    the per-gene log prefactor.  Returns (values, ok); ok is False where the
+    gate refuses the gene or its sum is not positive or fails the
+    confirmation, and values there are -inf, so callers can route those
+    genes elsewhere.
+    """
+    p = np.asarray(p, dtype=float)
+    ok = np.zeros(p.shape, dtype=bool)
+    boxes = []
+    for i, pi in enumerate(p.tolist()):
+        if convergence_ok(model, pi, cfg):
+            ok[i] = True
+            boxes.append(_boxes(model.kind, pi, model.signal, model.noise, cfg)[0])
+    out = np.full(p.shape, -np.inf)
+    if boxes:
+        box = tuple(map(max, zip(*boxes)))
+        total, prefactor = kernel(p[ok], box)
+        log_den, good = _confirmed_batch(total, box, cfg)
+        out[ok] = prefactor + log_den
+        ok[ok] = good
+    return out, ok
+
+
+def marginal_gb_log_batch(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
+    """``marginal_gb_log`` at every observation of the array p, as
+    (values, ok); see ``_marginal_log_batch``."""
+    def kernel(pk, box):
+        ws = _gb_pair_workspace(s, b, 0, 0)
+        lg1, lg3 = _gb_log_ratios(s, 0.0)
+        lg2, lg4 = _gb_log_ratios(b, 0.0)
+        lx1 = s.a * (np.log(pk) - math.log(s.d))
+        lx2 = b.a * (np.log(pk) - math.log(b.d))
+
+        def total(sizes):
+            _, _, _, _, conv13, conv24, E, scale = ws.parts(lg1, lg2, lg3, lg4, sizes)
+            with np.errstate(under="ignore"):
+                X1 = np.exp(np.outer(lx1, np.arange(conv13.size)))
+                X2 = np.exp(np.outer(lx2, np.arange(conv24.size)))
+            return np.einsum("ij,ij->i", (X1 * conv13) @ E, X2 * conv24), scale
+
+        return total, (_gb_pair_log_const(s, b)
+                       + (s.a * s.u + b.a * b.u - 1.0) * np.log(pk))
+
+    return _marginal_log_batch(GBGB(s, b), p, cfg, kernel)
+
+
+def marginal_gb_normal_log_batch(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()):
+    """``marginal_gb_normal_log`` at every observation of the array p, as
+    (values, ok); see ``_marginal_log_batch``."""
+    def kernel(pk, box):
+        pm = pk - b.mu
+        ws = _gb_normal_workspace(s, 0)
+        lg1, lg2 = _gb_log_ratios(s, 0.0)
+        ly = s.a * (np.log(pm) - math.log(s.d))
+        L, M, N = _grow(box)
+        grid, gmax = ws.binom_grid_exp(L + M - 1, N)
+        vn = np.empty((pm.size, N))   # per-gene moment columns t^n I_n
+        for gi, y in enumerate(pm.tolist()):
+            vlog, vsign = _moment_logs(y, b, N)
+            with np.errstate(under="ignore"):
+                vn[gi] = vsign * np.exp(vlog)
+
+        def total(sizes):
+            L, M, N = sizes
+            _, _, conv12, scale = _gb_normal_parts(ws, lg1, lg2, L, M)
+            with np.errstate(under="ignore"):
+                Y = np.exp(np.outer(ly, np.arange(conv12.size)))
+            return (np.einsum("ij,ij->i", (Y * conv12) @ grid[:conv12.size, :N],
+                              vn[:, :N]), scale + gmax)
+
+        return total, _gb_normal_log_const(s) + (s.a * s.u - 1.0) * np.log(pm)
+
+    return _marginal_log_batch(GBNormal(s, b), p, cfg, kernel)
+
+
 # ---------------------------------------------------------------------------
-# Convergence region ("safe range") predicates
+# Convergence region ("safe range")
 # ---------------------------------------------------------------------------
 
 #: geometric-ratio ceiling for the GB binomial expansions; 0.8^200 leaves
@@ -777,35 +897,16 @@ GB_RATIO_MAX = 0.80
 #: cancellation ceiling: log of (sum of |terms| / |sum|) tolerated before
 #: float64 noise erodes the alternating sums (1e-16 * e^26 ~ 2e-5 relative)
 GB_SPREAD_LOG_MAX = 26.0
-#: lognormal-noise gates: noise density must be negligible at p, and the
-#: factorial-damped index must peak within the caps
+#: lognormal-noise gates: the noise density must be negligible at p
+#: (gamma signal), and the noise spread bounded (exponential signal)
 LN_TAIL_Z_MIN = 4.5
-LN_DEPTH_MAX = 55.0
+LN_SIGMA_MAX = 3.0
 #: GB-normal gates on the Gaussian-moment index
 GBN_ENDPOINT_RATIO_MAX = 0.85
 GBN_SIGMA_SEP_MIN = 3.0
 
 
-def _rising_axis_deep_enough(q, r, cfg):
-    """The alternating sum of C(q+n-1, n) r^n must fall below rel_tol of its
-    value (1+r)^(-q) within ~85% of the index cap."""
-    n = int(0.85 * cfg.max_terms_per_index)
-    log_term = (_sp.gammaln(q + n) - _sp.gammaln(q) - _sp.gammaln(n + 1.0)
-                + n * math.log(r))
-    log_total = -q * math.log1p(r)
-    return log_term - log_total <= math.log(cfg.rel_tol) - 2.3
-
-
-def _falling_axis_deep_enough(v, r, cfg):
-    """Same for C(v-1, l) r^l against (1-r)^(v-1); the coefficient magnitude
-    is bounded by 2^(v-1)."""
-    n = int(0.85 * cfg.max_terms_per_index)
-    log_term = max(v - 1.0, 0.0) * math.log(2.0) + n * math.log(r)
-    log_total = (v - 1.0) * math.log1p(-r)
-    return log_term - log_total <= math.log(cfg.rel_tol) - 2.3
-
-
-def _gb_component_ok(g: GBParams, p, cfg: SeriesConfig) -> bool:
+def _gb_in_region(g: GBParams, p) -> bool:
     lx = g.a * (math.log(p) - math.log(g.d))
     cx = g.c * math.exp(lx) if lx < 700 else math.inf
     ox = (1.0 - g.c) * math.exp(lx) if lx < 700 else math.inf
@@ -817,12 +918,24 @@ def _gb_component_ok(g: GBParams, p, cfg: SeriesConfig) -> bool:
         spread += (g.u + g.v) * (math.log1p(cx) - math.log1p(-cx))
     if ox > 0:
         spread += max(g.v - 1.0, 0.0) * (math.log1p(ox) - math.log1p(-ox))
-    if spread > GB_SPREAD_LOG_MAX:
-        return False
-    if cx > 0 and not _rising_axis_deep_enough(g.u + g.v, cx, cfg):
-        return False
-    if ox > 0 and not _falling_axis_deep_enough(g.v, ox, cfg):
-        return False
+    return spread <= GB_SPREAD_LOG_MAX
+
+
+def _in_region(m: ModelSpec, p) -> bool:
+    """The gate's checks other than the truncation depths."""
+    kind = m.kind
+    if kind == "exp_lognormal":
+        return m.noise.sigma <= LN_SIGMA_MAX
+    if kind == "gamma_lognormal":
+        return (math.log(p) - m.noise.mu) / m.noise.sigma >= LN_TAIL_Z_MIN
+    if kind == "gb_gb":
+        return _gb_in_region(m.signal, p) and _gb_in_region(m.noise, p)
+    if kind == "gb_normal":
+        b = m.noise
+        return (b.mu > 0 and p > b.mu
+                and b.mu / (p - b.mu) <= GBN_ENDPOINT_RATIO_MAX
+                and (p - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN
+                and _gb_in_region(m.signal, p))
     return True
 
 
@@ -830,41 +943,15 @@ def convergence_ok(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> bool:
     """True when the series expansions for model m converge at observation p
     within the truncation policy cfg.
 
-    Outside this region the series evaluators raise and callers must use the
-    quadrature path; the gates are deliberately conservative.
+    Beyond the ratio and cancellation checks, every truncation depth of the
+    den and num kernels must lie within 85% of the index cap; these are the
+    boxes the evaluators then sum on.  Outside this region the series
+    evaluators may raise and callers must use the quadrature path.
     """
-    if p <= 0:
+    if p <= 0 or not _in_region(m, p):
         return False
-    kind = m.kind
-    if kind == "exp_lognormal":
-        return m.signal.theta * p <= LN_DEPTH_MAX and m.noise.sigma <= 3.0
-    if kind == "gamma_lognormal":
-        zl = (math.log(p) - m.noise.mu) / m.noise.sigma
-        if zl < LN_TAIL_Z_MIN or p / m.signal.beta > LN_DEPTH_MAX:
-            return False
-        # the noise-power axis decays only polynomially times the noise tail
-        # weight; evaluate its term magnitude at 85% of the cap directly,
-        # allowing for the exp(b/beta) factor (bounded by exp(p/beta)) that
-        # the cross terms carry
-        g, l = m.signal, m.noise
-        k = int(0.85 * cfg.max_terms_per_index)
-        lead = float(_sp.log_ndtr((math.log(p) - l.mu) / l.sigma))
-        lt = (specfun.gen_binomial_log_array(g.alpha - 1.0, k + 1)[0][k]
-              - k * math.log(p) + k * (l.mu + 0.5 * k * l.sigma ** 2)
-              + float(_sp.log_ndtr((math.log(p) - (l.mu + k * l.sigma ** 2))
-                                   / l.sigma))
-              + p / g.beta)
-        return lt - lead <= math.log(cfg.rel_tol) - 4.6
-    if kind == "gb_gb":
-        return (_gb_component_ok(m.signal, p, cfg)
-                and _gb_component_ok(m.noise, p, cfg))
-    if kind == "gb_normal":
-        b = m.noise
-        if not (b.mu > 0 and p > b.mu):
-            return False
-        if b.mu / (p - b.mu) > GBN_ENDPOINT_RATIO_MAX:
-            return False
-        if (p - b.mu) / b.sigma < GBN_SIGMA_SEP_MIN:
-            return False
-        return _gb_component_ok(m.signal, p, cfg)
-    return True
+    if m.kind not in _BOX_BUILDERS:
+        return True
+    limit = int(GATE_DEPTH_FRACTION * cfg.max_terms_per_index)
+    return all(max(box) <= limit
+               for box in _boxes(m.kind, p, m.signal, m.noise, cfg))

@@ -64,20 +64,21 @@ def digamma_any(x):
     return out if out.ndim else float(out)
 
 
-def lower_incomplete_gamma(s, x):
-    """Unregularized lower incomplete gamma integral of t^(s-1)e^(-t) on (0, x)."""
+def log_lower_incomplete_gamma(s, x):
+    """log of the unregularized lower incomplete gamma integral of
+    t^(s-1)e^(-t) on (0, x); -inf at x = 0.  Finite where the integral
+    itself underflows."""
     if s <= 0:
         raise DomainError(f"lower_incomplete_gamma requires s > 0, got s={s}")
     if x < 0:
         raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
     if x == 0.0:
-        return 0.0
+        return -math.inf
     p = _sp.gammainc(s, x)
     if p > 1e-290:
-        return math.exp(_sp.gammaln(s) + math.log(p))
+        return _sp.gammaln(s) + math.log(p)
     # Regularized form underflowed (x << s): small-x series
     # gamma(s,x) = x^s e^{-x} sum_k x^k / (s(s+1)...(s+k)).
-    log_pref = s * math.log(x) - x
     term = 1.0 / s
     total = term
     k = 0
@@ -87,7 +88,12 @@ def lower_incomplete_gamma(s, x):
         total += term
         if term < 1e-18 * total or k > 10000:
             break
-    return math.exp(log_pref + math.log(total))
+    return s * math.log(x) - x + math.log(total)
+
+
+def lower_incomplete_gamma(s, x):
+    """Unregularized lower incomplete gamma integral of t^(s-1)e^(-t) on (0, x)."""
+    return math.exp(log_lower_incomplete_gamma(s, x))
 
 
 def std_normal_pdf(z):
@@ -130,16 +136,17 @@ def gen_binomial_log_array(r, n):
 
     sign is 0 (with log -inf) once the coefficient is exactly zero, which
     happens iff r is a nonnegative integer < k; that exact cutoff is what the
-    series code uses to terminate axes.
+    series code uses to terminate axes.  An array r gives one row per entry.
     """
-    logs = np.zeros(n)
-    signs = np.ones(n)
+    r = np.asarray(r, dtype=float)
+    logs = np.zeros(r.shape + (n,))
+    signs = np.ones(r.shape + (n,))
     if n == 1:
         return logs, signs
-    fac = (r - np.arange(n - 1)) / np.arange(1.0, n)
+    fac = (r[..., None] - np.arange(n - 1)) / np.arange(1.0, n)
     with np.errstate(divide="ignore"):
-        logs[1:] = np.cumsum(np.log(np.abs(fac)))
-    signs[1:] = np.cumprod(np.sign(fac))
+        logs[..., 1:] = np.cumsum(np.log(np.abs(fac)), axis=-1)
+    signs[..., 1:] = np.cumprod(np.sign(fac), axis=-1)
     logs[signs == 0] = -np.inf
     return logs, signs
 
@@ -202,7 +209,7 @@ def _log_half_moment(n, t):
     if np.any(dead):
         for i in np.nonzero(dead)[0]:
             out[i] = (0.5 * (n[i] - 1.0) * math.log(2.0)
-                      + math.log(lower_incomplete_gamma(s[i], x)))
+                      + log_lower_incomplete_gamma(s[i], x))
     return out
 
 
@@ -226,8 +233,11 @@ def gaussian_moment_table(count, lo, hi):
     z2 = max(lo * lo, hi * hi) if (math.isfinite(lo) and math.isfinite(hi)) \
         else float("inf")
     n_stable = min(count, int(z2) + 1)
+    edge = (blo - bhi).tolist()
+    run = table[:2].tolist()
     for n in range(2, n_stable):
-        table[n] = (blo[n - 1] - bhi[n - 1]) + (n - 1) * table[n - 2]
+        run.append(edge[n - 1] + (n - 1) * run[n - 2])
+    table[2:n_stable] = run[2:]
     if n_stable < count:
         n_tail = np.arange(n_stable, count)
         with np.errstate(over="ignore"):

@@ -35,10 +35,6 @@ TOLERANCES = {
 VALIDATABLE = tuple(TOLERANCES)
 
 
-def _loguniform(rng, lo, hi):
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-
 def draw_case(kind: str, rng) -> tuple[ModelSpec, float]:
     """One (model, observation) pair from the documented safe ranges.
 

@@ -313,6 +313,20 @@ class TestExitCodes:
         assert r.returncode == 65, r.stderr
         assert "quad_abs_tol" in r.stderr and "Traceback" not in r.stderr
 
+    def test_underflowing_gb_normal_gene_completes(self, tmp_path):
+        # the Gaussian moments of these genes underflow the incomplete gamma
+        obs, neg = tmp_path / "obs.tsv", tmp_path / "neg.tsv"
+        write(obs, "ProbeID\tA1\ng1\t3.0\ng2\t5.0\n")
+        write(neg, "ProbeID\tA1\nn1\t0.5\nn2\t1.5\n")
+        out = tmp_path / "c.tsv"
+        r = run_cli("correct", str(obs), str(neg), "--model", "gb_normal",
+                    "--params", "a1=1,c1=0.5,d1=10,u1=1.5,v1=2,mu=0.01,sigma=1",
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        rows = open(out).read().strip().split("\n")[1:]
+        cells = [float(row.split("\t")[1]) for row in rows]
+        assert len(cells) == 2 and all(0.0 < c < p for c, p in zip(cells, (3.0, 5.0)))
+
     def test_data_format_error(self, tmp_path, tables):
         _, neg = tables
         bad = tmp_path / "bad.tsv"

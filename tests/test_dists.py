@@ -55,6 +55,21 @@ class TestGBPdf:
         assert gb_pdf(5.0, UNIFORM) == 0.0
         assert gb_pdf(-1.0, UNIFORM) == 0.0
 
+    def test_log_density_where_the_power_overflows(self):
+        # (x/d)^a overflows a float at these x; the log density does not
+        g = GBParams(50, 1, 20, 2, 10)
+        scalar = dists.dist_logpdf_scalar(g)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for x in (1e8, 1e10):
+                vec = dists.gb_logpdf(x, g)
+                assert math.isfinite(vec)
+                assert scalar(x) == pytest.approx(vec, rel=1e-14)
+                # log1p(x^50 / 20^50) is 50 log(x / 20) to double precision here
+                assert vec == pytest.approx(
+                    math.log(50) + 99 * math.log(x) - 100 * math.log(20)
+                    - dists.specfun.log_beta(2, 10) - 12 * 50 * math.log(x / 20),
+                    rel=1e-12)
+
     def test_support_upper(self):
         assert gb_support_upper(UNIFORM) == pytest.approx(2.0)
         assert gb_support_upper(GBParams(2, 0.75, 1, 1, 1)) == pytest.approx(2.0)

@@ -109,6 +109,17 @@ class TestLoglik:
         ll = estimate.loglik(GBGB(s, b), prob)
         assert ll == -math.inf
 
+    @pytest.mark.parametrize("kind", ["gb_gb", "gb_normal"])
+    def test_gb_loglik_finite_at_truth(self, kind):
+        # the batched series must not raise, nor give -inf, where the model
+        # has density
+        m, genes = simulate.REFERENCE_MODELS[kind]
+        for seed in range(12):
+            data = simulate.simulate_experiment(m, genes, 100, seed)
+            prob = estimate.EstimationProblem(data.observed[data.observed > 0],
+                                              data.negatives[data.negatives > 0], kind)
+            assert math.isfinite(estimate.loglik(m, prob)), seed
+
     def test_gb_batch_matches_scalar_series(self):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
         m = GBGB(s, b)

@@ -5,6 +5,7 @@ import pytest
 from scipy import special as sp
 
 from beadcorr import series
+from beadcorr import simulate, validation
 from beadcorr.dists import (ExpParams, GammaParams, GBGB, GBNormal, GBParams,
                             LognormalParams, NormalParams)
 from beadcorr.errors import (DomainError, SeriesError,
@@ -247,3 +248,65 @@ class TestConvergenceRegion:
             rows, tol = validation.run_validation(kind, 12, seed=99)
             for r in rows:
                 assert r.rel_error <= tol, (kind, r)
+
+
+class TestOneBoxPerGene:
+    FAMILIES = {
+        "exp_lognormal": (series.exp_lognormal_den_series, series.exp_lognormal_num_series),
+        "gamma_lognormal": (series.gamma_lognormal_den_series,
+                            series.gamma_lognormal_num_series),
+        "gb_gb": (series.gb_pair_den_series, series.gb_pair_num_series),
+        "gb_normal": (series.gb_normal_den_series, series.gb_normal_num_series),
+    }
+
+    def test_gate_accepts_exactly_when_every_depth_fits(self):
+        # the gate judges the boxes the evaluators then sum on
+        rng = np.random.default_rng(7)
+        limit = int(series.GATE_DEPTH_FRACTION * CFG.max_terms_per_index)
+        refused_by_depth = 0
+        for kind, kernels in self.FAMILIES.items():
+            for _ in range(12):
+                m, p = validation.draw_case(kind, rng)
+                for q in (p, 2.0 * p, 4.0 * p):
+                    in_region = series._in_region(m, q)
+                    boxes = (series._boxes(kind, q, m.signal, m.noise, CFG)
+                             if in_region else ())
+                    fits = all(max(box) <= limit for box in boxes)
+                    assert series.convergence_ok(m, q, CFG) == (in_region and fits)
+                    refused_by_depth += in_region and not fits
+                    if in_region and fits:
+                        for kernel, box in zip(kernels, boxes):
+                            value = kernel(q, m.signal, m.noise, CFG)
+                            assert value.terms_used == box
+        assert refused_by_depth > 0
+
+    @pytest.mark.parametrize("kind", ["gb_gb", "gb_normal"])
+    def test_gate_accepted_reference_draws_evaluate(self, kind):
+        m = simulate.REFERENCE_MODELS[kind][0]
+        den, num = self.FAMILIES[kind]
+        data = simulate.simulate_experiment(m, 3000, 10, seed=99)
+        accepted = 0
+        for p in data.observed:
+            p = float(p)
+            if series.convergence_ok(m, p, CFG):
+                accepted += 1
+                den(p, m.signal, m.noise, CFG)
+                num(p, m.signal, m.noise, CFG)
+        assert accepted > 2000
+
+    def test_depth_past_the_cap_raises(self):
+        tiny = series.SeriesConfig(max_terms_per_index=20)
+        s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
+        assert series.convergence_ok(GBGB(s, b), 0.8, CFG)
+        assert not series.convergence_ok(GBGB(s, b), 0.8, tiny)
+        with pytest.raises(SeriesNonConvergenceError, match="past the cap"):
+            series.gb_pair_den_series(0.8, s, b, tiny)
+
+    def test_batch_flags_genes_the_gate_refuses(self):
+        s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
+        ps = np.array([0.5, 0.8, 3.0])
+        vals, ok = series.marginal_gb_log_batch(ps, s, b, CFG)
+        assert ok.tolist() == [True, True, False] and vals[2] == -np.inf
+        for p, got in zip(ps[:2], vals[:2]):
+            assert got == pytest.approx(series.marginal_gb_log(float(p), s, b, CFG),
+                                        rel=1e-10)

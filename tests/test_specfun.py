@@ -97,6 +97,17 @@ class TestLowerIncompleteGamma:
         ref, _ = quad(lambda t: t ** 79.0 * math.exp(-t), 0.0, 1.0)
         assert val == pytest.approx(ref, rel=1e-10)
 
+    def test_log_form_where_the_value_underflows(self):
+        # gamma(300, 1e-3) ~ 1e-1514: only its log is representable
+        s, x = 300.0, 1e-3
+        log_val = specfun.log_lower_incomplete_gamma(s, x)
+        assert log_val == pytest.approx(s * math.log(x) - x - math.log(s)
+                                        + math.log1p(x / (s + 1)), rel=1e-12)
+        assert specfun.lower_incomplete_gamma(s, x) == 0.0
+        assert specfun.log_lower_incomplete_gamma(2.0, 0.0) == -math.inf
+        assert math.exp(specfun.log_lower_incomplete_gamma(80.0, 1.0)) == \
+            specfun.lower_incomplete_gamma(80.0, 1.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.lower_incomplete_gamma(0.0, 1.0)
@@ -173,3 +184,12 @@ class TestGaussianMomentIntegral:
     def test_limit_order(self):
         with pytest.raises(DomainError):
             specfun.gaussian_moment_integral(2, 1.0, 0.0)
+
+    def test_tiny_upper_limit_table(self):
+        # the (0, 1e-4) half-line pieces underflow far below the smallest float
+        table = specfun.gaussian_moment_table(200, -5.0, 1e-4)
+        assert np.all(np.isfinite(table))
+        for n in (0, 3, 30, 40, 120):
+            ref, _ = quad(lambda z: z ** n * math.exp(-z * z / 2.0), -5.0, 1e-4,
+                          epsabs=0.0, epsrel=1e-12, limit=200)
+            assert table[n] == pytest.approx(ref, rel=1e-9)
