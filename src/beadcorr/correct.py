@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import special as _sp
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 from . import oracle, series, specfun
 from .dists import (ExpLognormal, ExpParams, GammaLognormal, GammaParams,
@@ -93,17 +93,8 @@ def correct_mbcb(p, e: ExpParams, b: NormalParams) -> float:
 # Exponential signal + gamma noise
 # ---------------------------------------------------------------------------
 
-def log_truncated_gamma_integral(a, lam, p):
-    """log of integral of b^(a-1) exp(-lam*b) over (0, p); lam of any sign.
-
-    lam > 0 routes through the lower incomplete gamma; lam <= 0 uses an
-    all-positive-term series (entire in lam*p), switching to an integration-
-    by-parts asymptotic expansion once lam*p is large.
-    """
-    if a <= 0:
-        raise InvalidParameterError(f"shape must be positive, got {a}")
-    if p <= 0:
-        raise DomainError(f"upper limit must be positive, got {p}")
+def _log_truncated_gamma_integral_one(a, lam, p):
+    """log_truncated_gamma_integral at one float p > 0."""
     if lam == 0.0:
         return a * math.log(p) - math.log(a)
     if lam > 0:
@@ -142,6 +133,38 @@ def log_truncated_gamma_integral(a, lam, p):
     return x + (a - 1.0) * math.log(p) - math.log(mu) + math.log(total)
 
 
+def log_truncated_gamma_integral(a, lam, p):
+    """log of integral of b^(a-1) exp(-lam*b) over (0, p); lam of any sign.
+
+    p is a float (returns a float) or an array (returns an array).  lam > 0
+    routes through the lower incomplete gamma, for an array in one call over
+    all p; p where its regularized form underflows take the log-domain form.
+    lam <= 0 uses an all-positive-term series (entire in lam*p), switching to
+    an integration-by-parts asymptotic expansion once -lam*p is large; both
+    run per p.
+    """
+    if a <= 0:
+        raise InvalidParameterError(f"shape must be positive, got {a}")
+    if np.isscalar(p) or np.ndim(p) == 0:
+        if p <= 0:
+            raise DomainError(f"upper limit must be positive, got {p}")
+        return _log_truncated_gamma_integral_one(a, lam, float(p))
+    p = np.asarray(p, dtype=float)
+    if np.any(p <= 0):
+        raise DomainError(f"upper limit must be positive, got {p.min()}")
+    if not lam > 0:
+        return np.array([_log_truncated_gamma_integral_one(a, lam, pi)
+                         for pi in p.ravel().tolist()]).reshape(p.shape)
+    reg = _sp.gammainc(a, lam * p)
+    with np.errstate(divide="ignore"):
+        out = -a * math.log(lam) + _sp.gammaln(a) + np.log(reg)
+    low = reg <= 1e-290
+    if low.any():
+        out[low] = [_log_truncated_gamma_integral_one(a, lam, pi)
+                    for pi in p[low].tolist()]
+    return out
+
+
 def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
     """Corrected intensity p - E[B | P = p] under exponential + gamma."""
     if p <= 0:
@@ -157,33 +180,43 @@ def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _gamma_normal_integral(p, g: GammaParams, b: NormalParams, shape, qcfg):
-    """Scaled integral of f_gamma(s; shape, beta) phi((p-s-mu)/sigma)/sigma over s>0."""
-    # scalar-math integrand: quad calls it thousands of times
+    """Scaled integral of f_gamma(s; shape, beta) phi((p-s-mu)/sigma)/sigma over s>0.
+
+    Returns (value, log shift).  The shift is the largest log integrand at the
+    knots and at the analytic mode, the larger root of
+    s^2 - c's - (shape-1) sigma^2 = 0 with c' = p - mu - sigma^2/beta.
+    """
     sh1 = shape - 1.0
     inv_beta = 1.0 / g.beta
-    lnorm = -shape * math.log(g.beta) - _sp.gammaln(shape) \
-        - math.log(b.sigma) - 0.5 * math.log(2.0 * math.pi)
-    center = p - b.mu
     inv_sig = 1.0 / b.sigma
-
-    def logf(s):
-        if s <= 0.0:
-            return -math.inf
-        z = (s - center) * inv_sig
-        return sh1 * math.log(s) - s * inv_beta - 0.5 * z * z + lnorm
-
+    center = p - b.mu
     knots = sorted(k for k in (center - 8 * b.sigma, center, center + 8 * b.sigma,
                                sh1 * g.beta if shape > 1 else 0.5 * g.beta)
                    if k > 0)
     hi_knot = max(knots, default=1.0)
-    probe = list(np.linspace(0, hi_knot * 1.5 + 1.0, 49)[1:]) + knots
-    shift = max(logf(s) for s in probe)
-    if not math.isfinite(shift):
-        shift = 0.0
 
+    cp = center - b.sigma ** 2 * inv_beta
+    disc = cp * cp + 4.0 * sh1 * b.sigma ** 2
+    cand = list(knots)
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        # the cancellation-free form of the larger root where c' < 0
+        mode = (0.5 * (cp + root) if cp >= 0.0
+                else 2.0 * sh1 * b.sigma ** 2 / (root - cp))
+        if mode > 0.0:
+            cand.append(mode)
+    pts = np.array(cand)
+    z = (pts - center) * inv_sig
+    peak = float(np.max(sh1 * np.log(pts) - pts * inv_beta - 0.5 * z * z))
+    shift = (peak - shape * math.log(g.beta) - _sp.gammaln(shape)
+             - math.log(b.sigma) - 0.5 * math.log(2.0 * math.pi))
+
+    # scalar math: quad calls this thousands of times
     def f(s):
-        ls = logf(s) - shift
-        return math.exp(ls) if ls > -745.0 else 0.0
+        if s <= 0.0:
+            return 0.0
+        z = (s - center) * inv_sig
+        return math.exp(sh1 * math.log(s) - s * inv_beta - 0.5 * z * z - peak)
 
     span = 12.0 * max(b.sigma, g.beta)
     tail_start = hi_knot + span
@@ -193,7 +226,7 @@ def _gamma_normal_integral(p, g: GammaParams, b: NormalParams, shape, qcfg):
               full_output=1)[0]
     # remaining tail is pure gamma decay; negligible unless the shift sits there
     v2 = 0.0
-    if logf(tail_start) - shift > -700.0:
+    if f(tail_start) > math.exp(-700.0):
         v2 = quad(f, tail_start, np.inf, epsabs=qcfg.abs_tol, epsrel=qcfg.rel_tol,
                   limit=qcfg.max_subdivisions, full_output=1)[0]
     return v1 + v2, shift
@@ -217,22 +250,24 @@ def correct_gamma_normal(p, g: GammaParams, b: NormalParams,
 
 
 def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
-                      max_points):
-    """Uniform grids for the FFT convolution of the gamma and normal densities.
+                      max_points, with_mean=False):
+    """Gamma-normal convolution integrals on a uniform grid of p, by FFT.
 
-    Spacing h = min(sigma, beta)/resolution; the signal grid s starts at 0 and
-    reaches past both the gamma's 1 - 1e-13 quantile and p_max - mu + 12 sigma,
-    the noise grid spans mu +- 12 sigma.  Returns (h, s, signal density,
-    noise density, grid of p for the full convolution).  Requires alpha >= 1
-    so the gridded signal density is bounded, and at most max_points signal
-    nodes.
+    Spacing h = min(sigma, beta)/resolution.  The noise grid spans
+    mu +- 12 sigma; the signal grid s starts at 0 and ends at
+    max(p_max - mu + 12 sigma, h).  That end is enough: the convolution at
+    p = b + s reads signal nodes s = p - b with b >= mu - 12 sigma, so no p
+    <= p_max reads a signal node past p_max - mu + 12 sigma, and the gamma
+    mass beyond it never reaches a requested point.  Returns (p grid, the
+    marginal density f_P on it) and, with_mean, also the integral of
+    s f_S(s) f_B(p - s) on it.  Requires alpha >= 1 so the gridded signal
+    density is bounded, and at most max_points signal nodes.
     """
     if g.alpha < 1.0:
         raise InvalidParameterError(
             "grid backend requires gamma shape >= 1 (bounded density)")
     h = min(b.sigma, g.beta) / resolution
-    s_max = float(_sp.gammaincinv(g.alpha, 1.0 - 1e-13)) * g.beta
-    s_max = max(s_max, p_max - b.mu + 12.0 * b.sigma)
+    s_max = max(p_max - b.mu + 12.0 * b.sigma, h)
     n_s = int(s_max / h) + 1
     if n_s > max_points:
         raise InvalidParameterError(
@@ -242,8 +277,18 @@ def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
     b_lo = b.mu - 12.0 * b.sigma
     n_b = int(24.0 * b.sigma / h) + 1
     fb = np.exp(dist_logpdf(b, b_lo + np.arange(n_b) * h))
-    p_grid = b_lo + np.arange(n_s + n_b - 1) * h
-    return h, s, fs, fb, p_grid
+    n_p = n_s + n_b - 1
+    p_grid = b_lo + np.arange(n_p) * h
+    # full linear convolutions, zero-padded to a fast real-FFT length
+    n_fft = sp_fft.next_fast_len(n_p, real=True)
+    fb_hat = sp_fft.rfft(fb, n_fft)
+
+    def convolve(x):
+        return sp_fft.irfft(sp_fft.rfft(x, n_fft) * fb_hat, n_fft)[:n_p] * h
+
+    if with_mean:
+        return p_grid, convolve(fs), convolve(s * fs)
+    return p_grid, convolve(fs)
 
 
 def gamma_normal_grid_posterior(p_values, g: GammaParams, b: NormalParams,
@@ -255,10 +300,10 @@ def gamma_normal_grid_posterior(p_values, g: GammaParams, b: NormalParams,
     alpha >= 1 so the gridded signal density is bounded.
     """
     p_values = np.asarray(p_values, dtype=float)
-    h, s, fs, fb, p_grid = gamma_normal_grid(float(np.max(p_values)), g, b,
-                                             resolution, 1 << 22)
-    den_i = np.interp(p_values, p_grid, fftconvolve(fs, fb) * h)
-    num_i = np.interp(p_values, p_grid, fftconvolve(s * fs, fb) * h)
+    p_grid, den, num = gamma_normal_grid(float(np.max(p_values)), g, b,
+                                         resolution, 1 << 22, with_mean=True)
+    den_i = np.interp(p_values, p_grid, den)
+    num_i = np.interp(p_values, p_grid, num)
     if np.any(den_i <= 0):
         raise NumericUnderflowError("grid marginal vanished at a requested point")
     return num_i / den_i

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as _opt
 from scipy import special as _sp
-from scipy.signal import fftconvolve
 
 from . import correct, series
 from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
@@ -95,27 +94,25 @@ def _log_marginal_exp_normal(p, e: ExpParams, b: NormalParams):
 def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams):
     p = np.asarray(p, dtype=float)
     lam = 1.0 / g.beta - e.theta
-    core = np.array([correct.log_truncated_gamma_integral(g.alpha, lam, pi)
-                     for pi in p])
-    return (math.log(e.theta) - e.theta * p - g.alpha * math.log(g.beta)
-            - _sp.gammaln(g.alpha) + core)
+    out = np.full(p.shape, -np.inf)
+    pos = p > 0
+    pp = p[pos]
+    out[pos] = (math.log(e.theta) - e.theta * pp - g.alpha * math.log(g.beta)
+                - _sp.gammaln(g.alpha)
+                + correct.log_truncated_gamma_integral(g.alpha, lam, pp))
+    return out
 
 
 def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams):
     """Grid-convolution marginal (bounded-density shapes); quadrature catches the rest."""
     p = np.asarray(p, dtype=float)
     try:
-        h, _, fs, fb, p_grid = correct.gamma_normal_grid(float(np.max(p)), g, b,
-                                                         48, 1 << 21)
-        vals = np.interp(p, p_grid, fftconvolve(fs, fb) * h)
-        with np.errstate(divide="ignore"):
-            return np.log(np.maximum(vals, 0.0))
+        p_grid, den = correct.gamma_normal_grid(float(np.max(p)), g, b, 48, 1 << 21)
+        vals = np.interp(p, p_grid, den)
     except (InvalidParameterError, MemoryError):
-        pass
-    from . import oracle
-    q = oracle.QuadConfig()
-    return np.array([oracle.marginal_log_pdf_quadrature(pi, GammaNormal(g, b), q)
-                     for pi in p])
+        return _quadrature_marginal_log(p, GammaNormal(g, b))
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(vals, 0.0))
 
 
 def _log_marginal_series(p, m: ModelSpec, cfg):

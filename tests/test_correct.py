@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from beadcorr import correct, oracle, series, simulate
@@ -110,6 +111,33 @@ class TestExpGamma:
         assert got == pytest.approx(ref, rel=1e-5)
 
 
+    @pytest.mark.parametrize("a, lam, ps", [
+        (2.0, 0.2, [0.5, 5.0, 60.0, 400.0]),          # regularized incomplete gamma
+        (200.0, 1.0, [1.0, 2.0, 3.0, 10.0, 150.0]),   # ... underflowing at p <= 2
+        (2.5, 0.0, [0.5, 7.0]),                       # pure power
+        (2.0, -0.25, [5.0, 30.0, 2900.0]),            # series, then asymptotic
+        (1.5, -29.5, [10.0, 40.0, 100.0]),            # asymptotic
+    ])
+    def test_log_truncated_gamma_integral_array_matches_scalar(self, a, lam, ps):
+        ps = np.array(ps)
+        if (a, lam) == (200.0, 1.0):
+            assert np.any(special.gammainc(a, lam * ps) <= 1e-290)
+            assert np.any(special.gammainc(a, lam * ps) > 1e-290)
+        got = correct.log_truncated_gamma_integral(a, lam, ps)
+        assert isinstance(got, np.ndarray) and got.shape == ps.shape
+        for p, v in zip(ps, got):
+            one = correct.log_truncated_gamma_integral(a, lam, float(p))
+            assert isinstance(one, float)
+            assert v == pytest.approx(one, rel=1e-14)
+
+    def test_log_truncated_gamma_integral_rejects_nonpositive_p(self):
+        from beadcorr.errors import DomainError
+        with pytest.raises(DomainError):
+            correct.log_truncated_gamma_integral(2.0, 0.2, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            correct.log_truncated_gamma_integral(2.0, 0.2, -1.0)
+
+
 class TestGammaNormal:
     def test_alpha_one_matches_exp_normal(self):
         b = NormalParams(10.0, 2.0)
@@ -128,6 +156,15 @@ class TestGammaNormal:
         got = correct.correct_gamma_normal(30.0, g, b)
         ref = oracle.posterior_mean_quadrature(30.0, GammaNormal(g, b), Q)
         assert got == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [20.0, 150.0, 400.0])
+    def test_unbounded_shape_matches_direct(self, p):
+        # shape < 1: the integrand has no interior mode below the noise
+        # centre, so the scale comes from the knots alone
+        g, b = GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)
+        got = correct.correct_gamma_normal(p, g, b)
+        ref = oracle.posterior_mean_quadrature(p, GammaNormal(g, b), Q)
+        assert got == pytest.approx(ref, rel=1e-8)
 
     def test_grid_backend_agrees(self):
         g, b = GammaParams(2.0, 50.0), NormalParams(100.0, 15.0)

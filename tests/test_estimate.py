@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from beadcorr import estimate, oracle, series, simulate
-from beadcorr.dists import (ExpNormal, ExpParams, GammaNormal, GammaParams,
-                            GBGB, GBNormal, GBParams, NormalParams,
+from beadcorr import correct, estimate, oracle, series, simulate
+from beadcorr.dists import (ExpGamma, ExpNormal, ExpParams, GammaNormal,
+                            GammaParams, GBGB, GBNormal, GBParams, NormalParams,
                             dist_sample, model_to_values, param_names)
 from beadcorr.errors import (DegenerateControlsError, InvalidParameterError,
                              UnsupportedMethodError)
@@ -30,6 +30,23 @@ def _safe_gb_obs(m, n, rng):
         if p > 0 and series.convergence_ok(m, p):
             out.append(p)
     return np.array(out)
+
+
+#: (model, p values, abs tolerance in log) against the quadrature referee
+_MARGINAL_CASES = [
+    # exp_gamma, lam = 1/beta - theta > 0: regularized incomplete gamma
+    (ExpGamma(ExpParams(0.05), GammaParams(2.0, 4.0)), (5.0, 20.0, 60.0), 1e-8),
+    # lam < 0, -lam p < 700: series
+    (ExpGamma(ExpParams(0.5), GammaParams(2.0, 4.0)), (5.0, 30.0), 1e-8),
+    # lam p < -700: asymptotic expansion
+    (ExpGamma(ExpParams(30.0), GammaParams(1.5, 2.0)), (40.0, 100.0), 1e-8),
+    # gamma_normal, shape >= 1: FFT grid
+    (GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0)),
+     (110.0, 150.0, 250.0, 400.0), 1e-4),
+    # shape < 1: quadrature at the likelihood tolerance
+    (GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)),
+     (150.0, 250.0, 400.0), 1e-6),
+]
 
 
 class TestProblemValidation:
@@ -91,6 +108,49 @@ class TestLoglik:
             lm = float(estimate.log_marginal(m, [p])[0])
             lq = oracle.marginal_log_pdf_quadrature(p, m)
             assert lm == pytest.approx(lq, abs=1e-8)
+        for m, ps, tol in _MARGINAL_CASES:
+            for p in ps:
+                lm = float(estimate.log_marginal(m, [p])[0])
+                lq = oracle.marginal_log_pdf_quadrature(p, m)
+                assert lm == pytest.approx(lq, abs=tol), (m, p)
+
+    def test_exp_gamma_outside_support_is_neg_inf(self):
+        m = simulate.REFERENCE_MODELS["exp_gamma"][0]
+        got = estimate.log_marginal(m, [0.0, 5.0, -3.0])
+        assert got[0] == got[2] == -math.inf
+        assert got[1] == float(estimate.log_marginal(m, [5.0])[0])
+        assert math.isfinite(got[1])
+
+    def test_gamma_normal_genes_below_the_noise_grid(self):
+        # every p lies below mu - 12 sigma: the grid keeps its first signal
+        # nodes, and each gene reads the marginal at the grid's first node
+        g, b = GammaParams(2.0, 50.0), NormalParams(500.0, 10.0)
+        ps = np.array([100.0, 200.0, 300.0])
+        p_grid, den = correct.gamma_normal_grid(300.0, g, b, 48, 1 << 21)
+        assert p_grid.size == den.size > 0
+        assert p_grid[0] == b.mu - 12.0 * b.sigma
+        got = estimate.log_marginal(GammaNormal(g, b), ps)
+        first = estimate.log_marginal(GammaNormal(g, b), [p_grid[0]])
+        assert not np.any(np.isnan(got))
+        np.testing.assert_array_equal(got, np.full(3, first[0]))
+
+    def test_gamma_normal_far_above_the_gamma_bulk(self):
+        # the largest p reaches past the gamma's 1 - 1e-13 quantile, where
+        # the trimmed grid equals the one the quantile set before
+        m = simulate.REFERENCE_MODELS["gamma_normal"][0]
+        got = estimate.log_marginal(m, [150.0, 300.0, 800.0, 2500.0])
+        want = [-4.961221802814089, -6.5034856314308715, -15.234414999492877,
+                -math.inf]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_gamma_normal_trimmed_grid_matches_a_longer_grid(self):
+        # a gene far out lengthens the grid; the other genes keep their
+        # values up to FFT rounding
+        m = simulate.REFERENCE_MODELS["gamma_normal"][0]
+        ps = np.linspace(120.0, 500.0, 20)
+        short = estimate.log_marginal(m, ps)
+        long = estimate.log_marginal(m, np.append(ps, 3000.0))[:-1]
+        np.testing.assert_allclose(short, long, rtol=1e-12)
 
     def test_true_params_beat_perturbed(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
