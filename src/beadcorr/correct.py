@@ -93,17 +93,10 @@ def correct_mbcb(p, e: ExpParams, b: NormalParams) -> float:
 # Exponential signal + gamma noise
 # ---------------------------------------------------------------------------
 
-def _log_truncated_gamma_integral_one(a, lam, p):
-    """log_truncated_gamma_integral at one float p > 0."""
+def _log_truncated_gamma_integral_nonpositive(a, lam, p):
+    """log_truncated_gamma_integral at one float p > 0 for lam <= 0."""
     if lam == 0.0:
         return a * math.log(p) - math.log(a)
-    if lam > 0:
-        x = lam * p
-        reg = _sp.gammainc(a, x)
-        if reg > 1e-290:
-            return -a * math.log(lam) + _sp.gammaln(a) + math.log(reg)
-        # deep underflow of the regularized form
-        return -a * math.log(lam) + specfun.log_lower_incomplete_gamma(a, x)
     mu = -lam
     x = mu * p
     if x < 700.0:
@@ -137,32 +130,32 @@ def log_truncated_gamma_integral(a, lam, p):
     """log of integral of b^(a-1) exp(-lam*b) over (0, p); lam of any sign.
 
     p is a float (returns a float) or an array (returns an array).  lam > 0
-    routes through the lower incomplete gamma, for an array in one call over
-    all p; p where its regularized form underflows take the log-domain form.
-    lam <= 0 uses an all-positive-term series (entire in lam*p), switching to
-    an integration-by-parts asymptotic expansion once -lam*p is large; both
-    run per p.
+    routes through the lower incomplete gamma, one call over all p; p where
+    its regularized form underflows take the log-domain form.  lam <= 0 uses
+    an all-positive-term series (entire in lam*p), switching to an
+    integration-by-parts asymptotic expansion once -lam*p is large; both run
+    per p.
     """
     if a <= 0:
         raise InvalidParameterError(f"shape must be positive, got {a}")
-    if np.isscalar(p) or np.ndim(p) == 0:
-        if p <= 0:
-            raise DomainError(f"upper limit must be positive, got {p}")
-        return _log_truncated_gamma_integral_one(a, lam, float(p))
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise DomainError(f"upper limit must be positive, got {p.min()}")
-    if not lam > 0:
-        return np.array([_log_truncated_gamma_integral_one(a, lam, pi)
-                         for pi in p.ravel().tolist()]).reshape(p.shape)
-    reg = _sp.gammainc(a, lam * p)
-    with np.errstate(divide="ignore"):
-        out = -a * math.log(lam) + _sp.gammaln(a) + np.log(reg)
-    low = reg <= 1e-290
-    if low.any():
-        out[low] = [_log_truncated_gamma_integral_one(a, lam, pi)
-                    for pi in p[low].tolist()]
-    return out
+    arr = np.asarray(p, dtype=float)
+    if np.any(arr <= 0):
+        raise DomainError(f"upper limit must be positive, got {arr.min()}")
+    flat = arr.ravel()
+    if lam > 0:
+        x = lam * flat
+        reg = _sp.gammainc(a, x)
+        with np.errstate(divide="ignore"):
+            out = -a * math.log(lam) + _sp.gammaln(a) + np.log(reg)
+        low = reg <= 1e-290
+        if low.any():
+            # deep underflow of the regularized form
+            out[low] = [-a * math.log(lam) + specfun.log_lower_incomplete_gamma(a, xi)
+                        for xi in x[low].tolist()]
+    else:
+        out = np.array([_log_truncated_gamma_integral_nonpositive(a, lam, pi)
+                        for pi in flat.tolist()])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
@@ -179,21 +172,32 @@ def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
 # Gamma signal + normal noise (quadrature; optional FFT-grid backend)
 # ---------------------------------------------------------------------------
 
+#: ratio of the first knot to the integrand's peak location beyond which the
+#: gamma-normal corrector adds a geometric ladder of knots below the first
+_LADDER_GAP = 64.0
+
+
 def _gamma_normal_integral(p, g: GammaParams, b: NormalParams, shape, qcfg):
     """Scaled integral of f_gamma(s; shape, beta) phi((p-s-mu)/sigma)/sigma over s>0.
 
     Returns (value, log shift).  The shift is the largest log integrand at the
-    knots and at the analytic mode, the larger root of
-    s^2 - c's - (shape-1) sigma^2 = 0 with c' = p - mu - sigma^2/beta.
+    knots, at the analytic mode (the larger root of
+    s^2 - c's - (shape-1) sigma^2 = 0 with c' = p - mu - sigma^2/beta) and,
+    for shape <= 1, at s0 = sigma^2/(|c'| + sigma).  For shape > 1 the log
+    integrand is concave and the mode is its maximum.  For shape <= 1 its
+    largest values lie at s -> 0+ (or at a mode), and below s0 the log
+    integrand exceeds its value at s0 by at most (1-shape) log(s0/s) + 1.5,
+    so the scaled integrand cannot overflow.
     """
     sh1 = shape - 1.0
     inv_beta = 1.0 / g.beta
     inv_sig = 1.0 / b.sigma
     center = p - b.mu
+    # the gamma knot is positive, so knots is never empty
     knots = sorted(k for k in (center - 8 * b.sigma, center, center + 8 * b.sigma,
                                sh1 * g.beta if shape > 1 else 0.5 * g.beta)
                    if k > 0)
-    hi_knot = max(knots, default=1.0)
+    hi_knot = knots[-1]
 
     cp = center - b.sigma ** 2 * inv_beta
     disc = cp * cp + 4.0 * sh1 * b.sigma ** 2
@@ -205,9 +209,18 @@ def _gamma_normal_integral(p, g: GammaParams, b: NormalParams, shape, qcfg):
                 else 2.0 * sh1 * b.sigma ** 2 / (root - cp))
         if mode > 0.0:
             cand.append(mode)
+    if shape <= 1.0:
+        cand.append(b.sigma ** 2 / (abs(cp) + b.sigma))
     pts = np.array(cand)
     z = (pts - center) * inv_sig
-    peak = float(np.max(sh1 * np.log(pts) - pts * inv_beta - 0.5 * z * z))
+    logf = sh1 * np.log(pts) - pts * inv_beta - 0.5 * z * z
+    top = int(np.argmax(logf))
+    peak, s_peak = float(logf[top]), float(pts[top])
+    if s_peak * _LADDER_GAP < knots[0]:
+        # the mass sits far below the first knot, where one wide QUADPACK
+        # piece samples none of it: add knots s_peak * 8^j up to that knot
+        knots[:0] = [s_peak * 8.0 ** j
+                     for j in range(int(math.log(knots[0] / s_peak, 8.0)))]
     shift = (peak - shape * math.log(g.beta) - _sp.gammaln(shape)
              - math.log(b.sigma) - 0.5 * math.log(2.0 * math.pi))
 
@@ -221,7 +234,7 @@ def _gamma_normal_integral(p, g: GammaParams, b: NormalParams, shape, qcfg):
     span = 12.0 * max(b.sigma, g.beta)
     tail_start = hi_knot + span
 
-    v1 = quad(f, 0.0, tail_start, points=knots or None,
+    v1 = quad(f, 0.0, tail_start, points=knots,
               epsabs=0.0, epsrel=qcfg.rel_tol, limit=qcfg.max_subdivisions,
               full_output=1)[0]
     # remaining tail is pure gamma decay; negligible unless the shift sits there

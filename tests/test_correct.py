@@ -157,11 +157,27 @@ class TestGammaNormal:
         ref = oracle.posterior_mean_quadrature(30.0, GammaNormal(g, b), Q)
         assert got == pytest.approx(ref, rel=1e-6)
 
-    @pytest.mark.parametrize("p", [20.0, 150.0, 400.0])
-    def test_unbounded_shape_matches_direct(self, p):
-        # shape < 1: the integrand has no interior mode below the noise
-        # centre, so the scale comes from the knots alone
-        g, b = GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)
+    def test_unit_shape_far_below_the_noise_matches_rma(self):
+        # p = mu - 16 sigma with beta = 50 sigma: the integrand is largest at
+        # s -> 0, 25 beta-units below its only knot
+        b = NormalParams(100.0, 1.0)
+        got = correct.correct_gamma_normal(84.0, GammaParams(1.0, 50.0), b)
+        ref = correct.correct_rma(84.0, ExpParams(1.0 / 50.0), b)
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("p, g, b", [
+        # shape < 1: the integrand is unbounded at s -> 0 and, below the
+        # noise centre, has no interior mode
+        (20.0, GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)),
+        (150.0, GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)),
+        (400.0, GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)),
+        (84.0, GammaParams(0.8, 50.0), NormalParams(100.0, 1.0)),
+        # the mass lies within about 0.05 of s = 0, the first knot at 0.5 beta
+        (120.0, GammaParams(0.27, 660.0), NormalParams(140.0, 0.6)),
+        (356.0, GammaParams(0.5, 1100.0), NormalParams(366.0, 0.5)),
+        (73.6, GammaParams(1.0, 400.0), NormalParams(80.0, 0.3)),
+    ])
+    def test_shape_at_most_one_matches_direct(self, p, g, b):
         got = correct.correct_gamma_normal(p, g, b)
         ref = oracle.posterior_mean_quadrature(p, GammaNormal(g, b), Q)
         assert got == pytest.approx(ref, rel=1e-8)
