@@ -103,55 +103,25 @@ def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams):
     return out
 
 
+#: grid densities below this share of the grid's peak are FFT rounding noise
+#: or, below the noise grid, the value at its first node
+_GRID_DENSITY_FLOOR = 1e-13
+
+
 def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams):
-    """Grid-convolution marginal (bounded-density shapes); quadrature catches the rest."""
+    """Grid-convolution marginal (bounded-density shapes); quadrature catches
+    the rest, and the genes whose grid density lies below the floor."""
     p = np.asarray(p, dtype=float)
     try:
         p_grid, den = correct.gamma_normal_grid(float(np.max(p)), g, b, 48, 1 << 21)
-        vals = np.interp(p, p_grid, den)
     except (InvalidParameterError, MemoryError):
         return _quadrature_marginal_log(p, GammaNormal(g, b))
+    vals = np.interp(p, p_grid, den)
+    faint = ~(vals >= _GRID_DENSITY_FLOOR * np.max(den))
     with np.errstate(divide="ignore"):
-        return np.log(np.maximum(vals, 0.0))
-
-
-def _log_marginal_series(p, m: ModelSpec, cfg):
-    """Per-gene series marginals for the lognormal-noise and GB families.
-
-    The GB families are summed in one batch on a shared truncation box (see
-    ``series.marginal_gb_log_batch``); the lognormal-noise families gene by
-    gene.  Genes outside the series convergence region, and batched genes
-    whose sums fail their confirmation, go to quadrature.
-    """
-    p = np.asarray(p, dtype=float)
-    kind = m.kind
-    if kind in ("gb_gb", "gb_normal"):
-        return _gb_marginal_log(p, m, cfg)
-    out = np.empty(p.shape)
-    off_region = []
-    for i, pi in enumerate(p):
-        pi = float(pi)
-        if pi <= 0:
-            out[i] = -np.inf
-            continue
-        if not series.convergence_ok(m, pi, cfg):
-            off_region.append(i)
-            continue
-        try:
-            if kind == "exp_lognormal":
-                den = series.exp_lognormal_den_series(pi, m.signal, m.noise, cfg)
-                out[i] = (math.log(m.signal.theta) - m.signal.theta * pi
-                          + den.log_abs)
-            else:
-                g = m.signal
-                den = series.gamma_lognormal_den_series(pi, g, m.noise, cfg)
-                out[i] = ((g.alpha - 1.0) * math.log(pi) - pi / g.beta
-                          - g.alpha * math.log(g.beta) - _sp.gammaln(g.alpha)
-                          + den.log_abs)
-        except DomainError:
-            out[i] = -np.inf
-    if off_region:
-        out[off_region] = _quadrature_marginal_log(p[off_region], m)
+        out = np.log(np.maximum(vals, 0.0))
+    if faint.any():
+        out[faint] = _quadrature_marginal_log(p[faint], GammaNormal(g, b))
     return out
 
 
@@ -168,19 +138,13 @@ def _quadrature_marginal_log(p_vals, m):
     return out
 
 
-def _gb_marginal_log(p, m: ModelSpec, cfg):
-    batch = (series.marginal_gb_log_batch if m.kind == "gb_gb"
-             else series.marginal_gb_normal_log_batch)
-    out, ok = batch(p, m.signal, m.noise, cfg)
-    if not ok.all():
-        # the series does not deliver these genes; quadrature gives -inf
-        # outside the support
-        out[~ok] = _quadrature_marginal_log(p[~ok], m)
-    return out
-
-
 def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig()):
-    """log f_P(p) under model m; -inf outside support.  Vectorized over p."""
+    """log f_P(p) under model m; -inf outside support.  Vectorized over p.
+
+    The series families sum the genes their gate accepts in one batch
+    (``series.marginal_log_batch``); genes outside the convergence region,
+    and genes whose sums are not confirmed, go to quadrature.
+    """
     kind = m.kind
     if kind == "exp_normal":
         return _log_marginal_exp_normal(p, m.signal, m.noise)
@@ -188,7 +152,12 @@ def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig
         return _log_marginal_exp_gamma(p, m.signal, m.noise)
     if kind == "gamma_normal":
         return _log_marginal_gamma_normal(p, m.signal, m.noise)
-    return _log_marginal_series(p, m, cfg)
+    p = np.asarray(p, dtype=float)
+    out, ok = series.marginal_log_batch(m, p, cfg)
+    if not ok.all():
+        # quadrature gives -inf outside the support
+        out[~ok] = _quadrature_marginal_log(p[~ok], m)
+    return out
 
 
 def noise_loglik(m: ModelSpec, problem: EstimationProblem) -> float:

@@ -8,13 +8,21 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
   summed: per summation index, the first index past which the remaining terms
   are below ``rel_tol`` of the total, judged from closed-form axis values and
   the index's own term magnitudes (exact cutoffs give -inf magnitudes).
-* An evaluator sums on that box and on a confirmation box one eighth deeper
-  along every index.  It raises -- callers fall back to quadrature -- when
-  the two differ by ``rel_tol`` or more, when a depth lies past
-  ``max_terms_per_index``, or when the sum overflows.
+* Each family has one kernel, which sums its den or num series for an array
+  of genes on one box.  A gene's axis vectors are scaled once, on the
+  confirmation box (one eighth deeper along every index); the sum on the box
+  reads slices of the same scaled arrays, so the two sums see identical
+  entries, and each gene's rows are added with ``math.fsum``.  A gene is
+  confirmed when its two sums differ by less than ``rel_tol`` and the sum
+  does not overflow.
+* The per-gene evaluators (``*_den_series``, ``*_num_series``) run the kernel
+  on one gene and its own box, and raise -- callers fall back to quadrature --
+  when a depth lies past ``max_terms_per_index`` or the gene is not
+  confirmed.  ``marginal_log_batch`` runs it on every gene the gate accepts,
+  on the elementwise largest of their den boxes, for the likelihood.
 * The gate (``convergence_ok``) accepts a gene when every depth of both
   kernels lies within 85% of the cap, besides its ratio and cancellation
-  checks; the batched GB likelihood sums on the largest box of its genes.
+  checks.
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -26,13 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
 
 from . import specfun
-from .dists import (ExpParams, GammaParams, GBGB, GBNormal, GBParams,
-                    LognormalParams, ModelSpec, NormalParams, gb_support_upper)
+from .dists import (ExpParams, GammaParams, GBParams, LognormalParams, ModelSpec,
+                    NormalParams, gb_support_upper)
 from .errors import (DomainError, SeriesDivergenceError,
                      SeriesNonConvergenceError)
 
@@ -48,14 +57,10 @@ class SeriesConfig:
         truncation box and on the confirmation box.
     max_terms_per_index: cap on each summation index; a gene whose box needs
         a deeper index is refused (the gate already refuses past 85% of it).
-    literal_beta_args: audit mode for the GB-pair series; evaluates the
-        uncorrected beta-function arguments (diverges for e.g. uniform
-        components, kept only so the corrected form can be compared).
     """
 
     rel_tol: float = 1e-10
     max_terms_per_index: int = 200
-    literal_beta_args: bool = False
 
     def __post_init__(self):
         if not (self.rel_tol > 0):
@@ -150,7 +155,8 @@ def _max_convolve(a, b):
 def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
     # positive terms: the tail is judged against the largest one
     theta = 0.0 if e is None else e.theta
-    terms = [_lognormal_weight_terms(p, theta, l, shift, cfg.max_terms_per_index + 1)
+    terms = [_lognormal_weight_terms(math.log(p), theta, l, shift,
+                                     cfg.max_terms_per_index + 1)
              for shift in (0, 1)]
     return tuple((_depth(lt, float(np.max(lt)) + math.log(cfg.rel_tol) - TAIL_MARGIN),)
                  for lt in terms)
@@ -183,7 +189,7 @@ def _gb_pair_boxes(p, s: GBParams, b: GBParams, cfg):
     # judged by its own terms; the num kernel's offsets change no index
     n = cfg.max_terms_per_index + 1
     limit = math.log(cfg.rel_tol) - TAIL_MARGIN
-    ws = _gb_pair_workspace(s, b, 0, 0)
+    ws = _gb_pair_workspace(s, b, 0)
     fall1, rise1 = _gb_log_ratios(s, s.a * (math.log(p) - math.log(s.d)))
     fall2, rise2 = _gb_log_ratios(b, b.a * (math.log(p) - math.log(b.d)))
     box = (_depth(_falling_terms(ws.fall1, fall1, n), limit),
@@ -226,90 +232,106 @@ def _gb_normal_boxes(p, s: GBParams, b: NormalParams, cfg):
     return tuple(boxes)
 
 
-_BOX_BUILDERS = {
-    "exp_lognormal": _exp_lognormal_boxes,
-    "gamma_lognormal": _gamma_lognormal_boxes,
-    "gb_gb": _gb_pair_boxes,
-    "gb_normal": _gb_normal_boxes,
-}
-
-
 @lru_cache(maxsize=64)
 def _boxes(kind, p, signal, noise, cfg):
     """(den box, num box) of a series family at observation p.
 
     Cached so the gate and the two kernels of one gene share the decision.
     """
-    return _BOX_BUILDERS[kind](p, signal, noise, cfg)
+    return _FAMILIES[kind].boxes(p, signal, noise, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Summation on a box
 # ---------------------------------------------------------------------------
 
-def _confirmed_sum(total_fn, box, cfg, label) -> SeriesValue:
-    """The sum on the grown box, confirmed against the sum on the box.
+def _scaled_rows(logs, signs):
+    """(signs * exp(logs - scale), scale), gene by gene along the first axis.
 
-    total_fn(sizes) returns (log_abs, sign) of the partial sum over
-    ``[0, sizes[0]) x ... x [0, sizes[-1])``.
+    A gene's scale is the largest of its logs (0 when they are all -inf).
     """
+    axes = tuple(range(1, logs.ndim))
+    m = np.max(logs, axis=axes)
+    m = np.where(m == _NEG_INF, 0.0, m)
+    with np.errstate(under="ignore"):
+        return signs * np.exp(logs - m.reshape(m.shape + (1,) * len(axes))), m
+
+
+def _convolve_rows(a, b):
+    """out[g] = np.convolve(a[g], b[g]) for two stacks of vectors.
+
+    Loops over the genes or over the shorter vector's entries, whichever
+    are fewer.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    if a.shape[0] < a.shape[1]:
+        return np.array([np.convolve(x, y) for x, y in zip(a, b)])
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
+    for k in range(a.shape[1]):
+        out[:, k:k + b.shape[1]] += a[:, k:k + 1] * b
+    return out
+
+
+def _row_fsums(rows):
+    """math.fsum of each gene's row of a genes x terms array."""
+    return np.array([math.fsum(r) for r in rows.tolist()])
+
+
+def _box_sums(rows, box):
+    """Per-gene sums of rows(sizes) on the box and on the grown box."""
+    return _row_fsums(rows(box)), _row_fsums(rows(_grow(box)))
+
+
+def _confirmed_batch(base, wide, scale, cfg):
+    """Per-gene (log |sum on the grown box|, its sign, ok) from a kernel.
+
+    base and wide are a kernel's sums on the box and on the grown box, both
+    relative to exp(scale); ok marks genes whose sum is finite, below
+    exp(690) and within rel_tol of the sum on the box (two zero sums agree).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = scale + np.log(np.abs(wide))
+        agree = np.abs(wide - base) < cfg.rel_tol * np.abs(wide)
+    ok = (log_abs <= 690.0) & (agree | ((wide == 0.0) & (base == 0.0)))
+    return log_abs, np.sign(wide), ok
+
+
+def _evaluate(kind, p, signal, noise, off, cfg, label) -> SeriesValue:
+    """The family's kernel on one gene and its own box (off 0: den, 1: num).
+
+    Raises when a depth lies past the cap, when the sum overflows, and when
+    the confirmation box moves the sum by rel_tol or more.
+    """
+    if p <= 0:
+        raise DomainError(f"{label} requires p > 0, got {p}")
+    box = _boxes(kind, p, signal, noise, cfg)[off]
     if max(box) > cfg.max_terms_per_index:
         raise SeriesNonConvergenceError(
             f"{label}: truncation depths {box} lie past the cap "
             f"({cfg.max_terms_per_index})")
-    log_tot, sign_tot = total_fn(box)
-    wide_log, wide_sign = total_fn(_grow(box))
-    if max(log_tot, wide_log) > 690.0:
+    base, wide, scale = _FAMILIES[kind].kernel(
+        np.array([float(p)]), signal, noise, off, box, cfg)
+    log_abs, sign, ok = _confirmed_batch(base, wide, scale, cfg)
+    value = SeriesValue(float(log_abs[0]), float(sign[0]), box, bool(ok[0]))
+    if value.converged:
+        return value
+    base, wide = float(base[0]), float(wide[0])
+    if not (math.isfinite(base) and math.isfinite(wide) and value.log_abs <= 690.0):
         raise SeriesDivergenceError(
             f"{label}: partial sums overflowing; expansion outside its "
             f"convergence region")
-    if log_tot != _NEG_INF or wide_log != _NEG_INF:
-        m = max(log_tot, wide_log)
-        a, b = sign_tot * math.exp(log_tot - m), wide_sign * math.exp(wide_log - m)
-        moved = abs(a - b) / max(abs(b), 1e-300)
-        if not moved < cfg.rel_tol:
-            raise SeriesNonConvergenceError(
-                f"{label}: confirmation box {_grow(box)} moved the sum by "
-                f"{moved:.2e} relative",
-                partial=SeriesValue(wide_log, wide_sign, box, False))
-    return SeriesValue(wide_log, wide_sign, box, True)
-
-
-def _confirmed_batch(total_fn, box, cfg):
-    """Per-gene (log sum on the grown box, ok) for a shared box.
-
-    total_fn(sizes) returns (per-gene sums, common log scale); ok marks genes
-    whose sum is finite, positive and within rel_tol of the sum on the box.
-    """
-    base, base_scale = total_fn(box)
-    wide, scale = total_fn(_grow(box))
-    with np.errstate(all="ignore"):
-        moved = np.abs(wide - base * np.exp(base_scale - scale))
-        ok = np.isfinite(wide) & (wide > 0) & (moved < cfg.rel_tol * wide)
-        return np.where(ok, np.log(np.where(ok, wide, 1.0)) + scale, -np.inf), ok
-
-
-def _scaled_exp(logs, signs):
-    """(floats, scale): signs*exp(logs - scale) with scale = max(logs)."""
-    m = float(np.max(logs))
-    if m == _NEG_INF:
-        return np.zeros_like(logs), 0.0
-    with np.errstate(under="ignore"):
-        return signs * np.exp(logs - m), m
-
-
-def _finish(sum_float, scale):
-    if sum_float == 0.0 or not math.isfinite(sum_float):
-        if math.isnan(sum_float) or math.isinf(sum_float):
-            raise SeriesDivergenceError("series accumulation overflowed")
-        return _NEG_INF, 0.0
-    return scale + math.log(abs(sum_float)), math.copysign(1.0, sum_float)
+    moved = abs(wide - base) / max(abs(wide), 1e-300)
+    raise SeriesNonConvergenceError(
+        f"{label}: confirmation box {_grow(box)} moved the sum by "
+        f"{moved:.2e} relative", partial=value)
 
 
 def _geometric_logs(n, log_ratio):
+    """k * log_ratio for k < n, 0 at k = 0; an array of ratios gives a row each."""
     with np.errstate(invalid="ignore"):
-        out = np.arange(n, dtype=float) * log_ratio
-    out[0] = 0.0
+        out = np.arange(n, dtype=float) * np.asarray(log_ratio, dtype=float)[..., None]
+    out[..., 0] = 0.0
     return out
 
 
@@ -340,8 +362,8 @@ def _rising_table(q):
 
 
 @lru_cache(maxsize=64)
-def _gb_pair_workspace(s: GBParams, b: GBParams, off1: int, off2: int):
-    return _GBPairWorkspace(s, b, off1, off2)
+def _gb_pair_workspace(s: GBParams, b: GBParams, off: int):
+    return _GBPairWorkspace(s, b, off)
 
 
 class _GBPairWorkspace:
@@ -349,12 +371,12 @@ class _GBPairWorkspace:
 
     The quadruple sum couples the four indices only through i = l+n and
     j = m+r, so partial sums over a box reduce to a bilinear form between two
-    truncated coefficient convolutions and a log-beta grid.
+    truncated coefficient convolutions and a log-beta grid.  off = 1 shifts
+    the signal's beta argument for the posterior-numerator kernel.
     """
 
-    def __init__(self, s, b, off1, off2):
-        self.s, self.b = s, b
-        self.off1, self.off2 = off1, off2
+    def __init__(self, s, b, off):
+        self.s, self.b, self.off = s, b, off
         self.fall1, self.fall2 = _falling_table(s.v), _falling_table(b.v)
         self.rise1, self.rise2 = _rising_table(s.u + s.v), _rising_table(b.u + b.v)
         self._grid = np.zeros((0, 0))
@@ -362,10 +384,10 @@ class _GBPairWorkspace:
         self._gmax = 0.0
 
     def arg1(self, i):
-        return self.s.a * (self.s.u + i) + self.off1
+        return self.s.a * (self.s.u + i) + self.off
 
     def arg2(self, j):
-        return self.b.a * (self.b.u + j) + self.off2
+        return self.b.a * (self.b.u + j)
 
     def lbeta_grid_exp(self, imax, jmax):
         """exp(lbeta grid - gmax) cached; returns (slice, gmax)."""
@@ -373,33 +395,13 @@ class _GBPairWorkspace:
         if g.shape[0] < imax or g.shape[1] < jmax:
             ni = max(imax, g.shape[0] * 2, 16)
             nj = max(jmax, g.shape[1] * 2, 16)
-            a1 = self.arg1(np.arange(ni))
-            a2 = self.arg2(np.arange(nj))
-            if np.any(a1 <= 0) or np.any(a2 <= 0):
-                raise DomainError(
-                    "beta-function argument nonpositive in the GB-pair series; "
-                    "the literal (uncorrected) argument mode is undefined here")
-            g = specfun.log_beta(a1[:, None], a2[None, :])
+            g = specfun.log_beta(self.arg1(np.arange(ni))[:, None],
+                                 self.arg2(np.arange(nj))[None, :])
             gmax = float(g[0, 0])
             with np.errstate(under="ignore"):
                 self._grid_exp = np.exp(g - gmax)
             self._grid, self._gmax = g, gmax
         return self._grid_exp[:imax, :jmax], self._gmax
-
-    def parts(self, lg1, lg2, lg3, lg4, sizes):
-        """Scaled axis vectors, their convolutions, beta grid and log scale.
-
-        lg1..lg4 are the log geometric ratios of the l, m, n and r axes.
-        """
-        L, M, N, R = sizes
-        v1, m1 = _scaled_exp(*_gb_axis_arrays(self.fall1, L, lg1))
-        v3, m3 = _scaled_exp(*_gb_axis_arrays(self.rise1, N, lg3))
-        v2, m2 = _scaled_exp(*_gb_axis_arrays(self.fall2, M, lg2))
-        v4, m4 = _scaled_exp(*_gb_axis_arrays(self.rise2, R, lg4))
-        conv13 = np.convolve(v1, v3)
-        conv24 = np.convolve(v2, v4)
-        E, gmax = self.lbeta_grid_exp(conv13.size, conv24.size)
-        return v1, v3, v2, v4, conv13, conv24, E, m1 + m3 + m2 + m4 + gmax
 
 
 @lru_cache(maxsize=64)
@@ -454,7 +456,9 @@ class _GBNormalWorkspace:
         return hit[0][:imax, :nmax], hit[1]
 
 
-@lru_cache(maxsize=8)
+#: holds the tables of every gene of an array, so the likelihood's kernel
+#: reads the tables its gate computed, and a fit with fixed noise reuses them
+@lru_cache(maxsize=4096)
 def _moment_logs(pm, b: NormalParams, n):
     """(log |t^k I_k|, sign I_k), k < n: t = sigma/(p - mu) times the Gaussian
     moments I_k over [-(p - mu)/sigma, mu/sigma]."""
@@ -468,94 +472,91 @@ def _moment_logs(pm, b: NormalParams, n):
 # Exponential-lognormal pair (single index)
 # ---------------------------------------------------------------------------
 
-def _lognormal_weight_terms(p, theta, l: LognormalParams, shift, n):
+def _lognormal_weight_terms(log_p, theta, l: LognormalParams, shift, n):
     """log-terms of sum_k theta^k/k! E[B^(k+shift) 1(B<p)] / E[B]^shift-style kernels.
 
     shift = 0 gives the marginal kernel, shift = 1 the posterior-numerator
     kernel (its common factor exp(mu + sigma^2/2) is applied by the caller).
+    A column of log p values gives one row of terms per gene.
     """
     k = np.arange(n, dtype=float)
     lam = math.log(theta) if theta > 0 else _NEG_INF
-    lt = (_geometric_logs(n, lam) - _sp.gammaln(k + 1.0)
-          + k * (l.mu + 0.5 * (k + 2.0 * shift) * l.sigma ** 2)
-          + _sp.log_ndtr((math.log(p) - (l.mu + (k + shift) * l.sigma ** 2)) / l.sigma))
-    return lt
+    return (_geometric_logs(n, lam) - _sp.gammaln(k + 1.0)
+            + k * (l.mu + 0.5 * (k + 2.0 * shift) * l.sigma ** 2)
+            + _sp.log_ndtr((log_p - (l.mu + (k + shift) * l.sigma ** 2)) / l.sigma))
 
 
-def _eval_lognormal_exp_series(p, e: ExpParams | None, l, shift, cfg, label):
-    if p <= 0:
-        raise DomainError(f"{label} requires p > 0, got {p}")
+def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, box, cfg):
     theta = 0.0 if e is None else e.theta
+    terms, scale = _scaled_rows(
+        _lognormal_weight_terms(np.log(p)[:, None], theta, l, shift, _grow(box)[0]), 1.0)
+    return (*_box_sums(lambda sizes: terms[:, :sizes[0]], box), scale)
 
-    def total(sizes):
-        lt = _lognormal_weight_terms(p, theta, l, shift, sizes[0])
-        m = float(np.max(lt))
-        if m == _NEG_INF:
-            return _NEG_INF, 0.0
-        with np.errstate(under="ignore"):
-            vals = np.exp(lt - m)
-        return _finish(math.fsum(vals.tolist()), m)
 
-    box = _boxes("exp_lognormal", p, e, l, cfg)[shift]
-    return _confirmed_sum(total, box, cfg, label)
+def _exp_lognormal_log_prefactor(e: ExpParams, l: LognormalParams, p):
+    return math.log(e.theta) - e.theta * p
 
 
 def exp_lognormal_den_series(p, e: ExpParams, l: LognormalParams,
                              cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the exponential-signal, lognormal-noise model."""
-    return _eval_lognormal_exp_series(p, e, l, 0, cfg, "exp_lognormal_den")
+    return _evaluate("exp_lognormal", p, e, l, 0, cfg, "exp_lognormal_den")
 
 
 def exp_lognormal_num_series(p, e: ExpParams, l: LognormalParams,
                              cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel of the same model (noise conditional mean)."""
-    return _eval_lognormal_exp_series(p, e, l, 1, cfg, "exp_lognormal_num")
+    return _evaluate("exp_lognormal", p, e, l, 1, cfg, "exp_lognormal_num")
 
 
 # ---------------------------------------------------------------------------
 # Gamma-lognormal pair (two indices)
 # ---------------------------------------------------------------------------
 
-def _eval_gamma_lognormal(p, g: GammaParams, l: LognormalParams, top_shift,
-                          cfg, label):
-    """top_shift = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k)."""
-    if p <= 0:
-        raise DomainError(f"{label} requires p > 0, got {p}")
-    log_p = math.log(p)
+#: entries of the per-gene (k, n) term grids the gamma-lognormal kernel
+#: holds at once; larger batches are summed in slices of genes
+_GRID_BUDGET = 1 << 18
 
-    def total(sizes):
-        K, N = sizes
-        blogs, bsigns = specfun.gen_binomial_log_array(g.alpha - 1.0 + top_shift, K)
-        kk = np.arange(K, dtype=float)
-        nn = np.arange(N, dtype=float)
-        t = np.arange(K + N - 1, dtype=float)
+
+def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, box, cfg):
+    """top = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k)."""
+    K, N = _grow(box)
+    blogs, bsigns = specfun.gen_binomial_log_array(g.alpha - 1.0 + top, K)
+    kk = np.arange(K, dtype=float)
+    nn = np.arange(N, dtype=float)
+    t = np.arange(K + N - 1, dtype=float)
+    sk = (bsigns * np.where(kk % 2 == 0, 1.0, -1.0))[:, None]
+    bn = -_sp.gammaln(nn + 1.0) - nn * math.log(g.beta)
+    diag = np.arange(K)[:, None] + np.arange(N)
+    base, wide, scale = np.empty(p.size), np.empty(p.size), np.empty(p.size)
+    step = max(1, _GRID_BUDGET // (K * N))
+    for lo in range(0, p.size, step):
+        part = slice(lo, lo + step)
+        log_p = np.log(p[part])[:, None]
         E = (t * (l.mu + 0.5 * t * l.sigma ** 2)
              + _sp.log_ndtr((log_p - (l.mu + t * l.sigma ** 2)) / l.sigma))
-        bk = blogs - kk * log_p
-        sk = bsigns * np.where(kk % 2 == 0, 1.0, -1.0)
-        bn = -_sp.gammaln(nn + 1.0) - nn * math.log(g.beta)
-        te = bk[:, None] + bn[None, :] + E[(np.arange(K)[:, None] + np.arange(N)[None, :])]
-        m = float(np.max(te))
-        if m == _NEG_INF:
-            return _NEG_INF, 0.0
-        with np.errstate(under="ignore"):
-            grid = sk[:, None] * np.exp(te - m)
-        return _finish(math.fsum(np.sum(grid, axis=1).tolist()), m)
+        te = (blogs - kk * log_p)[:, :, None] + bn + E[:, diag]
+        grid, scale[part] = _scaled_rows(te, sk)
+        base[part], wide[part] = _box_sums(
+            lambda sizes: grid[:, :sizes[0], :sizes[1]].sum(axis=2), box)
+    return base, wide, scale
 
-    box = _boxes("gamma_lognormal", p, g, l, cfg)[top_shift]
-    return _confirmed_sum(total, box, cfg, label)
+
+def _gamma_lognormal_log_prefactor(g: GammaParams, l: LognormalParams, p):
+    return ((g.alpha - 1.0) * np.log(p) - p / g.beta
+            - g.alpha * math.log(g.beta) - _sp.gammaln(g.alpha))
 
 
 def gamma_lognormal_den_series(p, g: GammaParams, l: LognormalParams,
                                cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the gamma-signal, lognormal-noise model."""
-    return _eval_gamma_lognormal(p, g, l, 0, cfg, "gamma_lognormal_den")
+    return _evaluate("gamma_lognormal", p, g, l, 0, cfg, "gamma_lognormal_den")
 
 
 def gamma_lognormal_num_series(p, g: GammaParams, l: LognormalParams,
                                cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = p * num/den."""
-    return _eval_gamma_lognormal(p, g, l, 1, cfg, "gamma_lognormal_num")
+    return _evaluate("gamma_lognormal", p, g, l, 1, cfg, "gamma_lognormal_num")
 
 
 # ---------------------------------------------------------------------------
@@ -563,47 +564,69 @@ def gamma_lognormal_num_series(p, g: GammaParams, l: LognormalParams,
 # ---------------------------------------------------------------------------
 
 def _gb_axis_arrays(table, n, log_ratio):
-    """Signed, geometric-folded coefficient arrays for one GB expansion axis."""
+    """Signed, geometric-folded coefficient arrays for one GB expansion axis,
+    one row per entry of the log_ratio array."""
     blogs, bsigns = table.get(n)
-    logs = blogs + _geometric_logs(n, log_ratio)
-    signs = bsigns * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    signs = np.where(np.isneginf(logs), np.where(np.arange(n) == 0, signs, 0.0), signs)
-    return logs, signs
+    return (blogs + _geometric_logs(n, log_ratio),
+            bsigns * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
 
 
-def _gb_pair_eval(p, s, b, off1, off2, cfg, label, want_grad=False):
+def _gb_pair_parts(p, s, b, off, sizes):
+    """The scaled l, m, n and r axis vectors of every gene on sizes =
+    (L, M, N, R), the scaled beta grid, and each gene's log scale."""
+    ws = _gb_pair_workspace(s, b, off)
+    lg1, lg3 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
+    lg2, lg4 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
+    L, M, N, R = sizes
+    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall1, L, lg1))
+    v3, m3 = _scaled_rows(*_gb_axis_arrays(ws.rise1, N, lg3))
+    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.fall2, M, lg2))
+    v4, m4 = _scaled_rows(*_gb_axis_arrays(ws.rise2, R, lg4))
+    E, gmax = ws.lbeta_grid_exp(L + N - 1, M + R - 1)
+    return (v1, v2, v3, v4, E), m1 + m3 + m2 + m4 + gmax
+
+
+def _gb_pair_kernel(p, s: GBParams, b: GBParams, off, box, cfg):
+    parts, scale = _gb_pair_parts(p, s, b, off, _grow(box))
+
+    def rows(sizes):
+        v1, v2, v3, v4 = (v[:, :n] for v, n in zip(parts, sizes))
+        conv13, conv24 = _convolve_rows(v1, v3), _convolve_rows(v2, v4)
+        return conv13 * (conv24 @ parts[4][:conv13.shape[1], :conv24.shape[1]].T)
+
+    return (*_box_sums(rows, box), scale)
+
+
+def _gb_pair_log_prefactor(s: GBParams, b: GBParams, p):
+    return (math.log(s.a) + math.log(b.a)
+            - s.a * s.u * math.log(s.d) - b.a * b.u * math.log(b.d)
+            - specfun.log_beta(s.u, s.v) - specfun.log_beta(b.u, b.v)
+            + (s.a * s.u + b.a * b.u - 1.0) * np.log(p))
+
+
+def _gb_pair_eval(p, s, b, off, cfg, label, want_grad=False):
     upper = gb_support_upper(s) + gb_support_upper(b)
     if not (0 < p < upper):
         raise DomainError(f"{label}: p={p} outside the convolution support (0, {upper})")
-    box = _boxes("gb_gb", p, s, b, cfg)[off1]
-    if off1 == 0 and off2 == 0 and cfg.literal_beta_args:
-        off1, off2 = -1, -1
-    elif off1 == 1 and cfg.literal_beta_args:
-        off1, off2 = 0, -1
-    ws = _gb_pair_workspace(s, b, off1, off2)
-
-    lg1, lg3 = _gb_log_ratios(s, s.a * (math.log(p) - math.log(s.d)))
-    lg2, lg4 = _gb_log_ratios(b, b.a * (math.log(p) - math.log(b.d)))
-
-    def total(sizes):
-        _, _, _, _, conv13, conv24, E, scale = ws.parts(lg1, lg2, lg3, lg4, sizes)
-        rows = conv13 * (E @ conv24)
-        return _finish(math.fsum(rows.tolist()), scale)
-
-    result = _confirmed_sum(total, box, cfg, label)
+    result = _evaluate("gb_gb", p, s, b, off, cfg, label)
     if not want_grad:
         return result
 
-    # Signal-block derivative sums on the confirmed box, shared scale cancels
-    # in the returned ratios d(log series)/d(param).
+    # Signal-block derivative sums on the confirmed box, read from the
+    # kernel's scaled vectors; the shared scale cancels in the returned
+    # ratios d(log series)/d(param).
     sizes = result.terms_used
-    v1, v3, v2, v4, conv13, conv24, E, _ = ws.parts(lg1, lg2, lg3, lg4, sizes)
+    parts, _ = _gb_pair_parts(np.array([float(p)]), s, b, off, _grow(sizes))
+    v1, v2, v3, v4 = (v[0, :n] for v, n in zip(parts, sizes))
     L, M, N, R = sizes
+    conv13, conv24 = np.convolve(v1, v3), np.convolve(v2, v4)
+    E = parts[4][:conv13.size, :conv24.size]
     base_rows = E @ conv24
     S0 = float(np.sum(conv13 * base_rows))
     if S0 == 0.0:
         raise SeriesDivergenceError(f"{label}: zero base sum in gradient evaluation")
 
+    ws = _gb_pair_workspace(s, b, off)
     i_idx = np.arange(conv13.size, dtype=float)
     A1 = ws.arg1(np.arange(conv13.size))
     A2 = ws.arg2(np.arange(conv24.size))
@@ -648,70 +671,80 @@ def _gb_pair_eval(p, s, b, off1, off2, cfg, label, want_grad=False):
 def gb_pair_den_series(p, s: GBParams, b: GBParams,
                        cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the GB-signal, GB-noise convolution."""
-    return _gb_pair_eval(p, s, b, 0, 0, cfg, "gb_pair_den")
+    return _gb_pair_eval(p, s, b, 0, cfg, "gb_pair_den")
 
 
 def gb_pair_num_series(p, s: GBParams, b: GBParams,
                        cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = p * num/den."""
-    return _gb_pair_eval(p, s, b, 1, 0, cfg, "gb_pair_num")
+    return _gb_pair_eval(p, s, b, 1, cfg, "gb_pair_num")
 
 
 def gb_pair_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
     """(SeriesValue, d log(series)/d(a,c,d,u,v) of the signal block)."""
-    return _gb_pair_eval(p, s, b, 0, 0, cfg, "gb_pair_den", want_grad=True)
+    return _gb_pair_eval(p, s, b, 0, cfg, "gb_pair_den", want_grad=True)
 
 
 # ---------------------------------------------------------------------------
 # GB + normal triple series
 # ---------------------------------------------------------------------------
 
-def _gb_normal_parts(ws, lg1, lg2, L, M):
-    """Scaled l and m axis vectors, their convolution, and its log scale."""
-    v1, m1 = _scaled_exp(*_gb_axis_arrays(ws.fall, L, lg1))
-    v2, m2 = _scaled_exp(*_gb_axis_arrays(ws.rise, M, lg2))
-    return v1, v2, np.convolve(v1, v2), m1 + m2
+def _gb_normal_parts(p, s, b: NormalParams, off, sizes, cfg):
+    """The scaled l and m axis vectors and moment columns t^n I_n of every
+    gene on sizes = (L, M, N), the scaled binomial grid, and each gene's log
+    scale."""
+    ws = _gb_normal_workspace(s, off)
+    pm = p - b.mu
+    lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(pm) - math.log(s.d)))
+    L, M, N = sizes
+    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall, L, lg1))
+    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.rise, M, lg2))
+    # the gate read the same (cached) moment tables to fix the boxes
+    n = max(N, cfg.max_terms_per_index + 1)
+    tables = [_moment_logs(y, b, n) for y in pm.tolist()]
+    vn, mv = _scaled_rows(np.array([t[0][:N] for t in tables]),
+                          np.array([t[1][:N] for t in tables]))
+    grid, gmax = ws.binom_grid_exp(L + M - 1, N)
+    return (v1, v2, vn, grid), m1 + m2 + mv + gmax
+
+
+def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, box, cfg):
+    (v1, v2, vn, grid), scale = _gb_normal_parts(p, s, b, off, _grow(box), cfg)
+
+    def rows(sizes):
+        L, M, N = sizes
+        conv12 = _convolve_rows(v1[:, :L], v2[:, :M])
+        return conv12 * (vn[:, :N] @ grid[:conv12.shape[1], :N].T)
+
+    return (*_box_sums(rows, box), scale)
+
+
+def _gb_normal_log_prefactor(s: GBParams, b: NormalParams, p):
+    return (math.log(s.a) - s.a * s.u * math.log(s.d) - specfun.log_beta(s.u, s.v)
+            - 0.5 * math.log(2.0 * math.pi) + (s.a * s.u - 1.0) * np.log(p - b.mu))
 
 
 def _gb_normal_eval(p, s, b: NormalParams, off, cfg, label, want_grad=False):
-    if p <= 0:
-        raise DomainError(f"{label} requires p > 0, got {p}")
     if p <= b.mu:
         raise DomainError(
             f"{label}: series formulation requires p > noise mu, got p={p}, mu={b.mu}")
-    ws = _gb_normal_workspace(s, off)
-    box = _boxes("gb_normal", p, s, b, cfg)[off]
-    pm = p - b.mu
-    lg1, lg2 = _gb_log_ratios(s, s.a * (math.log(pm) - math.log(s.d)))
-    wide = _grow(box)
-
-    def parts(sizes):
-        L, M, N = sizes
-        v1, v2, conv12, scale = _gb_normal_parts(ws, lg1, lg2, L, M)
-        # the gate read the same (cached) moment table to fix the box
-        vlog, vsign = _moment_logs(pm, b, max(wide[2], cfg.max_terms_per_index + 1))
-        vn, mv = _scaled_exp(vlog[:N], vsign[:N])
-        # both sums read one scaled grid, so the confirmation sees truncation only
-        grid, gmax = ws.binom_grid_exp(wide[0] + wide[1] - 1, wide[2])
-        return v1, v2, conv12, vn, grid[:conv12.size, :N], scale + mv + gmax
-
-    def total(sizes):
-        _, _, conv12, vn, Gm, scale = parts(sizes)
-        rows = conv12 * (Gm @ vn)
-        return _finish(math.fsum(rows.tolist()), scale)
-
-    result = _confirmed_sum(total, box, cfg, label)
+    result = _evaluate("gb_normal", p, s, b, off, cfg, label)
     if not want_grad:
         return result
 
     sizes = result.terms_used
-    v1, v2, conv12, vn, Gm, _ = parts(sizes)
+    (v1, v2, vn, grid), _ = _gb_normal_parts(np.array([float(p)]), s, b, off,
+                                             _grow(sizes), cfg)
     L, M, N = sizes
+    v1, v2, vn = v1[0, :L], v2[0, :M], vn[0, :N]
+    conv12 = np.convolve(v1, v2)
+    Gm = grid[:conv12.size, :N]
     base_rows = Gm @ vn
     S0 = float(np.sum(conv12 * base_rows))
     if S0 == 0.0:
         raise SeriesDivergenceError(f"{label}: zero base sum in gradient evaluation")
 
+    pm = p - b.mu
     i_idx = np.arange(conv12.size, dtype=float)
     l_arr = np.arange(L, dtype=float)
     m_arr = np.arange(M, dtype=float)
@@ -764,18 +797,27 @@ def gb_normal_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
 
 
 # ---------------------------------------------------------------------------
-# Marginal densities assembled from the series
+# Family registry and marginal densities assembled from the series
 # ---------------------------------------------------------------------------
 
-def _gb_pair_log_const(s: GBParams, b: GBParams):
-    return (math.log(s.a) + math.log(b.a)
-            - s.a * s.u * math.log(s.d) - b.a * b.u * math.log(b.d)
-            - specfun.log_beta(s.u, s.v) - specfun.log_beta(b.u, b.v))
+class _Family(NamedTuple):
+    #: (p, signal, noise, cfg) -> (den box, num box)
+    boxes: Callable
+    #: (p array, signal, noise, off, box, cfg) -> per-gene (sum on the box,
+    #: sum on the grown box, log scale of both); off 0 is den, 1 is num
+    kernel: Callable
+    #: (signal, noise, p array) -> log marginal density minus log den sum
+    log_prefactor: Callable
 
 
-def _gb_normal_log_const(s: GBParams):
-    return (math.log(s.a) - s.a * s.u * math.log(s.d) - specfun.log_beta(s.u, s.v)
-            - 0.5 * math.log(2.0 * math.pi))
+_FAMILIES = {
+    "exp_lognormal": _Family(_exp_lognormal_boxes, _exp_lognormal_kernel,
+                             _exp_lognormal_log_prefactor),
+    "gamma_lognormal": _Family(_gamma_lognormal_boxes, _gamma_lognormal_kernel,
+                               _gamma_lognormal_log_prefactor),
+    "gb_gb": _Family(_gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor),
+    "gb_normal": _Family(_gb_normal_boxes, _gb_normal_kernel, _gb_normal_log_prefactor),
+}
 
 
 def marginal_gb_log(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
@@ -784,8 +826,7 @@ def marginal_gb_log(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
         raise SeriesDivergenceError(
             "gb_pair_den series converged to a nonpositive value; cancellation "
             "has destroyed the result")
-    return (_gb_pair_log_const(s, b) + (s.a * s.u + b.a * b.u - 1.0) * math.log(p)
-            + den.log_abs)
+    return float(_gb_pair_log_prefactor(s, b, p)) + den.log_abs
 
 
 def marginal_gb(p, s: GBParams, b: GBParams, cfg=SeriesConfig()) -> float:
@@ -798,8 +839,7 @@ def marginal_gb_normal_log(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()):
     if den.sign <= 0:
         raise SeriesDivergenceError(
             "gb_normal_den series converged to a nonpositive value")
-    return (_gb_normal_log_const(s) + (s.a * s.u - 1.0) * math.log(p - b.mu)
-            + den.log_abs)
+    return float(_gb_normal_log_prefactor(s, b, p)) + den.log_abs
 
 
 def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> float:
@@ -807,17 +847,16 @@ def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> f
     return math.exp(marginal_gb_normal_log(p, s, b, cfg))
 
 
-def _marginal_log_batch(model, p, cfg, kernel):
-    """Series log marginals of model at every observation of the array p.
+def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
+    """Series log marginal density of model at every observation of the array p.
 
-    The genes the gate accepts are summed together on one box, the
-    elementwise largest of their own den boxes, with shared coefficient
-    tables: kernel(accepted p, box) returns the batch total function and
-    the per-gene log prefactor.  Returns (values, ok); ok is False where the
-    gate refuses the gene or its sum is not positive or fails the
-    confirmation, and values there are -inf, so callers can route those
-    genes elsewhere.
+    model is of a series family.  The genes the gate accepts are summed
+    together by the family's kernel on one box, the elementwise largest of
+    their den boxes.  Returns (values, ok); ok is False where the gate
+    refuses the gene or its sum is not positive or is not confirmed, and
+    values there are -inf, so callers can route those genes elsewhere.
     """
+    family = _FAMILIES[model.kind]
     p = np.asarray(p, dtype=float)
     ok = np.zeros(p.shape, dtype=bool)
     boxes = []
@@ -828,63 +867,14 @@ def _marginal_log_batch(model, p, cfg, kernel):
     out = np.full(p.shape, -np.inf)
     if boxes:
         box = tuple(map(max, zip(*boxes)))
-        total, prefactor = kernel(p[ok], box)
-        log_den, good = _confirmed_batch(total, box, cfg)
-        out[ok] = prefactor + log_den
+        pk = p[ok]
+        log_den, sign, good = _confirmed_batch(
+            *family.kernel(pk, model.signal, model.noise, 0, box, cfg), cfg)
+        good &= sign > 0
+        out[ok] = np.where(good, family.log_prefactor(model.signal, model.noise, pk)
+                           + log_den, -np.inf)
         ok[ok] = good
     return out, ok
-
-
-def marginal_gb_log_batch(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
-    """``marginal_gb_log`` at every observation of the array p, as
-    (values, ok); see ``_marginal_log_batch``."""
-    def kernel(pk, box):
-        ws = _gb_pair_workspace(s, b, 0, 0)
-        lg1, lg3 = _gb_log_ratios(s, 0.0)
-        lg2, lg4 = _gb_log_ratios(b, 0.0)
-        lx1 = s.a * (np.log(pk) - math.log(s.d))
-        lx2 = b.a * (np.log(pk) - math.log(b.d))
-
-        def total(sizes):
-            _, _, _, _, conv13, conv24, E, scale = ws.parts(lg1, lg2, lg3, lg4, sizes)
-            with np.errstate(under="ignore"):
-                X1 = np.exp(np.outer(lx1, np.arange(conv13.size)))
-                X2 = np.exp(np.outer(lx2, np.arange(conv24.size)))
-            return np.einsum("ij,ij->i", (X1 * conv13) @ E, X2 * conv24), scale
-
-        return total, (_gb_pair_log_const(s, b)
-                       + (s.a * s.u + b.a * b.u - 1.0) * np.log(pk))
-
-    return _marginal_log_batch(GBGB(s, b), p, cfg, kernel)
-
-
-def marginal_gb_normal_log_batch(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()):
-    """``marginal_gb_normal_log`` at every observation of the array p, as
-    (values, ok); see ``_marginal_log_batch``."""
-    def kernel(pk, box):
-        pm = pk - b.mu
-        ws = _gb_normal_workspace(s, 0)
-        lg1, lg2 = _gb_log_ratios(s, 0.0)
-        ly = s.a * (np.log(pm) - math.log(s.d))
-        L, M, N = _grow(box)
-        grid, gmax = ws.binom_grid_exp(L + M - 1, N)
-        vn = np.empty((pm.size, N))   # per-gene moment columns t^n I_n
-        for gi, y in enumerate(pm.tolist()):
-            vlog, vsign = _moment_logs(y, b, N)
-            with np.errstate(under="ignore"):
-                vn[gi] = vsign * np.exp(vlog)
-
-        def total(sizes):
-            L, M, N = sizes
-            _, _, conv12, scale = _gb_normal_parts(ws, lg1, lg2, L, M)
-            with np.errstate(under="ignore"):
-                Y = np.exp(np.outer(ly, np.arange(conv12.size)))
-            return (np.einsum("ij,ij->i", (Y * conv12) @ grid[:conv12.size, :N],
-                              vn[:, :N]), scale + gmax)
-
-        return total, _gb_normal_log_const(s) + (s.a * s.u - 1.0) * np.log(pm)
-
-    return _marginal_log_batch(GBNormal(s, b), p, cfg, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +940,7 @@ def convergence_ok(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> bool:
     """
     if p <= 0 or not _in_region(m, p):
         return False
-    if m.kind not in _BOX_BUILDERS:
+    if m.kind not in _FAMILIES:
         return True
     limit = int(GATE_DEPTH_FRACTION * cfg.max_terms_per_index)
     return all(max(box) <= limit

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from beadcorr import correct, estimate, oracle, series, simulate
-from beadcorr.dists import (ExpGamma, ExpNormal, ExpParams, GammaNormal,
-                            GammaParams, GBGB, GBNormal, GBParams, NormalParams,
+from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
+                            GammaLognormal, GammaNormal, GammaParams, GBGB,
+                            GBNormal, GBParams, LognormalParams, NormalParams,
                             dist_sample, model_to_values, param_names)
 from beadcorr.errors import (DegenerateControlsError, InvalidParameterError,
                              UnsupportedMethodError)
@@ -46,6 +47,15 @@ _MARGINAL_CASES = [
     # shape < 1: quadrature at the likelihood tolerance
     (GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)),
      (150.0, 250.0, 400.0), 1e-6),
+    # grid density far below its peak, or genes below the noise grid:
+    # quadrature at the likelihood tolerance
+    (GammaNormal(GammaParams(2.0, 50.0), NormalParams(500.0, 10.0)),
+     (100.0, 300.0, 380.0, 400.0, 420.0), 1e-6),
+    # lognormal noise: genes the series gate accepts (checked in the test)
+    (ExpLognormal(ExpParams(0.08), LognormalParams(1.3, 0.5)),
+     (2.0, 5.0, 20.0, 60.0), 1e-6),
+    (GammaLognormal(GammaParams(0.7, 20.0), LognormalParams(0.5, 0.3)),
+     (20.0, 50.0, 150.0), 1e-6),
 ]
 
 
@@ -110,6 +120,8 @@ class TestLoglik:
             assert lm == pytest.approx(lq, abs=1e-8)
         for m, ps, tol in _MARGINAL_CASES:
             for p in ps:
+                if m.kind in ("exp_lognormal", "gamma_lognormal"):
+                    assert series.convergence_ok(m, p, CFG), (m, p)
                 lm = float(estimate.log_marginal(m, [p])[0])
                 lq = oracle.marginal_log_pdf_quadrature(p, m)
                 assert lm == pytest.approx(lq, abs=tol), (m, p)

@@ -156,19 +156,9 @@ class TestGBPairSeries:
         assert m_used == 1   # noise c = 1
         assert den.converged
 
-    def test_literal_beta_args_diverge_on_uniform(self):
-        literal = series.SeriesConfig(literal_beta_args=True)
-        with pytest.raises(DomainError):
-            series.gb_pair_den_series(0.5, UNIFORM, UNIFORM, literal)
-
-    def test_literal_mode_differs_and_corrected_matches_oracle(self):
-        # both arguments stay positive in literal mode for these shapes
+    def test_shape_two_marginal_matches_oracle(self):
         s = GBParams(2.0, 0.4, 1.2, 1.5, 2.2)
         b = GBParams(2.0, 0.5, 1.1, 1.4, 2.0)
-        corrected = series.gb_pair_den_series(0.7, s, b, CFG)
-        literal = series.gb_pair_den_series(
-            0.7, s, b, series.SeriesConfig(literal_beta_args=True))
-        assert literal.value != pytest.approx(corrected.value, rel=1e-3)
         k1p = math.exp(series.marginal_gb_log(0.7, s, b, CFG))
         ref = marginal_pdf_quadrature(0.7, GBGB(s, b), QuadConfig())
         assert k1p == pytest.approx(ref, rel=1e-4)
@@ -293,6 +283,10 @@ class TestOneBoxPerGene:
                 den(p, m.signal, m.noise, CFG)
                 num(p, m.signal, m.noise, CFG)
         assert accepted > 2000
+        # the likelihood's batch, on the largest box of these genes, confirms
+        # every one of them too
+        _, ok = series.marginal_log_batch(m, data.observed, CFG)
+        assert ok.sum() == accepted
 
     def test_depth_past_the_cap_raises(self):
         tiny = series.SeriesConfig(max_terms_per_index=20)
@@ -305,7 +299,7 @@ class TestOneBoxPerGene:
     def test_batch_flags_genes_the_gate_refuses(self):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
         ps = np.array([0.5, 0.8, 3.0])
-        vals, ok = series.marginal_gb_log_batch(ps, s, b, CFG)
+        vals, ok = series.marginal_log_batch(GBGB(s, b), ps, CFG)
         assert ok.tolist() == [True, True, False] and vals[2] == -np.inf
         for p, got in zip(ps[:2], vals[:2]):
             assert got == pytest.approx(series.marginal_gb_log(float(p), s, b, CFG),
