@@ -1,9 +1,11 @@
 """Corrected background intensities E[S | P = p] for the seven models.
 
 Closed forms where they exist, series where the model has one (with a
-quadrature fallback outside the series convergence region), and direct
-quadrature for the gamma-normal model.  Every corrector can report which path
-produced its value; batch application never aborts on a single bad gene.
+quadrature fallback outside the series convergence region), and quadrature
+for the gamma-normal model.  Both quadrature routes run the batched tanh-sinh
+engine (``quadrature.log_integrals``), once per array, and hand the genes it
+cannot certify to the referee's QUADPACK.  Every corrector can report which
+path produced its value; batch application never aborts on a single bad gene.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from typing import Optional
 import numpy as np
 from scipy import fft as sp_fft
 from scipy import special as _sp
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401  (perfbench/tracing.py wraps correct.quad)
 
-from . import oracle, series, specfun
-from .dists import (ExpLognormal, ExpParams, GammaLognormal, GammaParams,
-                    GBGB, GBNormal, GBParams, LognormalParams, ModelSpec,
-                    NormalParams, dist_logpdf, gb_support_upper)
+from . import oracle, quadrature, series, specfun
+from .dists import (ExpLognormal, ExpParams, GammaLognormal, GammaNormal,
+                    GammaParams, GBGB, GBNormal, GBParams, LognormalParams,
+                    ModelSpec, NormalParams, dist_logpdf, gb_support_upper)
 from .errors import (BeadcorrError, DomainError, InvalidParameterError,
                      NumericUnderflowError, SeriesError)
 
@@ -47,6 +49,7 @@ class CorrectionInfo:
 
 _SERIES_INFO = CorrectionInfo(path="series")
 _CLOSED_INFO = CorrectionInfo(path="closed")
+_QUADRATURE_INFO = CorrectionInfo(path="quadrature")
 
 
 def _with_info(value, info, with_info):
@@ -169,102 +172,60 @@ def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gamma signal + normal noise (quadrature; optional FFT-grid backend)
+# Quadrature: the gamma-normal corrector and the series correctors' fallback
 # ---------------------------------------------------------------------------
 
-#: ratio of the first knot to the integrand's peak location beyond which the
-#: gamma-normal corrector adds a geometric ladder of knots below the first
-_LADDER_GAP = 64.0
+#: quadrature setting of the gamma-normal corrector, tighter than the default
+_GAMMA_NORMAL_QCFG = oracle.QuadConfig(rel_tol=1e-11)
+
+_LOG_TINY = math.log(1e-300)
 
 
-def _gamma_normal_integral(p, g: GammaParams, b: NormalParams, shape, qcfg):
-    """Scaled integral of f_gamma(s; shape, beta) phi((p-s-mu)/sigma)/sigma over s>0.
+def _quadrature_means(ps, m: ModelSpec, qcfg: oracle.QuadConfig):
+    """Posterior means of the genes ps by the batched tanh-sinh engine.
 
-    Returns (value, log shift).  The shift is the largest log integrand at the
-    knots, at the analytic mode (the larger root of
-    s^2 - c's - (shape-1) sigma^2 = 0 with c' = p - mu - sigma^2/beta) and,
-    for shape <= 1, at s0 = sigma^2/(|c'| + sigma).  For shape > 1 the log
-    integrand is concave and the mode is its maximum.  For shape <= 1 its
-    largest values lie at s -> 0+ (or at a mode), and below s0 the log
-    integrand exceeds its value at s0 by at most (1-shape) log(s0/s) + 1.5,
-    so the scaled integrand cannot overflow.
+    The engine's target is qcfg.rel_tol; genes whose error estimate misses
+    it go to the referee's QUADPACK at qcfg.  Returns, per gene, the value or
+    the BeadcorrError that refuses it.
     """
-    sh1 = shape - 1.0
-    inv_beta = 1.0 / g.beta
-    inv_sig = 1.0 / b.sigma
-    center = p - b.mu
-    # the gamma knot is positive, so knots is never empty
-    knots = sorted(k for k in (center - 8 * b.sigma, center, center + 8 * b.sigma,
-                               sh1 * g.beta if shape > 1 else 0.5 * g.beta)
-                   if k > 0)
-    hi_knot = knots[-1]
+    logs, _, ok = quadrature.log_integrals(ps, m, (0, 1), qcfg.rel_tol)
+    out = []
+    for p, lden, lnum, good in zip(np.asarray(ps, dtype=float).tolist(),
+                                   logs[0].tolist(), logs[1].tolist(), ok.tolist()):
+        try:
+            if not good:
+                out.append(oracle.posterior_mean_quadrature(p, m, qcfg))
+            elif lden < _LOG_TINY:
+                raise NumericUnderflowError(
+                    f"marginal density underflowed at p={p}; posterior mean "
+                    f"undefined in floating point")
+            else:
+                out.append(math.exp(lnum - lden))
+        except BeadcorrError as exc:
+            out.append(exc)
+    return out
 
-    cp = center - b.sigma ** 2 * inv_beta
-    disc = cp * cp + 4.0 * sh1 * b.sigma ** 2
-    cand = list(knots)
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        # the cancellation-free form of the larger root where c' < 0
-        mode = (0.5 * (cp + root) if cp >= 0.0
-                else 2.0 * sh1 * b.sigma ** 2 / (root - cp))
-        if mode > 0.0:
-            cand.append(mode)
-    if shape <= 1.0:
-        cand.append(b.sigma ** 2 / (abs(cp) + b.sigma))
-    pts = np.array(cand)
-    z = (pts - center) * inv_sig
-    logf = sh1 * np.log(pts) - pts * inv_beta - 0.5 * z * z
-    top = int(np.argmax(logf))
-    peak, s_peak = float(logf[top]), float(pts[top])
-    if s_peak * _LADDER_GAP < knots[0]:
-        # the mass sits far below the first knot, where one wide QUADPACK
-        # piece samples none of it: add knots s_peak * 8^j up to that knot
-        knots[:0] = [s_peak * 8.0 ** j
-                     for j in range(int(math.log(knots[0] / s_peak, 8.0)))]
-    shift = (peak - shape * math.log(g.beta) - _sp.gammaln(shape)
-             - math.log(b.sigma) - 0.5 * math.log(2.0 * math.pi))
 
-    # scalar math: quad calls this thousands of times
-    def f(s):
-        if s <= 0.0:
-            return 0.0
-        z = (s - center) * inv_sig
-        return math.exp(sh1 * math.log(s) - s * inv_beta - 0.5 * z * z - peak)
-
-    span = 12.0 * max(b.sigma, g.beta)
-    tail_start = hi_knot + span
-
-    v1 = quad(f, 0.0, tail_start, points=knots,
-              epsabs=0.0, epsrel=qcfg.rel_tol, limit=qcfg.max_subdivisions,
-              full_output=1)[0]
-    # remaining tail is pure gamma decay; negligible unless the shift sits there
-    v2 = 0.0
-    if f(tail_start) > math.exp(-700.0):
-        v2 = quad(f, tail_start, np.inf, epsabs=qcfg.abs_tol, epsrel=qcfg.rel_tol,
-                  limit=qcfg.max_subdivisions, full_output=1)[0]
-    return v1 + v2, shift
+def _quadrature_mean(p, m, qcfg):
+    value = _quadrature_means([p], m, qcfg)[0]
+    if isinstance(value, BeadcorrError):
+        raise value
+    return value
 
 
 def correct_gamma_normal(p, g: GammaParams, b: NormalParams,
                          qcfg: oracle.QuadConfig = None) -> float:
-    """Posterior mean under gamma + normal by adaptive quadrature.
+    """Posterior mean under gamma + normal by tanh-sinh quadrature.
 
-    The numerator uses the shape-shift identity s f(s; alpha) =
-    alpha*beta f(s; alpha+1), so this path and the direct-integrand oracle
-    check each other.
+    qcfg.rel_tol is the engine's target (default 1e-11); a gene the engine
+    cannot certify goes to the referee's QUADPACK at qcfg.
     """
-    qcfg = qcfg or oracle.QuadConfig(rel_tol=1e-11)
-    den, sd = _gamma_normal_integral(p, g, b, g.alpha, qcfg)
-    if den <= 0.0 or math.log(den) + sd < math.log(1e-300):
-        raise NumericUnderflowError(
-            f"gamma-normal marginal underflowed at p={p}")
-    num, sn = _gamma_normal_integral(p, g, b, g.alpha + 1.0, qcfg)
-    return g.alpha * g.beta * num / den * math.exp(sn - sd)
+    return _quadrature_mean(p, GammaNormal(g, b), qcfg or _GAMMA_NORMAL_QCFG)
 
 
 def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
-                      max_points, with_mean=False):
-    """Gamma-normal convolution integrals on a uniform grid of p, by FFT.
+                      max_points):
+    """Gamma-normal marginal density on a uniform grid of p, by FFT.
 
     Spacing h = min(sigma, beta)/resolution.  The noise grid spans
     mu +- 12 sigma; the signal grid s starts at 0 and ends at
@@ -272,8 +233,7 @@ def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
     p = b + s reads signal nodes s = p - b with b >= mu - 12 sigma, so no p
     <= p_max reads a signal node past p_max - mu + 12 sigma, and the gamma
     mass beyond it never reaches a requested point.  Returns (p grid, the
-    marginal density f_P on it) and, with_mean, also the integral of
-    s f_S(s) f_B(p - s) on it.  Requires alpha >= 1 so the gridded signal
+    marginal density f_P on it).  Requires alpha >= 1 so the gridded signal
     density is bounded, and at most max_points signal nodes.
     """
     if g.alpha < 1.0:
@@ -292,116 +252,115 @@ def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
     fb = np.exp(dist_logpdf(b, b_lo + np.arange(n_b) * h))
     n_p = n_s + n_b - 1
     p_grid = b_lo + np.arange(n_p) * h
-    # full linear convolutions, zero-padded to a fast real-FFT length
+    # full linear convolution, zero-padded to a fast real-FFT length
     n_fft = sp_fft.next_fast_len(n_p, real=True)
-    fb_hat = sp_fft.rfft(fb, n_fft)
-
-    def convolve(x):
-        return sp_fft.irfft(sp_fft.rfft(x, n_fft) * fb_hat, n_fft)[:n_p] * h
-
-    if with_mean:
-        return p_grid, convolve(fs), convolve(s * fs)
-    return p_grid, convolve(fs)
-
-
-def gamma_normal_grid_posterior(p_values, g: GammaParams, b: NormalParams,
-                                resolution: int = 64):
-    """Posterior means on a uniform grid via FFT convolution of the densities.
-
-    Reproduces the grid-convolution approach for whole-array work; agrees with
-    the quadrature path to ~1e-4 relative at the default resolution.  Requires
-    alpha >= 1 so the gridded signal density is bounded.
-    """
-    p_values = np.asarray(p_values, dtype=float)
-    p_grid, den, num = gamma_normal_grid(float(np.max(p_values)), g, b,
-                                         resolution, 1 << 22, with_mean=True)
-    den_i = np.interp(p_values, p_grid, den)
-    num_i = np.interp(p_values, p_grid, num)
-    if np.any(den_i <= 0):
-        raise NumericUnderflowError("grid marginal vanished at a requested point")
-    return num_i / den_i
+    den = sp_fft.irfft(sp_fft.rfft(fs, n_fft) * sp_fft.rfft(fb, n_fft), n_fft)
+    return p_grid, den[:n_p] * h
 
 
 # ---------------------------------------------------------------------------
 # Series correctors with quadrature fallback
 # ---------------------------------------------------------------------------
 
-def _fallback(p, model, reason, qcfg, with_info):
-    value = oracle.posterior_mean_quadrature(p, model, qcfg or oracle.QuadConfig())
-    return _with_info(value, CorrectionInfo(path="quadrature", converged=True,
-                                            fallback_reason=reason), with_info)
+def _exp_lognormal_plan(p, e: ExpParams, l: LognormalParams):
+    if p <= 0:
+        raise DomainError(f"correct_exp_lognormal requires p > 0, got {p}")
+    shift = l.mu + 0.5 * l.sigma ** 2
+    return (series.exp_lognormal_den_series, series.exp_lognormal_num_series,
+            lambda lnum, lden: p - math.exp(shift + lnum - lden))
 
 
-def _series_correct(p, model, den_series, num_series, value_of, cfg, qcfg,
-                    with_info):
-    """Series route shared by the series correctors, with quadrature fallback.
+def _gamma_lognormal_plan(p, g: GammaParams, l: LognormalParams):
+    if p <= 0:
+        raise DomainError(f"correct_gamma_lognormal requires p > 0, got {p}")
+    return (series.gamma_lognormal_den_series, series.gamma_lognormal_num_series,
+            lambda lnum, lden: p * math.exp(lnum - lden))
 
-    value_of(log num, log den) turns the two kernel sums into the corrected
-    value.  Genes outside the convergence region, series that cancel or fail,
-    and values outside (0, p) go to quadrature with the reason recorded.
+
+def _gb_plan(p, s: GBParams, b: GBParams):
+    upper = gb_support_upper(s) + gb_support_upper(b)
+    if not (0 < p < upper):
+        raise DomainError(f"p={p} outside the convolution support (0, {upper})")
+    return (series.gb_pair_den_series, series.gb_pair_num_series,
+            lambda lnum, lden: p * math.exp(lnum - lden))
+
+
+def _gb_normal_plan(p, s: GBParams, b: NormalParams):
+    if p <= 0:
+        raise DomainError(f"correct_gb_normal requires p > 0, got {p}")
+    return (series.gb_normal_den_series, series.gb_normal_num_series,
+            lambda lnum, lden: (p - b.mu) * math.exp(lnum - lden))
+
+
+#: per series family: (p, signal, noise) -> (den series, num series,
+#: value_of(log num, log den)); raises DomainError outside the model's domain
+_SERIES_PLANS = {
+    "exp_lognormal": _exp_lognormal_plan,
+    "gamma_lognormal": _gamma_lognormal_plan,
+    "gb_gb": _gb_plan,
+    "gb_normal": _gb_normal_plan,
+}
+
+
+def _series_value(p, m: ModelSpec, cfg):
+    """(value, None) from the series, or (None, reason) for quadrature.
+
+    Genes outside the convergence region, series that cancel or fail, and
+    values outside (0, p) go to quadrature with the reason recorded.
     """
-    if not series.convergence_ok(model, p, cfg):
-        return _fallback(p, model, "outside series convergence region", qcfg, with_info)
+    den_series, num_series, value_of = _SERIES_PLANS[m.kind](p, m.signal, m.noise)
+    if not series.convergence_ok(m, p, cfg):
+        return None, "outside series convergence region"
     try:
-        den = den_series(p, model.signal, model.noise, cfg)
-        num = num_series(p, model.signal, model.noise, cfg)
+        den = den_series(p, m.signal, m.noise, cfg)
+        num = num_series(p, m.signal, m.noise, cfg)
         if den.sign <= 0 or num.sign <= 0:
-            return _fallback(p, model, "series cancellation", qcfg, with_info)
+            return None, "series cancellation"
         value = value_of(num.log_abs, den.log_abs)
     except SeriesError as exc:
-        return _fallback(p, model, str(exc), qcfg, with_info)
+        return None, str(exc)
     if not (0.0 < value < p):
-        return _fallback(p, model, "series value escaped (0, p)", qcfg, with_info)
-    return _with_info(value, _SERIES_INFO, with_info)
+        return None, "series value escaped (0, p)"
+    return value, None
+
+
+def _series_correct(p, m, cfg, qcfg, with_info):
+    """Series route shared by the series correctors, with quadrature fallback."""
+    value, reason = _series_value(p, m, cfg)
+    if reason is None:
+        return _with_info(value, _SERIES_INFO, with_info)
+    value = _quadrature_mean(p, m, qcfg or oracle.QuadConfig())
+    return _with_info(value, CorrectionInfo(path="quadrature", fallback_reason=reason),
+                      with_info)
 
 
 def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams,
                           cfg: series.SeriesConfig = series.SeriesConfig(),
                           qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity p - E[B | P = p] under exponential + lognormal."""
-    if p <= 0:
-        raise DomainError(f"correct_exp_lognormal requires p > 0, got {p}")
-    shift = l.mu + 0.5 * l.sigma ** 2
-    return _series_correct(
-        p, ExpLognormal(e, l), series.exp_lognormal_den_series,
-        series.exp_lognormal_num_series,
-        lambda lnum, lden: p - math.exp(shift + lnum - lden), cfg, qcfg, with_info)
+    return _series_correct(p, ExpLognormal(e, l), cfg, qcfg, with_info)
 
 
 def correct_gamma_lognormal(p, g: GammaParams, l: LognormalParams,
                             cfg: series.SeriesConfig = series.SeriesConfig(),
                             qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity under gamma + lognormal: p times the kernel ratio."""
-    if p <= 0:
-        raise DomainError(f"correct_gamma_lognormal requires p > 0, got {p}")
-    return _series_correct(
-        p, GammaLognormal(g, l), series.gamma_lognormal_den_series,
-        series.gamma_lognormal_num_series,
-        lambda lnum, lden: p * math.exp(lnum - lden), cfg, qcfg, with_info)
+    return _series_correct(p, GammaLognormal(g, l), cfg, qcfg, with_info)
 
 
 def correct_gb(p, s: GBParams, b: GBParams,
                cfg: series.SeriesConfig = series.SeriesConfig(),
                qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity under the GB + GB convolution."""
-    upper = gb_support_upper(s) + gb_support_upper(b)
-    if not (0 < p < upper):
-        raise DomainError(f"p={p} outside the convolution support (0, {upper})")
-    return _series_correct(
-        p, GBGB(s, b), series.gb_pair_den_series, series.gb_pair_num_series,
-        lambda lnum, lden: p * math.exp(lnum - lden), cfg, qcfg, with_info)
+    return _series_correct(p, GBGB(s, b), cfg, qcfg, with_info)
 
 
 def correct_gb_normal(p, s: GBParams, b: NormalParams,
                       cfg: series.SeriesConfig = series.SeriesConfig(),
                       qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity under the GB + normal convolution."""
-    if p <= 0:
-        raise DomainError(f"correct_gb_normal requires p > 0, got {p}")
-    return _series_correct(
-        p, GBNormal(s, b),  # validates b.mu > 0
-        series.gb_normal_den_series, series.gb_normal_num_series,
-        lambda lnum, lden: (p - b.mu) * math.exp(lnum - lden), cfg, qcfg, with_info)
+    # GBNormal validates b.mu > 0
+    return _series_correct(p, GBNormal(s, b), cfg, qcfg, with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +374,11 @@ class GeneDiagnostic:
     error: Optional[str] = None
 
 
-def _correct_one(p, m: ModelSpec, cfg, variant, qcfg=None):
-    """(value, CorrectionInfo) of one gene; variant picks the exp_normal form.
+def _route(p, m: ModelSpec, cfg, variant):
+    """(value, CorrectionInfo) of one gene's closed-form or series route.
 
-    qcfg sets the quadrature fallback of the series correctors.
+    The value is None where quadrature must answer: every gamma_normal gene
+    and the series genes that fall back.  variant picks the exp_normal form.
     """
     kind = m.kind
     if kind == "exp_normal":
@@ -427,40 +387,71 @@ def _correct_one(p, m: ModelSpec, cfg, variant, qcfg=None):
     if kind == "exp_gamma":
         return correct_exp_gamma(p, m.signal, m.noise), _CLOSED_INFO
     if kind == "gamma_normal":
-        return correct_gamma_normal(p, m.signal, m.noise), CorrectionInfo("quadrature")
-    if kind == "exp_lognormal":
-        return correct_exp_lognormal(p, m.signal, m.noise, cfg, qcfg, with_info=True)
-    if kind == "gamma_lognormal":
-        return correct_gamma_lognormal(p, m.signal, m.noise, cfg, qcfg, with_info=True)
-    if kind == "gb_gb":
-        return correct_gb(p, m.signal, m.noise, cfg, qcfg, with_info=True)
-    if kind == "gb_normal":
-        return correct_gb_normal(p, m.signal, m.noise, cfg, qcfg, with_info=True)
+        return None, _QUADRATURE_INFO
+    if kind in _SERIES_PLANS:
+        value, reason = _series_value(p, m, cfg)
+        if reason is None:
+            return value, _SERIES_INFO
+        return None, CorrectionInfo(path="quadrature", fallback_reason=reason)
     raise InvalidParameterError(f"unknown model kind {kind!r}")
+
+
+def _quadrature_cfg(m: ModelSpec, qcfg):
+    """The gamma-normal corrector's own setting, else qcfg or the default."""
+    if m.kind == "gamma_normal":
+        return _GAMMA_NORMAL_QCFG
+    return qcfg or oracle.QuadConfig()
+
+
+def _correct_one(p, m: ModelSpec, cfg, variant, qcfg=None):
+    """(value, CorrectionInfo) of one gene; variant picks the exp_normal form.
+
+    qcfg sets the quadrature fallback of the series correctors.
+    """
+    value, info = _route(p, m, cfg, variant)
+    if value is None:
+        value = _quadrature_mean(p, m, _quadrature_cfg(m, qcfg))
+    return value, info
+
+
+def _error_diagnostic(i, exc):
+    return GeneDiagnostic(index=i, path="error", error=f"{type(exc).__name__}: {exc}")
 
 
 def correct_array(observed, m: ModelSpec,
                   cfg: series.SeriesConfig = series.SeriesConfig(),
                   exp_normal_variant: str = "rma",
                   qcfg: oracle.QuadConfig = None):
-    """Apply the model's corrector gene by gene.
+    """Apply the model's corrector to every gene of an array.
 
-    Order is preserved and a failing gene never aborts the batch: its output
-    is NaN and the diagnostic row records the error.  qcfg sets the
-    quadrature fallback of the series correctors (default oracle.QuadConfig()).
-    Returns (corrected array, list of GeneDiagnostic).
+    Closed forms and series run gene by gene; the genes that need quadrature
+    (every gamma_normal gene, the series genes that fall back) go to the
+    tanh-sinh engine in one call.  Order is preserved and a failing gene
+    never aborts the batch: its output is NaN and the diagnostic row records
+    the error.  qcfg sets the quadrature fallback of the series correctors
+    (default oracle.QuadConfig()).  Returns (corrected array, list of
+    GeneDiagnostic).
     """
     observed = np.asarray(observed, dtype=float)
-    corrected = np.empty(observed.shape)
+    corrected = np.full(observed.shape, math.nan)
     diags = []
-    for i, p in enumerate(observed):
+    pending = []
+    for i, p in enumerate(observed.tolist()):
         try:
-            value, info = _correct_one(float(p), m, cfg, exp_normal_variant, qcfg)
-            corrected[i] = value
-            diags.append(GeneDiagnostic(index=i, path=info.path,
-                                        error=info.fallback_reason))
+            value, info = _route(p, m, cfg, exp_normal_variant)
         except BeadcorrError as exc:
-            corrected[i] = math.nan
-            diags.append(GeneDiagnostic(index=i, path="error",
-                                        error=f"{type(exc).__name__}: {exc}"))
+            diags.append(_error_diagnostic(i, exc))
+            continue
+        if value is None:
+            pending.append(i)
+        else:
+            corrected[i] = value
+        diags.append(GeneDiagnostic(index=i, path=info.path, error=info.fallback_reason))
+    if pending:
+        values = _quadrature_means(observed[pending], m, _quadrature_cfg(m, qcfg))
+        for i, value in zip(pending, values):
+            if isinstance(value, BeadcorrError):
+                diags[i] = _error_diagnostic(i, value)
+            else:
+                corrected[i] = value
     return corrected, diags

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from beadcorr import correct, oracle, series, simulate
+from beadcorr import correct, oracle, quadrature, series, simulate
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
@@ -182,12 +182,23 @@ class TestGammaNormal:
         ref = oracle.posterior_mean_quadrature(p, GammaNormal(g, b), Q)
         assert got == pytest.approx(ref, rel=1e-8)
 
-    def test_grid_backend_agrees(self):
-        g, b = GammaParams(2.0, 50.0), NormalParams(100.0, 15.0)
-        ps = np.linspace(120.0, 400.0, 15)
-        grid = correct.gamma_normal_grid_posterior(ps, g, b)
-        quadv = np.array([correct.correct_gamma_normal(float(p), g, b) for p in ps])
-        assert np.max(np.abs(grid - quadv) / quadv) < 1e-4
+
+    def test_mass_at_the_left_end_of_a_wide_piece(self):
+        # the old knots left 1e-4 of the mass at the left end of the piece
+        # [p - mu + 8 sigma, (alpha - 1) beta] and read 0.17599; the value is
+        # from 40-digit mpmath
+        got = correct.correct_gamma_normal(196.35, GammaParams(1.92, 1158.0),
+                                           NormalParams(200.91, 0.667))
+        assert got == pytest.approx(0.1770344378731895, rel=1e-9)
+
+    def test_shape_far_below_one(self):
+        # the old corrector read 6.2e-5 and QUADPACK on (0, inf) reads 1.40;
+        # 40-digit mpmath, with the s^(alpha - 1) end integrated in s^alpha,
+        # and the series in s^2 of exp(-s^2 / 2 sigma^2) at the tilted gamma
+        # scale both give this value
+        got = correct.correct_gamma_normal(9.74, GammaParams(0.066, 0.0175),
+                                           NormalParams(308.8, 198.8))
+        assert got == pytest.approx(1.1548470620805799e-3, rel=1e-9)
 
 
 class TestSeriesCorrectors:
@@ -344,3 +355,42 @@ class TestCorrectArray:
         assert diags[0].path == "series" and diags[1].path == "series"
         assert diags[2].path == "quadrature"
         assert np.all(np.isfinite(corrected))
+
+    def test_bad_genes_do_not_poison_the_batch(self):
+        # marginals that underflow, and a GB gene outside the support, are
+        # error rows; every other gene keeps the bits it has alone
+        gn = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
+        gb = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
+        for m, obs, bad, cls in [
+                (gn, [150.0, 1e6, 80.0, -4000.0, 300.0], {1, 3}, "NumericUnderflowError"),
+                (gb, [0.5, 5.0, 3.0, 0.8, 3.9], {1}, "DomainError")]:
+            corrected, diags = correct.correct_array(np.array(obs), m)
+            for i, p in enumerate(obs):
+                if i in bad:
+                    assert math.isnan(corrected[i]) and diags[i].path == "error"
+                    assert diags[i].error.startswith(cls + ":")
+                    continue
+                alone, one = correct.correct_array(np.array([p]), m)
+                assert alone[0] == corrected[i] and one[0].path == diags[i].path
+                value, info = correct._correct_one(p, m, CFG, "rma")
+                assert value == corrected[i] and info.path == diags[i].path
+
+    def test_uncertified_genes_go_to_the_referee(self, monkeypatch):
+        # a gene whose error estimate misses the target takes the referee's
+        # QUADPACK value; the others keep the engine's
+        real = quadrature.log_integrals
+
+        def refuse_second(p, m, moments=(0,), rel_tol=1e-8):
+            logs, est, ok = real(p, m, moments, rel_tol)
+            ok[1] = False
+            return logs, est, ok
+
+        m = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
+        obs = np.array([3.0, 3.5, 3.9])   # all outside the series region
+        engine, _ = correct.correct_array(obs, m)
+        monkeypatch.setattr(quadrature, "log_integrals", refuse_second)
+        corrected, diags = correct.correct_array(obs, m)
+        assert [d.path for d in diags] == ["quadrature"] * 3
+        assert corrected[1] == oracle.posterior_mean_quadrature(3.5, m, Q)
+        assert corrected[0] == engine[0] and corrected[2] == engine[2]
+        assert corrected[1] == pytest.approx(engine[1], rel=1e-8)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from beadcorr import correct, estimate, oracle, series, simulate
+from beadcorr import correct, estimate, oracle, quadrature, series, simulate
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
                             dist_sample, model_to_values, param_names)
 from beadcorr.errors import (DegenerateControlsError, InvalidParameterError,
-                             UnsupportedMethodError)
+                             QuadratureError, UnsupportedMethodError)
 
 CFG = series.SeriesConfig()
 
@@ -162,6 +162,34 @@ class TestLoglik:
         short = estimate.log_marginal(m, ps)
         long = estimate.log_marginal(m, np.append(ps, 3000.0))[:-1]
         np.testing.assert_allclose(short, long, rtol=1e-12)
+
+    def test_uncertified_genes_go_to_quadpack_and_never_raise(self, monkeypatch):
+        # shape < 1: every gene takes the engine; a gene it cannot certify
+        # takes the referee's value, and -inf where the referee fails
+        m = GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0))
+        ps = np.array([150.0, 250.0, 400.0])
+        engine = estimate.log_marginal(m, ps)
+        real_engine = quadrature.log_integrals
+        real_referee = oracle.marginal_log_pdf_quadrature
+
+        def refuse_last_two(p, model, moments=(0,), rel_tol=1e-8):
+            logs, est, ok = real_engine(p, model, moments, rel_tol)
+            ok[1:] = False
+            return logs, est, ok
+
+        def fail_at_400(p, model, q=oracle.QuadConfig()):
+            if p == 400.0:
+                raise QuadratureError("budget exhausted")
+            return real_referee(p, model, q)
+
+        monkeypatch.setattr(quadrature, "log_integrals", refuse_last_two)
+        monkeypatch.setattr(oracle, "marginal_log_pdf_quadrature", fail_at_400)
+        got = estimate.log_marginal(m, ps)
+        assert got[0] == engine[0]
+        assert got[1] == real_referee(250.0, m, oracle.QuadConfig(
+            abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=300))
+        assert got[1] == pytest.approx(engine[1], abs=1e-6)
+        assert got[2] == -math.inf
 
     def test_true_params_beat_perturbed(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
