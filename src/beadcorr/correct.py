@@ -2,9 +2,12 @@
 
 Closed forms where they exist, series where the model has one (with a
 quadrature fallback outside the series convergence region), and quadrature
-for the gamma-normal model.  Both quadrature routes run the batched tanh-sinh
-engine (``quadrature.log_integrals``), once per array, and hand the genes it
-cannot certify to the referee's QUADPACK.  Every corrector can report which
+for the gamma-normal model.  A series array runs the array gate
+(``series.gate``) and one den and one num kernel call on the genes it
+accepts (``series.batch_series``, each gene on its own box); the public
+correctors run the same route on one gene.  Both quadrature routes run the
+batched tanh-sinh engine (``quadrature.log_integrals``), once per array, and
+hand the genes it cannot certify to the referee's QUADPACK.  Every corrector can report which
 path produced its value; batch application never aborts on a single bad gene.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -24,7 +27,7 @@ from .dists import (ExpLognormal, ExpParams, GammaLognormal, GammaNormal,
                     GammaParams, GBGB, GBNormal, GBParams, LognormalParams,
                     ModelSpec, NormalParams, dist_logpdf, gb_support_upper)
 from .errors import (BeadcorrError, DomainError, InvalidParameterError,
-                     NumericUnderflowError, SeriesError)
+                     NumericUnderflowError)
 
 
 @dataclass(frozen=True)
@@ -262,97 +265,117 @@ def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
 # Series correctors with quadrature fallback
 # ---------------------------------------------------------------------------
 
-def _exp_lognormal_plan(p, e: ExpParams, l: LognormalParams):
-    if p <= 0:
-        raise DomainError(f"correct_exp_lognormal requires p > 0, got {p}")
-    shift = l.mu + 0.5 * l.sigma ** 2
-    return (series.exp_lognormal_den_series, series.exp_lognormal_num_series,
-            lambda lnum, lden: p - math.exp(shift + lnum - lden))
+def _positive(label):
+    def check(p, signal, noise):
+        if p <= 0:
+            raise DomainError(f"{label} requires p > 0, got {p}")
+    return check
 
 
-def _gamma_lognormal_plan(p, g: GammaParams, l: LognormalParams):
-    if p <= 0:
-        raise DomainError(f"correct_gamma_lognormal requires p > 0, got {p}")
-    return (series.gamma_lognormal_den_series, series.gamma_lognormal_num_series,
-            lambda lnum, lden: p * math.exp(lnum - lden))
-
-
-def _gb_plan(p, s: GBParams, b: GBParams):
+def _gb_domain(p, s: GBParams, b: GBParams):
     upper = gb_support_upper(s) + gb_support_upper(b)
     if not (0 < p < upper):
         raise DomainError(f"p={p} outside the convolution support (0, {upper})")
-    return (series.gb_pair_den_series, series.gb_pair_num_series,
-            lambda lnum, lden: p * math.exp(lnum - lden))
 
 
-def _gb_normal_plan(p, s: GBParams, b: NormalParams):
-    if p <= 0:
-        raise DomainError(f"correct_gb_normal requires p > 0, got {p}")
-    return (series.gb_normal_den_series, series.gb_normal_num_series,
-            lambda lnum, lden: (p - b.mu) * math.exp(lnum - lden))
+def _exp_lognormal_value(p, lnum, lden, e: ExpParams, l: LognormalParams):
+    return p - np.exp(l.mu + 0.5 * l.sigma ** 2 + lnum - lden)
 
 
-#: per series family: (p, signal, noise) -> (den series, num series,
-#: value_of(log num, log den)); raises DomainError outside the model's domain
+def _ratio_value(p, lnum, lden, signal, noise):
+    return p * np.exp(lnum - lden)
+
+
+def _gb_normal_value(p, lnum, lden, s: GBParams, b: NormalParams):
+    return (p - b.mu) * np.exp(lnum - lden)
+
+
+class _Plan(NamedTuple):
+    #: (p, signal, noise) -> None; raises DomainError outside the model's domain
+    domain: Callable
+    #: (p array, log num, log den, signal, noise) -> corrected values
+    value: Callable
+
+
 _SERIES_PLANS = {
-    "exp_lognormal": _exp_lognormal_plan,
-    "gamma_lognormal": _gamma_lognormal_plan,
-    "gb_gb": _gb_plan,
-    "gb_normal": _gb_normal_plan,
+    "exp_lognormal": _Plan(_positive("correct_exp_lognormal"), _exp_lognormal_value),
+    "gamma_lognormal": _Plan(_positive("correct_gamma_lognormal"), _ratio_value),
+    "gb_gb": _Plan(_gb_domain, _ratio_value),
+    "gb_normal": _Plan(_positive("correct_gb_normal"), _gb_normal_value),
 }
 
 
-def _series_value(p, m: ModelSpec, cfg):
-    """(value, None) from the series, or (None, reason) for quadrature.
+def _series_values(ps, m: ModelSpec, cfg):
+    """Per gene of the array ps: (value, CorrectionInfo) from the series, with
+    value None where quadrature must answer, or the DomainError that refuses
+    the gene.
 
-    Genes outside the convergence region, series that cancel or fail, and
-    values outside (0, p) go to quadrature with the reason recorded.
+    The plan's domain checks run gene by gene; then the array gate, one den
+    and one num kernel call on the genes the gate accepts (each on its own
+    box), and the value formula.  Genes outside the convergence region,
+    series that cancel or fail, and values outside (0, p) go to quadrature
+    with the reason recorded.  A gene's outcome does not depend on the other
+    genes of the array.
     """
-    den_series, num_series, value_of = _SERIES_PLANS[m.kind](p, m.signal, m.noise)
-    if not series.convergence_ok(m, p, cfg):
-        return None, "outside series convergence region"
-    try:
-        den = den_series(p, m.signal, m.noise, cfg)
-        num = num_series(p, m.signal, m.noise, cfg)
-        if den.sign <= 0 or num.sign <= 0:
-            return None, "series cancellation"
-        value = value_of(num.log_abs, den.log_abs)
-    except SeriesError as exc:
-        return None, str(exc)
-    if not (0.0 < value < p):
-        return None, "series value escaped (0, p)"
-    return value, None
-
-
-def _series_correct(p, m, cfg, qcfg, with_info):
-    """Series route shared by the series correctors, with quadrature fallback."""
-    value, reason = _series_value(p, m, cfg)
-    if reason is None:
-        return _with_info(value, _SERIES_INFO, with_info)
-    value = _quadrature_mean(p, m, qcfg or oracle.QuadConfig())
-    return _with_info(value, CorrectionInfo(path="quadrature", fallback_reason=reason),
-                      with_info)
+    plan = _SERIES_PLANS[m.kind]
+    out = [None] * ps.size
+    reasons = {}
+    inside = []
+    for i, p in enumerate(ps.tolist()):
+        try:
+            plan.domain(p, m.signal, m.noise)
+            inside.append(i)
+        except DomainError as exc:
+            out[i] = exc
+    inside = np.array(inside, dtype=int)
+    verdict = series.gate(m, ps[inside], cfg)
+    for i in inside[~verdict.ok].tolist():
+        reasons[i] = "outside series convergence region"
+    genes = inside[verdict.ok]
+    lden, sden, refused = series.batch_series(m, ps[genes], 0, verdict.den[verdict.ok], cfg)
+    reasons.update((int(genes[j]), str(exc)) for j, exc in refused.items())
+    live = np.array([j not in refused for j in range(genes.size)], dtype=bool)
+    genes, lden, sden = genes[live], lden[live], sden[live]
+    lnum, snum, refused = series.batch_series(m, ps[genes], 1,
+                                              verdict.num[verdict.ok][live], cfg)
+    reasons.update((int(genes[j]), str(exc)) for j, exc in refused.items())
+    live = np.array([j not in refused for j in range(genes.size)], dtype=bool)
+    cancel = live & ((sden <= 0) | (snum <= 0))
+    reasons.update((i, "series cancellation") for i in genes[cancel].tolist())
+    live &= ~cancel
+    genes = genes[live]
+    with np.errstate(over="ignore"):
+        values = plan.value(ps[genes], lnum[live], lden[live], m.signal, m.noise)
+    for i, value, p in zip(genes.tolist(), values.tolist(), ps[genes].tolist()):
+        if 0.0 < value < p:
+            out[i] = (value, _SERIES_INFO)
+        else:
+            reasons[i] = "series value escaped (0, p)"
+    for i, reason in reasons.items():
+        out[i] = (None, CorrectionInfo(path="quadrature", fallback_reason=reason))
+    return out
 
 
 def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams,
                           cfg: series.SeriesConfig = series.SeriesConfig(),
                           qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity p - E[B | P = p] under exponential + lognormal."""
-    return _series_correct(p, ExpLognormal(e, l), cfg, qcfg, with_info)
+    return _with_info(*_correct_one(p, ExpLognormal(e, l), cfg, None, qcfg), with_info)
 
 
 def correct_gamma_lognormal(p, g: GammaParams, l: LognormalParams,
                             cfg: series.SeriesConfig = series.SeriesConfig(),
                             qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity under gamma + lognormal: p times the kernel ratio."""
-    return _series_correct(p, GammaLognormal(g, l), cfg, qcfg, with_info)
+    return _with_info(*_correct_one(p, GammaLognormal(g, l), cfg, None, qcfg),
+                      with_info)
 
 
 def correct_gb(p, s: GBParams, b: GBParams,
                cfg: series.SeriesConfig = series.SeriesConfig(),
                qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity under the GB + GB convolution."""
-    return _series_correct(p, GBGB(s, b), cfg, qcfg, with_info)
+    return _with_info(*_correct_one(p, GBGB(s, b), cfg, None, qcfg), with_info)
 
 
 def correct_gb_normal(p, s: GBParams, b: NormalParams,
@@ -360,7 +383,7 @@ def correct_gb_normal(p, s: GBParams, b: NormalParams,
                       qcfg: oracle.QuadConfig = None, with_info=False):
     """Corrected intensity under the GB + normal convolution."""
     # GBNormal validates b.mu > 0
-    return _series_correct(p, GBNormal(s, b), cfg, qcfg, with_info)
+    return _with_info(*_correct_one(p, GBNormal(s, b), cfg, None, qcfg), with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +397,11 @@ class GeneDiagnostic:
     error: Optional[str] = None
 
 
-def _route(p, m: ModelSpec, cfg, variant):
-    """(value, CorrectionInfo) of one gene's closed-form or series route.
+def _route(p, m: ModelSpec, variant):
+    """(value, CorrectionInfo) of one gene of a closed-form or gamma_normal model.
 
-    The value is None where quadrature must answer: every gamma_normal gene
-    and the series genes that fall back.  variant picks the exp_normal form.
+    The value is None where quadrature must answer: every gamma_normal gene.
+    variant picks the exp_normal form.
     """
     kind = m.kind
     if kind == "exp_normal":
@@ -388,12 +411,21 @@ def _route(p, m: ModelSpec, cfg, variant):
         return correct_exp_gamma(p, m.signal, m.noise), _CLOSED_INFO
     if kind == "gamma_normal":
         return None, _QUADRATURE_INFO
-    if kind in _SERIES_PLANS:
-        value, reason = _series_value(p, m, cfg)
-        if reason is None:
-            return value, _SERIES_INFO
-        return None, CorrectionInfo(path="quadrature", fallback_reason=reason)
     raise InvalidParameterError(f"unknown model kind {kind!r}")
+
+
+def _routes(ps, m: ModelSpec, cfg, variant):
+    """_route, or _series_values for a series family, at every gene of ps:
+    per gene (value, CorrectionInfo) or the BeadcorrError that refuses it."""
+    if m.kind in _SERIES_PLANS:
+        return _series_values(ps, m, cfg)
+    out = []
+    for p in ps.tolist():
+        try:
+            out.append(_route(p, m, variant))
+        except BeadcorrError as exc:
+            out.append(exc)
+    return out
 
 
 def _quadrature_cfg(m: ModelSpec, qcfg):
@@ -408,7 +440,10 @@ def _correct_one(p, m: ModelSpec, cfg, variant, qcfg=None):
 
     qcfg sets the quadrature fallback of the series correctors.
     """
-    value, info = _route(p, m, cfg, variant)
+    outcome = _routes(np.array([p], dtype=float), m, cfg, variant)[0]
+    if isinstance(outcome, BeadcorrError):
+        raise outcome
+    value, info = outcome
     if value is None:
         value = _quadrature_mean(p, m, _quadrature_cfg(m, qcfg))
     return value, info
@@ -424,9 +459,10 @@ def correct_array(observed, m: ModelSpec,
                   qcfg: oracle.QuadConfig = None):
     """Apply the model's corrector to every gene of an array.
 
-    Closed forms and series run gene by gene; the genes that need quadrature
-    (every gamma_normal gene, the series genes that fall back) go to the
-    tanh-sinh engine in one call.  Order is preserved and a failing gene
+    Closed forms run gene by gene; a series family runs the array gate and
+    one den and one num kernel call for the whole array; the genes that need
+    quadrature (every gamma_normal gene, the series genes that fall back) go
+    to the tanh-sinh engine in one call.  Order is preserved and a failing gene
     never aborts the batch: its output is NaN and the diagnostic row records
     the error.  qcfg sets the quadrature fallback of the series correctors
     (default oracle.QuadConfig()).  Returns (corrected array, list of
@@ -436,12 +472,11 @@ def correct_array(observed, m: ModelSpec,
     corrected = np.full(observed.shape, math.nan)
     diags = []
     pending = []
-    for i, p in enumerate(observed.tolist()):
-        try:
-            value, info = _route(p, m, cfg, exp_normal_variant)
-        except BeadcorrError as exc:
-            diags.append(_error_diagnostic(i, exc))
+    for i, outcome in enumerate(_routes(observed, m, cfg, exp_normal_variant)):
+        if isinstance(outcome, BeadcorrError):
+            diags.append(_error_diagnostic(i, outcome))
             continue
+        value, info = outcome
         if value is None:
             pending.append(i)
         else:

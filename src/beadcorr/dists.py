@@ -248,7 +248,12 @@ def gb_logpdf(x, p: GBParams):
               - p.a * p.u * math.log(p.d) - specfun.log_beta(p.u, p.v)
               - (p.u + p.v) * rise)
         if p.c != 1.0:
-            lf = lf + (p.v - 1.0) * np.log1p(-(1.0 - p.c) * t)
+            # a few ulps below the upper end (1-c)(x/d)^a can round to 1 or
+            # above, where the density is 0
+            fall = (1.0 - p.c) * t
+            lf = np.where(fall < 1.0,
+                          lf + (p.v - 1.0) * np.log1p(-np.where(fall < 1.0, fall, 0.0)),
+                          -np.inf)
         out[inside] = lf
     return out if out.ndim else float(out)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .dists import (ModelSpec, NormalParams, dist_logpdf, dist_logpdf_scalar,
-                    dist_support)
+from .dists import (ExpParams, GammaParams, GBParams, ModelSpec, NormalParams,
+                    dist_logpdf, dist_logpdf_scalar, dist_support)
 from .errors import DomainError, NumericUnderflowError, QuadratureError
 
 _LOG_TINY = math.log(1e-300)
@@ -36,14 +36,48 @@ class QuadConfig:
             raise DomainError("max_subdivisions must be >= 4")
 
 
+def _signal_knots(signal):
+    """Points at the signal's own scale: its mean, 12 standard deviations past
+    it, and 40 scales past it, where its exponential tail has decayed by
+    e^-40 (exponential, gamma); its scale d (GB)."""
+    if isinstance(signal, ExpParams):
+        mean = sd = scale = 1.0 / signal.theta
+    elif isinstance(signal, GammaParams):
+        scale = signal.beta
+        mean, sd = signal.alpha * scale, math.sqrt(signal.alpha) * scale
+    elif isinstance(signal, GBParams):
+        return [signal.d]
+    else:
+        return []
+    return [mean, mean + 12.0 * sd, mean + 40.0 * scale]
+
+
 def _integration_domain(p, m: ModelSpec):
-    """(lo, hi, interior knots) of the s-integral for observation p."""
+    """(lo, hi, interior knots) of the s-integral for observation p.
+
+    Under normal noise the posterior mass lies at the noise centre p - mu
+    when the noise is narrow against the signal, at the signal's own scale
+    when it is wide, and within s0 = sigma^2/(|p - mu| + sigma) of s = 0 when
+    the noise window reaches below 0 and the signal density is largest
+    there.  All three get knots, and a ladder of knots a factor 8 apart runs
+    from the smallest of them to the largest, so no QUADPACK piece is so
+    wide against the mass at its ends that its nodes miss it.
+    """
     sig_lo, sig_hi = dist_support(m.signal)
     noise = m.noise
     if isinstance(noise, NormalParams):
         lo, hi = 0.0, sig_hi
         center = p - noise.mu
         knots = [center - 8.0 * noise.sigma, center, center + 8.0 * noise.sigma]
+        knots += _signal_knots(m.signal)
+        if center - 8.0 * noise.sigma < 0.0:
+            knots.append(noise.sigma ** 2 / (abs(center) + noise.sigma))
+        inside = [k for k in knots if lo < k < hi]
+        if inside:
+            rung, top = min(inside), max(inside)
+            while rung < top:
+                knots.append(rung)
+                rung *= 8.0
     else:
         _, noise_hi = dist_support(noise)
         lo = max(0.0, p - noise_hi)
@@ -73,9 +107,10 @@ def _quad_piece(f, a, b, knots, q: QuadConfig):
         res = quad(f, a, b, epsabs=q.abs_tol, epsrel=q.rel_tol,
                    limit=q.max_subdivisions, full_output=1)
     else:
-        pts = [k for k in knots if a < k < b] or None
+        # QUADPACK needs more subintervals than knots
+        pts = sorted({k for k in knots if a < k < b}) or None
         res = quad(f, a, b, points=pts, epsabs=q.abs_tol, epsrel=q.rel_tol,
-                   limit=q.max_subdivisions, full_output=1)
+                   limit=max(q.max_subdivisions, len(pts or ()) + 1), full_output=1)
     val, err = res[0], res[1]
     if abs(val) > 0 and err > max(q.abs_tol * 10.0, 10.0 * q.rel_tol * abs(val)):
         raise QuadratureError(

@@ -1,4 +1,4 @@
-"""Truncated evaluation of the convolution series on one box per gene.
+"""Truncated evaluation of the convolution series, an array of genes at once.
 
 Each convolution model whose marginal/posterior has no closed form is written
 as an infinite sum of binomial-expansion terms, handled as log-magnitude plus
@@ -8,21 +8,25 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
   summed: per summation index, the first index past which the remaining terms
   are below ``rel_tol`` of the total, judged from closed-form axis values and
   the index's own term magnitudes (exact cutoffs give -inf magnitudes).
+* The gate (``gate``) takes an array of observations: the ratio,
+  cancellation and tail checks run first, then the boxes of the genes they
+  keep, row by row and in slices of genes under a fixed entry budget.  It
+  accepts a gene when every depth of both kernels lies within 85% of the
+  cap.  ``convergence_ok`` is the gate on one observation.
 * Each family has one kernel, which sums its den or num series for an array
-  of genes on one box.  A gene's axis vectors are scaled once, on the
-  confirmation box (one eighth deeper along every index); the sum on the box
-  reads slices of the same scaled arrays, so the two sums see identical
-  entries, and each gene's rows are added with ``math.fsum``.  A gene is
-  confirmed when its two sums differ by less than ``rel_tol`` and the sum
-  does not overflow.
-* The per-gene evaluators (``*_den_series``, ``*_num_series``) run the kernel
-  on one gene and its own box, and raise -- callers fall back to quadrature --
-  when a depth lies past ``max_terms_per_index`` or the gene is not
-  confirmed.  ``marginal_log_batch`` runs it on every gene the gate accepts,
-  on the elementwise largest of their den boxes, for the likelihood.
-* The gate (``convergence_ok``) accepts a gene when every depth of both
-  kernels lies within 85% of the cap, besides its ratio and cancellation
-  checks.
+  of genes, each on its own box.  The axis vectors are built on the batch's
+  largest grown box (the confirmation box, one eighth deeper along every
+  index); a gene's are scaled over its own grown box and zero past it, and
+  for the sum on the box also zero past its own box.  Convolutions and
+  contractions are accumulated elementwise in a fixed order of the summed
+  index (no multi-row matrix product), so zero entries add nothing, and each
+  gene's rows are added with ``math.fsum``: a gene's sums have the same bits
+  alone, in any array and in any order.  A gene is confirmed when its two
+  sums differ by less than ``rel_tol`` and the sum does not overflow.
+* ``batch_series`` runs a kernel on the genes the gate accepts and maps each
+  gene it does not confirm to the error its per-gene evaluator raises; the
+  per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
+  gene, and ``marginal_log_batch`` runs the den kernel for the likelihood.
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -105,37 +109,58 @@ LN_TAIL_MARGIN = 4.6
 GATE_DEPTH_FRACTION = 0.85
 
 
+#: entries of the genes x terms arrays the gate and the kernels hold at once;
+#: larger batches are taken in slices of genes
+_GRID_BUDGET = 1 << 16
+
+
 def _depth(log_terms, log_limit):
-    """First index past which every term is at most log_limit (at least 1).
+    """Per row of a genes x terms array: the first index past which every
+    term is at most the row's log_limit (at least 1).
 
-    Terms past an exact cutoff are -inf.  The depth equals len(log_terms)
-    when the last term is still above the limit: it then lies past them.
+    log_limit is one value or one per row.  Terms past an exact cutoff are
+    -inf.  The depth equals the row length when its last term is still above
+    the limit: it then lies past them.
     """
-    above = np.flatnonzero(~(log_terms <= log_limit))
-    return int(above[-1]) + 1 if above.size else 1
+    above = ~(log_terms <= np.asarray(log_limit, dtype=float)[..., None])
+    last = log_terms.shape[-1] - np.argmax(above[..., ::-1], axis=-1)
+    return np.where(above.any(axis=-1), last, 1)
 
 
-def _grow(box):
-    """The confirmation box: every index one eighth deeper (at least one)."""
-    return tuple(n + max(1, n // 8) for n in box)
+def _grow(boxes):
+    """The confirmation boxes: every index one eighth deeper (at least one)."""
+    return boxes + np.maximum(1, boxes // 8)
+
+
+def _box_tuple(box):
+    return tuple(int(n) for n in box)
+
+
+def _below(n, sizes):
+    """genes x n mask of the entries before each gene's size."""
+    return np.arange(n) < np.asarray(sizes)[:, None]
 
 
 def _rising_terms(table: _CoefTable, log_r, n):
-    """log |C(q+k-1, k) r^k| relative to the axis value (1+r)^(-q), k < n."""
+    """log |C(q+k-1, k) r^k| relative to the axis value (1+r)^(-q), k < n,
+    one row per entry of the log_r array."""
+    log_r = np.asarray(log_r, dtype=float)
     return (table.get(n)[0] + _geometric_logs(n, log_r)
-            + table.arg * float(np.logaddexp(0.0, log_r)))
+            + table.arg * np.logaddexp(0.0, log_r)[..., None])
 
 
 def _falling_terms(table: _CoefTable, log_r, n):
-    """log |C(v-1, l) r^l| relative to the axis value (1-r)^(v-1), l < n.
+    """log |C(v-1, l) r^l| relative to the axis value (1-r)^(v-1), l < n,
+    one row per entry of the log_r array.
 
     Past the expansion radius (r >= 1) the value gives no scale, and the raw
     magnitudes are returned; they then grow unless v is an integer.
     """
-    logs = table.get(n)[0] + _geometric_logs(n, log_r)
-    if log_r < 0.0:
-        logs -= table.arg * math.log1p(-math.exp(log_r))
-    return logs
+    log_r = np.asarray(log_r, dtype=float)
+    with np.errstate(divide="ignore"):
+        axis = table.arg * np.log1p(-np.exp(np.minimum(log_r, 0.0)))
+    return (table.get(n)[0] + _geometric_logs(n, log_r)
+            - np.where(log_r < 0.0, axis, 0.0)[..., None])
 
 
 def _gb_log_ratios(g: GBParams, log_x):
@@ -145,42 +170,47 @@ def _gb_log_ratios(g: GBParams, log_x):
 
 
 def _max_convolve(a, b):
-    """out[i] = max over j + k = i of a[j] + b[k] (log-magnitude convolution)."""
-    shifted = np.full((a.size, a.size + b.size - 1), _NEG_INF)
-    rows = np.arange(a.size)[:, None]
-    shifted[rows, rows + np.arange(b.size)] = a[:, None] + b
-    return np.max(shifted, axis=0)
+    """out[g, i] = max over j + k = i of a[g, j] + b[g, k], row by row
+    (log-magnitude convolution)."""
+    out = np.full((a.shape[0], a.shape[1] + b.shape[1] - 1), _NEG_INF)
+    for j in range(a.shape[1]):
+        part = out[:, j:j + b.shape[1]]
+        np.maximum(part, a[:, j:j + 1] + b, out=part)
+    return out
 
 
 def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
     # positive terms: the tail is judged against the largest one
     theta = 0.0 if e is None else e.theta
-    terms = [_lognormal_weight_terms(math.log(p), theta, l, shift,
-                                     cfg.max_terms_per_index + 1)
-             for shift in (0, 1)]
-    return tuple((_depth(lt, float(np.max(lt)) + math.log(cfg.rel_tol) - TAIL_MARGIN),)
-                 for lt in terms)
+    log_p = np.log(p)[:, None]
+    boxes = []
+    for shift in (0, 1):
+        lt = _lognormal_weight_terms(log_p, theta, l, shift, cfg.max_terms_per_index + 1)
+        limit = np.max(lt, axis=1) + math.log(cfg.rel_tol) - TAIL_MARGIN
+        boxes.append(_depth(lt, limit)[:, None])
+    return tuple(boxes)
 
 
 def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams, cfg):
     n = cfg.max_terms_per_index + 1
     limit = math.log(cfg.rel_tol) - LN_TAIL_MARGIN
-    log_p = math.log(p)
+    log_p = np.log(p)[:, None]
     k = np.arange(n, dtype=float)
     # binomial axis: term magnitude with n = 0 against the leading term,
     # allowing for the exp(b/beta) factor (bounded by exp(p/beta)) that the
     # cross terms carry
-    lead = float(_sp.log_ndtr((log_p - l.mu) / l.sigma))
+    lead = _sp.log_ndtr((log_p - l.mu) / l.sigma)
     common = (-k * log_p + k * (l.mu + 0.5 * k * l.sigma ** 2)
               + _sp.log_ndtr((log_p - (l.mu + k * l.sigma ** 2)) / l.sigma)
-              + p / g.beta - lead)
+              + p[:, None] / g.beta - lead)
     # factorial axis: sum_n (b/beta)^n / n! against exp(b/beta) leaves at most
     # the Poisson(p/beta) upper tail
     with np.errstate(divide="ignore"):
-        tail = np.log(_sp.pdtrc(k - 1.0, p / g.beta))
-    tail[0] = 0.0
-    return tuple((_depth(specfun.gen_binomial_log_array(g.alpha - 1.0 + top, n)[0]
-                         + common, limit), _depth(tail, limit))
+        tail = np.log(_sp.pdtrc(k - 1.0, p[:, None] / g.beta))
+    tail[:, 0] = 0.0
+    depth = _depth(tail, limit)
+    return tuple(np.stack([_depth(specfun.gen_binomial_log_array(g.alpha - 1.0 + top, n)[0]
+                                  + common, limit), depth], axis=1)
                  for top in (0, 1))
 
 
@@ -190,12 +220,12 @@ def _gb_pair_boxes(p, s: GBParams, b: GBParams, cfg):
     n = cfg.max_terms_per_index + 1
     limit = math.log(cfg.rel_tol) - TAIL_MARGIN
     ws = _gb_pair_workspace(s, b, 0)
-    fall1, rise1 = _gb_log_ratios(s, s.a * (math.log(p) - math.log(s.d)))
-    fall2, rise2 = _gb_log_ratios(b, b.a * (math.log(p) - math.log(b.d)))
-    box = (_depth(_falling_terms(ws.fall1, fall1, n), limit),
-           _depth(_falling_terms(ws.fall2, fall2, n), limit),
-           _depth(_rising_terms(ws.rise1, rise1, n), limit),
-           _depth(_rising_terms(ws.rise2, rise2, n), limit))
+    fall1, rise1 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
+    fall2, rise2 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
+    box = np.stack([_depth(_falling_terms(ws.fall1, fall1, n), limit),
+                    _depth(_falling_terms(ws.fall2, fall2, n), limit),
+                    _depth(_rising_terms(ws.rise1, rise1, n), limit),
+                    _depth(_rising_terms(ws.rise2, rise2, n), limit)], axis=1)
     return box, box
 
 
@@ -203,11 +233,11 @@ def _gb_normal_boxes(p, s: GBParams, b: NormalParams, cfg):
     n = cfg.max_terms_per_index + 1
     limit = math.log(cfg.rel_tol) - TAIL_MARGIN
     pm = p - b.mu
-    fall, rise = _gb_log_ratios(s, s.a * (math.log(pm) - math.log(s.d)))
+    fall, rise = _gb_log_ratios(s, s.a * (np.log(pm) - math.log(s.d)))
     lv = _moment_logs(pm, b, n)[0]
-    top = float(np.max(lv))
+    top = np.max(lv, axis=1)
     with np.errstate(under="ignore"):
-        ev = np.exp(lv - top)
+        ev = np.exp(lv - top[:, None])
     ws = _gb_normal_workspace(s, 0)
     fall_terms = _falling_terms(ws.fall, fall, n)
     rise_terms = _rising_terms(ws.rise, rise, n)
@@ -215,30 +245,55 @@ def _gb_normal_boxes(p, s: GBParams, b: NormalParams, cfg):
     for off in (0, 1):
         ws = _gb_normal_workspace(s, off)
         # row i = l + m carries the moment sum over n, which grows with i;
-        # the sum of its term magnitudes stands for it
-        _, scaled, peak = ws.log_grid(n, n)
+        # the sum of its term magnitudes stands for it (one matrix-vector
+        # product per gene)
+        logs, scaled, peak = ws.log_grid(n, n)
         with np.errstate(divide="ignore"):
-            row = np.log(scaled @ ev) + peak + top
-        growth = row - row[0]
+            row = np.log(np.matmul(scaled, ev[:, :, None])[:, :, 0]) + peak + top[:, None]
+        growth = row - row[:, :1]
         L = _depth(fall_terms + growth, limit)
         M = _depth(rise_terms + growth, limit)
-        if max(L, M) >= n:
-            boxes.append((L, M, n))
-            continue
-        # moment axis: every (l, m) row of the box, weighted by its axis terms
-        weight = _max_convolve(fall_terms[:L], rise_terms[:M])
-        cols = np.max(weight[:, None] + ws.log_grid(L + M - 1, n)[0], axis=0) + lv
-        boxes.append((L, M, _depth(cols, row[0] + limit)))
+        N = np.full(p.shape, n)
+        short = np.flatnonzero(np.maximum(L, M) < n)
+        if short.size:
+            N[short] = _gb_normal_moment_depth(
+                ws, fall_terms[short], rise_terms[short], L[short], M[short],
+                lv[short], row[short, 0] + limit)
+        boxes.append(np.stack([L, M, N], axis=1))
     return tuple(boxes)
 
 
-@lru_cache(maxsize=64)
-def _boxes(kind, p, signal, noise, cfg):
-    """(den box, num box) of a series family at observation p.
+def _gb_normal_moment_depth(ws, fall_terms, rise_terms, L, M, lv, log_limit):
+    """Moment-axis depth of every gene: each (l, m) row of its own box,
+    weighted by its axis terms, bounds the moment column.
 
-    Cached so the gate and the two kernels of one gene share the decision.
+    Genes are taken in order of their own row count, in slices under the
+    entry budget, so a slice reads about as many grid rows as its genes
+    need.
     """
-    return _FAMILIES[kind].boxes(p, signal, noise, cfg)
+    weight = _max_convolve(
+        np.where(_below(L.max(), L), fall_terms[:, :L.max()], _NEG_INF),
+        np.where(_below(M.max(), M), rise_terms[:, :M.max()], _NEG_INF))
+    n = lv.shape[1]
+    logs = ws.log_grid(weight.shape[1], n)[0]
+    own = L + M - 1
+    order = np.argsort(own, kind="stable")
+    cols = np.empty(lv.shape)
+    lo = 0
+    while lo < order.size:
+        hi = lo + 1
+        while hi < order.size and (hi + 1 - lo) * int(own[order[hi]]) * n <= _GRID_BUDGET:
+            hi += 1
+        part, rows = order[lo:hi], int(own[order[hi - 1]])
+        cols[part] = np.max(weight[part, :rows, None] + logs[:rows], axis=1)
+        lo = hi
+    return _depth(cols + lv, log_limit)
+
+
+def _boxes(kind, p, signal, noise, cfg):
+    """(den box, num box) of a series family at one observation p, as tuples."""
+    return tuple(_box_tuple(box[0]) for box in
+                 _FAMILIES[kind].boxes(np.array([float(p)]), signal, noise, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +312,44 @@ def _scaled_rows(logs, signs):
         return signs * np.exp(logs - m.reshape(m.shape + (1,) * len(axes))), m
 
 
+def _scaled_axis(logs, signs, sizes):
+    """_scaled_rows of each gene's entries before its own size; zero past it."""
+    return _scaled_rows(np.where(_below(logs.shape[1], sizes), logs, _NEG_INF), signs)
+
+
 def _convolve_rows(a, b):
     """out[g] = np.convolve(a[g], b[g]) for two stacks of vectors.
 
-    Loops over the genes or over the shorter vector's entries, whichever
-    are fewer.
+    Each entry is accumulated over a's index in increasing order, whatever
+    the shapes, so a gene's row has the bits it has alone, and zero entries
+    past a gene's own length add nothing.
     """
-    if a.shape[1] > b.shape[1]:
-        a, b = b, a
-    if a.shape[0] < a.shape[1]:
-        return np.array([np.convolve(x, y) for x, y in zip(a, b)])
     out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
     for k in range(a.shape[1]):
         out[:, k:k + b.shape[1]] += a[:, k:k + 1] * b
+    return out
+
+
+def _contract_rows(x, mat):
+    """out[g, i] = sum over j of mat[i, j] * x[g, j], added in order of j.
+
+    Elementwise, not a matrix product: each gene's row has the bits it has
+    alone, and zero entries of x add nothing.
+    """
+    cols = np.ascontiguousarray(mat.T)
+    out = np.zeros((x.shape[0], mat.shape[0]))
+    term = np.empty_like(out)
+    for j in range(x.shape[1]):
+        np.multiply(x[:, j:j + 1], cols[j], out=term)
+        out += term
+    return out
+
+
+def _sum_last(x):
+    """Sum over the last axis, added in order of its index (as _contract_rows)."""
+    out = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        out += x[..., j]
     return out
 
 
@@ -278,9 +358,18 @@ def _row_fsums(rows):
     return np.array([math.fsum(r) for r in rows.tolist()])
 
 
-def _box_sums(rows, box):
-    """Per-gene sums of rows(sizes) on the box and on the grown box."""
-    return _row_fsums(rows(box)), _row_fsums(rows(_grow(box)))
+def _box_sums(rows, vectors, boxes):
+    """Per-gene sums of rows(vectors) on each gene's box and on its grown box.
+
+    vectors hold one genes x terms array per summation index, scaled over
+    and zero past each gene's grown box; for the sum on the box, entries
+    past the gene's own box are zeroed as well.  Both sums go through one
+    call of rows, on a stack of the two.
+    """
+    both = [np.concatenate([np.where(_below(v.shape[1], boxes[:, k]), v, 0.0), v])
+            for k, v in enumerate(vectors)]
+    sums = _row_fsums(rows(both))
+    return sums[:boxes.shape[0]], sums[boxes.shape[0]:]
 
 
 def _confirmed_batch(base, wide, scale, cfg):
@@ -297,6 +386,57 @@ def _confirmed_batch(base, wide, scale, cfg):
     return log_abs, np.sign(wide), ok
 
 
+def _refusal(label, box, base, wide, log_abs):
+    """The SeriesError of a gene whose kernel sums are not confirmed."""
+    if not (math.isfinite(base) and math.isfinite(wide) and log_abs <= 690.0):
+        return SeriesDivergenceError(
+            f"{label}: partial sums overflowing; expansion outside its "
+            f"convergence region")
+    moved = abs(wide - base) / max(abs(wide), 1e-300)
+    partial = SeriesValue(float(log_abs), float(np.sign(wide)), _box_tuple(box), False)
+    return SeriesNonConvergenceError(
+        f"{label}: confirmation box {_box_tuple(_grow(box))} moved the sum by "
+        f"{moved:.2e} relative", partial=partial)
+
+
+def _batch_series(kind, p, signal, noise, off, boxes, cfg):
+    """The family's kernel (off 0: den, 1: num) on every gene, each on its
+    own box: (log |sum|, sign, refused), refused mapping the index of each
+    gene whose sum is not confirmed, or whose box lies past the cap, to the
+    SeriesError that refuses it."""
+    family = _FAMILIES[kind]
+    label = f"{family.label}_{('den', 'num')[off]}"
+    log_abs, sign = np.full(p.shape, _NEG_INF), np.zeros(p.shape)
+    refused = {}
+    deep = boxes.max(axis=1) > cfg.max_terms_per_index
+    for i in np.flatnonzero(deep).tolist():
+        refused[i] = SeriesNonConvergenceError(
+            f"{label}: truncation depths {_box_tuple(boxes[i])} lie past the cap "
+            f"({cfg.max_terms_per_index})")
+    run = np.flatnonzero(~deep)
+    if run.size:
+        base, wide, scale = family.kernel(p[run], signal, noise, off, boxes[run], cfg)
+        log_abs[run], sign[run], ok = _confirmed_batch(base, wide, scale, cfg)
+        for j in np.flatnonzero(~ok).tolist():
+            i = int(run[j])
+            refused[i] = _refusal(label, boxes[i], float(base[j]), float(wide[j]),
+                                  float(log_abs[i]))
+    return log_abs, sign, refused
+
+
+def batch_series(m: ModelSpec, p, off, boxes, cfg: SeriesConfig = SeriesConfig()):
+    """The den (off 0) or num (off 1) series of model m at every observation
+    of the array p, each gene summed on its own box (rows of boxes, as
+    ``gate`` returns them) in one kernel call.
+
+    Returns (log |sum|, sign, refused): refused maps the index of every gene
+    whose sum is not confirmed to the SeriesError its per-gene evaluator
+    raises.  A gene's results do not depend on the other genes of the array.
+    """
+    return _batch_series(m.kind, np.asarray(p, dtype=float), m.signal, m.noise, off,
+                         np.asarray(boxes), cfg)
+
+
 def _evaluate(kind, p, signal, noise, off, cfg, label) -> SeriesValue:
     """The family's kernel on one gene and its own box (off 0: den, 1: num).
 
@@ -305,26 +445,12 @@ def _evaluate(kind, p, signal, noise, off, cfg, label) -> SeriesValue:
     """
     if p <= 0:
         raise DomainError(f"{label} requires p > 0, got {p}")
-    box = _boxes(kind, p, signal, noise, cfg)[off]
-    if max(box) > cfg.max_terms_per_index:
-        raise SeriesNonConvergenceError(
-            f"{label}: truncation depths {box} lie past the cap "
-            f"({cfg.max_terms_per_index})")
-    base, wide, scale = _FAMILIES[kind].kernel(
-        np.array([float(p)]), signal, noise, off, box, cfg)
-    log_abs, sign, ok = _confirmed_batch(base, wide, scale, cfg)
-    value = SeriesValue(float(log_abs[0]), float(sign[0]), box, bool(ok[0]))
-    if value.converged:
-        return value
-    base, wide = float(base[0]), float(wide[0])
-    if not (math.isfinite(base) and math.isfinite(wide) and value.log_abs <= 690.0):
-        raise SeriesDivergenceError(
-            f"{label}: partial sums overflowing; expansion outside its "
-            f"convergence region")
-    moved = abs(wide - base) / max(abs(wide), 1e-300)
-    raise SeriesNonConvergenceError(
-        f"{label}: confirmation box {_grow(box)} moved the sum by "
-        f"{moved:.2e} relative", partial=value)
+    pa = np.array([float(p)])
+    boxes = _FAMILIES[kind].boxes(pa, signal, noise, cfg)[off]
+    log_abs, sign, refused = _batch_series(kind, pa, signal, noise, off, boxes, cfg)
+    if refused:
+        raise refused[0]
+    return SeriesValue(float(log_abs[0]), float(sign[0]), _box_tuple(boxes[0]), True)
 
 
 def _geometric_logs(n, log_ratio):
@@ -390,11 +516,15 @@ class _GBPairWorkspace:
         return self.b.a * (self.b.u + j)
 
     def lbeta_grid_exp(self, imax, jmax):
-        """exp(lbeta grid - gmax) cached; returns (slice, gmax)."""
+        """exp(lbeta grid - gmax) cached; returns (slice, gmax).
+
+        The grid grows to the largest request so far: an array asks once for
+        its largest box.
+        """
         g = self._grid
         if g.shape[0] < imax or g.shape[1] < jmax:
-            ni = max(imax, g.shape[0] * 2, 16)
-            nj = max(jmax, g.shape[1] * 2, 16)
+            ni = max(imax, g.shape[0], 16)
+            nj = max(jmax, g.shape[1], 16)
             g = specfun.log_beta(self.arg1(np.arange(ni))[:, None],
                                  self.arg2(np.arange(nj))[None, :])
             gmax = float(g[0, 0])
@@ -437,6 +567,11 @@ class _GBNormalWorkspace:
                 self._log_grid = (logs, np.exp(logs - peak[:, None]), peak)
         return tuple(part[:imax] for part in self._log_grid)
 
+    @staticmethod
+    def block_size(imax, nmax):
+        """Side of the block binom_grid_exp serves an imax x nmax request from."""
+        return max(16, 1 << (max(int(imax), int(nmax)) - 1).bit_length())
+
     def binom_grid_exp(self, imax, nmax):
         """(signs * exp(log grid - gmax), gmax) over the leading imax x nmax block.
 
@@ -445,7 +580,7 @@ class _GBNormalWorkspace:
         The result therefore depends only on the request, not on how far
         earlier genes grew the grid, and no entry overflows.
         """
-        size = max(16, 1 << (max(imax, nmax) - 1).bit_length())
+        size = self.block_size(imax, nmax)
         hit = self._blocks.get(size)
         if hit is None:
             logs, signs = self._rows(np.arange(size), size)
@@ -456,15 +591,15 @@ class _GBNormalWorkspace:
         return hit[0][:imax, :nmax], hit[1]
 
 
-#: holds the tables of every gene of an array, so the likelihood's kernel
-#: reads the tables its gate computed, and a fit with fixed noise reuses them
-@lru_cache(maxsize=4096)
 def _moment_logs(pm, b: NormalParams, n):
-    """(log |t^k I_k|, sign I_k), k < n: t = sigma/(p - mu) times the Gaussian
-    moments I_k over [-(p - mu)/sigma, mu/sigma]."""
+    """(log |t^k I_k|, sign I_k), k < n, one row per entry of the array pm:
+    t = sigma/(p - mu) times the Gaussian moments I_k over
+    [-(p - mu)/sigma, mu/sigma].  A row does not depend on n past its length
+    nor on the other rows."""
     table = specfun.gaussian_moment_table(n, -pm / b.sigma, b.mu / b.sigma)
     with np.errstate(divide="ignore"):
-        logs = np.arange(n) * (math.log(b.sigma) - math.log(pm)) + np.log(np.abs(table))
+        logs = (np.arange(n) * (math.log(b.sigma) - np.log(pm))[:, None]
+                + np.log(np.abs(table)))
     return logs, np.sign(table)
 
 
@@ -486,11 +621,12 @@ def _lognormal_weight_terms(log_p, theta, l: LognormalParams, shift, n):
             + _sp.log_ndtr((log_p - (l.mu + (k + shift) * l.sigma ** 2)) / l.sigma))
 
 
-def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, box, cfg):
+def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes, cfg):
     theta = 0.0 if e is None else e.theta
-    terms, scale = _scaled_rows(
-        _lognormal_weight_terms(np.log(p)[:, None], theta, l, shift, _grow(box)[0]), 1.0)
-    return (*_box_sums(lambda sizes: terms[:, :sizes[0]], box), scale)
+    grown = _grow(boxes)
+    logs = _lognormal_weight_terms(np.log(p)[:, None], theta, l, shift, int(grown.max()))
+    terms, scale = _scaled_axis(logs, 1.0, grown[:, 0])
+    return (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
 
 
 def _exp_lognormal_log_prefactor(e: ExpParams, l: LognormalParams, p):
@@ -513,14 +649,15 @@ def exp_lognormal_num_series(p, e: ExpParams, l: LognormalParams,
 # Gamma-lognormal pair (two indices)
 # ---------------------------------------------------------------------------
 
-#: entries of the per-gene (k, n) term grids the gamma-lognormal kernel
-#: holds at once; larger batches are summed in slices of genes
-_GRID_BUDGET = 1 << 18
+def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, boxes, cfg):
+    """top = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k).
 
-
-def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, box, cfg):
-    """top = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k)."""
-    K, N = _grow(box)
+    The (k, n) term grids are summed over n in order of n, then each gene's
+    k-rows with math.fsum; a batch larger than the budget is taken in slices
+    of genes.
+    """
+    grown = _grow(boxes)
+    K, N = (int(n) for n in grown.max(axis=0))
     blogs, bsigns = specfun.gen_binomial_log_array(g.alpha - 1.0 + top, K)
     kk = np.arange(K, dtype=float)
     nn = np.arange(N, dtype=float)
@@ -536,9 +673,12 @@ def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, box, cfg
         E = (t * (l.mu + 0.5 * t * l.sigma ** 2)
              + _sp.log_ndtr((log_p - (l.mu + t * l.sigma ** 2)) / l.sigma))
         te = (blogs - kk * log_p)[:, :, None] + bn + E[:, diag]
-        grid, scale[part] = _scaled_rows(te, sk)
-        base[part], wide[part] = _box_sums(
-            lambda sizes: grid[:, :sizes[0], :sizes[1]].sum(axis=2), box)
+        own = (_below(K, grown[part, 0])[:, :, None]
+               & _below(N, grown[part, 1])[:, None, :])
+        grid, scale[part] = _scaled_rows(np.where(own, te, _NEG_INF), sk)
+        box = _below(K, boxes[part, 0])[:, :, None] & _below(N, boxes[part, 1])[:, None, :]
+        base[part] = _row_fsums(_sum_last(np.where(box, grid, 0.0)))
+        wide[part] = _row_fsums(_sum_last(grid))
     return base, wide, scale
 
 
@@ -571,30 +711,31 @@ def _gb_axis_arrays(table, n, log_ratio):
             bsigns * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
 
 
-def _gb_pair_parts(p, s, b, off, sizes):
-    """The scaled l, m, n and r axis vectors of every gene on sizes =
-    (L, M, N, R), the scaled beta grid, and each gene's log scale."""
+def _gb_pair_parts(p, s, b, off, grown):
+    """The scaled l, m, n and r axis vectors of every gene, on the largest of
+    the sizes grown = (L, M, N, R) per gene, each scaled over and zero past
+    the gene's own sizes; the scaled beta grid; each gene's log scale."""
     ws = _gb_pair_workspace(s, b, off)
     lg1, lg3 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
     lg2, lg4 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
-    L, M, N, R = sizes
-    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall1, L, lg1))
-    v3, m3 = _scaled_rows(*_gb_axis_arrays(ws.rise1, N, lg3))
-    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.fall2, M, lg2))
-    v4, m4 = _scaled_rows(*_gb_axis_arrays(ws.rise2, R, lg4))
+    L, M, N, R = (int(n) for n in grown.max(axis=0))
+    v1, m1 = _scaled_axis(*_gb_axis_arrays(ws.fall1, L, lg1), grown[:, 0])
+    v3, m3 = _scaled_axis(*_gb_axis_arrays(ws.rise1, N, lg3), grown[:, 2])
+    v2, m2 = _scaled_axis(*_gb_axis_arrays(ws.fall2, M, lg2), grown[:, 1])
+    v4, m4 = _scaled_axis(*_gb_axis_arrays(ws.rise2, R, lg4), grown[:, 3])
     E, gmax = ws.lbeta_grid_exp(L + N - 1, M + R - 1)
     return (v1, v2, v3, v4, E), m1 + m3 + m2 + m4 + gmax
 
 
-def _gb_pair_kernel(p, s: GBParams, b: GBParams, off, box, cfg):
-    parts, scale = _gb_pair_parts(p, s, b, off, _grow(box))
+def _gb_pair_kernel(p, s: GBParams, b: GBParams, off, boxes, cfg):
+    (*vectors, E), scale = _gb_pair_parts(p, s, b, off, _grow(boxes))
 
-    def rows(sizes):
-        v1, v2, v3, v4 = (v[:, :n] for v, n in zip(parts, sizes))
+    def rows(vectors):
+        v1, v2, v3, v4 = vectors
         conv13, conv24 = _convolve_rows(v1, v3), _convolve_rows(v2, v4)
-        return conv13 * (conv24 @ parts[4][:conv13.shape[1], :conv24.shape[1]].T)
+        return conv13 * _contract_rows(conv24, E[:conv13.shape[1], :conv24.shape[1]])
 
-    return (*_box_sums(rows, box), scale)
+    return (*_box_sums(rows, vectors, boxes), scale)
 
 
 def _gb_pair_log_prefactor(s: GBParams, b: GBParams, p):
@@ -616,7 +757,7 @@ def _gb_pair_eval(p, s, b, off, cfg, label, want_grad=False):
     # kernel's scaled vectors; the shared scale cancels in the returned
     # ratios d(log series)/d(param).
     sizes = result.terms_used
-    parts, _ = _gb_pair_parts(np.array([float(p)]), s, b, off, _grow(sizes))
+    parts, _ = _gb_pair_parts(np.array([float(p)]), s, b, off, _grow(np.array([sizes])))
     v1, v2, v3, v4 = (v[0, :n] for v, n in zip(parts, sizes))
     L, M, N, R = sizes
     conv13, conv24 = np.convolve(v1, v3), np.convolve(v2, v4)
@@ -689,34 +830,46 @@ def gb_pair_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
 # GB + normal triple series
 # ---------------------------------------------------------------------------
 
-def _gb_normal_parts(p, s, b: NormalParams, off, sizes, cfg):
+def _gb_normal_parts(p, s, b: NormalParams, off, grown, moments=None):
     """The scaled l and m axis vectors and moment columns t^n I_n of every
-    gene on sizes = (L, M, N), the scaled binomial grid, and each gene's log
-    scale."""
+    gene, on the largest of the sizes grown = (L, M, N) per gene, each scaled
+    over and zero past the gene's own sizes; the scaled binomial grid served
+    for the largest request; each gene's log scale.  moments, when given,
+    are the genes' _moment_logs on at least N columns."""
     ws = _gb_normal_workspace(s, off)
     pm = p - b.mu
     lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(pm) - math.log(s.d)))
-    L, M, N = sizes
-    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall, L, lg1))
-    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.rise, M, lg2))
-    # the gate read the same (cached) moment tables to fix the boxes
-    n = max(N, cfg.max_terms_per_index + 1)
-    tables = [_moment_logs(y, b, n) for y in pm.tolist()]
-    vn, mv = _scaled_rows(np.array([t[0][:N] for t in tables]),
-                          np.array([t[1][:N] for t in tables]))
-    grid, gmax = ws.binom_grid_exp(L + M - 1, N)
+    L, M, N = (int(n) for n in grown.max(axis=0))
+    v1, m1 = _scaled_axis(*_gb_axis_arrays(ws.fall, L, lg1), grown[:, 0])
+    v2, m2 = _scaled_axis(*_gb_axis_arrays(ws.rise, M, lg2), grown[:, 1])
+    logs, signs = moments if moments is not None else _moment_logs(pm, b, N)
+    vn, mv = _scaled_axis(logs[:, :N], signs[:, :N], grown[:, 2])
+    grid, gmax = ws.binom_grid_exp(int((grown[:, 0] + grown[:, 1]).max()) - 1, N)
     return (v1, v2, vn, grid), m1 + m2 + mv + gmax
 
 
-def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, box, cfg):
-    (v1, v2, vn, grid), scale = _gb_normal_parts(p, s, b, off, _grow(box), cfg)
+def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, boxes, cfg):
+    """binom_grid_exp scales a block by its own largest entry, so the genes
+    are summed in groups that read the same block: each gene reads the block
+    it reads alone."""
+    grown = _grow(boxes)
+    block = np.array([_GBNormalWorkspace.block_size(n1 + n2 - 1, n3)
+                      for n1, n2, n3 in grown.tolist()])
+    logs, signs = _moment_logs(p - b.mu, b, int(grown[:, 2].max()))
+    base, wide, scale = np.empty(p.size), np.empty(p.size), np.empty(p.size)
+    for size in np.unique(block).tolist():
+        idx = np.flatnonzero(block == size)
+        (*vectors, grid), scale[idx] = _gb_normal_parts(p[idx], s, b, off, grown[idx],
+                                                        (logs[idx], signs[idx]))
 
-    def rows(sizes):
-        L, M, N = sizes
-        conv12 = _convolve_rows(v1[:, :L], v2[:, :M])
-        return conv12 * (vn[:, :N] @ grid[:conv12.shape[1], :N].T)
+        def rows(vectors):
+            v1, v2, vn = vectors
+            # entries past the grid's rows are zero for every gene
+            conv12 = _convolve_rows(v1, v2)[:, :grid.shape[0]]
+            return conv12 * _contract_rows(vn, grid[:conv12.shape[1], :vn.shape[1]])
 
-    return (*_box_sums(rows, box), scale)
+        base[idx], wide[idx] = _box_sums(rows, vectors, boxes[idx])
+    return base, wide, scale
 
 
 def _gb_normal_log_prefactor(s: GBParams, b: NormalParams, p):
@@ -734,7 +887,7 @@ def _gb_normal_eval(p, s, b: NormalParams, off, cfg, label, want_grad=False):
 
     sizes = result.terms_used
     (v1, v2, vn, grid), _ = _gb_normal_parts(np.array([float(p)]), s, b, off,
-                                             _grow(sizes), cfg)
+                                             _grow(np.array([sizes])))
     L, M, N = sizes
     v1, v2, vn = v1[0, :L], v2[0, :M], vn[0, :N]
     conv12 = np.convolve(v1, v2)
@@ -801,22 +954,29 @@ def gb_normal_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
 # ---------------------------------------------------------------------------
 
 class _Family(NamedTuple):
-    #: (p, signal, noise, cfg) -> (den box, num box)
+    #: prefix of the per-gene evaluators' names and of their error messages
+    label: str
+    #: summation indices of a box
+    dims: int
+    #: (p array, signal, noise, cfg) -> (den boxes, num boxes), genes x dims
+    #: int arrays
     boxes: Callable
-    #: (p array, signal, noise, off, box, cfg) -> per-gene (sum on the box,
-    #: sum on the grown box, log scale of both); off 0 is den, 1 is num
+    #: (p array, signal, noise, off, boxes, cfg) -> per-gene (sum on the box,
+    #: sum on the grown box, log scale of both), each gene on its own box;
+    #: off 0 is den, 1 is num
     kernel: Callable
     #: (signal, noise, p array) -> log marginal density minus log den sum
     log_prefactor: Callable
 
 
 _FAMILIES = {
-    "exp_lognormal": _Family(_exp_lognormal_boxes, _exp_lognormal_kernel,
-                             _exp_lognormal_log_prefactor),
-    "gamma_lognormal": _Family(_gamma_lognormal_boxes, _gamma_lognormal_kernel,
-                               _gamma_lognormal_log_prefactor),
-    "gb_gb": _Family(_gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor),
-    "gb_normal": _Family(_gb_normal_boxes, _gb_normal_kernel, _gb_normal_log_prefactor),
+    "exp_lognormal": _Family("exp_lognormal", 1, _exp_lognormal_boxes,
+                             _exp_lognormal_kernel, _exp_lognormal_log_prefactor),
+    "gamma_lognormal": _Family("gamma_lognormal", 2, _gamma_lognormal_boxes,
+                               _gamma_lognormal_kernel, _gamma_lognormal_log_prefactor),
+    "gb_gb": _Family("gb_pair", 4, _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor),
+    "gb_normal": _Family("gb_normal", 3, _gb_normal_boxes, _gb_normal_kernel,
+                         _gb_normal_log_prefactor),
 }
 
 
@@ -850,30 +1010,26 @@ def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> f
 def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
     """Series log marginal density of model at every observation of the array p.
 
-    model is of a series family.  The genes the gate accepts are summed
-    together by the family's kernel on one box, the elementwise largest of
-    their den boxes.  Returns (values, ok); ok is False where the gate
-    refuses the gene or its sum is not positive or is not confirmed, and
+    model is of a series family.  The genes the gate accepts are summed in
+    one kernel call, each on its own den box, so a gene's value is the one
+    its den evaluator gives.  Returns (values, ok); ok is False where the
+    gate refuses the gene or its sum is not positive or is not confirmed, and
     values there are -inf, so callers can route those genes elsewhere.
     """
     family = _FAMILIES[model.kind]
     p = np.asarray(p, dtype=float)
-    ok = np.zeros(p.shape, dtype=bool)
-    boxes = []
-    for i, pi in enumerate(p.tolist()):
-        if convergence_ok(model, pi, cfg):
-            ok[i] = True
-            boxes.append(_boxes(model.kind, pi, model.signal, model.noise, cfg)[0])
+    verdict = gate(model, p, cfg)
+    ok = verdict.ok.copy()
     out = np.full(p.shape, -np.inf)
-    if boxes:
-        box = tuple(map(max, zip(*boxes)))
-        pk = p[ok]
+    idx = np.flatnonzero(ok)
+    if idx.size:
         log_den, sign, good = _confirmed_batch(
-            *family.kernel(pk, model.signal, model.noise, 0, box, cfg), cfg)
+            *family.kernel(p[idx], model.signal, model.noise, 0, verdict.den[idx], cfg),
+            cfg)
         good &= sign > 0
-        out[ok] = np.where(good, family.log_prefactor(model.signal, model.noise, pk)
-                           + log_den, -np.inf)
-        ok[ok] = good
+        out[idx] = np.where(good, family.log_prefactor(model.signal, model.noise, p[idx])
+                            + log_den, -np.inf)
+        ok[idx] = good
     return out, ok
 
 
@@ -896,52 +1052,93 @@ GBN_ENDPOINT_RATIO_MAX = 0.85
 GBN_SIGMA_SEP_MIN = 3.0
 
 
-def _gb_in_region(g: GBParams, p) -> bool:
-    lx = g.a * (math.log(p) - math.log(g.d))
-    cx = g.c * math.exp(lx) if lx < 700 else math.inf
-    ox = (1.0 - g.c) * math.exp(lx) if lx < 700 else math.inf
-    if max(cx, ox) > GB_RATIO_MAX:
-        return False
+def _gb_in_region(g: GBParams, p):
+    """Ratio and cancellation checks of a GB expansion at every p > 0."""
+    lx = g.a * (np.log(p) - math.log(g.d))
+    finite = lx < 700
+    with np.errstate(over="ignore"):
+        x = np.exp(np.minimum(lx, 700.0))
+    cx = np.where(finite, g.c * x, np.inf)
+    ox = np.where(finite, (1.0 - g.c) * x, np.inf)
     # alternating-sum cancellation: sum |terms| / |sum| per expansion axis
-    spread = 0.0
-    if cx > 0:
-        spread += (g.u + g.v) * (math.log1p(cx) - math.log1p(-cx))
-    if ox > 0:
-        spread += max(g.v - 1.0, 0.0) * (math.log1p(ox) - math.log1p(-ox))
-    return spread <= GB_SPREAD_LOG_MAX
+    # (past the ratio ceiling the logs are NaN, and the gene is refused)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = (np.where(cx > 0, (g.u + g.v) * (np.log1p(cx) - np.log1p(-cx)), 0.0)
+                  + np.where(ox > 0, max(g.v - 1.0, 0.0)
+                             * (np.log1p(ox) - np.log1p(-ox)), 0.0))
+    return (np.maximum(cx, ox) <= GB_RATIO_MAX) & (spread <= GB_SPREAD_LOG_MAX)
 
 
-def _in_region(m: ModelSpec, p) -> bool:
-    """The gate's checks other than the truncation depths."""
+def _in_region(m: ModelSpec, p):
+    """The gate's checks other than the truncation depths, p > 0 among them,
+    at every observation of p (a bool for a float p)."""
+    p = np.asarray(p, dtype=float)
+    flat = p.reshape(-1)
+    ok = flat > 0
     kind = m.kind
     if kind == "exp_lognormal":
-        return m.noise.sigma <= LN_SIGMA_MAX
-    if kind == "gamma_lognormal":
-        return (math.log(p) - m.noise.mu) / m.noise.sigma >= LN_TAIL_Z_MIN
-    if kind == "gb_gb":
-        return _gb_in_region(m.signal, p) and _gb_in_region(m.noise, p)
-    if kind == "gb_normal":
+        ok &= m.noise.sigma <= LN_SIGMA_MAX
+    elif kind == "gamma_lognormal":
+        ok[ok] = (np.log(flat[ok]) - m.noise.mu) / m.noise.sigma >= LN_TAIL_Z_MIN
+    elif kind == "gb_gb":
+        q = flat[ok]
+        ok[ok] = _gb_in_region(m.signal, q) & _gb_in_region(m.noise, q)
+    elif kind == "gb_normal":
         b = m.noise
-        return (b.mu > 0 and p > b.mu
-                and b.mu / (p - b.mu) <= GBN_ENDPOINT_RATIO_MAX
-                and (p - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN
-                and _gb_in_region(m.signal, p))
-    return True
+        ok &= (b.mu > 0) & (flat > b.mu)
+        q = flat[ok]
+        ok[ok] = ((b.mu / (q - b.mu) <= GBN_ENDPOINT_RATIO_MAX)
+                  & ((q - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN)
+                  & _gb_in_region(m.signal, q))
+    out = ok.reshape(p.shape)
+    return out if out.ndim else bool(out)
+
+
+class Gate(NamedTuple):
+    """The convergence gate's verdict on an array of observations."""
+
+    #: genes the series may answer
+    ok: np.ndarray
+    #: den and num boxes, genes x summation indices (int); zero where the
+    #: in-region checks refuse the gene, which skips its boxes
+    den: np.ndarray
+    num: np.ndarray
+
+
+def gate(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> Gate:
+    """The convergence gate at every observation of the array p.
+
+    The ratio, cancellation and tail checks run first; the truncation boxes
+    are computed only for the genes they keep, in slices of genes under a
+    fixed budget.  A gene is accepted when every depth of both boxes lies
+    within 85% of the index cap.  Each gene's verdict and boxes are computed
+    elementwise, so they do not depend on the other genes of the array.
+    """
+    p = np.asarray(p, dtype=float)
+    inside = np.asarray(_in_region(m, p), dtype=bool)
+    family = _FAMILIES.get(m.kind)
+    if family is None:
+        empty = np.zeros((p.size, 0), dtype=int)
+        return Gate(inside, empty, empty)
+    den = np.zeros((p.size, family.dims), dtype=int)
+    num = np.zeros((p.size, family.dims), dtype=int)
+    idx = np.flatnonzero(inside)
+    step = max(1, _GRID_BUDGET // (cfg.max_terms_per_index + 1))
+    for lo in range(0, idx.size, step):
+        part = idx[lo:lo + step]
+        den[part], num[part] = family.boxes(p[part], m.signal, m.noise, cfg)
+    limit = int(GATE_DEPTH_FRACTION * cfg.max_terms_per_index)
+    ok = inside & (den.max(axis=1, initial=0) <= limit) & (num.max(axis=1, initial=0) <= limit)
+    return Gate(ok, den, num)
 
 
 def convergence_ok(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> bool:
     """True when the series expansions for model m converge at observation p
-    within the truncation policy cfg.
+    within the truncation policy cfg: the array gate (``gate``) on one gene.
 
     Beyond the ratio and cancellation checks, every truncation depth of the
     den and num kernels must lie within 85% of the index cap; these are the
     boxes the evaluators then sum on.  Outside this region the series
     evaluators may raise and callers must use the quadrature path.
     """
-    if p <= 0 or not _in_region(m, p):
-        return False
-    if m.kind not in _FAMILIES:
-        return True
-    limit = int(GATE_DEPTH_FRACTION * cfg.max_terms_per_index)
-    return all(max(box) <= limit
-               for box in _boxes(m.kind, p, m.signal, m.noise, cfg))
+    return bool(gate(m, np.array([float(p)]), cfg).ok[0])

@@ -178,38 +178,38 @@ def gaussian_moment_integral(n, lo, hi):
 
 
 def _boundary_powers(z, nmax):
-    """z^(n-1) * exp(-z^2/2) for n = 1..nmax-1, overflow-safe via logs."""
-    out = np.zeros(max(nmax - 1, 0))
-    if out.size == 0 or z == 0.0 or not math.isfinite(z):
-        if out.size and z == 0.0:
-            out[0] = 1.0  # z^0 e^0 with z=0 enters only at n=1
-        return out
-    n = np.arange(1, nmax)
-    logs = (n - 1) * math.log(abs(z)) - 0.5 * z * z
-    signs = np.sign(z) ** (n - 1)
-    with np.errstate(over="ignore"):
-        out = signs * np.exp(logs)
-    return out
+    """z^(n-1) * exp(-z^2/2) for n = 1..nmax-1, overflow-safe via logs.
+
+    z is a float or an array; an array gives one row per entry.
+    """
+    z = np.asarray(z, dtype=float)[..., None]
+    n = np.arange(1, max(nmax, 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs = (n - 1) * np.log(np.abs(z)) - 0.5 * z * z
+        out = np.sign(z) ** (n - 1) * np.exp(logs)
+    # z = 0 enters only at n = 1 (z^0 e^0); an infinite z contributes nothing
+    out = np.where(z == 0.0, (n == 1).astype(float), out)
+    return np.where(np.isfinite(z), out, 0.0)
 
 
 def _log_half_moment(n, t):
-    """log of integral of z^n e^(-z^2/2) over (0, t), t >= 0; -inf at t = 0.
+    """log of integral of z^n e^(-z^2/2) over (0, t), t >= 0; -inf at t <= 0.
 
-    Equals 2^((n-1)/2) * (lower incomplete gamma at ((n+1)/2, t^2/2)).
+    Equals 2^((n-1)/2) * (lower incomplete gamma at ((n+1)/2, t^2/2)).  n and
+    t broadcast against each other.
     """
-    if t <= 0.0:
-        return np.full(np.shape(n), -np.inf)
-    n = np.asarray(n, dtype=float)
+    n, t = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(t, dtype=float))
+    out = np.full(n.shape, -np.inf)
+    live = t > 0.0
+    n, t = n[live], t[live]
     s = 0.5 * (n + 1.0)
     x = 0.5 * t * t
     reg = _sp.gammainc(s, x)
-    out = 0.5 * (n - 1.0) * math.log(2.0) + _sp.gammaln(s) + np.log(
+    vals = 0.5 * (n - 1.0) * math.log(2.0) + _sp.gammaln(s) + np.log(
         np.where(reg > 0, reg, 1.0))
-    dead = reg <= 0.0
-    if np.any(dead):
-        for i in np.nonzero(dead)[0]:
-            out[i] = (0.5 * (n[i] - 1.0) * math.log(2.0)
-                      + log_lower_incomplete_gamma(s[i], x))
+    for i in np.flatnonzero(reg <= 0.0).tolist():
+        vals[i] = 0.5 * (n[i] - 1.0) * math.log(2.0) + log_lower_incomplete_gamma(s[i], x[i])
+    out[live] = vals
     return out
 
 
@@ -219,37 +219,38 @@ def gaussian_moment_table(count, lo, hi):
     The two-term recurrence is exact but amplifies rounding error once
     n exceeds max(lo^2, hi^2); past that point each half-line piece is
     evaluated through the incomplete gamma function with its sign made
-    explicit by splitting the range at zero.
+    explicit by splitting the range at zero.  lo and hi may be arrays, which
+    broadcast and give one table per entry; each entry's table is computed
+    elementwise, so it does not depend on the others.
     """
-    if lo > hi:
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if np.any(lo > hi):
         raise DomainError(f"gaussian moment limits out of order: ({lo}, {hi})")
-    table = np.zeros(count)
-    table[0] = _SQRT_2PI * (_sp.ndtr(hi) - _sp.ndtr(lo))
+    table = np.zeros(lo.shape + (count,))
+    table[..., 0] = _SQRT_2PI * (_sp.ndtr(hi) - _sp.ndtr(lo))
     if count == 1:
         return table
-    blo = _boundary_powers(lo, count)
-    bhi = _boundary_powers(hi, count)
-    table[1] = blo[0] - bhi[0]
-    z2 = max(lo * lo, hi * hi) if (math.isfinite(lo) and math.isfinite(hi)) \
-        else float("inf")
-    n_stable = min(count, int(z2) + 1)
-    edge = (blo - bhi).tolist()
-    run = table[:2].tolist()
-    for n in range(2, n_stable):
-        run.append(edge[n - 1] + (n - 1) * run[n - 2])
-    table[2:n_stable] = run[2:]
-    if n_stable < count:
-        n_tail = np.arange(n_stable, count)
-        with np.errstate(over="ignore"):
-            if lo >= 0.0:
-                vals = (np.exp(_log_half_moment(n_tail, hi))
-                        - np.exp(_log_half_moment(n_tail, lo)))
-            elif hi <= 0.0:
-                vals = ((-1.0) ** n_tail
-                        * (np.exp(_log_half_moment(n_tail, -lo))
-                           - np.exp(_log_half_moment(n_tail, -hi))))
-            else:
-                vals = ((-1.0) ** n_tail * np.exp(_log_half_moment(n_tail, -lo))
-                        + np.exp(_log_half_moment(n_tail, hi)))
-        table[n_stable:] = vals
+    edge = _boundary_powers(lo, count) - _boundary_powers(hi, count)
+    table[..., 1] = edge[..., 0]
+    z2 = np.where(np.isfinite(lo) & np.isfinite(hi),
+                  np.maximum(lo * lo, hi * hi), np.inf)
+    n_stable = np.minimum(count, np.floor(np.minimum(z2, count)) + 1.0)
+    # the recurrence runs for every entry up to the largest stable index;
+    # entries past their own are replaced below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, int(np.max(n_stable, initial=2))):
+            table[..., n] = edge[..., n - 1] + (n - 1) * table[..., n - 2]
+    tail = np.arange(count) >= n_stable[..., None]
+    tail[..., :2] = False
+    if tail.any():
+        at = np.nonzero(tail)
+        n_tail, lo_t, hi_t = at[-1], lo[at[:-1]], hi[at[:-1]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a half-line piece is zero unless its end lies past zero, so one
+            # formula covers lo >= 0, hi <= 0 and a range straddling zero
+            table[at] = ((np.exp(_log_half_moment(n_tail, hi_t))
+                          - np.exp(_log_half_moment(n_tail, lo_t)))
+                         + (-1.0) ** n_tail
+                         * (np.exp(_log_half_moment(n_tail, -lo_t))
+                            - np.exp(_log_half_moment(n_tail, -hi_t))))
     return table

@@ -201,6 +201,19 @@ class TestGammaNormal:
         assert got == pytest.approx(1.1548470620805799e-3, rel=1e-9)
 
 
+    @pytest.mark.parametrize("p,g,b,want", [
+        # the engine certifies the first gene; the second misses the 1e-11
+        # target and takes the referee's value, which read 2.48 while the
+        # referee's knots missed the gamma mass (30-digit mpmath values)
+        (26.55557015243313, GammaParams(2.768484019547243, 0.00723977254093289),
+         NormalParams(35.895369943422544, 34.35813740443723), 0.0200420432225054),
+        (133.87216281769633, GammaParams(3.168352637544194, 0.015183361434622072),
+         NormalParams(351.445645558385, 313.29136371939455), 0.0481046237137679),
+    ])
+    def test_narrow_gamma_signal_under_wide_noise(self, p, g, b, want):
+        assert correct.correct_gamma_normal(p, g, b) == pytest.approx(want, rel=1e-9)
+
+
 class TestSeriesCorrectors:
     def test_exp_lognormal_against_oracle(self):
         e, l = ExpParams(0.05), LognormalParams(1.0, 0.6)
@@ -317,6 +330,50 @@ class TestSeriesCorrectors:
         with np.errstate(over="ignore"):  # density tail in the deeper gene's fallback
             correct.correct_gb_normal(19.0, s, b, CFG)
         assert correct.correct_gb_normal(p, s, b, CFG) == got
+
+
+class TestSeriesBatchInvariance:
+    """A series gene's corrected value has the same bits alone, in any array
+    and in any order, and equals the public corrector's."""
+
+    CORRECTORS = {"exp_lognormal": correct.correct_exp_lognormal,
+                  "gamma_lognormal": correct.correct_gamma_lognormal,
+                  "gb_gb": correct.correct_gb,
+                  "gb_normal": correct.correct_gb_normal}
+
+    def cases(self, kind):
+        from beadcorr import validation
+        rng = np.random.default_rng(23)
+        out = []
+        for _ in range(3):
+            m, p = validation.draw_case(kind, rng)
+            out.append((m, np.array([p, 0.7 * p, 1.3 * p, 2.0 * p, 4.0 * p])))
+        m = simulate.REFERENCE_MODELS[kind][0]
+        out.append((m, simulate.simulate_experiment(m, 14, 2, seed=5).observed))
+        return out
+
+    @pytest.mark.parametrize("kind", ["exp_lognormal", "gamma_lognormal", "gb_gb",
+                                      "gb_normal"])
+    def test_alone_in_any_order_and_public(self, kind):
+        public = self.CORRECTORS[kind]
+        paths = set()
+        for m, obs in self.cases(kind):
+            with np.errstate(over="ignore"):  # density tails of far-out genes
+                corrected, diags = correct.correct_array(obs, m)
+                rev, rev_diags = correct.correct_array(obs[::-1], m)
+            np.testing.assert_array_equal(rev[::-1], corrected)
+            assert [d.error for d in rev_diags[::-1]] == [d.error for d in diags]
+            for i, p in enumerate(obs.tolist()):
+                paths.add(diags[i].path)
+                if diags[i].path == "error":
+                    continue
+                with np.errstate(over="ignore"):
+                    alone, one = correct.correct_array(np.array([p]), m)
+                    value, info = public(p, m.signal, m.noise, with_info=True)
+                assert alone[0] == corrected[i] == value
+                assert one[0].path == diags[i].path == info.path
+                assert one[0].error == diags[i].error == info.fallback_reason
+        assert "series" in paths
 
 
 class TestCorrectArray:

@@ -70,6 +70,17 @@ class TestGBPdf:
                     - dists.specfun.log_beta(2, 10) - 12 * 50 * math.log(x / 20),
                     rel=1e-12)
 
+    def test_log_density_a_few_ulps_below_the_upper_end(self):
+        # (1 - c)(x/d)^a rounds to 1 or above there: the density is 0, read
+        # without a warning (the suite turns RuntimeWarnings into errors)
+        g = GBParams(2.3236176503996253, 0.013239383924497528, 14.468213890275774,
+                     1.9215913111513332, 6.515490898541306)
+        upper = gb_support_upper(g)
+        xs = np.array([upper - 1e-15, upper - 2e-15])
+        assert dists.gb_logpdf(xs, g).tolist() == [-math.inf, -math.inf]
+        assert all(dists.gb_logpdf(float(x), g) == -math.inf for x in xs)
+        assert dists.gb_logpdf(upper - 4e-15, g) == pytest.approx(-191.9066, abs=1e-3)
+
     def test_support_upper(self):
         assert gb_support_upper(UNIFORM) == pytest.approx(2.0)
         assert gb_support_upper(GBParams(2, 0.75, 1, 1, 1)) == pytest.approx(2.0)

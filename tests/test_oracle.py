@@ -73,6 +73,18 @@ class TestPosteriorMean:
         with pytest.raises(NumericUnderflowError):
             oracle.posterior_mean_quadrature(1e5, m, Q)
 
+    @pytest.mark.parametrize("p,g,b,want", [
+        # 30-digit mpmath values; the gamma mass sits at the signal's own
+        # scale, far inside the noise window p - mu +- 8 sigma
+        (26.55557015243313, GammaParams(2.768484019547243, 0.00723977254093289),
+         NormalParams(35.895369943422544, 34.35813740443723), 0.0200420432225054),
+        (133.87216281769633, GammaParams(3.168352637544194, 0.015183361434622072),
+         NormalParams(351.445645558385, 313.29136371939455), 0.0481046237137679),
+    ])
+    def test_narrow_gamma_signal_under_wide_noise(self, p, g, b, want):
+        got = oracle.posterior_mean_quadrature(p, GammaNormal(g, b), Q)
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_self_consistency_tightening(self):
         m = GammaNormal(GammaParams(3.0, 2.0), NormalParams(5.0, 1.5))
         loose = oracle.posterior_mean_quadrature(

@@ -240,6 +240,67 @@ class TestConvergenceRegion:
                 assert r.rel_error <= tol, (kind, r)
 
 
+class TestArrayGate:
+    """The array gate and the batched kernels give every gene the verdict,
+    boxes and sums it has alone."""
+
+    KINDS = ("exp_lognormal", "gamma_lognormal", "gb_gb", "gb_normal")
+
+    def cases(self, kind):
+        rng = np.random.default_rng(11)
+        out = []
+        for _ in range(4):
+            m, p = validation.draw_case(kind, rng)
+            out.append((m, np.array([p, 0.5 * p, 1.5 * p, 2.0 * p, 4.0 * p, 9.0 * p, -p])))
+        m = simulate.REFERENCE_MODELS[kind][0]
+        out.append((m, simulate.simulate_experiment(m, 40, 2, seed=3).observed))
+        return out
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gate_equals_per_gene(self, kind):
+        family = series._FAMILIES[kind]
+        accepted = refused = 0
+        for m, p in self.cases(kind):
+            gate = series.gate(m, p, CFG)
+            for i, q in enumerate(p.tolist()):
+                alone = series.gate(m, np.array([q]), CFG)
+                assert gate.ok[i] == alone.ok[0] == series.convergence_ok(m, q, CFG)
+                if series._in_region(m, q):
+                    assert (tuple(gate.den[i]), tuple(gate.num[i])) == series._boxes(
+                        kind, q, m.signal, m.noise, CFG)
+                accepted += bool(gate.ok[i])
+                refused += not gate.ok[i]
+            # boxes of genes the in-region checks refuse, where they exist
+            q = p[p > (m.noise.mu if kind == "gb_normal" else 0.0)]
+            den, num = family.boxes(q, m.signal, m.noise, CFG)
+            for i, qi in enumerate(q.tolist()):
+                assert (tuple(den[i]), tuple(num[i])) == series._boxes(
+                    kind, qi, m.signal, m.noise, CFG)
+        assert accepted and refused
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_sums_equal_the_evaluators(self, kind):
+        names = {"exp_lognormal": "exp_lognormal", "gamma_lognormal": "gamma_lognormal",
+                 "gb_gb": "gb_pair", "gb_normal": "gb_normal"}[kind]
+        for m, p in self.cases(kind):
+            gate = series.gate(m, p, CFG)
+            ps = p[gate.ok]
+            for off, part, boxes in ((0, "den", gate.den), (1, "num", gate.num)):
+                evaluator = getattr(series, f"{names}_{part}_series")
+                got = series.batch_series(m, ps, off, boxes[gate.ok], CFG)
+                rev = series.batch_series(m, ps[::-1], off, boxes[gate.ok][::-1], CFG)
+                for j, q in enumerate(ps.tolist()):
+                    k = ps.size - 1 - j
+                    try:
+                        value = evaluator(q, m.signal, m.noise, CFG)
+                    except SeriesError as exc:
+                        assert str(got[2][j]) == str(rev[2][k]) == str(exc)
+                        continue
+                    assert j not in got[2] and k not in rev[2]
+                    assert got[0][j] == rev[0][k] == value.log_abs
+                    assert got[1][j] == rev[1][k] == value.sign
+
+
 class TestOneBoxPerGene:
     FAMILIES = {
         "exp_lognormal": (series.exp_lognormal_den_series, series.exp_lognormal_num_series),
