@@ -226,8 +226,25 @@ def correct_gamma_normal(p, g: GammaParams, b: NormalParams,
     return _quadrature_mean(p, GammaNormal(g, b), qcfg or _GAMMA_NORMAL_QCFG)
 
 
+#: half-width, in noise standard deviations, of the grid's noise window
+_GRID_WIDTHS = 12.0
+#: endpoint terms of the generalized Euler-Maclaurin expansion the density
+#: subtracts (k = 0..3)
+_ENDPOINT_ORDERS = np.arange(4)
+#: relative step in alpha of the central difference of zeta(1 - alpha - k)
+_ZETA_STEP = 1e-6
+
+
+def _grid_step(g: GammaParams, b: NormalParams, resolution):
+    """The grid step h = min(sigma, beta)/resolution and its derivatives
+    with respect to (alpha, beta, mu, sigma)."""
+    by_sigma = b.sigma <= g.beta
+    return (min(b.sigma, g.beta) / resolution,
+            np.array([0.0, float(not by_sigma), 0.0, float(by_sigma)]) / resolution)
+
+
 def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
-                      max_points):
+                      max_points, grad=False):
     """Gamma-normal marginal density on a uniform grid of p, by FFT.
 
     Spacing h = min(sigma, beta)/resolution.  The noise grid spans
@@ -235,30 +252,149 @@ def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams, resolution,
     max(p_max - mu + 12 sigma, h).  That end is enough: the convolution at
     p = b + s reads signal nodes s = p - b with b >= mu - 12 sigma, so no p
     <= p_max reads a signal node past p_max - mu + 12 sigma, and the gamma
-    mass beyond it never reaches a requested point.  Returns (p grid, the
-    marginal density f_P on it).  Requires alpha >= 1 so the gridded signal
-    density is bounded, and at most max_points signal nodes.
+    mass beyond it never reaches a requested point.  Node i sits at
+    p_i = mu - 12 sigma + i h and holds the Riemann sum
+    h sum_{k >= 1} f_S(kh) f_B(p_i - kh) (the s = 0 node reads 0);
+    ``gamma_normal_density`` adds its endpoint terms.  Returns (p grid, the
+    sums on it) and, with grad, a (4, nodes) array: the derivative of every
+    node's sum with respect to (alpha, beta, mu, sigma) with the node held
+    at its index i, so through h and the grid's start as well.  Requires
+    alpha >= 1 so the gridded signal density is bounded, and at most
+    max_points signal nodes.
     """
     if g.alpha < 1.0:
         raise InvalidParameterError(
             "grid backend requires gamma shape >= 1 (bounded density)")
-    h = min(b.sigma, g.beta) / resolution
-    s_max = max(p_max - b.mu + 12.0 * b.sigma, h)
+    h, d_h = _grid_step(g, b, resolution)
+    s_max = max(p_max - b.mu + _GRID_WIDTHS * b.sigma, h)
     n_s = int(s_max / h) + 1
     if n_s > max_points:
         raise InvalidParameterError(
             "grid backend resolution too fine for the parameter range")
     s = np.arange(n_s) * h
     fs = np.exp(dist_logpdf(g, s))
-    b_lo = b.mu - 12.0 * b.sigma
-    n_b = int(24.0 * b.sigma / h) + 1
-    fb = np.exp(dist_logpdf(b, b_lo + np.arange(n_b) * h))
+    b_lo = b.mu - _GRID_WIDTHS * b.sigma
+    n_b = int(2.0 * _GRID_WIDTHS * b.sigma / h) + 1
+    y = np.arange(n_b) * h
+    fb = np.exp(dist_logpdf(b, b_lo + y))
     n_p = n_s + n_b - 1
     p_grid = b_lo + np.arange(n_p) * h
     # full linear convolution, zero-padded to a fast real-FFT length
     n_fft = sp_fft.next_fast_len(n_p, real=True)
-    den = sp_fft.irfft(sp_fft.rfft(fs, n_fft) * sp_fft.rfft(fb, n_fft), n_fft)
-    return p_grid, den[:n_p] * h
+    f_s, f_b = sp_fft.rfft(fs, n_fft), sp_fft.rfft(fb, n_fft)
+    den = sp_fft.irfft(f_s * f_b, n_fft)[:n_p] * h
+    if not grad:
+        return p_grid, den
+    # with the node index held, the noise values phi(y/sigma - 12)/sigma do
+    # not move with mu, and move with sigma through 1/sigma and y/sigma;
+    # d/dh at a held index is D/h + conv(s f_S', f_B) + conv(f_S, y f_B')
+    z = y / b.sigma - _GRID_WIDTHS
+    log_s = np.log(np.where(s > 0.0, s, 1.0))
+    f_alpha, f_beta, f_slope = sp_fft.rfft(np.stack([
+        fs * (log_s - math.log(g.beta) - _sp.psi(g.alpha)),
+        fs * (s / g.beta ** 2 - g.alpha / g.beta),
+        fs * ((g.alpha - 1.0) - s / g.beta)]), n_fft)
+    f_sigma, f_step = sp_fft.rfft(np.stack([
+        fb * (z * z + _GRID_WIDTHS * z - 1.0) / b.sigma,
+        -fb * z * y / b.sigma]), n_fft)
+    conv = sp_fft.irfft(np.stack([f_alpha * f_b, f_beta * f_b, f_s * f_sigma,
+                                  f_slope * f_b + f_s * f_step]), n_fft)[:, :n_p]
+    dden = (np.stack([conv[0], conv[1], np.zeros(n_p), conv[2]]) * h
+            + np.outer(d_h, den / h + conv[3]))
+    return p_grid, den, dden
+
+
+def _lagrange_weights(u):
+    """Weights of the nodes at offsets -1, 0, 1, 2 of the cubic through them,
+    at the fraction u of the step, and their derivatives in u; at u = 0 they
+    are exactly (0, 1, 0, 0)."""
+    w = np.stack([-u * (u - 1.0) * (u - 2.0) / 6.0,
+                  (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0,
+                  -(u + 1.0) * u * (u - 2.0) / 2.0,
+                  (u + 1.0) * u * (u - 1.0) / 6.0])
+    u2 = 3.0 * u * u
+    dw = np.stack([-(u2 - 6.0 * u + 2.0) / 6.0, (u2 - 4.0 * u - 1.0) / 2.0,
+                   -(u2 - 2.0 * u - 2.0) / 2.0, (u2 - 1.0) / 6.0])
+    return w, dw
+
+
+def _endpoint_terms(p, g: GammaParams, b: NormalParams, h, grad):
+    """Endpoint terms of the grid's Riemann sum at every p, and with grad
+    their derivatives at fixed p and h with respect to (alpha, beta, mu,
+    sigma) and h, a (5, genes) array.
+
+    The integrand is s^(alpha-1) psi(s) with
+    psi(s) = exp(-s/beta) f_B(p - s)/(Gamma(alpha) beta^alpha), and
+    h sum_{k>=1} f(kh) exceeds the integral by
+    sum_k zeta(1 - alpha - k) h^(alpha+k) psi^(k)(0)/k! (Navot 1961).
+    psi(s)/psi(0) = exp(a1 s - a2 s^2), whose Taylor coefficients t_k are
+    polynomials in a1 = (p - mu)/sigma^2 - 1/beta and a2 = 1/(2 sigma^2).
+    """
+    c = p - b.mu
+    sig2 = b.sigma ** 2
+    a1 = c / sig2 - 1.0 / g.beta
+    a2 = 0.5 / sig2
+    ones, zero = np.ones_like(a1), np.zeros_like(a1)
+    t = np.stack([ones, a1, 0.5 * a1 * a1 - a2, a1 ** 3 / 6.0 - a1 * a2])
+    zeta = _sp.zeta(1.0 - g.alpha - _ENDPOINT_ORDERS)
+    hk = h ** _ENDPOINT_ORDERS[:, None]
+    # psi(0) h^alpha
+    lead = np.exp(g.alpha * (math.log(h) - math.log(g.beta)) - _sp.gammaln(g.alpha)
+                  + specfun.std_normal_logpdf(c / b.sigma) - math.log(b.sigma))
+    terms = (zeta[:, None] * hk) * t
+    e = lead * terms.sum(axis=0)
+    if not grad:
+        return e
+    step = _ZETA_STEP * g.alpha
+    d_zeta = (_sp.zeta(1.0 - (g.alpha + step) - _ENDPOINT_ORDERS)
+              - _sp.zeta(1.0 - (g.alpha - step) - _ENDPOINT_ORDERS)) / (2.0 * step)
+    dt_a1 = np.stack([zero, ones, a1, 0.5 * a1 * a1 - a2])
+    dt_a2 = np.stack([zero, zero, -ones, -a1])
+    s_a1 = lead * (zeta[:, None] * hk * dt_a1).sum(axis=0)
+    s_a2 = lead * (zeta[:, None] * hk * dt_a2).sum(axis=0)
+    d_alpha = (e * (math.log(h) - math.log(g.beta) - _sp.psi(g.alpha))
+               + lead * (d_zeta[:, None] * hk * t).sum(axis=0))
+    d_beta = -g.alpha / g.beta * e + s_a1 / g.beta ** 2
+    d_mu = c / sig2 * e - s_a1 / sig2
+    d_sigma = ((c * c / sig2 - 1.0) / b.sigma * e - 2.0 * c / (sig2 * b.sigma) * s_a1
+               - s_a2 / (sig2 * b.sigma))
+    d_h = lead * ((zeta * (g.alpha + _ENDPOINT_ORDERS))[:, None] * hk * t).sum(axis=0) / h
+    return e, np.stack([d_alpha, d_beta, d_mu, d_sigma, d_h])
+
+
+def gamma_normal_density(p, g: GammaParams, b: NormalParams, resolution,
+                         max_points, grad=False):
+    """Gamma-normal marginal density at every p from ``gamma_normal_grid``.
+
+    The value at p is the cubic through the four grid nodes around it, less
+    the endpoint terms (``_endpoint_terms``) at p.  Returns (densities,
+    largest grid value) and, with grad, their exact derivatives with respect
+    to (alpha, beta, mu, sigma), a (4, genes) array: the nodes' own
+    derivatives, the grid's motion under the interpolation weights, and the
+    endpoint terms' derivatives.  Raises as the grid does.
+    """
+    p = np.asarray(p, dtype=float)
+    grid = gamma_normal_grid(float(np.max(p)), g, b, resolution, max_points, grad)
+    den = grid[1]
+    h, d_h = _grid_step(g, b, resolution)
+    t = (p - grid[0][0]) / h
+    i0 = np.clip(np.floor(t), 1, den.size - 3).astype(int)
+    u = t - i0
+    w, dw = _lagrange_weights(u)
+    # below the second node the cubic would extrapolate: read 0 there
+    w[:, t < 1.0] = dw[:, t < 1.0] = 0.0
+    idx = i0 + np.arange(-1, 3)[:, None]
+    nodes = den[idx]
+    if not grad:
+        return (w * nodes).sum(axis=0) - _endpoint_terms(p, g, b, h, False), np.max(den)
+    e, de = _endpoint_terms(p, g, b, h, True)
+    # the node under p moves with the grid start mu - 12 sigma and with h
+    d_start = np.array([0.0, 0.0, 1.0, -_GRID_WIDTHS])
+    d_t = -(d_start[:, None] + t * d_h[:, None]) / h
+    slope = (dw * nodes).sum(axis=0)
+    d_val = ((w * grid[2][:, idx]).sum(axis=1) + slope * d_t
+             - de[:4] - de[4] * d_h[:, None])
+    return (w * nodes).sum(axis=0) - e, np.max(den), d_val
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ the log density of the negative controls under the noise component.  For the
 GB families the printed likelihood equations estimate the noise block from
 the negative controls alone, so maximum likelihood runs in two stages: noise
 from the controls, then signal from the gene marginals with noise fixed.
+
+exp_normal, exp_gamma and gamma_normal return their exact score with the
+likelihood (``loglik_score``), and are fitted by BFGS on it: about 15
+value-and-gradient evaluations per fit.  The gamma-normal grid value at p is
+a cubic through the grid nodes less the endpoint terms of the generalized
+Euler-Maclaurin expansion at s = 0 (``correct.gamma_normal_density``), and
+its score differentiates exactly that.  The other families run Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from scipy import optimize as _opt
 from scipy import special as _sp
 
-from . import correct, oracle, quadrature, series
+from . import correct, oracle, quadrature, series, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
                     GBParams, LognormalParams, MODEL_KINDS, MODEL_TYPES,
                     ModelSpec, NormalParams, dist_logpdf, gb_from_gamma,
@@ -77,7 +84,14 @@ _START_JITTER = 0.15
 # Marginal log densities per model (vectorized over p)
 # ---------------------------------------------------------------------------
 
-def _log_marginal_exp_normal(p, e: ExpParams, b: NormalParams):
+def _log_marginal_exp_normal(p, e: ExpParams, b: NormalParams, grad=False):
+    """log f_P at every p and, with grad, its derivatives with respect to
+    (theta, mu, sigma), a (3, genes) array.
+
+    f_P = theta exp(theta^2 sigma^2/2 - (p - mu) theta) (Phi(a) - Phi(a - p/sigma))
+    with a = (p - mu)/sigma - sigma theta; the score takes the two normal
+    densities over that difference (Mills ratios) in logs.
+    """
     p = np.asarray(p, dtype=float)
     mu_sp = p - b.mu - b.sigma ** 2 * e.theta
     a = mu_sp / b.sigma
@@ -87,42 +101,115 @@ def _log_marginal_exp_normal(p, e: ExpParams, b: NormalParams):
     with np.errstate(divide="ignore", invalid="ignore"):
         ldiff = la + np.log(-np.expm1(np.minimum(lmb - la, 0.0)))
     ldiff = np.where(np.isnan(ldiff), -np.inf, ldiff)
-    return (math.log(e.theta) + e.theta ** 2 * b.sigma ** 2 / 2.0
-            - (p - b.mu) * e.theta + ldiff)
+    out = (math.log(e.theta) + e.theta ** 2 * b.sigma ** 2 / 2.0
+           - (p - b.mu) * e.theta + ldiff)
+    if not grad:
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        ra = np.exp(specfun.std_normal_logpdf(a) - ldiff)
+        rb = np.exp(specfun.std_normal_logpdf(bb) - ldiff)
+    # a and -bb move alike in theta and mu and apart in sigma
+    rows = np.stack([
+        1.0 / e.theta + e.theta * b.sigma ** 2 - (p - b.mu) - b.sigma * (ra - rb),
+        e.theta - (ra - rb) / b.sigma,
+        e.theta ** 2 * b.sigma - ra * ((p - b.mu) / b.sigma ** 2 + e.theta)
+        - rb * (b.mu / b.sigma ** 2 - e.theta)])
+    return out, rows
 
 
-def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams):
+#: relative step in alpha of exp_gamma's central difference of log L
+_ALPHA_STEP = 1e-6
+
+
+def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams, grad=False):
+    """log f_P at every p (-inf at p <= 0) and, with grad, its derivatives
+    with respect to (theta, alpha, beta), a (3, genes) array.
+
+    f_P = theta e^(-theta p) / (Gamma(alpha) beta^alpha) L(alpha) with
+    L(a) = integral of b^(a-1) e^(-lam b) over (0, p), lam = 1/beta - theta.
+    dL/dlam = -L E[b], E[b] = L(alpha + 1)/L(alpha), gives the theta and beta
+    scores; the alpha score takes a central difference of log L.
+    """
     p = np.asarray(p, dtype=float)
     lam = 1.0 / g.beta - e.theta
     out = np.full(p.shape, -np.inf)
     pos = p > 0
     pp = p[pos]
+    log_l = correct.log_truncated_gamma_integral(g.alpha, lam, pp)
     out[pos] = (math.log(e.theta) - e.theta * pp - g.alpha * math.log(g.beta)
-                - _sp.gammaln(g.alpha)
-                + correct.log_truncated_gamma_integral(g.alpha, lam, pp))
-    return out
+                - _sp.gammaln(g.alpha) + log_l)
+    if not grad:
+        return out
+    mean = np.exp(correct.log_truncated_gamma_integral(g.alpha + 1.0, lam, pp) - log_l)
+    step = _ALPHA_STEP * g.alpha
+    d_log_l = (correct.log_truncated_gamma_integral(g.alpha + step, lam, pp)
+               - correct.log_truncated_gamma_integral(g.alpha - step, lam, pp)) / (2.0 * step)
+    rows = np.zeros((3, p.size))
+    rows[:, pos] = [1.0 / e.theta - pp + mean,
+                    d_log_l - math.log(g.beta) - _sp.psi(g.alpha),
+                    mean / g.beta ** 2 - g.alpha / g.beta]
+    return out, rows
 
 
-#: grid densities below this share of the grid's peak are FFT rounding noise
-#: or, below the noise grid, the value at its first node
+#: grid densities below this share of the grid's peak are FFT rounding noise,
+#: or lie below the grid's second node, where the grid gives no value
 _GRID_DENSITY_FLOOR = 1e-13
 
+#: engine target of the quadrature genes' gamma-normal scores
+_SCORE_QUAD_TOL = 1e-10
+#: step in t of the difference of log E[s^t] at t = 0
+_LOG_MOMENT_STEP = 1e-5
 
-def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams):
+
+def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     """Grid-convolution marginal (bounded-density shapes); quadrature catches
-    the rest, and the genes whose grid density lies below the floor."""
+    the rest, and the genes whose grid density lies below the floor.
+
+    With grad, also the derivatives with respect to (alpha, beta, mu, sigma),
+    a (4, genes) array: exact for the grid's value
+    (``correct.gamma_normal_density``), from the engine for the rest.
+    """
     p = np.asarray(p, dtype=float)
+    m = GammaNormal(g, b)
     try:
-        p_grid, den = correct.gamma_normal_grid(float(np.max(p)), g, b, 48, 1 << 21)
+        dens, peak, *d_dens = correct.gamma_normal_density(p, g, b, 48, 1 << 21, grad)
     except (InvalidParameterError, MemoryError):
-        return _quadrature_marginal_log(p, GammaNormal(g, b))
-    vals = np.interp(p, p_grid, den)
-    faint = ~(vals >= _GRID_DENSITY_FLOOR * np.max(den))
+        out = _quadrature_marginal_log(p, m)
+        return (out, _gamma_normal_quadrature_score(p, g, b)) if grad else out
+    faint = ~(dens >= _GRID_DENSITY_FLOOR * peak)
     with np.errstate(divide="ignore"):
-        out = np.log(np.maximum(vals, 0.0))
+        out = np.log(np.maximum(dens, 0.0))
     if faint.any():
-        out[faint] = _quadrature_marginal_log(p[faint], GammaNormal(g, b))
-    return out
+        out[faint] = _quadrature_marginal_log(p[faint], m)
+    if not grad:
+        return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = d_dens[0] / dens
+    if faint.any():
+        rows[:, faint] = _gamma_normal_quadrature_score(p[faint], g, b)
+    return out, rows
+
+
+def _gamma_normal_quadrature_score(p, g: GammaParams, b: NormalParams):
+    """d log f_P/d(alpha, beta, mu, sigma) by one tanh-sinh engine call.
+
+    The posterior moments E[s] and E[s^2] give the beta, mu and sigma scores
+    exactly; the alpha score E[log s] - log beta - psi(alpha) takes E[log s]
+    as the derivative of K(t) = log E[s^t] at t = 0 by the second-order
+    difference (4 K(t) - K(2t) - 3 K(0))/(2t), whose integrals share every
+    node (a negative power would read the underflowed s = 0 nodes as inf).
+    """
+    t = _LOG_MOMENT_STEP
+    (l0, l1, l2, lt, l2t), _, _ = quadrature.log_integrals(
+        p, GammaNormal(g, b), (0, 1, 2, t, 2.0 * t), _SCORE_QUAD_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2 = np.exp(l1 - l0), np.exp(l2 - l0)
+    c = p - b.mu
+    log_s = (4.0 * (lt - l0) - (l2t - l0)) / (2.0 * t)
+    return np.stack([log_s - math.log(g.beta) - _sp.psi(g.alpha),
+                     m1 / g.beta ** 2 - g.alpha / g.beta,
+                     (c - m1) / b.sigma ** 2,
+                     ((c * c - 2.0 * c * m1 + m2) / b.sigma ** 2 - 1.0) / b.sigma])
 
 
 def _quadrature_marginal_log(p_vals, m):
@@ -139,6 +226,14 @@ def _quadrature_marginal_log(p_vals, m):
     return out
 
 
+#: the families whose log marginal also returns its score, in param_names order
+_SCORED_MARGINALS = {
+    "exp_normal": _log_marginal_exp_normal,
+    "exp_gamma": _log_marginal_exp_gamma,
+    "gamma_normal": _log_marginal_gamma_normal,
+}
+
+
 def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig()):
     """log f_P(p) under model m; -inf outside support.  Vectorized over p.
 
@@ -146,13 +241,8 @@ def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig
     (``series.marginal_log_batch``); genes outside the convergence region,
     and genes whose sums are not confirmed, go to quadrature.
     """
-    kind = m.kind
-    if kind == "exp_normal":
-        return _log_marginal_exp_normal(p, m.signal, m.noise)
-    if kind == "exp_gamma":
-        return _log_marginal_exp_gamma(p, m.signal, m.noise)
-    if kind == "gamma_normal":
-        return _log_marginal_gamma_normal(p, m.signal, m.noise)
+    if m.kind in _SCORED_MARGINALS:
+        return _SCORED_MARGINALS[m.kind](p, m.signal, m.noise)
     p = np.asarray(p, dtype=float)
     out, ok = series.marginal_log_batch(m, p, cfg)
     if not ok.all():
@@ -174,6 +264,28 @@ def loglik(params: ModelSpec, problem: EstimationProblem) -> float:
     lm = log_marginal(params, problem.observed, problem.series_cfg)
     total = float(np.sum(lm)) + noise_loglik(params, problem)
     return total if not math.isnan(total) else -math.inf
+
+
+def _noise_score(noise, x):
+    """d/d(noise parameters) of the summed noise log density at x: (mu,
+    sigma) for normal noise, (alpha, beta) for gamma noise."""
+    if isinstance(noise, NormalParams):
+        z = (x - noise.mu) / noise.sigma
+        return np.array([np.sum(z) / noise.sigma, np.sum(z * z - 1.0) / noise.sigma])
+    return np.array([np.sum(np.log(x)) - x.size * (math.log(noise.beta) + _sp.psi(noise.alpha)),
+                     np.sum(x) / noise.beta ** 2 - x.size * noise.alpha / noise.beta])
+
+
+def loglik_score(params: ModelSpec, problem: EstimationProblem):
+    """(loglik, its gradient in param_names order) for exp_normal, exp_gamma
+    and gamma_normal.  The value equals ``loglik`` bit for bit."""
+    lm, rows = _SCORED_MARGINALS[params.kind](problem.observed, params.signal,
+                                              params.noise, True)
+    total = float(np.sum(lm)) + noise_loglik(params, problem)
+    score = rows.sum(axis=1)
+    if problem.negatives.size:
+        score[-2:] += _noise_score(params.noise, problem.negatives)
+    return (total if not math.isnan(total) else -math.inf), score
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +503,16 @@ def _joint_codec(kind):
 # Fitting
 # ---------------------------------------------------------------------------
 
+def _starts(x0, bounds, budget, rng):
+    """The optimizer starts: x0, then x0 plus normal offsets, clipped to bounds."""
+    starts = [np.asarray(x0, dtype=float)]
+    for _ in range(budget.n_starts - 1):
+        starts.append(np.asarray(x0) + rng.normal(0.0, _START_JITTER, len(x0)))
+    lo = np.array([-np.inf if b_ is None or b_[0] is None else b_[0] for b_ in bounds])
+    hi = np.array([np.inf if b_ is None or b_[1] is None else b_[1] for b_ in bounds])
+    return [np.clip(st, lo, hi) for st in starts]
+
+
 def _nm_maximize(objective, x0, bounds, budget, rng):
     """Multi-start Nelder-Mead on -objective in transformed space."""
     def neg(x):
@@ -404,13 +526,7 @@ def _nm_maximize(objective, x0, bounds, budget, rng):
 
     best = None
     total_nfev = 0
-    starts = [np.asarray(x0, dtype=float)]
-    for _ in range(budget.n_starts - 1):
-        starts.append(np.asarray(x0) + rng.normal(0.0, _START_JITTER, len(x0)))
-    lo = np.array([-np.inf if b_ is None or b_[0] is None else b_[0] for b_ in bounds])
-    hi = np.array([np.inf if b_ is None or b_[1] is None else b_[1] for b_ in bounds])
-    starts = [np.clip(st, lo, hi) for st in starts]
-    for start in starts:
+    for start in _starts(x0, bounds, budget, rng):
         res = _opt.minimize(neg, start, method="Nelder-Mead", bounds=bounds,
                             options={"maxiter": budget.max_iter,
                                      "xatol": 1e-7, "fatol": 1e-9,
@@ -424,12 +540,50 @@ def _nm_maximize(objective, x0, bounds, budget, rng):
     return best, total_nfev, flat
 
 
+#: BFGS stops when every gradient entry per observation is below this
+_GTOL = 1e-6
+
+
+def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
+    """Multi-start BFGS on -objective/scale; objective(x) -> (value, gradient).
+
+    Dividing by the number of observations makes the gradient tolerance a
+    per-observation one.  A point where the objective raises or is not
+    finite reads +inf, and the line search steps back from it.  Returns the
+    winning result, the evaluations of all starts and (value, gradient) of
+    the objective at the winner.
+    """
+    seen = {}
+
+    def neg(x):
+        try:
+            v, g = objective(x)
+        except (BeadcorrError, OverflowError, FloatingPointError):
+            v, g = -math.inf, np.zeros(len(x))
+        if not (math.isfinite(v) and np.all(np.isfinite(g))):
+            v, g = -math.inf, np.zeros(len(x))
+        seen[x.tobytes()] = v, g
+        return -v / scale, -g / scale
+
+    best = None
+    total_nfev = 0
+    for start in _starts(x0, bounds, budget, rng):
+        res = _opt.minimize(neg, start, method="BFGS", jac=True,
+                            options={"maxiter": budget.max_iter, "gtol": _GTOL})
+        total_nfev += res.nfev
+        if best is None or res.fun < best.fun:
+            best = res
+    return best, total_nfev, seen.get(best.x.tobytes()) or objective(best.x)
+
+
 def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitResult:
     """Maximize the likelihood from the moment-based start.
 
     Classical families optimize all parameters jointly; GB families estimate
     the noise block from the controls first (as the likelihood equations
-    prescribe), then the signal block from the gene marginals.
+    prescribe), then the signal block from the gene marginals.  exp_normal,
+    exp_gamma and gamma_normal run BFGS on their exact scores
+    (``loglik_score``); the others run Nelder-Mead.
     """
     rng = np.random.default_rng(budget.seed)
     kind = problem.model_kind
@@ -439,6 +593,22 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
         return _fit_mle_gb(problem, start, budget, rng)
 
     to_vec, from_vec, bounds = _joint_codec(kind)
+    if kind in _SCORED_MARGINALS:
+        logged = np.array([name != "mu" for name in param_names(kind)])
+
+        def objective(x):
+            m = from_vec(x)
+            v, score = loglik_score(m, problem)
+            # chain rule of the codec: d/d log v = v d/dv
+            return v, score * np.where(logged, model_to_values(m), 1.0)
+
+        n_obs = problem.observed.size + problem.negatives.size
+        best, nfev, (ll, grad) = _bfgs_maximize(objective, to_vec(start), bounds,
+                                                budget, rng, n_obs)
+        return FitResult(params=from_vec(best.x), loglik=ll,
+                         converged=bool(best.success), iterations=nfev, method="mle",
+                         gradient_norm=float(np.linalg.norm(grad)),
+                         diagnostics={"local_method": "BFGS"})
 
     def objective(x):
         return loglik(from_vec(x), problem)
@@ -448,7 +618,8 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     ll = -best.fun
     return FitResult(params=params, loglik=ll, converged=bool(best.success),
                      iterations=nfev, method="mle",
-                     diagnostics={"profile_flatness": flat})
+                     diagnostics={"local_method": "Nelder-Mead",
+                                  "profile_flatness": flat})
 
 
 def _fit_mle_gb(problem, start, budget, rng):
@@ -498,7 +669,8 @@ def _fit_mle_gb(problem, start, budget, rng):
                      converged=bool(best_s.success) and noise_ok,
                      iterations=noise_iters + sig_iters, method="mle",
                      gradient_norm=grad_norm,
-                     diagnostics={"profile_flatness": flat})
+                     diagnostics={"local_method": "Nelder-Mead",
+                                  "profile_flatness": flat})
 
 
 def fit_moments(problem: EstimationProblem) -> FitResult:

@@ -167,7 +167,8 @@ def _piece_logs(p, m, a, b, power):
 
 
 def log_integrals(p, m: ModelSpec, moments=(0,), rel_tol=1e-8):
-    """log of the integral of s^k f_S(s) f_B(p - s) ds for every gene and k.
+    """log of the integral of s^k f_S(s) f_B(p - s) ds for every gene and
+    every power k in moments (real; every power is taken on the same nodes).
 
     Returns (logs, estimate, ok): logs[i] holds moments[i] for every gene;
     estimate is each gene's relative half-step change at the level it took;

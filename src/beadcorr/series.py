@@ -179,15 +179,38 @@ def _max_convolve(a, b):
     return out
 
 
+#: first number of exp-lognormal terms the gate scans; it doubles until the
+#: scan has passed every gene's peak and tail
+_LN_SCAN_START = 32
+
+
 def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
-    # positive terms: the tail is judged against the largest one
+    """Positive terms: the tail is judged against the largest one.
+
+    log_ndtr is concave with slope above -x, so the ratio of terms k + 1 and
+    k is at most theta p exp(sigma^2/2)/(k + 1): past k + 1 > theta p
+    exp(sigma^2/2) the terms fall.  A scan of n terms that ends past that
+    point and on a term below the limit therefore holds the largest term
+    and every term above the limit, and gives the depth of the full scan.
+    """
     theta = 0.0 if e is None else e.theta
-    log_p = np.log(p)[:, None]
+    log_p = np.log(p)
+    falling = theta * p * math.exp(0.5 * l.sigma ** 2)
+    cap = cfg.max_terms_per_index + 1
     boxes = []
     for shift in (0, 1):
-        lt = _lognormal_weight_terms(log_p, theta, l, shift, cfg.max_terms_per_index + 1)
-        limit = np.max(lt, axis=1) + math.log(cfg.rel_tol) - TAIL_MARGIN
-        boxes.append(_depth(lt, limit)[:, None])
+        depth = np.empty(p.size, dtype=int)
+        todo = np.arange(p.size)
+        n = _LN_SCAN_START
+        while todo.size:
+            n = min(n, cap)
+            lt = _lognormal_weight_terms(log_p[todo, None], theta, l, shift, n)
+            limit = np.max(lt, axis=1) + math.log(cfg.rel_tol) - TAIL_MARGIN
+            done = (n == cap) | ((falling[todo] < n - 1) & (lt[:, -1] <= limit))
+            depth[todo[done]] = _depth(lt[done], limit[done])
+            todo = todo[~done]
+            n *= 2
+        boxes.append(depth[:, None])
     return tuple(boxes)
 
 

@@ -7,7 +7,8 @@ from beadcorr import correct, estimate, oracle, quadrature, series, simulate
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
-                            dist_sample, model_to_values, param_names)
+                            dist_sample, model_from_values, model_to_values,
+                            param_names)
 from beadcorr.errors import (DegenerateControlsError, InvalidParameterError,
                              QuadratureError, UnsupportedMethodError)
 
@@ -147,11 +148,14 @@ class TestLoglik:
 
     def test_gamma_normal_far_above_the_gamma_bulk(self):
         # the largest p reaches past the gamma's 1 - 1e-13 quantile, where
-        # the trimmed grid equals the one the quantile set before
+        # the trimmed grid equals the one the quantile set before; p = 150
+        # lies close enough to mu for the endpoint terms at s = 0 to count
         m = simulate.REFERENCE_MODELS["gamma_normal"][0]
         got = estimate.log_marginal(m, [150.0, 300.0, 800.0, 2500.0])
-        want = [-4.961221802814089, -6.5034856314308715, -15.234414999492877]
+        want = [-4.96122175503868, -6.5034856314308715, -15.234414999492877]
         np.testing.assert_allclose(got[:3], want, rtol=1e-12)
+        assert got[0] == pytest.approx(oracle.marginal_log_pdf_quadrature(150.0, m),
+                                       rel=1e-12)
         assert not math.isnan(got[3]) and got[3] < got[2]
 
     def test_gamma_normal_trimmed_grid_matches_a_longer_grid(self):
@@ -320,6 +324,63 @@ class TestScores:
             estimate.score_gb(GBGB(s, b), prob)
 
 
+def _fd_score(m, prob, rel_step=1e-6):
+    """Central differences of estimate.loglik in every parameter."""
+    values = model_to_values(m)
+    out = []
+    for k, v in enumerate(values):
+        step = rel_step * abs(v)
+        up, down = list(values), list(values)
+        up[k] += step
+        down[k] -= step
+        out.append((estimate.loglik(model_from_values(m.kind, up), prob)
+                    - estimate.loglik(model_from_values(m.kind, down), prob)) / (2 * step))
+    return np.array(out)
+
+
+class TestClosedFormScores:
+    """loglik_score against central differences of the likelihood itself."""
+
+    CASES = [
+        ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0)),
+        # lam = 1/beta - theta > 0, and lam < 0
+        ExpGamma(ExpParams(0.05), GammaParams(2.0, 4.0)),
+        ExpGamma(ExpParams(0.5), GammaParams(2.0, 4.0)),
+        # the grid step h = min(sigma, beta)/48: sigma < beta, sigma > beta,
+        # sigma = beta, sigma just below beta
+        GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0)),
+        GammaNormal(GammaParams(3.0, 10.0), NormalParams(100.0, 30.0)),
+        GammaNormal(GammaParams(2.0, 15.0), NormalParams(100.0, 15.0)),
+        GammaNormal(GammaParams(2.0, 15.2), NormalParams(100.0, 15.0)),
+        # shape below 1: every gene takes the engine
+        GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)),
+    ]
+
+    @pytest.mark.parametrize("m", CASES, ids=lambda m: f"{m.kind}-{model_to_values(m)}")
+    def test_score_matches_central_differences(self, m):
+        obs, neg, _ = _simulate(m, 300, 100, seed=1)
+        prob = estimate.EstimationProblem(obs, neg, m.kind)
+        value, score = estimate.loglik_score(m, prob)
+        assert value == estimate.loglik(m, prob)
+        fd = _fd_score(m, prob)
+        np.testing.assert_allclose(score, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+    def test_faint_gamma_normal_genes(self):
+        # genes below the noise grid and far in the grid's tail take the engine
+        m = GammaNormal(GammaParams(2.0, 50.0), NormalParams(500.0, 10.0))
+        prob = estimate.EstimationProblem(
+            np.array([100.0, 300.0, 380.0, 400.0, 420.0, 600.0, 700.0]),
+            np.array([495.0, 505.0, 500.0]), "gamma_normal")
+        _, score = estimate.loglik_score(m, prob)
+        np.testing.assert_allclose(score, _fd_score(m, prob), rtol=1e-6)
+
+    def test_noise_score_is_zero_at_the_control_fit(self):
+        neg = np.array([90.0, 97.0, 104.0, 111.0, 125.0])
+        mu, sd = float(np.mean(neg)), float(np.std(neg))
+        score = estimate._noise_score(NormalParams(mu, sd), neg)
+        np.testing.assert_allclose(score, 0.0, atol=1e-12)
+
+
 class TestJointCodec:
     @pytest.mark.parametrize("kind", ["exp_normal", "exp_gamma", "gamma_normal",
                                       "exp_lognormal", "gamma_lognormal"])
@@ -357,6 +418,25 @@ class TestFitMle:
         assert abs(fit.params.signal.beta - 50.0) / 50.0 < 0.15
         assert abs(fit.params.noise.mu - 100.0) / 100.0 < 0.05
         assert abs(fit.params.noise.sigma - 15.0) / 15.0 < 0.05
+
+    @pytest.mark.parametrize("m", [
+        GammaNormal(GammaParams(2.0, 15.0), NormalParams(100.0, 15.0)),
+        GammaNormal(GammaParams(1.05, 20.0), NormalParams(100.0, 20.0)),
+    ], ids=["sigma-equals-beta", "shape-near-one"])
+    def test_bfgs_converges_where_the_grid_step_switches(self, m):
+        # h = min(sigma, beta)/48 switches between sigma and beta along the
+        # path, and shape near 1 puts the endpoint terms at their largest
+        for seed in (0, 1):
+            obs, neg, _ = _simulate(m, 1000, 300, seed=seed)
+            prob = estimate.EstimationProblem(obs, neg, "gamma_normal")
+            fit = estimate.fit_mle(prob, estimate.FitBudget(n_starts=1))
+            assert fit.converged, seed
+            assert fit.diagnostics == {"local_method": "BFGS"}
+            assert fit.iterations < 60
+            assert fit.loglik == estimate.loglik(fit.params, prob)
+            assert fit.loglik >= estimate.loglik(m, prob)
+            # BFGS stops below 1e-6 per observation in every coordinate
+            assert fit.gradient_norm < 2e-6 * (obs.size + neg.size)
 
     def test_determinism(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))

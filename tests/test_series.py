@@ -349,6 +349,32 @@ class TestOneBoxPerGene:
         _, ok = series.marginal_log_batch(m, data.observed, CFG)
         assert ok.sum() == accepted
 
+    def test_exp_lognormal_scan_stops_with_the_full_scan_boxes(self):
+        # the gate scans the terms only until they fall below the limit past
+        # their peak; every box equals the one of all max_terms + 1 terms
+        def full_scan(p, e, l, cfg):
+            out = []
+            for shift in (0, 1):
+                lt = series._lognormal_weight_terms(np.log(p)[:, None], e.theta, l, shift,
+                                                    cfg.max_terms_per_index + 1)
+                limit = np.max(lt, axis=1) + math.log(cfg.rel_tol) - series.TAIL_MARGIN
+                out.append(series._depth(lt, limit)[:, None])
+            return tuple(out)
+
+        rng = np.random.default_rng(5)
+        cases = [validation.draw_case("exp_lognormal", rng) for _ in range(40)]
+        models = [(m, np.array([p, 0.3 * p, 3.0 * p, 30.0 * p, 300.0 * p]))
+                  for m, p in cases]
+        ref = simulate.REFERENCE_MODELS["exp_lognormal"][0]
+        models.append((ref, simulate.simulate_experiment(ref, 500, 2, seed=7).observed))
+        models.append((ref, np.geomspace(1e-3, 1e5, 60)))
+        for cfg in (CFG, series.SeriesConfig(max_terms_per_index=20)):
+            for m, p in models:
+                got = series._exp_lognormal_boxes(p, m.signal, m.noise, cfg)
+                want = full_scan(p, m.signal, m.noise, cfg)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
     def test_depth_past_the_cap_raises(self):
         tiny = series.SeriesConfig(max_terms_per_index=20)
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
