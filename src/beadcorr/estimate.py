@@ -314,6 +314,12 @@ def _gb_density_grad(b_vals, g: GBParams):
     return np.array([da.sum(), dc.sum(), dd.sum(), du.sum(), dv.sum()])
 
 
+def _signal_score(params, problem):
+    """The signal block of a GB score: column sums of the per-gene scores."""
+    genes = series.gb_signal_score(params, problem.observed, problem.series_cfg)
+    return np.array([math.fsum(col) for col in genes.T.tolist()])
+
+
 def _check_interior(g: GBParams, label):
     if g.c in (0.0, 1.0):
         raise DomainError(
@@ -335,23 +341,7 @@ def score_gb(params: GBGB, problem: EstimationProblem) -> np.ndarray:
     _check_interior(b, "score_gb")
     noise_part = (_gb_density_grad(problem.negatives, b)
                   if problem.negatives.size else np.zeros(5))
-
-    sig = np.zeros(5)
-    if problem.observed.size:
-        for p in problem.observed:
-            _, grad = series.gb_pair_den_series_with_grad(
-                float(p), s, b, problem.series_cfg)
-            sig += grad
-        n = problem.observed.size
-        lp_sum = float(np.sum(np.log(problem.observed)))
-        struct = np.zeros(5)
-        struct[0] = n * (1.0 / s.a - s.u * math.log(s.d)) + s.u * lp_sum
-        struct[2] = -n * s.a * s.u / s.d
-        struct[3] = (s.a * lp_sum - n * s.a * math.log(s.d)
-                     - n * (_sp.psi(s.u) - _sp.psi(s.u + s.v)))
-        struct[4] = -n * (_sp.psi(s.v) - _sp.psi(s.u + s.v))
-        sig = sig + struct
-    return np.concatenate([noise_part, sig])
+    return np.concatenate([noise_part, _signal_score(params, problem)])
 
 
 def score_gb_normal(params: GBNormal, problem: EstimationProblem) -> np.ndarray:
@@ -369,23 +359,7 @@ def score_gb_normal(params: GBNormal, problem: EstimationProblem) -> np.ndarray:
         d_sigma = float(np.sum((neg - b.mu) ** 2 / b.sigma ** 3 - 1.0 / b.sigma))
     else:
         d_mu = d_sigma = 0.0
-
-    sig = np.zeros(5)
-    if problem.observed.size:
-        for p in problem.observed:
-            _, grad = series.gb_normal_den_series_with_grad(
-                float(p), s, b, problem.series_cfg)
-            sig += grad
-        n = problem.observed.size
-        lpm_sum = float(np.sum(np.log(problem.observed - b.mu)))
-        struct = np.zeros(5)
-        struct[0] = n * (1.0 / s.a - s.u * math.log(s.d)) + s.u * lpm_sum
-        struct[2] = -n * s.a * s.u / s.d
-        struct[3] = (s.a * lpm_sum - n * s.a * math.log(s.d)
-                     - n * (_sp.psi(s.u) - _sp.psi(s.u + s.v)))
-        struct[4] = -n * (_sp.psi(s.v) - _sp.psi(s.u + s.v))
-        sig = sig + struct
-    return np.concatenate([[d_mu, d_sigma], sig])
+    return np.concatenate([[d_mu, d_sigma], _signal_score(params, problem)])
 
 
 # ---------------------------------------------------------------------------
@@ -654,16 +628,13 @@ def _fit_mle_gb(problem, start, budget, rng):
     params = builder(_gb_from_vec(best_s.x), noise)
     ll = loglik(params, problem)
 
-    grad_norm = None
-    interior = (0.0 < params.signal.c < 1.0 and
-                (kind == "gb_normal" or 0.0 < params.noise.c < 1.0))
-    if interior:
-        try:
-            score = (score_gb_normal(params, problem) if kind == "gb_normal"
-                     else score_gb(params, problem))
-            grad_norm = float(np.linalg.norm(score))
-        except (BeadcorrError, FloatingPointError):
-            grad_norm = None
+    # None at c in {0, 1} and wherever a gene's den series is refused
+    try:
+        score = (score_gb_normal(params, problem) if kind == "gb_normal"
+                 else score_gb(params, problem))
+        grad_norm = float(np.linalg.norm(score))
+    except (BeadcorrError, FloatingPointError):
+        grad_norm = None
 
     return FitResult(params=params, loglik=ll,
                      converged=bool(best_s.success) and noise_ok,

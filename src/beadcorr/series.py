@@ -26,7 +26,8 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
 * ``batch_series`` runs a kernel on the genes the gate accepts and maps each
   gene it does not confirm to the error its per-gene evaluator raises; the
   per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
-  gene, and ``marginal_log_batch`` runs the den kernel for the likelihood.
+  gene, ``marginal_log_batch`` runs the den kernel for the likelihood, and
+  ``gb_signal_score`` differentiates the GB den series on the same vectors.
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import special as _sp
@@ -46,7 +47,7 @@ from scipy import special as _sp
 from . import specfun
 from .dists import (ExpParams, GammaParams, GBParams, LognormalParams, ModelSpec,
                     NormalParams, gb_support_upper)
-from .errors import (DomainError, SeriesDivergenceError,
+from .errors import (DomainError, InvalidParameterError, SeriesDivergenceError,
                      SeriesNonConvergenceError)
 
 _NEG_INF = float("-inf")
@@ -340,6 +341,11 @@ def _scaled_axis(logs, signs, sizes):
     return _scaled_rows(np.where(_below(logs.shape[1], sizes), logs, _NEG_INF), signs)
 
 
+def _on_box(v, sizes):
+    """Each gene's row of the genes x terms array v, zero past its own size."""
+    return np.where(_below(v.shape[1], sizes), v, 0.0)
+
+
 def _convolve_rows(a, b):
     """out[g] = np.convolve(a[g], b[g]) for two stacks of vectors.
 
@@ -389,8 +395,7 @@ def _box_sums(rows, vectors, boxes):
     past the gene's own box are zeroed as well.  Both sums go through one
     call of rows, on a stack of the two.
     """
-    both = [np.concatenate([np.where(_below(v.shape[1], boxes[:, k]), v, 0.0), v])
-            for k, v in enumerate(vectors)]
+    both = [np.concatenate([_on_box(v, boxes[:, k]), v]) for k, v in enumerate(vectors)]
     sums = _row_fsums(rows(both))
     return sums[:boxes.shape[0]], sums[boxes.shape[0]:]
 
@@ -427,7 +432,7 @@ def _batch_series(kind, p, signal, noise, off, boxes, cfg):
     own box: (log |sum|, sign, refused), refused mapping the index of each
     gene whose sum is not confirmed, or whose box lies past the cap, to the
     SeriesError that refuses it."""
-    family = _FAMILIES[kind]
+    family = _family(kind)
     label = f"{family.label}_{('den', 'num')[off]}"
     log_abs, sign = np.full(p.shape, _NEG_INF), np.zeros(p.shape)
     refused = {}
@@ -460,17 +465,32 @@ def batch_series(m: ModelSpec, p, off, boxes, cfg: SeriesConfig = SeriesConfig()
                          np.asarray(boxes), cfg)
 
 
-def _evaluate(kind, p, signal, noise, off, cfg, label) -> SeriesValue:
+def _evaluated(kind, p, signal, noise, off, cfg):
+    """The per-gene evaluators' path (off 0: den, 1: num) on the array p:
+    (boxes, log |sum|, sign, refused), each gene on its own box, gate or not;
+    refused adds the domain's refusals, whose boxes and sign are zero."""
+    family = _FAMILIES[kind]
+    refused = family.domain(p, signal, noise, f"{family.label}_{('den', 'num')[off]}")
+    run = np.delete(np.arange(p.size), list(refused))
+    boxes = np.zeros((p.size, family.dims), dtype=int)
+    log_abs, sign = np.full(p.size, _NEG_INF), np.zeros(p.size)
+    if run.size:
+        boxes[run] = family.boxes(p[run], signal, noise, cfg)[off]
+        log_abs[run], sign[run], failed = _batch_series(kind, p[run], signal, noise, off,
+                                                        boxes[run], cfg)
+        refused.update((int(run[j]), exc) for j, exc in failed.items())
+    return boxes, log_abs, sign, refused
+
+
+def _evaluate(kind, p, signal, noise, off, cfg) -> SeriesValue:
     """The family's kernel on one gene and its own box (off 0: den, 1: num).
 
-    Raises when a depth lies past the cap, when the sum overflows, and when
-    the confirmation box moves the sum by rel_tol or more.
+    Raises outside the family's domain, when a depth lies past the cap, when
+    the sum overflows, and when the confirmation box moves the sum by rel_tol
+    or more.
     """
-    if p <= 0:
-        raise DomainError(f"{label} requires p > 0, got {p}")
-    pa = np.array([float(p)])
-    boxes = _FAMILIES[kind].boxes(pa, signal, noise, cfg)[off]
-    log_abs, sign, refused = _batch_series(kind, pa, signal, noise, off, boxes, cfg)
+    boxes, log_abs, sign, refused = _evaluated(kind, np.array([float(p)]), signal, noise,
+                                               off, cfg)
     if refused:
         raise refused[0]
     return SeriesValue(float(log_abs[0]), float(sign[0]), _box_tuple(boxes[0]), True)
@@ -532,12 +552,6 @@ class _GBPairWorkspace:
         self._grid_exp = np.zeros((0, 0))
         self._gmax = 0.0
 
-    def arg1(self, i):
-        return self.s.a * (self.s.u + i) + self.off
-
-    def arg2(self, j):
-        return self.b.a * (self.b.u + j)
-
     def lbeta_grid_exp(self, imax, jmax):
         """exp(lbeta grid - gmax) cached; returns (slice, gmax).
 
@@ -548,8 +562,9 @@ class _GBPairWorkspace:
         if g.shape[0] < imax or g.shape[1] < jmax:
             ni = max(imax, g.shape[0], 16)
             nj = max(jmax, g.shape[1], 16)
-            g = specfun.log_beta(self.arg1(np.arange(ni))[:, None],
-                                 self.arg2(np.arange(nj))[None, :])
+            s, b = self.s, self.b
+            g = specfun.log_beta((s.a * (s.u + np.arange(ni)) + self.off)[:, None],
+                                 b.a * (b.u + np.arange(nj)))
             gmax = float(g[0, 0])
             with np.errstate(under="ignore"):
                 self._grid_exp = np.exp(g - gmax)
@@ -652,6 +667,15 @@ def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, box
     return (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
 
 
+def _refusals(bad, p, message):
+    """{index: DomainError(message(p))} of the genes of p that bad marks."""
+    return {i: DomainError(message(float(p[i]))) for i in np.flatnonzero(bad).tolist()}
+
+
+def _positive_domain(p, signal, noise, label):
+    return _refusals(p <= 0, p, lambda q: f"{label} requires p > 0, got {q}")
+
+
 def _exp_lognormal_log_prefactor(e: ExpParams, l: LognormalParams, p):
     return math.log(e.theta) - e.theta * p
 
@@ -659,13 +683,13 @@ def _exp_lognormal_log_prefactor(e: ExpParams, l: LognormalParams, p):
 def exp_lognormal_den_series(p, e: ExpParams, l: LognormalParams,
                              cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the exponential-signal, lognormal-noise model."""
-    return _evaluate("exp_lognormal", p, e, l, 0, cfg, "exp_lognormal_den")
+    return _evaluate("exp_lognormal", p, e, l, 0, cfg)
 
 
 def exp_lognormal_num_series(p, e: ExpParams, l: LognormalParams,
                              cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel of the same model (noise conditional mean)."""
-    return _evaluate("exp_lognormal", p, e, l, 1, cfg, "exp_lognormal_num")
+    return _evaluate("exp_lognormal", p, e, l, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +737,13 @@ def _gamma_lognormal_log_prefactor(g: GammaParams, l: LognormalParams, p):
 def gamma_lognormal_den_series(p, g: GammaParams, l: LognormalParams,
                                cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the gamma-signal, lognormal-noise model."""
-    return _evaluate("gamma_lognormal", p, g, l, 0, cfg, "gamma_lognormal_den")
+    return _evaluate("gamma_lognormal", p, g, l, 0, cfg)
 
 
 def gamma_lognormal_num_series(p, g: GammaParams, l: LognormalParams,
                                cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = p * num/den."""
-    return _evaluate("gamma_lognormal", p, g, l, 1, cfg, "gamma_lognormal_num")
+    return _evaluate("gamma_lognormal", p, g, l, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -768,122 +792,72 @@ def _gb_pair_log_prefactor(s: GBParams, b: GBParams, p):
             + (s.a * s.u + b.a * b.u - 1.0) * np.log(p))
 
 
-def _gb_pair_eval(p, s, b, off, cfg, label, want_grad=False):
+def _gb_pair_domain(p, s: GBParams, b: GBParams, label):
     upper = gb_support_upper(s) + gb_support_upper(b)
-    if not (0 < p < upper):
-        raise DomainError(f"{label}: p={p} outside the convolution support (0, {upper})")
-    result = _evaluate("gb_gb", p, s, b, off, cfg, label)
-    if not want_grad:
-        return result
+    return _refusals(~((0 < p) & (p < upper)), p, lambda q:
+                     f"{label}: p={q} outside the convolution support (0, {upper})")
 
-    # Signal-block derivative sums on the confirmed box, read from the
-    # kernel's scaled vectors; the shared scale cancels in the returned
-    # ratios d(log series)/d(param).
-    sizes = result.terms_used
-    parts, _ = _gb_pair_parts(np.array([float(p)]), s, b, off, _grow(np.array([sizes])))
-    v1, v2, v3, v4 = (v[0, :n] for v, n in zip(parts, sizes))
-    L, M, N, R = sizes
-    conv13, conv24 = np.convolve(v1, v3), np.convolve(v2, v4)
-    E = parts[4][:conv13.size, :conv24.size]
-    base_rows = E @ conv24
-    S0 = float(np.sum(conv13 * base_rows))
-    if S0 == 0.0:
-        raise SeriesDivergenceError(f"{label}: zero base sum in gradient evaluation")
 
-    ws = _gb_pair_workspace(s, b, off)
-    i_idx = np.arange(conv13.size, dtype=float)
-    A1 = ws.arg1(np.arange(conv13.size))
-    A2 = ws.arg2(np.arange(conv24.size))
-    psi1 = _sp.psi(A1)
-    psi12 = _sp.psi(A1[:, None] + A2[None, :])
-    l_arr = np.arange(L, dtype=float)
-    n_arr = np.arange(N, dtype=float)
-
-    # d/da: i*log(p/d) from the folded power, plus the beta-grid term
-    ld1 = math.log(p) - math.log(s.d)
-    Sa_power = float(np.sum(conv13 * i_idx * base_rows))
-    grid_a = E * ((s.u + np.arange(E.shape[0])[:, None]) * (psi1[:, None] - psi12))
-    Sa_beta = float(np.sum(conv13 * (grid_a @ conv24)))
-    d_a = (ld1 * Sa_power + Sa_beta) / S0
-
-    # d/dc: n/c - l/(1-c) axis weights
-    conv_n = np.convolve(v1, n_arr * v3)
-    conv_l = np.convolve(l_arr * v1, v3)
-    t_n = float(np.sum(conv_n * base_rows)) / s.c if s.c > 0 else 0.0
-    t_l = float(np.sum(conv_l * base_rows)) / (1.0 - s.c) if s.c < 1 else 0.0
-    d_c = (t_n - t_l) / S0
-
-    # d/dd: -a*i/d from the folded power
-    d_d = -s.a / s.d * Sa_power / S0
-
-    # d/du: rising-binomial term (per n) plus the beta-grid term
-    g_n = _sp.psi(s.u + s.v + n_arr) - _sp.psi(s.u + s.v)
-    conv_g = np.convolve(v1, g_n * v3)
-    Su_rise = float(np.sum(conv_g * base_rows))
-    grid_u = E * (psi1[:, None] - psi12)
-    d_u = (Su_rise + s.a * float(np.sum(conv13 * (grid_u @ conv24)))) / S0
-
-    # d/dv: falling-binomial term (per l) plus the same rising term as d/du
-    h_lw = _sp.psi(s.v) - specfun.digamma_any(s.v - l_arr)
-    conv_h = np.convolve(h_lw * v1, v3)
-    d_v = (float(np.sum(conv_h * base_rows)) + Su_rise) / S0
-
-    grad = np.array([d_a, d_c, d_d, d_u, d_v])
-    return result, grad
+def _gb_pair_score(p, s: GBParams, b: GBParams, boxes):
+    """_gb_signal_score of the GB + GB den series: the beta grid B(A, B)
+    against the noise's m and r axes convolved; factor psi(A) - psi(A + B)."""
+    (*vectors, E), _ = _gb_pair_parts(p, s, b, 0, _grow(boxes))
+    v1, v2, v3, v4 = (_on_box(v, boxes[:, k]) for k, v in enumerate(vectors))
+    conv24 = _convolve_rows(v2, v4)
+    A, B = s.a * (s.u + np.arange(E.shape[0])), b.a * (b.u + np.arange(E.shape[1]))
+    return _gb_signal_score(s, np.log(p) - math.log(s.d), v1, v3, conv24, E,
+                            _sp.psi(A)[:, None] - _sp.psi(A[:, None] + B))
 
 
 def gb_pair_den_series(p, s: GBParams, b: GBParams,
                        cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the GB-signal, GB-noise convolution."""
-    return _gb_pair_eval(p, s, b, 0, cfg, "gb_pair_den")
+    return _evaluate("gb_gb", p, s, b, 0, cfg)
 
 
 def gb_pair_num_series(p, s: GBParams, b: GBParams,
                        cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = p * num/den."""
-    return _gb_pair_eval(p, s, b, 1, cfg, "gb_pair_num")
-
-
-def gb_pair_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
-    """(SeriesValue, d log(series)/d(a,c,d,u,v) of the signal block)."""
-    return _gb_pair_eval(p, s, b, 0, cfg, "gb_pair_den", want_grad=True)
+    return _evaluate("gb_gb", p, s, b, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
 # GB + normal triple series
 # ---------------------------------------------------------------------------
 
-def _gb_normal_parts(p, s, b: NormalParams, off, grown, moments=None):
+def _gb_normal_parts(p, s, b: NormalParams, off, grown, moments):
     """The scaled l and m axis vectors and moment columns t^n I_n of every
     gene, on the largest of the sizes grown = (L, M, N) per gene, each scaled
     over and zero past the gene's own sizes; the scaled binomial grid served
-    for the largest request; each gene's log scale.  moments, when given,
-    are the genes' _moment_logs on at least N columns."""
+    for the largest request; each gene's log scale.  moments are the genes'
+    _moment_logs on at least N columns."""
     ws = _gb_normal_workspace(s, off)
-    pm = p - b.mu
-    lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(pm) - math.log(s.d)))
+    lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(p - b.mu) - math.log(s.d)))
     L, M, N = (int(n) for n in grown.max(axis=0))
     v1, m1 = _scaled_axis(*_gb_axis_arrays(ws.fall, L, lg1), grown[:, 0])
     v2, m2 = _scaled_axis(*_gb_axis_arrays(ws.rise, M, lg2), grown[:, 1])
-    logs, signs = moments if moments is not None else _moment_logs(pm, b, N)
+    logs, signs = moments
     vn, mv = _scaled_axis(logs[:, :N], signs[:, :N], grown[:, 2])
     grid, gmax = ws.binom_grid_exp(int((grown[:, 0] + grown[:, 1]).max()) - 1, N)
     return (v1, v2, vn, grid), m1 + m2 + mv + gmax
 
 
-def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, boxes, cfg):
-    """binom_grid_exp scales a block by its own largest entry, so the genes
-    are summed in groups that read the same block: each gene reads the block
-    it reads alone."""
-    grown = _grow(boxes)
+def _gb_normal_groups(p, s, b: NormalParams, off, grown):
+    """(indices, _gb_normal_parts) of each group of genes that read the same
+    block of the binomial grid.  binom_grid_exp scales a block by its own
+    largest entry, so each gene reads the block it reads alone."""
     block = np.array([_GBNormalWorkspace.block_size(n1 + n2 - 1, n3)
                       for n1, n2, n3 in grown.tolist()])
     logs, signs = _moment_logs(p - b.mu, b, int(grown[:, 2].max()))
-    base, wide, scale = np.empty(p.size), np.empty(p.size), np.empty(p.size)
     for size in np.unique(block).tolist():
         idx = np.flatnonzero(block == size)
-        (*vectors, grid), scale[idx] = _gb_normal_parts(p[idx], s, b, off, grown[idx],
-                                                        (logs[idx], signs[idx]))
+        yield idx, _gb_normal_parts(p[idx], s, b, off, grown[idx], (logs[idx], signs[idx]))
+
+
+def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, boxes, cfg):
+    base, wide, scale = np.empty(p.size), np.empty(p.size), np.empty(p.size)
+    for idx, ((*vectors, grid), part_scale) in _gb_normal_groups(p, s, b, off, _grow(boxes)):
+        scale[idx] = part_scale
 
         def rows(vectors):
             v1, v2, vn = vectors
@@ -900,160 +874,100 @@ def _gb_normal_log_prefactor(s: GBParams, b: NormalParams, p):
             - 0.5 * math.log(2.0 * math.pi) + (s.a * s.u - 1.0) * np.log(p - b.mu))
 
 
-def _gb_normal_eval(p, s, b: NormalParams, off, cfg, label, want_grad=False):
-    if p <= b.mu:
-        raise DomainError(
-            f"{label}: series formulation requires p > noise mu, got p={p}, mu={b.mu}")
-    result = _evaluate("gb_normal", p, s, b, off, cfg, label)
-    if not want_grad:
-        return result
+def _gb_normal_domain(p, s: GBParams, b: NormalParams, label):
+    return _refusals(p <= b.mu, p, lambda q: f"{label}: series formulation requires "
+                     f"p > noise mu, got p={q}, mu={b.mu}")
 
-    sizes = result.terms_used
-    (v1, v2, vn, grid), _ = _gb_normal_parts(np.array([float(p)]), s, b, off,
-                                             _grow(np.array([sizes])))
-    L, M, N = sizes
-    v1, v2, vn = v1[0, :L], v2[0, :M], vn[0, :N]
-    conv12 = np.convolve(v1, v2)
-    Gm = grid[:conv12.size, :N]
-    base_rows = Gm @ vn
-    S0 = float(np.sum(conv12 * base_rows))
-    if S0 == 0.0:
-        raise SeriesDivergenceError(f"{label}: zero base sum in gradient evaluation")
 
-    pm = p - b.mu
-    i_idx = np.arange(conv12.size, dtype=float)
-    l_arr = np.arange(L, dtype=float)
-    m_arr = np.arange(M, dtype=float)
-    n_arr = np.arange(N, dtype=float)
-    A = s.a * (s.u + np.arange(conv12.size, dtype=float)) + off
-    psiA = _sp.psi(A)
-    psiAn = specfun.digamma_any(A[:, None] - n_arr[None, :])
-    # entries with zero coefficient contribute nothing to the derivative sums
-    dgrid = Gm * np.nan_to_num(psiA[:, None] - psiAn, nan=0.0, posinf=0.0, neginf=0.0)
-
-    Sa_power = float(np.sum(conv12 * i_idx * base_rows))
-    Sa_grid = float(np.sum(conv12 * (s.u + i_idx) * (dgrid @ vn)))
-    d_a = ((math.log(pm) - math.log(s.d)) * Sa_power + Sa_grid) / S0
-
-    conv_m = np.convolve(v1, m_arr * v2)
-    conv_l = np.convolve(l_arr * v1, v2)
-    t_m = float(np.sum(conv_m * base_rows)) / s.c if s.c > 0 else 0.0
-    t_l = float(np.sum(conv_l * base_rows)) / (1.0 - s.c) if s.c < 1 else 0.0
-    d_c = (t_m - t_l) / S0
-
-    d_d = -s.a / s.d * Sa_power / S0
-
-    g_m = _sp.psi(s.u + s.v + m_arr) - _sp.psi(s.u + s.v)
-    conv_g = np.convolve(v1, g_m * v2)
-    S_rise = float(np.sum(conv_g * base_rows))
-    d_u = (S_rise + s.a * float(np.sum(conv12 * (dgrid @ vn)))) / S0
-
-    h_lw = _sp.psi(s.v) - specfun.digamma_any(s.v - l_arr)
-    conv_h = np.convolve(h_lw * v1, v2)
-    d_v = (float(np.sum(conv_h * base_rows)) + S_rise) / S0
-
-    return result, np.array([d_a, d_c, d_d, d_u, d_v])
+def _gb_normal_score(p, s: GBParams, b: NormalParams, boxes):
+    """_gb_signal_score of the GB + normal den series, by grid block: the
+    binomial grid C(A - 1, n) against the moment column; factor psi(A) -
+    psi(A - n)."""
+    score = np.empty((p.size, 5))
+    log_x = np.log(p - b.mu) - math.log(s.d)
+    for idx, ((*vectors, grid), _) in _gb_normal_groups(p, s, b, 0, _grow(boxes)):
+        v1, v2, vn = (_on_box(v, boxes[idx, k]) for k, v in enumerate(vectors))
+        A = s.a * (s.u + np.arange(grid.shape[0], dtype=float))
+        factor = _sp.psi(A)[:, None] - specfun.digamma_any(A[:, None] - np.arange(vn.shape[1]))
+        score[idx] = _gb_signal_score(s, log_x[idx], v1, v2, vn, grid, factor)
+    return score
 
 
 def gb_normal_den_series(p, s: GBParams, b: NormalParams,
                          cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the GB-signal, normal-noise convolution."""
-    return _gb_normal_eval(p, s, b, 0, cfg, "gb_normal_den")
+    return _evaluate("gb_normal", p, s, b, 0, cfg)
 
 
 def gb_normal_num_series(p, s: GBParams, b: NormalParams,
                          cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = (p - mu) * num/den."""
-    return _gb_normal_eval(p, s, b, 1, cfg, "gb_normal_num")
-
-
-def gb_normal_den_series_with_grad(p, s, b, cfg=SeriesConfig()):
-    """(SeriesValue, d log(series)/d(a,c,d,u,v) of the GB block)."""
-    return _gb_normal_eval(p, s, b, 0, cfg, "gb_normal_den", want_grad=True)
+    return _evaluate("gb_normal", p, s, b, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
-# Family registry and marginal densities assembled from the series
+# Score of the GB signal
 # ---------------------------------------------------------------------------
 
-class _Family(NamedTuple):
-    #: prefix of the per-gene evaluators' names and of their error messages
-    label: str
-    #: summation indices of a box
-    dims: int
-    #: (p array, signal, noise, cfg) -> (den boxes, num boxes), genes x dims
-    #: int arrays
-    boxes: Callable
-    #: (p array, signal, noise, off, boxes, cfg) -> per-gene (sum on the box,
-    #: sum on the grown box, log scale of both), each gene on its own box;
-    #: off 0 is den, 1 is num
-    kernel: Callable
-    #: (signal, noise, p array) -> log marginal density minus log den sum
-    log_prefactor: Callable
+def _gb_signal_score(s: GBParams, log_x, fall, rise, other, grid, factor):
+    """d log f_P/d(a, c, d, u, v) of the signal GB s at every gene, genes x
+    5, from the den series S on each gene's box, for both GB families.
 
-
-_FAMILIES = {
-    "exp_lognormal": _Family("exp_lognormal", 1, _exp_lognormal_boxes,
-                             _exp_lognormal_kernel, _exp_lognormal_log_prefactor),
-    "gamma_lognormal": _Family("gamma_lognormal", 2, _gamma_lognormal_boxes,
-                               _gamma_lognormal_kernel, _gamma_lognormal_log_prefactor),
-    "gb_gb": _Family("gb_pair", 4, _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor),
-    "gb_normal": _Family("gb_normal", 3, _gb_normal_boxes, _gb_normal_kernel,
-                         _gb_normal_log_prefactor),
-}
-
-
-def marginal_gb_log(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
-    den = gb_pair_den_series(p, s, b, cfg)
-    if den.sign <= 0:
-        raise SeriesDivergenceError(
-            "gb_pair_den series converged to a nonpositive value; cancellation "
-            "has destroyed the result")
-    return float(_gb_pair_log_prefactor(s, b, p)) + den.log_abs
-
-
-def marginal_gb(p, s: GBParams, b: GBParams, cfg=SeriesConfig()) -> float:
-    """Series marginal density of P = S + B with GB signal and GB noise."""
-    return math.exp(marginal_gb_log(p, s, b, cfg))
-
-
-def marginal_gb_normal_log(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()):
-    den = gb_normal_den_series(p, s, b, cfg)
-    if den.sign <= 0:
-        raise SeriesDivergenceError(
-            "gb_normal_den series converged to a nonpositive value")
-    return float(_gb_normal_log_prefactor(s, b, p)) + den.log_abs
-
-
-def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> float:
-    """Series marginal density of P = S + B with GB signal and normal noise."""
-    return math.exp(marginal_gb_normal_log(p, s, b, cfg))
-
-
-def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
-    """Series log marginal density of model at every observation of the array p.
-
-    model is of a series family.  The genes the gate accepts are summed in
-    one kernel call, each on its own den box, so a gene's value is the one
-    its den evaluator gives.  Returns (values, ok); ok is False where the
-    gate refuses the gene or its sum is not positive or is not confirmed, and
-    values there are -inf, so callers can route those genes elsewhere.
+    S = sum_i conv(fall, rise)_i G_i: fall and rise are the signal's l and m
+    axes, ((1-c)x)^l and (cx)^m with x = (p'/d)^a and log_x = log(p'/d),
+    zero past each gene's box; G contracts other with the family's grid,
+    whose row i has log-derivative factor in A = a(u + i).  The log
+    prefactor adds log a - a u log d - log B(u, v) + a u log p'.
     """
-    family = _FAMILIES[model.kind]
+    rows = grid.shape[0]
+    G = _contract_rows(other, grid)
+    # the poles of the digamma factors sit on zero coefficients, which add 0
+    D = _contract_rows(other, grid * np.nan_to_num(factor, posinf=0.0))
+    i = np.arange(rows, dtype=float)
+    l = np.arange(fall.shape[1], dtype=float)
+    m = np.arange(rise.shape[1], dtype=float)
+    rising = _sp.psi(s.u + s.v + m) - _sp.psi(s.u + s.v)
+    falling = np.nan_to_num(_sp.psi(s.v) - specfun.digamma_any(s.v - l), posinf=0.0)
+
+    conv = _convolve_rows(fall, rise)[:, :rows]
+
+    def weighted(wl, wm):   # the series with term (l, m) weighted by wl[l] wm[m]
+        return _row_fsums(_convolve_rows(wl * fall, wm * rise)[:, :rows] * G)
+
+    S = _row_fsums(conv * G)
+    power = _row_fsums(conv * i * G)
+    rise_v = weighted(1.0, rising)
+    t_m = weighted(1.0, m) / s.c if s.c > 0 else 0.0
+    t_l = weighted(l, 1.0) / (1.0 - s.c) if s.c < 1 else 0.0
+    psi_uv = _sp.psi(s.u + s.v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([
+            (log_x * power + _row_fsums(conv * (s.u + i) * D)) / S + 1.0 / s.a + s.u * log_x,
+            (t_m - t_l) / S,
+            -s.a / s.d * (power / S + s.u),
+            (rise_v + s.a * _row_fsums(conv * D)) / S + s.a * log_x - _sp.psi(s.u) + psi_uv,
+            (weighted(falling, 1.0) + rise_v) / S + psi_uv - _sp.psi(s.v)], axis=1)
+
+
+def gb_signal_score(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
+    """d log f_P(p)/d(a, c, d, u, v) of the signal GB of a gb_gb or gb_normal
+    model m at every observation of the array p, genes x 5, from the den
+    series on each gene's own box, gate or not, and the log prefactor.
+
+    Raises the error of the first gene, in array order, that the den
+    evaluator refuses or whose sum is zero.
+    """
+    family = _family(m.kind)
+    if family.score is None:
+        raise InvalidParameterError(f"model kind {m.kind!r} has no GB signal score")
     p = np.asarray(p, dtype=float)
-    verdict = gate(model, p, cfg)
-    ok = verdict.ok.copy()
-    out = np.full(p.shape, -np.inf)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        log_den, sign, good = _confirmed_batch(
-            *family.kernel(p[idx], model.signal, model.noise, 0, verdict.den[idx], cfg),
-            cfg)
-        good &= sign > 0
-        out[idx] = np.where(good, family.log_prefactor(model.signal, model.noise, p[idx])
-                            + log_den, -np.inf)
-        ok[idx] = good
-    return out, ok
+    boxes, _, sign, refused = _evaluated(m.kind, p, m.signal, m.noise, 0, cfg)
+    for i in np.flatnonzero(sign == 0).tolist():
+        refused.setdefault(i, SeriesDivergenceError(
+            f"{family.label}_den: zero base sum in gradient evaluation"))
+    if refused:
+        raise refused[min(refused)]
+    return family.score(p, m.signal, m.noise, boxes) if p.size else np.zeros((0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -1092,27 +1006,133 @@ def _gb_in_region(g: GBParams, p):
     return (np.maximum(cx, ox) <= GB_RATIO_MAX) & (spread <= GB_SPREAD_LOG_MAX)
 
 
+def _gb_normal_in_region(s: GBParams, b: NormalParams, p):
+    ok = (b.mu > 0) & (p > b.mu)
+    q = p[ok]
+    ok[ok] = ((b.mu / (q - b.mu) <= GBN_ENDPOINT_RATIO_MAX)
+              & ((q - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN)
+              & _gb_in_region(s, q))
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# Family registry and marginal densities assembled from the series
+# ---------------------------------------------------------------------------
+
+class _Family(NamedTuple):
+    #: prefix of the per-gene evaluators' names and of their error messages
+    label: str
+    #: summation indices of a box
+    dims: int
+    #: (p array, signal, noise, label) -> {index: DomainError}, the evaluators'
+    domain: Callable
+    #: (signal, noise, array of p > 0) -> the gate's other checks, bool array
+    in_region: Callable
+    #: (p array, signal, noise, cfg) -> (den boxes, num boxes), genes x dims
+    #: int arrays
+    boxes: Callable
+    #: (p array, signal, noise, off, boxes, cfg) -> per-gene (sum on the box,
+    #: sum on the grown box, log scale of both), each gene on its own box;
+    #: off 0 is den, 1 is num
+    kernel: Callable
+    #: (signal, noise, p array) -> log marginal density minus log den sum
+    log_prefactor: Callable
+    #: (p array, signal, noise, den boxes) -> _gb_signal_score; GB families
+    score: Optional[Callable] = None
+
+
+_FAMILIES = {
+    "exp_lognormal": _Family("exp_lognormal", 1, _positive_domain,
+                             lambda e, l, p: np.full(p.shape, l.sigma <= LN_SIGMA_MAX),
+                             _exp_lognormal_boxes, _exp_lognormal_kernel,
+                             _exp_lognormal_log_prefactor),
+    "gamma_lognormal": _Family("gamma_lognormal", 2, _positive_domain,
+                               lambda g, l, p: (np.log(p) - l.mu) / l.sigma >= LN_TAIL_Z_MIN,
+                               _gamma_lognormal_boxes, _gamma_lognormal_kernel,
+                               _gamma_lognormal_log_prefactor),
+    "gb_gb": _Family("gb_pair", 4, _gb_pair_domain,
+                     lambda s, b, p: _gb_in_region(s, p) & _gb_in_region(b, p),
+                     _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor,
+                     _gb_pair_score),
+    "gb_normal": _Family("gb_normal", 3, _gb_normal_domain, _gb_normal_in_region,
+                         _gb_normal_boxes, _gb_normal_kernel, _gb_normal_log_prefactor,
+                         _gb_normal_score),
+}
+
+
+def _family(kind):
+    family = _FAMILIES.get(kind)
+    if family is None:
+        raise InvalidParameterError(f"model kind {kind!r} has no series")
+    return family
+
+
+def _marginal_log(kind, p, signal, noise, cfg):
+    family = _FAMILIES[kind]
+    den = _evaluate(kind, p, signal, noise, 0, cfg)
+    if den.sign <= 0:
+        raise SeriesDivergenceError(
+            f"{family.label}_den series converged to a nonpositive value; "
+            f"cancellation has destroyed the result")
+    return float(family.log_prefactor(signal, noise, p)) + den.log_abs
+
+
+def marginal_gb_log(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
+    return _marginal_log("gb_gb", p, s, b, cfg)
+
+
+def marginal_gb(p, s: GBParams, b: GBParams, cfg=SeriesConfig()) -> float:
+    """Series marginal density of P = S + B with GB signal and GB noise."""
+    return math.exp(marginal_gb_log(p, s, b, cfg))
+
+
+def marginal_gb_normal_log(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()):
+    return _marginal_log("gb_normal", p, s, b, cfg)
+
+
+def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> float:
+    """Series marginal density of P = S + B with GB signal and normal noise."""
+    return math.exp(marginal_gb_normal_log(p, s, b, cfg))
+
+
+def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
+    """Series log marginal density of model at every observation of the array p.
+
+    model is of a series family.  The genes the gate accepts are summed in
+    one kernel call, each on its own den box, so a gene's value is the one
+    its den evaluator gives.  Returns (values, ok); ok is False where the
+    gate refuses the gene or its sum is not positive or is not confirmed, and
+    values there are -inf, so callers can route those genes elsewhere.
+    """
+    family = _family(model.kind)
+    p = np.asarray(p, dtype=float)
+    verdict = gate(model, p, cfg)
+    ok = verdict.ok.copy()
+    out = np.full(p.shape, -np.inf)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        log_den, sign, good = _confirmed_batch(
+            *family.kernel(p[idx], model.signal, model.noise, 0, verdict.den[idx], cfg),
+            cfg)
+        good &= sign > 0
+        out[idx] = np.where(good, family.log_prefactor(model.signal, model.noise, p[idx])
+                            + log_den, -np.inf)
+        ok[idx] = good
+    return out, ok
+
+
+# ---------------------------------------------------------------------------
+# The convergence gate
+# ---------------------------------------------------------------------------
+
 def _in_region(m: ModelSpec, p):
     """The gate's checks other than the truncation depths, p > 0 among them,
     at every observation of p (a bool for a float p)."""
+    family = _family(m.kind)
     p = np.asarray(p, dtype=float)
     flat = p.reshape(-1)
     ok = flat > 0
-    kind = m.kind
-    if kind == "exp_lognormal":
-        ok &= m.noise.sigma <= LN_SIGMA_MAX
-    elif kind == "gamma_lognormal":
-        ok[ok] = (np.log(flat[ok]) - m.noise.mu) / m.noise.sigma >= LN_TAIL_Z_MIN
-    elif kind == "gb_gb":
-        q = flat[ok]
-        ok[ok] = _gb_in_region(m.signal, q) & _gb_in_region(m.noise, q)
-    elif kind == "gb_normal":
-        b = m.noise
-        ok &= (b.mu > 0) & (flat > b.mu)
-        q = flat[ok]
-        ok[ok] = ((b.mu / (q - b.mu) <= GBN_ENDPOINT_RATIO_MAX)
-                  & ((q - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN)
-                  & _gb_in_region(m.signal, q))
+    ok[ok] = family.in_region(m.signal, m.noise, flat[ok])
     out = ok.reshape(p.shape)
     return out if out.ndim else bool(out)
 
@@ -1137,12 +1157,9 @@ def gate(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> Gate:
     within 85% of the index cap.  Each gene's verdict and boxes are computed
     elementwise, so they do not depend on the other genes of the array.
     """
+    family = _family(m.kind)
     p = np.asarray(p, dtype=float)
     inside = np.asarray(_in_region(m, p), dtype=bool)
-    family = _FAMILIES.get(m.kind)
-    if family is None:
-        empty = np.zeros((p.size, 0), dtype=int)
-        return Gate(inside, empty, empty)
     den = np.zeros((p.size, family.dims), dtype=int)
     num = np.zeros((p.size, family.dims), dtype=int)
     idx = np.flatnonzero(inside)

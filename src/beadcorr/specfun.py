@@ -50,7 +50,8 @@ def digamma_any(x):
     """Digamma extended to negative non-integer arguments by reflection.
 
     Needed by the score series, whose binomial-coefficient derivatives land on
-    psi(v - l) with l exceeding v.  Poles (nonpositive integers) return +/-inf.
+    psi(v - l) with l exceeding v.  Poles (nonpositive integers) return -inf,
+    the limit from the right (scipy's psi(0)), without a warning.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -60,7 +61,9 @@ def digamma_any(x):
     if np.any(neg):
         xn = x[neg]
         # psi(x) = psi(1-x) - pi/tan(pi*x)
-        out[neg] = _sp.psi(1.0 - xn) - math.pi / np.tan(math.pi * xn)
+        with np.errstate(divide="ignore"):
+            out[neg] = np.where(xn == np.floor(xn), -np.inf,
+                                _sp.psi(1.0 - xn) - math.pi / np.tan(math.pi * xn))
     return out if out.ndim else float(out)
 
 

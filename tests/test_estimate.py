@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GBNormal, GBParams, LognormalParams, NormalParams,
                             dist_sample, model_from_values, model_to_values,
                             param_names)
-from beadcorr.errors import (DegenerateControlsError, InvalidParameterError,
-                             QuadratureError, UnsupportedMethodError)
+from beadcorr.errors import (BeadcorrError, DegenerateControlsError,
+                             InvalidParameterError, QuadratureError,
+                             SeriesNonConvergenceError, UnsupportedMethodError)
 
 CFG = series.SeriesConfig()
 
@@ -314,6 +317,69 @@ class TestScores:
         # different gene vectors; the signal block is not
         np.testing.assert_allclose(sa[:5], sb[:5], rtol=1e-12)
         assert not np.allclose(sa[5:], sb[5:])
+
+    def test_array_score_is_the_sum_of_its_genes(self):
+        # on the criterion-5 draws: each gene's score is the one it has alone,
+        # in any order
+        import test_acceptance
+        draws = test_acceptance.TestCriterion5Scores()
+        for seed, draw, score in ((505, draws._draw_gb_pair_problem, estimate.score_gb),
+                                  (515, draws._draw_gb_normal_problem,
+                                   estimate.score_gb_normal)):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                m, prob = draw(rng)
+                whole = score(m, prob)
+                alone = sum(score(m, estimate.EstimationProblem(
+                    prob.observed[i:i + 1], prob.negatives, prob.model_kind))
+                    for i in range(prob.observed.size))
+                # the control block enters every one-gene problem
+                k = 5 if m.kind == "gb_gb" else 2
+                np.testing.assert_allclose(whole[k:], alone[k:], rtol=1e-12)
+                rev = score(m, estimate.EstimationProblem(
+                    prob.observed[::-1], prob.negatives, prob.model_kind))
+                np.testing.assert_allclose(rev, whole, rtol=1e-12)
+
+    @staticmethod
+    def _reference_problem(kind, signal_c, noise_c=None):
+        m, genes = simulate.REFERENCE_MODELS[kind]
+        data = simulate.simulate_experiment(m, genes, max(genes // 4, 50), seed=7)
+        noise = m.noise if noise_c is None else dataclasses.replace(m.noise, c=noise_c)
+        return (type(m)(dataclasses.replace(m.signal, c=signal_c), noise),
+                estimate.EstimationProblem(data.observed, data.negatives, kind))
+
+    def test_score_raises_the_first_refused_genes_error(self):
+        m, prob = self._reference_problem("gb_gb", 0.999, 0.999)
+        first = None
+        for p in prob.observed.tolist():
+            try:
+                series.gb_pair_den_series(p, m.signal, m.noise, CFG)
+            except BeadcorrError as exc:
+                first = exc
+                break
+        assert isinstance(first, SeriesNonConvergenceError)
+        assert "lie past the cap" in str(first)
+        with pytest.raises(SeriesNonConvergenceError) as info:
+            estimate.score_gb(m, prob)
+        assert str(info.value) == str(first)
+
+    def test_gb_normal_score_at_integer_grid_arguments(self):
+        # a(u + i) is an integer at every grid row, so the binomial grid's
+        # digamma factors land on poles at its zero coefficients
+        m, prob = self._reference_problem("gb_normal", 0.999)
+        keep = []
+        for p in prob.observed.tolist():
+            try:
+                series.gb_normal_den_series(p, m.signal, m.noise, CFG)
+                keep.append(p)
+            except BeadcorrError:
+                pass
+        assert len(keep) > 200
+        prob = estimate.EstimationProblem(np.array(keep), prob.negatives, "gb_normal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = estimate.score_gb_normal(m, prob)
+        assert np.all(np.isfinite(score))
 
     def test_boundary_c_rejected(self):
         s = GBParams(1, 0.0, 1, 1.5, 2.5)
