@@ -15,8 +15,6 @@ from typing import Union, get_type_hints
 
 import numpy as np
 from scipy import special as _sp
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from . import specfun
 from .errors import InvalidParameterError
@@ -531,20 +529,28 @@ def _gb_inversion_table(p: GBParams):
     return knots, cdf, to_x
 
 
+#: bisection halvings of a knot panel; 2^-60 of a panel is below float spacing
+_GB_HALVINGS = 60
+
+
 def _gb_sample(p: GBParams, n, rng):
+    """Inverse-CDF draws: every draw bisects the monotone PCHIP CDF on its
+    own knot panel, all draws at once."""
+    from scipy.interpolate import PchipInterpolator
+
     knots, cdf, to_x = _gb_inversion_table(p)
     interp = PchipInterpolator(knots, cdf)
     u = rng.uniform(size=n)
     # keep draws strictly inside the tabulated range
     u = np.clip(u, cdf[1] * 1e-6 + 1e-15, 1.0 - 1e-12)
-    z = np.empty(n)
     idx = np.searchsorted(cdf, u, side="right") - 1
     idx = np.clip(idx, 0, len(knots) - 2)
-    for i in range(n):
-        lo, hi = knots[idx[i]], knots[idx[i] + 1]
-        flo, fhi = cdf[idx[i]], cdf[idx[i] + 1]
-        if fhi - flo <= 0:
-            z[i] = lo
-            continue
-        z[i] = brentq(lambda zz: interp(zz) - u[i], lo, hi, xtol=1e-15, rtol=1e-14)
-    return to_x(z)
+    lo, hi = knots[idx], knots[idx + 1]
+    # a panel without mass has no root inside; its draw is the panel's left end
+    hi = np.where(cdf[idx + 1] > cdf[idx], hi, lo)
+    for _ in range(_GB_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = interp(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return to_x(0.5 * (lo + hi))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sp
 
 from . import correct, oracle, quadrature, series, specfun
@@ -489,6 +488,8 @@ def _starts(x0, bounds, budget, rng):
 
 def _nm_maximize(objective, x0, bounds, budget, rng):
     """Multi-start Nelder-Mead on -objective in transformed space."""
+    from scipy import optimize as _opt
+
     def neg(x):
         try:
             v = objective(x)
@@ -527,6 +528,8 @@ def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
     winning result, the evaluations of all starts and (value, gradient) of
     the objective at the winner.
     """
+    from scipy import optimize as _opt
+
     seen = {}
 
     def neg(x):

@@ -13,13 +13,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dists import (ExpParams, GammaParams, GBParams, ModelSpec, NormalParams,
                     dist_logpdf, dist_logpdf_scalar, dist_support)
 from .errors import DomainError, NumericUnderflowError, QuadratureError
 
 _LOG_TINY = math.log(1e-300)
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call so that importing
+    beadcorr does not load QUADPACK.  Every referee integral goes through this
+    module attribute, so a wrapper set on ``oracle.quad`` sees each call."""
+    from scipy.integrate import quad as _quad
+
+    return _quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)

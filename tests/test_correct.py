@@ -130,6 +130,34 @@ class TestExpGamma:
             assert isinstance(one, float)
             assert v == pytest.approx(one, rel=1e-14)
 
+    # values of the one-p-at-a-time sums; x = -lam p crosses the switch from
+    # the series to the asymptotic expansion at 700 inside every row
+    _PINNED_NONPOSITIVE = {
+        (0.5, -0.25): [(1.0, 0.7793012144726473), (40.0, 9.600832366249524),
+                       (2799.0, 697.1685014382141), (2801.0, 697.6681437833057),
+                       (8000.0, 1996.8929461072319)],
+        (2.0, -0.25): [(1.0, -0.5247639799907607), (40.0, 14.969818343999918),
+                       (2799.0, 709.071881746709), (2801.0, 709.5725970543218),
+                       (8000.0, 2010.37299105674)],
+        (7.5, -3.0): [(0.01, -36.52720391723413), (5.0, 23.987802653546403),
+                      (233.3, 734.2322441307797), (233.4, 734.535033599664),
+                      (1000.0, 3043.7996319823064)],
+        (1.0, -3.0): [(0.01, -4.590132686269337), (5.0, 13.90138740542952),
+                      (233.3, 698.801387711332), (233.4, 699.1013877113319),
+                      (1000.0, 2998.901387711332)],
+    }
+
+    @pytest.mark.parametrize("a, lam", list(_PINNED_NONPOSITIVE))
+    def test_log_truncated_gamma_integral_nonpositive_rate_pinned(self, a, lam):
+        ps, want = map(np.array, zip(*self._PINNED_NONPOSITIVE[(a, lam)]))
+        # shuffled, so each sum stops at a different place in the array
+        order = np.array([3, 0, 4, 2, 1])
+        got = correct.log_truncated_gamma_integral(a, lam, ps[order])
+        np.testing.assert_allclose(got, want[order], rtol=1e-14, atol=0)
+        for p, v in zip(ps, want):
+            assert correct.log_truncated_gamma_integral(a, lam, float(p)) == pytest.approx(
+                v, rel=1e-14, abs=0)
+
     def test_log_truncated_gamma_integral_rejects_nonpositive_p(self):
         from beadcorr.errors import DomainError
         with pytest.raises(DomainError):

@@ -246,3 +246,66 @@ class TestSampling:
             ks = max(ks, abs(cdf - emp_lo), abs(cdf - emp_hi))
             prev_x, prev_cdf = x, cdf
         assert ks < 1.63 / math.sqrt(n)  # 1% critical value
+
+
+#: 20 draws at seed 20131220 of each reference GB component and one c < 1
+#: component, each solved on its knot panel by Brent's method (xtol 1e-15,
+#: rtol 1e-14): an independent inversion of the same PCHIP CDF
+_PINNED_GB_DRAWS = {
+    "gb_gb signal": (GBParams(1.0, 1.0, 30.0, 2.0, 8.0), [
+        8.759152704229386, 1.1624628040624747, 0.582118235273878, 7.704031069934835,
+        11.58210986158773, 6.162346342066004, 11.101451806145315, 10.467707703406164,
+        7.318239710103783, 3.8862518556240353, 3.1954424742875673, 2.563150217084207,
+        3.894139916795, 10.941962519431264, 15.918307423860853, 2.0991172995105263,
+        0.9845878108826842, 12.658257205243261, 20.710759497414788, 10.379189127164105]),
+    "gb_gb noise": (GBParams(1.0, 1.0, 30.0, 1.5, 12.0), [
+        4.189245154971942, 0.38350830740222563, 0.15912384460791285, 3.63641393355955,
+        5.667981820647475, 2.8320065521112006, 5.416641251238066, 5.084873452384242,
+        3.4345999083844645, 1.6655879442895272, 1.3221440912860674, 1.0155570329931531,
+        1.669549949461349, 5.333185206957344, 7.918498136681959, 0.7971914370486345,
+        0.3111269811752252, 6.2295850411560885, 10.359534199685513, 5.038504528115132]),
+    "gb_normal signal": (GBParams(1.0, 1.0, 20.0, 2.0, 10.0), [
+        4.603625841641506, 0.6246590883242071, 0.31338000604633903, 4.060769668414255,
+        6.042136644995928, 3.2622093718304845, 5.798586130157438, 5.47661446746981,
+        3.861544593720894, 2.070960114123008, 1.7063617609171637, 1.371350461645188,
+        2.0751150948320256, 5.717649792891476, 8.215343532503304, 1.12468681294376,
+        0.529377542122692, 6.5854439999086996, 10.57107635666334, 5.4315650218864295]),
+    "c = 0.5": (GBParams(1.0, 0.5, 1.0, 2.0, 3.0), [
+        0.6112427981659726, 0.09314065457076633, 0.04708915813871638, 0.5485948094846941,
+        0.7650889772496352, 0.45177949783011245, 0.7402614166055851, 0.7066846682871839,
+        0.5249618044883775, 0.2970524533905149, 0.24726761532230643, 0.20054493205489984,
+        0.29761331504528427, 0.7319022760836663, 0.9657816889638111, 0.16555592168505334,
+        0.07912109604191023, 0.8187294292339733, 1.1448571337865485, 0.7019175777922337]),
+}
+
+
+class TestGBSampler:
+    def test_reference_components_are_pinned(self):
+        from beadcorr.simulate import REFERENCE_MODELS
+        gb_gb, gb_normal = REFERENCE_MODELS["gb_gb"][0], REFERENCE_MODELS["gb_normal"][0]
+        assert _PINNED_GB_DRAWS["gb_gb signal"][0] == gb_gb.signal
+        assert _PINNED_GB_DRAWS["gb_gb noise"][0] == gb_gb.noise
+        assert _PINNED_GB_DRAWS["gb_normal signal"][0] == gb_normal.signal
+
+    @pytest.mark.parametrize("name", list(_PINNED_GB_DRAWS))
+    def test_matches_pinned_root_finder_draws(self, name):
+        params, want = _PINNED_GB_DRAWS[name]
+        got = dist_sample(params, 20, np.random.default_rng(20131220))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", list(_PINNED_GB_DRAWS))
+    def test_same_seed_same_bytes(self, name):
+        params, _ = _PINNED_GB_DRAWS[name]
+        a = dist_sample(params, 500, np.random.default_rng(4))
+        b = dist_sample(params, 500, np.random.default_rng(4))
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("params", [
+        GBParams(1.0, 0.5, 1.0, 2.0, 3.0),
+        GBParams(2.0, 0.9, 1.0, 0.7, 0.4),     # v < 1: mass piled at the upper end
+        GBParams(0.5, 0.3, 2.0, 0.6, 5.0),     # u < 1: mass piled at zero
+    ])
+    def test_draws_inside_support(self, params):
+        draws = dist_sample(params, 20000, np.random.default_rng(9))
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws > 0.0) & (draws < gb_support_upper(params)))
