@@ -1,13 +1,17 @@
 """Corrected background intensities E[S | P = p] for the seven models.
 
-Closed forms where they exist, series where the model has one (with a
-quadrature fallback outside the series convergence region), and quadrature
-for the gamma-normal model.  A series array runs the array gate
-(``series.gate``) and one den and one num kernel call on the genes it
-accepts (``series.batch_series``, each gene on its own box); the public
-correctors run the same route on one gene.  Both quadrature routes run the
-batched tanh-sinh engine (``quadrature.log_integrals``), once per array, and
-hand the genes it cannot certify to the referee's QUADPACK.  Every corrector can report which
+Each family has the paper's method (``PAPER_ROUTES``): closed forms where
+they exist, series where the model has one (with a quadrature fallback
+outside the series convergence region), and quadrature for the gamma-normal
+model.  The public correctors and ``correct_array_series`` take it.
+``correct_array`` takes the route of ``ROUTES``, the cheapest evaluator that
+meets the family's tolerance: the closed forms, the exp_lognormal series,
+and the batched tanh-sinh engine (``quadrature.log_integrals``) for
+gamma_normal, gamma_lognormal, gb_gb and gb_normal.  A series array runs the
+array gate (``series.gate``) and one den and one num kernel call on the
+genes it accepts (``series.batch_series``, each gene on its own box).  The
+genes that need quadrature go to the engine, once per array, and those it
+cannot certify to the referee's QUADPACK.  Every corrector can report which
 path produced its value; batch application never aborts on a single bad gene.
 """
 
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
@@ -429,6 +433,16 @@ def _gb_domain(p, s: GBParams, b: GBParams):
         raise DomainError(f"p={p} outside the convolution support (0, {upper})")
 
 
+#: (p, signal, noise) -> None; raises DomainError outside the family's domain,
+#: on every route of the family
+_DOMAINS = {
+    "exp_lognormal": _positive("correct_exp_lognormal"),
+    "gamma_lognormal": _positive("correct_gamma_lognormal"),
+    "gb_gb": _gb_domain,
+    "gb_normal": _positive("correct_gb_normal"),
+}
+
+
 def _exp_lognormal_value(p, lnum, lden, e: ExpParams, l: LognormalParams):
     return p - np.exp(l.mu + 0.5 * l.sigma ** 2 + lnum - lden)
 
@@ -441,19 +455,30 @@ def _gb_normal_value(p, lnum, lden, s: GBParams, b: NormalParams):
     return (p - b.mu) * np.exp(lnum - lden)
 
 
-class _Plan(NamedTuple):
-    #: (p, signal, noise) -> None; raises DomainError outside the model's domain
-    domain: Callable
-    #: (p array, log num, log den, signal, noise) -> corrected values
-    value: Callable
-
-
-_SERIES_PLANS = {
-    "exp_lognormal": _Plan(_positive("correct_exp_lognormal"), _exp_lognormal_value),
-    "gamma_lognormal": _Plan(_positive("correct_gamma_lognormal"), _ratio_value),
-    "gb_gb": _Plan(_gb_domain, _ratio_value),
-    "gb_normal": _Plan(_positive("correct_gb_normal"), _gb_normal_value),
+#: (p array, log num, log den, signal, noise) -> the series' corrected values
+_SERIES_VALUES = {
+    "exp_lognormal": _exp_lognormal_value,
+    "gamma_lognormal": _ratio_value,
+    "gb_gb": _ratio_value,
+    "gb_normal": _gb_normal_value,
 }
+
+
+def _in_domain(ps, m: ModelSpec):
+    """(outcomes, inside): per gene of ps the DomainError that refuses it or
+    None, and the indices of the genes inside the family's domain."""
+    check = _DOMAINS.get(m.kind)
+    out = [None] * ps.size
+    if check is None:
+        return out, np.arange(ps.size)
+    inside = []
+    for i, p in enumerate(ps.tolist()):
+        try:
+            check(p, m.signal, m.noise)
+            inside.append(i)
+        except DomainError as exc:
+            out[i] = exc
+    return out, np.array(inside, dtype=int)
 
 
 def _series_values(ps, m: ModelSpec, cfg):
@@ -461,24 +486,15 @@ def _series_values(ps, m: ModelSpec, cfg):
     value None where quadrature must answer, or the DomainError that refuses
     the gene.
 
-    The plan's domain checks run gene by gene; then the array gate, one den
+    The family's domain checks run gene by gene; then the array gate, one den
     and one num kernel call on the genes the gate accepts (each on its own
     box), and the value formula.  Genes outside the convergence region,
     series that cancel or fail, and values outside (0, p) go to quadrature
     with the reason recorded.  A gene's outcome does not depend on the other
     genes of the array.
     """
-    plan = _SERIES_PLANS[m.kind]
-    out = [None] * ps.size
+    out, inside = _in_domain(ps, m)
     reasons = {}
-    inside = []
-    for i, p in enumerate(ps.tolist()):
-        try:
-            plan.domain(p, m.signal, m.noise)
-            inside.append(i)
-        except DomainError as exc:
-            out[i] = exc
-    inside = np.array(inside, dtype=int)
     verdict = series.gate(m, ps[inside], cfg)
     for i in inside[~verdict.ok].tolist():
         reasons[i] = "outside series convergence region"
@@ -496,7 +512,8 @@ def _series_values(ps, m: ModelSpec, cfg):
     live &= ~cancel
     genes = genes[live]
     with np.errstate(over="ignore"):
-        values = plan.value(ps[genes], lnum[live], lden[live], m.signal, m.noise)
+        values = _SERIES_VALUES[m.kind](ps[genes], lnum[live], lden[live],
+                                        m.signal, m.noise)
     for i, value, p in zip(genes.tolist(), values.tolist(), ps[genes].tolist()):
         if 0.0 < value < p:
             out[i] = (value, _SERIES_INFO)
@@ -541,6 +558,29 @@ def correct_gb_normal(p, s: GBParams, b: NormalParams,
 # Whole-array application
 # ---------------------------------------------------------------------------
 
+#: The paper's method for each family: its closed form, its series (with
+#: quadrature where the series does not converge) or, for gamma_normal,
+#: quadrature.  The public correctors and ``correct_array_series`` take it.
+PAPER_ROUTES = {
+    "exp_normal": "closed",
+    "exp_gamma": "closed",
+    "gamma_normal": "quadrature",
+    "exp_lognormal": "series",
+    "gamma_lognormal": "series",
+    "gb_gb": "series",
+    "gb_normal": "series",
+}
+
+#: The route ``correct_array`` takes for each family: the cheapest evaluator
+#: that meets the family's tolerance, by measurement on the reference arrays.
+#: The tanh-sinh engine answers a gamma_lognormal, gb_gb or gb_normal array
+#: faster than the gate and the two series kernels, and its gb_normal values
+#: integrate the untruncated normal noise, as the referee does; the
+#: exp_lognormal series stays faster than the engine.
+ROUTES = {**PAPER_ROUTES, "gamma_lognormal": "quadrature", "gb_gb": "quadrature",
+          "gb_normal": "quadrature"}
+
+
 @dataclass(frozen=True)
 class GeneDiagnostic:
     index: int
@@ -548,32 +588,17 @@ class GeneDiagnostic:
     error: Optional[str] = None
 
 
-def _route(p, m: ModelSpec, variant):
-    """(value, CorrectionInfo) of one gene of a closed-form or gamma_normal model.
-
-    The value is None where quadrature must answer: every gamma_normal gene.
-    variant picks the exp_normal form.
-    """
-    kind = m.kind
-    if kind == "exp_normal":
+def _closed_values(ps, m: ModelSpec, variant):
+    """Per gene: (value, CorrectionInfo) of the closed form, or the
+    BeadcorrError that refuses the gene; variant picks the exp_normal form."""
+    if m.kind == "exp_gamma":
+        fn = correct_exp_gamma
+    else:
         fn = correct_mbcb if variant == "mbcb" else correct_rma
-        return fn(p, m.signal, m.noise), _CLOSED_INFO
-    if kind == "exp_gamma":
-        return correct_exp_gamma(p, m.signal, m.noise), _CLOSED_INFO
-    if kind == "gamma_normal":
-        return None, _QUADRATURE_INFO
-    raise InvalidParameterError(f"unknown model kind {kind!r}")
-
-
-def _routes(ps, m: ModelSpec, cfg, variant):
-    """_route, or _series_values for a series family, at every gene of ps:
-    per gene (value, CorrectionInfo) or the BeadcorrError that refuses it."""
-    if m.kind in _SERIES_PLANS:
-        return _series_values(ps, m, cfg)
     out = []
     for p in ps.tolist():
         try:
-            out.append(_route(p, m, variant))
+            out.append((fn(p, m.signal, m.noise), _CLOSED_INFO))
         except BeadcorrError as exc:
             out.append(exc)
     return out
@@ -586,58 +611,85 @@ def _quadrature_cfg(m: ModelSpec, qcfg):
     return qcfg or oracle.QuadConfig()
 
 
+def _outcomes(ps, m: ModelSpec, route, cfg, variant, qcfg):
+    """Per gene of ps: (value, CorrectionInfo) by the route, or the
+    BeadcorrError that refuses the gene.
+
+    'closed' runs the closed form gene by gene, 'series' the series families'
+    array pass (``_series_values``), and 'quadrature' the family's domain
+    check gene by gene.  The genes left without a value then go to the
+    tanh-sinh engine in one call.
+    """
+    if route == "closed":
+        out = _closed_values(ps, m, variant)
+    elif route == "series":
+        out = _series_values(ps, m, cfg)
+    else:
+        out, inside = _in_domain(ps, m)
+        for i in inside.tolist():
+            out[i] = (None, _QUADRATURE_INFO)
+    pending = [i for i, o in enumerate(out) if isinstance(o, tuple) and o[0] is None]
+    if pending:
+        values = _quadrature_means(ps[pending], m, _quadrature_cfg(m, qcfg))
+        for i, value in zip(pending, values):
+            out[i] = value if isinstance(value, BeadcorrError) else (value, out[i][1])
+    return out
+
+
 def _correct_one(p, m: ModelSpec, cfg, variant, qcfg=None):
-    """(value, CorrectionInfo) of one gene; variant picks the exp_normal form.
+    """(value, CorrectionInfo) of one gene by the paper's method; variant
+    picks the exp_normal form.
 
     qcfg sets the quadrature fallback of the series correctors.
     """
-    outcome = _routes(np.array([p], dtype=float), m, cfg, variant)[0]
+    outcome = _outcomes(np.array([p], dtype=float), m, PAPER_ROUTES[m.kind],
+                        cfg, variant, qcfg)[0]
     if isinstance(outcome, BeadcorrError):
         raise outcome
-    value, info = outcome
-    if value is None:
-        value = _quadrature_mean(p, m, _quadrature_cfg(m, qcfg))
-    return value, info
+    return outcome
 
 
-def _error_diagnostic(i, exc):
-    return GeneDiagnostic(index=i, path="error", error=f"{type(exc).__name__}: {exc}")
+def _apply(observed, m: ModelSpec, route, cfg, variant, qcfg):
+    observed = np.asarray(observed, dtype=float)
+    corrected = np.full(observed.shape, math.nan)
+    diags = []
+    for i, outcome in enumerate(_outcomes(observed, m, route, cfg, variant, qcfg)):
+        if isinstance(outcome, BeadcorrError):
+            diags.append(GeneDiagnostic(index=i, path="error",
+                                        error=f"{type(outcome).__name__}: {outcome}"))
+        else:
+            corrected[i], info = outcome
+            diags.append(GeneDiagnostic(index=i, path=info.path,
+                                        error=info.fallback_reason))
+    return corrected, diags
 
 
 def correct_array(observed, m: ModelSpec,
                   cfg: series.SeriesConfig = series.SeriesConfig(),
                   exp_normal_variant: str = "rma",
                   qcfg: oracle.QuadConfig = None):
-    """Apply the model's corrector to every gene of an array.
+    """Apply the family's route (``ROUTES``) to every gene of an array.
 
-    Closed forms run gene by gene; a series family runs the array gate and
-    one den and one num kernel call for the whole array; the genes that need
-    quadrature (every gamma_normal gene, the series genes that fall back) go
-    to the tanh-sinh engine in one call.  Order is preserved and a failing gene
-    never aborts the batch: its output is NaN and the diagnostic row records
-    the error.  qcfg sets the quadrature fallback of the series correctors
-    (default oracle.QuadConfig()).  Returns (corrected array, list of
-    GeneDiagnostic).
+    Closed forms run gene by gene; the exp_lognormal series runs the array
+    gate and one den and one num kernel call for the whole array; a
+    quadrature family (gamma_normal, gamma_lognormal, gb_gb, gb_normal) runs
+    its domain check gene by gene.  The genes that need quadrature, the
+    series genes that fall back included, go to the tanh-sinh engine in one
+    call, and those it cannot certify to the referee's QUADPACK.  Order is
+    preserved and a failing gene never aborts the batch: its output is NaN
+    and the diagnostic row records the error.  qcfg sets the quadrature of
+    every family but gamma_normal (default oracle.QuadConfig()).  Returns
+    (corrected array, list of GeneDiagnostic).
     """
-    observed = np.asarray(observed, dtype=float)
-    corrected = np.full(observed.shape, math.nan)
-    diags = []
-    pending = []
-    for i, outcome in enumerate(_routes(observed, m, cfg, exp_normal_variant)):
-        if isinstance(outcome, BeadcorrError):
-            diags.append(_error_diagnostic(i, outcome))
-            continue
-        value, info = outcome
-        if value is None:
-            pending.append(i)
-        else:
-            corrected[i] = value
-        diags.append(GeneDiagnostic(index=i, path=info.path, error=info.fallback_reason))
-    if pending:
-        values = _quadrature_means(observed[pending], m, _quadrature_cfg(m, qcfg))
-        for i, value in zip(pending, values):
-            if isinstance(value, BeadcorrError):
-                diags[i] = _error_diagnostic(i, value)
-            else:
-                corrected[i] = value
-    return corrected, diags
+    return _apply(observed, m, ROUTES[m.kind], cfg, exp_normal_variant, qcfg)
+
+
+def correct_array_series(observed, m: ModelSpec,
+                         cfg: series.SeriesConfig = series.SeriesConfig(),
+                         exp_normal_variant: str = "rma",
+                         qcfg: oracle.QuadConfig = None):
+    """``correct_array`` by the paper's method (``PAPER_ROUTES``): every
+    series family answers by its series, with quadrature where the series
+    does not converge, as the public correctors do; the other families take
+    the same route as in ``correct_array``."""
+    return _apply(observed, m, PAPER_ROUTES[m.kind], cfg, exp_normal_variant, qcfg)

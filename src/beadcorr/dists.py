@@ -499,9 +499,39 @@ def _gb_panel_mass(z0, z1, p: GBParams):
     return (z1 - z0) * float(np.sum(_GL_W * h))
 
 
+def _pchip_coefficients(x, y):
+    """(4, panels) coefficients, highest power first, of each panel's cubic
+    in s = x - x_i: the monotone cubic Hermite (PCHIP) through y at the knots
+    x, with the slopes SciPy's PchipInterpolator sets.  Inside, the weighted
+    harmonic mean of the neighbouring secant slopes (0 where they differ in
+    sign or one is 0); at either end a shape-preserving one-sided three-point
+    estimate (Moler, Numerical Computing with MATLAB, section 3.6)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+
+    def end(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    d = np.concatenate([[end(h[0], h[1], m[0], m[1])], np.where(flat, 0.0, inner),
+                        [end(h[-1], h[-2], m[-1], m[-2])]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
 @lru_cache(maxsize=64)
 def _gb_inversion_table(p: GBParams):
-    """z-knots, exact CDF values at the knots, and the z -> x back-transform."""
+    """z-knots, exact CDF values at the knots, the coefficients of the
+    monotone cubic (PCHIP) through them, and the z -> x back-transform."""
     half = np.linspace(0.0, 1.0, 257)
     left = 0.5 * half ** max(1.0, 1.0 / p.u)
     right = 1.0 - 0.5 * half[::-1] ** max(1.0, 1.0 / p.v)
@@ -526,7 +556,7 @@ def _gb_inversion_table(p: GBParams):
         def to_x(z):
             return p.d * (np.clip(z, 0.0, 1.0) * scale) ** (1.0 / p.a)
 
-    return knots, cdf, to_x
+    return knots, cdf, _pchip_coefficients(knots, cdf), to_x
 
 
 #: bisection halvings of a knot panel; 2^-60 of a panel is below float spacing
@@ -536,10 +566,7 @@ _GB_HALVINGS = 60
 def _gb_sample(p: GBParams, n, rng):
     """Inverse-CDF draws: every draw bisects the monotone PCHIP CDF on its
     own knot panel, all draws at once."""
-    from scipy.interpolate import PchipInterpolator
-
-    knots, cdf, to_x = _gb_inversion_table(p)
-    interp = PchipInterpolator(knots, cdf)
+    knots, cdf, coef, to_x = _gb_inversion_table(p)
     u = rng.uniform(size=n)
     # keep draws strictly inside the tabulated range
     u = np.clip(u, cdf[1] * 1e-6 + 1e-15, 1.0 - 1e-12)
@@ -548,9 +575,13 @@ def _gb_sample(p: GBParams, n, rng):
     lo, hi = knots[idx], knots[idx + 1]
     # a panel without mass has no root inside; its draw is the panel's left end
     hi = np.where(cdf[idx + 1] > cdf[idx], hi, lo)
+    cube, square, linear, const = coef[:, idx]
+    left = knots[idx]
     for _ in range(_GB_HALVINGS):
         mid = 0.5 * (lo + hi)
-        below = interp(mid) < u
+        s = mid - left
+        # power by power, in the order SciPy's PPoly sums them
+        below = const + linear * s + square * (s * s) + cube * (s * s * s) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return to_x(0.5 * (lo + hi))

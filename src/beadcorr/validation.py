@@ -4,7 +4,9 @@ Draws model parameters from documented reference ranges, samples an
 observation from the model itself, keeps draws that satisfy the accuracy
 preconditions (series convergence region; far-tail separation where the two
 exponential-normal correctors coincide), and compares each corrector against
-the quadrature referee.
+the quadrature referee.  Each family is corrected by the paper's method
+(``correct.correct_array_series``), so the series families keep being
+checked whatever route ``correct.correct_array`` takes.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def run_validation(kind: str, n_draws: int, seed: int,
     rows = []
     for i in range(n_draws):
         m, p = draw_case(kind, rng)
-        values, diags = correct.correct_array(np.array([p]), m, cfg, variant)
+        values, diags = correct.correct_array_series(np.array([p]), m, cfg, variant)
         value = float(values[0])
         ref = oracle.posterior_mean_quadrature(p, m, qcfg)
         rel = abs(value - ref) / abs(ref)

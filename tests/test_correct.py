@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from beadcorr import correct, oracle, quadrature, series, simulate
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
-                            gb_from_gamma, gb_logpdf, normal_logpdf)
+                            gb_from_gamma, gb_logpdf, gb_support_upper,
+                            normal_logpdf)
 from beadcorr.errors import NumericUnderflowError
 
 Q = oracle.QuadConfig()
@@ -362,7 +364,8 @@ class TestSeriesCorrectors:
 
 class TestSeriesBatchInvariance:
     """A series gene's corrected value has the same bits alone, in any array
-    and in any order, and equals the public corrector's."""
+    and in any order, and equals the public corrector's, on the series entry
+    point."""
 
     CORRECTORS = {"exp_lognormal": correct.correct_exp_lognormal,
                   "gamma_lognormal": correct.correct_gamma_lognormal,
@@ -387,8 +390,8 @@ class TestSeriesBatchInvariance:
         paths = set()
         for m, obs in self.cases(kind):
             with np.errstate(over="ignore"):  # density tails of far-out genes
-                corrected, diags = correct.correct_array(obs, m)
-                rev, rev_diags = correct.correct_array(obs[::-1], m)
+                corrected, diags = correct.correct_array_series(obs, m)
+                rev, rev_diags = correct.correct_array_series(obs[::-1], m)
             np.testing.assert_array_equal(rev[::-1], corrected)
             assert [d.error for d in rev_diags[::-1]] == [d.error for d in diags]
             for i, p in enumerate(obs.tolist()):
@@ -396,12 +399,54 @@ class TestSeriesBatchInvariance:
                 if diags[i].path == "error":
                     continue
                 with np.errstate(over="ignore"):
-                    alone, one = correct.correct_array(np.array([p]), m)
+                    alone, one = correct.correct_array_series(np.array([p]), m)
                     value, info = public(p, m.signal, m.noise, with_info=True)
                 assert alone[0] == corrected[i] == value
                 assert one[0].path == diags[i].path == info.path
                 assert one[0].error == diags[i].error == info.fallback_reason
         assert "series" in paths
+
+
+class TestEngineRoute:
+    """correct_array answers a gamma_lognormal, gb_gb or gb_normal gene by
+    the tanh-sinh engine: the same bits alone, in any array and in any order,
+    equal to _quadrature_means; genes outside the family's domain stay
+    DomainError rows."""
+
+    @staticmethod
+    def cases(kind):
+        from beadcorr import validation
+        rng = np.random.default_rng(23)
+        out = []
+        for _ in range(3):
+            m, p = validation.draw_case(kind, rng)
+            # GB + GB draws have c < 1, so a bounded support to step outside
+            bad = 1.5 * gb_support_upper(m.signal) + 1.5 * gb_support_upper(m.noise) \
+                if kind == "gb_gb" else -0.5
+            out.append((m, np.array([p, 0.7 * p, bad, 1.3 * p, 2.0 * p, 4.0 * p]), bad))
+        m = simulate.REFERENCE_MODELS[kind][0]
+        out.append((m, simulate.simulate_experiment(m, 14, 2, seed=5).observed, None))
+        return out
+
+    @pytest.mark.parametrize("kind", ["gamma_lognormal", "gb_gb", "gb_normal"])
+    def test_alone_in_any_order_and_engine(self, kind):
+        assert correct.ROUTES[kind] == "quadrature"
+        for m, obs, bad in self.cases(kind):
+            corrected, diags = correct.correct_array(obs, m)
+            rev, rev_diags = correct.correct_array(obs[::-1], m)
+            np.testing.assert_array_equal(rev[::-1], corrected)
+            for i, p in enumerate(obs.tolist()):
+                j = obs.size - 1 - i
+                assert rev_diags[j] == dataclasses.replace(diags[i], index=j)
+                if diags[i].path == "error":
+                    assert diags[i].error.startswith("DomainError:")
+                    assert math.isnan(corrected[i])
+                    continue
+                assert p != bad
+                assert diags[i].path == "quadrature" and diags[i].error is None
+                alone, _ = correct.correct_array(np.array([p]), m)
+                engine = correct._quadrature_means(np.array([p]), m, Q)[0]
+                assert alone[0] == corrected[i] == engine
 
 
 class TestCorrectArray:
@@ -436,26 +481,29 @@ class TestCorrectArray:
     def test_series_model_diagnostics(self):
         m = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
         obs = np.array([0.5, 0.8, 3.0])   # last one outside series region
-        corrected, diags = correct.correct_array(obs, m)
+        corrected, diags = correct.correct_array_series(obs, m)
         assert diags[0].path == "series" and diags[1].path == "series"
         assert diags[2].path == "quadrature"
         assert np.all(np.isfinite(corrected))
 
     def test_bad_genes_do_not_poison_the_batch(self):
         # marginals that underflow, and a GB gene outside the support, are
-        # error rows; every other gene keeps the bits it has alone
+        # error rows; every other gene keeps the bits it has alone; the GB
+        # genes take the series, as the public corrector does
         gn = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
         gb = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
-        for m, obs, bad, cls in [
-                (gn, [150.0, 1e6, 80.0, -4000.0, 300.0], {1, 3}, "NumericUnderflowError"),
-                (gb, [0.5, 5.0, 3.0, 0.8, 3.9], {1}, "DomainError")]:
-            corrected, diags = correct.correct_array(np.array(obs), m)
+        for m, obs, bad, cls, apply in [
+                (gn, [150.0, 1e6, 80.0, -4000.0, 300.0], {1, 3}, "NumericUnderflowError",
+                 correct.correct_array),
+                (gb, [0.5, 5.0, 3.0, 0.8, 3.9], {1}, "DomainError",
+                 correct.correct_array_series)]:
+            corrected, diags = apply(np.array(obs), m)
             for i, p in enumerate(obs):
                 if i in bad:
                     assert math.isnan(corrected[i]) and diags[i].path == "error"
                     assert diags[i].error.startswith(cls + ":")
                     continue
-                alone, one = correct.correct_array(np.array([p]), m)
+                alone, one = apply(np.array([p]), m)
                 assert alone[0] == corrected[i] and one[0].path == diags[i].path
                 value, info = correct._correct_one(p, m, CFG, "rma")
                 assert value == corrected[i] and info.path == diags[i].path

@@ -304,6 +304,19 @@ class TestGBSampler:
         GBParams(1.0, 0.5, 1.0, 2.0, 3.0),
         GBParams(2.0, 0.9, 1.0, 0.7, 0.4),     # v < 1: mass piled at the upper end
         GBParams(0.5, 0.3, 2.0, 0.6, 5.0),     # u < 1: mass piled at zero
+        GBParams(1.0, 1.0, 20.0, 2.0, 10.0),
+    ])
+    def test_cubic_is_scipys_pchip(self, params):
+        # the sampler evaluates SciPy's PCHIP without importing scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
+        from beadcorr.dists import _gb_inversion_table
+        knots, cdf, coef, _ = _gb_inversion_table(params)
+        np.testing.assert_array_equal(coef, PchipInterpolator(knots, cdf).c)
+
+    @pytest.mark.parametrize("params", [
+        GBParams(1.0, 0.5, 1.0, 2.0, 3.0),
+        GBParams(2.0, 0.9, 1.0, 0.7, 0.4),     # v < 1: mass piled at the upper end
+        GBParams(0.5, 0.3, 2.0, 0.6, 5.0),     # u < 1: mass piled at zero
     ])
     def test_draws_inside_support(self, params):
         draws = dist_sample(params, 20000, np.random.default_rng(9))

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from beadcorr import validation
 from beadcorr.dists import ExpNormal, ExpParams, NormalParams
 
@@ -17,3 +19,12 @@ def test_a_draw_whose_correction_fails_is_an_error_row(monkeypatch):
     assert rows[1].rel_error <= tol
     assert validation.validation_report_tsv(rows).splitlines()[1].endswith("\terror\t0")
 
+
+
+@pytest.mark.parametrize("kind", ["gb_gb", "gb_normal"])
+def test_gb_validation_checks_the_series(kind):
+    # correct_array answers these families by quadrature; validation keeps
+    # checking the paper's series against the referee
+    rows, tol = validation.run_validation(kind, 5, seed=0)
+    assert any(r.path == "series" for r in rows)
+    assert all(r.within_tol for r in rows)
