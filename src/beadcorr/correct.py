@@ -36,17 +36,6 @@ from .oracle import quad  # noqa: F401
 
 
 @dataclass(frozen=True)
-class ExpNormalDerived:
-    """Location of the conditional signal density under exponential + normal."""
-
-    mu_sp: float
-
-    @classmethod
-    def derive(cls, p, e: ExpParams, b: NormalParams):
-        return cls(mu_sp=p - b.mu - b.sigma ** 2 * e.theta)
-
-
-@dataclass(frozen=True)
 class CorrectionInfo:
     """How a corrected value was produced."""
 
@@ -68,36 +57,83 @@ def _with_info(value, info, with_info):
 # Exponential signal + normal noise
 # ---------------------------------------------------------------------------
 
-def correct_rma(p, e: ExpParams, b: NormalParams) -> float:
-    """Posterior mean with the conditional signal truncated to (0, p)."""
-    if p <= 0:
-        raise DomainError(f"correct_rma requires p > 0, got {p}")
-    mu_sp = ExpNormalDerived.derive(p, e, b).mu_sp
+def _refused(bad, ps, error, message):
+    """{index: error(message(p))} of the genes of ps that bad marks."""
+    return {i: error(message(p)) for i, p in zip(np.flatnonzero(bad).tolist(),
+                                                  ps[bad].tolist())}
+
+
+def _one_gene(values, p, signal, noise):
+    """The value of an array closed form at one p; raises its refusal."""
+    out, refused = values(np.array([p], dtype=float), signal, noise)
+    if refused:
+        raise refused[0]
+    return float(out[0])
+
+
+def _on_positive(name, kernel):
+    """The array closed form ``name`` at every p of a float array: (values,
+    NaN where refused; {index: the BeadcorrError that refuses the gene}).
+
+    p <= 0 is a DomainError; kernel(p > 0, signal, noise) evaluates the rest
+    and returns its own refusals by index into the p it was given.
+    """
+    def values(ps, signal, noise):
+        bad = ps <= 0
+        refused = _refused(bad, ps, DomainError,
+                           lambda p: f"{name} requires p > 0, got {p}")
+        out = np.full(ps.shape, math.nan)
+        at = np.flatnonzero(~bad)
+        if at.size:
+            out[at], inner = kernel(ps[at], signal, noise)
+            refused.update({int(at[i]): exc for i, exc in inner.items()})
+            out[list(refused)] = math.nan
+        return out, refused
+    return values
+
+
+def _rma_kernel(ps, e: ExpParams, b: NormalParams):
+    mu_sp = ps - b.mu - b.sigma ** 2 * e.theta
     a = mu_sp / b.sigma
-    bb = (p - mu_sp) / b.sigma
+    # p = +inf reads NaN here (inf - inf), as in scalar arithmetic
+    with np.errstate(invalid="ignore"):
+        bb = (ps - mu_sp) / b.sigma
     # Phi(a) + Phi(bb) - 1 = Phi(a) - Phi(-bb), with -bb <= a always
     la = specfun.std_normal_logcdf(a)
     lmb = specfun.std_normal_logcdf(-bb)
-    if la < math.log(1e-290):
-        raise NumericUnderflowError(
-            f"truncation probability underflowed at p={p} (both tails ~ 0)")
-    denom = math.exp(la) * -math.expm1(min(lmb - la, 0.0))
-    if denom <= 0.0:
-        raise NumericUnderflowError(
-            f"truncation probability vanished in floating point at p={p}")
+    under = la < math.log(1e-290)
+    denom = np.exp(la) * -np.expm1(np.minimum(lmb - la, 0.0))
+    refused = _refused(
+        under, ps, NumericUnderflowError,
+        lambda p: f"truncation probability underflowed at p={p} (both tails ~ 0)")
+    refused.update(_refused(
+        ~under & (denom <= 0.0), ps, NumericUnderflowError,
+        lambda p: f"truncation probability vanished in floating point at p={p}"))
     num = specfun.std_normal_pdf(a) - specfun.std_normal_pdf(bb)
-    return mu_sp + b.sigma * num / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mu_sp + b.sigma * num / denom, refused
+
+
+def _mbcb_kernel(ps, e: ExpParams, b: NormalParams):
+    mu_sp = ps - b.mu - b.sigma ** 2 * e.theta
+    a = mu_sp / b.sigma
+    # phi(a)/Phi(a) through logs; stable into the deep left tail
+    mills = np.exp(specfun.std_normal_logpdf(a) - specfun.std_normal_logcdf(a))
+    return mu_sp + b.sigma * mills, {}
+
+
+_rma_values = _on_positive("correct_rma", _rma_kernel)
+_mbcb_values = _on_positive("correct_mbcb", _mbcb_kernel)
+
+
+def correct_rma(p, e: ExpParams, b: NormalParams) -> float:
+    """Posterior mean with the conditional signal truncated to (0, p)."""
+    return _one_gene(_rma_values, p, e, b)
 
 
 def correct_mbcb(p, e: ExpParams, b: NormalParams) -> float:
     """Posterior mean variant with the upper truncation bound sent to infinity."""
-    if p <= 0:
-        raise DomainError(f"correct_mbcb requires p > 0, got {p}")
-    mu_sp = ExpNormalDerived.derive(p, e, b).mu_sp
-    a = mu_sp / b.sigma
-    # phi(a)/Phi(a) through logs; stable into the deep left tail
-    mills = math.exp(specfun.std_normal_logpdf(a) - specfun.std_normal_logcdf(a))
-    return mu_sp + b.sigma * mills
+    return _one_gene(_mbcb_values, p, e, b)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +217,19 @@ def log_truncated_gamma_integral(a, lam, p):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _exp_gamma_kernel(ps, e: ExpParams, g: GammaParams):
+    lam = 1.0 / g.beta - e.theta
+    num = log_truncated_gamma_integral(g.alpha + 1.0, lam, ps)
+    den = log_truncated_gamma_integral(g.alpha, lam, ps)
+    return ps - np.exp(num - den), {}
+
+
+_exp_gamma_values = _on_positive("correct_exp_gamma", _exp_gamma_kernel)
+
+
 def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
     """Corrected intensity p - E[B | P = p] under exponential + gamma."""
-    if p <= 0:
-        raise DomainError(f"correct_exp_gamma requires p > 0, got {p}")
-    lam = 1.0 / g.beta - e.theta
-    num = log_truncated_gamma_integral(g.alpha + 1.0, lam, p)
-    den = log_truncated_gamma_integral(g.alpha, lam, p)
-    return p - math.exp(num - den)
+    return _one_gene(_exp_gamma_values, p, e, g)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +378,39 @@ def _lagrange_weights(u):
     return w, dw
 
 
+def _log_zeta_one_minus(s):
+    """(log|zeta(1 - s)|, sign of zeta(1 - s)) at every s >= 1 of an array.
+
+    SciPy's zeta overflows once 1 - s falls below about -170; there the
+    functional equation zeta(1 - s) = 2 (2 pi)^-s cos(pi s/2) Gamma(s) zeta(s)
+    is taken in logs.  A trivial zero reads (-inf, 0).
+    """
+    z = _sp.zeta(1.0 - s)
+    sign = np.sign(z)
+    with np.errstate(divide="ignore"):
+        log_z = np.log(np.abs(z))
+        big = ~np.isfinite(z)
+        if big.any():
+            sb = s[big]
+            # s mod 4 is exact, so cos sees the angle without rounding in s
+            cos = np.cos(0.5 * np.pi * np.fmod(sb, 4.0))
+            log_z[big] = (math.log(2.0) - sb * math.log(2.0 * math.pi)
+                          + np.log(np.abs(cos)) + _sp.gammaln(sb) + np.log(_sp.zeta(sb)))
+            sign[big] = np.sign(cos)
+    return log_z, sign
+
+
+def _endpoint_weights(alpha, log_lead, log_h):
+    """zeta(1 - alpha - k) psi(0) h^(alpha + k) at every order k and gene, a
+    (4, genes) array, from the log of psi(0) h^alpha at every gene.
+
+    Formed in logs: at large alpha zeta overflows where psi(0) h^alpha
+    underflows, and their product is what the sum needs.
+    """
+    log_z, sign = _log_zeta_one_minus(alpha + _ENDPOINT_ORDERS)
+    return sign[:, None] * np.exp(log_lead + (log_z + _ENDPOINT_ORDERS * log_h)[:, None])
+
+
 def _endpoint_terms(p, g: GammaParams, b: NormalParams, h, grad):
     """Endpoint terms of the grid's Riemann sum at every p, and with grad
     their derivatives at fixed p and h with respect to (alpha, beta, mu,
@@ -355,29 +429,30 @@ def _endpoint_terms(p, g: GammaParams, b: NormalParams, h, grad):
     a2 = 0.5 / sig2
     ones, zero = np.ones_like(a1), np.zeros_like(a1)
     t = np.stack([ones, a1, 0.5 * a1 * a1 - a2, a1 ** 3 / 6.0 - a1 * a2])
-    zeta = _sp.zeta(1.0 - g.alpha - _ENDPOINT_ORDERS)
-    hk = h ** _ENDPOINT_ORDERS[:, None]
-    # psi(0) h^alpha
-    lead = np.exp(g.alpha * (math.log(h) - math.log(g.beta)) - _sp.gammaln(g.alpha)
-                  + specfun.std_normal_logpdf(c / b.sigma) - math.log(b.sigma))
-    terms = (zeta[:, None] * hk) * t
-    e = lead * terms.sum(axis=0)
+    log_h = math.log(h)
+    # log of psi(0) h^alpha
+    log_lead = (g.alpha * (log_h - math.log(g.beta)) - _sp.gammaln(g.alpha)
+                + specfun.std_normal_logpdf(c / b.sigma) - math.log(b.sigma))
+    w = _endpoint_weights(g.alpha, log_lead, log_h)
+    e = (w * t).sum(axis=0)
     if not grad:
         return e
+    # the central difference of zeta(1 - alpha - k) in alpha, with psi(0)
+    # h^alpha held at alpha
     step = _ZETA_STEP * g.alpha
-    d_zeta = (_sp.zeta(1.0 - (g.alpha + step) - _ENDPOINT_ORDERS)
-              - _sp.zeta(1.0 - (g.alpha - step) - _ENDPOINT_ORDERS)) / (2.0 * step)
+    d_w = (_endpoint_weights(g.alpha + step, log_lead, log_h)
+           - _endpoint_weights(g.alpha - step, log_lead, log_h)) / (2.0 * step)
     dt_a1 = np.stack([zero, ones, a1, 0.5 * a1 * a1 - a2])
     dt_a2 = np.stack([zero, zero, -ones, -a1])
-    s_a1 = lead * (zeta[:, None] * hk * dt_a1).sum(axis=0)
-    s_a2 = lead * (zeta[:, None] * hk * dt_a2).sum(axis=0)
-    d_alpha = (e * (math.log(h) - math.log(g.beta) - _sp.psi(g.alpha))
-               + lead * (d_zeta[:, None] * hk * t).sum(axis=0))
+    s_a1 = (w * dt_a1).sum(axis=0)
+    s_a2 = (w * dt_a2).sum(axis=0)
+    d_alpha = (e * (log_h - math.log(g.beta) - _sp.psi(g.alpha))
+               + (d_w * t).sum(axis=0))
     d_beta = -g.alpha / g.beta * e + s_a1 / g.beta ** 2
     d_mu = c / sig2 * e - s_a1 / sig2
     d_sigma = ((c * c / sig2 - 1.0) / b.sigma * e - 2.0 * c / (sig2 * b.sigma) * s_a1
                - s_a2 / (sig2 * b.sigma))
-    d_h = lead * ((zeta * (g.alpha + _ENDPOINT_ORDERS))[:, None] * hk * t).sum(axis=0) / h
+    d_h = ((g.alpha + _ENDPOINT_ORDERS)[:, None] * w * t).sum(axis=0) / h
     return e, np.stack([d_alpha, d_beta, d_mu, d_sigma, d_h])
 
 
@@ -589,19 +664,16 @@ class GeneDiagnostic:
 
 
 def _closed_values(ps, m: ModelSpec, variant):
-    """Per gene: (value, CorrectionInfo) of the closed form, or the
-    BeadcorrError that refuses the gene; variant picks the exp_normal form."""
+    """Per gene: (value, CorrectionInfo) of the closed form over the whole
+    array, or the BeadcorrError that refuses the gene; variant picks the
+    exp_normal form."""
     if m.kind == "exp_gamma":
-        fn = correct_exp_gamma
+        values = _exp_gamma_values
     else:
-        fn = correct_mbcb if variant == "mbcb" else correct_rma
-    out = []
-    for p in ps.tolist():
-        try:
-            out.append((fn(p, m.signal, m.noise), _CLOSED_INFO))
-        except BeadcorrError as exc:
-            out.append(exc)
-    return out
+        values = _mbcb_values if variant == "mbcb" else _rma_values
+    out, refused = values(ps, m.signal, m.noise)
+    return [refused[i] if i in refused else (v, _CLOSED_INFO)
+            for i, v in enumerate(out.tolist())]
 
 
 def _quadrature_cfg(m: ModelSpec, qcfg):
@@ -615,9 +687,9 @@ def _outcomes(ps, m: ModelSpec, route, cfg, variant, qcfg):
     """Per gene of ps: (value, CorrectionInfo) by the route, or the
     BeadcorrError that refuses the gene.
 
-    'closed' runs the closed form gene by gene, 'series' the series families'
-    array pass (``_series_values``), and 'quadrature' the family's domain
-    check gene by gene.  The genes left without a value then go to the
+    'closed' runs the closed form over the whole array, 'series' the series
+    families' array pass (``_series_values``), and 'quadrature' the family's
+    domain check gene by gene.  The genes left without a value then go to the
     tanh-sinh engine in one call.
     """
     if route == "closed":
@@ -670,8 +742,8 @@ def correct_array(observed, m: ModelSpec,
                   qcfg: oracle.QuadConfig = None):
     """Apply the family's route (``ROUTES``) to every gene of an array.
 
-    Closed forms run gene by gene; the exp_lognormal series runs the array
-    gate and one den and one num kernel call for the whole array; a
+    Closed forms run over the whole array; the exp_lognormal series runs the
+    array gate and one den and one num kernel call for the whole array; a
     quadrature family (gamma_normal, gamma_lognormal, gb_gb, gb_normal) runs
     its domain check gene by gene.  The genes that need quadrature, the
     series genes that fall back included, go to the tanh-sinh engine in one

@@ -19,6 +19,36 @@ CFG = series.SeriesConfig()
 UNIFORM = GBParams(1, 0, 1, 1, 1)
 
 
+def _rma_formula(p, e, b):
+    """correct_rma in scalar arithmetic; ValueError where it refuses p."""
+    if p <= 0:
+        raise ValueError(p)
+    mu_sp = p - b.mu - b.sigma ** 2 * e.theta
+    a, bb = mu_sp / b.sigma, (p - mu_sp) / b.sigma
+    la, lmb = float(special.log_ndtr(a)), float(special.log_ndtr(-bb))
+    denom = math.exp(la) * -math.expm1(min(lmb - la, 0.0))
+    if la < math.log(1e-290) or denom <= 0.0:
+        raise ValueError(p)
+    num = (math.exp(-0.5 * a * a) - math.exp(-0.5 * bb * bb)) / math.sqrt(2.0 * math.pi)
+    return mu_sp + b.sigma * num / denom
+
+
+def _mbcb_formula(p, e, b):
+    if p <= 0:
+        raise ValueError(p)
+    a = (p - b.mu - b.sigma ** 2 * e.theta) / b.sigma
+    return b.sigma * (a + math.exp(-0.5 * a * a - 0.5 * math.log(2.0 * math.pi)
+                                   - float(special.log_ndtr(a))))
+
+
+def _exp_gamma_formula(p, e, g):
+    if p <= 0:
+        raise ValueError(p)
+    lam = 1.0 / g.beta - e.theta
+    return p - math.exp(correct.log_truncated_gamma_integral(g.alpha + 1.0, lam, p)
+                        - correct.log_truncated_gamma_integral(g.alpha, lam, p))
+
+
 class TestRma:
     def test_symmetric_point_is_half(self):
         # choose mu so the conditional location sits at p/2
@@ -469,6 +499,32 @@ class TestCorrectArray:
                                for p in obs])
         np.testing.assert_array_equal(batch, one_by_one)
         assert np.all((batch > 0) & (batch < obs))
+
+    @pytest.mark.parametrize("m, variant", [
+        (ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0)), "rma"),
+        (ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0)), "mbcb"),
+        (ExpNormal(ExpParams(0.001), NormalParams(500.0, 4.0)), "rma"),
+        (ExpGamma(ExpParams(0.05), GammaParams(2.0, 4.0)), "rma"),
+        (ExpGamma(ExpParams(0.5), GammaParams(2.0, 4.0)), "rma"),
+    ], ids=["rma", "mbcb", "rma-underflow", "exp_gamma", "exp_gamma-negative-rate"])
+    def test_array_closed_forms_match_the_scalar_formulas(self, m, variant):
+        # the closed forms run over the whole array; gene by gene in scalar
+        # arithmetic they agree to a few ulps, and refuse the same genes
+        obs = np.concatenate([[-1.0, -np.inf, 1.0, 5000.0, 5200.0],
+                              np.random.default_rng(7).exponential(80.0, 200) + 10.0])
+        got, diags = correct.correct_array(obs, m, exp_normal_variant=variant)
+        formula = _exp_gamma_formula if m.kind == "exp_gamma" else (
+            _mbcb_formula if variant == "mbcb" else _rma_formula)
+        for p, value, diag in zip(obs.tolist(), got.tolist(), diags):
+            try:
+                want = formula(float(p), m.signal, m.noise)
+            except ValueError:
+                assert diag.path == "error", p
+                continue
+            assert diag.path == "closed", p
+            assert value == pytest.approx(want, rel=1e-14), p
+        assert diags[0].error.startswith("DomainError")
+        assert diags[1].error.startswith("DomainError")
 
     def test_errors_collected_not_raised(self):
         m = ExpNormal(ExpParams(0.001), NormalParams(500.0, 4.0))

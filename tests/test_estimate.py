@@ -9,8 +9,8 @@ from beadcorr import correct, estimate, oracle, quadrature, series, simulate
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
-                            dist_sample, model_from_values, model_to_values,
-                            param_names)
+                            dist_logpdf, dist_sample, model_from_values,
+                            model_to_values, param_names)
 from beadcorr.errors import (BeadcorrError, DegenerateControlsError,
                              InvalidParameterError, QuadratureError,
                              SeriesNonConvergenceError, UnsupportedMethodError)
@@ -426,7 +426,7 @@ class TestClosedFormScores:
     def test_score_matches_central_differences(self, m):
         obs, neg, _ = _simulate(m, 300, 100, seed=1)
         prob = estimate.EstimationProblem(obs, neg, m.kind)
-        value, score = estimate.loglik_score(m, prob)
+        value, score, _ = estimate.loglik_score(m, prob)
         assert value == estimate.loglik(m, prob)
         fd = _fd_score(m, prob)
         np.testing.assert_allclose(score, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
@@ -437,14 +437,57 @@ class TestClosedFormScores:
         prob = estimate.EstimationProblem(
             np.array([100.0, 300.0, 380.0, 400.0, 420.0, 600.0, 700.0]),
             np.array([495.0, 505.0, 500.0]), "gamma_normal")
-        _, score = estimate.loglik_score(m, prob)
+        _, score, _ = estimate.loglik_score(m, prob)
         np.testing.assert_allclose(score, _fd_score(m, prob), rtol=1e-6)
 
     def test_noise_score_is_zero_at_the_control_fit(self):
         neg = np.array([90.0, 97.0, 104.0, 111.0, 125.0])
         mu, sd = float(np.mean(neg)), float(np.std(neg))
-        score = estimate._noise_score(NormalParams(mu, sd), neg)
+        score = estimate._noise_rows(NormalParams(mu, sd), neg).sum(axis=1)
         np.testing.assert_allclose(score, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("noise", [NormalParams(100.0, 15.0), GammaParams(2.0, 4.0)],
+                             ids=["normal", "gamma"])
+    def test_noise_rows_match_central_differences(self, noise):
+        # one row per control: the derivatives of that control's log density
+        x = np.array([3.0, 8.0, 90.0, 104.0, 131.0])
+        rows = estimate._noise_rows(noise, x)
+        assert rows.shape == (2, x.size)
+        values = list(dataclasses.astuple(noise))
+        for k in range(2):
+            step = 1e-6 * values[k]
+            up, down = list(values), list(values)
+            up[k] += step
+            down[k] -= step
+            fd = (dist_logpdf(type(noise)(*up), x)
+                  - dist_logpdf(type(noise)(*down), x)) / (2 * step)
+            np.testing.assert_allclose(rows[k], fd, rtol=1e-6, atol=1e-9)
+
+    def test_score_rows_sum_to_the_score(self):
+        m = simulate.REFERENCE_MODELS["gamma_normal"][0]
+        obs, neg, _ = _simulate(m, 50, 20, seed=2)
+        prob = estimate.EstimationProblem(obs, neg, m.kind)
+        value, score, rows = estimate.loglik_score(m, prob)
+        assert value == estimate.loglik(m, prob)
+        assert rows.shape == (4, obs.size + neg.size)
+        # a control moves only the two noise parameters
+        assert np.all(rows[:2, obs.size:] == 0.0)
+        np.testing.assert_allclose(rows.sum(axis=1), score, rtol=1e-12)
+
+    def test_gamma_normal_at_large_shape(self):
+        # zeta(1 - alpha - k) overflows where psi(0) h^alpha underflows; the
+        # endpoint terms take their product in logs, so the grid reads no
+        # NaN and warns of nothing
+        m = GammaNormal(GammaParams(300.0, 1.0 / 30.0), NormalParams(50.0, 20.0))
+        ps = np.array([30.0, 60.0, 90.0])
+        prob = estimate.EstimationProblem(ps, np.array([45.0, 55.0]), m.kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens, _ = correct.gamma_normal_density(ps, m.signal, m.noise, 48, 1 << 21)
+            value, score, _ = estimate.loglik_score(m, prob)
+        assert np.all(np.isfinite(score)) and math.isfinite(value)
+        want = [oracle.marginal_log_pdf_quadrature(p, m) for p in ps]
+        np.testing.assert_allclose(np.log(dens), want, rtol=0, atol=1e-8)
 
 
 class TestJointCodec:
@@ -497,12 +540,37 @@ class TestFitMle:
             prob = estimate.EstimationProblem(obs, neg, "gamma_normal")
             fit = estimate.fit_mle(prob, estimate.FitBudget(n_starts=1))
             assert fit.converged, seed
-            assert fit.diagnostics == {"local_method": "BFGS"}
+            assert fit.diagnostics["local_method"] == "BFGS"
             assert fit.iterations < 60
             assert fit.loglik == estimate.loglik(fit.params, prob)
             assert fit.loglik >= estimate.loglik(m, prob)
             # BFGS stops below 1e-6 per observation in every coordinate
             assert fit.gradient_norm < 2e-6 * (obs.size + neg.size)
+
+    @pytest.mark.parametrize("kind", ["exp_normal", "exp_gamma", "gamma_normal"])
+    def test_opg_start_matches_the_identity_start(self, kind, monkeypatch):
+        # BFGS started from the outer product of the per-observation scores
+        # reaches the identity start's optimum in a handful of evaluations
+        m = simulate.REFERENCE_MODELS[kind][0]
+        obs, neg, _ = _simulate(m, 100, 200, seed=7)
+        prob = estimate.EstimationProblem(obs, neg, kind)
+        budget = estimate.FitBudget(n_starts=1)
+        fit = estimate.fit_mle(prob, budget)
+        assert fit.converged
+        assert fit.diagnostics["start_hessian"] == ("opg",)
+        assert fit.diagnostics["start_nfev"] == (fit.iterations,)
+        assert fit.iterations <= 12
+        monkeypatch.setattr(estimate, "_opg_inverse", lambda rows, n: None)
+        plain = estimate.fit_mle(prob, budget)
+        assert plain.diagnostics["start_hessian"] == ("identity",)
+        assert fit.loglik >= plain.loglik - 1e-6
+
+    def test_opg_inverse_refuses_a_singular_product(self):
+        rows = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        assert estimate._opg_inverse(rows, 3) is None
+        assert estimate._opg_inverse(np.array([[1.0, np.nan]]), 2) is None
+        inv = estimate._opg_inverse(np.array([[1.0, -1.0], [1.0, 1.0]]), 2)
+        np.testing.assert_allclose(inv, np.eye(2))
 
     def test_determinism(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
