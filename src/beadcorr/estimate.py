@@ -152,10 +152,6 @@ def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams, grad=False):
     return out, rows
 
 
-#: grid densities below this share of the grid's peak are FFT rounding noise,
-#: or lie below the grid's second node, where the grid gives no value
-_GRID_DENSITY_FLOOR = 1e-13
-
 #: engine target of the quadrature genes' gamma-normal scores
 _SCORE_QUAD_TOL = 1e-10
 #: step in t of the difference of log E[s^t] at t = 0
@@ -173,11 +169,12 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     p = np.asarray(p, dtype=float)
     m = GammaNormal(g, b)
     try:
-        dens, peak, *d_dens = correct.gamma_normal_density(p, g, b, 48, 1 << 21, grad)
+        dens, peak, *d_dens = correct.gamma_normal_density(p, g, b, float(np.max(p)),
+                                                            grad)
     except (InvalidParameterError, MemoryError):
         out = _quadrature_marginal_log(p, m)
         return (out, _gamma_normal_quadrature_score(p, g, b)) if grad else out
-    faint = ~(dens >= _GRID_DENSITY_FLOOR * peak)
+    faint = ~(dens >= correct.LIKELIHOOD_GRID_FLOOR * peak)
     with np.errstate(divide="ignore"):
         out = np.log(np.maximum(dens, 0.0))
     if faint.any():

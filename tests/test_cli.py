@@ -113,6 +113,17 @@ class TestConfig:
         assert loose_diag == default_diag
         assert loose_tsv != default_tsv
 
+    def test_diagnostics_say_why_a_gene_left_the_grid(self, tmp_path):
+        # g2 lies ten noise sigmas below mu, where the grid's densities fall
+        # under the corrector floor
+        m = cli.parse_inline_params("gamma_normal", "alpha=2,beta=50,mu=500,sigma=10")
+        obs, neg = tmp_path / "obs.tsv", tmp_path / "neg.tsv"
+        write(obs, "ProbeID\tA1\ng1\t600\ng2\t400\n")
+        write(neg, "ProbeID\tA1\nn1\t495\nn2\t505\n")
+        _, diag = cli.cmd_correct(cli.ingest(obs, neg), m, cli.load_config(None))
+        assert diag.splitlines()[1:] == [
+            "g1\tA1\tgrid\t", "g2\tA1\tquadrature\tgrid density below the corrector floor"]
+
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg"
         write(path, "optimizer_seed=9\n")

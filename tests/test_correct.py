@@ -479,6 +479,82 @@ class TestEngineRoute:
                 assert alone[0] == corrected[i] == engine
 
 
+class TestGridRoute:
+    """correct_array answers a gamma_normal gene of shape >= 1 on the
+    likelihood's FFT grid, alpha beta f_(alpha+1)(p)/f_alpha(p), and sends
+    the genes the grid cannot answer to the engine with the reason."""
+
+    def test_within_tolerance_of_the_referee(self):
+        from beadcorr import validation
+        assert correct.ROUTES["gamma_normal"] == "grid"
+        tol = validation.TOLERANCES["gamma_normal"]
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(4):
+            m, p = validation.draw_case("gamma_normal", rng)
+            cases.append((m, np.array([p, 0.5 * p, 0.8 * p, 1.5 * p, 3.0 * p])))
+        m, genes = simulate.REFERENCE_MODELS["gamma_normal"]
+        cases.append((m, simulate.simulate_experiment(m, genes, max(genes // 4, 50),
+                                                      seed=7).observed))
+        for m, obs in cases:
+            corrected, diags = correct.correct_array(obs, m)
+            assert all(d.path == "grid" for d in diags)
+            ref = [oracle.posterior_mean_quadrature(p, m, Q) for p in obs.tolist()]
+            np.testing.assert_allclose(corrected, ref, rtol=tol, atol=0)
+
+    def test_unit_shape_is_rma(self):
+        # Gamma(1, 1/theta) is Exp(theta); far above the noise the truncated
+        # closed form and the untruncated integral agree
+        rng = np.random.default_rng(303)
+        for _ in range(4):
+            mu = rng.uniform(40, 200)
+            b = NormalParams(mu, mu * rng.uniform(0.05, 0.13))
+            theta = 1.0 / rng.uniform(30, 300)
+            obs = mu + rng.uniform(0.2, 3.0, 20) / theta
+            corrected, diags = correct.correct_array(
+                obs, GammaNormal(GammaParams(1.0, 1.0 / theta), b))
+            assert all(d.path == "grid" for d in diags)
+            want = [correct.correct_rma(p, ExpParams(theta), b) for p in obs.tolist()]
+            np.testing.assert_allclose(corrected, want, rtol=1e-6, atol=0)
+
+    def test_same_bits_alone_and_beside_far_genes(self):
+        m = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
+        obs = np.array([60.0, 100.0, 150.0, 400.0, 700.0])
+        far = np.array([1e6, m.noise.mu - 13.0 * m.noise.sigma])
+        batch, diags = correct.correct_array(np.concatenate([far, obs, far]), m)
+        assert [d.path for d in diags[2:-2]] == ["grid"] * obs.size
+        # the engine refuses p = 1e6 and answers the gene below the noise
+        assert diags[0].path == "error" and diags[1].path == "quadrature"
+        for i, p in enumerate(obs.tolist()):
+            alone, _ = correct.correct_array(np.array([p]), m)
+            assert alone[0] == batch[i + 2]
+
+    @pytest.mark.parametrize("m, reason", [
+        (GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)), "shape >= 1"),
+        (GammaNormal(GammaParams(0.5, 1100.0), NormalParams(366.0, 0.5)), "shape >= 1"),
+        (GammaNormal(GammaParams(1.5, 1100.0), NormalParams(366.0, 0.5)), "exceed"),
+    ], ids=["shape-0.8", "shape-0.5", "too-many-nodes"])
+    def test_arrays_the_grid_refuses_take_the_engine(self, m, reason):
+        obs = np.array([356.0, 370.0, 420.0])
+        corrected, diags = correct.correct_array(obs, m)
+        engine, _ = correct.correct_array_series(obs, m)
+        assert all(d.path == "quadrature" and reason in d.error for d in diags)
+        np.testing.assert_array_equal(corrected, engine)
+
+    def test_genes_off_the_grid_take_the_engine(self):
+        # a gene far below the noise, where the densities fall under the
+        # corrector floor, and a gene past the grid's extent
+        m = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
+        obs = np.array([100.0 - 7.0 * 15.0, 150.0, 2200.0])
+        corrected, diags = correct.correct_array(obs, m)
+        engine, _ = correct.correct_array_series(obs, m)
+        assert [d.path for d in diags] == ["quadrature", "grid", "quadrature"]
+        assert diags[0].error == "grid density below the corrector floor"
+        assert diags[2].error == "past the grid's extent"
+        assert corrected[0] == engine[0] and corrected[2] == engine[2]
+        assert corrected[1] == pytest.approx(engine[1], rel=1e-7)
+
+
 class TestCorrectArray:
     def test_empty(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
@@ -545,7 +621,8 @@ class TestCorrectArray:
     def test_bad_genes_do_not_poison_the_batch(self):
         # marginals that underflow, and a GB gene outside the support, are
         # error rows; every other gene keeps the bits it has alone; the GB
-        # genes take the series, as the public corrector does
+        # genes take the series, as the public corrector does, and the public
+        # correctors give the paper's method's bits
         gn = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
         gb = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
         for m, obs, bad, cls, apply in [
@@ -554,6 +631,7 @@ class TestCorrectArray:
                 (gb, [0.5, 5.0, 3.0, 0.8, 3.9], {1}, "DomainError",
                  correct.correct_array_series)]:
             corrected, diags = apply(np.array(obs), m)
+            paper, paper_diags = correct.correct_array_series(np.array(obs), m)
             for i, p in enumerate(obs):
                 if i in bad:
                     assert math.isnan(corrected[i]) and diags[i].path == "error"
@@ -562,7 +640,7 @@ class TestCorrectArray:
                 alone, one = apply(np.array([p]), m)
                 assert alone[0] == corrected[i] and one[0].path == diags[i].path
                 value, info = correct._correct_one(p, m, CFG, "rma")
-                assert value == corrected[i] and info.path == diags[i].path
+                assert value == paper[i] and info.path == paper_diags[i].path
 
     def test_uncertified_genes_go_to_the_referee(self, monkeypatch):
         # a gene whose error estimate misses the target takes the referee's

@@ -142,7 +142,7 @@ class TestLoglik:
         # nodes and the likelihood neither raises nor reads NaN
         g, b = GammaParams(2.0, 50.0), NormalParams(500.0, 10.0)
         ps = np.array([100.0, 200.0, 300.0])
-        p_grid, den = correct.gamma_normal_grid(300.0, g, b, 48, 1 << 21)
+        p_grid, den = correct.gamma_normal_grid(300.0, g, b)
         assert p_grid.size == den.size > 0
         assert p_grid[0] == b.mu - 12.0 * b.sigma
         got = estimate.log_marginal(GammaNormal(g, b), ps)
@@ -483,7 +483,7 @@ class TestClosedFormScores:
         prob = estimate.EstimationProblem(ps, np.array([45.0, 55.0]), m.kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dens, _ = correct.gamma_normal_density(ps, m.signal, m.noise, 48, 1 << 21)
+            dens, _ = correct.gamma_normal_density(ps, m.signal, m.noise, float(np.max(ps)))
             value, score, _ = estimate.loglik_score(m, prob)
         assert np.all(np.isfinite(score)) and math.isfinite(value)
         want = [oracle.marginal_log_pdf_quadrature(p, m) for p in ps]
