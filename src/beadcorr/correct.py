@@ -253,10 +253,11 @@ def _quadrature_means(ps, m: ModelSpec, qcfg: oracle.QuadConfig):
     it go to the referee's QUADPACK at qcfg.  Returns, per gene, the value or
     the BeadcorrError that refuses it.
     """
-    logs, _, ok = quadrature.log_integrals(ps, m, (0, 1), qcfg.rel_tol)
+    res = quadrature.log_integrals(ps, m, lambda s, log_s, y: s[None], qcfg.rel_tol)
     out = []
-    for p, lden, lnum, good in zip(np.asarray(ps, dtype=float).tolist(),
-                                   logs[0].tolist(), logs[1].tolist(), ok.tolist()):
+    for p, lden, mean, good in zip(np.asarray(ps, dtype=float).tolist(),
+                                   res.log_f.tolist(), res.means[0].tolist(),
+                                   res.means_ok.tolist()):
         try:
             if not good:
                 out.append(oracle.posterior_mean_quadrature(p, m, qcfg))
@@ -265,7 +266,7 @@ def _quadrature_means(ps, m: ModelSpec, qcfg: oracle.QuadConfig):
                     f"marginal density underflowed at p={p}; posterior mean "
                     f"undefined in floating point")
             else:
-                out.append(math.exp(lnum - lden))
+                out.append(mean)
         except BeadcorrError as exc:
             out.append(exc)
     return out

@@ -1,10 +1,14 @@
 """Per-array parameter estimation: maximum likelihood, moments, plug-in.
 
 The likelihood of an array is the sum of per-gene log marginal densities plus
-the log density of the negative controls under the noise component.  For the
-GB families the printed likelihood equations estimate the noise block from
-the negative controls alone, so maximum likelihood runs in two stages: noise
-from the controls, then signal from the gene marginals with noise fixed.
+the log density of the negative controls under the noise component, each
+family's marginal on its correction's route (``correct.ROUTES``).  For the GB
+families the printed likelihood equations estimate the noise block from the
+negative controls alone, so maximum likelihood runs in two stages: noise from
+the controls, then signal from the gene marginals with noise fixed.  One
+pointwise score per distribution (``_density_rows``) serves the controls and,
+by Fisher's identity on the tanh-sinh engine's nodes, every gene the engine
+answers.
 
 exp_normal, exp_gamma and gamma_normal return their exact score with the
 likelihood (``loglik_score``), and are fitted by BFGS on it, started from the
@@ -29,9 +33,10 @@ from . import correct, oracle, quadrature, series, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
                     GBParams, LognormalParams, MODEL_KINDS, MODEL_TYPES,
                     ModelSpec, NormalParams, dist_logpdf, gb_from_gamma,
-                    model_from_values, model_to_values, param_names)
+                    gb_support_upper, model_from_values, model_to_values,
+                    param_names)
 from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
-                     InvalidParameterError, UnsupportedMethodError)
+                     InvalidParameterError, QuadratureError, UnsupportedMethodError)
 
 
 @dataclass(frozen=True)
@@ -152,19 +157,14 @@ def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams, grad=False):
     return out, rows
 
 
-#: engine target of the quadrature genes' gamma-normal scores
-_SCORE_QUAD_TOL = 1e-10
-#: step in t of the difference of log E[s^t] at t = 0
-_LOG_MOMENT_STEP = 1e-5
-
-
 def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     """Grid-convolution marginal (bounded-density shapes); quadrature catches
     the rest, and the genes whose grid density lies below the floor.
 
     With grad, also the derivatives with respect to (alpha, beta, mu, sigma),
     a (4, genes) array: exact for the grid's value
-    (``correct.gamma_normal_density``), from the engine for the rest.
+    (``correct.gamma_normal_density``), by Fisher's identity on the engine's
+    nodes for the rest, from the same engine call as their value.
     """
     p = np.asarray(p, dtype=float)
     m = GammaNormal(g, b)
@@ -172,59 +172,58 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
         dens, peak, *d_dens = correct.gamma_normal_density(p, g, b, float(np.max(p)),
                                                             grad)
     except (InvalidParameterError, MemoryError):
-        out = _quadrature_marginal_log(p, m)
-        return (out, _gamma_normal_quadrature_score(p, g, b)) if grad else out
+        return _quadrature_marginal_log(p, m, grad)
     faint = ~(dens >= correct.LIKELIHOOD_GRID_FLOOR * peak)
     with np.errstate(divide="ignore"):
         out = np.log(np.maximum(dens, 0.0))
-    if faint.any():
-        out[faint] = _quadrature_marginal_log(p[faint], m)
     if not grad:
+        if faint.any():
+            out[faint] = _quadrature_marginal_log(p[faint], m)
         return out
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = d_dens[0] / dens
     if faint.any():
-        rows[:, faint] = _gamma_normal_quadrature_score(p[faint], g, b)
+        out[faint], rows[:, faint] = _quadrature_marginal_log(p[faint], m, True)
     return out, rows
 
 
-def _gamma_normal_quadrature_score(p, g: GammaParams, b: NormalParams):
-    """d log f_P/d(alpha, beta, mu, sigma) by one tanh-sinh engine call.
+#: the likelihood's quadrature: the engine's target, and QUADPACK's setting
+#: for the genes the engine cannot certify
+_LIKELIHOOD_QCFG = oracle.QuadConfig(abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=300)
 
-    The posterior moments E[s] and E[s^2] give the beta, mu and sigma scores
-    exactly; the alpha score E[log s] - log beta - psi(alpha) takes E[log s]
-    as the derivative of K(t) = log E[s^t] at t = 0 by the second-order
-    difference (4 K(t) - K(2t) - 3 K(0))/(2t), whose integrals share every
-    node (a negative power would read the underflowed s = 0 nodes as inf).
+
+def _fisher_weights(m: ModelSpec, noise=True):
+    """The engine's weight rows whose posterior means are the score of
+    log f_P(p), by Fisher's identity (Louis 1982):
+    d log f_P(p)/dtheta = E[d log f_S(S)/dtheta + d log f_B(p - S)/dtheta | P = p].
+    The signal's rows come first, then, with noise, the noise's."""
+    def weights(s, log_s, y):
+        rows = _density_rows(m.signal, s, log_s)
+        return np.concatenate([rows, _density_rows(m.noise, y)]) if noise else rows
+    return weights
+
+
+def _quadrature_marginal_log(p_vals, m, grad=False):
+    """log f_P at every p by the tanh-sinh engine; genes it cannot certify
+    take QUADPACK's value, and -inf where that fails too: never fatal.
+
+    With grad, also the score rows in param_names order from the same
+    engine call, at its last level where they do not converge.
     """
-    t = _LOG_MOMENT_STEP
-    (l0, l1, l2, lt, l2t), _, _ = quadrature.log_integrals(
-        p, GammaNormal(g, b), (0, 1, 2, t, 2.0 * t), _SCORE_QUAD_TOL)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2 = np.exp(l1 - l0), np.exp(l2 - l0)
-    c = p - b.mu
-    log_s = (4.0 * (lt - l0) - (l2t - l0)) / (2.0 * t)
-    return np.stack([log_s - math.log(g.beta) - _sp.psi(g.alpha),
-                     m1 / g.beta ** 2 - g.alpha / g.beta,
-                     (c - m1) / b.sigma ** 2,
-                     ((c * c - 2.0 * c * m1 + m2) / b.sigma ** 2 - 1.0) / b.sigma])
-
-
-def _quadrature_marginal_log(p_vals, m):
-    # likelihood fallback: looser tolerance than the referee, never fatal;
-    # the tanh-sinh engine answers in one call, QUADPACK takes the genes it
-    # cannot certify
-    q = oracle.QuadConfig(abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=300)
-    (out,), _, ok = quadrature.log_integrals(p_vals, m, (0,), q.rel_tol)
-    for i in np.flatnonzero(~ok):
+    q = _LIKELIHOOD_QCFG
+    res = quadrature.log_integrals(p_vals, m, _fisher_weights(m) if grad else None,
+                                   q.rel_tol)
+    out = res.log_f
+    for i in np.flatnonzero(~res.ok):
         try:
             out[i] = oracle.marginal_log_pdf_quadrature(float(p_vals[i]), m, q)
         except BeadcorrError:
             out[i] = -np.inf
-    return out
+    return (out, res.means) if grad else out
 
 
-#: the families whose log marginal also returns its score, in param_names order
+#: the log marginals of the closed and grid routes, which also return their
+#: score, in param_names order
 _SCORED_MARGINALS = {
     "exp_normal": _log_marginal_exp_normal,
     "exp_gamma": _log_marginal_exp_gamma,
@@ -235,13 +234,18 @@ _SCORED_MARGINALS = {
 def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig()):
     """log f_P(p) under model m; -inf outside support.  Vectorized over p.
 
-    The series families sum the genes their gate accepts in one batch
+    Each family takes its correction's route (``correct.ROUTES``): the
+    closed forms, the gamma-normal grid, the series or the tanh-sinh engine.
+    The series sums the genes its gate accepts in one batch
     (``series.marginal_log_batch``); genes outside the convergence region,
-    and genes whose sums are not confirmed, go to quadrature.
+    and genes whose sums are not confirmed, go to the engine.
     """
-    if m.kind in _SCORED_MARGINALS:
+    route = correct.ROUTES[m.kind]
+    if route in ("closed", "grid"):
         return _SCORED_MARGINALS[m.kind](p, m.signal, m.noise)
     p = np.asarray(p, dtype=float)
+    if route == "quadrature":
+        return _quadrature_marginal_log(p, m)
     out, ok = series.marginal_log_batch(m, p, cfg)
     if not ok.all():
         # quadrature gives -inf outside the support
@@ -264,14 +268,34 @@ def loglik(params: ModelSpec, problem: EstimationProblem) -> float:
     return total if not math.isnan(total) else -math.inf
 
 
-def _noise_rows(noise, x):
-    """Per-control derivatives of the noise log density at x, a (2, controls)
-    array: (mu, sigma) for normal noise, (alpha, beta) for gamma noise."""
-    if isinstance(noise, NormalParams):
-        z = (x - noise.mu) / noise.sigma
-        return np.stack([z / noise.sigma, (z * z - 1.0) / noise.sigma])
-    return np.stack([np.log(x) - math.log(noise.beta) - _sp.psi(noise.alpha),
-                     x / noise.beta ** 2 - noise.alpha / noise.beta])
+def _density_rows(dist, x, log_x=None):
+    """d log f(x)/d(parameters) of a normal, gamma or GB distribution at
+    every point of the array x, one row per parameter in field order.
+    log_x, when given, stands for log x (x may have underflowed to 0).
+    GB: l = log(x/d), t = (x/d)^a, q = c t/(1 + c t), r = (1 - c) t/(1 - (1 - c) t).
+    """
+    if isinstance(dist, NormalParams):
+        z = (x - dist.mu) / dist.sigma
+        return np.stack([z / dist.sigma, (z * z - 1.0) / dist.sigma])
+    log_x = np.log(x) if log_x is None else log_x
+    if isinstance(dist, GammaParams):
+        return np.stack([log_x - math.log(dist.beta) - _sp.psi(dist.alpha),
+                         x / dist.beta ** 2 - dist.alpha / dist.beta])
+    a, c, d, u, v = dist.a, dist.c, dist.d, dist.u, dist.v
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        l = log_x - math.log(d)
+        t = np.exp(a * l)
+        log_rise = np.logaddexp(0.0, a * l + np.log(c))     # log(1 + c t)
+        q = np.exp(np.log(c) + a * l - log_rise)
+        fall = (1.0 - c) * t
+        r = fall / (1.0 - fall)
+        psi_uv = _sp.psi(u + v)
+        return np.stack([
+            1.0 / a + l * (u - (v - 1.0) * r - (u + v) * q),
+            (v - 1.0) * t / (1.0 - fall) - (u + v) * t * np.exp(-log_rise),
+            (a / d) * ((v - 1.0) * r + (u + v) * q - u),
+            a * l - _sp.psi(u) + psi_uv - log_rise,
+            np.log1p(-fall) - _sp.psi(v) + psi_uv - log_rise])
 
 
 def loglik_score(params: ModelSpec, problem: EstimationProblem):
@@ -284,7 +308,7 @@ def loglik_score(params: ModelSpec, problem: EstimationProblem):
     lm, gene_rows = _SCORED_MARGINALS[params.kind](problem.observed, params.signal,
                                                    params.noise, True)
     total = float(np.sum(lm)) + noise_loglik(params, problem)
-    noise_rows = _noise_rows(params.noise, problem.negatives)
+    noise_rows = _density_rows(params.noise, problem.negatives)
     rows = np.zeros((gene_rows.shape[0], gene_rows.shape[1] + noise_rows.shape[1]))
     rows[:, :gene_rows.shape[1]] = gene_rows
     rows[-2:, gene_rows.shape[1]:] = noise_rows
@@ -294,35 +318,40 @@ def loglik_score(params: ModelSpec, problem: EstimationProblem):
 
 
 # ---------------------------------------------------------------------------
-# Analytic scores for the GB families
+# Scores of the GB families
 # ---------------------------------------------------------------------------
 
-def _gb_density_grad(b_vals, g: GBParams):
-    """Rows: d log f_GB(b)/d (a, c, d, u, v), summed over b_vals."""
-    b_vals = np.asarray(b_vals, dtype=float)
-    t = (b_vals / g.d) ** g.a
-    ltd = np.log(b_vals / g.d)
-    one_m = 1.0 - (1.0 - g.c) * t
-    one_p = 1.0 + g.c * t
-    da = (1.0 / g.a + g.u * np.log(b_vals)
-          - (g.v - 1.0) * (1.0 - g.c) * ltd * t / one_m
-          - g.u * math.log(g.d)
-          - (g.u + g.v) * g.c * ltd * t / one_p)
-    dc = (g.v - 1.0) * t / one_m - (g.u + g.v) * t / one_p
-    dt_dd = -(g.a / g.d) * t
-    dd = (-(g.a * g.u / g.d)
-          - (g.v - 1.0) * (1.0 - g.c) * dt_dd / one_m
-          - (g.u + g.v) * g.c * dt_dd / one_p)
-    du = (g.a * np.log(b_vals) - g.a * math.log(g.d)
-          - (_sp.psi(g.u) - _sp.psi(g.u + g.v)) - np.log(one_p))
-    dv = (np.log(one_m) - (_sp.psi(g.v) - _sp.psi(g.u + g.v)) - np.log(one_p))
-    return np.array([da.sum(), dc.sum(), dd.sum(), du.sum(), dv.sum()])
+#: Fisher's identity needs no boundary term at the GB signal's moving support
+#: end d/(1 - c)^(1/a) only if the density vanishes there (v > 1); just above
+#: 1 it rises in a layer too thin for the engine's nodes, so genes whose
+#: integral reaches that end are refused up to this v
+_FISHER_V_MIN = 1.01
 
 
-def _signal_score(params, problem):
-    """The signal block of a GB score: column sums of the per-gene scores."""
-    genes = series.gb_signal_score(params, problem.observed, problem.series_cfg)
-    return np.array([math.fsum(col) for col in genes.T.tolist()])
+def _gene_score(m: ModelSpec, p):
+    """The signal block of a GB model: d log f_P/d(a, c, d, u, v) summed
+    over the genes p, by Fisher's identity in one engine call at the
+    likelihood's target.
+
+    Raises DomainError for the first gene, in array order, outside the
+    support, and QuadratureError for the first whose score the engine does
+    not certify.
+    """
+    res = quadrature.log_integrals(p, m, _fisher_weights(m, noise=False),
+                                   _LIKELIHOOD_QCFG.rel_tol)
+    at_end = np.zeros(p.size, dtype=bool)
+    if m.signal.v <= _FISHER_V_MIN:
+        # the integral reaches the signal's end where the noise has density there
+        at_end = dist_logpdf(m.noise, p - gb_support_upper(m.signal)) > -np.inf
+    for i in np.flatnonzero((res.log_f == -np.inf) | ~res.means_ok | at_end).tolist():
+        if res.log_f[i] == -np.inf:
+            raise DomainError(f"p={p[i]} lies outside the support of {m.kind}")
+        reason = (f"its integral reaches the signal's support end, where v={m.signal.v} "
+                  f"leaves Fisher's identity a boundary term" if at_end[i] else
+                  f"half-step change {res.change[i]:.2e}")
+        raise QuadratureError(f"gene {i} (p={p[i]}): the tanh-sinh engine did not "
+                              f"certify its score ({reason})")
+    return np.array([math.fsum(row) for row in res.means.tolist()])
 
 
 def _check_interior(g: GBParams, label):
@@ -337,16 +366,16 @@ def score_gb(params: GBGB, problem: EstimationProblem) -> np.ndarray:
     (a2, c2, d2, u2, v2, a1, c1, d1, u1, v1).
 
     The noise block differentiates the negative-control sum (as printed); the
-    signal block differentiates the gene-marginal sum.  Valid at interior
-    points; at integer u/v the binomial axes truncate and one-sided
-    derivative corrections are not applied.
+    signal block differentiates the gene-marginal sum, each gene by Fisher's
+    identity on the tanh-sinh engine's nodes (``_gene_score``), the route
+    ``log_marginal`` takes.  Valid at interior c; raises QuadratureError
+    naming the first gene whose score the engine does not certify.
     """
     s, b = params.signal, params.noise
     _check_interior(s, "score_gb")
     _check_interior(b, "score_gb")
-    noise_part = (_gb_density_grad(problem.negatives, b)
-                  if problem.negatives.size else np.zeros(5))
-    return np.concatenate([noise_part, _signal_score(params, problem)])
+    return np.concatenate([_density_rows(b, problem.negatives).sum(axis=1),
+                           _gene_score(params, problem.observed)])
 
 
 def score_gb_normal(params: GBNormal, problem: EstimationProblem) -> np.ndarray:
@@ -354,17 +383,11 @@ def score_gb_normal(params: GBNormal, problem: EstimationProblem) -> np.ndarray:
 
     mu and sigma differentiate the negative-control sum (closed form zeros at
     the control mean and biased variance); the GB block differentiates the
-    gene-marginal sum.
+    gene-marginal sum as ``score_gb`` does, genes at or below mu included.
     """
-    s, b = params.signal, params.noise
-    _check_interior(s, "score_gb_normal")
-    neg = problem.negatives
-    if neg.size:
-        d_mu = float(np.sum(neg - b.mu) / b.sigma ** 2)
-        d_sigma = float(np.sum((neg - b.mu) ** 2 / b.sigma ** 3 - 1.0 / b.sigma))
-    else:
-        d_mu = d_sigma = 0.0
-    return np.concatenate([[d_mu, d_sigma], _signal_score(params, problem)])
+    _check_interior(params.signal, "score_gb_normal")
+    return np.concatenate([_density_rows(params.noise, problem.negatives).sum(axis=1),
+                           _gene_score(params, problem.observed)])
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +481,19 @@ def _gb_from_vec(x):
 _GB_BOUNDS = [(math.log(0.02), math.log(50.0)), (-_LOGIT_CLIP, _LOGIT_CLIP),
               (None, None), (math.log(1e-2), math.log(1e4)),
               (math.log(1e-2), math.log(1e4))]
+
+
+#: a GB parameter this close to a bound, in the optimizer's coordinates, sits
+#: at it: Nelder-Mead's simplex stops a hair short
+_CAP_DISTANCE = 1e-6
+
+
+def _at_cap(x, label):
+    """The GB parameters of the vector x that sit at a cap or a clip of
+    ``_GB_BOUNDS``, named label.a, label.c, ..."""
+    return [f"{label}.{name}" for name, xi, (lo, hi) in zip("acduv", x, _GB_BOUNDS)
+            if (lo is not None and xi <= lo + _CAP_DISTANCE)
+            or (hi is not None and xi >= hi - _CAP_DISTANCE)]
 
 
 def _joint_codec(kind):
@@ -647,7 +683,7 @@ def _fit_mle_gb(problem, start, budget, rng):
         if neg.size < 2:
             raise DegenerateControlsError("gb_normal fit needs >= 2 controls")
         noise = NormalParams(float(np.mean(neg)), math.sqrt(float(np.var(neg))))
-        noise_iters, noise_ok = 0, True
+        noise_iters, noise_ok, at_cap = 0, True, []
     else:
         def noise_obj(x):
             return float(np.sum(dist_logpdf(_gb_from_vec(x), problem.negatives)))
@@ -656,6 +692,7 @@ def _fit_mle_gb(problem, start, budget, rng):
         best_n, noise_iters, _ = _nm_maximize(noise_obj, x0, _GB_BOUNDS, budget, rng)
         noise = _gb_from_vec(best_n.x)
         noise_ok = bool(best_n.success)
+        at_cap = _at_cap(best_n.x, "noise")
 
     # Stage 2: signal from the gene marginals with noise fixed
     builder = MODEL_TYPES[kind]
@@ -668,8 +705,9 @@ def _fit_mle_gb(problem, start, budget, rng):
                                            _GB_BOUNDS, budget, rng)
     params = builder(_gb_from_vec(best_s.x), noise)
     ll = loglik(params, problem)
+    at_cap += _at_cap(best_s.x, "signal")
 
-    # None at c in {0, 1} and wherever a gene's den series is refused
+    # None at c in {0, 1} and wherever the engine does not certify a gene's score
     try:
         score = (score_gb_normal(params, problem) if kind == "gb_normal"
                  else score_gb(params, problem))
@@ -678,11 +716,11 @@ def _fit_mle_gb(problem, start, budget, rng):
         grad_norm = None
 
     return FitResult(params=params, loglik=ll,
-                     converged=bool(best_s.success) and noise_ok,
+                     converged=bool(best_s.success) and noise_ok and not at_cap,
                      iterations=noise_iters + sig_iters, method="mle",
                      gradient_norm=grad_norm,
                      diagnostics={"local_method": "Nelder-Mead",
-                                  "profile_flatness": flat})
+                                  "profile_flatness": flat, "at_cap": tuple(at_cap)})
 
 
 def fit_moments(problem: EstimationProblem) -> FitResult:

@@ -1,11 +1,11 @@
 """Batched tanh-sinh quadrature of the convolution integrals.
 
-For the genes p of one model this integrates s^k f_S(s) f_B(p - s) over the
-signal s with the double-exponential rule of Takahasi & Mori (1974).  On a
-piece [a, b] the substitution s = a + (b - a) / (1 + exp(-pi sinh t)) makes
-the integrand decay double exponentially in t, so the trapezoidal rule in t
-converges geometrically in 1/h and tolerates integrable singularities at the
-ends of a piece.
+For the genes p of one model this integrates f_S(s) f_B(p - s), and its
+products with weight rows w(s), over the signal s with the double-exponential
+rule of Takahasi & Mori (1974).  On a piece [a, b] the substitution
+s = a + (b - a) / (1 + exp(-pi sinh t)) makes the integrand decay double
+exponentially in t, so the trapezoidal rule in t converges geometrically in
+1/h and tolerates integrable singularities at the ends of a piece.
 
 * Every gene is evaluated as one row of a genes x nodes array over
   ``dists.dist_logpdf``, scaled by the gene's own largest log integrand, and
@@ -25,8 +25,9 @@ ends of a piece.
   that power and the Jacobian cancel exactly and the integrand is smooth.
 * The nodes of step h = 2^-j (j = 0..5, |t| <= 3.2) are nested.  A gene's
   value is the sum at the first level j >= 2 whose change from level j - 1
-  is within ``rel_tol`` of it, for every requested moment; genes that reach
-  no such level are reported, and callers hand them to per-gene QUADPACK.
+  is within ``rel_tol`` of it (for a posterior mean E[w(S) | P = p], of
+  E[|w|]); genes that reach no such level are reported, and callers hand
+  them to per-gene QUADPACK or refuse them.
 
 A gene's result depends only on its own p: rows never mix, and padding
 pieces add exact zeros.
@@ -35,6 +36,7 @@ pieces add exact zeros.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -139,13 +141,17 @@ def _breakpoints(p, m: ModelSpec):
 
 
 def _piece_logs(p, m, a, b, power):
-    """(log integrand + log weight, s) at every node of the pieces [a, b].
+    """(log integrand + log weight, s, log s, p - s) at every node of the
+    pieces [a, b].
 
     power < 1 is the shape of a gamma signal on a first piece starting at 0,
-    integrated over v = (s/b)^power.  Empty pieces read -inf.
+    integrated over v = (s/b)^power; there s = b v^(1/power) can underflow
+    to 0 where the integrand does not vanish, so log s comes in logs.  On
+    the other pieces log s is None.  Empty pieces read -inf.
     """
     width = b - a
     lwidth = np.log(width)[:, None]
+    log_s = None
     if power is None:
         s = a[:, None] + width[:, None] * _DL
         right = width[:, None] * _DR
@@ -154,6 +160,7 @@ def _piece_logs(p, m, a, b, power):
         # s = b v^(1/power): the density's s^(power - 1) and the Jacobian
         # (b/power) v^(1/power - 1) multiply to b^power / power
         e = _LOG_DL / power
+        log_s = lwidth + e
         s = width[:, None] * np.exp(e)
         right = width[:, None] * -np.expm1(e)
         g = m.signal
@@ -163,28 +170,54 @@ def _piece_logs(p, m, a, b, power):
     logs = lsig + dist_logpdf(m.noise, y) + _LOG_W
     # a node that rounding puts past the end of a bounded support reads NaN
     # there (GB: log1p of less than -1); the density is 0 or its weight is
-    return np.where(np.isnan(logs), -np.inf, logs), s
+    return np.where(np.isnan(logs), -np.inf, logs), s, log_s, y
 
 
-def log_integrals(p, m: ModelSpec, moments=(0,), rel_tol=1e-8):
-    """log of the integral of s^k f_S(s) f_B(p - s) ds for every gene and
-    every power k in moments (real; every power is taken on the same nodes).
+class Integrals(NamedTuple):
+    """The engine's answer for an array of genes (see ``log_integrals``)."""
 
-    Returns (logs, estimate, ok): logs[i] holds moments[i] for every gene;
-    estimate is each gene's relative half-step change at the level it took;
-    ok is False for the genes that reached no level within rel_tol, whose
-    logs the caller must replace.  Genes with an empty integration range
-    read -inf and are ok.
+    log_f: np.ndarray      # log f_P(p) per gene
+    means: np.ndarray      # E[w(S) | P = p], rows x genes
+    change: np.ndarray     # half-step change at the level the means took
+    ok: np.ndarray         # log_f met the target
+    means_ok: np.ndarray   # log_f and means met the target
+
+
+def _first_level(change, rel_tol):
+    """(level, found) per gene: the first level j >= _FIRST_LEVEL whose
+    change from level j - 1 is within rel_tol, else the last level."""
+    good = change[:, _FIRST_LEVEL - 1:] <= rel_tol
+    found = good.any(axis=1)
+    return np.where(found, good.argmax(axis=1) + _FIRST_LEVEL, _LEVELS - 1), found
+
+
+def log_integrals(p, m: ModelSpec, weights=None, rel_tol=1e-8) -> Integrals:
+    """log f_P(p) and the posterior means of weight rows for every gene.
+
+    weights(s, log s, p - s) -> rows x genes x nodes array is evaluated on
+    the nodes of every piece, with log s None except on the shape < 1 piece,
+    where s may have underflowed; weights None asks for log f_P alone.  A
+    mean is the linear ratio sum(w f)/sum(f) over the nodes; a node whose
+    integrand underflows adds 0 to both sums, whatever its weight.  log_f
+    takes the first level whose half-step change is within rel_tol of it;
+    the means take the first level where log_f's sum and every row's mean
+    have converged, a row's change measured against its E[|w| | P = p].
+    Genes that reach no such level take the last one and are reported in ok
+    or means_ok, and the caller must replace what it needs of them.  Genes
+    with an empty integration range read -inf, with NaN means, and are ok.
     """
     p = np.asarray(p, dtype=float)
     n = p.size
-    if n == 0:
-        return np.empty((len(moments), 0)), np.empty(0), np.ones(0, dtype=bool)
+    # the number of weight rows, from a call on no nodes
+    empty = np.empty((n, 0))
+    rows = 0 if weights is None else len(weights(empty, empty, empty))
     g = m.signal
     power = g.alpha if isinstance(g, GammaParams) and g.alpha < 1.0 else None
     with np.errstate(all="ignore"):
-        bp = _breakpoints(p, m)
-        sums = np.zeros((len(moments), n, _LEVELS))
+        bp = _breakpoints(p, m) if n else np.zeros((0, 1))
+        den = np.zeros((n, _LEVELS))
+        # sums of w f, then of |w| f, per row
+        num = np.zeros((2 * rows, n, _LEVELS))
         peak = np.full(n, -np.inf)
         nonempty = np.zeros(n, dtype=bool)
         for j in range(bp.shape[1] - 1):
@@ -194,23 +227,36 @@ def log_integrals(p, m: ModelSpec, moments=(0,), rel_tol=1e-8):
                 continue
             nonempty |= live
             a, b = np.where(live, a, 0.0), np.where(live, b, 0.0)
-            logs, s = _piece_logs(p, m, a, b, power if j == 0 else None)
+            logs, s, log_s, y = _piece_logs(p, m, a, b, power if j == 0 else None)
             new = np.maximum(peak, logs.max(axis=1))
             shift = np.where(np.isfinite(new), new, 0.0)
-            sums *= np.exp(peak - shift)[:, None]
+            scale = np.exp(peak - shift)[:, None]
+            den *= scale
+            num *= scale
             vals = np.exp(logs - shift[:, None])
-            for i, k in enumerate(moments):
-                sums[i] += np.add.reduceat(vals * s ** k if k else vals,
-                                           _STARTS, axis=1)
+            den += np.add.reduceat(vals, _STARTS, axis=1)
+            if rows:
+                wf = np.asarray(weights(s, log_s, y)) * vals
+                part = np.add.reduceat(wf, _STARTS, axis=2)
+                if np.isnan(part).any():
+                    # a weight that is not finite where the integrand
+                    # underflowed: those nodes add 0
+                    wf = np.where(vals > 0.0, wf, 0.0)
+                    part = np.add.reduceat(wf, _STARTS, axis=2)
+                num[:rows] += part
+                num[rows:] += np.add.reduceat(np.abs(wf), _STARTS, axis=2)
             peak = new
-        levels = np.cumsum(sums, axis=2) * _STEPS
-        change = np.max(np.abs(np.diff(levels, axis=2)) / np.abs(levels[:, :, 1:]),
-                        axis=0)
-        good = change[:, _FIRST_LEVEL - 1:] <= rel_tol
-        ok = good.any(axis=1) | ~nonempty
-        pick = np.where(good.any(axis=1), good.argmax(axis=1) + _FIRST_LEVEL,
-                        _LEVELS - 1)
-        rows = np.arange(n)
-        out = np.log(levels[:, rows, pick]) + peak
-        out[:, ~nonempty] = -np.inf
-        return out, change[rows, pick - 1], ok
+        levels = np.cumsum(den, axis=1) * _STEPS
+        change = np.abs(np.diff(levels, axis=1)) / np.abs(levels[:, 1:])
+        pick, ok = _first_level(change, rel_tol)
+        genes = np.arange(n)
+        log_f = np.log(levels[genes, pick]) + peak
+        log_f[~nonempty] = -np.inf
+        # the means at every level, and each row's E[|w|]
+        means = np.cumsum(num[:rows], axis=2) / np.cumsum(den, axis=1)
+        spread = np.cumsum(num[rows:], axis=2) / np.cumsum(den, axis=1)
+        change = np.max(np.concatenate(
+            [change[None], np.abs(np.diff(means, axis=2)) / spread[:, :, 1:]]), axis=0)
+        pick, means_ok = _first_level(change, rel_tol)
+        return Integrals(log_f, means[:, genes, pick], change[genes, pick - 1],
+                         ok | ~nonempty, means_ok | ~nonempty)

@@ -26,8 +26,9 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
 * ``batch_series`` runs a kernel on the genes the gate accepts and maps each
   gene it does not confirm to the error its per-gene evaluator raises; the
   per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
-  gene, ``marginal_log_batch`` runs the den kernel for the likelihood, and
-  ``gb_signal_score`` differentiates the GB den series on the same vectors.
+  gene, and ``marginal_log_batch`` runs the den kernel for the likelihood
+  (production takes it for exp_lognormal alone; ``correct.ROUTES`` sends the
+  other series families to the tanh-sinh engine).
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -465,23 +466,6 @@ def batch_series(m: ModelSpec, p, off, boxes, cfg: SeriesConfig = SeriesConfig()
                          np.asarray(boxes), cfg)
 
 
-def _evaluated(kind, p, signal, noise, off, cfg):
-    """The per-gene evaluators' path (off 0: den, 1: num) on the array p:
-    (boxes, log |sum|, sign, refused), each gene on its own box, gate or not;
-    refused adds the domain's refusals, whose boxes and sign are zero."""
-    family = _FAMILIES[kind]
-    refused = family.domain(p, signal, noise, f"{family.label}_{('den', 'num')[off]}")
-    run = np.delete(np.arange(p.size), list(refused))
-    boxes = np.zeros((p.size, family.dims), dtype=int)
-    log_abs, sign = np.full(p.size, _NEG_INF), np.zeros(p.size)
-    if run.size:
-        boxes[run] = family.boxes(p[run], signal, noise, cfg)[off]
-        log_abs[run], sign[run], failed = _batch_series(kind, p[run], signal, noise, off,
-                                                        boxes[run], cfg)
-        refused.update((int(run[j]), exc) for j, exc in failed.items())
-    return boxes, log_abs, sign, refused
-
-
 def _evaluate(kind, p, signal, noise, off, cfg) -> SeriesValue:
     """The family's kernel on one gene and its own box (off 0: den, 1: num).
 
@@ -489,10 +473,15 @@ def _evaluate(kind, p, signal, noise, off, cfg) -> SeriesValue:
     the sum overflows, and when the confirmation box moves the sum by rel_tol
     or more.
     """
-    boxes, log_abs, sign, refused = _evaluated(kind, np.array([float(p)]), signal, noise,
-                                               off, cfg)
+    family = _FAMILIES[kind]
+    p = np.array([float(p)])
+    refused = family.domain(p, signal, noise, f"{family.label}_{('den', 'num')[off]}")
     if refused:
         raise refused[0]
+    boxes = family.boxes(p, signal, noise, cfg)[off].astype(int)
+    log_abs, sign, failed = _batch_series(kind, p, signal, noise, off, boxes, cfg)
+    if failed:
+        raise failed[0]
     return SeriesValue(float(log_abs[0]), float(sign[0]), _box_tuple(boxes[0]), True)
 
 
@@ -798,17 +787,6 @@ def _gb_pair_domain(p, s: GBParams, b: GBParams, label):
                      f"{label}: p={q} outside the convolution support (0, {upper})")
 
 
-def _gb_pair_score(p, s: GBParams, b: GBParams, boxes):
-    """_gb_signal_score of the GB + GB den series: the beta grid B(A, B)
-    against the noise's m and r axes convolved; factor psi(A) - psi(A + B)."""
-    (*vectors, E), _ = _gb_pair_parts(p, s, b, 0, _grow(boxes))
-    v1, v2, v3, v4 = (_on_box(v, boxes[:, k]) for k, v in enumerate(vectors))
-    conv24 = _convolve_rows(v2, v4)
-    A, B = s.a * (s.u + np.arange(E.shape[0])), b.a * (b.u + np.arange(E.shape[1]))
-    return _gb_signal_score(s, np.log(p) - math.log(s.d), v1, v3, conv24, E,
-                            _sp.psi(A)[:, None] - _sp.psi(A[:, None] + B))
-
-
 def gb_pair_den_series(p, s: GBParams, b: GBParams,
                        cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the GB-signal, GB-noise convolution."""
@@ -879,20 +857,6 @@ def _gb_normal_domain(p, s: GBParams, b: NormalParams, label):
                      f"p > noise mu, got p={q}, mu={b.mu}")
 
 
-def _gb_normal_score(p, s: GBParams, b: NormalParams, boxes):
-    """_gb_signal_score of the GB + normal den series, by grid block: the
-    binomial grid C(A - 1, n) against the moment column; factor psi(A) -
-    psi(A - n)."""
-    score = np.empty((p.size, 5))
-    log_x = np.log(p - b.mu) - math.log(s.d)
-    for idx, ((*vectors, grid), _) in _gb_normal_groups(p, s, b, 0, _grow(boxes)):
-        v1, v2, vn = (_on_box(v, boxes[idx, k]) for k, v in enumerate(vectors))
-        A = s.a * (s.u + np.arange(grid.shape[0], dtype=float))
-        factor = _sp.psi(A)[:, None] - specfun.digamma_any(A[:, None] - np.arange(vn.shape[1]))
-        score[idx] = _gb_signal_score(s, log_x[idx], v1, v2, vn, grid, factor)
-    return score
-
-
 def gb_normal_den_series(p, s: GBParams, b: NormalParams,
                          cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Marginal kernel of the GB-signal, normal-noise convolution."""
@@ -903,71 +867,6 @@ def gb_normal_num_series(p, s: GBParams, b: NormalParams,
                          cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = (p - mu) * num/den."""
     return _evaluate("gb_normal", p, s, b, 1, cfg)
-
-
-# ---------------------------------------------------------------------------
-# Score of the GB signal
-# ---------------------------------------------------------------------------
-
-def _gb_signal_score(s: GBParams, log_x, fall, rise, other, grid, factor):
-    """d log f_P/d(a, c, d, u, v) of the signal GB s at every gene, genes x
-    5, from the den series S on each gene's box, for both GB families.
-
-    S = sum_i conv(fall, rise)_i G_i: fall and rise are the signal's l and m
-    axes, ((1-c)x)^l and (cx)^m with x = (p'/d)^a and log_x = log(p'/d),
-    zero past each gene's box; G contracts other with the family's grid,
-    whose row i has log-derivative factor in A = a(u + i).  The log
-    prefactor adds log a - a u log d - log B(u, v) + a u log p'.
-    """
-    rows = grid.shape[0]
-    G = _contract_rows(other, grid)
-    # the poles of the digamma factors sit on zero coefficients, which add 0
-    D = _contract_rows(other, grid * np.nan_to_num(factor, posinf=0.0))
-    i = np.arange(rows, dtype=float)
-    l = np.arange(fall.shape[1], dtype=float)
-    m = np.arange(rise.shape[1], dtype=float)
-    rising = _sp.psi(s.u + s.v + m) - _sp.psi(s.u + s.v)
-    falling = np.nan_to_num(_sp.psi(s.v) - specfun.digamma_any(s.v - l), posinf=0.0)
-
-    conv = _convolve_rows(fall, rise)[:, :rows]
-
-    def weighted(wl, wm):   # the series with term (l, m) weighted by wl[l] wm[m]
-        return _row_fsums(_convolve_rows(wl * fall, wm * rise)[:, :rows] * G)
-
-    S = _row_fsums(conv * G)
-    power = _row_fsums(conv * i * G)
-    rise_v = weighted(1.0, rising)
-    t_m = weighted(1.0, m) / s.c if s.c > 0 else 0.0
-    t_l = weighted(l, 1.0) / (1.0 - s.c) if s.c < 1 else 0.0
-    psi_uv = _sp.psi(s.u + s.v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([
-            (log_x * power + _row_fsums(conv * (s.u + i) * D)) / S + 1.0 / s.a + s.u * log_x,
-            (t_m - t_l) / S,
-            -s.a / s.d * (power / S + s.u),
-            (rise_v + s.a * _row_fsums(conv * D)) / S + s.a * log_x - _sp.psi(s.u) + psi_uv,
-            (weighted(falling, 1.0) + rise_v) / S + psi_uv - _sp.psi(s.v)], axis=1)
-
-
-def gb_signal_score(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
-    """d log f_P(p)/d(a, c, d, u, v) of the signal GB of a gb_gb or gb_normal
-    model m at every observation of the array p, genes x 5, from the den
-    series on each gene's own box, gate or not, and the log prefactor.
-
-    Raises the error of the first gene, in array order, that the den
-    evaluator refuses or whose sum is zero.
-    """
-    family = _family(m.kind)
-    if family.score is None:
-        raise InvalidParameterError(f"model kind {m.kind!r} has no GB signal score")
-    p = np.asarray(p, dtype=float)
-    boxes, _, sign, refused = _evaluated(m.kind, p, m.signal, m.noise, 0, cfg)
-    for i in np.flatnonzero(sign == 0).tolist():
-        refused.setdefault(i, SeriesDivergenceError(
-            f"{family.label}_den: zero base sum in gradient evaluation"))
-    if refused:
-        raise refused[min(refused)]
-    return family.score(p, m.signal, m.noise, boxes) if p.size else np.zeros((0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -1037,8 +936,6 @@ class _Family(NamedTuple):
     kernel: Callable
     #: (signal, noise, p array) -> log marginal density minus log den sum
     log_prefactor: Callable
-    #: (p array, signal, noise, den boxes) -> _gb_signal_score; GB families
-    score: Optional[Callable] = None
 
 
 _FAMILIES = {
@@ -1052,11 +949,9 @@ _FAMILIES = {
                                _gamma_lognormal_log_prefactor),
     "gb_gb": _Family("gb_pair", 4, _gb_pair_domain,
                      lambda s, b, p: _gb_in_region(s, p) & _gb_in_region(b, p),
-                     _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor,
-                     _gb_pair_score),
+                     _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor),
     "gb_normal": _Family("gb_normal", 3, _gb_normal_domain, _gb_normal_in_region,
-                         _gb_normal_boxes, _gb_normal_kernel, _gb_normal_log_prefactor,
-                         _gb_normal_score),
+                         _gb_normal_boxes, _gb_normal_kernel, _gb_normal_log_prefactor),
 }
 
 

@@ -49,9 +49,8 @@ def digamma(x):
 def digamma_any(x):
     """Digamma extended to negative non-integer arguments by reflection.
 
-    Needed by the score series, whose binomial-coefficient derivatives land on
-    psi(v - l) with l exceeding v.  Poles (nonpositive integers) return -inf,
-    the limit from the right (scipy's psi(0)), without a warning.
+    Poles (nonpositive integers) return -inf, the limit from the right
+    (scipy's psi(0)), without a warning.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)

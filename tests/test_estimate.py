@@ -9,8 +9,8 @@ from beadcorr import correct, estimate, oracle, quadrature, series, simulate
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
-                            dist_logpdf, dist_sample, model_from_values,
-                            model_to_values, param_names)
+                            dist_logpdf, dist_sample, gb_support_upper,
+                            model_from_values, model_to_values, param_names)
 from beadcorr.errors import (BeadcorrError, DegenerateControlsError,
                              InvalidParameterError, QuadratureError,
                              SeriesNonConvergenceError, UnsupportedMethodError)
@@ -179,10 +179,10 @@ class TestLoglik:
         real_engine = quadrature.log_integrals
         real_referee = oracle.marginal_log_pdf_quadrature
 
-        def refuse_last_two(p, model, moments=(0,), rel_tol=1e-8):
-            logs, est, ok = real_engine(p, model, moments, rel_tol)
-            ok[1:] = False
-            return logs, est, ok
+        def refuse_last_two(p, model, weights=None, rel_tol=1e-8):
+            res = real_engine(p, model, weights, rel_tol)
+            res.ok[1:] = False
+            return res
 
         def fail_at_400(p, model, q=oracle.QuadConfig()):
             if p == 400.0:
@@ -226,14 +226,15 @@ class TestLoglik:
                                               data.negatives[data.negatives > 0], kind)
             assert math.isfinite(estimate.loglik(m, prob)), seed
 
-    def test_gb_batch_matches_scalar_series(self):
-        s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
-        m = GBGB(s, b)
-        ps = np.array([0.3, 0.8, 1.2])
-        batch = estimate.log_marginal(m, ps)
-        for pi, got in zip(ps, batch):
-            want = series.marginal_gb_log(float(pi), s, b, CFG)
-            assert got == pytest.approx(want, rel=1e-10)
+    @pytest.mark.parametrize("kind", ["gamma_lognormal", "gb_gb", "gb_normal"])
+    def test_engine_routed_likelihoods_match_the_referee(self, kind):
+        # the likelihood takes the correction's route: the tanh-sinh engine
+        assert correct.ROUTES[kind] == "quadrature"
+        m = simulate.REFERENCE_MODELS[kind][0]
+        ps = simulate.simulate_experiment(m, 12, 2, seed=3).observed
+        got = estimate.log_marginal(m, ps)
+        want = [oracle.marginal_log_pdf_quadrature(float(p), m) for p in ps]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 class TestScores:
@@ -348,20 +349,83 @@ class TestScores:
         return (type(m)(dataclasses.replace(m.signal, c=signal_c), noise),
                 estimate.EstimationProblem(data.observed, data.negatives, kind))
 
-    def test_score_raises_the_first_refused_genes_error(self):
+    @staticmethod
+    def _assert_blocks_match_central_differences(m, prob, score):
+        """Criterion 5's check: the noise block against central differences
+        of the control sum, the signal block against those of loglik."""
+        signal_at = 5 if m.kind == "gb_gb" else 2
+        blocks = [(m.signal, signal_at, estimate.loglik, lambda g: type(m)(g, m.noise))]
+        if m.kind == "gb_gb":
+            blocks.append((m.noise, 0, estimate.noise_loglik,
+                           lambda g: type(m)(m.signal, g)))
+        for g, first, f, build in blocks:
+            for i, name in enumerate(("a", "c", "d", "u", "v")):
+                h = 1e-6 * max(1.0, getattr(g, name))
+                up = f(build(dataclasses.replace(g, **{name: getattr(g, name) + h})), prob)
+                dn = f(build(dataclasses.replace(g, **{name: getattr(g, name) - h})), prob)
+                fd = (up - dn) / (2 * h)
+                got = score[first + i]
+                assert abs(got - fd) <= max(1e-4, 1e-3 * abs(fd)), (name, got, fd)
+
+    def test_gb_normal_score_takes_genes_at_or_below_the_noise_mean(self):
+        # the series has no formulation at p <= mu; Fisher's identity on the
+        # engine's nodes scores every gene the likelihood answers
+        m, prob = self._reference_problem("gb_normal", 0.5)
+        assert np.sum(prob.observed <= m.noise.mu) == 2
+        score = estimate.score_gb_normal(m, prob)
+        assert np.all(np.isfinite(score))
+        self._assert_blocks_match_central_differences(m, prob, score)
+
+    def test_gb_score_takes_genes_past_the_series_cap(self):
         m, prob = self._reference_problem("gb_gb", 0.999, 0.999)
-        first = None
-        for p in prob.observed.tolist():
-            try:
+        with pytest.raises(SeriesNonConvergenceError, match="past the cap"):
+            for p in prob.observed.tolist():
                 series.gb_pair_den_series(p, m.signal, m.noise, CFG)
-            except BeadcorrError as exc:
-                first = exc
-                break
-        assert isinstance(first, SeriesNonConvergenceError)
-        assert "lie past the cap" in str(first)
-        with pytest.raises(SeriesNonConvergenceError) as info:
+        score = estimate.score_gb(m, prob)
+        assert np.all(np.isfinite(score))
+        self._assert_blocks_match_central_differences(m, prob, score)
+
+    def test_uncertified_gene_refuses_the_score_and_the_gradient_norm(self, monkeypatch):
+        # a gene whose score the engine does not certify: the score names it,
+        # and a fit reports no gradient norm
+        real = quadrature.log_integrals
+
+        def refuse_second(p, m, weights=None, rel_tol=1e-8):
+            res = real(p, m, weights, rel_tol)
+            res.means_ok[1:2] = False
+            return res
+
+        rng = np.random.default_rng(5)
+        s, b = GBParams(1.1, 0.4, 1.3, 1.8, 2.7), GBParams(0.9, 0.6, 0.45, 1.3, 2.2)
+        m = GBGB(s, b)
+        prob = estimate.EstimationProblem(_safe_gb_obs(m, 6, rng), dist_sample(b, 20, rng),
+                                          "gb_gb")
+        assert np.all(np.isfinite(estimate.score_gb(m, prob)))
+        monkeypatch.setattr(quadrature, "log_integrals", refuse_second)
+        with pytest.raises(QuadratureError, match=r"gene 1 \(p="):
             estimate.score_gb(m, prob)
-        assert str(info.value) == str(first)
+        fit = estimate.fit_mle(prob, estimate.FitBudget(n_starts=1, max_iter=30))
+        assert math.isfinite(fit.loglik) and fit.gradient_norm is None
+
+    @pytest.mark.parametrize("v", [0.8, 1.0, 2.0])
+    def test_signal_support_end_against_central_differences(self, v):
+        # for c < 1 the signal's support ends at d/(1 - c)^(1/a), which moves
+        # with a, c and d.  Its density vanishes there only for v > 1, where
+        # Fisher's identity needs no boundary term; with v <= 1 the genes
+        # whose integral reaches that end are refused, and the others agree
+        s = GBParams(1.2, 0.5, 2.0, 1.5, v)
+        m = GBGB(s, GBParams(1.0, 0.5, 0.5, 1.5, 2.0))
+        end = gb_support_upper(s)
+        below = estimate.EstimationProblem(np.array([0.3 * end, 0.6 * end]),
+                                           np.array([0.3, 0.4]), "gb_gb")
+        past = estimate.EstimationProblem(np.array([0.6 * end, end + 0.2]),
+                                          np.array([0.3, 0.4]), "gb_gb")
+        self._assert_blocks_match_central_differences(m, below, estimate.score_gb(m, below))
+        if v > 1.0:
+            self._assert_blocks_match_central_differences(m, past, estimate.score_gb(m, past))
+        else:
+            with pytest.raises(QuadratureError, match="gene 1"):
+                estimate.score_gb(m, past)
 
     def test_gb_normal_score_at_integer_grid_arguments(self):
         # a(u + i) is an integer at every grid row, so the binomial grid's
@@ -443,7 +507,7 @@ class TestClosedFormScores:
     def test_noise_score_is_zero_at_the_control_fit(self):
         neg = np.array([90.0, 97.0, 104.0, 111.0, 125.0])
         mu, sd = float(np.mean(neg)), float(np.std(neg))
-        score = estimate._noise_rows(NormalParams(mu, sd), neg).sum(axis=1)
+        score = estimate._density_rows(NormalParams(mu, sd), neg).sum(axis=1)
         np.testing.assert_allclose(score, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("noise", [NormalParams(100.0, 15.0), GammaParams(2.0, 4.0)],
@@ -451,7 +515,7 @@ class TestClosedFormScores:
     def test_noise_rows_match_central_differences(self, noise):
         # one row per control: the derivatives of that control's log density
         x = np.array([3.0, 8.0, 90.0, 104.0, 131.0])
-        rows = estimate._noise_rows(noise, x)
+        rows = estimate._density_rows(noise, x)
         assert rows.shape == (2, x.size)
         values = list(dataclasses.astuple(noise))
         for k in range(2):
@@ -473,6 +537,23 @@ class TestClosedFormScores:
         # a control moves only the two noise parameters
         assert np.all(rows[:2, obs.size:] == 0.0)
         np.testing.assert_allclose(rows.sum(axis=1), score, rtol=1e-12)
+
+    def test_one_engine_call_per_gamma_normal_evaluation(self, monkeypatch):
+        # shape < 1: the grid refuses the array, and one engine call gives
+        # every gene's value and score
+        m = GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0))
+        obs, neg, _ = _simulate(m, 300, 100, seed=1)
+        prob = estimate.EstimationProblem(obs, neg, m.kind)
+        real, calls = quadrature.log_integrals, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "log_integrals", counted)
+        value, _, _ = estimate.loglik_score(m, prob)
+        assert calls == [obs.size]
+        assert value == estimate.loglik(m, prob)
 
     def test_gamma_normal_at_large_shape(self):
         # zeta(1 - alpha - k) overflows where psi(0) h^alpha underflows; the
@@ -572,6 +653,16 @@ class TestFitMle:
         inv = estimate._opg_inverse(np.array([[1.0, -1.0], [1.0, 1.0]]), 2)
         np.testing.assert_allclose(inv, np.eye(2))
 
+    def test_gb_parameters_at_a_cap_are_listed(self):
+        # a at 50, c at the logit clip, u and v at 1e-2 or 1e4
+        top = [math.log(50.0), estimate._LOGIT_CLIP, 3.0, 0.0, math.log(1e4)]
+        assert estimate._at_cap(top, "signal") == ["signal.a", "signal.c", "signal.v"]
+        bottom = [0.0, -estimate._LOGIT_CLIP, -3.0, math.log(1e-2), 1.0]
+        assert estimate._at_cap(bottom, "noise") == ["noise.c", "noise.u"]
+        assert estimate._at_cap([0.0, 6.8, 40.0, 9.2, 9.2], "signal") == []
+        # Nelder-Mead's simplex stops a hair short of a bound
+        assert estimate._at_cap([0.0, 6.8999999997, 0.0, 0.0, 0.0], "signal") == ["signal.c"]
+
     def test_determinism(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
         obs, neg, _ = _simulate(m, 1000, 200, seed=3)
@@ -597,6 +688,7 @@ class TestFitMle:
         assert math.isfinite(fit.loglik)
         assert fit.loglik >= estimate.loglik(m, prob) - 5.0
         assert "profile_flatness" in fit.diagnostics
+        assert not (fit.converged and fit.diagnostics["at_cap"])
         # noise block is the closed-form control fit
         assert fit.params.noise.mu == pytest.approx(float(np.mean(neg)))
 

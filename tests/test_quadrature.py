@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from beadcorr import oracle, quadrature, simulate, validation
 from beadcorr.dists import (GammaNormal, GammaParams, GBGB, GBParams,
@@ -12,6 +13,11 @@ from beadcorr.dists import (GammaNormal, GammaParams, GBGB, GBParams,
 Q = oracle.QuadConfig(abs_tol=1e-14, rel_tol=1e-10)
 KINDS = ("exp_normal", "exp_gamma", "gamma_normal", "exp_lognormal",
          "gamma_lognormal", "gb_gb", "gb_normal")
+
+
+def _mean(s, log_s, y):
+    """The weight row of the posterior mean E[S | P = p]."""
+    return s[None]
 
 
 def _cases(kind, rng, n_models):
@@ -36,11 +42,12 @@ def test_engine_matches_the_referee(kind):
     tol = min(validation.TOLERANCES[kind], 1e-9)
     rng = np.random.default_rng(23)
     for m, ps in _cases(kind, rng, 12):
-        logs, est, ok = quadrature.log_integrals(ps, m, (0, 1), 1e-8)
-        assert ok.all() and np.all(est <= 1e-8), (m, ps, est)
-        for p, lden, lnum in zip(ps, logs[0], logs[1]):
+        res = quadrature.log_integrals(ps, m, _mean, 1e-8)
+        assert res.ok.all() and res.means_ok.all() and np.all(res.change <= 1e-8), \
+            (m, ps, res.change)
+        for p, lden, got in zip(ps, res.log_f, res.means[0]):
             mean = oracle.posterior_mean_quadrature(float(p), m, Q)
-            assert math.exp(lnum - lden) == pytest.approx(mean, rel=tol), (m, p)
+            assert got == pytest.approx(mean, rel=tol), (m, p)
             lref = oracle.marginal_log_pdf_quadrature(float(p), m, Q)
             assert lden == pytest.approx(lref, abs=tol), (m, p)
 
@@ -50,32 +57,36 @@ def test_gene_bits_do_not_depend_on_the_batch(kind):
     m = simulate.REFERENCE_MODELS[kind][0]
     d = simulate.simulate_experiment(m, 40, 2, 3)
     ps = d.observed[d.observed > 0]
-    whole, est, ok = quadrature.log_integrals(ps, m, (0, 1))
-    rev = quadrature.log_integrals(ps[::-1], m, (0, 1))
-    np.testing.assert_array_equal(rev[0][:, ::-1], whole)
-    np.testing.assert_array_equal(rev[1][::-1], est)
+    whole = quadrature.log_integrals(ps, m, _mean)
+    rev = quadrature.log_integrals(ps[::-1], m, _mean)
+    np.testing.assert_array_equal(rev.log_f[::-1], whole.log_f)
+    np.testing.assert_array_equal(rev.means[:, ::-1], whole.means)
+    np.testing.assert_array_equal(rev.change[::-1], whole.change)
     for i, p in enumerate(ps):
-        alone = quadrature.log_integrals(ps[i:i + 1], m, (0, 1))
-        np.testing.assert_array_equal(alone[0][:, 0], whole[:, i])
-        assert alone[1][0] == est[i] and alone[2][0] == ok[i]
+        alone = quadrature.log_integrals(ps[i:i + 1], m, _mean)
+        assert alone.log_f[0] == whole.log_f[i] and alone.means[0, 0] == whole.means[0, i]
+        assert alone.change[0] == whole.change[i] and alone.ok[0] == whole.ok[i]
+        assert alone.means_ok[0] == whole.means_ok[i]
 
 
 def test_loose_target_takes_an_earlier_level():
     m = simulate.REFERENCE_MODELS["gamma_lognormal"][0]
     ps = np.array([5.0, 12.3, 40.0])
-    tight = quadrature.log_integrals(ps, m, (0, 1), 1e-8)
-    loose = quadrature.log_integrals(ps, m, (0, 1), 1e-3)
-    assert tight[2].all() and loose[2].all()
-    assert np.all(loose[1] <= 1e-3) and np.any(loose[1] > tight[1])
-    np.testing.assert_allclose(loose[0], tight[0], rtol=1e-6)
+    tight = quadrature.log_integrals(ps, m, _mean, 1e-8)
+    loose = quadrature.log_integrals(ps, m, _mean, 1e-3)
+    assert tight.means_ok.all() and loose.means_ok.all()
+    assert np.all(loose.change <= 1e-3) and np.any(loose.change > tight.change)
+    np.testing.assert_allclose(loose.log_f, tight.log_f, rtol=1e-6)
+    np.testing.assert_allclose(loose.means, tight.means, rtol=1e-6)
 
 
 def test_empty_range_reads_minus_inf():
     # the GB pair has support (0, 4): p = 5 leaves nothing to integrate
     m = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
-    logs, _, ok = quadrature.log_integrals(np.array([5.0, 1.0]), m)
-    assert logs[0, 0] == -math.inf and ok[0]
-    assert math.isfinite(logs[0, 1]) and ok[1]
+    res = quadrature.log_integrals(np.array([5.0, 1.0]), m)
+    assert res.log_f[0] == -math.inf and res.ok[0]
+    assert math.isfinite(res.log_f[1]) and res.ok[1]
+    assert res.means.shape == (0, 2)
 
 
 @pytest.mark.parametrize("p, g, b, want", [
@@ -89,6 +100,44 @@ def test_empty_range_reads_minus_inf():
 def test_gamma_normal_regimes_the_old_knots_missed(p, g, b, want):
     # values from 40-digit mpmath; the second also from the convergent
     # series in s^2 of exp(-s^2 / 2 sigma^2) at the tilted gamma scale
-    logs, _, ok = quadrature.log_integrals(np.array([p]), GammaNormal(g, b), (0, 1), 1e-11)
-    assert ok[0]
-    assert math.exp(logs[1, 0] - logs[0, 0]) == pytest.approx(want, rel=1e-9)
+    res = quadrature.log_integrals(np.array([p]), GammaNormal(g, b), _mean, 1e-11)
+    assert res.means_ok[0]
+    assert res.means[0, 0] == pytest.approx(want, rel=1e-9)
+
+
+def test_log_s_rows_where_the_nodes_underflow():
+    # at shape 0.03 the first piece's nodes s = b v^(1/alpha) underflow to 0
+    # where the integrand does not vanish; the rows read log s in logs, so
+    # E[log S | P = p] is finite, and by Fisher's identity
+    # E[log S] - log beta - psi(alpha) is d log f_P/d alpha, a difference of
+    # terms near -38, so the check is absolute
+    p, b = np.array([9.74]), NormalParams(308.8, 198.8)
+    g = GammaParams(0.03, 0.0175)
+    def log_s_row(s, log_s, y):
+        # log s comes in logs on the shape < 1 piece alone
+        return (np.log(s) if log_s is None else log_s)[None]
+
+    res = quadrature.log_integrals(p, GammaNormal(g, b), log_s_row, 1e-10)
+    assert res.means_ok[0] and math.isfinite(res.means[0, 0])
+    h = 1e-4 * g.alpha
+
+    def log_f(alpha):
+        shifted = quadrature.log_integrals(p, GammaNormal(GammaParams(alpha, g.beta), b),
+                                           None, 1e-12)
+        assert shifted.ok[0]
+        return shifted.log_f[0]
+
+    fd = (log_f(g.alpha + h) - log_f(g.alpha - h)) / (2 * h)
+    score = res.means[0, 0] - math.log(g.beta) - sp.psi(g.alpha)
+    assert score == pytest.approx(fd, rel=0, abs=1e-7)
+
+
+def test_signed_rows_take_a_linear_ratio():
+    # E[S - c | P = p] changes sign across the genes; the means are the
+    # ratio sum(w f)/sum(f), equal to E[S | P = p] - c
+    m = simulate.REFERENCE_MODELS["gamma_normal"][0]
+    ps = np.array([90.0, 150.0, 400.0])
+    both = quadrature.log_integrals(ps, m, lambda s, log_s, y: np.stack([s, s - 60.0]), 1e-8)
+    assert both.means_ok.all()
+    assert np.any(both.means[1] < 0) and np.any(both.means[1] > 0)
+    np.testing.assert_allclose(both.means[1], both.means[0] - 60.0, rtol=1e-12, atol=1e-9)

@@ -393,47 +393,13 @@ class TestOneBoxPerGene:
                                         rel=1e-10)
 
     def test_models_without_a_series_are_refused(self):
-        # the gate and the GB score read one family table; a model outside it
-        # is an error, not an empty verdict
+        # the gate and the batched likelihood read one family table; a model
+        # outside it is an error, not an empty verdict
         closed = simulate.REFERENCE_MODELS["exp_normal"][0]
         p = np.array([50.0, 150.0])
         for call in (lambda: series.gate(closed, p, CFG),
                      lambda: series._in_region(closed, p),
                      lambda: series.convergence_ok(closed, 150.0, CFG),
-                     lambda: series.marginal_log_batch(closed, p, CFG),
-                     lambda: series.gb_signal_score(closed, p, CFG)):
+                     lambda: series.marginal_log_batch(closed, p, CFG)):
             with pytest.raises(InvalidParameterError, match="exp_normal"):
                 call()
-        lognormal = simulate.REFERENCE_MODELS["exp_lognormal"][0]
-        with pytest.raises(InvalidParameterError, match="no GB signal score"):
-            series.gb_signal_score(lognormal, p, CFG)
-
-    def test_gb_signal_score_takes_genes_the_gate_refuses(self):
-        # boxes are the den evaluator's, computed whether or not the gate
-        # accepts the gene; a gene the evaluator refuses raises its error
-        ref = simulate.REFERENCE_MODELS["gb_gb"][0]
-        s, b = GBParams(1, 0.5, 30, 2, 8), GBParams(1, 0.5, 30, 1.5, 12)
-        m = GBGB(s, b)
-        p = simulate.simulate_experiment(ref, 60, 2, seed=7).observed
-        verdict = series.gate(m, p, CFG)
-        confirmed = []
-        for q in p[~verdict.ok].tolist():
-            try:
-                series.gb_pair_den_series(q, s, b, CFG)
-                confirmed.append(q)
-            except SeriesError:
-                pass
-        assert confirmed
-        ps = np.array([p[verdict.ok][0], confirmed[0]])
-        score = series.gb_signal_score(m, ps, CFG)
-        assert score.shape == (2, 5) and np.all(np.isfinite(score))
-        np.testing.assert_array_equal(score[1], series.gb_signal_score(m, ps[1:], CFG)[0])
-        tiny = series.SeriesConfig(max_terms_per_index=20)
-        s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
-        with pytest.raises(SeriesNonConvergenceError) as info:
-            series.gb_signal_score(GBGB(s, b), np.array([0.8, 5.5, 0.7]), tiny)
-        with pytest.raises(SeriesNonConvergenceError) as alone:
-            series.gb_pair_den_series(0.8, s, b, tiny)
-        assert str(info.value) == str(alone.value)
-        with pytest.raises(DomainError, match="outside the convolution support"):
-            series.gb_signal_score(GBGB(s, b), np.array([5.5, 0.8]), tiny)
