@@ -2,26 +2,27 @@
 
 The likelihood of an array is the sum of per-gene log marginal densities plus
 the log density of the negative controls under the noise component, each
-family's marginal on its correction's route (``correct.ROUTES``).  For the GB
-families the printed likelihood equations estimate the noise block from the
-negative controls alone, so maximum likelihood runs in two stages: noise from
-the controls, then signal from the gene marginals with noise fixed.  One
-pointwise score per distribution (``_density_rows``) serves the controls and,
-by Fisher's identity on the tanh-sinh engine's nodes, every gene the engine
-answers.
+family's marginal on its correction's route (``correct.ROUTES``), which also
+gives its score (``loglik_score``).  One pointwise score per distribution
+(``_density_rows``) serves the controls and, by Fisher's identity on the
+tanh-sinh engine's nodes, every gene the engine answers.  The gamma-normal
+grid value at p is a cubic through the grid nodes less the endpoint terms of
+the generalized Euler-Maclaurin expansion at s = 0
+(``correct.gamma_normal_density``), and its score differentiates exactly
+that; the exp_lognormal series scores its genes from the den kernel's terms.
 
-exp_normal, exp_gamma and gamma_normal return their exact score with the
-likelihood (``loglik_score``), and are fitted by BFGS on it, started from the
-outer product of the per-observation scores: 4 to 7 value-and-gradient
-evaluations per fit of a 100-gene, 200-control reference array (5.4 on
-average), against 7 to 22 (15.3) from the identity.  The gamma-normal grid value at p is
-a cubic through the grid nodes less the endpoint terms of the generalized
-Euler-Maclaurin expansion at s = 0 (``correct.gamma_normal_density``), and
-its score differentiates exactly that.  The other families run Nelder-Mead.
+Every family is fitted by BFGS on that score, started from the outer product
+of the per-observation scores: 4 to 7 value-and-gradient evaluations per fit
+of a 100-gene, 200-control exp_normal, exp_gamma or gamma_normal reference
+array (5.4 on average), against 7 to 22 (15.3) from the identity.  For the GB
+families the printed likelihood equations estimate the noise block from the
+negative controls alone, so their fit runs in two stages: noise from the
+controls, then signal from the gene marginals with noise fixed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -222,8 +223,7 @@ def _quadrature_marginal_log(p_vals, m, grad=False):
     return (out, res.means) if grad else out
 
 
-#: the log marginals of the closed and grid routes, which also return their
-#: score, in param_names order
+#: the log marginals of the closed and grid routes, with their scores
 _SCORED_MARGINALS = {
     "exp_normal": _log_marginal_exp_normal,
     "exp_gamma": _log_marginal_exp_gamma,
@@ -231,7 +231,8 @@ _SCORED_MARGINALS = {
 }
 
 
-def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig()):
+def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig(),
+                 grad=False):
     """log f_P(p) under model m; -inf outside support.  Vectorized over p.
 
     Each family takes its correction's route (``correct.ROUTES``): the
@@ -239,18 +240,30 @@ def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig
     The series sums the genes its gate accepts in one batch
     (``series.marginal_log_batch``); genes outside the convergence region,
     and genes whose sums are not confirmed, go to the engine.
+
+    With grad, also the derivatives in param_names order, a (parameters,
+    genes) array, from the same route; a series gene whose score is not
+    confirmed to the engine's target keeps its series value and takes the
+    engine's score.
     """
     route = correct.ROUTES[m.kind]
     if route in ("closed", "grid"):
-        return _SCORED_MARGINALS[m.kind](p, m.signal, m.noise)
+        return _SCORED_MARGINALS[m.kind](p, m.signal, m.noise, grad)
     p = np.asarray(p, dtype=float)
     if route == "quadrature":
-        return _quadrature_marginal_log(p, m)
-    out, ok = series.marginal_log_batch(m, p, cfg)
-    if not ok.all():
-        # quadrature gives -inf outside the support
-        out[~ok] = _quadrature_marginal_log(p[~ok], m)
-    return out
+        return _quadrature_marginal_log(p, m, grad)
+    if not grad:
+        out, ok = series.marginal_log_batch(m, p, cfg)
+        if not ok.all():
+            # quadrature gives -inf outside the support
+            out[~ok] = _quadrature_marginal_log(p[~ok], m)
+        return out
+    out, ok, rows = series.marginal_log_batch(m, p, cfg, _LIKELIHOOD_QCFG.rel_tol)
+    rest = np.flatnonzero(~ok | np.isnan(rows).any(axis=0))
+    if rest.size:
+        engine, rows[:, rest] = _quadrature_marginal_log(p[rest], m, True)
+        out[rest] = np.where(ok[rest], out[rest], engine)
+    return out, rows
 
 
 def noise_loglik(m: ModelSpec, problem: EstimationProblem) -> float:
@@ -269,7 +282,7 @@ def loglik(params: ModelSpec, problem: EstimationProblem) -> float:
 
 
 def _density_rows(dist, x, log_x=None):
-    """d log f(x)/d(parameters) of a normal, gamma or GB distribution at
+    """d log f(x)/d(parameters) of any signal or noise distribution at
     every point of the array x, one row per parameter in field order.
     log_x, when given, stands for log x (x may have underflowed to 0).
     GB: l = log(x/d), t = (x/d)^a, q = c t/(1 + c t), r = (1 - c) t/(1 - (1 - c) t).
@@ -277,7 +290,12 @@ def _density_rows(dist, x, log_x=None):
     if isinstance(dist, NormalParams):
         z = (x - dist.mu) / dist.sigma
         return np.stack([z / dist.sigma, (z * z - 1.0) / dist.sigma])
+    if isinstance(dist, ExpParams):
+        return (1.0 / dist.theta - x)[None]
     log_x = np.log(x) if log_x is None else log_x
+    if isinstance(dist, LognormalParams):
+        z = (log_x - dist.mu) / dist.sigma
+        return np.stack([z / dist.sigma, (z * z - 1.0) / dist.sigma])
     if isinstance(dist, GammaParams):
         return np.stack([log_x - math.log(dist.beta) - _sp.psi(dist.alpha),
                          x / dist.beta ** 2 - dist.alpha / dist.beta])
@@ -298,23 +316,29 @@ def _density_rows(dist, x, log_x=None):
             np.log1p(-fall) - _sp.psi(v) + psi_uv - log_rise])
 
 
+def _controls_score(params: ModelSpec, problem: EstimationProblem):
+    """(``noise_loglik``, its gradient in param_names order, the
+    per-control scores): a (parameters, controls) array, zero in the
+    signal's rows."""
+    noise_rows = _density_rows(params.noise, problem.negatives)
+    rows = np.zeros((len(param_names(params.kind)), problem.negatives.size))
+    rows[-noise_rows.shape[0]:] = noise_rows
+    return noise_loglik(params, problem), rows.sum(axis=1), rows
+
+
 def loglik_score(params: ModelSpec, problem: EstimationProblem):
     """(loglik, its gradient in param_names order, the per-observation
-    scores) for exp_normal, exp_gamma and gamma_normal.  The value equals
+    scores), every family on its ``log_marginal`` route.  The value equals
     ``loglik`` bit for bit.  The per-observation scores are the terms the
     gradient sums, a (parameters, genes + controls) array: the genes'
-    columns, then the controls', which move only the two noise parameters.
+    columns, then the controls', which move only the noise parameters.
     """
-    lm, gene_rows = _SCORED_MARGINALS[params.kind](problem.observed, params.signal,
-                                                   params.noise, True)
-    total = float(np.sum(lm)) + noise_loglik(params, problem)
-    noise_rows = _density_rows(params.noise, problem.negatives)
-    rows = np.zeros((gene_rows.shape[0], gene_rows.shape[1] + noise_rows.shape[1]))
-    rows[:, :gene_rows.shape[1]] = gene_rows
-    rows[-2:, gene_rows.shape[1]:] = noise_rows
-    score = gene_rows.sum(axis=1)
-    score[-2:] += noise_rows.sum(axis=1)
-    return (total if not math.isnan(total) else -math.inf), score, rows
+    lm, gene_rows = log_marginal(params, problem.observed, problem.series_cfg, True)
+    noise_ll, noise_score, noise_rows = _controls_score(params, problem)
+    total = float(np.sum(lm)) + noise_ll
+    return ((total if not math.isnan(total) else -math.inf),
+            gene_rows.sum(axis=1) + noise_score,
+            np.concatenate([gene_rows, noise_rows], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +491,15 @@ def _inv_logit(x):
     return 1.0 / (1.0 + math.exp(-min(max(x, -_LOGIT_CLIP), _LOGIT_CLIP)))
 
 
-def _gb_to_vec(g: GBParams):
-    return [math.log(min(g.a, 50.0)), _logit(g.c), math.log(g.d),
-            math.log(g.u), math.log(min(g.v, 1e4))]
-
-
-def _gb_from_vec(x):
-    return GBParams(a=min(math.exp(x[0]), 50.0), c=_inv_logit(x[1]),
-                    d=math.exp(x[2]), u=math.exp(x[3]),
-                    v=min(math.exp(x[4]), 1e4))
-
-
 _GB_BOUNDS = [(math.log(0.02), math.log(50.0)), (-_LOGIT_CLIP, _LOGIT_CLIP),
               (None, None), (math.log(1e-2), math.log(1e4)),
               (math.log(1e-2), math.log(1e4))]
 
+#: the caps of the GB shapes a and v
+_CAPS = {"a": 50.0, "v": 1e4}
 
-#: a GB parameter this close to a bound, in the optimizer's coordinates, sits
-#: at it: Nelder-Mead's simplex stops a hair short
+#: a GB parameter this close to a bound, in the optimizer's coordinates, or
+#: past it (where its coordinate no longer moves the model), sits at it
 _CAP_DISTANCE = 1e-6
 
 
@@ -496,22 +511,38 @@ def _at_cap(x, label):
             or (hi is not None and xi >= hi - _CAP_DISTANCE)]
 
 
-def _joint_codec(kind):
-    """(to_vec(model) -> list, from_vec(list) -> model, bounds) for NM space.
+def _codec(names):
+    """(to_vec(values) -> list, from_vec(x) -> (values, d values/dx), bounds)
+    for the parameters names, in the optimizer's coordinates.
 
-    The vector holds the parameters in param_names order, each on the log
-    scale except the location mu.
+    A parameter is keyed by its name less the GB block suffix: mu as is, c
+    through the clipped logit, a and v on the log scale up to their caps, the
+    others on the log scale.  The chain-rule factor d value/dx is 0 past a
+    cap or the clip.  bounds are the GB parameters' ``_GB_BOUNDS``, which
+    clip the jittered starts.
     """
-    logged = [name != "mu" for name in param_names(kind)]
+    keys = [name.rstrip("12") for name in names]
+    gb_bounds = dict(zip("acduv", _GB_BOUNDS))
 
-    def to_vec(m):
-        return [math.log(v) if lg else v for v, lg in zip(model_to_values(m), logged)]
+    def to_vec(values):
+        return [v if k == "mu" else _logit(v) if k == "c"
+                else math.log(min(v, _CAPS.get(k, math.inf))) for k, v in zip(keys, values)]
 
     def from_vec(x):
-        return model_from_values(kind, [math.exp(v) if lg else v
-                                        for v, lg in zip(x, logged)])
+        out = []
+        for k, xi in zip(keys, x):
+            if k == "mu":
+                out.append((xi, 1.0))
+            elif k == "c":
+                c = _inv_logit(xi)
+                out.append((c, c * (1.0 - c) if abs(xi) <= _LOGIT_CLIP else 0.0))
+            else:
+                v, cap = math.exp(xi), _CAPS.get(k, math.inf)
+                out.append((min(v, cap), v if v <= cap else 0.0))
+        values, factor = zip(*out)
+        return list(values), np.array(factor)
 
-    return to_vec, from_vec, [(None, None)] * len(logged)
+    return to_vec, from_vec, [gb_bounds.get(k, (None, None)) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -528,44 +559,23 @@ def _starts(x0, bounds, budget, rng):
     return [np.clip(st, lo, hi) for st in starts]
 
 
-def _nm_maximize(objective, x0, bounds, budget, rng):
-    """Multi-start Nelder-Mead on -objective in transformed space."""
-    from scipy import optimize as _opt
-
-    def neg(x):
-        try:
-            v = objective(x)
-        except (BeadcorrError, OverflowError, FloatingPointError):
-            return 1e100
-        if math.isnan(v):
-            return 1e100
-        return -v if v > -1e100 else 1e100
-
-    best = None
-    total_nfev = 0
-    for start in _starts(x0, bounds, budget, rng):
-        res = _opt.minimize(neg, start, method="Nelder-Mead", bounds=bounds,
-                            options={"maxiter": budget.max_iter,
-                                     "xatol": 1e-7, "fatol": 1e-9,
-                                     "adaptive": len(x0) > 4})
-        total_nfev += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    # profile flatness from the winning simplex
-    verts = best.final_simplex[0]
-    flat = float(np.max(np.ptp(verts, axis=0)))
-    return best, total_nfev, flat
-
-
 #: BFGS stops when every gradient entry per observation is below this
 _GTOL = 1e-6
+
+
+#: the longest first step, in any coordinate, that BFGS takes from the outer
+#: product of the scores
+_OPG_STEP_MAX = 1.0
 
 
 def _opg_inverse(rows, n):
     """BFGS's first inverse Hessian of -loglik/n: the inverse of the outer
     product of the per-observation scores, R R^T/n (Berndt, Hall, Hall and
-    Hausman 1974), symmetrized; None where it is not finite or not positive
-    definite."""
+    Hausman 1974), symmetrized; None where it is not positive definite, or
+    where its first step (it times the rows' sum over n) moves a coordinate
+    by more than ``_OPG_STEP_MAX``: a product near singular (a GB start with
+    c at the clip) sends that step where the line search accepts no point.
+    """
     with np.errstate(all="ignore"):
         info = rows @ rows.T / n
     if not np.all(np.isfinite(info)):
@@ -576,7 +586,9 @@ def _opg_inverse(rows, n):
         np.linalg.cholesky(inv)
     except np.linalg.LinAlgError:
         return None
-    return inv if np.all(np.isfinite(inv)) else None
+    with np.errstate(all="ignore"):
+        step = inv @ rows.sum(axis=1) / n
+    return inv if np.all(np.abs(step) <= _OPG_STEP_MAX) else None
 
 
 def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
@@ -626,101 +638,58 @@ def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
 
 
 def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitResult:
-    """Maximize the likelihood from the moment-based start.
-
-    Classical families optimize all parameters jointly; GB families estimate
-    the noise block from the controls first (as the likelihood equations
-    prescribe), then the signal block from the gene marginals.  exp_normal,
-    exp_gamma and gamma_normal run BFGS on their exact scores
-    (``loglik_score``); the others run Nelder-Mead.
+    """Maximize the likelihood from the moment-based start by BFGS on its
+    score (``loglik_score``) in the coordinates of ``_codec``, all
+    parameters in one stage, except that GB families estimate the noise
+    block from the controls first (as the likelihood equations prescribe; a
+    normal noise starts at its control MLE and stays there), then the signal
+    block from the gene marginals.  A GB fit reports the norm of
+    ``score_gb``/``score_gb_normal`` as its gradient norm, and is not
+    converged with a parameter at a cap or the clip (``at_cap``).
     """
     rng = np.random.default_rng(budget.seed)
     kind = problem.model_kind
     start = init_params(problem)
+    names = param_names(kind)
+    values = np.array(model_to_values(start))
+    every = np.arange(len(names))
+    n_signal = len(dataclasses.fields(start.signal))
+    n_obs = problem.observed.size + problem.negatives.size
+    stages = ([("noise", every[n_signal:], _controls_score, problem.negatives.size),
+               ("signal", every[:n_signal], loglik_score, n_obs)]
+              if kind in ("gb_gb", "gb_normal") else [("joint", every, loglik_score, n_obs)])
 
-    if kind in ("gb_gb", "gb_normal"):
-        return _fit_mle_gb(problem, start, budget, rng)
-
-    to_vec, from_vec, bounds = _joint_codec(kind)
-    if kind in _SCORED_MARGINALS:
-        logged = np.array([name != "mu" for name in param_names(kind)])
+    converged, at_cap, hessians, nfevs = True, [], (), ()
+    for label, free, score, scale in stages:
+        to_vec, from_vec, bounds = _codec([names[i] for i in free])
 
         def objective(x):
-            m = from_vec(x)
-            v, score, rows = loglik_score(m, problem)
-            # chain rule of the codec: d/d log v = v d/dv
-            chart = np.where(logged, model_to_values(m), 1.0)
-            return v, score * chart, rows * chart[:, None]
+            block, factor = from_vec(x)
+            trial = values.copy()
+            trial[free] = block
+            v, grad, rows = score(model_from_values(kind, trial), problem)
+            # chain rule of the codec
+            return v, grad[free] * factor, rows[free] * factor[:, None]
 
-        n_obs = problem.observed.size + problem.negatives.size
-        best, hessians, nfevs, (ll, grad) = _bfgs_maximize(
-            objective, to_vec(start), bounds, budget, rng, n_obs)
-        return FitResult(params=from_vec(best.x), loglik=ll,
-                         converged=bool(best.success), iterations=sum(nfevs),
-                         method="mle", gradient_norm=float(np.linalg.norm(grad)),
-                         diagnostics={"local_method": "BFGS", "start_hessian": hessians,
-                                      "start_nfev": nfevs})
+        best, h0, nfev, (ll, grad) = _bfgs_maximize(
+            objective, to_vec(values[free]), bounds, budget, rng, scale)
+        values[free] = from_vec(best.x)[0]
+        converged = converged and bool(best.success)
+        if isinstance(getattr(start, label, None), GBParams):
+            at_cap += _at_cap(best.x, label)
+        hessians, nfevs = hessians + h0, nfevs + nfev
 
-    def objective(x):
-        return loglik(from_vec(x), problem)
-
-    best, nfev, flat = _nm_maximize(objective, to_vec(start), bounds, budget, rng)
-    params = from_vec(best.x)
-    ll = -best.fun
-    return FitResult(params=params, loglik=ll, converged=bool(best.success),
-                     iterations=nfev, method="mle",
-                     diagnostics={"local_method": "Nelder-Mead",
-                                  "profile_flatness": flat})
-
-
-def _fit_mle_gb(problem, start, budget, rng):
-    kind = problem.model_kind
-    cfg = problem.series_cfg
-
-    # Stage 1: noise from the negative controls
-    if kind == "gb_normal":
-        neg = problem.negatives
-        if neg.size < 2:
-            raise DegenerateControlsError("gb_normal fit needs >= 2 controls")
-        noise = NormalParams(float(np.mean(neg)), math.sqrt(float(np.var(neg))))
-        noise_iters, noise_ok, at_cap = 0, True, []
-    else:
-        def noise_obj(x):
-            return float(np.sum(dist_logpdf(_gb_from_vec(x), problem.negatives)))
-
-        x0 = _gb_to_vec(start.noise)
-        best_n, noise_iters, _ = _nm_maximize(noise_obj, x0, _GB_BOUNDS, budget, rng)
-        noise = _gb_from_vec(best_n.x)
-        noise_ok = bool(best_n.success)
-        at_cap = _at_cap(best_n.x, "noise")
-
-    # Stage 2: signal from the gene marginals with noise fixed
-    builder = MODEL_TYPES[kind]
-
-    def signal_obj(x):
-        m = builder(_gb_from_vec(x), noise)
-        return float(np.sum(log_marginal(m, problem.observed, cfg)))
-
-    best_s, sig_iters, flat = _nm_maximize(signal_obj, _gb_to_vec(start.signal),
-                                           _GB_BOUNDS, budget, rng)
-    params = builder(_gb_from_vec(best_s.x), noise)
-    ll = loglik(params, problem)
-    at_cap += _at_cap(best_s.x, "signal")
-
-    # None at c in {0, 1} and wherever the engine does not certify a gene's score
+    params = model_from_values(kind, values)
+    gb_score = {"gb_gb": score_gb, "gb_normal": score_gb_normal}.get(kind)
     try:
-        score = (score_gb_normal(params, problem) if kind == "gb_normal"
-                 else score_gb(params, problem))
-        grad_norm = float(np.linalg.norm(score))
+        grad_norm = float(np.linalg.norm(gb_score(params, problem) if gb_score else grad))
     except (BeadcorrError, FloatingPointError):
+        # at c in {0, 1}, and wherever the engine does not certify a gene's score
         grad_norm = None
-
-    return FitResult(params=params, loglik=ll,
-                     converged=bool(best_s.success) and noise_ok and not at_cap,
-                     iterations=noise_iters + sig_iters, method="mle",
-                     gradient_norm=grad_norm,
-                     diagnostics={"local_method": "Nelder-Mead",
-                                  "profile_flatness": flat, "at_cap": tuple(at_cap)})
+    return FitResult(params=params, loglik=ll, converged=converged and not at_cap,
+                     iterations=sum(nfevs), method="mle", gradient_norm=grad_norm,
+                     diagnostics={"local_method": "BFGS", "start_hessian": hessians,
+                                  "start_nfev": nfevs, "at_cap": tuple(at_cap)})
 
 
 def fit_moments(problem: EstimationProblem) -> FitResult:

@@ -26,9 +26,10 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
 * ``batch_series`` runs a kernel on the genes the gate accepts and maps each
   gene it does not confirm to the error its per-gene evaluator raises; the
   per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
-  gene, and ``marginal_log_batch`` runs the den kernel for the likelihood
-  (production takes it for exp_lognormal alone; ``correct.ROUTES`` sends the
-  other series families to the tanh-sinh engine).
+  gene, and ``marginal_log_batch`` runs the den kernel for the likelihood,
+  and for exp_lognormal its score (production takes it for exp_lognormal
+  alone; ``correct.ROUTES`` sends the other series families to the tanh-sinh
+  engine).
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -656,6 +657,38 @@ def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, box
     return (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
 
 
+def _exp_lognormal_score(p, e: ExpParams, l: LognormalParams, boxes, tol):
+    """d log f_P(p)/d(theta, mu, sigma) at every gene, a (3, genes) array.
+
+    Term k of the den kernel is theta^k/k! e^(k mu + k^2 sigma^2/2) Phi(z_k),
+    z_k = (log p - mu)/sigma - k sigma; with lambda = phi/Phi its
+    log-derivatives are k/theta, k - lambda(z_k)/sigma and
+    k^2 sigma - lambda(z_k)((log p - mu)/sigma^2 + k).  A row is their mean
+    under the terms on the gene's grown den box (plus the prefactor's
+    1/theta - p for theta), and NaN where the mean on the box differs from
+    it by more than tol of the mean of |log-derivative|: the derivatives
+    grow with k, so their tails outlast the value's (on the reference model
+    by up to 1.6e-9 at rel_tol 1e-10).
+    """
+    grown = _grow(boxes)
+    n = int(grown.max())
+    k = np.arange(n, dtype=float)
+    log_p = np.log(p)[:, None]
+    terms = _scaled_axis(_lognormal_weight_terms(log_p, e.theta, l, 0, n), 1.0, grown[:, 0])[0]
+    z = (log_p - l.mu) / l.sigma - k * l.sigma
+    lam = np.exp(specfun.std_normal_logpdf(z) - _sp.log_ndtr(z))
+    on_box = np.where(_below(n, boxes[:, 0]), terms, 0.0)
+    out = []
+    for w in (k / e.theta, k - lam / l.sigma,
+              k * k * l.sigma - lam * ((log_p - l.mu) / l.sigma ** 2 + k)):
+        wide = _sum_last(w * terms) / _sum_last(terms)
+        base = _sum_last(w * on_box) / _sum_last(on_box)
+        spread = _sum_last(np.abs(w) * terms) / _sum_last(terms)
+        out.append(np.where(np.abs(wide - base) <= tol * spread, wide, np.nan))
+    out[0] += 1.0 / e.theta - p
+    return np.array(out)
+
+
 def _refusals(bad, p, message):
     """{index: DomainError(message(p))} of the genes of p that bad marks."""
     return {i: DomainError(message(float(p[i]))) for i in np.flatnonzero(bad).tolist()}
@@ -990,7 +1023,8 @@ def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> f
     return math.exp(marginal_gb_normal_log(p, s, b, cfg))
 
 
-def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
+def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig(),
+                       score_tol=None):
     """Series log marginal density of model at every observation of the array p.
 
     model is of a series family.  The genes the gate accepts are summed in
@@ -998,12 +1032,20 @@ def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
     its den evaluator gives.  Returns (values, ok); ok is False where the
     gate refuses the gene or its sum is not positive or is not confirmed, and
     values there are -inf, so callers can route those genes elsewhere.
+
+    With score_tol (exp_lognormal only), also the score rows in parameter
+    order (``_exp_lognormal_score``), NaN at every gene that is not ok or
+    whose score is not confirmed to score_tol.
     """
     family = _family(model.kind)
+    grad = score_tol is not None
+    if grad and model.kind != "exp_lognormal":
+        raise InvalidParameterError(f"the {model.kind} series has no score")
     p = np.asarray(p, dtype=float)
     verdict = gate(model, p, cfg)
     ok = verdict.ok.copy()
     out = np.full(p.shape, -np.inf)
+    rows = np.full((3, p.size), np.nan)
     idx = np.flatnonzero(ok)
     if idx.size:
         log_den, sign, good = _confirmed_batch(
@@ -1013,7 +1055,10 @@ def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()):
         out[idx] = np.where(good, family.log_prefactor(model.signal, model.noise, p[idx])
                             + log_den, -np.inf)
         ok[idx] = good
-    return out, ok
+        if grad:
+            rows[:, idx] = np.where(good, _exp_lognormal_score(
+                p[idx], model.signal, model.noise, verdict.den[idx], score_tol), np.nan)
+    return (out, ok, rows) if grad else (out, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -46,26 +46,6 @@ def digamma(x):
     return _sp.psi(x)
 
 
-def digamma_any(x):
-    """Digamma extended to negative non-integer arguments by reflection.
-
-    Poles (nonpositive integers) return -inf, the limit from the right
-    (scipy's psi(0)), without a warning.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x > 0
-    out[pos] = _sp.psi(x[pos])
-    neg = ~pos
-    if np.any(neg):
-        xn = x[neg]
-        # psi(x) = psi(1-x) - pi/tan(pi*x)
-        with np.errstate(divide="ignore"):
-            out[neg] = np.where(xn == np.floor(xn), -np.inf,
-                                _sp.psi(1.0 - xn) - math.pi / np.tan(math.pi * xn))
-    return out if out.ndim else float(out)
-
-
 def log_lower_incomplete_gamma(s, x):
     """log of the unregularized lower incomplete gamma integral of
     t^(s-1)e^(-t) on (0, x); -inf at x = 0.  Finite where the integral

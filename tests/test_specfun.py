@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -67,26 +66,9 @@ class TestDigamma:
             diff = specfun.digamma(float(n)) - specfun.digamma(1.0)
             assert diff == pytest.approx(harmonic, abs=1e-12)
 
-    def test_negative_extension(self):
-        # reflection agrees with the recurrence pushed below zero
-        x = -0.7
-        via_recurrence = specfun.digamma(x + 2.0) - 1.0 / (x + 1.0) - 1.0 / x
-        assert specfun.digamma_any(x) == pytest.approx(via_recurrence, rel=1e-12)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.digamma(-1.0)
-
-    def test_negative_extension_poles_are_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert specfun.digamma_any(0.0) == -math.inf
-            assert specfun.digamma_any(-1.0) == -math.inf
-            got = specfun.digamma_any(np.array([0.0, -1.0, -2.5]))
-            assert got[:2].tolist() == [-math.inf, -math.inf]
-        via_recurrence = (specfun.digamma(0.5) - 1.0 / -0.5 - 1.0 / -1.5 - 1.0 / -2.5)
-        assert got[2] == pytest.approx(via_recurrence, rel=1e-12)
-        assert specfun.digamma_any(-2.5) == got[2]
 
 
 class TestLowerIncompleteGamma:
