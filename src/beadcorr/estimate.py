@@ -188,9 +188,11 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     return out, rows
 
 
-#: the likelihood's quadrature: the engine's target, and QUADPACK's setting
-#: for the genes the engine cannot certify
-_LIKELIHOOD_QCFG = oracle.QuadConfig(abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=300)
+#: the likelihood's quadrature: the engine's target (the one the exp_lognormal
+#: series score is confirmed to), and QUADPACK's setting for the genes the
+#: engine cannot certify
+_LIKELIHOOD_QCFG = oracle.QuadConfig(abs_tol=1e-12, rel_tol=series.SCORE_REL_TOL,
+                                     max_subdivisions=300)
 
 
 def _fisher_weights(m: ModelSpec, noise=True):
@@ -258,8 +260,8 @@ def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig
             # quadrature gives -inf outside the support
             out[~ok] = _quadrature_marginal_log(p[~ok], m)
         return out
-    out, ok, rows = series.marginal_log_batch(m, p, cfg, _LIKELIHOOD_QCFG.rel_tol)
-    rest = np.flatnonzero(~ok | np.isnan(rows).any(axis=0))
+    out, ok, rows = series.marginal_log_batch(m, p, cfg, True)
+    rest = np.flatnonzero(np.isnan(rows).any(axis=0))
     if rest.size:
         engine, rows[:, rest] = _quadrature_marginal_log(p[rest], m, True)
         out[rest] = np.where(ok[rest], out[rest], engine)
@@ -484,19 +486,12 @@ _LOGIT_CLIP = 6.9  # c confined to ~(0.001, 0.999)
 
 def _logit(c):
     c = min(max(c, 1e-3), 1.0 - 1e-3)
-    return min(max(math.log(c / (1.0 - c)), -_LOGIT_CLIP), _LOGIT_CLIP)
-
-
-def _inv_logit(x):
-    return 1.0 / (1.0 + math.exp(-min(max(x, -_LOGIT_CLIP), _LOGIT_CLIP)))
+    return math.log(c / (1.0 - c))
 
 
 _GB_BOUNDS = [(math.log(0.02), math.log(50.0)), (-_LOGIT_CLIP, _LOGIT_CLIP),
-              (None, None), (math.log(1e-2), math.log(1e4)),
+              (-math.inf, math.inf), (math.log(1e-2), math.log(1e4)),
               (math.log(1e-2), math.log(1e4))]
-
-#: the caps of the GB shapes a and v
-_CAPS = {"a": 50.0, "v": 1e4}
 
 #: a GB parameter this close to a bound, in the optimizer's coordinates, or
 #: past it (where its coordinate no longer moves the model), sits at it
@@ -507,8 +502,7 @@ def _at_cap(x, label):
     """The GB parameters of the vector x that sit at a cap or a clip of
     ``_GB_BOUNDS``, named label.a, label.c, ..."""
     return [f"{label}.{name}" for name, xi, (lo, hi) in zip("acduv", x, _GB_BOUNDS)
-            if (lo is not None and xi <= lo + _CAP_DISTANCE)
-            or (hi is not None and xi >= hi - _CAP_DISTANCE)]
+            if not lo + _CAP_DISTANCE < xi < hi - _CAP_DISTANCE]
 
 
 def _codec(names):
@@ -516,33 +510,36 @@ def _codec(names):
     for the parameters names, in the optimizer's coordinates.
 
     A parameter is keyed by its name less the GB block suffix: mu as is, c
-    through the clipped logit, a and v on the log scale up to their caps, the
-    others on the log scale.  The chain-rule factor d value/dx is 0 past a
-    cap or the clip.  bounds are the GB parameters' ``_GB_BOUNDS``, which
-    clip the jittered starts.
+    through the logit, the others on the log scale.  The GB parameters' x
+    are clipped to their ``_GB_BOUNDS``, and the chain-rule factor d
+    value/dx is 0 past a bound, where x no longer moves the value; the
+    bounds also clip the jittered starts.
     """
     keys = [name.rstrip("12") for name in names]
     gb_bounds = dict(zip("acduv", _GB_BOUNDS))
+    bounds = [gb_bounds.get(k, (-math.inf, math.inf)) for k in keys]
 
     def to_vec(values):
-        return [v if k == "mu" else _logit(v) if k == "c"
-                else math.log(min(v, _CAPS.get(k, math.inf))) for k, v in zip(keys, values)]
+        return [min(max(v if k == "mu" else _logit(v) if k == "c" else math.log(v), lo), hi)
+                for k, v, (lo, hi) in zip(keys, values, bounds)]
 
     def from_vec(x):
         out = []
-        for k, xi in zip(keys, x):
+        for k, xi, (lo, hi) in zip(keys, x, bounds):
+            inside = lo <= xi <= hi
+            xi = min(max(xi, lo), hi)
             if k == "mu":
                 out.append((xi, 1.0))
             elif k == "c":
-                c = _inv_logit(xi)
-                out.append((c, c * (1.0 - c) if abs(xi) <= _LOGIT_CLIP else 0.0))
+                c = 1.0 / (1.0 + math.exp(-xi))
+                out.append((c, c * (1.0 - c) if inside else 0.0))
             else:
-                v, cap = math.exp(xi), _CAPS.get(k, math.inf)
-                out.append((min(v, cap), v if v <= cap else 0.0))
+                v = math.exp(xi)
+                out.append((v, v if inside else 0.0))
         values, factor = zip(*out)
         return list(values), np.array(factor)
 
-    return to_vec, from_vec, [gb_bounds.get(k, (None, None)) for k in keys]
+    return to_vec, from_vec, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +551,7 @@ def _starts(x0, bounds, budget, rng):
     starts = [np.asarray(x0, dtype=float)]
     for _ in range(budget.n_starts - 1):
         starts.append(np.asarray(x0) + rng.normal(0.0, _START_JITTER, len(x0)))
-    lo = np.array([-np.inf if b_ is None or b_[0] is None else b_[0] for b_ in bounds])
-    hi = np.array([np.inf if b_ is None or b_[1] is None else b_[1] for b_ in bounds])
+    lo, hi = np.array(bounds).T
     return [np.clip(st, lo, hi) for st in starts]
 
 

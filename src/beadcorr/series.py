@@ -27,9 +27,9 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
   gene it does not confirm to the error its per-gene evaluator raises; the
   per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
   gene, and ``marginal_log_batch`` runs the den kernel for the likelihood,
-  and for exp_lognormal its score (production takes it for exp_lognormal
-  alone; ``correct.ROUTES`` sends the other series families to the tanh-sinh
-  engine).
+  and for exp_lognormal its score from the same terms (production takes it
+  for exp_lognormal alone; ``correct.ROUTES`` sends the other series
+  families to the tanh-sinh engine).
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -649,42 +649,50 @@ def _lognormal_weight_terms(log_p, theta, l: LognormalParams, shift, n):
             + _sp.log_ndtr((log_p - (l.mu + (k + shift) * l.sigma ** 2)) / l.sigma))
 
 
-def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes, cfg):
+def _exp_lognormal_terms(p, e: ExpParams | None, l: LognormalParams, shift, boxes):
+    """The kernel's terms on each gene's grown box, scaled (zero past it),
+    and their log scale."""
     theta = 0.0 if e is None else e.theta
     grown = _grow(boxes)
     logs = _lognormal_weight_terms(np.log(p)[:, None], theta, l, shift, int(grown.max()))
-    terms, scale = _scaled_axis(logs, 1.0, grown[:, 0])
+    return _scaled_axis(logs, 1.0, grown[:, 0])
+
+
+def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes, cfg):
+    terms, scale = _exp_lognormal_terms(p, e, l, shift, boxes)
     return (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
 
 
-def _exp_lognormal_score(p, e: ExpParams, l: LognormalParams, boxes, tol):
-    """d log f_P(p)/d(theta, mu, sigma) at every gene, a (3, genes) array.
+#: the exp_lognormal score's confirmation target, the likelihood engine's
+#: (the derivatives grow with k, so their tails outlast the value's: on the
+#: reference model they moved by up to 1.6e-9 at the series' 1e-10)
+SCORE_REL_TOL = 1e-6
 
-    Term k of the den kernel is theta^k/k! e^(k mu + k^2 sigma^2/2) Phi(z_k),
-    z_k = (log p - mu)/sigma - k sigma; with lambda = phi/Phi its
-    log-derivatives are k/theta, k - lambda(z_k)/sigma and
-    k^2 sigma - lambda(z_k)((log p - mu)/sigma^2 + k).  A row is their mean
-    under the terms on the gene's grown den box (plus the prefactor's
-    1/theta - p for theta), and NaN where the mean on the box differs from
-    it by more than tol of the mean of |log-derivative|: the derivatives
-    grow with k, so their tails outlast the value's (on the reference model
-    by up to 1.6e-9 at rel_tol 1e-10).
+
+def _exp_lognormal_score(p, e: ExpParams, l: LognormalParams, boxes, terms):
+    """d log f_P(p)/d(theta, mu, sigma) at every gene, a (3, genes) array,
+    from the den kernel's terms (``_exp_lognormal_terms``).
+
+    Term k is theta^k/k! e^(k mu + k^2 sigma^2/2) Phi(z_k), z_k = (log p -
+    mu)/sigma - k sigma; with lambda = phi/Phi its log-derivatives are
+    k/theta, k - lambda(z_k)/sigma and k^2 sigma - lambda(z_k)((log p -
+    mu)/sigma^2 + k).  A row is their mean under the terms on the gene's
+    grown box (plus the prefactor's 1/theta - p for theta), and NaN where the
+    mean on the box differs from it by more than ``SCORE_REL_TOL`` of the
+    mean of |log-derivative|.
     """
-    grown = _grow(boxes)
-    n = int(grown.max())
-    k = np.arange(n, dtype=float)
+    k = np.arange(terms.shape[1], dtype=float)
     log_p = np.log(p)[:, None]
-    terms = _scaled_axis(_lognormal_weight_terms(log_p, e.theta, l, 0, n), 1.0, grown[:, 0])[0]
     z = (log_p - l.mu) / l.sigma - k * l.sigma
     lam = np.exp(specfun.std_normal_logpdf(z) - _sp.log_ndtr(z))
-    on_box = np.where(_below(n, boxes[:, 0]), terms, 0.0)
+    on_box = _on_box(terms, boxes[:, 0])
     out = []
     for w in (k / e.theta, k - lam / l.sigma,
               k * k * l.sigma - lam * ((log_p - l.mu) / l.sigma ** 2 + k)):
         wide = _sum_last(w * terms) / _sum_last(terms)
         base = _sum_last(w * on_box) / _sum_last(on_box)
         spread = _sum_last(np.abs(w) * terms) / _sum_last(terms)
-        out.append(np.where(np.abs(wide - base) <= tol * spread, wide, np.nan))
+        out.append(np.where(np.abs(wide - base) <= SCORE_REL_TOL * spread, wide, np.nan))
     out[0] += 1.0 / e.theta - p
     return np.array(out)
 
@@ -1024,7 +1032,7 @@ def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> f
 
 
 def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig(),
-                       score_tol=None):
+                       grad=False):
     """Series log marginal density of model at every observation of the array p.
 
     model is of a series family.  The genes the gate accepts are summed in
@@ -1033,14 +1041,11 @@ def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig(),
     gate refuses the gene or its sum is not positive or is not confirmed, and
     values there are -inf, so callers can route those genes elsewhere.
 
-    With score_tol (exp_lognormal only), also the score rows in parameter
-    order (``_exp_lognormal_score``), NaN at every gene that is not ok or
-    whose score is not confirmed to score_tol.
+    With grad (exp_lognormal alone), also the score rows in parameter order
+    from the same den terms (``_exp_lognormal_score``), NaN at every gene
+    that is not ok or whose score is not confirmed.
     """
     family = _family(model.kind)
-    grad = score_tol is not None
-    if grad and model.kind != "exp_lognormal":
-        raise InvalidParameterError(f"the {model.kind} series has no score")
     p = np.asarray(p, dtype=float)
     verdict = gate(model, p, cfg)
     ok = verdict.ok.copy()
@@ -1048,16 +1053,18 @@ def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig(),
     rows = np.full((3, p.size), np.nan)
     idx = np.flatnonzero(ok)
     if idx.size:
-        log_den, sign, good = _confirmed_batch(
-            *family.kernel(p[idx], model.signal, model.noise, 0, verdict.den[idx], cfg),
-            cfg)
+        q, boxes, s, b = p[idx], verdict.den[idx], model.signal, model.noise
+        if grad:
+            terms, scale = _exp_lognormal_terms(q, s, b, 0, boxes)
+            sums = (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
+        else:
+            sums = family.kernel(q, s, b, 0, boxes, cfg)
+        log_den, sign, good = _confirmed_batch(*sums, cfg)
         good &= sign > 0
-        out[idx] = np.where(good, family.log_prefactor(model.signal, model.noise, p[idx])
-                            + log_den, -np.inf)
+        out[idx] = np.where(good, family.log_prefactor(s, b, q) + log_den, -np.inf)
         ok[idx] = good
         if grad:
-            rows[:, idx] = np.where(good, _exp_lognormal_score(
-                p[idx], model.signal, model.noise, verdict.den[idx], score_tol), np.nan)
+            rows[:, idx] = np.where(good, _exp_lognormal_score(q, s, b, boxes, terms), np.nan)
     return (out, ok, rows) if grad else (out, ok)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -26,6 +27,19 @@ def _simulate(m, I, W, seed):
     obs = s + b
     keep = obs > 0
     return obs[keep], neg, s[keep]
+
+
+@functools.lru_cache(maxsize=None)
+def _gb_recovery_fits(kind):
+    """One-start fits of the kind's reference model on seeds 0-2, 200 genes
+    and 50 controls each: a list of (fit, problem, dataset)."""
+    out = []
+    for seed in (0, 1, 2):
+        data = simulate.simulate_experiment(simulate.REFERENCE_MODELS[kind][0], 200, 50,
+                                            seed=seed)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, kind)
+        out.append((estimate.fit_mle(prob, estimate.FitBudget(n_starts=1)), prob, data))
+    return out
 
 
 def _safe_gb_obs(m, n, rng):
@@ -505,7 +519,7 @@ class TestClosedFormScores:
         # are the series' own, confirmed to the engine's target
         m = simulate.REFERENCE_MODELS["exp_lognormal"][0]
         obs, _, _ = _simulate(m, 300, 1, seed=1)
-        _, ok, rows = series.marginal_log_batch(m, obs, CFG, 1e-6)
+        _, ok, rows = series.marginal_log_batch(m, obs, CFG, grad=True)
         assert ok.all() and np.all(np.isfinite(rows))
         _, engine = estimate._quadrature_marginal_log(obs, m, True)
         np.testing.assert_allclose(rows, engine, rtol=1e-5, atol=1e-6 * np.max(np.abs(rows)))
@@ -616,12 +630,25 @@ class TestJointCodec:
 
     def test_factor_vanishes_past_a_cap(self):
         to_vec, from_vec, _ = estimate._codec(param_names("gb_normal"))
-        x = [math.log(60.0), estimate._LOGIT_CLIP + 0.5, 0.0, 0.0, math.log(2e4), 1.0, 0.0]
+        clip = estimate._LOGIT_CLIP
+        # past the upper ends of a, c and v, and below the lower end of u
+        x = [math.log(60.0), clip + 0.5, 0.0, math.log(5e-3), math.log(2e4), 1.0, 0.0]
         values, factor = from_vec(x)
-        assert values[:2] == [50.0, estimate._inv_logit(estimate._LOGIT_CLIP)]
-        assert values[4] == 1e4
-        assert factor[[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
-        assert factor[[2, 3, 5, 6]].tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert values[:5] == pytest.approx([50.0, 1.0 / (1.0 + math.exp(-clip)), 1.0, 1e-2, 1e4],
+                                           rel=1e-14)
+        assert factor[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert factor[[2, 5, 6]].tolist() == [1.0, 1.0, 1.0]
+        # below the lower ends of a, c and v, and past the upper end of u
+        x = [math.log(0.01), -clip - 0.5, 0.0, math.log(2e4), math.log(5e-3), 1.0, 0.0]
+        values, factor = from_vec(x)
+        assert values[:5] == pytest.approx([0.02, 1.0 / (1.0 + math.exp(clip)), 1.0, 1e4, 1e-2],
+                                           rel=1e-14)
+        assert factor[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 0.0, 0.0]
+        # to_vec clips into the bounds, which _at_cap then reports
+        x = to_vec([60.0, 0.9999, 1.0, 5e-3, 2e4, 1.0, 1.0])
+        assert x[:5] == pytest.approx([math.log(50.0), clip, 0.0, math.log(1e-2), math.log(1e4)])
+        assert estimate._at_cap(x[:5], "signal") == ["signal.a", "signal.c", "signal.u",
+                                                     "signal.v"]
 
 
 class TestFitMle:
@@ -711,25 +738,26 @@ class TestFitMle:
         b = estimate.fit_mle(prob, budget)
         assert a.params == b.params and a.loglik == b.loglik
 
-    @pytest.mark.parametrize("kind, mse_bound", [("gb_gb", 1.3), ("gb_normal", 1.05)])
-    def test_gb_recovery(self, kind, mse_bound):
-        # (a, d, u, v) are weakly identified, so a fit is judged by its
-        # likelihood and its corrections, not by its parameters.  A gb_gb fit
-        # also estimates a five-parameter GB noise from 50 controls, which
-        # costs its corrections up to a quarter of their MSE at these sizes
-        # (1.25 and 1.24 times the truth's on seeds 0 and 1)
-        m = simulate.REFERENCE_MODELS[kind][0]
-        for seed in (0, 1, 2):
-            data = simulate.simulate_experiment(m, 200, 50, seed=seed)
-            prob = estimate.EstimationProblem(data.observed, data.negatives, kind)
-            fit = estimate.fit_mle(prob, estimate.FitBudget(n_starts=1))
-            assert fit.loglik >= estimate.loglik(m, prob), seed
+    @pytest.mark.parametrize("kind", ["gb_gb", "gb_normal"])
+    def test_gb_fit_beats_the_truth(self, kind):
+        for seed, (fit, prob, data) in enumerate(_gb_recovery_fits(kind)):
+            assert fit.loglik >= estimate.loglik(data.model, prob), seed
 
+    @pytest.mark.parametrize("kind", [
+        pytest.param("gb_gb", marks=pytest.mark.xfail(
+            strict=False, reason="a five-parameter GB noise from 50 controls costs the "
+            "corrections up to a quarter of their MSE at this size: 1.25, 1.24 and 1.00 "
+            "times the truth's on seeds 0-2")),
+        "gb_normal"])
+    def test_gb_recovery(self, kind):
+        # (a, d, u, v) are weakly identified, so a fit is judged by its
+        # corrections, not by its parameters
+        for seed, (fit, prob, data) in enumerate(_gb_recovery_fits(kind)):
             def mse(params):
                 corrected, _ = correct.correct_array(data.observed, params)
                 return float(np.mean((corrected - data.true_signal) ** 2))
 
-            assert mse(fit.params) <= mse_bound * mse(m), seed
+            assert mse(fit.params) <= 1.05 * mse(data.model), seed
 
     def test_gb_normal_fit_smoke(self):
         # the five-parameter signal block is weakly identified at this sample
