@@ -43,7 +43,6 @@ class CorrectionInfo:
     """How a corrected value was produced."""
 
     path: str                      # 'closed' | 'series' | 'grid' | 'quadrature'
-    converged: bool = True
     fallback_reason: Optional[str] = None
 
 

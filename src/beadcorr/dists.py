@@ -454,134 +454,26 @@ def dist_sample(params, n, rng):
     raise TypeError(f"no sampler for {type(params)}")
 
 
-# GB sampling: inverse CDF on a quadrature-tabulated CDF.  The density is
-# reduced to z in (0,1) where the Beta(u, v) backbone is explicit:
-#   c < 1:  z = (1-c) (x/d)^a      density ~ z^(u-1)(1-z)^(v-1)/(1+kappa z)^(u+v)
-#   c = 1:  z = y/(1+y), y=(x/d)^a density ~ z^(u-1)(1-z)^(v-1)
-# Each panel integral handles the z^(u-1)/(1-z)^(v-1) endpoint singularities by
-# an exact power substitution, so the tabulated CDF is accurate for u, v < 1 too.
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on (0, 1)
-_GL_W = 0.5 * _GL_WEIGHTS
-
-
-def _gb_z_weight(z, p: GBParams):
-    """Smooth factor w(z) multiplying the Beta(u,v) kernel, z in (0,1)."""
-    if p.c == 1.0:
-        return np.ones_like(z)
-    kappa = p.c / (1.0 - p.c)
-    return np.exp(-(p.u + p.v) * np.log1p(kappa * z))
-
-
-def _gb_panel_mass(z0, z1, p: GBParams):
-    """Integral of the z-space density over [z0, z1].
-
-    For c < 1 the substitution z = (1-c)(x/d)^a leaves the normalizer
-    (1-c)^u B(u,v); for c = 1 the map z = y/(1+y) gives an exact Beta(u, v).
-    """
-    lb = specfun.log_beta(p.u, p.v)
-    if p.c < 1.0:
-        lb += p.u * math.log1p(-p.c)
-    if z0 == 0.0:
-        # substitute z = z1 * t^(1/u): integral = z1^u/u * int h(z(t)) dt
-        z = z1 * _GL_T ** (1.0 / p.u)
-        h = np.exp((p.v - 1.0) * np.log1p(-z) - lb) * _gb_z_weight(z, p)
-        return z1 ** p.u / p.u * float(np.sum(_GL_W * h))
-    if z1 == 1.0:
-        w = 1.0 - z0
-        z = 1.0 - w * _GL_T ** (1.0 / p.v)
-        h = np.exp((p.u - 1.0) * np.log(z) - lb) * _gb_z_weight(z, p)
-        return w ** p.v / p.v * float(np.sum(_GL_W * h))
-    z = z0 + (z1 - z0) * _GL_T
-    h = np.exp((p.u - 1.0) * np.log(z) + (p.v - 1.0) * np.log1p(-z) - lb)
-    h *= _gb_z_weight(z, p)
-    return (z1 - z0) * float(np.sum(_GL_W * h))
-
-
-def _pchip_coefficients(x, y):
-    """(4, panels) coefficients, highest power first, of each panel's cubic
-    in s = x - x_i: the monotone cubic Hermite (PCHIP) through y at the knots
-    x, with the slopes SciPy's PchipInterpolator sets.  Inside, the weighted
-    harmonic mean of the neighbouring secant slopes (0 where they differ in
-    sign or one is 0); at either end a shape-preserving one-sided three-point
-    estimate (Moler, Numerical Computing with MATLAB, section 3.6)."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-
-    def end(h0, h1, m0, m1):
-        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(d) != np.sign(m0):
-            return 0.0
-        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-            return 3.0 * m0
-        return d
-
-    d = np.concatenate([[end(h[0], h[1], m[0], m[1])], np.where(flat, 0.0, inner),
-                        [end(h[-1], h[-2], m[-1], m[-2])]])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
-
-
-@lru_cache(maxsize=64)
-def _gb_inversion_table(p: GBParams):
-    """z-knots, exact CDF values at the knots, the coefficients of the
-    monotone cubic (PCHIP) through them, and the z -> x back-transform."""
-    half = np.linspace(0.0, 1.0, 257)
-    left = 0.5 * half ** max(1.0, 1.0 / p.u)
-    right = 1.0 - 0.5 * half[::-1] ** max(1.0, 1.0 / p.v)
-    knots = np.unique(np.concatenate([left, right]))
-    masses = np.array([_gb_panel_mass(knots[i], knots[i + 1], p)
-                       for i in range(len(knots) - 1)])
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
-    total = cdf[-1]
-    if not (0.99 < total < 1.01):
-        raise InvalidParameterError(
-            f"GB CDF tabulation failed to normalize (total={total}); "
-            f"parameters {p} out of supported range")
-    cdf = cdf / total
-
-    if p.c == 1.0:
-        def to_x(z):
-            z = np.clip(z, 1e-300, 1.0 - 1e-16)
-            return p.d * (z / (1.0 - z)) ** (1.0 / p.a)
-    else:
-        scale = 1.0 / (1.0 - p.c)
-
-        def to_x(z):
-            return p.d * (np.clip(z, 0.0, 1.0) * scale) ** (1.0 / p.a)
-
-    return knots, cdf, _pchip_coefficients(knots, cdf), to_x
-
-
-#: bisection halvings of a knot panel; 2^-60 of a panel is below float spacing
-_GB_HALVINGS = 60
-
+# GB sampling: exact inverse CDF.  With t = (x/d)^a the GB density in t is
+# proportional to t^(u-1) (1 - (1-c) t)^(v-1) / (1 + c t)^(u+v); the map
+# z = t/(1 + c t), t = z/(1 - c z), dt = dz/(1 - c z)^2, cancels every power
+# of (1 - c z) and leaves z^(u-1) (1 - z)^(v-1): z is Beta(u, v) (McDonald
+# and Xu 1995), and x = d (z/(1 - c z))^(1/a).
 
 def _gb_sample(p: GBParams, n, rng):
-    """Inverse-CDF draws: every draw bisects the monotone PCHIP CDF on its
-    own knot panel, all draws at once."""
-    knots, cdf, coef, to_x = _gb_inversion_table(p)
-    u = rng.uniform(size=n)
-    # keep draws strictly inside the tabulated range
-    u = np.clip(u, cdf[1] * 1e-6 + 1e-15, 1.0 - 1e-12)
-    idx = np.searchsorted(cdf, u, side="right") - 1
-    idx = np.clip(idx, 0, len(knots) - 2)
-    lo, hi = knots[idx], knots[idx + 1]
-    # a panel without mass has no root inside; its draw is the panel's left end
-    hi = np.where(cdf[idx + 1] > cdf[idx], hi, lo)
-    cube, square, linear, const = coef[:, idx]
-    left = knots[idx]
-    for _ in range(_GB_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        s = mid - left
-        # power by power, in the order SciPy's PPoly sums them
-        below = const + linear * s + square * (s * s) + cube * (s * s * s) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return to_x(0.5 * (lo + hi))
+    """Inverse-CDF draws through the regularized incomplete beta inverse.
+
+    One uniform per draw, so a shared generator moves on exactly as by
+    rng.uniform(size=n).  Above z = 1/2 the complement 1 - z comes from the
+    mirrored inverse, not by subtraction; a draw that rounds onto an end of
+    the support (or past the float range) moves one ulp inside it.
+    """
+    q = rng.uniform(size=n)
+    z = _sp.betaincinv(p.u, p.v, q)
+    w = 1.0 - z
+    upper = z > 0.5
+    w[upper] = _sp.betaincinv(p.v, p.u, 1.0 - q[upper])
+    with np.errstate(divide="ignore", over="ignore"):
+        # 1 - c z as (1 - c) + c (1 - z), which keeps the digits of w near z = 1
+        x = p.d * (z / ((1.0 - p.c) + p.c * w)) ** (1.0 / p.a)
+    return np.clip(x, np.nextafter(0.0, 1.0), np.nextafter(gb_support_upper(p), 0.0))

@@ -56,6 +56,8 @@ class EstimationProblem:
         object.__setattr__(self, "negatives", neg)
         if obs.size < 1:
             raise InvalidParameterError("need at least one observed intensity")
+        if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(neg))):
+            raise InvalidParameterError("all intensities must be finite")
         if np.any(obs <= 0) or np.any(neg <= 0):
             raise InvalidParameterError("all intensities must be positive")
         if self.model_kind not in MODEL_KINDS:
@@ -380,13 +382,6 @@ def _gene_score(m: ModelSpec, p):
     return np.array([math.fsum(row) for row in res.means.tolist()])
 
 
-def _check_interior(g: GBParams, label):
-    if g.c in (0.0, 1.0):
-        raise DomainError(
-            f"{label}: score is singular at the mixture boundary c={g.c}; "
-            f"use derivative-free steps there")
-
-
 def score_gb(params: GBGB, problem: EstimationProblem) -> np.ndarray:
     """Ten likelihood-equation values, ordered noise block then signal block:
     (a2, c2, d2, u2, v2, a1, c1, d1, u1, v1).
@@ -394,13 +389,10 @@ def score_gb(params: GBGB, problem: EstimationProblem) -> np.ndarray:
     The noise block differentiates the negative-control sum (as printed); the
     signal block differentiates the gene-marginal sum, each gene by Fisher's
     identity on the tanh-sinh engine's nodes (``_gene_score``), the route
-    ``log_marginal`` takes.  Valid at interior c; raises QuadratureError
-    naming the first gene whose score the engine does not certify.
+    ``log_marginal`` takes.  Raises QuadratureError naming the first gene
+    whose score the engine does not certify.
     """
-    s, b = params.signal, params.noise
-    _check_interior(s, "score_gb")
-    _check_interior(b, "score_gb")
-    return np.concatenate([_density_rows(b, problem.negatives).sum(axis=1),
+    return np.concatenate([_density_rows(params.noise, problem.negatives).sum(axis=1),
                            _gene_score(params, problem.observed)])
 
 
@@ -411,7 +403,6 @@ def score_gb_normal(params: GBNormal, problem: EstimationProblem) -> np.ndarray:
     the control mean and biased variance); the GB block differentiates the
     gene-marginal sum as ``score_gb`` does, genes at or below mu included.
     """
-    _check_interior(params.signal, "score_gb_normal")
     return np.concatenate([_density_rows(params.noise, problem.negatives).sum(axis=1),
                            _gene_score(params, problem.observed)])
 
@@ -680,7 +671,7 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     try:
         grad_norm = float(np.linalg.norm(gb_score(params, problem) if gb_score else grad))
     except (BeadcorrError, FloatingPointError):
-        # at c in {0, 1}, and wherever the engine does not certify a gene's score
+        # wherever the engine does not certify a gene's score
         grad_norm = None
     return FitResult(params=params, loglik=ll, converged=converged and not at_cap,
                      iterations=sum(nfevs), method="mle", gradient_norm=grad_norm,

@@ -260,6 +260,19 @@ class TestPipeline:
         rep_direct = simulate.benchmark_mse(data, corrected_direct)
         assert rep_cli == rep_direct
 
+    def test_simulate_gb_signal_near_c_one_with_large_u(self, tmp_path):
+        # a signal the fit can reach: c near 1 with large u
+        out = tmp_path / "sim"
+        r = run_cli("simulate", "--model", "gb_normal",
+                    "--params", "a1=2.02,c1=0.999,d1=2.79,u1=11.5,v1=4.67,mu=1,sigma=0.3",
+                    "--genes", "200", "--controls", "50", "--seed", "3",
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        truth = [float(l.split("\t")[1])
+                 for l in open(out / "truth.tsv").read().strip().split("\n")[1:]]
+        assert len(truth) == 200
+        assert all(0.0 < s < 2.79 * 0.001 ** (-1 / 2.02) for s in truth)
+
     def test_partial_convergence_exit_code(self, tmp_path):
         out = tmp_path / "sim"
         run_cli("simulate", "--model", "exp_normal",

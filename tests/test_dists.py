@@ -249,33 +249,35 @@ class TestSampling:
 
 
 #: 20 draws at seed 20131220 of each reference GB component and one c < 1
-#: component, each solved on its knot panel by Brent's method (xtol 1e-15,
-#: rtol 1e-14): an independent inversion of the same PCHIP CDF
+#: component: each uniform's exact quantile, solved in x by mpmath's findroot
+#: at 40 digits on the CDF betainc(u, v, 0, z(x)), z = t/(1 + c t) and
+#: t = (x/d)^a, with the first three of each checked against mpmath's quad of
+#: the GB density; no part of it shares code with the sampler
 _PINNED_GB_DRAWS = {
     "gb_gb signal": (GBParams(1.0, 1.0, 30.0, 2.0, 8.0), [
-        8.759152704229386, 1.1624628040624747, 0.582118235273878, 7.704031069934835,
-        11.58210986158773, 6.162346342066004, 11.101451806145315, 10.467707703406164,
-        7.318239710103783, 3.8862518556240353, 3.1954424742875673, 2.563150217084207,
-        3.894139916795, 10.941962519431264, 15.918307423860853, 2.0991172995105263,
-        0.9845878108826842, 12.658257205243261, 20.710759497414788, 10.379189127164105]),
+        8.759152924795874, 1.162460118141278, 0.58213057487996, 7.704031204086058,
+        11.58211002734465, 6.162346094968821, 11.101451536895224, 10.467707610577909,
+        7.318239591262512, 3.8862522031188655, 3.195441978140076, 2.563149513975403,
+        3.8941402907794416, 10.941962799681338, 15.918307401283403, 2.099117121813601,
+        0.984582821987667, 12.658257405934792, 20.710758940377005, 10.379189271161327]),
     "gb_gb noise": (GBParams(1.0, 1.0, 30.0, 1.5, 12.0), [
-        4.189245154971942, 0.38350830740222563, 0.15912384460791285, 3.63641393355955,
-        5.667981820647475, 2.8320065521112006, 5.416641251238066, 5.084873452384242,
-        3.4345999083844645, 1.6655879442895272, 1.3221440912860674, 1.0155570329931531,
-        1.669549949461349, 5.333185206957344, 7.918498136681959, 0.7971914370486345,
-        0.3111269811752252, 6.2295850411560885, 10.359534199685513, 5.038504528115132]),
+        4.189245517464406, 0.3835009448928908, 0.1591380107018895, 3.6364136490073395,
+        5.6679815274302845, 2.8320061348774743, 5.416640884522797, 5.084873040530389,
+        3.4346000824841454, 1.665588387920725, 1.3221445894032295, 1.0155587143112608,
+        1.669550015597903, 5.333184817802719, 7.918498483723035, 0.7971882035216238,
+        0.3111025560298045, 6.229584884641264, 10.35953389812435, 5.038504766751606]),
     "gb_normal signal": (GBParams(1.0, 1.0, 20.0, 2.0, 10.0), [
-        4.603625841641506, 0.6246590883242071, 0.31338000604633903, 4.060769668414255,
-        6.042136644995928, 3.2622093718304845, 5.798586130157438, 5.47661446746981,
-        3.861544593720894, 2.070960114123008, 1.7063617609171637, 1.371350461645188,
-        2.0751150948320256, 5.717649792891476, 8.215343532503304, 1.12468681294376,
-        0.529377542122692, 6.5854439999086996, 10.57107635666334, 5.4315650218864295]),
+        4.603626051064243, 0.624658787451568, 0.31339031919616417, 4.0607695704756335,
+        6.042136891454673, 3.2622095899278776, 5.798585976792793, 5.476614343933379,
+        3.8615447818625013, 2.0709599745822658, 1.7063612577755984, 1.3713511264043545,
+        2.0751147767240954, 5.7176500215920685, 8.215343316435993, 1.1246857199213698,
+        0.5293723636547835, 6.585444259736006, 10.571076163894565, 5.431564856622997]),
     "c = 0.5": (GBParams(1.0, 0.5, 1.0, 2.0, 3.0), [
-        0.6112427981659726, 0.09314065457076633, 0.04708915813871638, 0.5485948094846941,
-        0.7650889772496352, 0.45177949783011245, 0.7402614166055851, 0.7066846682871839,
-        0.5249618044883775, 0.2970524533905149, 0.24726761532230643, 0.20054493205489984,
-        0.29761331504528427, 0.7319022760836663, 0.9657816889638111, 0.16555592168505334,
-        0.07912109604191023, 0.8187294292339733, 1.1448571337865485, 0.7019175777922337]),
+        0.611242797624943, 0.09314077856997935, 0.047088875959453345, 0.5485948080507638,
+        0.7650889811762505, 0.45177950158376257, 0.7402614167204107, 0.7066846712349346,
+        0.5249618019271738, 0.2970524490359098, 0.24726760129292577, 0.20054491263211083,
+        0.2976133044391699, 0.7319022732697662, 0.9657816835617018, 0.16555589791782963,
+        0.07912089952376122, 0.8187294313845528, 1.1448571289332654, 0.7019175813755398]),
 }
 
 
@@ -304,21 +306,40 @@ class TestGBSampler:
         GBParams(1.0, 0.5, 1.0, 2.0, 3.0),
         GBParams(2.0, 0.9, 1.0, 0.7, 0.4),     # v < 1: mass piled at the upper end
         GBParams(0.5, 0.3, 2.0, 0.6, 5.0),     # u < 1: mass piled at zero
-        GBParams(1.0, 1.0, 20.0, 2.0, 10.0),
-    ])
-    def test_cubic_is_scipys_pchip(self, params):
-        # the sampler evaluates SciPy's PCHIP without importing scipy.interpolate
-        from scipy.interpolate import PchipInterpolator
-        from beadcorr.dists import _gb_inversion_table
-        knots, cdf, coef, _ = _gb_inversion_table(params)
-        np.testing.assert_array_equal(coef, PchipInterpolator(knots, cdf).c)
-
-    @pytest.mark.parametrize("params", [
-        GBParams(1.0, 0.5, 1.0, 2.0, 3.0),
-        GBParams(2.0, 0.9, 1.0, 0.7, 0.4),     # v < 1: mass piled at the upper end
-        GBParams(0.5, 0.3, 2.0, 0.6, 5.0),     # u < 1: mass piled at zero
-    ])
+        GBParams(2.02, 0.999, 2.79, 11.5, 4.67),   # c near 1 with large u
+    ] + [GBParams(a, c, 2.0, u, v)   # the corners of the fit's box
+         for a in (0.02, 50.0) for c in (0.0, 1.0) for u in (0.01, 1e4) for v in (0.01, 1e4)])
     def test_draws_inside_support(self, params):
+        # the suite turns RuntimeWarnings into errors: none is raised either
         draws = dist_sample(params, 20000, np.random.default_rng(9))
         assert np.all(np.isfinite(draws))
         assert np.all((draws > 0.0) & (draws < gb_support_upper(params)))
+
+    def test_quantile_rounding_onto_the_support_end_moves_inside(self):
+        class Uniforms:
+            def uniform(self, size):
+                return np.full(size, 1.0 - 1e-9)
+
+        params = GBParams(2.0, 0.9, 1.0, 0.7, 0.4)
+        upper = gb_support_upper(params)
+        assert upper == 3.1622776601683795
+        assert dist_sample(params, 1, Uniforms()).tolist() == [np.nextafter(upper, 0.0)]
+
+    def test_lower_tail_matches_quadrature_cdf(self):
+        # the 20 smallest of 10^5 draws of the gb_gb reference noise: each
+        # one's CDF, by quadrature of the density, is its own uniform
+        params = GBParams(1.0, 1.0, 30.0, 1.5, 12.0)
+        n = 100000
+        draws = dist_sample(params, n, np.random.default_rng(5))
+        uniforms = np.random.default_rng(5).uniform(size=n)
+        for i in np.argsort(draws)[:20]:
+            cdf, _ = quad(lambda t: dist_pdf(params, t), 0.0, draws[i],
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+            assert cdf == pytest.approx(uniforms[i], rel=1e-9, abs=0.0)
+
+    def test_one_uniform_per_draw(self):
+        # a shared generator's stream moves on exactly as by rng.uniform(size=n)
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        dist_sample(GBParams(1.15, 0.45, 1.2, 1.7, 2.6), 1000, rng)
+        ref.uniform(size=1000)
+        assert rng.bit_generator.state == ref.bit_generator.state

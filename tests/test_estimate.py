@@ -83,6 +83,14 @@ class TestProblemValidation:
             estimate.EstimationProblem(np.array([1.0, -2.0]), np.array([1.0]),
                                        "exp_normal")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_requires_finite_intensities(self, bad):
+        good = np.array([150.0, 170.0, 200.0])
+        for obs, neg in ((np.array([150.0, bad, 200.0]), good),
+                         (good, np.array([95.0, bad]))):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                estimate.EstimationProblem(obs, neg, "exp_normal")
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
             estimate.EstimationProblem(np.array([1.0]), np.array([1.0]), "bogus")
@@ -366,7 +374,8 @@ class TestScores:
     @staticmethod
     def _assert_blocks_match_central_differences(m, prob, score):
         """Criterion 5's check: the noise block against central differences
-        of the control sum, the signal block against those of loglik."""
+        of the control sum, the signal block against those of loglik; at
+        c = 0 or 1 the difference in c steps inside [0, 1] only."""
         signal_at = 5 if m.kind == "gb_gb" else 2
         blocks = [(m.signal, signal_at, estimate.loglik, lambda g: type(m)(g, m.noise))]
         if m.kind == "gb_gb":
@@ -375,9 +384,12 @@ class TestScores:
         for g, first, f, build in blocks:
             for i, name in enumerate(("a", "c", "d", "u", "v")):
                 h = 1e-6 * max(1.0, getattr(g, name))
-                up = f(build(dataclasses.replace(g, **{name: getattr(g, name) + h})), prob)
-                dn = f(build(dataclasses.replace(g, **{name: getattr(g, name) - h})), prob)
-                fd = (up - dn) / (2 * h)
+                lo, hi = getattr(g, name) - h, getattr(g, name) + h
+                if name == "c":
+                    lo, hi = max(lo, 0.0), min(hi, 1.0)
+                up = f(build(dataclasses.replace(g, **{name: hi})), prob)
+                dn = f(build(dataclasses.replace(g, **{name: lo})), prob)
+                fd = (up - dn) / (hi - lo)
                 got = score[first + i]
                 assert abs(got - fd) <= max(1e-4, 1e-3 * abs(fd)), (name, got, fd)
 
@@ -459,13 +471,15 @@ class TestScores:
             score = estimate.score_gb_normal(m, prob)
         assert np.all(np.isfinite(score))
 
-    def test_boundary_c_rejected(self):
-        s = GBParams(1, 0.0, 1, 1.5, 2.5)
-        b = GBParams(1, 0.5, 1, 1.3, 2.2)
-        prob = estimate.EstimationProblem(np.array([0.5]), np.array([0.3]), "gb_gb")
-        from beadcorr.errors import DomainError
-        with pytest.raises(DomainError):
-            estimate.score_gb(GBGB(s, b), prob)
+    @pytest.mark.parametrize("kind, c", [("gb_gb", 1.0), ("gb_normal", 1.0),
+                                         ("gb_gb", 0.0)])
+    def test_score_at_the_ends_of_c(self, kind, c):
+        # every reference GB block has c = 1; Fisher's identity holds at either
+        # end of [0, 1], where the difference in c is one-sided
+        m, prob = self._reference_problem(kind, c, c if kind == "gb_gb" else None)
+        score = (estimate.score_gb if kind == "gb_gb" else estimate.score_gb_normal)(m, prob)
+        assert np.all(np.isfinite(score))
+        self._assert_blocks_match_central_differences(m, prob, score)
 
 
 def _fd_score(m, prob, rel_step=1e-6):
