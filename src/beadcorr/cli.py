@@ -245,18 +245,21 @@ def read_fit_table(path, model_kind):
     """Fit-table TSV -> {array name: ModelSpec}."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = [l for l in fh.read().split("\n") if l]
+            text = fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    # blank lines are skipped, but the line numbers are the file's
+    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
+             if line]
     if not lines:
         raise DataFormatError(f"{path}: empty fit table")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     expected = ["array"] + list(param_names(model_kind))
     if header[:len(expected)] != expected:
         raise DataFormatError(
             f"{path}: fit table header {header} does not start with {expected}")
     out = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) < len(expected):
             raise DataFormatError(
@@ -282,10 +285,10 @@ def cmd_correct(dataset: ArrayDataset, models, run_cfg: RunConfig, variant="rma"
                                      qcfg=run_cfg.quad_cfg)
 
     results = [one(j) for j in range(len(dataset.array_names))]
+    # one column of cells per array, formatted as _fmt does
+    cols = [map(repr, values.tolist()) for values, _ in results]
     lines = ["\t".join(["ProbeID"] + dataset.array_names)]
-    for i, pid in enumerate(dataset.probe_ids):
-        row = [pid] + [_fmt(results[j][0][i]) for j in range(len(results))]
-        lines.append("\t".join(row))
+    lines += ["\t".join(row) for row in zip(dataset.probe_ids, *cols)]
     corrected_tsv = "\n".join(lines) + "\n"
 
     dlines = ["\t".join(["ProbeID", "array", "path", "error"])]

@@ -7,9 +7,9 @@ s = a + (b - a) / (1 + exp(-pi sinh t)) makes the integrand decay double
 exponentially in t, so the trapezoidal rule in t converges geometrically in
 1/h and tolerates integrable singularities at the ends of a piece.
 
-* Every gene is evaluated as one row of a genes x nodes array over
-  ``dists.dist_logpdf``, scaled by the gene's own largest log integrand, and
-  accumulated piece by piece.
+* Every (gene, piece) pair with b > a is evaluated as one row of a
+  pairs x nodes array over ``dists.dist_logpdf``, scaled by the gene's own
+  largest log integrand; a gene's pieces are summed in order.
 * Each gene gets its own pieces, from the integrand's structure.  Positive
   noise: the support (max(0, p - noise upper), min(p, signal upper)), split
   for lognormal noise at p - exp(mu).  Normal noise: the noise window
@@ -27,10 +27,13 @@ exponentially in t, so the trapezoidal rule in t converges geometrically in
   value is the sum at the first level j >= 2 whose change from level j - 1
   is within ``rel_tol`` of it (for a posterior mean E[w(S) | P = p], of
   E[|w|]); genes that reach no such level are reported, and callers hand
-  them to per-gene QUADPACK or refuse them.
+  them to per-gene QUADPACK or refuse them.  The node table is ordered by
+  level, and the engine runs it in two rounds: levels 0-4 for every gene,
+  then the nodes of level 5 (half of them) for the genes that have not
+  converged by level 4.  Where no weight is negative on a round's nodes
+  (the corrector's row s), the E[|w|] sums are the w f sums.
 
-A gene's result depends only on its own p: rows never mix, and padding
-pieces add exact zeros.
+A gene's result depends only on its own p: rows never mix.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def _node_table():
 
     Returns the fraction dl = (s - a)/(b - a) of every node, its complement
     dr = (b - s)/(b - a), log dl, the log weight (per unit interval and unit
-    step), the right-half mask and the index where each level's nodes start.
+    step), the right-half mask and the index where each level's nodes start,
+    closed by the number of nodes.
     """
     n = int(round(_T_MAX / _H))
     k = np.arange(-n, n + 1)
@@ -71,12 +75,15 @@ def _node_table():
     dl = 1.0 / (1.0 + np.exp(-u2))
     dr = 1.0 / (1.0 + np.exp(u2))
     log_w = np.log(math.pi * np.cosh(t) * dl * dr)
-    starts = np.searchsorted(level[order], np.arange(_LEVELS))
+    starts = np.searchsorted(level[order], np.arange(_LEVELS + 1))
     return dl, dr, -np.log1p(np.exp(-u2)), log_w, t > 0.0, starts
 
 
 _DL, _DR, _LOG_DL, _LOG_W, _RIGHT, _STARTS = _node_table()
 _STEPS = 0.5 ** np.arange(_LEVELS)
+#: levels [lo, hi) of each round; a gene converged by the end of a round
+#: skips the next
+_ROUNDS = ((0, _LEVELS - 1), (_LEVELS - 1, _LEVELS))
 
 
 def _gamma_shape(signal):
@@ -140,9 +147,9 @@ def _breakpoints(p, m: ModelSpec):
                             np.sort(np.column_stack([bp, upper]), axis=1)])
 
 
-def _piece_logs(p, m, a, b, power):
-    """(log integrand + log weight, s, log s, p - s) at every node of the
-    pieces [a, b].
+def _piece_logs(p, m, a, b, power, nodes):
+    """(log integrand + log weight, s, log s, p - s) at the nodes ``nodes``
+    (a slice of the node table) of the pieces [a, b], one row per piece.
 
     power < 1 is the shape of a gamma signal on a first piece starting at 0,
     integrated over v = (s/b)^power; there s = b v^(1/power) can underflow
@@ -153,24 +160,69 @@ def _piece_logs(p, m, a, b, power):
     lwidth = np.log(width)[:, None]
     log_s = None
     if power is None:
-        s = a[:, None] + width[:, None] * _DL
-        right = width[:, None] * _DR
+        s = a[:, None] + width[:, None] * _DL[nodes]
+        right = width[:, None] * _DR[nodes]
         lsig = dist_logpdf(m.signal, s) + lwidth
     else:
         # s = b v^(1/power): the density's s^(power - 1) and the Jacobian
         # (b/power) v^(1/power - 1) multiply to b^power / power
-        e = _LOG_DL / power
+        e = _LOG_DL[nodes] / power
         log_s = lwidth + e
         s = width[:, None] * np.exp(e)
         right = width[:, None] * -np.expm1(e)
         g = m.signal
         lsig = (power * (lwidth - math.log(g.beta)) - math.log(power)
                 - _sp.gammaln(power) - s / g.beta)
-    y = np.where(_RIGHT, (p - b)[:, None] + right, p[:, None] - s)
-    logs = lsig + dist_logpdf(m.noise, y) + _LOG_W
+    y = np.where(_RIGHT[nodes], (p - b)[:, None] + right, p[:, None] - s)
+    logs = lsig + dist_logpdf(m.noise, y) + _LOG_W[nodes]
     # a node that rounding puts past the end of a bounded support reads NaN
     # there (GB: log1p of less than -1); the density is 0 or its weight is
     return np.where(np.isnan(logs), -np.inf, logs), s, log_s, y
+
+
+def _sums(p, m, weights, rows, bp, power, levels, peak):
+    """The sums of the levels [lo, hi) = ``levels`` over every piece of the
+    genes p, each of which has a piece with b > a.
+
+    Returns each gene's log scale, the larger of peak and its largest log
+    integrand on these nodes, and, scaled by it, the sums of f, gene x
+    level, and of w f, then |w| f, row x gene x level.
+    """
+    live = bp[:, 1:] > bp[:, :-1]
+    gene, piece = np.nonzero(live)
+    count = live.sum(axis=1)
+    first = np.cumsum(count) - count        # each gene's first pair
+    a, b = bp[gene, piece], bp[gene, piece + 1]
+    lo, hi = levels
+    nodes = slice(_STARTS[lo], _STARTS[hi])
+    cuts = _STARTS[lo:hi] - _STARTS[lo]
+    logs, s, log_s, y = _piece_logs(p[gene], m, a, b, None, nodes)
+    w = np.asarray(weights(s, log_s, y)) if rows else None
+    if power is not None:
+        # the first pieces are integrated in v = (s/b)^power: their rows again
+        on = piece == 0
+        first_logs, s, log_s, y = _piece_logs(p[gene[on]], m, a[on], b[on], power, nodes)
+        logs[on] = first_logs
+        if rows:
+            w = np.array(w)                 # weights may return a view of s
+            w[:, on] = weights(s, log_s, y)
+    top = np.maximum(peak, np.maximum.reduceat(logs.max(axis=1), first))
+    shift = np.where(np.isfinite(top), top, 0.0)
+    vals = np.exp(logs - shift[gene, None])
+    den = np.add.reduceat(np.add.reduceat(vals, cuts, axis=1), first)
+    if not rows:
+        return top, den, np.zeros((0,) + den.shape)
+    wf = w * vals
+    part = np.add.reduceat(wf, cuts, axis=2)
+    if np.isnan(part).any():
+        # a weight that is not finite where the integrand underflowed:
+        # those nodes add 0
+        wf = np.where(vals > 0.0, wf, 0.0)
+        part = np.add.reduceat(wf, cuts, axis=2)
+    # |w f| = w f, bit for bit, where no value is negative (the corrector's
+    # row s)
+    spread = np.add.reduceat(np.abs(wf), cuts, axis=2) if np.signbit(wf).any() else part
+    return top, den, np.add.reduceat(np.concatenate([part, spread]), first, axis=1)
 
 
 class Integrals(NamedTuple):
@@ -188,7 +240,27 @@ def _first_level(change, rel_tol):
     change from level j - 1 is within rel_tol, else the last level."""
     good = change[:, _FIRST_LEVEL - 1:] <= rel_tol
     found = good.any(axis=1)
-    return np.where(found, good.argmax(axis=1) + _FIRST_LEVEL, _LEVELS - 1), found
+    return np.where(found, good.argmax(axis=1) + _FIRST_LEVEL, change.shape[1]), found
+
+
+def _decide(den, num, rel_tol):
+    """The value, the means and their level's change, and the two flags of
+    every gene, from its sums of f, w f and |w| f at the levels given."""
+    rows = num.shape[0] // 2
+    total = np.cumsum(den, axis=1)
+    levels = total * _STEPS[:den.shape[1]]
+    change = np.abs(levels[:, 1:] - levels[:, :-1]) / np.abs(levels[:, 1:])
+    pick, ok = _first_level(change, rel_tol)
+    genes = np.arange(den.shape[0])
+    value = levels[genes, pick]
+    # the means at every level, then each row's E[|w|]
+    sums = np.cumsum(num, axis=2) / total
+    means = sums[:rows]
+    if rows:
+        change = np.maximum(change, np.max(
+            np.abs(means[:, :, 1:] - means[:, :, :-1]) / sums[rows:, :, 1:], axis=0))
+    pick, means_ok = _first_level(change, rel_tol)
+    return value, ok, means[:, genes, pick], change[genes, pick - 1], means_ok
 
 
 def log_integrals(p, m: ModelSpec, weights=None, rel_tol=1e-8) -> Integrals:
@@ -215,48 +287,25 @@ def log_integrals(p, m: ModelSpec, weights=None, rel_tol=1e-8) -> Integrals:
     power = g.alpha if isinstance(g, GammaParams) and g.alpha < 1.0 else None
     with np.errstate(all="ignore"):
         bp = _breakpoints(p, m) if n else np.zeros((0, 1))
+        nonempty = (bp[:, 1:] > bp[:, :-1]).any(axis=1)
         den = np.zeros((n, _LEVELS))
         # sums of w f, then of |w| f, per row
         num = np.zeros((2 * rows, n, _LEVELS))
         peak = np.full(n, -np.inf)
-        nonempty = np.zeros(n, dtype=bool)
-        for j in range(bp.shape[1] - 1):
-            a, b = bp[:, j], bp[:, j + 1]
-            live = b > a
-            if not live.any():
-                continue
-            nonempty |= live
-            a, b = np.where(live, a, 0.0), np.where(live, b, 0.0)
-            logs, s, log_s, y = _piece_logs(p, m, a, b, power if j == 0 else None)
-            new = np.maximum(peak, logs.max(axis=1))
-            shift = np.where(np.isfinite(new), new, 0.0)
-            scale = np.exp(peak - shift)[:, None]
-            den *= scale
-            num *= scale
-            vals = np.exp(logs - shift[:, None])
-            den += np.add.reduceat(vals, _STARTS, axis=1)
-            if rows:
-                wf = np.asarray(weights(s, log_s, y)) * vals
-                part = np.add.reduceat(wf, _STARTS, axis=2)
-                if np.isnan(part).any():
-                    # a weight that is not finite where the integrand
-                    # underflowed: those nodes add 0
-                    wf = np.where(vals > 0.0, wf, 0.0)
-                    part = np.add.reduceat(wf, _STARTS, axis=2)
-                num[:rows] += part
-                num[rows:] += np.add.reduceat(np.abs(wf), _STARTS, axis=2)
-            peak = new
-        levels = np.cumsum(den, axis=1) * _STEPS
-        change = np.abs(np.diff(levels, axis=1)) / np.abs(levels[:, 1:])
-        pick, ok = _first_level(change, rel_tol)
-        genes = np.arange(n)
-        log_f = np.log(levels[genes, pick]) + peak
+        todo = np.flatnonzero(nonempty)
+        for lo, hi in _ROUNDS:
+            if todo.size:
+                top, den[todo, lo:hi], num[:, todo, lo:hi] = _sums(
+                    p[todo], m, weights, rows, bp[todo], power, (lo, hi), peak[todo])
+                # the earlier levels' sums move to the new scale
+                scale = np.exp(peak[todo] - np.where(np.isfinite(top), top, 0.0))
+                den[todo, :lo] *= scale[:, None]
+                num[:, todo, :lo] *= scale[:, None]
+                peak[todo] = top
+            value, ok, means, change, means_ok = _decide(den[:, :hi], num[:, :, :hi], rel_tol)
+            todo = todo[~means_ok[todo]]
+            if not todo.size:
+                break
+        log_f = np.log(value) + peak
         log_f[~nonempty] = -np.inf
-        # the means at every level, and each row's E[|w|]
-        means = np.cumsum(num[:rows], axis=2) / np.cumsum(den, axis=1)
-        spread = np.cumsum(num[rows:], axis=2) / np.cumsum(den, axis=1)
-        change = np.max(np.concatenate(
-            [change[None], np.abs(np.diff(means, axis=2)) / spread[:, :, 1:]]), axis=0)
-        pick, means_ok = _first_level(change, rel_tol)
-        return Integrals(log_f, means[:, genes, pick], change[genes, pick - 1],
-                         ok | ~nonempty, means_ok | ~nonempty)
+        return Integrals(log_f, means, change, ok | ~nonempty, means_ok | ~nonempty)

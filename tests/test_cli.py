@@ -163,7 +163,10 @@ class TestReadFitTable:
         (HEADER + "A1\t0.01\t100.0\n", "fit.tsv:2: expected at least 4 columns"),
         (HEADER + "A1\t0.01\tlots\t15.0\t-5.0\t1\n", "fit.tsv:2: non-numeric"),
         ("", "empty fit table"),
-    ], ids=["short_row", "non_numeric_cell", "empty"])
+        # a blank line 3 is skipped, and the bad cell is still on line 4
+        (HEADER + "A1\t0.01\t100.0\t15.0\t-5.0\t1\n\nA2\t0.01\tlots\t15.0\t-5.0\t1\n",
+         "fit.tsv:4: non-numeric"),
+    ], ids=["short_row", "non_numeric_cell", "empty", "after_blank_line"])
     def test_malformed_table_rejected(self, tmp_path, text, match):
         path = tmp_path / "fit.tsv"
         write(path, text)

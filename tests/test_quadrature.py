@@ -1,12 +1,14 @@
 """The batched tanh-sinh engine, called directly so no rescue can mask a miss."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
-from beadcorr import oracle, quadrature, simulate, validation
+from beadcorr import estimate, oracle, quadrature, simulate, validation
 from beadcorr.dists import (GammaNormal, GammaParams, GBGB, GBParams,
                             NormalParams, dist_sample)
 
@@ -53,20 +55,97 @@ def test_engine_matches_the_referee(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_gene_bits_do_not_depend_on_the_batch(kind):
+def test_gene_bits_do_not_depend_on_the_batch(kind, monkeypatch):
     m = simulate.REFERENCE_MODELS[kind][0]
     d = simulate.simulate_experiment(m, 40, 2, 3)
     ps = d.observed[d.observed > 0]
-    whole = quadrature.log_integrals(ps, m, _mean)
-    rev = quadrature.log_integrals(ps[::-1], m, _mean)
-    np.testing.assert_array_equal(rev.log_f[::-1], whole.log_f)
-    np.testing.assert_array_equal(rev.means[:, ::-1], whole.means)
-    np.testing.assert_array_equal(rev.change[::-1], whole.change)
-    for i, p in enumerate(ps):
-        alone = quadrature.log_integrals(ps[i:i + 1], m, _mean)
-        assert alone.log_f[0] == whole.log_f[i] and alone.means[0, 0] == whole.means[0, i]
-        assert alone.change[0] == whole.change[i] and alone.ok[0] == whole.ok[i]
-        assert alone.means_ok[0] == whole.means_ok[i]
+    rounds, real = [], quadrature._sums
+
+    def spy(*args):
+        rounds.append(args[-2])
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_sums", spy)
+    for weights in (_mean, estimate._fisher_weights(m)):
+        whole = quadrature.log_integrals(ps, m, weights)
+        rev = quadrature.log_integrals(ps[::-1], m, weights)
+        np.testing.assert_array_equal(rev.log_f[::-1], whole.log_f)
+        np.testing.assert_array_equal(rev.means[:, ::-1], whole.means)
+        np.testing.assert_array_equal(rev.change[::-1], whole.change)
+        last_level = []
+        for i, p in enumerate(ps):
+            rounds.clear()
+            alone = quadrature.log_integrals(ps[i:i + 1], m, weights)
+            last_level.append((quadrature._LEVELS - 1, quadrature._LEVELS) in rounds)
+            assert alone.log_f[0] == whole.log_f[i]
+            np.testing.assert_array_equal(alone.means[:, 0], whole.means[:, i])
+            assert alone.change[0] == whole.change[i] and alone.ok[0] == whole.ok[i]
+            assert alone.means_ok[0] == whole.means_ok[i]
+        if kind == "gb_normal" and weights is _mean:
+            # the batch mixes genes that stop at level 4 with genes that
+            # need level 5 (with the Fisher rows, every gene needs it)
+            assert any(last_level) and not all(last_level)
+
+
+PINS = json.loads((Path(__file__).parent / "data" / "engine_pins.json").read_text())
+PIN_MODELS = {
+    **{kind: simulate.REFERENCE_MODELS[kind][0]
+       for kind in ("gb_gb", "gb_normal", "gamma_lognormal", "exp_lognormal")},
+    "gb_normal_tight": simulate.REFERENCE_MODELS["gb_normal"][0],
+    # shape < 1: the first piece is integrated in s^alpha
+    "gamma_normal": GammaNormal(GammaParams(0.5, 40.0), NormalParams(100.0, 15.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_MODELS))
+@pytest.mark.parametrize("setting", ["none", "mean", "fisher"])
+def test_values_are_pinned(case, setting):
+    # every gene keeps its level: the values read at the same level as
+    # when all six levels ran on every piece, up to the rounding of the
+    # log scale, and the flags are equal
+    m, pin = PIN_MODELS[case], PINS[case][setting]
+    weights = {"none": None, "mean": _mean,
+               "fisher": estimate._fisher_weights(m)}[setting]
+    res = quadrature.log_integrals(np.array(PINS[case]["ps"]), m, weights, pin["rel_tol"])
+    np.testing.assert_array_equal(res.ok, pin["ok"])
+    np.testing.assert_array_equal(res.means_ok, pin["means_ok"])
+    np.testing.assert_allclose(res.log_f, pin["log_f"], rtol=0, atol=1e-14)
+    if setting == "mean":
+        np.testing.assert_allclose(res.means, pin["means"], rtol=1e-14, atol=0)
+    elif setting == "fisher":
+        scale = 1e-12 * np.array(pin["abs_means"])
+        assert np.all(np.abs(res.means - np.array(pin["means"])) <= scale)
+    else:
+        assert res.means.shape == (0, len(pin["log_f"]))
+
+
+#: signal-density nodes of the seed-7 reference arrays at 1e-8 when all six
+#: levels ran on every piece column of every gene, and the share of them
+#: the engine may still evaluate
+FULL_NODES = {"gb_gb": (51250, 0.51), "gamma_lognormal": (123000, 0.51),
+              "gb_normal": (153750, 0.65)}
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_NODES))
+def test_the_last_level_runs_only_where_it_is_read(kind, monkeypatch):
+    m, genes = simulate.REFERENCE_MODELS[kind]
+    d = simulate.simulate_experiment(m, genes, max(genes // 4, 50), 7)
+    ps = d.observed[d.observed > 0]
+    count, real = [0], quadrature.dist_logpdf
+
+    def counted(dist, x):
+        if dist is m.signal:
+            count[0] += np.size(x)
+        return real(dist, x)
+
+    monkeypatch.setattr(quadrature, "dist_logpdf", counted)
+    counts = []
+    for _ in range(2):
+        count[0] = 0
+        assert quadrature.log_integrals(ps, m, _mean, 1e-8).means_ok.all()
+        counts.append(count[0])
+    full, share = FULL_NODES[kind]
+    assert counts[0] == counts[1] and counts[0] <= share * full, counts
 
 
 def test_loose_target_takes_an_earlier_level():
