@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import correct, estimate, oracle, series, simulate, validation
+from . import correct, estimate, series, simulate, validation
 from .dists import MODEL_KINDS, model_from_values, model_to_values, param_names
 from .errors import (BeadcorrError, DataFormatError, DegenerateControlsError,
                      DomainError, InvalidParameterError, UnsupportedMethodError)
@@ -37,22 +37,18 @@ CONFIG_ENV_VAR = "BEADCORR_CONFIG"
 CONFIG_DEFAULTS = {
     "series_rel_tol": 1e-10,
     "series_max_terms": 200,
-    "quad_abs_tol": 1e-10,
-    "quad_rel_tol": 1e-8,
-    "quad_max_subdivisions": 2000,
     "optimizer_starts": 5,
     "optimizer_max_iter": 500,
     "optimizer_seed": 0,
 }
 
-_INT_KEYS = {"series_max_terms", "quad_max_subdivisions", "optimizer_starts",
-             "optimizer_max_iter", "optimizer_seed"}
+_INT_KEYS = {"series_max_terms", "optimizer_starts", "optimizer_max_iter",
+             "optimizer_seed"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     series_cfg: series.SeriesConfig
-    quad_cfg: oracle.QuadConfig
     budget: estimate.FitBudget
 
 
@@ -82,24 +78,16 @@ def load_config(path=None) -> RunConfig:
         except OSError as exc:
             raise DataFormatError(f"cannot read config {path}: {exc}") from exc
 
-    def section(cls, prefix, **kwargs):
-        # the defaults are valid, so a rejected section names the keys the file set
-        try:
-            return cls(**kwargs)
-        except DomainError as exc:
-            keys = ", ".join(k for k in values
-                             if k.startswith(prefix) and values[k] != CONFIG_DEFAULTS[k])
-            raise DataFormatError(f"{path}: bad value for {keys}: {exc}") from exc
-
+    try:
+        series_cfg = series.SeriesConfig(rel_tol=values["series_rel_tol"],
+                                         max_terms_per_index=values["series_max_terms"])
+    except DomainError as exc:
+        # the defaults are valid, so a rejected value is one the file set
+        keys = ", ".join(k for k in values
+                         if k.startswith("series_") and values[k] != CONFIG_DEFAULTS[k])
+        raise DataFormatError(f"{path}: bad value for {keys}: {exc}") from exc
     return RunConfig(
-        series_cfg=section(
-            series.SeriesConfig, "series_",
-            rel_tol=values["series_rel_tol"],
-            max_terms_per_index=values["series_max_terms"]),
-        quad_cfg=section(
-            oracle.QuadConfig, "quad_",
-            abs_tol=values["quad_abs_tol"], rel_tol=values["quad_rel_tol"],
-            max_subdivisions=values["quad_max_subdivisions"]),
+        series_cfg=series_cfg,
         budget=estimate.FitBudget(
             n_starts=values["optimizer_starts"],
             max_iter=values["optimizer_max_iter"],
@@ -281,8 +269,7 @@ def cmd_correct(dataset: ArrayDataset, models, run_cfg: RunConfig, variant="rma"
         m = models[name] if isinstance(models, dict) else models
         return correct.correct_array(dataset.observed[:, j], m,
                                      run_cfg.series_cfg,
-                                     exp_normal_variant=variant,
-                                     qcfg=run_cfg.quad_cfg)
+                                     exp_normal_variant=variant)
 
     results = [one(j) for j in range(len(dataset.array_names))]
     # one column of cells per array, formatted as _fmt does

@@ -1,9 +1,9 @@
 """Corrected background intensities E[S | P = p] for the seven models.
 
 Each family has the paper's method (``PAPER_ROUTES``): closed forms where
-they exist, series where the model has one (with a quadrature fallback
-outside the series convergence region), and quadrature for the gamma-normal
-model.  The public correctors and ``correct_array_series`` take it.
+they exist, series where the model has one (with quadrature outside the
+series convergence region), and quadrature for the gamma-normal model.  The
+public correctors and ``correct_array_series`` take it.
 ``correct_array`` takes the route of ``ROUTES``, the cheapest evaluator that
 meets the family's tolerance: the closed forms, the exp_lognormal series,
 the likelihood's FFT grid for gamma_normal (``_grid_values``: alpha beta
@@ -12,10 +12,11 @@ f_(alpha+1)(p)/f_alpha(p)), and the batched tanh-sinh engine
 series array runs the array gate (``series.gate``) and one den and one num
 kernel call on the genes it accepts (``series.batch_series``, each gene on
 its own box).  The genes that need quadrature, those the series or the grid
-cannot answer included, go to the engine, once per array, and those it
-cannot certify to the referee's QUADPACK.  Every corrector can report which
-path produced its value and why a gene left its route; batch application
-never aborts on a single bad gene.
+cannot answer included, go to the engine, once per array; a gene it cannot
+certify is refused with a QuadratureError.  QUADPACK stays in ``oracle``,
+the independent referee, and answers no production gene.  Every corrector
+can report which path produced its value and why a gene left its route;
+batch application never aborts on a single bad gene.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from . import oracle, quadrature, series, specfun
+from . import quadrature, series, specfun
 from .dists import (ExpLognormal, ExpParams, GammaLognormal, GammaNormal,
                     GammaParams, GBGB, GBNormal, GBParams, LognormalParams,
                     ModelSpec, NormalParams, dist_logpdf, gb_support_upper)
 from .errors import (BeadcorrError, DomainError, InvalidParameterError,
-                     NumericUnderflowError)
-# unused here: QUADPACK runs only inside the referee, but perfbench/tracing.py
+                     NumericUnderflowError, QuadratureError)
+# unused: no production gene reaches QUADPACK, but perfbench/tracing.py
 # wraps correct.quad as well as oracle.quad, so the attribute must exist
 from .oracle import quad  # noqa: F401
 
@@ -239,53 +240,39 @@ def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
 # Quadrature: the gamma-normal corrector and the series correctors' fallback
 # ---------------------------------------------------------------------------
 
-#: quadrature setting of the gamma-normal corrector, tighter than the default
-_GAMMA_NORMAL_QCFG = oracle.QuadConfig(rel_tol=1e-11)
+#: the engine's target: the gamma-normal corrector's, and every other family's
+_GAMMA_NORMAL_REL_TOL = 1e-11
+_REL_TOL = 1e-8
 
 _LOG_TINY = math.log(1e-300)
 
 
-def _quadrature_means(ps, m: ModelSpec, qcfg: oracle.QuadConfig):
-    """Posterior means of the genes ps by the batched tanh-sinh engine.
-
-    The engine's target is qcfg.rel_tol; genes whose error estimate misses
-    it go to the referee's QUADPACK at qcfg.  Returns, per gene, the value or
-    the BeadcorrError that refuses it.
-    """
-    res = quadrature.log_integrals(ps, m, lambda s, log_s, y: s[None], qcfg.rel_tol)
-    out = []
-    for p, lden, mean, good in zip(np.asarray(ps, dtype=float).tolist(),
-                                   res.log_f.tolist(), res.means[0].tolist(),
-                                   res.means_ok.tolist()):
-        try:
-            if not good:
-                out.append(oracle.posterior_mean_quadrature(p, m, qcfg))
-            elif lden < _LOG_TINY:
-                raise NumericUnderflowError(
-                    f"marginal density underflowed at p={p}; posterior mean "
-                    f"undefined in floating point")
-            else:
-                out.append(mean)
-        except BeadcorrError as exc:
-            out.append(exc)
-    return out
+def _quadrature_means(ps, m: ModelSpec, rel_tol):
+    """Posterior means of the float array ps by the tanh-sinh engine at
+    the target rel_tol: (values, NaN where refused; {index: the
+    QuadratureError, naming its half-step change, of a gene the engine does
+    not certify, or the NumericUnderflowError of a vanishing marginal})."""
+    res = quadrature.log_integrals(ps, m, lambda s, log_s, y: s[None], rel_tol)
+    missed = ~res.means_ok
+    refused = {i: QuadratureError(
+        f"the tanh-sinh engine did not certify the posterior mean at p={p} "
+        f"(half-step change {change:.2e})")
+        for i, p, change in zip(np.flatnonzero(missed).tolist(), ps[missed].tolist(),
+                                res.change[missed].tolist())}
+    refused.update(_refused(
+        res.means_ok & (res.log_f < _LOG_TINY), ps, NumericUnderflowError,
+        lambda p: f"marginal density underflowed at p={p}; posterior mean "
+                  f"undefined in floating point"))
+    values = res.means[0].copy()
+    values[list(refused)] = math.nan
+    return values, refused
 
 
-def _quadrature_mean(p, m, qcfg):
-    value = _quadrature_means([p], m, qcfg)[0]
-    if isinstance(value, BeadcorrError):
-        raise value
-    return value
-
-
-def correct_gamma_normal(p, g: GammaParams, b: NormalParams,
-                         qcfg: oracle.QuadConfig = None) -> float:
-    """Posterior mean under gamma + normal by tanh-sinh quadrature.
-
-    qcfg.rel_tol is the engine's target (default 1e-11); a gene the engine
-    cannot certify goes to the referee's QUADPACK at qcfg.
-    """
-    return _quadrature_mean(p, GammaNormal(g, b), qcfg or _GAMMA_NORMAL_QCFG)
+def correct_gamma_normal(p, g: GammaParams, b: NormalParams) -> float:
+    """Posterior mean under gamma + normal by tanh-sinh quadrature at the
+    target 1e-11; raises the QuadratureError of a gene the engine cannot
+    certify."""
+    return _correct_one(p, GammaNormal(g, b), None, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -668,32 +655,31 @@ def _series_values(ps, m: ModelSpec, cfg):
 
 def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams,
                           cfg: series.SeriesConfig = series.SeriesConfig(),
-                          qcfg: oracle.QuadConfig = None, with_info=False):
+                          with_info=False):
     """Corrected intensity p - E[B | P = p] under exponential + lognormal."""
-    return _with_info(*_correct_one(p, ExpLognormal(e, l), cfg, None, qcfg), with_info)
+    return _with_info(*_correct_one(p, ExpLognormal(e, l), cfg, None), with_info)
 
 
 def correct_gamma_lognormal(p, g: GammaParams, l: LognormalParams,
                             cfg: series.SeriesConfig = series.SeriesConfig(),
-                            qcfg: oracle.QuadConfig = None, with_info=False):
+                            with_info=False):
     """Corrected intensity under gamma + lognormal: p times the kernel ratio."""
-    return _with_info(*_correct_one(p, GammaLognormal(g, l), cfg, None, qcfg),
-                      with_info)
+    return _with_info(*_correct_one(p, GammaLognormal(g, l), cfg, None), with_info)
 
 
 def correct_gb(p, s: GBParams, b: GBParams,
                cfg: series.SeriesConfig = series.SeriesConfig(),
-               qcfg: oracle.QuadConfig = None, with_info=False):
+               with_info=False):
     """Corrected intensity under the GB + GB convolution."""
-    return _with_info(*_correct_one(p, GBGB(s, b), cfg, None, qcfg), with_info)
+    return _with_info(*_correct_one(p, GBGB(s, b), cfg, None), with_info)
 
 
 def correct_gb_normal(p, s: GBParams, b: NormalParams,
                       cfg: series.SeriesConfig = series.SeriesConfig(),
-                      qcfg: oracle.QuadConfig = None, with_info=False):
+                      with_info=False):
     """Corrected intensity under the GB + normal convolution."""
     # GBNormal validates b.mu > 0
-    return _with_info(*_correct_one(p, GBNormal(s, b), cfg, None, qcfg), with_info)
+    return _with_info(*_correct_one(p, GBNormal(s, b), cfg, None), with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -746,14 +732,7 @@ def _closed_values(ps, m: ModelSpec, variant):
             for i, v in enumerate(out.tolist())]
 
 
-def _quadrature_cfg(m: ModelSpec, qcfg):
-    """The gamma-normal corrector's own setting, else qcfg or the default."""
-    if m.kind == "gamma_normal":
-        return _GAMMA_NORMAL_QCFG
-    return qcfg or oracle.QuadConfig()
-
-
-def _outcomes(ps, m: ModelSpec, route, cfg, variant, qcfg):
+def _outcomes(ps, m: ModelSpec, route, cfg, variant):
     """Per gene of ps: (value, CorrectionInfo) by the route, or the
     BeadcorrError that refuses the gene.
 
@@ -775,30 +754,28 @@ def _outcomes(ps, m: ModelSpec, route, cfg, variant, qcfg):
             out[i] = (None, _QUADRATURE_INFO)
     pending = [i for i, o in enumerate(out) if isinstance(o, tuple) and o[0] is None]
     if pending:
-        values = _quadrature_means(ps[pending], m, _quadrature_cfg(m, qcfg))
-        for i, value in zip(pending, values):
-            out[i] = value if isinstance(value, BeadcorrError) else (value, out[i][1])
+        rel_tol = _GAMMA_NORMAL_REL_TOL if m.kind == "gamma_normal" else _REL_TOL
+        values, refused = _quadrature_means(ps[pending], m, rel_tol)
+        for j, (i, value) in enumerate(zip(pending, values.tolist())):
+            out[i] = refused[j] if j in refused else (value, out[i][1])
     return out
 
 
-def _correct_one(p, m: ModelSpec, cfg, variant, qcfg=None):
+def _correct_one(p, m: ModelSpec, cfg, variant):
     """(value, CorrectionInfo) of one gene by the paper's method; variant
-    picks the exp_normal form.
-
-    qcfg sets the quadrature fallback of the series correctors.
-    """
+    picks the exp_normal form."""
     outcome = _outcomes(np.array([p], dtype=float), m, PAPER_ROUTES[m.kind],
-                        cfg, variant, qcfg)[0]
+                        cfg, variant)[0]
     if isinstance(outcome, BeadcorrError):
         raise outcome
     return outcome
 
 
-def _apply(observed, m: ModelSpec, route, cfg, variant, qcfg):
+def _apply(observed, m: ModelSpec, route, cfg, variant):
     observed = np.asarray(observed, dtype=float)
     corrected = np.full(observed.shape, math.nan)
     diags = []
-    for i, outcome in enumerate(_outcomes(observed, m, route, cfg, variant, qcfg)):
+    for i, outcome in enumerate(_outcomes(observed, m, route, cfg, variant)):
         if isinstance(outcome, BeadcorrError):
             diags.append(GeneDiagnostic(index=i, path="error",
                                         error=f"{type(outcome).__name__}: {outcome}"))
@@ -811,8 +788,7 @@ def _apply(observed, m: ModelSpec, route, cfg, variant, qcfg):
 
 def correct_array(observed, m: ModelSpec,
                   cfg: series.SeriesConfig = series.SeriesConfig(),
-                  exp_normal_variant: str = "rma",
-                  qcfg: oracle.QuadConfig = None):
+                  exp_normal_variant: str = "rma"):
     """Apply the family's route (``ROUTES``) to every gene of an array.
 
     Closed forms run over the whole array; the exp_lognormal series runs the
@@ -821,22 +797,20 @@ def correct_array(observed, m: ModelSpec,
     (``_grid_values``); a quadrature family (gamma_lognormal, gb_gb,
     gb_normal) runs its domain check gene by gene.  The genes that need
     quadrature, the series and grid genes that fall back included, go to the
-    tanh-sinh engine in one call, and those it cannot certify to the
-    referee's QUADPACK.  Order is preserved and a failing gene never aborts
-    the batch: its output is NaN and the diagnostic row records the error.
-    qcfg sets the quadrature of every family but gamma_normal (default
-    oracle.QuadConfig()).  Returns
+    tanh-sinh engine in one call, at the target 1e-8 (1e-11 for
+    gamma_normal).  Order is preserved and a failing gene never aborts the
+    batch: its output is NaN and the diagnostic row records the error, a
+    QuadratureError where the engine cannot certify the gene.  Returns
     (corrected array, list of GeneDiagnostic).
     """
-    return _apply(observed, m, ROUTES[m.kind], cfg, exp_normal_variant, qcfg)
+    return _apply(observed, m, ROUTES[m.kind], cfg, exp_normal_variant)
 
 
 def correct_array_series(observed, m: ModelSpec,
                          cfg: series.SeriesConfig = series.SeriesConfig(),
-                         exp_normal_variant: str = "rma",
-                         qcfg: oracle.QuadConfig = None):
+                         exp_normal_variant: str = "rma"):
     """``correct_array`` by the paper's method (``PAPER_ROUTES``): every
     series family answers by its series, with quadrature where the series
     does not converge, as the public correctors do; the other families take
     the same route as in ``correct_array``."""
-    return _apply(observed, m, PAPER_ROUTES[m.kind], cfg, exp_normal_variant, qcfg)
+    return _apply(observed, m, PAPER_ROUTES[m.kind], cfg, exp_normal_variant)

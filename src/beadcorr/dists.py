@@ -229,6 +229,23 @@ def gb_support_upper(p: GBParams) -> float:
     return p.d * (1.0 - p.c) ** (-1.0 / p.a)
 
 
+def _gb_shape_terms(lt, p: GBParams):
+    """(log(1 + c t), (v - 1) log(1 - (1 - c) t)) at t = (x/d)^a = exp(lt);
+    the second reads -inf where (1 - c) t >= 1, and is None for c = 1."""
+    big = lt > _LOG_FLOAT_MAX   # (x/d)^a overflows: log1p(c t) in logs
+    t = np.exp(np.where(big, 0.0, lt))
+    rise = np.log1p(p.c * t)
+    if np.any(big):
+        rise[big] = np.logaddexp(0.0, math.log(p.c) + lt[big])
+    if p.c == 1.0:
+        return rise, None
+    # a few ulps below the upper end (1-c)(x/d)^a can round to 1 or above,
+    # where the density is 0
+    fall = (1.0 - p.c) * t
+    return rise, np.where(fall < 1.0, (p.v - 1.0) * np.log1p(-np.where(fall < 1.0, fall, 0.0)),
+                          -np.inf)
+
+
 def gb_logpdf(x, p: GBParams):
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, -np.inf)
@@ -236,24 +253,22 @@ def gb_logpdf(x, p: GBParams):
     inside = (x > 0) & (x < upper)
     if np.any(inside):
         xi = x[inside]
-        lt = p.a * (np.log(xi) - math.log(p.d))
-        big = lt > _LOG_FLOAT_MAX   # (x/d)^a overflows: log1p(c t) in logs
-        t = np.exp(np.where(big, 0.0, lt))
-        rise = np.log1p(p.c * t)
-        if np.any(big):
-            rise[big] = np.logaddexp(0.0, math.log(p.c) + lt[big])
+        rise, fall = _gb_shape_terms(p.a * (np.log(xi) - math.log(p.d)), p)
         lf = (math.log(p.a) + (p.a * p.u - 1.0) * np.log(xi)
               - p.a * p.u * math.log(p.d) - specfun.log_beta(p.u, p.v)
               - (p.u + p.v) * rise)
-        if p.c != 1.0:
-            # a few ulps below the upper end (1-c)(x/d)^a can round to 1 or
-            # above, where the density is 0
-            fall = (1.0 - p.c) * t
-            lf = np.where(fall < 1.0,
-                          lf + (p.v - 1.0) * np.log1p(-np.where(fall < 1.0, fall, 0.0)),
-                          -np.inf)
-        out[inside] = lf
+        out[inside] = lf if fall is None else lf + fall
     return out if out.ndim else float(out)
+
+
+def gb_log_regular(log_x, p: GBParams):
+    """log(f(x)/x^(au - 1)) of the GB density at x = exp(log_x) below its
+    support's upper end: the factor that stays finite as x -> 0, taken from
+    log x, so x itself may have underflowed."""
+    rise, fall = _gb_shape_terms(p.a * (log_x - math.log(p.d)), p)
+    out = (math.log(p.a) - p.a * p.u * math.log(p.d) - specfun.log_beta(p.u, p.v)
+           - (p.u + p.v) * rise)
+    return out if fall is None else out + fall
 
 
 def gb_pdf(x, p: GBParams):

@@ -10,6 +10,8 @@ grid value at p is a cubic through the grid nodes less the endpoint terms of
 the generalized Euler-Maclaurin expansion at s = 0
 (``correct.gamma_normal_density``), and its score differentiates exactly
 that; the exp_lognormal series scores its genes from the den kernel's terms.
+A gene the engine cannot certify reads -inf, and its score rows NaN; the
+referee's QUADPACK answers no gene of the likelihood.
 
 Every family is fitted by BFGS on that score, started from the outer product
 of the per-observation scores: 4 to 7 value-and-gradient evaluations per fit
@@ -30,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from . import correct, oracle, quadrature, series, specfun
+from . import correct, quadrature, series, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
                     GBParams, LognormalParams, MODEL_KINDS, MODEL_TYPES,
                     ModelSpec, NormalParams, dist_logpdf, gb_from_gamma,
@@ -190,11 +192,9 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     return out, rows
 
 
-#: the likelihood's quadrature: the engine's target (the one the exp_lognormal
-#: series score is confirmed to), and QUADPACK's setting for the genes the
-#: engine cannot certify
-_LIKELIHOOD_QCFG = oracle.QuadConfig(abs_tol=1e-12, rel_tol=series.SCORE_REL_TOL,
-                                     max_subdivisions=300)
+#: the engine's target in the likelihood, the one the exp_lognormal series
+#: score is confirmed to
+_LIKELIHOOD_REL_TOL = series.SCORE_REL_TOL
 
 
 def _fisher_weights(m: ModelSpec, noise=True):
@@ -208,23 +208,23 @@ def _fisher_weights(m: ModelSpec, noise=True):
     return weights
 
 
+def _certified_rows(res):
+    """The engine's means, NaN for the genes whose means it does not certify."""
+    return np.where(res.means_ok, res.means, np.nan)
+
+
 def _quadrature_marginal_log(p_vals, m, grad=False):
-    """log f_P at every p by the tanh-sinh engine; genes it cannot certify
-    take QUADPACK's value, and -inf where that fails too: never fatal.
+    """log f_P at every p by the tanh-sinh engine; a gene it cannot certify
+    reads -inf: never fatal.
 
     With grad, also the score rows in param_names order from the same
-    engine call, at its last level where they do not converge.
+    engine call (``_certified_rows``): NaN where the engine does not certify
+    them, so that an optimizer reads the point as not finite.
     """
-    q = _LIKELIHOOD_QCFG
     res = quadrature.log_integrals(p_vals, m, _fisher_weights(m) if grad else None,
-                                   q.rel_tol)
-    out = res.log_f
-    for i in np.flatnonzero(~res.ok):
-        try:
-            out[i] = oracle.marginal_log_pdf_quadrature(float(p_vals[i]), m, q)
-        except BeadcorrError:
-            out[i] = -np.inf
-    return (out, res.means) if grad else out
+                                   _LIKELIHOOD_REL_TOL)
+    out = np.where(res.ok, res.log_f, -np.inf)
+    return (out, _certified_rows(res)) if grad else out
 
 
 #: the log marginals of the closed and grid routes, with their scores
@@ -366,12 +366,14 @@ def _gene_score(m: ModelSpec, p):
     not certify.
     """
     res = quadrature.log_integrals(p, m, _fisher_weights(m, noise=False),
-                                   _LIKELIHOOD_QCFG.rel_tol)
+                                   _LIKELIHOOD_REL_TOL)
+    rows = _certified_rows(res)
     at_end = np.zeros(p.size, dtype=bool)
     if m.signal.v <= _FISHER_V_MIN:
         # the integral reaches the signal's end where the noise has density there
         at_end = dist_logpdf(m.noise, p - gb_support_upper(m.signal)) > -np.inf
-    for i in np.flatnonzero((res.log_f == -np.inf) | ~res.means_ok | at_end).tolist():
+    # an empty range reads -inf with NaN means
+    for i in np.flatnonzero(np.isnan(rows).any(axis=0) | at_end).tolist():
         if res.log_f[i] == -np.inf:
             raise DomainError(f"p={p[i]} lies outside the support of {m.kind}")
         reason = (f"its integral reaches the signal's support end, where v={m.signal.v} "
@@ -379,7 +381,7 @@ def _gene_score(m: ModelSpec, p):
                   f"half-step change {res.change[i]:.2e}")
         raise QuadratureError(f"gene {i} (p={p[i]}): the tanh-sinh engine did not "
                               f"certify its score ({reason})")
-    return np.array([math.fsum(row) for row in res.means.tolist()])
+    return np.array([math.fsum(row) for row in rows.tolist()])
 
 
 def score_gb(params: GBGB, problem: EstimationProblem) -> np.ndarray:

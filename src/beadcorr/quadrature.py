@@ -20,18 +20,19 @@ exponentially in t, so the trapezoidal rule in t converges geometrically in
   window at its centre.  The half-step estimate below cannot see mass that
   no piece samples, so pieces come from this structure and never from a
   scan.
-* A gamma signal of shape alpha < 1 has an s^(alpha - 1) singularity at 0.
-  On the first piece [0, b] the rule integrates over v = (s/b)^alpha, where
-  that power and the Jacobian cancel exactly and the integrand is smooth.
-* The nodes of step h = 2^-j (j = 0..5, |t| <= 3.2) are nested.  A gene's
+* A signal whose density behaves as s^(k - 1) at 0 with k < 1 (gamma of
+  shape alpha, k = alpha; GB, k = a u) has a singularity there.  On a first
+  piece [0, b] the rule integrates over v = (s/b)^k, where that power and
+  the Jacobian cancel exactly and the integrand is smooth.
+* The nodes of step h = 2^-j (j = 0..6, |t| <= 3.2) are nested.  A gene's
   value is the sum at the first level j >= 2 whose change from level j - 1
   is within ``rel_tol`` of it (for a posterior mean E[w(S) | P = p], of
-  E[|w|]); genes that reach no such level are reported, and callers hand
-  them to per-gene QUADPACK or refuse them.  The node table is ordered by
-  level, and the engine runs it in two rounds: levels 0-4 for every gene,
-  then the nodes of level 5 (half of them) for the genes that have not
-  converged by level 4.  Where no weight is negative on a round's nodes
-  (the corrector's row s), the E[|w|] sums are the w f sums.
+  E[|w|]); genes that reach no such level are reported, and callers refuse
+  them.  The node table is ordered by level, and the engine runs it in
+  three rounds: levels 0-4 for every gene, then the nodes of level 5 (half
+  of them) for the genes that have not converged by level 4, then those of
+  level 6 for the genes still open.  Where no weight is negative on a
+  round's nodes (the corrector's row s), the E[|w|] sums are the w f sums.
 
 A gene's result depends only on its own p: rows never mix.
 """
@@ -44,12 +45,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
-from .dists import (ExpParams, GammaParams, LognormalParams, ModelSpec,
-                    NormalParams, dist_logpdf, dist_support)
+from .dists import (ExpParams, GammaParams, GBParams, LognormalParams,
+                    ModelSpec, NormalParams, dist_logpdf, dist_support,
+                    gb_log_regular)
 
-_H = 1.0 / 32.0      # finest step in t
+_H = 1.0 / 64.0      # finest step in t
 _T_MAX = 3.2         # nodes at |t| <= _T_MAX
-_LEVELS = 6          # steps 1, 1/2, ..., 1/32; each level's nodes hold the last's
+_LEVELS = 7          # steps 1, 1/2, ..., 1/64; each level's nodes hold the last's
 _FIRST_LEVEL = 2     # first level whose half-step change may accept a gene
 _WIDTHS = 12.0       # half-width of the noise window and of the mode piece
 _LADDER = 8.0        # ratio of successive ladder knots
@@ -64,7 +66,7 @@ def _node_table():
     step), the right-half mask and the index where each level's nodes start,
     closed by the number of nodes.
     """
-    n = int(round(_T_MAX / _H))
+    n = int(_T_MAX / _H)
     k = np.arange(-n, n + 1)
     finest = 2 ** (_LEVELS - 1)
     level = np.array([min(j for j in range(_LEVELS) if ki % (finest >> j) == 0)
@@ -83,7 +85,7 @@ _DL, _DR, _LOG_DL, _LOG_W, _RIGHT, _STARTS = _node_table()
 _STEPS = 0.5 ** np.arange(_LEVELS)
 #: levels [lo, hi) of each round; a gene converged by the end of a round
 #: skips the next
-_ROUNDS = ((0, _LEVELS - 1), (_LEVELS - 1, _LEVELS))
+_ROUNDS = ((0, _LEVELS - 2), (_LEVELS - 2, _LEVELS - 1), (_LEVELS - 1, _LEVELS))
 
 
 def _gamma_shape(signal):
@@ -93,6 +95,16 @@ def _gamma_shape(signal):
     if isinstance(signal, ExpParams):
         return 1.0, 1.0 / signal.theta
     return None
+
+
+def _power(signal):
+    """k < 1 where the signal density behaves as s^(k - 1) at 0 (gamma:
+    the shape; GB: a u), else None."""
+    if isinstance(signal, GBParams):
+        k = signal.a * signal.u
+    else:
+        k = (_gamma_shape(signal) or (1.0,))[0]
+    return k if k < 1.0 else None
 
 
 def _breakpoints(p, m: ModelSpec):
@@ -151,10 +163,10 @@ def _piece_logs(p, m, a, b, power, nodes):
     """(log integrand + log weight, s, log s, p - s) at the nodes ``nodes``
     (a slice of the node table) of the pieces [a, b], one row per piece.
 
-    power < 1 is the shape of a gamma signal on a first piece starting at 0,
-    integrated over v = (s/b)^power; there s = b v^(1/power) can underflow
-    to 0 where the integrand does not vanish, so log s comes in logs.  On
-    the other pieces log s is None.  Empty pieces read -inf.
+    power = k < 1 (``_power``) marks first pieces starting at 0, integrated
+    over v = (s/b)^k; there s = b v^(1/k) can underflow to 0 where the
+    integrand does not vanish, so log s comes in logs.  On the other pieces
+    log s is None.  Empty pieces read -inf.
     """
     width = b - a
     lwidth = np.log(width)[:, None]
@@ -165,14 +177,18 @@ def _piece_logs(p, m, a, b, power, nodes):
         lsig = dist_logpdf(m.signal, s) + lwidth
     else:
         # s = b v^(1/power): the density's s^(power - 1) and the Jacobian
-        # (b/power) v^(1/power - 1) multiply to b^power / power
+        # (b/power) v^(1/power - 1) multiply to b^power / power, times the
+        # density's regular factor f(s)/s^(power - 1)
         e = _LOG_DL[nodes] / power
         log_s = lwidth + e
         s = width[:, None] * np.exp(e)
         right = width[:, None] * -np.expm1(e)
         g = m.signal
-        lsig = (power * (lwidth - math.log(g.beta)) - math.log(power)
-                - _sp.gammaln(power) - s / g.beta)
+        if isinstance(g, GammaParams):
+            lsig = (power * (lwidth - math.log(g.beta)) - math.log(power)
+                    - _sp.gammaln(power) - s / g.beta)
+        else:
+            lsig = power * lwidth - math.log(power) + gb_log_regular(log_s, g)
     y = np.where(_RIGHT[nodes], (p - b)[:, None] + right, p[:, None] - s)
     logs = lsig + dist_logpdf(m.noise, y) + _LOG_W[nodes]
     # a node that rounding puts past the end of a bounded support reads NaN
@@ -199,8 +215,9 @@ def _sums(p, m, weights, rows, bp, power, levels, peak):
     logs, s, log_s, y = _piece_logs(p[gene], m, a, b, None, nodes)
     w = np.asarray(weights(s, log_s, y)) if rows else None
     if power is not None:
-        # the first pieces are integrated in v = (s/b)^power: their rows again
-        on = piece == 0
+        # the first pieces, where they start at 0, are integrated in
+        # v = (s/b)^power: their rows again (GB + GB can start above 0)
+        on = (piece == 0) & (a == 0.0)
         first_logs, s, log_s, y = _piece_logs(p[gene[on]], m, a[on], b[on], power, nodes)
         logs[on] = first_logs
         if rows:
@@ -267,15 +284,16 @@ def log_integrals(p, m: ModelSpec, weights=None, rel_tol=1e-8) -> Integrals:
     """log f_P(p) and the posterior means of weight rows for every gene.
 
     weights(s, log s, p - s) -> rows x genes x nodes array is evaluated on
-    the nodes of every piece, with log s None except on the shape < 1 piece,
-    where s may have underflowed; weights None asks for log f_P alone.  A
+    the nodes of every piece, with log s None except on the first piece of
+    a signal with an s^(k - 1) singularity (``_power``), where s may have
+    underflowed; weights None asks for log f_P alone.  A
     mean is the linear ratio sum(w f)/sum(f) over the nodes; a node whose
     integrand underflows adds 0 to both sums, whatever its weight.  log_f
     takes the first level whose half-step change is within rel_tol of it;
     the means take the first level where log_f's sum and every row's mean
     have converged, a row's change measured against its E[|w| | P = p].
     Genes that reach no such level take the last one and are reported in ok
-    or means_ok, and the caller must replace what it needs of them.  Genes
+    or means_ok, and the caller must refuse what it needs of them.  Genes
     with an empty integration range read -inf, with NaN means, and are ok.
     """
     p = np.asarray(p, dtype=float)
@@ -283,8 +301,7 @@ def log_integrals(p, m: ModelSpec, weights=None, rel_tol=1e-8) -> Integrals:
     # the number of weight rows, from a call on no nodes
     empty = np.empty((n, 0))
     rows = 0 if weights is None else len(weights(empty, empty, empty))
-    g = m.signal
-    power = g.alpha if isinstance(g, GammaParams) and g.alpha < 1.0 else None
+    power = _power(m.signal)
     with np.errstate(all="ignore"):
         bp = _breakpoints(p, m) if n else np.zeros((0, 1))
         nonempty = (bp[:, 1:] > bp[:, :-1]).any(axis=1)

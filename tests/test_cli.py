@@ -78,7 +78,10 @@ class TestConfig:
     def test_defaults(self):
         cfg = cli.load_config(None)
         assert cfg.series_cfg.rel_tol == 1e-10
-        assert cfg.quad_cfg.max_subdivisions == 2000
+        assert cfg.budget.n_starts == 5
+        assert sorted(cli.CONFIG_DEFAULTS) == [
+            "optimizer_max_iter", "optimizer_seed", "optimizer_starts",
+            "series_max_terms", "series_rel_tol"]
 
     def test_parse_and_unknown_key(self, tmp_path):
         path = tmp_path / "cfg"
@@ -97,21 +100,17 @@ class TestConfig:
         with pytest.raises(DataFormatError, match=line.partition("=")[0]):
             cli.load_config(str(path))
 
-    def test_quad_keys_reach_the_fallback(self, tmp_path):
-        # the reference gamma_lognormal gene lies outside the series region,
-        # so it is corrected by the quadrature fallback the quad_* keys govern
-        m = simulate.REFERENCE_MODELS["gamma_lognormal"][0]
-        obs, neg = tmp_path / "obs.tsv", tmp_path / "neg.tsv"
-        write(obs, "ProbeID\tA1\ng1\t12.28949685\n")
-        write(neg, "ProbeID\tA1\nn1\t2.5\nn2\t3.5\n")
-        ds = cli.ingest(obs, neg)
-        cfg = tmp_path / "cfg"
-        write(cfg, "quad_abs_tol=1e-3\nquad_rel_tol=1e-3\n")
-        default_tsv, default_diag = cli.cmd_correct(ds, m, cli.load_config(None))
-        loose_tsv, loose_diag = cli.cmd_correct(ds, m, cli.load_config(str(cfg)))
-        assert "\tquadrature\t" in default_diag
-        assert loose_diag == default_diag
-        assert loose_tsv != default_tsv
+    @pytest.mark.parametrize("line", ["quad_abs_tol=1e-3", "quad_rel_tol=1e-3",
+                                      "quad_max_subdivisions=300"])
+    def test_removed_quad_keys_are_unknown(self, tmp_path, line):
+        # the tanh-sinh engine answers every production gene, so no key
+        # steers QUADPACK; a file that still sets one is rejected, valid
+        # value or not
+        path = tmp_path / "cfg"
+        write(path, line + "\n")
+        key = line.partition("=")[0]
+        with pytest.raises(DataFormatError, match=f"unknown key '{key}'"):
+            cli.load_config(str(path))
 
     def test_diagnostics_say_why_a_gene_left_the_grid(self, tmp_path):
         # g2 lies ten noise sigmas below mu, where the grid's densities fall
@@ -333,12 +332,14 @@ class TestExitCodes:
     def test_bad_config_value_exit_code(self, tmp_path, tables):
         obs, neg = tables
         cfg = tmp_path / "cfg"
-        write(cfg, "quad_abs_tol=0\n")
-        r = run_cli("correct", str(obs), str(neg), "--model", "exp_normal",
-                    "--params", "theta=0.01,mu=100,sigma=15", "--config", str(cfg),
-                    "--out", str(tmp_path / "c.tsv"))
-        assert r.returncode == 65, r.stderr
-        assert "quad_abs_tol" in r.stderr and "Traceback" not in r.stderr
+        for line, key in [("series_rel_tol=0", "bad value for series_rel_tol"),
+                          ("quad_rel_tol=1e-8", "unknown key 'quad_rel_tol'")]:
+            write(cfg, line + "\n")
+            r = run_cli("correct", str(obs), str(neg), "--model", "exp_normal",
+                        "--params", "theta=0.01,mu=100,sigma=15", "--config", str(cfg),
+                        "--out", str(tmp_path / "c.tsv"))
+            assert r.returncode == 65, r.stderr
+            assert key in r.stderr and "Traceback" not in r.stderr
 
     def test_underflowing_gb_normal_gene_completes(self, tmp_path):
         # the Gaussian moments of these genes underflow the incomplete gamma

@@ -12,7 +12,7 @@ from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GBNormal, GBParams, LognormalParams, NormalParams,
                             gb_from_gamma, gb_logpdf, gb_support_upper,
                             normal_logpdf)
-from beadcorr.errors import NumericUnderflowError
+from beadcorr.errors import NumericUnderflowError, QuadratureError
 
 Q = oracle.QuadConfig()
 CFG = series.SeriesConfig()
@@ -475,7 +475,7 @@ class TestEngineRoute:
                 assert p != bad
                 assert diags[i].path == "quadrature" and diags[i].error is None
                 alone, _ = correct.correct_array(np.array([p]), m)
-                engine = correct._quadrature_means(np.array([p]), m, Q)[0]
+                engine = correct._quadrature_means(np.array([p]), m, 1e-8)[0][0]
                 assert alone[0] == corrected[i] == engine
 
 
@@ -642,22 +642,33 @@ class TestCorrectArray:
                 value, info = correct._correct_one(p, m, CFG, "rma")
                 assert value == paper[i] and info.path == paper_diags[i].path
 
-    def test_uncertified_genes_go_to_the_referee(self, monkeypatch):
-        # a gene whose error estimate misses the target takes the referee's
-        # QUADPACK value; the others keep the engine's
+    def test_uncertified_genes_are_refused(self, monkeypatch):
+        # a gene whose error estimate misses the target is a QuadratureError
+        # row that names its half-step change; the others keep the engine's
+        # bits, and the referee's QUADPACK answers none of them
         real = quadrature.log_integrals
 
-        def refuse_second(p, m, weights=None, rel_tol=1e-8):
+        def refuse_3_5(p, m, weights=None, rel_tol=1e-8):
             res = real(p, m, weights, rel_tol)
-            res.means_ok[1] = False
+            res.means_ok[p == 3.5] = False
+            res.change[p == 3.5] = 3e-5
             return res
+
+        def no_quadpack(*args, **kwargs):
+            raise AssertionError("QUADPACK called for a production gene")
 
         m = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
         obs = np.array([3.0, 3.5, 3.9])   # all outside the series region
         engine, _ = correct.correct_array(obs, m)
-        monkeypatch.setattr(quadrature, "log_integrals", refuse_second)
-        corrected, diags = correct.correct_array(obs, m)
-        assert [d.path for d in diags] == ["quadrature"] * 3
-        assert corrected[1] == oracle.posterior_mean_quadrature(3.5, m, Q)
-        assert corrected[0] == engine[0] and corrected[2] == engine[2]
-        assert corrected[1] == pytest.approx(engine[1], rel=1e-8)
+        monkeypatch.setattr(quadrature, "log_integrals", refuse_3_5)
+        monkeypatch.setattr(oracle, "quad", no_quadpack)
+        for apply in (correct.correct_array, correct.correct_array_series):
+            corrected, diags = apply(obs, m)
+            assert [d.path for d in diags] == ["quadrature", "error", "quadrature"]
+            assert diags[1].error == (
+                "QuadratureError: the tanh-sinh engine did not certify the posterior "
+                "mean at p=3.5 (half-step change 3.00e-05)")
+            assert math.isnan(corrected[1])
+            assert corrected[0] == engine[0] and corrected[2] == engine[2]
+        with pytest.raises(QuadratureError, match=r"half-step change 3\.00e-05"):
+            correct.correct_gb(3.5, m.signal, m.noise)

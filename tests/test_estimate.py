@@ -192,33 +192,37 @@ class TestLoglik:
         long = estimate.log_marginal(m, np.append(ps, 3000.0))[:-1]
         np.testing.assert_allclose(short, long, rtol=1e-12)
 
-    def test_uncertified_genes_go_to_quadpack_and_never_raise(self, monkeypatch):
-        # shape < 1: every gene takes the engine; a gene it cannot certify
-        # takes the referee's value, and -inf where the referee fails
+    def test_uncertified_genes_read_minus_inf(self, monkeypatch):
+        # shape < 1: every gene takes the engine; a gene whose value it
+        # cannot certify reads -inf, and a gene whose score rows it cannot
+        # certify reads NaN rows, so the score is not finite; nothing raises
+        # and the referee's QUADPACK answers no gene
         m = GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0))
         ps = np.array([150.0, 250.0, 400.0])
-        engine = estimate.log_marginal(m, ps)
-        real_engine = quadrature.log_integrals
-        real_referee = oracle.marginal_log_pdf_quadrature
+        engine, engine_rows = estimate.log_marginal(m, ps, grad=True)
+        real = quadrature.log_integrals
 
-        def refuse_last_two(p, model, weights=None, rel_tol=1e-8):
-            res = real_engine(p, model, weights, rel_tol)
-            res.ok[1:] = False
+        def refuse(p, model, weights=None, rel_tol=1e-8):
+            res = real(p, model, weights, rel_tol)
+            res.ok[p == 250.0] = False
+            res.means_ok[p >= 250.0] = False
             return res
 
-        def fail_at_400(p, model, q=oracle.QuadConfig()):
-            if p == 400.0:
-                raise QuadratureError("budget exhausted")
-            return real_referee(p, model, q)
+        def no_quadpack(*args, **kwargs):
+            raise AssertionError("QUADPACK called for a production gene")
 
-        monkeypatch.setattr(quadrature, "log_integrals", refuse_last_two)
-        monkeypatch.setattr(oracle, "marginal_log_pdf_quadrature", fail_at_400)
+        monkeypatch.setattr(quadrature, "log_integrals", refuse)
+        monkeypatch.setattr(oracle, "quad", no_quadpack)
         got = estimate.log_marginal(m, ps)
-        assert got[0] == engine[0]
-        assert got[1] == real_referee(250.0, m, oracle.QuadConfig(
-            abs_tol=1e-12, rel_tol=1e-6, max_subdivisions=300))
-        assert got[1] == pytest.approx(engine[1], abs=1e-6)
-        assert got[2] == -math.inf
+        assert got[0] == engine[0] and got[2] == engine[2]
+        assert got[1] == -math.inf
+        got, rows = estimate.log_marginal(m, ps, grad=True)
+        assert got[0] == engine[0] and got[1] == -math.inf and got[2] == engine[2]
+        np.testing.assert_array_equal(rows[:, 0], engine_rows[:, 0])
+        assert np.isnan(rows[:, 1:]).all()
+        prob = estimate.EstimationProblem(ps[[0, 2]], np.array([95.0, 105.0]), m.kind)
+        value, score, _ = estimate.loglik_score(m, prob)
+        assert math.isfinite(value) and np.isnan(score).any()
 
     def test_true_params_beat_perturbed(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
@@ -418,7 +422,10 @@ class TestScores:
 
         def refuse_second(p, m, weights=None, rel_tol=1e-8):
             res = real(p, m, weights, rel_tol)
-            res.means_ok[1:2] = False
+            if res.means.shape[0] == 5:
+                # the score's signal block alone: the likelihood's ten rows
+                # stay certified, so the fit has points to step to
+                res.means_ok[1:2] = False
             return res
 
         rng = np.random.default_rng(5)
