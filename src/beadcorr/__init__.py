@@ -10,7 +10,7 @@ from .dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                     GBParams, LognormalParams, MODEL_KINDS, ModelSpec,
                     NormalParams, gb_from_gamma, gb_from_lognormal, gb_pdf,
                     gb_support_upper, pdf, sample)
-from .series import SeriesConfig, SeriesValue, convergence_ok
+from .series import SeriesValue, convergence_ok
 from .oracle import QuadConfig, marginal_pdf_quadrature, posterior_mean_quadrature
 from .correct import (correct_array, correct_exp_gamma, correct_exp_lognormal,
                       correct_gamma_lognormal, correct_gamma_normal,

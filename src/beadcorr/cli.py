@@ -15,14 +15,14 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import correct, estimate, series, simulate, validation
+from . import correct, estimate, simulate, validation
 from .dists import MODEL_KINDS, model_from_values, model_to_values, param_names
 from .errors import (BeadcorrError, DataFormatError, DegenerateControlsError,
-                     DomainError, InvalidParameterError, UnsupportedMethodError)
+                     InvalidParameterError, UnsupportedMethodError)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -33,28 +33,19 @@ EXIT_NUMERIC = 70
 
 CONFIG_ENV_VAR = "BEADCORR_CONFIG"
 
-#: config file keys and defaults (flat key=value lines; unknown keys rejected)
-CONFIG_DEFAULTS = {
-    "series_rel_tol": 1e-10,
-    "series_max_terms": 200,
-    "optimizer_starts": 5,
-    "optimizer_max_iter": 500,
-    "optimizer_seed": 0,
+#: config file keys (flat key=integer lines; unknown keys rejected) and the
+#: ``estimate.FitBudget`` fields they set; a key the file omits keeps the
+#: budget's default
+CONFIG_FIELDS = {
+    "optimizer_starts": "n_starts",
+    "optimizer_max_iter": "max_iter",
+    "optimizer_seed": "seed",
 }
 
-_INT_KEYS = {"series_max_terms", "optimizer_starts", "optimizer_max_iter",
-             "optimizer_seed"}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    series_cfg: series.SeriesConfig
-    budget: estimate.FitBudget
-
-
-def load_config(path=None) -> RunConfig:
-    """Parse a key=value config file; every key has a default."""
-    values = dict(CONFIG_DEFAULTS)
+def load_config(path=None) -> estimate.FitBudget:
+    """Parse a key=value config file into the fit's budget."""
+    budget = estimate.FitBudget()
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if path:
         try:
@@ -68,30 +59,16 @@ def load_config(path=None) -> RunConfig:
                             f"{path}:{lineno}: expected key=value, got {line!r}")
                     key, _, val = line.partition("=")
                     key = key.strip()
-                    if key not in CONFIG_DEFAULTS:
+                    if key not in CONFIG_FIELDS:
                         raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
                     try:
-                        values[key] = (int(val) if key in _INT_KEYS else float(val))
-                    except ValueError as exc:
+                        budget = replace(budget, **{CONFIG_FIELDS[key]: int(val)})
+                    except (ValueError, InvalidParameterError) as exc:
                         raise DataFormatError(
-                            f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+                            f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         except OSError as exc:
             raise DataFormatError(f"cannot read config {path}: {exc}") from exc
-
-    try:
-        series_cfg = series.SeriesConfig(rel_tol=values["series_rel_tol"],
-                                         max_terms_per_index=values["series_max_terms"])
-    except DomainError as exc:
-        # the defaults are valid, so a rejected value is one the file set
-        keys = ", ".join(k for k in values
-                         if k.startswith("series_") and values[k] != CONFIG_DEFAULTS[k])
-        raise DataFormatError(f"{path}: bad value for {keys}: {exc}") from exc
-    return RunConfig(
-        series_cfg=series_cfg,
-        budget=estimate.FitBudget(
-            n_starts=values["optimizer_starts"],
-            max_iter=values["optimizer_max_iter"],
-            seed=values["optimizer_seed"]))
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +180,13 @@ def parse_inline_params(kind, text):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(dataset: ArrayDataset, model_kind, method, run_cfg: RunConfig):
+def cmd_fit(dataset: ArrayDataset, model_kind, method, budget: estimate.FitBudget):
     """Fit every array independently, in order; returns (tsv text, exit code)."""
     def fit_one(j):
         problem = estimate.EstimationProblem(
-            dataset.observed[:, j], dataset.negatives[:, j], model_kind,
-            run_cfg.series_cfg)
+            dataset.observed[:, j], dataset.negatives[:, j], model_kind)
         if method == "mle":
-            return estimate.fit_mle(problem, run_cfg.budget)
+            return estimate.fit_mle(problem, budget)
         if method == "moments":
             return estimate.fit_moments(problem)
         if method == "plugin":
@@ -262,14 +238,12 @@ def read_fit_table(path, model_kind):
     return out
 
 
-def cmd_correct(dataset: ArrayDataset, models, run_cfg: RunConfig, variant="rma"):
+def cmd_correct(dataset: ArrayDataset, models, variant="rma"):
     """Correct every array, in order; returns (corrected tsv, diagnostics tsv)."""
     def one(j):
         name = dataset.array_names[j]
         m = models[name] if isinstance(models, dict) else models
-        return correct.correct_array(dataset.observed[:, j], m,
-                                     run_cfg.series_cfg,
-                                     exp_normal_variant=variant)
+        return correct.correct_array(dataset.observed[:, j], m, exp_normal_variant=variant)
 
     results = [one(j) for j in range(len(dataset.array_names))]
     # one column of cells per array, formatted as _fmt does
@@ -308,9 +282,8 @@ def cmd_simulate(model, I, W, seed, out_dir):
     return paths
 
 
-def cmd_validate(model_kind, n_draws, seed, run_cfg: RunConfig):
-    rows, tol = validation.run_validation(model_kind, n_draws, seed,
-                                          run_cfg.series_cfg)
+def cmd_validate(model_kind, n_draws, seed):
+    rows, tol = validation.run_validation(model_kind, n_draws, seed)
     tsv = validation.validation_report_tsv(rows)
     ok = all(r.within_tol for r in rows)
     return tsv, (EXIT_OK if ok else EXIT_NUMERIC)
@@ -381,8 +354,8 @@ def main(argv=None):
     try:
         if args.command == "validate":
             _check_model_kind(args.model, validation.VALIDATABLE, parser)
-            run_cfg = load_config(args.config)
-            tsv, code = cmd_validate(args.model, args.draws, args.seed, run_cfg)
+            load_config(args.config)  # the budget is unused, but the file is checked
+            tsv, code = cmd_validate(args.model, args.draws, args.seed)
             if args.out:
                 _write_text(args.out, tsv)
             else:
@@ -397,15 +370,15 @@ def main(argv=None):
 
         if args.command == "fit":
             _check_model_kind(args.model, MODEL_KINDS, parser)
-            run_cfg = load_config(args.config)
+            budget = load_config(args.config)
             dataset = ingest(args.observed, args.negatives)
-            tsv, code = cmd_fit(dataset, args.model, args.method, run_cfg)
+            tsv, code = cmd_fit(dataset, args.model, args.method, budget)
             _write_text(args.out, tsv)
             return code
 
         if args.command == "correct":
             _check_model_kind(args.model, MODEL_KINDS, parser)
-            run_cfg = load_config(args.config)
+            load_config(args.config)  # the budget is unused, but the file is checked
             dataset = ingest(args.observed, args.negatives)
             if args.params:
                 models = parse_inline_params(args.model, args.params)
@@ -418,8 +391,7 @@ def main(argv=None):
             else:
                 parser.exit(EXIT_USAGE,
                             "beadcorr: error: correct needs --params or --fit-table\n")
-            corrected, diags = cmd_correct(dataset, models, run_cfg,
-                                           variant=args.variant)
+            corrected, diags = cmd_correct(dataset, models, variant=args.variant)
             _write_text(args.out, corrected)
             if args.diagnostics:
                 _write_text(args.diagnostics, diags)

@@ -272,7 +272,7 @@ def correct_gamma_normal(p, g: GammaParams, b: NormalParams) -> float:
     """Posterior mean under gamma + normal by tanh-sinh quadrature at the
     target 1e-11; raises the QuadratureError of a gene the engine cannot
     certify."""
-    return _correct_one(p, GammaNormal(g, b), None, None)[0]
+    return _correct_one(p, GammaNormal(g, b), None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +610,7 @@ def _in_domain(ps, m: ModelSpec):
     return out, np.array(inside, dtype=int)
 
 
-def _series_values(ps, m: ModelSpec, cfg):
+def _series_values(ps, m: ModelSpec):
     """Per gene of the array ps: (value, CorrectionInfo) from the series, with
     value None where quadrature must answer, or the DomainError that refuses
     the gene.
@@ -624,16 +624,16 @@ def _series_values(ps, m: ModelSpec, cfg):
     """
     out, inside = _in_domain(ps, m)
     reasons = {}
-    verdict = series.gate(m, ps[inside], cfg)
+    verdict = series.gate(m, ps[inside])
     for i in inside[~verdict.ok].tolist():
         reasons[i] = "outside series convergence region"
     genes = inside[verdict.ok]
-    lden, sden, refused = series.batch_series(m, ps[genes], 0, verdict.den[verdict.ok], cfg)
+    lden, sden, refused = series.batch_series(m, ps[genes], 0, verdict.den[verdict.ok])
     reasons.update((int(genes[j]), str(exc)) for j, exc in refused.items())
     live = np.array([j not in refused for j in range(genes.size)], dtype=bool)
     genes, lden, sden = genes[live], lden[live], sden[live]
     lnum, snum, refused = series.batch_series(m, ps[genes], 1,
-                                              verdict.num[verdict.ok][live], cfg)
+                                              verdict.num[verdict.ok][live])
     reasons.update((int(genes[j]), str(exc)) for j, exc in refused.items())
     live = np.array([j not in refused for j in range(genes.size)], dtype=bool)
     cancel = live & ((sden <= 0) | (snum <= 0))
@@ -653,33 +653,25 @@ def _series_values(ps, m: ModelSpec, cfg):
     return out
 
 
-def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams,
-                          cfg: series.SeriesConfig = series.SeriesConfig(),
-                          with_info=False):
+def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams, with_info=False):
     """Corrected intensity p - E[B | P = p] under exponential + lognormal."""
-    return _with_info(*_correct_one(p, ExpLognormal(e, l), cfg, None), with_info)
+    return _with_info(*_correct_one(p, ExpLognormal(e, l), None), with_info)
 
 
-def correct_gamma_lognormal(p, g: GammaParams, l: LognormalParams,
-                            cfg: series.SeriesConfig = series.SeriesConfig(),
-                            with_info=False):
+def correct_gamma_lognormal(p, g: GammaParams, l: LognormalParams, with_info=False):
     """Corrected intensity under gamma + lognormal: p times the kernel ratio."""
-    return _with_info(*_correct_one(p, GammaLognormal(g, l), cfg, None), with_info)
+    return _with_info(*_correct_one(p, GammaLognormal(g, l), None), with_info)
 
 
-def correct_gb(p, s: GBParams, b: GBParams,
-               cfg: series.SeriesConfig = series.SeriesConfig(),
-               with_info=False):
+def correct_gb(p, s: GBParams, b: GBParams, with_info=False):
     """Corrected intensity under the GB + GB convolution."""
-    return _with_info(*_correct_one(p, GBGB(s, b), cfg, None), with_info)
+    return _with_info(*_correct_one(p, GBGB(s, b), None), with_info)
 
 
-def correct_gb_normal(p, s: GBParams, b: NormalParams,
-                      cfg: series.SeriesConfig = series.SeriesConfig(),
-                      with_info=False):
+def correct_gb_normal(p, s: GBParams, b: NormalParams, with_info=False):
     """Corrected intensity under the GB + normal convolution."""
     # GBNormal validates b.mu > 0
-    return _with_info(*_correct_one(p, GBNormal(s, b), cfg, None), with_info)
+    return _with_info(*_correct_one(p, GBNormal(s, b), None), with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +724,7 @@ def _closed_values(ps, m: ModelSpec, variant):
             for i, v in enumerate(out.tolist())]
 
 
-def _outcomes(ps, m: ModelSpec, route, cfg, variant):
+def _outcomes(ps, m: ModelSpec, route, variant):
     """Per gene of ps: (value, CorrectionInfo) by the route, or the
     BeadcorrError that refuses the gene.
 
@@ -745,7 +737,7 @@ def _outcomes(ps, m: ModelSpec, route, cfg, variant):
     if route == "closed":
         out = _closed_values(ps, m, variant)
     elif route == "series":
-        out = _series_values(ps, m, cfg)
+        out = _series_values(ps, m)
     elif route == "grid":
         out = _grid_values(ps, m)
     else:
@@ -761,21 +753,20 @@ def _outcomes(ps, m: ModelSpec, route, cfg, variant):
     return out
 
 
-def _correct_one(p, m: ModelSpec, cfg, variant):
+def _correct_one(p, m: ModelSpec, variant):
     """(value, CorrectionInfo) of one gene by the paper's method; variant
     picks the exp_normal form."""
-    outcome = _outcomes(np.array([p], dtype=float), m, PAPER_ROUTES[m.kind],
-                        cfg, variant)[0]
+    outcome = _outcomes(np.array([p], dtype=float), m, PAPER_ROUTES[m.kind], variant)[0]
     if isinstance(outcome, BeadcorrError):
         raise outcome
     return outcome
 
 
-def _apply(observed, m: ModelSpec, route, cfg, variant):
+def _apply(observed, m: ModelSpec, route, variant):
     observed = np.asarray(observed, dtype=float)
     corrected = np.full(observed.shape, math.nan)
     diags = []
-    for i, outcome in enumerate(_outcomes(observed, m, route, cfg, variant)):
+    for i, outcome in enumerate(_outcomes(observed, m, route, variant)):
         if isinstance(outcome, BeadcorrError):
             diags.append(GeneDiagnostic(index=i, path="error",
                                         error=f"{type(outcome).__name__}: {outcome}"))
@@ -786,9 +777,7 @@ def _apply(observed, m: ModelSpec, route, cfg, variant):
     return corrected, diags
 
 
-def correct_array(observed, m: ModelSpec,
-                  cfg: series.SeriesConfig = series.SeriesConfig(),
-                  exp_normal_variant: str = "rma"):
+def correct_array(observed, m: ModelSpec, exp_normal_variant: str = "rma"):
     """Apply the family's route (``ROUTES``) to every gene of an array.
 
     Closed forms run over the whole array; the exp_lognormal series runs the
@@ -803,14 +792,12 @@ def correct_array(observed, m: ModelSpec,
     QuadratureError where the engine cannot certify the gene.  Returns
     (corrected array, list of GeneDiagnostic).
     """
-    return _apply(observed, m, ROUTES[m.kind], cfg, exp_normal_variant)
+    return _apply(observed, m, ROUTES[m.kind], exp_normal_variant)
 
 
-def correct_array_series(observed, m: ModelSpec,
-                         cfg: series.SeriesConfig = series.SeriesConfig(),
-                         exp_normal_variant: str = "rma"):
+def correct_array_series(observed, m: ModelSpec, exp_normal_variant: str = "rma"):
     """``correct_array`` by the paper's method (``PAPER_ROUTES``): every
     series family answers by its series, with quadrature where the series
     does not converge, as the public correctors do; the other families take
     the same route as in ``correct_array``."""
-    return _apply(observed, m, PAPER_ROUTES[m.kind], cfg, exp_normal_variant)
+    return _apply(observed, m, PAPER_ROUTES[m.kind], exp_normal_variant)

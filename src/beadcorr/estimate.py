@@ -42,14 +42,17 @@ from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
                      InvalidParameterError, QuadratureError, UnsupportedMethodError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationProblem:
-    """One array's data: regular gene intensities and negative controls."""
+    """One array's data: regular gene intensities and negative controls.
+
+    Problems compare and hash by identity: NumPy arrays have no single truth
+    value for ==.
+    """
 
     observed: np.ndarray
     negatives: np.ndarray
     model_kind: str
-    series_cfg: series.SeriesConfig = series.SeriesConfig()
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=float)
@@ -65,9 +68,6 @@ class EstimationProblem:
         if self.model_kind not in MODEL_KINDS:
             raise InvalidParameterError(f"unknown model kind {self.model_kind!r}")
 
-    def __hash__(self):
-        return hash((self.model_kind, self.observed.tobytes(), self.negatives.tobytes()))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -82,9 +82,18 @@ class FitResult:
 
 @dataclass(frozen=True)
 class FitBudget:
+    """The optimizer's budget: starts, BFGS iterations per start, and the
+    seed of the extra starts' offsets."""
+
     n_starts: int = 5
     max_iter: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("n_starts", 1), ("max_iter", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise InvalidParameterError(
+                    f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 #: standard deviation of the random offsets of the extra optimizer starts
@@ -235,8 +244,7 @@ _SCORED_MARGINALS = {
 }
 
 
-def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig(),
-                 grad=False):
+def log_marginal(m: ModelSpec, p, grad=False):
     """log f_P(p) under model m; -inf outside support.  Vectorized over p.
 
     Each family takes its correction's route (``correct.ROUTES``): the
@@ -257,12 +265,12 @@ def log_marginal(m: ModelSpec, p, cfg: series.SeriesConfig = series.SeriesConfig
     if route == "quadrature":
         return _quadrature_marginal_log(p, m, grad)
     if not grad:
-        out, ok = series.marginal_log_batch(m, p, cfg)
+        out, ok = series.marginal_log_batch(m, p)
         if not ok.all():
             # quadrature gives -inf outside the support
             out[~ok] = _quadrature_marginal_log(p[~ok], m)
         return out
-    out, ok, rows = series.marginal_log_batch(m, p, cfg, True)
+    out, ok, rows = series.marginal_log_batch(m, p, grad=True)
     rest = np.flatnonzero(np.isnan(rows).any(axis=0))
     if rest.size:
         engine, rows[:, rest] = _quadrature_marginal_log(p[rest], m, True)
@@ -280,7 +288,7 @@ def noise_loglik(m: ModelSpec, problem: EstimationProblem) -> float:
 
 def loglik(params: ModelSpec, problem: EstimationProblem) -> float:
     """Full log-likelihood: gene marginals plus negative-control noise terms."""
-    lm = log_marginal(params, problem.observed, problem.series_cfg)
+    lm = log_marginal(params, problem.observed)
     total = float(np.sum(lm)) + noise_loglik(params, problem)
     return total if not math.isnan(total) else -math.inf
 
@@ -337,7 +345,7 @@ def loglik_score(params: ModelSpec, problem: EstimationProblem):
     gradient sums, a (parameters, genes + controls) array: the genes'
     columns, then the controls', which move only the noise parameters.
     """
-    lm, gene_rows = log_marginal(params, problem.observed, problem.series_cfg, True)
+    lm, gene_rows = log_marginal(params, problem.observed, grad=True)
     noise_ll, noise_score, noise_rows = _controls_score(params, problem)
     total = float(np.sum(lm)) + noise_ll
     return ((total if not math.isnan(total) else -math.inf),

@@ -4,9 +4,9 @@ Each convolution model whose marginal/posterior has no closed form is written
 as an infinite sum of binomial-expansion terms, handled as log-magnitude plus
 sign because the coefficients mix huge gamma factors with tiny geometric ones.
 
-* The truncation box is computed from (model, p, cfg) before anything is
+* The truncation box is computed from (model, p) before anything is
   summed: per summation index, the first index past which the remaining terms
-  are below ``rel_tol`` of the total, judged from closed-form axis values and
+  are below ``REL_TOL`` of the total, judged from closed-form axis values and
   the index's own term magnitudes (exact cutoffs give -inf magnitudes).
 * The gate (``gate``) takes an array of observations: the ratio,
   cancellation and tail checks run first, then the boxes of the genes they
@@ -22,7 +22,7 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
   index (no multi-row matrix product), so zero entries add nothing, and each
   gene's rows are added with ``math.fsum``: a gene's sums have the same bits
   alone, in any array and in any order.  A gene is confirmed when its two
-  sums differ by less than ``rel_tol`` and the sum does not overflow.
+  sums differ by less than ``REL_TOL`` and the sum does not overflow.
 * ``batch_series`` runs a kernel on the genes the gate accepts and maps each
   gene it does not confirm to the error its per-gene evaluator raises; the
   per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
@@ -55,25 +55,15 @@ from .errors import (DomainError, InvalidParameterError, SeriesDivergenceError,
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation policy for the infinite sums.
+# The truncation policy of every sum, two constants read at each call.
 
-    rel_tol: bound on the neglected tail of every summation index, relative
-        to the total; also the agreement required between the sums on the
-        truncation box and on the confirmation box.
-    max_terms_per_index: cap on each summation index; a gene whose box needs
-        a deeper index is refused (the gate already refuses past 85% of it).
-    """
-
-    rel_tol: float = 1e-10
-    max_terms_per_index: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms_per_index < 1:
-            raise DomainError("max_terms_per_index must be >= 1")
+#: bound on the neglected tail of every summation index, relative to the
+#: total; also the agreement required between the sums on the truncation
+#: box and on the confirmation box
+REL_TOL = 1e-10
+#: cap on each summation index: a gene whose box needs a deeper index is
+#: refused (the gate already refuses past 85% of it)
+MAX_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,7 @@ class SeriesValue:
 # Truncation boxes
 # ---------------------------------------------------------------------------
 
-#: margin (log units) between a term and rel_tol; a geometric tail with ratio
+#: margin (log units) between a term and REL_TOL; a geometric tail with ratio
 #: up to 0.9 sums to at most ten times its first term
 TAIL_MARGIN = 2.3
 #: wider margin for the gamma-lognormal noise-power axis, which decays only
@@ -187,7 +177,7 @@ def _max_convolve(a, b):
 _LN_SCAN_START = 32
 
 
-def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
+def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams):
     """Positive terms: the tail is judged against the largest one.
 
     log_ndtr is concave with slope above -x, so the ratio of terms k + 1 and
@@ -199,7 +189,7 @@ def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
     theta = 0.0 if e is None else e.theta
     log_p = np.log(p)
     falling = theta * p * math.exp(0.5 * l.sigma ** 2)
-    cap = cfg.max_terms_per_index + 1
+    cap = MAX_TERMS + 1
     boxes = []
     for shift in (0, 1):
         depth = np.empty(p.size, dtype=int)
@@ -208,7 +198,7 @@ def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
         while todo.size:
             n = min(n, cap)
             lt = _lognormal_weight_terms(log_p[todo, None], theta, l, shift, n)
-            limit = np.max(lt, axis=1) + math.log(cfg.rel_tol) - TAIL_MARGIN
+            limit = np.max(lt, axis=1) + math.log(REL_TOL) - TAIL_MARGIN
             done = (n == cap) | ((falling[todo] < n - 1) & (lt[:, -1] <= limit))
             depth[todo[done]] = _depth(lt[done], limit[done])
             todo = todo[~done]
@@ -217,9 +207,9 @@ def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams, cfg):
     return tuple(boxes)
 
 
-def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams, cfg):
-    n = cfg.max_terms_per_index + 1
-    limit = math.log(cfg.rel_tol) - LN_TAIL_MARGIN
+def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams):
+    n = MAX_TERMS + 1
+    limit = math.log(REL_TOL) - LN_TAIL_MARGIN
     log_p = np.log(p)[:, None]
     k = np.arange(n, dtype=float)
     # binomial axis: term magnitude with n = 0 against the leading term,
@@ -240,11 +230,11 @@ def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams, cfg):
                  for top in (0, 1))
 
 
-def _gb_pair_boxes(p, s: GBParams, b: GBParams, cfg):
+def _gb_pair_boxes(p, s: GBParams, b: GBParams):
     # the beta-grid factor decreases along every index, so each axis is
     # judged by its own terms; the num kernel's offsets change no index
-    n = cfg.max_terms_per_index + 1
-    limit = math.log(cfg.rel_tol) - TAIL_MARGIN
+    n = MAX_TERMS + 1
+    limit = math.log(REL_TOL) - TAIL_MARGIN
     ws = _gb_pair_workspace(s, b, 0)
     fall1, rise1 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
     fall2, rise2 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
@@ -255,9 +245,9 @@ def _gb_pair_boxes(p, s: GBParams, b: GBParams, cfg):
     return box, box
 
 
-def _gb_normal_boxes(p, s: GBParams, b: NormalParams, cfg):
-    n = cfg.max_terms_per_index + 1
-    limit = math.log(cfg.rel_tol) - TAIL_MARGIN
+def _gb_normal_boxes(p, s: GBParams, b: NormalParams):
+    n = MAX_TERMS + 1
+    limit = math.log(REL_TOL) - TAIL_MARGIN
     pm = p - b.mu
     fall, rise = _gb_log_ratios(s, s.a * (np.log(pm) - math.log(s.d)))
     lv = _moment_logs(pm, b, n)[0]
@@ -316,10 +306,10 @@ def _gb_normal_moment_depth(ws, fall_terms, rise_terms, L, M, lv, log_limit):
     return _depth(cols + lv, log_limit)
 
 
-def _boxes(kind, p, signal, noise, cfg):
+def _boxes(kind, p, signal, noise):
     """(den box, num box) of a series family at one observation p, as tuples."""
     return tuple(_box_tuple(box[0]) for box in
-                 _FAMILIES[kind].boxes(np.array([float(p)]), signal, noise, cfg))
+                 _FAMILIES[kind].boxes(np.array([float(p)]), signal, noise))
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +392,16 @@ def _box_sums(rows, vectors, boxes):
     return sums[:boxes.shape[0]], sums[boxes.shape[0]:]
 
 
-def _confirmed_batch(base, wide, scale, cfg):
+def _confirmed_batch(base, wide, scale):
     """Per-gene (log |sum on the grown box|, its sign, ok) from a kernel.
 
     base and wide are a kernel's sums on the box and on the grown box, both
     relative to exp(scale); ok marks genes whose sum is finite, below
-    exp(690) and within rel_tol of the sum on the box (two zero sums agree).
+    exp(690) and within REL_TOL of the sum on the box (two zero sums agree).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = scale + np.log(np.abs(wide))
-        agree = np.abs(wide - base) < cfg.rel_tol * np.abs(wide)
+        agree = np.abs(wide - base) < REL_TOL * np.abs(wide)
     ok = (log_abs <= 690.0) & (agree | ((wide == 0.0) & (base == 0.0)))
     return log_abs, np.sign(wide), ok
 
@@ -429,7 +419,7 @@ def _refusal(label, box, base, wide, log_abs):
         f"{moved:.2e} relative", partial=partial)
 
 
-def _batch_series(kind, p, signal, noise, off, boxes, cfg):
+def _batch_series(kind, p, signal, noise, off, boxes):
     """The family's kernel (off 0: den, 1: num) on every gene, each on its
     own box: (log |sum|, sign, refused), refused mapping the index of each
     gene whose sum is not confirmed, or whose box lies past the cap, to the
@@ -438,15 +428,15 @@ def _batch_series(kind, p, signal, noise, off, boxes, cfg):
     label = f"{family.label}_{('den', 'num')[off]}"
     log_abs, sign = np.full(p.shape, _NEG_INF), np.zeros(p.shape)
     refused = {}
-    deep = boxes.max(axis=1) > cfg.max_terms_per_index
+    deep = boxes.max(axis=1) > MAX_TERMS
     for i in np.flatnonzero(deep).tolist():
         refused[i] = SeriesNonConvergenceError(
             f"{label}: truncation depths {_box_tuple(boxes[i])} lie past the cap "
-            f"({cfg.max_terms_per_index})")
+            f"({MAX_TERMS})")
     run = np.flatnonzero(~deep)
     if run.size:
-        base, wide, scale = family.kernel(p[run], signal, noise, off, boxes[run], cfg)
-        log_abs[run], sign[run], ok = _confirmed_batch(base, wide, scale, cfg)
+        base, wide, scale = family.kernel(p[run], signal, noise, off, boxes[run])
+        log_abs[run], sign[run], ok = _confirmed_batch(base, wide, scale)
         for j in np.flatnonzero(~ok).tolist():
             i = int(run[j])
             refused[i] = _refusal(label, boxes[i], float(base[j]), float(wide[j]),
@@ -454,7 +444,7 @@ def _batch_series(kind, p, signal, noise, off, boxes, cfg):
     return log_abs, sign, refused
 
 
-def batch_series(m: ModelSpec, p, off, boxes, cfg: SeriesConfig = SeriesConfig()):
+def batch_series(m: ModelSpec, p, off, boxes):
     """The den (off 0) or num (off 1) series of model m at every observation
     of the array p, each gene summed on its own box (rows of boxes, as
     ``gate`` returns them) in one kernel call.
@@ -464,23 +454,23 @@ def batch_series(m: ModelSpec, p, off, boxes, cfg: SeriesConfig = SeriesConfig()
     raises.  A gene's results do not depend on the other genes of the array.
     """
     return _batch_series(m.kind, np.asarray(p, dtype=float), m.signal, m.noise, off,
-                         np.asarray(boxes), cfg)
+                         np.asarray(boxes))
 
 
-def _evaluate(kind, p, signal, noise, off, cfg) -> SeriesValue:
+def _evaluate(kind, p, signal, noise, off) -> SeriesValue:
     """The family's kernel on one gene and its own box (off 0: den, 1: num).
 
     Raises outside the family's domain, when a depth lies past the cap, when
-    the sum overflows, and when the confirmation box moves the sum by rel_tol
-    or more.
+    the sum overflows, and when the confirmation box moves the sum by
+    REL_TOL or more.
     """
     family = _FAMILIES[kind]
     p = np.array([float(p)])
     refused = family.domain(p, signal, noise, f"{family.label}_{('den', 'num')[off]}")
     if refused:
         raise refused[0]
-    boxes = family.boxes(p, signal, noise, cfg)[off].astype(int)
-    log_abs, sign, failed = _batch_series(kind, p, signal, noise, off, boxes, cfg)
+    boxes = family.boxes(p, signal, noise)[off].astype(int)
+    log_abs, sign, failed = _batch_series(kind, p, signal, noise, off, boxes)
     if failed:
         raise failed[0]
     return SeriesValue(float(log_abs[0]), float(sign[0]), _box_tuple(boxes[0]), True)
@@ -658,7 +648,7 @@ def _exp_lognormal_terms(p, e: ExpParams | None, l: LognormalParams, shift, boxe
     return _scaled_axis(logs, 1.0, grown[:, 0])
 
 
-def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes, cfg):
+def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes):
     terms, scale = _exp_lognormal_terms(p, e, l, shift, boxes)
     return (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
 
@@ -710,23 +700,21 @@ def _exp_lognormal_log_prefactor(e: ExpParams, l: LognormalParams, p):
     return math.log(e.theta) - e.theta * p
 
 
-def exp_lognormal_den_series(p, e: ExpParams, l: LognormalParams,
-                             cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def exp_lognormal_den_series(p, e: ExpParams, l: LognormalParams) -> SeriesValue:
     """Marginal kernel of the exponential-signal, lognormal-noise model."""
-    return _evaluate("exp_lognormal", p, e, l, 0, cfg)
+    return _evaluate("exp_lognormal", p, e, l, 0)
 
 
-def exp_lognormal_num_series(p, e: ExpParams, l: LognormalParams,
-                             cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def exp_lognormal_num_series(p, e: ExpParams, l: LognormalParams) -> SeriesValue:
     """Posterior-numerator kernel of the same model (noise conditional mean)."""
-    return _evaluate("exp_lognormal", p, e, l, 1, cfg)
+    return _evaluate("exp_lognormal", p, e, l, 1)
 
 
 # ---------------------------------------------------------------------------
 # Gamma-lognormal pair (two indices)
 # ---------------------------------------------------------------------------
 
-def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, boxes, cfg):
+def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, boxes):
     """top = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k).
 
     The (k, n) term grids are summed over n in order of n, then each gene's
@@ -764,16 +752,14 @@ def _gamma_lognormal_log_prefactor(g: GammaParams, l: LognormalParams, p):
             - g.alpha * math.log(g.beta) - _sp.gammaln(g.alpha))
 
 
-def gamma_lognormal_den_series(p, g: GammaParams, l: LognormalParams,
-                               cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def gamma_lognormal_den_series(p, g: GammaParams, l: LognormalParams) -> SeriesValue:
     """Marginal kernel of the gamma-signal, lognormal-noise model."""
-    return _evaluate("gamma_lognormal", p, g, l, 0, cfg)
+    return _evaluate("gamma_lognormal", p, g, l, 0)
 
 
-def gamma_lognormal_num_series(p, g: GammaParams, l: LognormalParams,
-                               cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def gamma_lognormal_num_series(p, g: GammaParams, l: LognormalParams) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = p * num/den."""
-    return _evaluate("gamma_lognormal", p, g, l, 1, cfg)
+    return _evaluate("gamma_lognormal", p, g, l, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +790,7 @@ def _gb_pair_parts(p, s, b, off, grown):
     return (v1, v2, v3, v4, E), m1 + m3 + m2 + m4 + gmax
 
 
-def _gb_pair_kernel(p, s: GBParams, b: GBParams, off, boxes, cfg):
+def _gb_pair_kernel(p, s: GBParams, b: GBParams, off, boxes):
     (*vectors, E), scale = _gb_pair_parts(p, s, b, off, _grow(boxes))
 
     def rows(vectors):
@@ -828,16 +814,14 @@ def _gb_pair_domain(p, s: GBParams, b: GBParams, label):
                      f"{label}: p={q} outside the convolution support (0, {upper})")
 
 
-def gb_pair_den_series(p, s: GBParams, b: GBParams,
-                       cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def gb_pair_den_series(p, s: GBParams, b: GBParams) -> SeriesValue:
     """Marginal kernel of the GB-signal, GB-noise convolution."""
-    return _evaluate("gb_gb", p, s, b, 0, cfg)
+    return _evaluate("gb_gb", p, s, b, 0)
 
 
-def gb_pair_num_series(p, s: GBParams, b: GBParams,
-                       cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def gb_pair_num_series(p, s: GBParams, b: GBParams) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = p * num/den."""
-    return _evaluate("gb_gb", p, s, b, 1, cfg)
+    return _evaluate("gb_gb", p, s, b, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +857,7 @@ def _gb_normal_groups(p, s, b: NormalParams, off, grown):
         yield idx, _gb_normal_parts(p[idx], s, b, off, grown[idx], (logs[idx], signs[idx]))
 
 
-def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, boxes, cfg):
+def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, boxes):
     base, wide, scale = np.empty(p.size), np.empty(p.size), np.empty(p.size)
     for idx, ((*vectors, grid), part_scale) in _gb_normal_groups(p, s, b, off, _grow(boxes)):
         scale[idx] = part_scale
@@ -898,24 +882,22 @@ def _gb_normal_domain(p, s: GBParams, b: NormalParams, label):
                      f"p > noise mu, got p={q}, mu={b.mu}")
 
 
-def gb_normal_den_series(p, s: GBParams, b: NormalParams,
-                         cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def gb_normal_den_series(p, s: GBParams, b: NormalParams) -> SeriesValue:
     """Marginal kernel of the GB-signal, normal-noise convolution."""
-    return _evaluate("gb_normal", p, s, b, 0, cfg)
+    return _evaluate("gb_normal", p, s, b, 0)
 
 
-def gb_normal_num_series(p, s: GBParams, b: NormalParams,
-                         cfg: SeriesConfig = SeriesConfig()) -> SeriesValue:
+def gb_normal_num_series(p, s: GBParams, b: NormalParams) -> SeriesValue:
     """Posterior-numerator kernel; corrected intensity = (p - mu) * num/den."""
-    return _evaluate("gb_normal", p, s, b, 1, cfg)
+    return _evaluate("gb_normal", p, s, b, 1)
 
 
 # ---------------------------------------------------------------------------
 # Convergence region ("safe range")
 # ---------------------------------------------------------------------------
 
-#: geometric-ratio ceiling for the GB binomial expansions; 0.8^200 leaves
-#: ample headroom below the default rel_tol within the default index cap
+#: geometric-ratio ceiling for the GB binomial expansions; 0.8^MAX_TERMS
+#: (4e-20 at 200 terms) leaves ample headroom below REL_TOL (1e-10)
 GB_RATIO_MAX = 0.80
 #: cancellation ceiling: log of (sum of |terms| / |sum|) tolerated before
 #: float64 noise erodes the alternating sums (1e-16 * e^26 ~ 2e-5 relative)
@@ -968,10 +950,10 @@ class _Family(NamedTuple):
     domain: Callable
     #: (signal, noise, array of p > 0) -> the gate's other checks, bool array
     in_region: Callable
-    #: (p array, signal, noise, cfg) -> (den boxes, num boxes), genes x dims
+    #: (p array, signal, noise) -> (den boxes, num boxes), genes x dims
     #: int arrays
     boxes: Callable
-    #: (p array, signal, noise, off, boxes, cfg) -> per-gene (sum on the box,
+    #: (p array, signal, noise, off, boxes) -> per-gene (sum on the box,
     #: sum on the grown box, log scale of both), each gene on its own box;
     #: off 0 is den, 1 is num
     kernel: Callable
@@ -1003,9 +985,9 @@ def _family(kind):
     return family
 
 
-def _marginal_log(kind, p, signal, noise, cfg):
+def _marginal_log(kind, p, signal, noise):
     family = _FAMILIES[kind]
-    den = _evaluate(kind, p, signal, noise, 0, cfg)
+    den = _evaluate(kind, p, signal, noise, 0)
     if den.sign <= 0:
         raise SeriesDivergenceError(
             f"{family.label}_den series converged to a nonpositive value; "
@@ -1013,26 +995,25 @@ def _marginal_log(kind, p, signal, noise, cfg):
     return float(family.log_prefactor(signal, noise, p)) + den.log_abs
 
 
-def marginal_gb_log(p, s: GBParams, b: GBParams, cfg=SeriesConfig()):
-    return _marginal_log("gb_gb", p, s, b, cfg)
+def marginal_gb_log(p, s: GBParams, b: GBParams):
+    return _marginal_log("gb_gb", p, s, b)
 
 
-def marginal_gb(p, s: GBParams, b: GBParams, cfg=SeriesConfig()) -> float:
+def marginal_gb(p, s: GBParams, b: GBParams) -> float:
     """Series marginal density of P = S + B with GB signal and GB noise."""
-    return math.exp(marginal_gb_log(p, s, b, cfg))
+    return math.exp(marginal_gb_log(p, s, b))
 
 
-def marginal_gb_normal_log(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()):
-    return _marginal_log("gb_normal", p, s, b, cfg)
+def marginal_gb_normal_log(p, s: GBParams, b: NormalParams):
+    return _marginal_log("gb_normal", p, s, b)
 
 
-def marginal_gb_normal(p, s: GBParams, b: NormalParams, cfg=SeriesConfig()) -> float:
+def marginal_gb_normal(p, s: GBParams, b: NormalParams) -> float:
     """Series marginal density of P = S + B with GB signal and normal noise."""
-    return math.exp(marginal_gb_normal_log(p, s, b, cfg))
+    return math.exp(marginal_gb_normal_log(p, s, b))
 
 
-def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig(),
-                       grad=False):
+def marginal_log_batch(model: ModelSpec, p, grad=False):
     """Series log marginal density of model at every observation of the array p.
 
     model is of a series family.  The genes the gate accepts are summed in
@@ -1047,7 +1028,7 @@ def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig(),
     """
     family = _family(model.kind)
     p = np.asarray(p, dtype=float)
-    verdict = gate(model, p, cfg)
+    verdict = gate(model, p)
     ok = verdict.ok.copy()
     out = np.full(p.shape, -np.inf)
     rows = np.full((3, p.size), np.nan)
@@ -1058,8 +1039,8 @@ def marginal_log_batch(model: ModelSpec, p, cfg: SeriesConfig = SeriesConfig(),
             terms, scale = _exp_lognormal_terms(q, s, b, 0, boxes)
             sums = (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
         else:
-            sums = family.kernel(q, s, b, 0, boxes, cfg)
-        log_den, sign, good = _confirmed_batch(*sums, cfg)
+            sums = family.kernel(q, s, b, 0, boxes)
+        log_den, sign, good = _confirmed_batch(*sums)
         good &= sign > 0
         out[idx] = np.where(good, family.log_prefactor(s, b, q) + log_den, -np.inf)
         ok[idx] = good
@@ -1095,7 +1076,7 @@ class Gate(NamedTuple):
     num: np.ndarray
 
 
-def gate(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> Gate:
+def gate(m: ModelSpec, p) -> Gate:
     """The convergence gate at every observation of the array p.
 
     The ratio, cancellation and tail checks run first; the truncation boxes
@@ -1110,22 +1091,23 @@ def gate(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> Gate:
     den = np.zeros((p.size, family.dims), dtype=int)
     num = np.zeros((p.size, family.dims), dtype=int)
     idx = np.flatnonzero(inside)
-    step = max(1, _GRID_BUDGET // (cfg.max_terms_per_index + 1))
+    step = max(1, _GRID_BUDGET // (MAX_TERMS + 1))
     for lo in range(0, idx.size, step):
         part = idx[lo:lo + step]
-        den[part], num[part] = family.boxes(p[part], m.signal, m.noise, cfg)
-    limit = int(GATE_DEPTH_FRACTION * cfg.max_terms_per_index)
+        den[part], num[part] = family.boxes(p[part], m.signal, m.noise)
+    limit = int(GATE_DEPTH_FRACTION * MAX_TERMS)
     ok = inside & (den.max(axis=1, initial=0) <= limit) & (num.max(axis=1, initial=0) <= limit)
     return Gate(ok, den, num)
 
 
-def convergence_ok(m: ModelSpec, p, cfg: SeriesConfig = SeriesConfig()) -> bool:
+def convergence_ok(m: ModelSpec, p) -> bool:
     """True when the series expansions for model m converge at observation p
-    within the truncation policy cfg: the array gate (``gate``) on one gene.
+    within the truncation policy (``REL_TOL``, ``MAX_TERMS``): the array gate
+    (``gate``) on one gene.
 
     Beyond the ratio and cancellation checks, every truncation depth of the
     den and num kernels must lie within 85% of the index cap; these are the
     boxes the evaluators then sum on.  Outside this region the series
     evaluators may raise and callers must use the quadrature path.
     """
-    return bool(gate(m, np.array([float(p)]), cfg).ok[0])
+    return bool(gate(m, np.array([float(p)])).ok[0])

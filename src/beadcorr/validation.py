@@ -114,8 +114,7 @@ class ValidationRow:
     within_tol: bool
 
 
-def run_validation(kind: str, n_draws: int, seed: int,
-                   cfg: series.SeriesConfig = series.SeriesConfig()):
+def run_validation(kind: str, n_draws: int, seed: int):
     """n corrector-vs-oracle comparisons; returns (rows, tolerance).  A draw
     whose correction fails is a row with path ``error`` and a NaN value."""
     if kind not in TOLERANCES:
@@ -128,7 +127,7 @@ def run_validation(kind: str, n_draws: int, seed: int,
     rows = []
     for i in range(n_draws):
         m, p = draw_case(kind, rng)
-        values, diags = correct.correct_array_series(np.array([p]), m, cfg, variant)
+        values, diags = correct.correct_array_series(np.array([p]), m, variant)
         value = float(values[0])
         ref = oracle.posterior_mean_quadrature(p, m, qcfg)
         rel = abs(value - ref) / abs(ref)

@@ -18,7 +18,6 @@ from beadcorr.dists import (ExpLognormal, ExpNormal, ExpParams,
                             dist_sample, gb_from_gamma, gb_support_upper)
 
 Q = oracle.QuadConfig()
-CFG = series.SeriesConfig()
 UNIFORM = GBParams(1, 0, 1, 1, 1)
 
 
@@ -345,7 +344,7 @@ class TestCriterion8Normalization:
             hi = 40.0 / theta + math.exp(l.mu + 6 * l.sigma)
             total, _ = quad(
                 lambda p: theta * math.exp(-theta * p)
-                * series.exp_lognormal_den_series(p, e, l, CFG).value,
+                * series.exp_lognormal_den_series(p, e, l).value,
                 1e-9, hi, limit=300)
             worst = max(worst, abs(total - 1.0))
 
@@ -361,7 +360,7 @@ class TestCriterion8Normalization:
             hi = min(_gate_boundary(m, inside, 1e7), g.alpha * g.beta * 12 + p_lo)
             total, _ = quad(
                 lambda p: math.exp(float(
-                    series.gamma_lognormal_den_series(p, g, l, CFG).log_abs)
+                    series.gamma_lognormal_den_series(p, g, l).log_abs)
                     + (g.alpha - 1.0) * math.log(p) - p / g.beta
                     - g.alpha * math.log(g.beta) - math.lgamma(g.alpha)),
                 p_lo, hi, limit=300)
@@ -381,13 +380,13 @@ class TestCriterion8Normalization:
                 s, b = m.signal, m.noise
                 if kind == "gb_gb":
                     hi = _gate_boundary(m, 1e-6, 1e6)
-                    fn = lambda p: series.marginal_gb(p, s, b, CFG)
+                    fn = lambda p: series.marginal_gb(p, s, b)
                     lo = 1e-9
                 else:
                     inside = _find_inside_point(m)
                     lo = _gate_boundary(m, inside, b.mu + 1e-9)
                     hi = _gate_boundary(m, inside, 1e6)
-                    fn = lambda p: series.marginal_gb_normal(p, s, b, CFG)
+                    fn = lambda p: series.marginal_gb_normal(p, s, b)
                 mass_series, _ = quad(fn, lo, hi, limit=300)
                 mass_oracle, _ = quad(
                     lambda p: oracle.marginal_pdf_quadrature(p, m, Q),
@@ -411,18 +410,18 @@ def _find_inside_point(m):
     b = m.noise
     for f in (3.2, 2.6, 4.0, 5.0, 2.3):
         p = f * b.mu
-        if series.convergence_ok(m, p, CFG):
+        if series.convergence_ok(m, p):
             return p
     raise AssertionError(f"no interior series point found for {m}")
 
 
 def _gate_boundary(m, p_inside, p_outside, iters=60):
     """Bisect the convergence-region edge between an inside and outside point."""
-    assert series.convergence_ok(m, p_inside, CFG)
-    assert not series.convergence_ok(m, p_outside, CFG)
+    assert series.convergence_ok(m, p_inside)
+    assert not series.convergence_ok(m, p_outside)
     for _ in range(iters):
         mid = 0.5 * (p_inside + p_outside)
-        if series.convergence_ok(m, mid, CFG):
+        if series.convergence_ok(m, mid):
             p_inside = mid
         else:
             p_outside = mid

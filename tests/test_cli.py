@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from beadcorr import cli, simulate
+from beadcorr import cli, estimate, simulate
 from beadcorr.errors import DataFormatError, InvalidParameterError
 
 
@@ -76,19 +76,18 @@ class TestIngest:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = cli.load_config(None)
-        assert cfg.series_cfg.rel_tol == 1e-10
-        assert cfg.budget.n_starts == 5
-        assert sorted(cli.CONFIG_DEFAULTS) == [
-            "optimizer_max_iter", "optimizer_seed", "optimizer_starts",
-            "series_max_terms", "series_rel_tol"]
+        budget = cli.load_config(None)
+        assert budget == estimate.FitBudget()
+        assert budget.n_starts == 5
+        assert sorted(cli.CONFIG_FIELDS) == [
+            "optimizer_max_iter", "optimizer_seed", "optimizer_starts"]
 
     def test_parse_and_unknown_key(self, tmp_path):
         path = tmp_path / "cfg"
-        write(path, "series_rel_tol=1e-8\noptimizer_starts=2\n")
-        cfg = cli.load_config(str(path))
-        assert cfg.series_cfg.rel_tol == 1e-8
-        assert cfg.budget.n_starts == 2
+        write(path, "optimizer_max_iter=40\noptimizer_starts=2\n")
+        budget = cli.load_config(str(path))
+        assert budget.max_iter == 40
+        assert budget.n_starts == 2
         write(path, "not_a_key=3\n")
         with pytest.raises(DataFormatError, match="unknown key"):
             cli.load_config(str(path))
@@ -112,6 +111,39 @@ class TestConfig:
         with pytest.raises(DataFormatError, match=f"unknown key '{key}'"):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("line", ["series_rel_tol=1e-10", "series_max_terms=200"])
+    def test_removed_series_keys_are_unknown(self, tmp_path, tables, line):
+        # the series' truncation policy is two constants of the series
+        # module; a file that still sets one is rejected, even at its value
+        obs, neg = tables
+        path = tmp_path / "cfg"
+        write(path, line + "\n")
+        key = line.partition("=")[0]
+        with pytest.raises(DataFormatError, match=f"unknown key '{key}'"):
+            cli.load_config(str(path))
+        r = run_cli("correct", str(obs), str(neg), "--model", "exp_normal",
+                    "--params", "theta=0.01,mu=100,sigma=15", "--config", str(path),
+                    "--out", str(tmp_path / "c.tsv"))
+        assert r.returncode == 65, r.stderr
+        assert f"unknown key '{key}'" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("line", ["optimizer_seed=-1", "optimizer_starts=0",
+                                      "optimizer_starts=-4", "optimizer_max_iter=0",
+                                      "optimizer_max_iter=-1"])
+    def test_out_of_range_optimizer_value_rejected(self, tmp_path, tables, line):
+        obs, neg = tables
+        path = tmp_path / "cfg"
+        write(path, "optimizer_starts=2\n" + line + "\n")
+        key = line.partition("=")[0]
+        with pytest.raises(DataFormatError, match=f"cfg:2: bad value for {key}"):
+            cli.load_config(str(path))
+        out = tmp_path / "fit.tsv"
+        r = run_cli("fit", str(obs), str(neg), "--model", "exp_normal",
+                    "--config", str(path), "--out", str(out))
+        assert r.returncode == 65, r.stderr
+        assert f"bad value for {key}" in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
+
     def test_diagnostics_say_why_a_gene_left_the_grid(self, tmp_path):
         # g2 lies ten noise sigmas below mu, where the grid's densities fall
         # under the corrector floor
@@ -119,7 +151,7 @@ class TestConfig:
         obs, neg = tmp_path / "obs.tsv", tmp_path / "neg.tsv"
         write(obs, "ProbeID\tA1\ng1\t600\ng2\t400\n")
         write(neg, "ProbeID\tA1\nn1\t495\nn2\t505\n")
-        _, diag = cli.cmd_correct(cli.ingest(obs, neg), m, cli.load_config(None))
+        _, diag = cli.cmd_correct(cli.ingest(obs, neg), m)
         assert diag.splitlines()[1:] == [
             "g1\tA1\tgrid\t", "g2\tA1\tquadrature\tgrid density below the corrector floor"]
 
@@ -127,7 +159,7 @@ class TestConfig:
         path = tmp_path / "cfg"
         write(path, "optimizer_seed=9\n")
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
-        assert cli.load_config(None).budget.seed == 9
+        assert cli.load_config(None).seed == 9
 
 
 class TestParamsRoundTrip:
@@ -332,7 +364,7 @@ class TestExitCodes:
     def test_bad_config_value_exit_code(self, tmp_path, tables):
         obs, neg = tables
         cfg = tmp_path / "cfg"
-        for line, key in [("series_rel_tol=0", "bad value for series_rel_tol"),
+        for line, key in [("optimizer_starts=0", "bad value for optimizer_starts"),
                           ("quad_rel_tol=1e-8", "unknown key 'quad_rel_tol'")]:
             write(cfg, line + "\n")
             r = run_cli("correct", str(obs), str(neg), "--model", "exp_normal",

@@ -15,7 +15,6 @@ from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
 from beadcorr.errors import NumericUnderflowError, QuadratureError
 
 Q = oracle.QuadConfig()
-CFG = series.SeriesConfig()
 UNIFORM = GBParams(1, 0, 1, 1, 1)
 
 
@@ -285,8 +284,8 @@ class TestSeriesCorrectors:
     def test_exp_lognormal_theta_collapse_paths_agree(self):
         l = LognormalParams(1.0, 0.6)
         got = correct.correct_exp_lognormal(40.0, ExpParams(1e-12), l)
-        den = series.exp_lognormal_den_series(40.0, None, l, CFG)
-        num = series.exp_lognormal_num_series(40.0, None, l, CFG)
+        den = series.exp_lognormal_den_series(40.0, None, l)
+        num = series.exp_lognormal_num_series(40.0, None, l)
         collapsed = 40.0 - math.exp(1.0 + 0.18 + num.log_abs - den.log_abs)
         assert got == pytest.approx(collapsed, rel=1e-9)
 
@@ -366,10 +365,10 @@ class TestSeriesCorrectors:
         # corrected afterwards must keep the bits it has in a fresh workspace
         m = simulate.REFERENCE_MODELS["gb_normal"][0]
         series._gb_normal_workspace.cache_clear()
-        fresh = correct.correct_gb_normal(5.0, m.signal, m.noise, CFG)
+        fresh = correct.correct_gb_normal(5.0, m.signal, m.noise)
         series._gb_normal_workspace.cache_clear()
-        correct.correct_gb_normal(11.6, m.signal, m.noise, CFG)
-        after = correct.correct_gb_normal(5.0, m.signal, m.noise, CFG)
+        correct.correct_gb_normal(11.6, m.signal, m.noise)
+        after = correct.correct_gb_normal(5.0, m.signal, m.noise)
         assert after == fresh
 
     @pytest.mark.parametrize("a", [20.0, 50.0])
@@ -384,12 +383,12 @@ class TestSeriesCorrectors:
         opts = dict(points=[p - b.mu], epsabs=0.0, epsrel=1e-13, limit=500)
         ref = quad(lambda x: x * f(x), 0.0, p, **opts)[0] / quad(f, 0.0, p, **opts)[0]
         series._gb_normal_workspace.cache_clear()
-        got, info = correct.correct_gb_normal(p, s, b, CFG, with_info=True)
+        got, info = correct.correct_gb_normal(p, s, b, with_info=True)
         assert info.path == "series"
         assert got == pytest.approx(ref, rel=1e-9)
         with np.errstate(over="ignore"):  # density tail in the deeper gene's fallback
-            correct.correct_gb_normal(19.0, s, b, CFG)
-        assert correct.correct_gb_normal(p, s, b, CFG) == got
+            correct.correct_gb_normal(19.0, s, b)
+        assert correct.correct_gb_normal(p, s, b) == got
 
 
 class TestSeriesBatchInvariance:
@@ -639,7 +638,7 @@ class TestCorrectArray:
                     continue
                 alone, one = apply(np.array([p]), m)
                 assert alone[0] == corrected[i] and one[0].path == diags[i].path
-                value, info = correct._correct_one(p, m, CFG, "rma")
+                value, info = correct._correct_one(p, m, "rma")
                 assert value == paper[i] and info.path == paper_diags[i].path
 
     def test_uncertified_genes_are_refused(self, monkeypatch):

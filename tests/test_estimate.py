@@ -16,7 +16,6 @@ from beadcorr.errors import (BeadcorrError, DegenerateControlsError,
                              InvalidParameterError, QuadratureError,
                              SeriesNonConvergenceError, UnsupportedMethodError)
 
-CFG = series.SeriesConfig()
 
 
 def _simulate(m, I, W, seed):
@@ -95,6 +94,23 @@ class TestProblemValidation:
         with pytest.raises(InvalidParameterError):
             estimate.EstimationProblem(np.array([1.0]), np.array([1.0]), "bogus")
 
+    def test_problems_compare_by_identity(self):
+        # equal arrays of more than one gene have no single truth value, so
+        # problems compare (and hash) by identity, never raising
+        obs, neg = np.array([120.0, 130.0]), np.array([95.0, 105.0])
+        a = estimate.EstimationProblem(obs, neg, "exp_normal")
+        b = estimate.EstimationProblem(obs.copy(), neg.copy(), "exp_normal")
+        assert a == a and a != b
+        table = {a: 1}
+        assert table[a] == 1 and b not in table
+
+    @pytest.mark.parametrize("field,value", [("n_starts", 0), ("n_starts", -4),
+                                             ("max_iter", 0), ("max_iter", -1),
+                                             ("seed", -1)])
+    def test_budget_out_of_range_refused(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            estimate.FitBudget(**{field: value})
+
     def test_empty_controls_allowed_for_loglik(self):
         prob = estimate.EstimationProblem(np.array([120.0]), np.array([]),
                                           "exp_normal")
@@ -147,7 +163,7 @@ class TestLoglik:
         for m, ps, tol in _MARGINAL_CASES:
             for p in ps:
                 if m.kind in ("exp_lognormal", "gamma_lognormal"):
-                    assert series.convergence_ok(m, p, CFG), (m, p)
+                    assert series.convergence_ok(m, p), (m, p)
                 lm = float(estimate.log_marginal(m, [p])[0])
                 lq = oracle.marginal_log_pdf_quadrature(p, m)
                 assert lm == pytest.approx(lq, abs=tol), (m, p)
@@ -410,7 +426,7 @@ class TestScores:
         m, prob = self._reference_problem("gb_gb", 0.999, 0.999)
         with pytest.raises(SeriesNonConvergenceError, match="past the cap"):
             for p in prob.observed.tolist():
-                series.gb_pair_den_series(p, m.signal, m.noise, CFG)
+                series.gb_pair_den_series(p, m.signal, m.noise)
         score = estimate.score_gb(m, prob)
         assert np.all(np.isfinite(score))
         self._assert_blocks_match_central_differences(m, prob, score)
@@ -467,7 +483,7 @@ class TestScores:
         keep = []
         for p in prob.observed.tolist():
             try:
-                series.gb_normal_den_series(p, m.signal, m.noise, CFG)
+                series.gb_normal_den_series(p, m.signal, m.noise)
                 keep.append(p)
             except BeadcorrError:
                 pass
@@ -540,7 +556,7 @@ class TestClosedFormScores:
         # are the series' own, confirmed to the engine's target
         m = simulate.REFERENCE_MODELS["exp_lognormal"][0]
         obs, _, _ = _simulate(m, 300, 1, seed=1)
-        _, ok, rows = series.marginal_log_batch(m, obs, CFG, grad=True)
+        _, ok, rows = series.marginal_log_batch(m, obs, grad=True)
         assert ok.all() and np.all(np.isfinite(rows))
         _, engine = estimate._quadrature_marginal_log(obs, m, True)
         np.testing.assert_allclose(rows, engine, rtol=1e-5, atol=1e-6 * np.max(np.abs(rows)))

@@ -1,9 +1,14 @@
-"""QUADPACK is the referee's alone.
+"""Layering rules of the package, checked on its syntax trees.
 
-Outside the referee (``oracle``) and the validation harness that runs it
-(``validation``), no module of the package refers to one of the referee's
-``*_quadrature`` functions, so no production value comes from QUADPACK.  The
-package namespace re-exports them for users and calls none.
+QUADPACK is the referee's alone.  Outside the referee (``oracle``) and the
+validation harness that runs it (``validation``), no module of the package
+refers to one of the referee's ``*_quadrature`` functions, so no production
+value comes from QUADPACK.  The package namespace re-exports them for users
+and calls none.
+
+The series' truncation policy is its own.  Only ``series`` refers to its two
+constants (``REL_TOL``, ``MAX_TERMS``), so no caller steers the truncation,
+and no module refers to the removed ``SeriesConfig``.
 """
 
 import ast
@@ -14,6 +19,7 @@ import beadcorr
 PACKAGE = Path(beadcorr.__file__).parent
 REFEREE_USERS = {"oracle.py", "validation.py"}
 RE_EXPORTS = {"__init__.py"}
+TRUNCATION = {"REL_TOL", "MAX_TERMS"}
 
 
 def _referee_names(path, imports=True):
@@ -46,3 +52,34 @@ def test_the_check_sees_both_spellings(tmp_path):
     module.write_text("from .oracle import marginal_log_pdf_quadrature as f, quad\n")
     assert _referee_names(module) == {"marginal_log_pdf_quadrature"}
     assert _referee_names(module, imports=False) == set()
+
+
+def _identifiers(path):
+    """Every identifier a module mentions: names, attributes, imported names
+    and the names it defines."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for field in ("id", "attr", "name", "asname"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                found.add(value)
+    return found
+
+
+def test_only_the_series_refers_to_its_truncation_policy():
+    for module in sorted(PACKAGE.glob("*.py")):
+        names = _identifiers(module)
+        assert "SeriesConfig" not in names, module.name
+        if module.name != "series.py":
+            assert not names & TRUNCATION, module.name
+    assert TRUNCATION <= _identifiers(PACKAGE / "series.py")
+
+
+def test_the_identifier_check_sees_every_spelling(tmp_path):
+    module = tmp_path / "m.py"
+    for text in ("from . import series\nx = series.MAX_TERMS\n",
+                 "from .series import REL_TOL as tol\n",
+                 "def f(cfg=SeriesConfig()):\n    pass\n",
+                 "class SeriesConfig:\n    pass\n"):
+        module.write_text(text)
+        assert _identifiers(module) & (TRUNCATION | {"SeriesConfig"}), text

@@ -13,7 +13,6 @@ from beadcorr.errors import (DomainError, InvalidParameterError, SeriesError,
 from beadcorr.oracle import QuadConfig, marginal_pdf_quadrature
 from beadcorr.specfun import gaussian_moment_table, std_normal_cdf
 
-CFG = series.SeriesConfig()
 UNIFORM = GBParams(a=1, c=0, d=1, u=1, v=1)
 
 
@@ -52,51 +51,51 @@ class TestExpLognormalSeries:
 
     def test_matches_reference(self):
         val = series.exp_lognormal_den_series(10.0, ExpParams(0.1),
-                                              LognormalParams(0.0, 0.5), CFG)
+                                              LognormalParams(0.0, 0.5))
         ref = brute_lognormal_exp(10.0, 0.1, 0.0, 0.5, 0)
         assert val.value == pytest.approx(self.FROZEN_DEN, rel=1e-12)
         assert val.value == pytest.approx(ref, rel=1e-10)
 
     def test_num_matches_reference(self):
         val = series.exp_lognormal_num_series(10.0, ExpParams(0.1),
-                                              LognormalParams(0.0, 0.5), CFG)
+                                              LognormalParams(0.0, 0.5))
         ref = brute_lognormal_exp(10.0, 0.1, 0.0, 0.5, 1)
         assert val.value == pytest.approx(ref, rel=1e-10)
 
     def test_theta_zero_collapse(self):
         # rate exactly zero: only the k = 0 term survives (0^0 = 1)
         l = LognormalParams(0.2, 0.7)
-        val = series.exp_lognormal_den_series(5.0, None, l, CFG)
+        val = series.exp_lognormal_den_series(5.0, None, l)
         assert val.terms_used == (1,)
         assert val.converged
         assert val.value == pytest.approx(
             std_normal_cdf((math.log(5.0) - 0.2) / 0.7), rel=1e-12)
         # a vanishingly small positive rate agrees with the collapsed value
-        near = series.exp_lognormal_den_series(5.0, ExpParams(1e-300), l, CFG)
+        near = series.exp_lognormal_den_series(5.0, ExpParams(1e-300), l)
         assert near.value == pytest.approx(val.value, rel=1e-14)
 
     def test_num_theta_zero_collapse(self):
         l = LognormalParams(0.2, 0.7)
-        val = series.exp_lognormal_num_series(5.0, None, l, CFG)
+        val = series.exp_lognormal_num_series(5.0, None, l)
         assert val.value == pytest.approx(
             std_normal_cdf((math.log(5.0) - 0.2 - 0.49) / 0.7), rel=1e-12)
 
     def test_truncation_depth(self):
         val = series.exp_lognormal_den_series(10.0, ExpParams(0.1),
-                                              LognormalParams(0.0, 0.5), CFG)
+                                              LognormalParams(0.0, 0.5))
         assert val.converged and val.terms_used[0] <= 60
 
-    def test_cap_raises(self):
-        tiny = series.SeriesConfig(rel_tol=1e-10, max_terms_per_index=3)
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_TERMS", 3)
         with pytest.raises(SeriesNonConvergenceError):
             series.exp_lognormal_den_series(10.0, ExpParams(2.0),
-                                            LognormalParams(1.0, 0.5), tiny)
+                                            LognormalParams(1.0, 0.5))
 
 
 class TestGammaLognormalSeries:
     def test_matches_rectangular_reference(self):
         g, l = GammaParams(1.5, 2.0), LognormalParams(0.0, 0.4)
-        val = series.gamma_lognormal_den_series(20.0, g, l, CFG)
+        val = series.gamma_lognormal_den_series(20.0, g, l)
         ref = brute_gamma_lognormal(20.0, 1.5, 2.0, 0.0, 0.4, 0)
         assert val.value == pytest.approx(ref, rel=1e-8)
 
@@ -104,11 +103,11 @@ class TestGammaLognormalSeries:
         # gamma(1, beta) is exponential with theta = 1/beta
         l = LognormalParams(0.3, 0.5)
         for p in (6.0, 15.0, 40.0):
-            c3 = series.gamma_lognormal_den_series(p, GammaParams(1.0, 4.0), l, CFG)
-            c1 = series.exp_lognormal_den_series(p, ExpParams(0.25), l, CFG)
+            c3 = series.gamma_lognormal_den_series(p, GammaParams(1.0, 4.0), l)
+            c1 = series.exp_lognormal_den_series(p, ExpParams(0.25), l)
             assert c3.value == pytest.approx(c1.value, rel=1e-9)
-            c4 = series.gamma_lognormal_num_series(p, GammaParams(1.0, 4.0), l, CFG)
-            c2 = series.exp_lognormal_num_series(p, ExpParams(0.25), l, CFG)
+            c4 = series.gamma_lognormal_num_series(p, GammaParams(1.0, 4.0), l)
+            c2 = series.exp_lognormal_num_series(p, ExpParams(0.25), l)
             # num kernels differ by the marginal prefactor shift; compare the
             # corrector-relevant ratios
             lhs = p * math.exp(c4.log_abs - c3.log_abs)
@@ -117,32 +116,32 @@ class TestGammaLognormalSeries:
 
     def test_alpha_one_k_axis_collapses(self):
         val = series.gamma_lognormal_den_series(
-            20.0, GammaParams(1.0, 4.0), LognormalParams(0.3, 0.5), CFG)
+            20.0, GammaParams(1.0, 4.0), LognormalParams(0.3, 0.5))
         assert val.terms_used[0] == 1
 
     def test_integer_alpha_k_axis_terminates(self):
         val = series.gamma_lognormal_num_series(
-            20.0, GammaParams(2.0, 4.0), LognormalParams(0.3, 0.5), CFG)
+            20.0, GammaParams(2.0, 4.0), LognormalParams(0.3, 0.5))
         assert val.terms_used[0] <= 3  # C(2, k) = 0 beyond k = 2
 
 
 class TestGBPairSeries:
     def test_uniform_pair_is_triangular(self):
-        den = series.gb_pair_den_series(0.5, UNIFORM, UNIFORM, CFG)
+        den = series.gb_pair_den_series(0.5, UNIFORM, UNIFORM)
         assert den.value == pytest.approx(1.0, abs=1e-12)
         assert den.terms_used == (1, 1, 1, 1)
-        assert series.marginal_gb(0.5, UNIFORM, UNIFORM, CFG) == pytest.approx(
+        assert series.marginal_gb(0.5, UNIFORM, UNIFORM) == pytest.approx(
             0.5, abs=1e-12)
 
     def test_uniform_pair_num(self):
-        num = series.gb_pair_num_series(0.5, UNIFORM, UNIFORM, CFG)
+        num = series.gb_pair_num_series(0.5, UNIFORM, UNIFORM)
         assert num.value == pytest.approx(0.5, abs=1e-12)  # B(2, 1)
-        den = series.gb_pair_den_series(0.5, UNIFORM, UNIFORM, CFG)
+        den = series.gb_pair_den_series(0.5, UNIFORM, UNIFORM)
         assert 0.5 * num.value / den.value == pytest.approx(0.25, abs=1e-12)
 
     def test_marginal_matches_oracle(self):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
-        got = series.marginal_gb(0.8, s, b, CFG)
+        got = series.marginal_gb(0.8, s, b)
         ref = marginal_pdf_quadrature(0.8, GBGB(s, b), QuadConfig())
         assert got == pytest.approx(ref, rel=1e-4)
 
@@ -150,7 +149,7 @@ class TestGBPairSeries:
         # c = 0 kills the n axis; c = 1 kills the l axis
         s0 = GBParams(1, 0.0, 1, 1.5, 2.5)
         b1 = GBParams(1, 1.0, 5, 1.5, 6.0)
-        den = series.gb_pair_den_series(0.6, s0, b1, CFG)
+        den = series.gb_pair_den_series(0.6, s0, b1)
         l_used, m_used, n_used, r_used = den.terms_used
         assert n_used == 1   # signal c = 0
         assert m_used == 1   # noise c = 1
@@ -159,35 +158,35 @@ class TestGBPairSeries:
     def test_shape_two_marginal_matches_oracle(self):
         s = GBParams(2.0, 0.4, 1.2, 1.5, 2.2)
         b = GBParams(2.0, 0.5, 1.1, 1.4, 2.0)
-        k1p = math.exp(series.marginal_gb_log(0.7, s, b, CFG))
+        k1p = math.exp(series.marginal_gb_log(0.7, s, b))
         ref = marginal_pdf_quadrature(0.7, GBGB(s, b), QuadConfig())
         assert k1p == pytest.approx(ref, rel=1e-4)
 
     def test_out_of_support_raises(self):
         with pytest.raises(DomainError):
-            series.gb_pair_den_series(5.0, UNIFORM, UNIFORM, CFG)
+            series.gb_pair_den_series(5.0, UNIFORM, UNIFORM)
 
-    def test_truncation_monotonicity(self):
+    def test_truncation_monotonicity(self, monkeypatch):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
-        base = series.gb_pair_den_series(0.8, s, b, CFG)
-        doubled = series.SeriesConfig(max_terms_per_index=400)
-        more = series.gb_pair_den_series(0.8, s, b, doubled)
+        base = series.gb_pair_den_series(0.8, s, b)
+        monkeypatch.setattr(series, "MAX_TERMS", 2 * series.MAX_TERMS)
+        more = series.gb_pair_den_series(0.8, s, b)
         rel = abs(more.value - base.value) / abs(more.value)
-        assert rel < CFG.rel_tol * 10
+        assert rel < series.REL_TOL * 10
 
 
 class TestGBNormalSeries:
     def test_tight_noise_uniform_corrector(self):
         # posterior mean of a symmetric truncated kernel sits at p - mu
         b = NormalParams(0.25, 0.02)
-        den = series.gb_normal_den_series(0.75, UNIFORM, b, CFG)
-        num = series.gb_normal_num_series(0.75, UNIFORM, b, CFG)
+        den = series.gb_normal_den_series(0.75, UNIFORM, b)
+        num = series.gb_normal_num_series(0.75, UNIFORM, b)
         corrected = (0.75 - 0.25) * math.exp(num.log_abs - den.log_abs)
         assert corrected == pytest.approx(0.5, abs=1e-3)
 
     def test_uniform_signal_n_axis_terminates(self):
         b = NormalParams(0.25, 0.02)
-        den = series.gb_normal_den_series(0.75, UNIFORM, b, CFG)
+        den = series.gb_normal_den_series(0.75, UNIFORM, b)
         # C(a(u+l+m)-1, n) = C(0, n) kills n >= 1 at l = m = 0, so the moment
         # axis contributes exactly its first term
         tab = gaussian_moment_table(1, -(0.75 - 0.25) / 0.02, 0.25 / 0.02)
@@ -196,7 +195,7 @@ class TestGBNormalSeries:
     def test_marginal_matches_oracle(self):
         s = GBParams(1.0, 0.5, 2.0, 1.5, 2.0)
         b = NormalParams(0.3, 0.06)
-        got = series.marginal_gb_normal(1.4, s, b, CFG)
+        got = series.marginal_gb_normal(1.4, s, b)
         ref = marginal_pdf_quadrature(1.4, GBNormal(s, b), QuadConfig())
         assert got == pytest.approx(ref, rel=1e-3)
 
@@ -206,11 +205,11 @@ class TestGBNormalSeries:
         b = NormalParams(1.0, 0.3)
         assert not series.convergence_ok(GBNormal(s, b), 4.0)
         with pytest.raises(SeriesError):
-            series.gb_normal_den_series(4.0, s, b, CFG)
+            series.gb_normal_den_series(4.0, s, b)
 
     def test_requires_p_above_mu(self):
         with pytest.raises(DomainError):
-            series.gb_normal_den_series(0.1, UNIFORM, NormalParams(0.25, 0.02), CFG)
+            series.gb_normal_den_series(0.1, UNIFORM, NormalParams(0.25, 0.02))
 
     def test_large_a_grid_finite_and_history_free(self):
         # at a = 50 the log binomial grid spans hundreds of e-folds: a served
@@ -261,21 +260,21 @@ class TestArrayGate:
         family = series._FAMILIES[kind]
         accepted = refused = 0
         for m, p in self.cases(kind):
-            gate = series.gate(m, p, CFG)
+            gate = series.gate(m, p)
             for i, q in enumerate(p.tolist()):
-                alone = series.gate(m, np.array([q]), CFG)
-                assert gate.ok[i] == alone.ok[0] == series.convergence_ok(m, q, CFG)
+                alone = series.gate(m, np.array([q]))
+                assert gate.ok[i] == alone.ok[0] == series.convergence_ok(m, q)
                 if series._in_region(m, q):
                     assert (tuple(gate.den[i]), tuple(gate.num[i])) == series._boxes(
-                        kind, q, m.signal, m.noise, CFG)
+                        kind, q, m.signal, m.noise)
                 accepted += bool(gate.ok[i])
                 refused += not gate.ok[i]
             # boxes of genes the in-region checks refuse, where they exist
             q = p[p > (m.noise.mu if kind == "gb_normal" else 0.0)]
-            den, num = family.boxes(q, m.signal, m.noise, CFG)
+            den, num = family.boxes(q, m.signal, m.noise)
             for i, qi in enumerate(q.tolist()):
                 assert (tuple(den[i]), tuple(num[i])) == series._boxes(
-                    kind, qi, m.signal, m.noise, CFG)
+                    kind, qi, m.signal, m.noise)
         assert accepted and refused
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -283,16 +282,16 @@ class TestArrayGate:
         names = {"exp_lognormal": "exp_lognormal", "gamma_lognormal": "gamma_lognormal",
                  "gb_gb": "gb_pair", "gb_normal": "gb_normal"}[kind]
         for m, p in self.cases(kind):
-            gate = series.gate(m, p, CFG)
+            gate = series.gate(m, p)
             ps = p[gate.ok]
             for off, part, boxes in ((0, "den", gate.den), (1, "num", gate.num)):
                 evaluator = getattr(series, f"{names}_{part}_series")
-                got = series.batch_series(m, ps, off, boxes[gate.ok], CFG)
-                rev = series.batch_series(m, ps[::-1], off, boxes[gate.ok][::-1], CFG)
+                got = series.batch_series(m, ps, off, boxes[gate.ok])
+                rev = series.batch_series(m, ps[::-1], off, boxes[gate.ok][::-1])
                 for j, q in enumerate(ps.tolist()):
                     k = ps.size - 1 - j
                     try:
-                        value = evaluator(q, m.signal, m.noise, CFG)
+                        value = evaluator(q, m.signal, m.noise)
                     except SeriesError as exc:
                         assert str(got[2][j]) == str(rev[2][k]) == str(exc)
                         continue
@@ -313,21 +312,21 @@ class TestOneBoxPerGene:
     def test_gate_accepts_exactly_when_every_depth_fits(self):
         # the gate judges the boxes the evaluators then sum on
         rng = np.random.default_rng(7)
-        limit = int(series.GATE_DEPTH_FRACTION * CFG.max_terms_per_index)
+        limit = int(series.GATE_DEPTH_FRACTION * series.MAX_TERMS)
         refused_by_depth = 0
         for kind, kernels in self.FAMILIES.items():
             for _ in range(12):
                 m, p = validation.draw_case(kind, rng)
                 for q in (p, 2.0 * p, 4.0 * p):
                     in_region = series._in_region(m, q)
-                    boxes = (series._boxes(kind, q, m.signal, m.noise, CFG)
+                    boxes = (series._boxes(kind, q, m.signal, m.noise)
                              if in_region else ())
                     fits = all(max(box) <= limit for box in boxes)
-                    assert series.convergence_ok(m, q, CFG) == (in_region and fits)
+                    assert series.convergence_ok(m, q) == (in_region and fits)
                     refused_by_depth += in_region and not fits
                     if in_region and fits:
                         for kernel, box in zip(kernels, boxes):
-                            value = kernel(q, m.signal, m.noise, CFG)
+                            value = kernel(q, m.signal, m.noise)
                             assert value.terms_used == box
         assert refused_by_depth > 0
 
@@ -339,25 +338,25 @@ class TestOneBoxPerGene:
         accepted = 0
         for p in data.observed:
             p = float(p)
-            if series.convergence_ok(m, p, CFG):
+            if series.convergence_ok(m, p):
                 accepted += 1
-                den(p, m.signal, m.noise, CFG)
-                num(p, m.signal, m.noise, CFG)
+                den(p, m.signal, m.noise)
+                num(p, m.signal, m.noise)
         assert accepted > 2000
         # the likelihood's batch, on the largest box of these genes, confirms
         # every one of them too
-        _, ok = series.marginal_log_batch(m, data.observed, CFG)
+        _, ok = series.marginal_log_batch(m, data.observed)
         assert ok.sum() == accepted
 
-    def test_exp_lognormal_scan_stops_with_the_full_scan_boxes(self):
+    def test_exp_lognormal_scan_stops_with_the_full_scan_boxes(self, monkeypatch):
         # the gate scans the terms only until they fall below the limit past
-        # their peak; every box equals the one of all max_terms + 1 terms
-        def full_scan(p, e, l, cfg):
+        # their peak; every box equals the one of all MAX_TERMS + 1 terms
+        def full_scan(p, e, l):
             out = []
             for shift in (0, 1):
                 lt = series._lognormal_weight_terms(np.log(p)[:, None], e.theta, l, shift,
-                                                    cfg.max_terms_per_index + 1)
-                limit = np.max(lt, axis=1) + math.log(cfg.rel_tol) - series.TAIL_MARGIN
+                                                    series.MAX_TERMS + 1)
+                limit = np.max(lt, axis=1) + math.log(series.REL_TOL) - series.TAIL_MARGIN
                 out.append(series._depth(lt, limit)[:, None])
             return tuple(out)
 
@@ -368,28 +367,29 @@ class TestOneBoxPerGene:
         ref = simulate.REFERENCE_MODELS["exp_lognormal"][0]
         models.append((ref, simulate.simulate_experiment(ref, 500, 2, seed=7).observed))
         models.append((ref, np.geomspace(1e-3, 1e5, 60)))
-        for cfg in (CFG, series.SeriesConfig(max_terms_per_index=20)):
+        for cap in (series.MAX_TERMS, 20):
+            monkeypatch.setattr(series, "MAX_TERMS", cap)
             for m, p in models:
-                got = series._exp_lognormal_boxes(p, m.signal, m.noise, cfg)
-                want = full_scan(p, m.signal, m.noise, cfg)
+                got = series._exp_lognormal_boxes(p, m.signal, m.noise)
+                want = full_scan(p, m.signal, m.noise)
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
 
-    def test_depth_past_the_cap_raises(self):
-        tiny = series.SeriesConfig(max_terms_per_index=20)
+    def test_depth_past_the_cap_raises(self, monkeypatch):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
-        assert series.convergence_ok(GBGB(s, b), 0.8, CFG)
-        assert not series.convergence_ok(GBGB(s, b), 0.8, tiny)
+        assert series.convergence_ok(GBGB(s, b), 0.8)
+        monkeypatch.setattr(series, "MAX_TERMS", 20)
+        assert not series.convergence_ok(GBGB(s, b), 0.8)
         with pytest.raises(SeriesNonConvergenceError, match="past the cap"):
-            series.gb_pair_den_series(0.8, s, b, tiny)
+            series.gb_pair_den_series(0.8, s, b)
 
     def test_batch_flags_genes_the_gate_refuses(self):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
         ps = np.array([0.5, 0.8, 3.0])
-        vals, ok = series.marginal_log_batch(GBGB(s, b), ps, CFG)
+        vals, ok = series.marginal_log_batch(GBGB(s, b), ps)
         assert ok.tolist() == [True, True, False] and vals[2] == -np.inf
         for p, got in zip(ps[:2], vals[:2]):
-            assert got == pytest.approx(series.marginal_gb_log(float(p), s, b, CFG),
+            assert got == pytest.approx(series.marginal_gb_log(float(p), s, b),
                                         rel=1e-10)
 
     def test_models_without_a_series_are_refused(self):
@@ -397,9 +397,9 @@ class TestOneBoxPerGene:
         # outside it is an error, not an empty verdict
         closed = simulate.REFERENCE_MODELS["exp_normal"][0]
         p = np.array([50.0, 150.0])
-        for call in (lambda: series.gate(closed, p, CFG),
+        for call in (lambda: series.gate(closed, p),
                      lambda: series._in_region(closed, p),
-                     lambda: series.convergence_ok(closed, 150.0, CFG),
-                     lambda: series.marginal_log_batch(closed, p, CFG)):
+                     lambda: series.convergence_ok(closed, 150.0),
+                     lambda: series.marginal_log_batch(closed, p)):
             with pytest.raises(InvalidParameterError, match="exp_normal"):
                 call()
