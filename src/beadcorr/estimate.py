@@ -9,9 +9,11 @@ tanh-sinh engine's nodes, every gene the engine answers.  The gamma-normal
 grid value at p is a cubic through the grid nodes less the endpoint terms of
 the generalized Euler-Maclaurin expansion at s = 0
 (``correct.gamma_normal_density``), and its score differentiates exactly
-that; the exp_lognormal series scores its genes from the den kernel's terms.
-A gene the engine cannot certify reads -inf, and its score rows NaN; the
-referee's QUADPACK answers no gene of the likelihood.
+that.  exp_lognormal takes the exponential tilt of its noise
+(``quadrature.tilt_integrals``), whose nodes give value and score alike, by
+Fisher's identity as on the engine's; the genes the tilt does not certify
+take the engine.  A gene the engine cannot certify reads -inf, and its score
+rows NaN; the referee's QUADPACK answers no gene of the likelihood.
 
 Every family is fitted by BFGS on that score, started from the outer product
 of the per-observation scores: 4 to 7 value-and-gradient evaluations per fit
@@ -32,7 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from . import correct, quadrature, series, specfun
+from . import correct, quadrature, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
                     GBParams, LognormalParams, MODEL_KINDS, MODEL_TYPES,
                     ModelSpec, NormalParams, dist_logpdf, gb_from_gamma,
@@ -201,9 +203,8 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     return out, rows
 
 
-#: the engine's target in the likelihood, the one the exp_lognormal series
-#: score is confirmed to
-_LIKELIHOOD_REL_TOL = series.SCORE_REL_TOL
+#: the target of the engine and of the tilt in the likelihood
+_LIKELIHOOD_REL_TOL = 1e-6
 
 
 def _fisher_weights(m: ModelSpec, noise=True):
@@ -248,15 +249,14 @@ def log_marginal(m: ModelSpec, p, grad=False):
     """log f_P(p) under model m; -inf outside support.  Vectorized over p.
 
     Each family takes its correction's route (``correct.ROUTES``): the
-    closed forms, the gamma-normal grid, the series or the tanh-sinh engine.
-    The series sums the genes its gate accepts in one batch
-    (``series.marginal_log_batch``); genes outside the convergence region,
-    and genes whose sums are not confirmed, go to the engine.
+    closed forms, the gamma-normal grid, the tilt of the noise
+    (exp_lognormal) or the tanh-sinh engine.  The tilt's genes whose value it
+    does not certify go to the engine.
 
     With grad, also the derivatives in param_names order, a (parameters,
-    genes) array, from the same route; a series gene whose score is not
-    confirmed to the engine's target keeps its series value and takes the
-    engine's score.
+    genes) array, from the same route; a tilt gene whose score is not
+    certified to the likelihood's target keeps the tilt's value and takes
+    the engine's score.
     """
     route = correct.ROUTES[m.kind]
     if route in ("closed", "grid"):
@@ -264,18 +264,16 @@ def log_marginal(m: ModelSpec, p, grad=False):
     p = np.asarray(p, dtype=float)
     if route == "quadrature":
         return _quadrature_marginal_log(p, m, grad)
-    if not grad:
-        out, ok = series.marginal_log_batch(m, p)
-        if not ok.all():
-            # quadrature gives -inf outside the support
-            out[~ok] = _quadrature_marginal_log(p[~ok], m)
-        return out
-    out, ok, rows = series.marginal_log_batch(m, p, grad=True)
-    rest = np.flatnonzero(np.isnan(rows).any(axis=0))
+    res = quadrature.tilt_integrals(p, m, _fisher_weights(m) if grad else None,
+                                    _LIKELIHOOD_REL_TOL)
+    out, rows = res.log_f.copy(), res.means.copy()
+    rest = np.flatnonzero(~(res.means_ok if grad else res.ok))
     if rest.size:
-        engine, rows[:, rest] = _quadrature_marginal_log(p[rest], m, True)
-        out[rest] = np.where(ok[rest], out[rest], engine)
-    return out, rows
+        engine = _quadrature_marginal_log(p[rest], m, grad)
+        if grad:
+            engine, rows[:, rest] = engine
+        out[rest] = np.where(res.ok[rest], out[rest], engine)
+    return (out, rows) if grad else out
 
 
 def noise_loglik(m: ModelSpec, problem: EstimationProblem) -> float:

@@ -26,10 +26,9 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
 * ``batch_series`` runs a kernel on the genes the gate accepts and maps each
   gene it does not confirm to the error its per-gene evaluator raises; the
   per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
-  gene, and ``marginal_log_batch`` runs the den kernel for the likelihood,
-  and for exp_lognormal its score from the same terms (production takes it
-  for exp_lognormal alone; ``correct.ROUTES`` sends the other series
-  families to the tanh-sinh engine).
+  gene.  The series is the paper's route (``correct.PAPER_ROUTES``): the
+  public correctors, ``correct.correct_array_series`` and validation take
+  it, and neither ``correct.ROUTES`` nor the likelihood does.
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -639,52 +638,12 @@ def _lognormal_weight_terms(log_p, theta, l: LognormalParams, shift, n):
             + _sp.log_ndtr((log_p - (l.mu + (k + shift) * l.sigma ** 2)) / l.sigma))
 
 
-def _exp_lognormal_terms(p, e: ExpParams | None, l: LognormalParams, shift, boxes):
-    """The kernel's terms on each gene's grown box, scaled (zero past it),
-    and their log scale."""
+def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes):
     theta = 0.0 if e is None else e.theta
     grown = _grow(boxes)
     logs = _lognormal_weight_terms(np.log(p)[:, None], theta, l, shift, int(grown.max()))
-    return _scaled_axis(logs, 1.0, grown[:, 0])
-
-
-def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes):
-    terms, scale = _exp_lognormal_terms(p, e, l, shift, boxes)
+    terms, scale = _scaled_axis(logs, 1.0, grown[:, 0])
     return (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
-
-
-#: the exp_lognormal score's confirmation target, the likelihood engine's
-#: (the derivatives grow with k, so their tails outlast the value's: on the
-#: reference model they moved by up to 1.6e-9 at the series' 1e-10)
-SCORE_REL_TOL = 1e-6
-
-
-def _exp_lognormal_score(p, e: ExpParams, l: LognormalParams, boxes, terms):
-    """d log f_P(p)/d(theta, mu, sigma) at every gene, a (3, genes) array,
-    from the den kernel's terms (``_exp_lognormal_terms``).
-
-    Term k is theta^k/k! e^(k mu + k^2 sigma^2/2) Phi(z_k), z_k = (log p -
-    mu)/sigma - k sigma; with lambda = phi/Phi its log-derivatives are
-    k/theta, k - lambda(z_k)/sigma and k^2 sigma - lambda(z_k)((log p -
-    mu)/sigma^2 + k).  A row is their mean under the terms on the gene's
-    grown box (plus the prefactor's 1/theta - p for theta), and NaN where the
-    mean on the box differs from it by more than ``SCORE_REL_TOL`` of the
-    mean of |log-derivative|.
-    """
-    k = np.arange(terms.shape[1], dtype=float)
-    log_p = np.log(p)[:, None]
-    z = (log_p - l.mu) / l.sigma - k * l.sigma
-    lam = np.exp(specfun.std_normal_logpdf(z) - _sp.log_ndtr(z))
-    on_box = _on_box(terms, boxes[:, 0])
-    out = []
-    for w in (k / e.theta, k - lam / l.sigma,
-              k * k * l.sigma - lam * ((log_p - l.mu) / l.sigma ** 2 + k)):
-        wide = _sum_last(w * terms) / _sum_last(terms)
-        base = _sum_last(w * on_box) / _sum_last(on_box)
-        spread = _sum_last(np.abs(w) * terms) / _sum_last(terms)
-        out.append(np.where(np.abs(wide - base) <= SCORE_REL_TOL * spread, wide, np.nan))
-    out[0] += 1.0 / e.theta - p
-    return np.array(out)
 
 
 def _refusals(bad, p, message):
@@ -1011,42 +970,6 @@ def marginal_gb_normal_log(p, s: GBParams, b: NormalParams):
 def marginal_gb_normal(p, s: GBParams, b: NormalParams) -> float:
     """Series marginal density of P = S + B with GB signal and normal noise."""
     return math.exp(marginal_gb_normal_log(p, s, b))
-
-
-def marginal_log_batch(model: ModelSpec, p, grad=False):
-    """Series log marginal density of model at every observation of the array p.
-
-    model is of a series family.  The genes the gate accepts are summed in
-    one kernel call, each on its own den box, so a gene's value is the one
-    its den evaluator gives.  Returns (values, ok); ok is False where the
-    gate refuses the gene or its sum is not positive or is not confirmed, and
-    values there are -inf, so callers can route those genes elsewhere.
-
-    With grad (exp_lognormal alone), also the score rows in parameter order
-    from the same den terms (``_exp_lognormal_score``), NaN at every gene
-    that is not ok or whose score is not confirmed.
-    """
-    family = _family(model.kind)
-    p = np.asarray(p, dtype=float)
-    verdict = gate(model, p)
-    ok = verdict.ok.copy()
-    out = np.full(p.shape, -np.inf)
-    rows = np.full((3, p.size), np.nan)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        q, boxes, s, b = p[idx], verdict.den[idx], model.signal, model.noise
-        if grad:
-            terms, scale = _exp_lognormal_terms(q, s, b, 0, boxes)
-            sums = (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
-        else:
-            sums = family.kernel(q, s, b, 0, boxes)
-        log_den, sign, good = _confirmed_batch(*sums)
-        good &= sign > 0
-        out[idx] = np.where(good, family.log_prefactor(s, b, q) + log_den, -np.inf)
-        ok[idx] = good
-        if grad:
-            rows[:, idx] = np.where(good, _exp_lognormal_score(q, s, b, boxes, terms), np.nan)
-    return (out, ok, rows) if grad else (out, ok)
 
 
 # ---------------------------------------------------------------------------

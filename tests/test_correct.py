@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from beadcorr import correct, oracle, quadrature, series, simulate
+from beadcorr import correct, oracle, quadrature, series, simulate, validation
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
@@ -476,6 +476,83 @@ class TestEngineRoute:
                 alone, _ = correct.correct_array(np.array([p]), m)
                 engine = correct._quadrature_means(np.array([p]), m, 1e-8)[0][0]
                 assert alone[0] == corrected[i] == engine
+
+
+class TestTiltRoute:
+    """correct_array answers an exp_lognormal gene by one fixed Gauss rule on
+    the exponential tilt of its noise; a gene the rule does not certify, or
+    whose value escapes (0, p), takes the engine with the tilt's reason.  No
+    gene is silently wrong."""
+
+    TOL = validation.TOLERANCES["exp_lognormal"]
+    REASONS = ("tilt rule not certified (change ", "tilt value escaped (0, p)")
+
+    def _paths(self, m, obs):
+        """The path of every gene of obs, each checked against the referee:
+        a tilt value, or an engine value with the tilt's reason."""
+        corrected, diags = correct.correct_array(obs, m)
+        for p, value, d in zip(obs.tolist(), corrected.tolist(), diags):
+            assert d.path == "tilt" and d.error is None or (
+                d.path == "quadrature" and d.error.startswith(self.REASONS)), (m, p, d)
+            ref = oracle.posterior_mean_quadrature(p, m, Q)
+            assert abs(value - ref) <= self.TOL * abs(ref), (m, p, d, value, ref)
+        return [d.path for d in diags]
+
+    def test_drawn_cases_within_tolerance_of_the_referee(self):
+        assert correct.ROUTES["exp_lognormal"] == "tilt"
+        rng = np.random.default_rng(21)
+        paths = []
+        for _ in range(300):
+            m, p = validation.draw_case("exp_lognormal", rng)
+            paths += self._paths(m, np.array([p]))
+        # the genes far above the noise (z_p up to 15) stay on the rule too:
+        # each of its panels spans half the range
+        assert paths == ["tilt"] * 300
+
+    @pytest.mark.parametrize("sigma", [0.5, series.LN_SIGMA_MAX, 1.5 * series.LN_SIGMA_MAX],
+                             ids=["sigma-0.5", "sigma-max", "sigma-1.5max"])
+    @pytest.mark.parametrize("theta", [0.5, 0.08, 0.01])
+    def test_wide_corners(self, theta, sigma):
+        # z_p <= -8 (p far below e^mu), and p up to 2000, where theta p >> 1
+        # narrows the integrand to 1/(theta p sigma) at z_p: those genes
+        # stay on the rule, on its narrow top panel
+        m = ExpLognormal(ExpParams(theta), LognormalParams(1.3, sigma))
+        low = np.exp(1.3 + sigma * np.array([-14.0, -10.0, -8.0]))
+        obs = np.concatenate([low, [0.5, 3.0, 10.0, 50.0, 200.0, 800.0, 2000.0]])
+        paths = self._paths(m, obs)
+        assert "tilt" in paths[:4]
+        if theta == 0.5:
+            assert paths[-3:] == ["tilt"] * 3
+
+    def test_reference_arrays_match_the_series(self):
+        m, genes = simulate.REFERENCE_MODELS["exp_lognormal"]
+        for seed in range(8):
+            obs = simulate.simulate_experiment(m, genes, max(genes // 4, 50), seed=seed).observed
+            tilt, diags = correct.correct_array(obs, m)
+            paper, paper_diags = correct.correct_array_series(obs, m)
+            assert {d.path for d in diags} == {"tilt"}
+            assert {d.path for d in paper_diags} == {"series"}
+            np.testing.assert_allclose(tilt, paper, rtol=1e-10, atol=0)
+
+    def test_same_bits_alone_in_an_array_and_reversed(self):
+        # 300 genes span several blocks of the rule; the last array holds a
+        # gene that leaves it for the engine, and one outside the domain
+        ref = simulate.REFERENCE_MODELS["exp_lognormal"][0]
+        cases = [(ref, simulate.simulate_experiment(ref, 300, 2, seed=5).observed),
+                 (ref, np.array([3.0, -1.0, 800.0, 10.0, 2000.0, 0.01]))]
+        for m, obs in cases:
+            corrected, diags = correct.correct_array(obs, m)
+            rev, rev_diags = correct.correct_array(obs[::-1], m)
+            np.testing.assert_array_equal(rev[::-1], corrected)
+            for i, p in enumerate(obs.tolist()):
+                j = obs.size - 1 - i
+                assert rev_diags[j] == dataclasses.replace(diags[i], index=j)
+                alone, one = correct.correct_array(np.array([p]), m)
+                np.testing.assert_array_equal(alone, corrected[i:i + 1])
+                assert one[0] == dataclasses.replace(diags[i], index=0)
+        assert [d.path for d in diags] == ["tilt", "error", "quadrature", "tilt", "tilt",
+                                           "tilt"]
+        assert diags[1].error.startswith("DomainError:")
 
 
 class TestGridRoute:

@@ -535,10 +535,10 @@ class TestClosedFormScores:
         GammaNormal(GammaParams(2.0, 15.2), NormalParams(100.0, 15.0)),
         # shape below 1: every gene takes the engine
         GammaNormal(GammaParams(0.8, 50.0), NormalParams(100.0, 15.0)),
-        # the exp_lognormal series, and the engine's Fisher rows
+        # the exp_lognormal tilt, and the engine's Fisher rows
         simulate.REFERENCE_MODELS["exp_lognormal"][0],
         simulate.REFERENCE_MODELS["gamma_lognormal"][0],
-        # sigma past the gate's limit: every gene takes the engine
+        # sigma past the series gate's limit, which the tilt does not read
         ExpLognormal(ExpParams(0.08), LognormalParams(1.3, series.LN_SIGMA_MAX + 0.5)),
     ]
 
@@ -551,15 +551,39 @@ class TestClosedFormScores:
         fd = _fd_score(m, prob)
         np.testing.assert_allclose(score, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
-    def test_exp_lognormal_series_scores_its_genes(self):
-        # the reference model's genes all pass the gate, and their scores
-        # are the series' own, confirmed to the engine's target
+    def test_exp_lognormal_tilt_scores_its_genes(self):
+        # the tilt certifies every gene of the reference model, value and
+        # score, at the likelihood's target; the likelihood reads its
+        # answer, and its Fisher rows are the engine's
         m = simulate.REFERENCE_MODELS["exp_lognormal"][0]
         obs, _, _ = _simulate(m, 300, 1, seed=1)
-        _, ok, rows = series.marginal_log_batch(m, obs, grad=True)
-        assert ok.all() and np.all(np.isfinite(rows))
+        res = quadrature.tilt_integrals(obs, m, estimate._fisher_weights(m),
+                                        estimate._LIKELIHOOD_REL_TOL)
+        assert res.ok.all() and res.means_ok.all() and np.all(np.isfinite(res.means))
+        lm, rows = estimate.log_marginal(m, obs, grad=True)
+        np.testing.assert_array_equal(lm, res.log_f)
+        np.testing.assert_array_equal(rows, res.means)
         _, engine = estimate._quadrature_marginal_log(obs, m, True)
         np.testing.assert_allclose(rows, engine, rtol=1e-5, atol=1e-6 * np.max(np.abs(rows)))
+
+    def test_exp_lognormal_genes_the_tilt_does_not_certify_take_the_engine(self):
+        # far above the noise the mass sits both at the noise's mode and at
+        # z_p, and the bottom panel cannot resolve the first: the tilt
+        # certifies neither value nor score at p = 800, and the value alone
+        # at p = 450, which keeps the tilt's value; p <= 0 reads -inf
+        m = simulate.REFERENCE_MODELS["exp_lognormal"][0]
+        obs = np.array([3.0, 800.0, -1.0, 450.0, 10.0])
+        res = quadrature.tilt_integrals(obs, m, estimate._fisher_weights(m),
+                                        estimate._LIKELIHOOD_REL_TOL)
+        assert res.ok.tolist() == [True, False, True, True, True]
+        assert res.means_ok.tolist() == [True, False, True, False, True]
+        lm, rows = estimate.log_marginal(m, obs, grad=True)
+        engine, engine_rows = estimate._quadrature_marginal_log(obs[[1, 3]], m, True)
+        assert lm[1] == engine[0] and lm[3] == res.log_f[3]
+        np.testing.assert_array_equal(rows[:, [1, 3]], engine_rows)
+        np.testing.assert_array_equal(rows[:, [0, 4]], res.means[:, [0, 4]])
+        assert lm[2] == -np.inf and np.all(np.isfinite(rows[:, [0, 1, 3, 4]]))
+        np.testing.assert_array_equal(estimate.log_marginal(m, obs), lm)
 
     def test_faint_gamma_normal_genes(self):
         # genes below the noise grid and far in the grid's tail take the engine

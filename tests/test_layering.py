@@ -9,17 +9,24 @@ and calls none.
 The series' truncation policy is its own.  Only ``series`` refers to its two
 constants (``REL_TOL``, ``MAX_TERMS``), so no caller steers the truncation,
 and no module refers to the removed ``SeriesConfig``.
+
+The series is the paper's route alone.  Only ``correct`` (for
+``PAPER_ROUTES``), ``validation`` and the package's re-exports refer to the
+``series`` module, so the likelihood never sums one, and no route of
+``correct.ROUTES`` is the series.
 """
 
 import ast
 from pathlib import Path
 
 import beadcorr
+from beadcorr import correct
 
 PACKAGE = Path(beadcorr.__file__).parent
 REFEREE_USERS = {"oracle.py", "validation.py"}
 RE_EXPORTS = {"__init__.py"}
 TRUNCATION = {"REL_TOL", "MAX_TERMS"}
+SERIES_USERS = {"correct.py", "validation.py"}
 
 
 def _referee_names(path, imports=True):
@@ -83,3 +90,40 @@ def test_the_identifier_check_sees_every_spelling(tmp_path):
                  "class SeriesConfig:\n    pass\n"):
         module.write_text(text)
         assert _identifiers(module) & (TRUNCATION | {"SeriesConfig"}), text
+
+
+def _refers_to_series(path):
+    """Whether a module imports the series module, or from it, or names it."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").split(".")[-1] == "series"
+                or any(a.name == "series" for a in node.names)):
+            return True
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[-1] == "series" for a in node.names):
+            return True
+        if isinstance(node, ast.Name) and node.id == "series":
+            return True
+    return False
+
+
+def test_only_the_paper_route_and_validation_refer_to_the_series():
+    modules = sorted(PACKAGE.glob("*.py"))
+    users = {m.name for m in modules if _refers_to_series(m)}
+    assert users - RE_EXPORTS == SERIES_USERS
+
+
+def test_the_series_check_sees_every_spelling(tmp_path):
+    module = tmp_path / "m.py"
+    for text in ("from . import series\n", "from .series import gate\n",
+                 "from beadcorr.series import gate\n", "import beadcorr.series\n",
+                 "x = series.gate\n"):
+        module.write_text(text)
+        assert _refers_to_series(module), text
+    module.write_text("from . import quadrature\nx = quadrature.series_like\n")
+    assert not _refers_to_series(module)
+
+
+def test_no_production_route_is_the_series():
+    assert "series" not in correct.ROUTES.values()
+    assert set(correct.ROUTES) == set(correct.PAPER_ROUTES)

@@ -169,6 +169,31 @@ def test_empty_range_reads_minus_inf():
     assert res.means.shape == (0, 2)
 
 
+def test_tilt_matches_the_referee():
+    # exp_lognormal's Gauss rule on the tilt of the noise, certified at the
+    # corrector's target, agrees with the referee as the engine does
+    rng = np.random.default_rng(23)
+    for m, ps in _cases("exp_lognormal", rng, 12):
+        res = quadrature.tilt_integrals(ps, m, _mean, 1e-8)
+        assert res.ok.all() and res.means_ok.all() and np.all(res.change <= 1e-8), \
+            (m, ps, res.change)
+        for p, lden, got in zip(ps, res.log_f, res.means[0]):
+            mean = oracle.posterior_mean_quadrature(float(p), m, Q)
+            assert got == pytest.approx(mean, rel=1e-9), (m, p)
+            lref = oracle.marginal_log_pdf_quadrature(float(p), m, Q)
+            assert lden == pytest.approx(lref, abs=1e-9), (m, p)
+
+
+def test_tilt_reads_minus_inf_at_p_at_most_zero():
+    m = simulate.REFERENCE_MODELS["exp_lognormal"][0]
+    res = quadrature.tilt_integrals(np.array([-2.0, 0.0, 5.0]), m, _mean)
+    assert res.log_f[:2].tolist() == [-math.inf] * 2 and math.isfinite(res.log_f[2])
+    assert res.ok.all() and res.means_ok.all()
+    assert np.isnan(res.means[0, :2]).all() and 0.0 < res.means[0, 2] < 5.0
+    empty = quadrature.tilt_integrals(np.array([]), m)
+    assert empty.log_f.shape == empty.ok.shape == (0,) and empty.means.shape == (0, 0)
+
+
 @pytest.mark.parametrize("p, g, b, want", [
     # the mass is at the left end of the mode piece, 0.09 wide
     (196.35, GammaParams(1.92, 1158.0), NormalParams(200.91, 0.667),

@@ -343,10 +343,13 @@ class TestOneBoxPerGene:
                 den(p, m.signal, m.noise)
                 num(p, m.signal, m.noise)
         assert accepted > 2000
-        # the likelihood's batch, on the largest box of these genes, confirms
-        # every one of them too
-        _, ok = series.marginal_log_batch(m, data.observed)
-        assert ok.sum() == accepted
+        # the array gate accepts the same genes, and the batched den kernel,
+        # on the largest box of these genes, confirms every one of them too
+        verdict = series.gate(m, data.observed)
+        assert verdict.ok.sum() == accepted
+        _, sign, refused = series.batch_series(m, data.observed[verdict.ok], 0,
+                                               verdict.den[verdict.ok])
+        assert not refused and np.all(sign > 0)
 
     def test_exp_lognormal_scan_stops_with_the_full_scan_boxes(self, monkeypatch):
         # the gate scans the terms only until they fall below the limit past
@@ -386,20 +389,22 @@ class TestOneBoxPerGene:
     def test_batch_flags_genes_the_gate_refuses(self):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)
         ps = np.array([0.5, 0.8, 3.0])
-        vals, ok = series.marginal_log_batch(GBGB(s, b), ps)
-        assert ok.tolist() == [True, True, False] and vals[2] == -np.inf
-        for p, got in zip(ps[:2], vals[:2]):
-            assert got == pytest.approx(series.marginal_gb_log(float(p), s, b),
+        verdict = series.gate(GBGB(s, b), ps)
+        assert verdict.ok.tolist() == [True, True, False]
+        log_den, sign, refused = series.batch_series(GBGB(s, b), ps[:2], 0, verdict.den[:2])
+        assert not refused and np.all(sign > 0)
+        for p, got in zip(ps[:2], log_den):
+            assert got == pytest.approx(series.gb_pair_den_series(float(p), s, b).log_abs,
                                         rel=1e-10)
 
     def test_models_without_a_series_are_refused(self):
-        # the gate and the batched likelihood read one family table; a model
+        # the gate and the batched kernels read one family table; a model
         # outside it is an error, not an empty verdict
         closed = simulate.REFERENCE_MODELS["exp_normal"][0]
         p = np.array([50.0, 150.0])
         for call in (lambda: series.gate(closed, p),
                      lambda: series._in_region(closed, p),
                      lambda: series.convergence_ok(closed, 150.0),
-                     lambda: series.marginal_log_batch(closed, p)):
+                     lambda: series.batch_series(closed, p, 0, np.zeros((2, 1), dtype=int))):
             with pytest.raises(InvalidParameterError, match="exp_normal"):
                 call()
