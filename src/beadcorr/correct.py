@@ -6,19 +6,19 @@ series convergence region), and quadrature for the gamma-normal model.  The
 public correctors and ``correct_array_series`` take it.
 ``correct_array`` takes the route of ``ROUTES``, the cheapest evaluator that
 meets the family's tolerance: the closed forms, the exponential tilt of the
-lognormal noise for exp_lognormal (``_tilt_values``: one fixed Gauss rule,
-``quadrature.tilt_integrals``), the likelihood's FFT grid for gamma_normal
-(``_grid_values``: alpha beta f_(alpha+1)(p)/f_alpha(p)), and the batched
-tanh-sinh engine (``quadrature.log_integrals``) for gamma_lognormal, gb_gb
-and gb_normal.  A series array (the paper's route) runs the array gate
-(``series.gate``) and one den and one num kernel call on the genes it
-accepts (``series.batch_series``, each gene on its own box).  The genes that
-need quadrature, those the series, the tilt or the grid cannot answer
-included, go to the engine, once per array; a gene it cannot certify is
-refused with a QuadratureError.  QUADPACK stays in ``oracle``,
-the independent referee, and answers no production gene.  Every corrector
-can report which path produced its value and why a gene left its route;
-batch application never aborts on a single bad gene.
+lognormal noise for exp_lognormal (``_tilt_values``, one fixed Gauss rule),
+the likelihood's FFT grid for gamma_normal (``_grid_values``), and the
+batched tanh-sinh engine (``quadrature.log_integrals``) for the others.
+
+Every entry point, for one gene or an array, answers in arrays
+(``_outcomes``): one vectorized domain check, then the route on the genes
+inside the domain, which returns their values, the genes it refuses and the
+genes it leaves to the engine with the reason.  The engine takes those in
+one call and refuses a gene it cannot certify with a QuadratureError.
+QUADPACK stays in ``oracle``, the independent referee, and answers no
+production gene.  Every corrector can report which path produced its value
+and why a gene left its route; batch application never aborts on a single
+bad gene.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ import numpy as np
 from scipy import special as _sp
 
 from . import quadrature, series, specfun
-from .dists import (ExpLognormal, ExpParams, GammaLognormal, GammaNormal,
-                    GammaParams, GBGB, GBNormal, GBParams, LognormalParams,
-                    ModelSpec, NormalParams, dist_logpdf, gb_support_upper)
-from .errors import (BeadcorrError, DomainError, InvalidParameterError,
-                     NumericUnderflowError, QuadratureError)
+from .dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
+                    GammaLognormal, GammaNormal, GammaParams, GBGB, GBNormal,
+                    GBParams, LognormalParams, ModelSpec, NormalParams,
+                    dist_logpdf, gb_support_upper)
+from .errors import (DomainError, InvalidParameterError, NumericUnderflowError,
+                     QuadratureError)
 # unused: no production gene reaches QUADPACK, but perfbench/tracing.py
 # wraps correct.quad as well as oracle.quad, so the attribute must exist
 from .oracle import quad  # noqa: F401
@@ -47,13 +48,6 @@ class CorrectionInfo:
 
     path: str              # 'closed' | 'series' | 'tilt' | 'grid' | 'quadrature'
     fallback_reason: Optional[str] = None
-
-
-_SERIES_INFO = CorrectionInfo(path="series")
-_CLOSED_INFO = CorrectionInfo(path="closed")
-_TILT_INFO = CorrectionInfo(path="tilt")
-_GRID_INFO = CorrectionInfo(path="grid")
-_QUADRATURE_INFO = CorrectionInfo(path="quadrature")
 
 
 def _with_info(value, info, with_info):
@@ -70,41 +64,11 @@ def _refused(bad, ps, error, message):
                                                   ps[bad].tolist())}
 
 
-def _one_gene(values, p, signal, noise):
-    """The value of an array closed form at one p; raises its refusal."""
-    out, refused = values(np.array([p], dtype=float), signal, noise)
-    if refused:
-        raise refused[0]
-    return float(out[0])
-
-
-def _on_positive(name, kernel):
-    """The array closed form ``name`` at every p of a float array: (values,
-    NaN where refused; {index: the BeadcorrError that refuses the gene}).
-
-    p <= 0 is a DomainError; kernel(p > 0, signal, noise) evaluates the rest
-    and returns its own refusals by index into the p it was given.
-    """
-    def values(ps, signal, noise):
-        bad = ps <= 0
-        refused = _refused(bad, ps, DomainError,
-                           lambda p: f"{name} requires p > 0, got {p}")
-        out = np.full(ps.shape, math.nan)
-        at = np.flatnonzero(~bad)
-        if at.size:
-            out[at], inner = kernel(ps[at], signal, noise)
-            refused.update({int(at[i]): exc for i, exc in inner.items()})
-            out[list(refused)] = math.nan
-        return out, refused
-    return values
-
-
-def _rma_kernel(ps, e: ExpParams, b: NormalParams):
+def _rma_kernel(ps, m: ModelSpec):
+    e, b = m.signal, m.noise
     mu_sp = ps - b.mu - b.sigma ** 2 * e.theta
     a = mu_sp / b.sigma
-    # p = +inf reads NaN here (inf - inf), as in scalar arithmetic
-    with np.errstate(invalid="ignore"):
-        bb = (ps - mu_sp) / b.sigma
+    bb = (ps - mu_sp) / b.sigma
     # Phi(a) + Phi(bb) - 1 = Phi(a) - Phi(-bb), with -bb <= a always
     la = specfun.std_normal_logcdf(a)
     lmb = specfun.std_normal_logcdf(-bb)
@@ -118,29 +82,26 @@ def _rma_kernel(ps, e: ExpParams, b: NormalParams):
         lambda p: f"truncation probability vanished in floating point at p={p}"))
     num = specfun.std_normal_pdf(a) - specfun.std_normal_pdf(bb)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return mu_sp + b.sigma * num / denom, refused
+        return mu_sp + b.sigma * num / denom, refused, {}
 
 
-def _mbcb_kernel(ps, e: ExpParams, b: NormalParams):
+def _mbcb_kernel(ps, m: ModelSpec):
+    e, b = m.signal, m.noise
     mu_sp = ps - b.mu - b.sigma ** 2 * e.theta
     a = mu_sp / b.sigma
     # phi(a)/Phi(a) through logs; stable into the deep left tail
     mills = np.exp(specfun.std_normal_logpdf(a) - specfun.std_normal_logcdf(a))
-    return mu_sp + b.sigma * mills, {}
-
-
-_rma_values = _on_positive("correct_rma", _rma_kernel)
-_mbcb_values = _on_positive("correct_mbcb", _mbcb_kernel)
+    return mu_sp + b.sigma * mills, {}, {}
 
 
 def correct_rma(p, e: ExpParams, b: NormalParams) -> float:
     """Posterior mean with the conditional signal truncated to (0, p)."""
-    return _one_gene(_rma_values, p, e, b)
+    return _correct_one(p, ExpNormal(e, b), "rma")[0]
 
 
 def correct_mbcb(p, e: ExpParams, b: NormalParams) -> float:
     """Posterior mean variant with the upper truncation bound sent to infinity."""
-    return _one_gene(_mbcb_values, p, e, b)
+    return _correct_one(p, ExpNormal(e, b), "mbcb")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +185,17 @@ def log_truncated_gamma_integral(a, lam, p):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _exp_gamma_kernel(ps, e: ExpParams, g: GammaParams):
+def _exp_gamma_kernel(ps, m: ModelSpec):
+    e, g = m.signal, m.noise
     lam = 1.0 / g.beta - e.theta
     num = log_truncated_gamma_integral(g.alpha + 1.0, lam, ps)
     den = log_truncated_gamma_integral(g.alpha, lam, ps)
-    return ps - np.exp(num - den), {}
-
-
-_exp_gamma_values = _on_positive("correct_exp_gamma", _exp_gamma_kernel)
+    return ps - np.exp(num - den), {}, {}
 
 
 def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
     """Corrected intensity p - E[B | P = p] under exponential + gamma."""
-    return _one_gene(_exp_gamma_values, p, e, g)
+    return _correct_one(p, ExpGamma(e, g), None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +211,9 @@ _LOG_TINY = math.log(1e-300)
 
 def _quadrature_means(ps, m: ModelSpec, rel_tol):
     """Posterior means of the float array ps by the tanh-sinh engine at
-    the target rel_tol: (values, NaN where refused; {index: the
-    QuadratureError, naming its half-step change, of a gene the engine does
-    not certify, or the NumericUnderflowError of a vanishing marginal})."""
+    the target rel_tol: (values; {index: the QuadratureError, naming its
+    half-step change, of a gene the engine does not certify, or the
+    NumericUnderflowError of a vanishing marginal})."""
     res = quadrature.log_integrals(ps, m, lambda s, log_s, y: s[None], rel_tol)
     missed = ~res.means_ok
     refused = {i: QuadratureError(
@@ -266,9 +225,7 @@ def _quadrature_means(ps, m: ModelSpec, rel_tol):
         res.means_ok & (res.log_f < _LOG_TINY), ps, NumericUnderflowError,
         lambda p: f"marginal density underflowed at p={p}; posterior mean "
                   f"undefined in floating point"))
-    values = res.means[0].copy()
-    values[list(refused)] = math.nan
-    return values, refused
+    return res.means[0], refused
 
 
 def correct_gamma_normal(p, g: GammaParams, b: NormalParams) -> float:
@@ -505,9 +462,8 @@ def gamma_normal_density(p, g: GammaParams, b: NormalParams, p_max, grad=False):
 
 
 def _grid_values(ps, m: ModelSpec):
-    """Per gene of the array ps: (value, CorrectionInfo) of the gamma-normal
-    posterior mean on the likelihood's grid, with value None and the reason
-    where the engine must answer.
+    """The grid route: the gamma-normal posterior mean of every gene of ps
+    on the likelihood's grid, in the route contract (``_outcomes``).
 
     s Gamma(s; alpha, beta) = alpha beta Gamma(s; alpha + 1, beta), so
     E[S | P = p] = alpha beta f_(alpha+1)(p)/f_alpha(p), both from
@@ -515,37 +471,34 @@ def _grid_values(ps, m: ModelSpec):
     s_q the 1 - 1e-13 quantile of Gamma(alpha + 1, beta): the signal grid
     ends at s_q + 24 sigma, so every p up to p_max finds all the signal
     nodes its noise window reads.  That extent comes from the model alone,
-    so a gene's bits do not depend on the other genes of the array.  Arrays the grid refuses (shape < 1, more than 2^21 nodes),
-    genes past p_max, genes where either density lies below
-    _CORRECTOR_GRID_FLOOR of its grid's peak, and values that are not finite
-    and positive go to the engine.
+    so a gene's bits do not depend on the other genes of the array, and the
+    densities are read only at the genes within it.  Arrays the grid refuses
+    (shape < 1, more than 2^21 nodes), genes past p_max, genes where either
+    density lies below _CORRECTOR_GRID_FLOOR of its grid's peak, and values
+    that are not finite and positive go to the engine.
     """
     g, b = m.signal, m.noise
     upper = GammaParams(g.alpha + 1.0, g.beta)
     p_max = (b.mu + _GRID_WIDTHS * b.sigma
              + float(_sp.gammainccinv(upper.alpha, _GRID_TAIL)) * g.beta)
+    values = np.full(ps.shape, math.nan)
+    near = ps <= p_max
     try:
-        den, den_peak = gamma_normal_density(ps, g, b, p_max)
-        num, num_peak = gamma_normal_density(ps, upper, b, p_max)
+        den, den_peak = gamma_normal_density(ps[near], g, b, p_max)
+        num, num_peak = gamma_normal_density(ps[near], upper, b, p_max)
     except InvalidParameterError as exc:
-        fallback = (None, CorrectionInfo(path="quadrature", fallback_reason=str(exc)))
-        return [fallback] * ps.size
+        return values, {}, dict.fromkeys(range(ps.size), str(exc))
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = g.alpha * g.beta * num / den
+        values[near] = g.alpha * g.beta * num / den
     faint = ~((den >= _CORRECTOR_GRID_FLOOR * den_peak)
               & (num >= _CORRECTOR_GRID_FLOOR * num_peak))
-    reasons = [
-        (ps > p_max, "past the grid's extent"),
-        (faint, "grid density below the corrector floor"),
-        (~(np.isfinite(values) & (values > 0.0)), "grid value not finite and positive"),
-    ]
-    out = [(v, _GRID_INFO) for v in values.tolist()]
+    at = np.flatnonzero(near)
     # the first reason that applies is the one recorded
-    for bad, reason in reversed(reasons):
-        info = CorrectionInfo(path="quadrature", fallback_reason=reason)
-        for i in np.flatnonzero(bad).tolist():
-            out[i] = (None, info)
-    return out
+    reasons = dict.fromkeys(np.flatnonzero(~near).tolist(), "past the grid's extent")
+    reasons.update(dict.fromkeys(at[faint].tolist(), "grid density below the corrector floor"))
+    wrong = ~faint & ~(np.isfinite(values[near]) & (values[near] > 0.0))
+    reasons.update(dict.fromkeys(at[wrong].tolist(), "grid value not finite and positive"))
+    return values, {}, reasons
 
 
 # ---------------------------------------------------------------------------
@@ -553,58 +506,26 @@ def _grid_values(ps, m: ModelSpec):
 # ---------------------------------------------------------------------------
 
 def _tilt_values(ps, m: ModelSpec):
-    """Per gene of the array ps: (value, CorrectionInfo) of the exp_lognormal
-    posterior mean by the exponential tilt of the noise
-    (``quadrature.tilt_integrals``), with value None and the reason where the
-    engine must answer, or the DomainError that refuses the gene.
+    """The tilt route: the exp_lognormal posterior mean of every gene of ps
+    by the exponential tilt of the noise (``quadrature.tilt_integrals``), in
+    the route contract (``_outcomes``).
 
-    The family's domain check runs gene by gene.  A gene whose fine Gauss
-    rule the coarse rule does not certify to the engine's target, or whose
-    value falls outside (0, p), goes to the engine.
+    A gene whose fine Gauss rule the coarse rule does not certify to the
+    engine's target, or whose value falls outside (0, p), goes to the engine.
     """
-    out, inside = _in_domain(ps, m)
-    qs = ps[inside]
-    res = quadrature.tilt_integrals(qs, m, lambda s, log_s, y: s[None], _REL_TOL)
-    for i, p, value, ok, change in zip(inside.tolist(), qs.tolist(), res.means[0].tolist(),
-                                       res.means_ok.tolist(), res.change.tolist()):
-        if not ok:
-            out[i] = (None, CorrectionInfo(
-                path="quadrature",
-                fallback_reason=f"tilt rule not certified (change {change:.2e})"))
-        elif 0.0 < value < p:
-            out[i] = (value, _TILT_INFO)
-        else:
-            out[i] = (None, CorrectionInfo(path="quadrature",
-                                           fallback_reason="tilt value escaped (0, p)"))
-    return out
+    res = quadrature.tilt_integrals(ps, m, lambda s, log_s, y: s[None], _REL_TOL)
+    values = res.means[0]
+    missed = ~res.means_ok
+    reasons = {i: f"tilt rule not certified (change {change:.2e})" for i, change
+               in zip(np.flatnonzero(missed).tolist(), res.change[missed].tolist())}
+    escaped = np.flatnonzero(res.means_ok & ~((values > 0.0) & (values < ps)))
+    reasons.update(dict.fromkeys(escaped.tolist(), "tilt value escaped (0, p)"))
+    return values, {}, reasons
 
 
 # ---------------------------------------------------------------------------
 # Series correctors with quadrature fallback
 # ---------------------------------------------------------------------------
-
-def _positive(label):
-    def check(p, signal, noise):
-        if p <= 0:
-            raise DomainError(f"{label} requires p > 0, got {p}")
-    return check
-
-
-def _gb_domain(p, s: GBParams, b: GBParams):
-    upper = gb_support_upper(s) + gb_support_upper(b)
-    if not (0 < p < upper):
-        raise DomainError(f"p={p} outside the convolution support (0, {upper})")
-
-
-#: (p, signal, noise) -> None; raises DomainError outside the family's domain,
-#: on every route of the family
-_DOMAINS = {
-    "exp_lognormal": _positive("correct_exp_lognormal"),
-    "gamma_lognormal": _positive("correct_gamma_lognormal"),
-    "gb_gb": _gb_domain,
-    "gb_normal": _positive("correct_gb_normal"),
-}
-
 
 def _exp_lognormal_value(p, lnum, lden, e: ExpParams, l: LognormalParams):
     return p - np.exp(l.mu + 0.5 * l.sigma ** 2 + lnum - lden)
@@ -627,64 +548,47 @@ _SERIES_VALUES = {
 }
 
 
-def _in_domain(ps, m: ModelSpec):
-    """(outcomes, inside): per gene of ps the DomainError that refuses it or
-    None, and the indices of the genes inside the family's domain."""
-    check = _DOMAINS.get(m.kind)
-    out = [None] * ps.size
-    if check is None:
-        return out, np.arange(ps.size)
-    inside = []
-    for i, p in enumerate(ps.tolist()):
-        try:
-            check(p, m.signal, m.noise)
-            inside.append(i)
-        except DomainError as exc:
-            out[i] = exc
-    return out, np.array(inside, dtype=int)
-
-
 def _series_values(ps, m: ModelSpec):
-    """Per gene of the array ps: (value, CorrectionInfo) from the series, with
-    value None where quadrature must answer, or the DomainError that refuses
-    the gene.
+    """The series route: every gene of ps from its series, in the route
+    contract (``_outcomes``).
 
-    The family's domain checks run gene by gene; then the array gate, one den
-    and one num kernel call on the genes the gate accepts (each on its own
-    box), and the value formula.  Genes outside the convergence region,
-    series that cancel or fail, and values outside (0, p) go to quadrature
-    with the reason recorded.  A gene's outcome does not depend on the other
-    genes of the array.
+    The array gate, one den and one num kernel call on the genes the gate
+    accepts (each on its own box), and the value formula.  Genes outside the
+    convergence region, series that cancel or fail, and values outside
+    (0, p) go to the engine with the reason recorded.  A gene's outcome does
+    not depend on the other genes of the array.
     """
-    out, inside = _in_domain(ps, m)
-    reasons = {}
-    verdict = series.gate(m, ps[inside])
-    for i in inside[~verdict.ok].tolist():
-        reasons[i] = "outside series convergence region"
-    genes = inside[verdict.ok]
+    values = np.full(ps.shape, math.nan)
+    verdict = series.gate(m, ps)
+    reasons = dict.fromkeys(np.flatnonzero(~verdict.ok).tolist(),
+                            "outside series convergence region")
+    genes = np.flatnonzero(verdict.ok)
     lden, sden, refused = series.batch_series(m, ps[genes], 0, verdict.den[verdict.ok])
-    reasons.update((int(genes[j]), str(exc)) for j, exc in refused.items())
-    live = np.array([j not in refused for j in range(genes.size)], dtype=bool)
+    live = _unrefused(genes, refused, reasons)
     genes, lden, sden = genes[live], lden[live], sden[live]
     lnum, snum, refused = series.batch_series(m, ps[genes], 1,
                                               verdict.num[verdict.ok][live])
-    reasons.update((int(genes[j]), str(exc)) for j, exc in refused.items())
-    live = np.array([j not in refused for j in range(genes.size)], dtype=bool)
+    live = _unrefused(genes, refused, reasons)
     cancel = live & ((sden <= 0) | (snum <= 0))
-    reasons.update((i, "series cancellation") for i in genes[cancel].tolist())
+    reasons.update(dict.fromkeys(genes[cancel].tolist(), "series cancellation"))
     live &= ~cancel
     genes = genes[live]
     with np.errstate(over="ignore"):
-        values = _SERIES_VALUES[m.kind](ps[genes], lnum[live], lden[live],
-                                        m.signal, m.noise)
-    for i, value, p in zip(genes.tolist(), values.tolist(), ps[genes].tolist()):
-        if 0.0 < value < p:
-            out[i] = (value, _SERIES_INFO)
-        else:
-            reasons[i] = "series value escaped (0, p)"
-    for i, reason in reasons.items():
-        out[i] = (None, CorrectionInfo(path="quadrature", fallback_reason=reason))
-    return out
+        values[genes] = _SERIES_VALUES[m.kind](ps[genes], lnum[live], lden[live],
+                                               m.signal, m.noise)
+    escaped = ~((values[genes] > 0.0) & (values[genes] < ps[genes]))
+    reasons.update(dict.fromkeys(genes[escaped].tolist(), "series value escaped (0, p)"))
+    return values, {}, reasons
+
+
+def _unrefused(genes, refused, reasons):
+    """The mask of the genes a series kernel did not refuse; the refused
+    ones' reasons go into reasons."""
+    at = genes.tolist()
+    reasons.update((at[j], str(exc)) for j, exc in refused.items())
+    live = np.ones(genes.size, dtype=bool)
+    live[list(refused)] = False
+    return live
 
 
 def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams, with_info=False):
@@ -747,89 +651,105 @@ class GeneDiagnostic:
     error: Optional[str] = None
 
 
-def _closed_values(ps, m: ModelSpec, variant):
-    """Per gene: (value, CorrectionInfo) of the closed form over the whole
-    array, or the BeadcorrError that refuses the gene; variant picks the
-    exp_normal form."""
-    if m.kind == "exp_gamma":
-        values = _exp_gamma_values
-    else:
-        values = _mbcb_values if variant == "mbcb" else _rma_values
-    out, refused = values(ps, m.signal, m.noise)
-    return [refused[i] if i in refused else (v, _CLOSED_INFO)
-            for i, v in enumerate(out.tolist())]
+def _corrector(m: ModelSpec, variant):
+    """The family's public corrector; variant picks the exp_normal form."""
+    if m.kind == "exp_normal":
+        return "correct_mbcb" if variant == "mbcb" else "correct_rma"
+    return "correct_gb" if m.kind == "gb_gb" else f"correct_{m.kind}"
+
+
+def _domain_refusals(ps, m: ModelSpec, variant):
+    """{index: DomainError} of the genes of ps outside the family's domain,
+    on every route: p not finite; p <= 0 for every family but gamma_normal,
+    whose normal noise reaches below 0; for gb_gb, p outside the support of
+    the convolution."""
+    name = _corrector(m, variant)
+    finite = np.isfinite(ps)
+    refused = _refused(~finite, ps, DomainError,
+                       lambda p: f"{name} requires a finite p, got {p}")
+    if m.kind == "gb_gb":
+        upper = gb_support_upper(m.signal) + gb_support_upper(m.noise)
+        refused.update(_refused(
+            finite & ~((ps > 0) & (ps < upper)), ps, DomainError,
+            lambda p: f"p={p} outside the convolution support (0, {upper})"))
+    elif m.kind != "gamma_normal":
+        refused.update(_refused(finite & (ps <= 0), ps, DomainError,
+                                lambda p: f"{name} requires p > 0, got {p}"))
+    return refused
+
+
+#: every route in the contract of ``_outcomes``, the closed forms by corrector;
+#: the quadrature route leaves every gene to the engine, with no reason
+_ROUTE_VALUES = {
+    "correct_rma": _rma_kernel, "correct_mbcb": _mbcb_kernel,
+    "correct_exp_gamma": _exp_gamma_kernel,
+    "series": _series_values, "tilt": _tilt_values, "grid": _grid_values,
+    "quadrature": lambda ps, m: (np.full(ps.shape, math.nan), {},
+                                 dict.fromkeys(range(ps.size)))}
 
 
 def _outcomes(ps, m: ModelSpec, route, variant):
-    """Per gene of ps: (value, CorrectionInfo) by the route, or the
-    BeadcorrError that refuses the gene.
+    """(values, NaN where refused; {index: the BeadcorrError that refuses the
+    gene}; {index: the reason a gene left the route, None on the quadrature
+    route}) of every gene of the float array ps by the route.
 
-    'closed' runs the closed form over the whole array, 'series' the series
-    families' array pass (``_series_values``), 'tilt' the exp_lognormal
-    Gauss rule (``_tilt_values``), 'grid' the gamma-normal grid
-    (``_grid_values``), and 'quadrature' the family's domain check gene by
-    gene.  The genes left without a value then go to the tanh-sinh engine in
-    one call.
+    The family's domain check (``_domain_refusals``) runs over the whole
+    array.  Every route takes the genes inside the domain alone and answers
+    in the same contract, by index into the genes it was given: their
+    values, the genes it refuses and the genes it leaves to the engine with
+    the reason.  variant picks the exp_normal form.  The genes the route
+    leaves go to the tanh-sinh engine in one call, at the target 1e-8
+    (1e-11 for gamma_normal); a gene it cannot certify is refused.
     """
-    if route == "closed":
-        out = _closed_values(ps, m, variant)
-    elif route == "series":
-        out = _series_values(ps, m)
-    elif route == "tilt":
-        out = _tilt_values(ps, m)
-    elif route == "grid":
-        out = _grid_values(ps, m)
-    else:
-        out, inside = _in_domain(ps, m)
-        for i in inside.tolist():
-            out[i] = (None, _QUADRATURE_INFO)
-    pending = [i for i, o in enumerate(out) if isinstance(o, tuple) and o[0] is None]
-    if pending:
+    errors = _domain_refusals(ps, m, variant)
+    inside = np.ones(ps.shape, dtype=bool)
+    inside[list(errors)] = False
+    at = np.flatnonzero(inside).tolist()
+    values = np.full(ps.shape, math.nan)
+    evaluate = _ROUTE_VALUES[_corrector(m, variant) if route == "closed" else route]
+    values[inside], refused, left = evaluate(ps[inside], m)
+    errors.update((at[j], exc) for j, exc in refused.items())
+    reasons = {at[j]: reason for j, reason in left.items()}
+    if reasons:
+        pending = sorted(reasons)
         rel_tol = _GAMMA_NORMAL_REL_TOL if m.kind == "gamma_normal" else _REL_TOL
-        values, refused = _quadrature_means(ps[pending], m, rel_tol)
-        for j, (i, value) in enumerate(zip(pending, values.tolist())):
-            out[i] = refused[j] if j in refused else (value, out[i][1])
-    return out
+        values[pending], refused = _quadrature_means(ps[pending], m, rel_tol)
+        errors.update((pending[j], exc) for j, exc in refused.items())
+    values[list(errors)] = math.nan
+    return values, errors, reasons
 
 
 def _correct_one(p, m: ModelSpec, variant):
-    """(value, CorrectionInfo) of one gene by the paper's method; variant
-    picks the exp_normal form."""
-    outcome = _outcomes(np.array([p], dtype=float), m, PAPER_ROUTES[m.kind], variant)[0]
-    if isinstance(outcome, BeadcorrError):
-        raise outcome
-    return outcome
+    """(value, CorrectionInfo) of one gene by the paper's method; raises the
+    BeadcorrError that refuses it.  variant picks the exp_normal form."""
+    route = PAPER_ROUTES[m.kind]
+    values, errors, reasons = _outcomes(np.array([p], dtype=float), m, route, variant)
+    if errors:
+        raise errors[0]
+    path = "quadrature" if reasons else route
+    return float(values[0]), CorrectionInfo(path, reasons.get(0))
 
 
 def _apply(observed, m: ModelSpec, route, variant):
     observed = np.asarray(observed, dtype=float)
-    corrected = np.full(observed.shape, math.nan)
-    diags = []
-    for i, outcome in enumerate(_outcomes(observed, m, route, variant)):
-        if isinstance(outcome, BeadcorrError):
-            diags.append(GeneDiagnostic(index=i, path="error",
-                                        error=f"{type(outcome).__name__}: {outcome}"))
-        else:
-            corrected[i], info = outcome
-            diags.append(GeneDiagnostic(index=i, path=info.path,
-                                        error=info.fallback_reason))
-    return corrected, diags
+    corrected, errors, reasons = _outcomes(observed, m, route, variant)
+    return corrected, [
+        GeneDiagnostic(i, "error", f"{type(errors[i]).__name__}: {errors[i]}") if i in errors
+        else GeneDiagnostic(i, "quadrature" if i in reasons else route, reasons.get(i))
+        for i in range(observed.size)]
 
 
 def correct_array(observed, m: ModelSpec, exp_normal_variant: str = "rma"):
     """Apply the family's route (``ROUTES``) to every gene of an array.
 
-    Closed forms run over the whole array; exp_lognormal runs one fixed
-    Gauss rule on the tilt of its noise for the whole array
-    (``_tilt_values``); gamma_normal reads two FFT grids built from the model
-    alone (``_grid_values``); a quadrature family (gamma_lognormal, gb_gb,
-    gb_normal) runs its domain check gene by gene.  The genes that need
-    quadrature, the tilt and grid genes that fall back included, go to the
-    tanh-sinh engine in one call, at the target 1e-8 (1e-11 for
-    gamma_normal).  Order is preserved and a failing gene never aborts the
-    batch: its output is NaN and the diagnostic row records the error, a
-    QuadratureError where the engine cannot certify the gene.  Returns
-    (corrected array, list of GeneDiagnostic).
+    Every route runs over the whole array (``_outcomes``): the closed
+    forms, the tilt of the noise (``_tilt_values``), the two FFT grids built
+    from the model alone (``_grid_values``) or the engine.  Order is
+    preserved and a failing gene never aborts the batch: its output is NaN
+    and the diagnostic row records the error, a DomainError outside the
+    family's domain (p not finite included) and a QuadratureError where the
+    engine cannot certify the gene.  Returns (corrected array, list of
+    GeneDiagnostic).
     """
     return _apply(observed, m, ROUTES[m.kind], exp_normal_variant)
 

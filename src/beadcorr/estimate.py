@@ -35,11 +35,10 @@ import numpy as np
 from scipy import special as _sp
 
 from . import correct, quadrature, specfun
-from .dists import (ExpParams, GammaNormal, GammaParams, GBGB, GBNormal,
-                    GBParams, LognormalParams, MODEL_KINDS, MODEL_TYPES,
-                    ModelSpec, NormalParams, dist_logpdf, gb_from_gamma,
-                    gb_support_upper, model_from_values, model_to_values,
-                    param_names)
+from .dists import (ExpParams, GammaNormal, GammaParams, GBParams,
+                    LognormalParams, MODEL_KINDS, MODEL_TYPES, ModelSpec,
+                    NormalParams, dist_logpdf, gb_from_gamma, gb_support_upper,
+                    model_from_values, model_to_values, param_names)
 from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
                      InvalidParameterError, QuadratureError, UnsupportedMethodError)
 
@@ -218,6 +217,22 @@ def _fisher_weights(m: ModelSpec, noise=True):
     return weights
 
 
+#: Fisher's identity needs no boundary term at the GB signal's moving support
+#: end d/(1 - c)^(1/a) only if the density vanishes there (v > 1); just above
+#: 1 it rises in a layer too thin for the engine's nodes, so genes whose
+#: integral reaches that end are refused up to this v
+_FISHER_V_MIN = 1.01
+
+
+def _at_signal_end(m: ModelSpec, p):
+    """The genes of p whose score Fisher's identity cannot give: a GB signal
+    with v <= _FISHER_V_MIN, and an integral that reaches the signal's
+    support end, where the noise has density."""
+    if not (isinstance(m.signal, GBParams) and m.signal.v <= _FISHER_V_MIN):
+        return np.zeros(np.shape(p), dtype=bool)
+    return dist_logpdf(m.noise, p - gb_support_upper(m.signal)) > -np.inf
+
+
 def _certified_rows(res):
     """The engine's means, NaN for the genes whose means it does not certify."""
     return np.where(res.means_ok, res.means, np.nan)
@@ -229,12 +244,17 @@ def _quadrature_marginal_log(p_vals, m, grad=False):
 
     With grad, also the score rows in param_names order from the same
     engine call (``_certified_rows``): NaN where the engine does not certify
-    them, so that an optimizer reads the point as not finite.
+    them, or where Fisher's identity misses a boundary term
+    (``_at_signal_end``), so that an optimizer reads the point as not finite.
     """
     res = quadrature.log_integrals(p_vals, m, _fisher_weights(m) if grad else None,
                                    _LIKELIHOOD_REL_TOL)
     out = np.where(res.ok, res.log_f, -np.inf)
-    return (out, _certified_rows(res)) if grad else out
+    if not grad:
+        return out
+    rows = _certified_rows(res)
+    rows[:, _at_signal_end(m, p_vals)] = np.nan
+    return out, rows
 
 
 #: the log marginals of the closed and grid routes, with their scores
@@ -355,13 +375,6 @@ def loglik_score(params: ModelSpec, problem: EstimationProblem):
 # Scores of the GB families
 # ---------------------------------------------------------------------------
 
-#: Fisher's identity needs no boundary term at the GB signal's moving support
-#: end d/(1 - c)^(1/a) only if the density vanishes there (v > 1); just above
-#: 1 it rises in a layer too thin for the engine's nodes, so genes whose
-#: integral reaches that end are refused up to this v
-_FISHER_V_MIN = 1.01
-
-
 def _gene_score(m: ModelSpec, p):
     """The signal block of a GB model: d log f_P/d(a, c, d, u, v) summed
     over the genes p, by Fisher's identity in one engine call at the
@@ -374,10 +387,7 @@ def _gene_score(m: ModelSpec, p):
     res = quadrature.log_integrals(p, m, _fisher_weights(m, noise=False),
                                    _LIKELIHOOD_REL_TOL)
     rows = _certified_rows(res)
-    at_end = np.zeros(p.size, dtype=bool)
-    if m.signal.v <= _FISHER_V_MIN:
-        # the integral reaches the signal's end where the noise has density there
-        at_end = dist_logpdf(m.noise, p - gb_support_upper(m.signal)) > -np.inf
+    at_end = _at_signal_end(m, p)
     # an empty range reads -inf with NaN means
     for i in np.flatnonzero(np.isnan(rows).any(axis=0) | at_end).tolist():
         if res.log_f[i] == -np.inf:
@@ -390,29 +400,25 @@ def _gene_score(m: ModelSpec, p):
     return np.array([math.fsum(row) for row in rows.tolist()])
 
 
-def score_gb(params: GBGB, problem: EstimationProblem) -> np.ndarray:
-    """Ten likelihood-equation values, ordered noise block then signal block:
-    (a2, c2, d2, u2, v2, a1, c1, d1, u1, v1).
+def score_gb(params: ModelSpec, problem: EstimationProblem) -> np.ndarray:
+    """The likelihood equations of a GB-signal model, ordered noise block
+    then signal block: gb_gb (a2, c2, d2, u2, v2, a1, c1, d1, u1, v1),
+    gb_normal (mu, sigma, a, c, d, u, v).
 
-    The noise block differentiates the negative-control sum (as printed); the
-    signal block differentiates the gene-marginal sum, each gene by Fisher's
-    identity on the tanh-sinh engine's nodes (``_gene_score``), the route
-    ``log_marginal`` takes.  Raises QuadratureError naming the first gene
+    The noise block differentiates the negative-control sum (as printed; for
+    normal noise, closed-form zeros at the control mean and biased
+    variance); the signal block differentiates the gene-marginal sum, each
+    gene by Fisher's identity on the tanh-sinh engine's nodes
+    (``_gene_score``), the route ``log_marginal`` takes, gb_normal genes at
+    or below mu included.  Raises QuadratureError naming the first gene
     whose score the engine does not certify.
     """
     return np.concatenate([_density_rows(params.noise, problem.negatives).sum(axis=1),
                            _gene_score(params, problem.observed)])
 
 
-def score_gb_normal(params: GBNormal, problem: EstimationProblem) -> np.ndarray:
-    """Seven likelihood-equation values, ordered (mu, sigma, a, c, d, u, v).
-
-    mu and sigma differentiate the negative-control sum (closed form zeros at
-    the control mean and biased variance); the GB block differentiates the
-    gene-marginal sum as ``score_gb`` does, genes at or below mu included.
-    """
-    return np.concatenate([_density_rows(params.noise, problem.negatives).sum(axis=1),
-                           _gene_score(params, problem.observed)])
+#: the gb_normal name of ``score_gb``
+score_gb_normal = score_gb
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +645,8 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     block from the controls first (as the likelihood equations prescribe; a
     normal noise starts at its control MLE and stays there), then the signal
     block from the gene marginals.  A GB fit reports the norm of
-    ``score_gb``/``score_gb_normal`` as its gradient norm, and is not
-    converged with a parameter at a cap or the clip (``at_cap``).
+    ``score_gb`` as its gradient norm, and is not converged with a parameter
+    at a cap or the clip (``at_cap``).
     """
     rng = np.random.default_rng(budget.seed)
     kind = problem.model_kind
@@ -675,9 +681,9 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
         hessians, nfevs = hessians + h0, nfevs + nfev
 
     params = model_from_values(kind, values)
-    gb_score = {"gb_gb": score_gb, "gb_normal": score_gb_normal}.get(kind)
+    gb = kind in ("gb_gb", "gb_normal")
     try:
-        grad_norm = float(np.linalg.norm(gb_score(params, problem) if gb_score else grad))
+        grad_norm = float(np.linalg.norm(score_gb(params, problem) if gb else grad))
     except (BeadcorrError, FloatingPointError):
         # wherever the engine does not certify a gene's score
         grad_norm = None

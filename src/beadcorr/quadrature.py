@@ -155,7 +155,10 @@ def _breakpoints(p, m: ModelSpec):
             # knots s0 * 8^j up to the first knot above s0
             above = np.column_stack(knots)
             nxt = np.nanmin(np.where(above > s0[:, None], above, np.nan), axis=1)
-            rungs = np.ceil(np.log(nxt / s0) / math.log(_LADDER))
+            span = np.log(nxt / s0)
+            # in logs where the ratio overflows (p far above the noise)
+            span = np.where(span < np.inf, span, np.log(nxt) - np.log(s0))
+            rungs = np.ceil(span / math.log(_LADDER))
             j = np.arange(int(rungs.max()))
             knots.append(np.where(j < rungs[:, None], s0[:, None] * _LADDER ** j, np.nan))
     bp = np.column_stack(knots)

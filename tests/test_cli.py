@@ -387,6 +387,21 @@ class TestExitCodes:
         cells = [float(row.split("\t")[1]) for row in rows]
         assert len(cells) == 2 and all(0.0 < c < p for c, p in zip(cells, (3.0, 5.0)))
 
+    @pytest.mark.parametrize("alpha", ["0.7", "2"])
+    def test_huge_gamma_normal_cell_is_one_error_row(self, tmp_path, alpha):
+        # ingest accepts any finite positive cell; the gene far above the
+        # noise is an error row, and no warning reaches stderr
+        obs, neg = tmp_path / "obs.tsv", tmp_path / "neg.tsv"
+        write(obs, "ProbeID\tA1\ng1\t150\ng2\t1e300\n")
+        write(neg, "ProbeID\tA1\nn1\t95\nn2\t105\n")
+        out, diag = tmp_path / "c.tsv", tmp_path / "d.tsv"
+        r = run_cli("correct", str(obs), str(neg), "--model", "gamma_normal",
+                    "--params", f"alpha={alpha},beta=20,mu=100,sigma=15",
+                    "--out", str(out), "--diagnostics", str(diag))
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+        rows = [row.split("\t") for row in open(diag).read().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["quadrature" if alpha == "0.7" else "grid", "error"]
+
     def test_data_format_error(self, tmp_path, tables):
         _, neg = tables
         bad = tmp_path / "bad.tsv"

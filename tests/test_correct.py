@@ -6,13 +6,14 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from beadcorr import correct, oracle, quadrature, series, simulate, validation
+from beadcorr import (correct, estimate, oracle, quadrature, series, simulate,
+                     validation)
 from beadcorr.dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
                             gb_from_gamma, gb_logpdf, gb_support_upper,
                             normal_logpdf)
-from beadcorr.errors import NumericUnderflowError, QuadratureError
+from beadcorr.errors import DomainError, NumericUnderflowError, QuadratureError
 
 Q = oracle.QuadConfig()
 UNIFORM = GBParams(1, 0, 1, 1, 1)
@@ -748,3 +749,57 @@ class TestCorrectArray:
             assert corrected[0] == engine[0] and corrected[2] == engine[2]
         with pytest.raises(QuadratureError, match=r"half-step change 3\.00e-05"):
             correct.correct_gb(3.5, m.signal, m.noise)
+
+
+class TestDomain:
+    #: the public correctors of each family, by the paper's method
+    PUBLIC = {"exp_normal": ("correct_rma", "correct_mbcb"),
+              "exp_gamma": ("correct_exp_gamma",),
+              "gamma_normal": ("correct_gamma_normal",),
+              "exp_lognormal": ("correct_exp_lognormal",),
+              "gamma_lognormal": ("correct_gamma_lognormal",),
+              "gb_gb": ("correct_gb",), "gb_normal": ("correct_gb_normal",)}
+
+    @pytest.mark.parametrize("kind", sorted(simulate.REFERENCE_MODELS))
+    def test_non_finite_p_is_a_domain_error(self, kind):
+        # on every family and route: the gene's row is a DomainError, and the
+        # finite gene beside it keeps the bits it has alone
+        m = simulate.REFERENCE_MODELS[kind][0]
+        obs = np.array([5.0, np.nan, np.inf, -np.inf])
+        for apply in (correct.correct_array, correct.correct_array_series):
+            for variant in ("rma", "mbcb"):
+                corrected, diags = apply(obs, m, variant)
+                alone, one = apply(obs[:1], m, variant)
+                assert corrected[0] == alone[0] and diags[0] == one[0]
+                assert one[0].path != "error"
+                assert np.isnan(corrected[1:]).all()
+                assert [d.path for d in diags[1:]] == ["error"] * 3
+                assert all(d.error.startswith("DomainError: ") for d in diags[1:])
+        for name in self.PUBLIC[kind]:
+            for p in (np.nan, np.inf, -np.inf):
+                with pytest.raises(DomainError, match=name):
+                    getattr(correct, name)(p, m.signal, m.noise)
+
+    def test_finite_messages_name_the_corrector(self):
+        m = simulate.REFERENCE_MODELS["exp_normal"][0]
+        for variant in ("rma", "mbcb"):
+            _, diags = correct.correct_array(np.array([-1.0, np.nan]), m, variant)
+            assert [d.error for d in diags] == [
+                f"DomainError: correct_{variant} requires p > 0, got -1.0",
+                f"DomainError: correct_{variant} requires a finite p, got nan"]
+        gb = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
+        _, diags = correct.correct_array(np.array([5.0]), gb)
+        assert diags[0].error == "DomainError: p=5.0 outside the convolution support (0, 4.0)"
+
+    @pytest.mark.parametrize("alpha", [0.7, 2.0])
+    def test_a_huge_intensity_is_one_error_row(self, alpha):
+        # p far above the noise: the grid reads only the genes within its
+        # extent, and the engine's ladder of knots near 0 (shape < 1) is
+        # counted in logs, where its ratio overflows
+        m = GammaNormal(GammaParams(alpha, 20.0), NormalParams(100.0, 15.0))
+        corrected, diags = correct.correct_array(np.array([150.0, 1e300]), m)
+        alone, one = correct.correct_array(np.array([150.0]), m)
+        assert corrected[0] == alone[0] and diags[0].path == one[0].path != "error"
+        assert diags[1].path == "error" and math.isnan(corrected[1])
+        log_f = estimate.log_marginal(m, np.array([150.0, 1e300]))
+        assert np.isfinite(log_f[0]) and log_f[1] == -np.inf

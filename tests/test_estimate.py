@@ -475,6 +475,36 @@ class TestScores:
         else:
             with pytest.raises(QuadratureError, match="gene 1"):
                 estimate.score_gb(m, past)
+        # the likelihood's score follows the same rule: a refused gene's rows
+        # read NaN, so the optimizer reads the point as not finite.  Under
+        # normal noise every gene's integral reaches the end.
+        gn = GBNormal(s, NormalParams(0.5, 0.2))
+        for model, prob, refused in ((m, below, ()), (m, past, (1,)),
+                                     (gn, dataclasses.replace(past, model_kind="gb_normal"),
+                                      (0, 1))):
+            _, grad, rows = estimate.loglik_score(model, prob)
+            if v > 1.0 or not refused:
+                self._assert_gradient_matches_central_differences(model, prob, grad)
+            else:
+                n = prob.observed.size
+                assert [i for i in range(n) if np.isnan(rows[:, i]).all()] == list(refused)
+                assert np.isnan(grad).all()
+
+    @staticmethod
+    def _assert_gradient_matches_central_differences(m, prob, grad):
+        """``loglik_score``'s gradient against central differences of
+        loglik in every parameter."""
+        values = np.array(model_to_values(m))
+        for i, name in enumerate(param_names(m.kind)):
+            h = 1e-6 * max(1.0, abs(values[i]))
+            lo, hi = values.copy(), values.copy()
+            lo[i] -= h
+            hi[i] += h
+            if name.startswith("c"):
+                lo[i], hi[i] = max(lo[i], 0.0), min(hi[i], 1.0)
+            fd = (estimate.loglik(model_from_values(m.kind, hi), prob)
+                  - estimate.loglik(model_from_values(m.kind, lo), prob)) / (hi[i] - lo[i])
+            assert abs(grad[i] - fd) <= max(1e-4, 1e-3 * abs(fd)), (name, grad[i], fd)
 
     def test_gb_normal_score_at_integer_grid_arguments(self):
         # a(u + i) is an integer at every grid row, so the binomial grid's
