@@ -15,6 +15,8 @@ Every entry point, for one gene or an array, answers in arrays
 inside the domain, which returns their values, the genes it refuses and the
 genes it leaves to the engine with the reason.  The engine takes those in
 one call and refuses a gene it cannot certify with a QuadratureError.
+``answer_array`` returns that answer for an array (the CLI writes its tables
+from it); ``correct_array`` wraps it in one GeneDiagnostic per gene.
 QUADPACK stays in ``oracle``, the independent referee, and answers no
 production gene.  Every corrector can report which path produced its value
 and why a gene left its route; batch application never aborts on a single
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import special as _sp
@@ -730,13 +732,51 @@ def _correct_one(p, m: ModelSpec, variant):
     return float(values[0]), CorrectionInfo(path, reasons.get(0))
 
 
-def _apply(observed, m: ModelSpec, route, variant):
+class ArrayAnswer(NamedTuple):
+    """The route layer's answer for one array (``answer_array``)."""
+
+    values: np.ndarray     # corrected values, NaN where refused
+    errors: dict           # {gene index: the BeadcorrError that refuses it}
+    reasons: dict          # {gene index: why it left the route for the engine,
+                           #  None on the quadrature route}
+    route: str             # the route every other gene took
+
+    def paths(self):
+        """Every gene's path: 'error' where refused, 'quadrature' where it
+        left the route, else the route."""
+        out = [self.route] * self.values.size
+        for i in self.reasons:
+            out[i] = "quadrature"
+        for i in self.errors:
+            out[i] = "error"
+        return out
+
+    def notes(self):
+        """Every gene's error as '<type>: <message>' where refused, else the
+        reason it left the route, else ''."""
+        out = [""] * self.values.size
+        for i, reason in self.reasons.items():
+            out[i] = reason or ""
+        for i, exc in self.errors.items():
+            out[i] = f"{type(exc).__name__}: {exc}"
+        return out
+
+
+def _answer(observed, m: ModelSpec, route, variant):
     observed = np.asarray(observed, dtype=float)
-    corrected, errors, reasons = _outcomes(observed, m, route, variant)
-    return corrected, [
-        GeneDiagnostic(i, "error", f"{type(errors[i]).__name__}: {errors[i]}") if i in errors
-        else GeneDiagnostic(i, "quadrature" if i in reasons else route, reasons.get(i))
-        for i in range(observed.size)]
+    return ArrayAnswer(*_outcomes(observed, m, route, variant), route)
+
+
+def _diagnosed(answer: ArrayAnswer):
+    return answer.values, [GeneDiagnostic(i, path, note or None) for i, (path, note)
+                           in enumerate(zip(answer.paths(), answer.notes()))]
+
+
+def answer_array(observed, m: ModelSpec, exp_normal_variant: str = "rma") -> ArrayAnswer:
+    """``correct_array``'s answer in arrays: the corrected values, the
+    refused genes' errors and the reasons genes left the route, by index,
+    and the family's route (``ROUTES``)."""
+    return _answer(observed, m, ROUTES[m.kind], exp_normal_variant)
 
 
 def correct_array(observed, m: ModelSpec, exp_normal_variant: str = "rma"):
@@ -749,9 +789,9 @@ def correct_array(observed, m: ModelSpec, exp_normal_variant: str = "rma"):
     and the diagnostic row records the error, a DomainError outside the
     family's domain (p not finite included) and a QuadratureError where the
     engine cannot certify the gene.  Returns (corrected array, list of
-    GeneDiagnostic).
+    GeneDiagnostic), built from ``answer_array``.
     """
-    return _apply(observed, m, ROUTES[m.kind], exp_normal_variant)
+    return _diagnosed(answer_array(observed, m, exp_normal_variant))
 
 
 def correct_array_series(observed, m: ModelSpec, exp_normal_variant: str = "rma"):
@@ -759,4 +799,4 @@ def correct_array_series(observed, m: ModelSpec, exp_normal_variant: str = "rma"
     series family answers by its series, with quadrature where the series
     does not converge, as the public correctors do; the other families take
     the same route as in ``correct_array``."""
-    return _apply(observed, m, PAPER_ROUTES[m.kind], exp_normal_variant)
+    return _diagnosed(_answer(observed, m, PAPER_ROUTES[m.kind], exp_normal_variant))

@@ -248,17 +248,18 @@ def _gb_shape_terms(lt, p: GBParams):
 
 def gb_logpdf(x, p: GBParams):
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    upper = gb_support_upper(p)
-    inside = (x > 0) & (x < upper)
-    if np.any(inside):
-        xi = x[inside]
-        rise, fall = _gb_shape_terms(p.a * (np.log(xi) - math.log(p.d)), p)
-        lf = (math.log(p.a) + (p.a * p.u - 1.0) * np.log(xi)
+    if not x.ndim:
+        # _gb_shape_terms assigns into its arrays
+        return float(gb_logpdf(x[None], p)[0])
+    inside = (x > 0) & (x < gb_support_upper(p))
+    # every node at once; those outside the support read -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x = np.log(x)
+        rise, fall = _gb_shape_terms(p.a * (log_x - math.log(p.d)), p)
+        lf = (math.log(p.a) + (p.a * p.u - 1.0) * log_x
               - p.a * p.u * math.log(p.d) - specfun.log_beta(p.u, p.v)
               - (p.u + p.v) * rise)
-        out[inside] = lf if fall is None else lf + fall
-    return out if out.ndim else float(out)
+        return np.where(inside, lf if fall is None else lf + fall, -np.inf)
 
 
 def gb_log_regular(log_x, p: GBParams):
@@ -284,12 +285,10 @@ def exp_logpdf(x, p: ExpParams):
 
 def gamma_logpdf(x, p: GammaParams):
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0
-    if np.any(pos):
-        xi = x[pos]
-        out[pos] = ((p.alpha - 1.0) * np.log(xi) - xi / p.beta
-                    - p.alpha * math.log(p.beta) - _sp.gammaln(p.alpha))
+    # every node at once; x <= 0 reads -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(x > 0, (p.alpha - 1.0) * np.log(x) - x / p.beta
+                       - p.alpha * math.log(p.beta) - _sp.gammaln(p.alpha), -np.inf)
     return out if out.ndim else float(out)
 
 
@@ -301,12 +300,12 @@ def normal_logpdf(x, p: NormalParams):
 
 def lognormal_logpdf(x, p: LognormalParams):
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    pos = x > 0
-    if np.any(pos):
-        xi = x[pos]
-        z = (np.log(xi) - p.mu) / p.sigma
-        out[pos] = specfun.std_normal_logpdf(z) - np.log(xi) - math.log(p.sigma)
+    # every node at once; x <= 0 reads -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x = np.log(x)
+        z = (log_x - p.mu) / p.sigma
+        out = np.where(x > 0, specfun.std_normal_logpdf(z) - log_x - math.log(p.sigma),
+                       -np.inf)
     return out if out.ndim else float(out)
 
 

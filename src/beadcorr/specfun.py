@@ -79,9 +79,10 @@ def lower_incomplete_gamma(s, x):
 
 
 def std_normal_pdf(z):
-    """Standard normal density."""
+    """Standard normal density; 0 where z * z overflows (|z| > 1.3e154)."""
     z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / _SQRT_2PI
+    with np.errstate(over="ignore"):
+        out = np.exp(-0.5 * z * z) / _SQRT_2PI
     return out if out.ndim else float(out)
 
 
@@ -92,8 +93,10 @@ def std_normal_cdf(z):
 
 
 def std_normal_logpdf(z):
+    """Standard normal log density; -inf where z * z overflows."""
     z = np.asarray(z, dtype=float)
-    out = -0.5 * z * z - _LOG_SQRT_2PI
+    with np.errstate(over="ignore"):
+        out = -0.5 * z * z - _LOG_SQRT_2PI
     return out if out.ndim else float(out)
 
 

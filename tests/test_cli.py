@@ -1,12 +1,15 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from beadcorr import cli, estimate, simulate
+from beadcorr import cli, correct, estimate, simulate
 from beadcorr.errors import DataFormatError, InvalidParameterError
 
 
@@ -72,6 +75,149 @@ class TestIngest:
         write(bad, "ProbeID\tA1\tA2\np1\t150.0\n")
         with pytest.raises(DataFormatError, match="expected 3 columns"):
             cli.ingest(bad, neg)
+
+
+def _reference_read(path):
+    """The table reader as it was before it read in bulk: one float() and
+    one check per cell, in file order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    header = lines[0].split("\t")
+    if len(header) < 2:
+        raise DataFormatError(
+            f"{path}: header must be ProbeID plus at least one array column")
+    ids, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+        ids.append(cells[0])
+        row = []
+        for col, cell in enumerate(cells[1:], start=2):
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}"
+                ) from exc
+            if not math.isfinite(value) or value <= 0.0:
+                raise DataFormatError(
+                    f"{path}:{lineno}: nonpositive intensity {cell} in column "
+                    f"{header[col - 1]}")
+            row.append(value)
+        rows.append(row)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return ids, header[1:], np.array(rows, dtype=float)
+
+
+#: cells float() accepts as positive intensities, and cells it refuses or
+#: that are not finite and positive
+GOOD_CELLS = ["1_000", " 2.5", "+3", "1e3"]
+BAD_CELLS = ["nan", "inf", "0", "-1", "0x10", "abc"]
+
+
+@st.composite
+def tables_text(draw):
+    """A table's text: short and long rows, any number of faults."""
+    width = draw(st.integers(1, 3))
+    cells = st.sampled_from(GOOD_CELLS + BAD_CELLS if draw(st.booleans()) else GOOD_CELLS)
+    lengths = st.integers(width, width) | st.integers(0, width + 2)
+    rows = draw(st.lists(st.tuples(st.sampled_from(["p1", "p 2", ""]),
+                                   lengths.flatmap(lambda n: st.lists(cells, min_size=n,
+                                                                      max_size=n))),
+                         max_size=6))
+    lines = ["\t".join(["ProbeID"] + [f"A{j}" for j in range(width)])]
+    lines += ["\t".join([pid] + row) for pid, row in rows]
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+class TestBulkRead:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=tables_text())
+    @example(text="")
+    @example(text="ProbeID\tA1\n")
+    @example(text="ProbeID\n")
+    @example(text="ProbeID\tA1\tA2\np1\t1\t2\np2\t3\np3\tabc\t-1\n")
+    @example(text="ProbeID\tA1\tA2\np1\t1\tabc\np2\t-1\n")
+    @example(text="ProbeID\tA1\tA2\np1\t0\tabc\n")
+    def test_same_values_or_same_first_fault(self, tmp_path, text):
+        path = tmp_path / "t.tsv"
+        write(path, text)
+        try:
+            expected = _reference_read(path)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as got:
+                cli._read_table(path)
+            assert str(got.value) == str(exc)
+            return
+        ids, names, values = cli._read_table(path)
+        assert (ids, names) == expected[:2]
+        assert values.dtype == expected[2].dtype and values.shape == expected[2].shape
+        np.testing.assert_array_equal(values, expected[2])
+
+
+class TestCorrectFromAnswers:
+    """cmd_correct writes both tables from the route layer's answer; they
+    equal the rows built from correct_array's GeneDiagnostic list."""
+
+    @staticmethod
+    def expected(dataset, m, variant):
+        results = [correct.correct_array(dataset.observed[:, j], m, variant)
+                   for j in range(len(dataset.array_names))]
+        lines = ["\t".join(["ProbeID"] + dataset.array_names)]
+        lines += ["\t".join([pid] + [repr(float(v)) for v, _ in cells])
+                  for pid, *cells in zip(dataset.probe_ids,
+                                         *[zip(values, diags) for values, diags in results])]
+        dlines = ["ProbeID\tarray\tpath\terror"]
+        for name, (_, diags) in zip(dataset.array_names, results):
+            dlines += [f"{dataset.probe_ids[d.index]}\t{name}\t{d.path}\t{d.error or ''}"
+                       for d in diags]
+        return "\n".join(lines) + "\n", "\n".join(dlines) + "\n"
+
+    def test_route_pin_models_with_edge_genes(self):
+        from test_route_pins import EDGE_GENES, MODELS
+        paths = set()
+        for m in MODELS.values():
+            draws = simulate.simulate_experiment(m, 40, 1, seed=4).observed
+            obs = np.column_stack([np.concatenate([draws, EDGE_GENES]),
+                                   np.concatenate([EDGE_GENES, draws])])
+            ids = [f"g{i}" for i in range(obs.shape[0])]
+            dataset = cli.ArrayDataset(ids, ["A1", "A2"], obs, ["n1"], obs[:1])
+            for variant in (("rma", "mbcb") if m.kind == "exp_normal" else ("rma",)):
+                got = cli.cmd_correct(dataset, m, variant)
+                assert got == self.expected(dataset, m, variant), (m, variant)
+                paths.update((row.split("\t")[2], row.split("\t")[3] != "")
+                             for row in got[1].splitlines()[1:])
+        # error rows, engine rows with a reason, and rows on every route
+        assert {("error", True), ("quadrature", True), ("quadrature", False),
+                ("closed", False), ("tilt", False), ("grid", False)} <= paths
+
+
+class TestParserReuse:
+    def test_usage_error_then_command_writes_fresh_bytes(self, tmp_path, tables):
+        obs, neg = tables
+        args = ["correct", str(obs), str(neg), "--model", "exp_normal",
+                "--params", "theta=0.01,mu=100,sigma=15"]
+        fresh = [tmp_path / "fresh.tsv", tmp_path / "fresh_diag.tsv"]
+        r = run_cli(*args, "--out", str(fresh[0]), "--diagnostics", str(fresh[1]))
+        assert r.returncode == 0, r.stderr
+        # usage errors inside the subcommand's parse, then a valid command
+        for bad in (["--variant", "bogus"], ["--threads", "x"], []):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args + bad)
+            assert exc.value.code == cli.EXIT_USAGE
+        again = [tmp_path / "again.tsv", tmp_path / "again_diag.tsv"]
+        assert cli.main(args + ["--out", str(again[0]), "--diagnostics", str(again[1])]) == 0
+        for a, b in zip(fresh, again):
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestConfig:

@@ -111,6 +111,20 @@ class TestMbcb:
         assert gap < 1e-8 * b.sigma
 
 
+class TestExpNormalHugeGenes:
+    @pytest.mark.parametrize("variant, first", [("rma", "47.78774260615371"),
+                                                ("mbcb", "47.7877426066401")])
+    def test_no_overflow_warning(self, variant, first):
+        # z * z overflows in the normal density past p ~ 1.3e155; under the
+        # RuntimeWarning filter that raised before the density read 0
+        m = simulate.REFERENCE_MODELS["exp_normal"][0]
+        corrected, diags = correct.correct_array(np.array([150.0, 1e160, 1e300]), m,
+                                                 variant)
+        assert repr(float(corrected[0])) == first
+        assert corrected[1] == pytest.approx(1e160, rel=1e-15) and corrected[2] == 1e300
+        assert [d.path for d in diags] == ["closed"] * 3
+
+
 class TestExpGamma:
     def test_exact_polynomial_cases(self):
         # rate cancellation leaves pure power integrals
@@ -477,6 +491,21 @@ class TestEngineRoute:
                 alone, _ = correct.correct_array(np.array([p]), m)
                 engine = correct._quadrature_means(np.array([p]), m, 1e-8)[0][0]
                 assert alone[0] == corrected[i] == engine
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind, block", [("gb_gb", "_BLOCK"),
+                                             ("exp_lognormal", "_TILT_BLOCK")])
+    def test_three_blocks_equal_each_gene_alone(self, kind, block):
+        # the engine and the tilt run an array in blocks of genes
+        m = simulate.REFERENCE_MODELS[kind][0]
+        n = 2 * getattr(quadrature, block) + 9
+        obs = simulate.simulate_experiment(m, n, 1, seed=6).observed
+        corrected, diags = correct.correct_array(obs, m)
+        for i, p in enumerate(obs.tolist()):
+            alone, one = correct.correct_array(np.array([p]), m)
+            assert alone.tobytes() == corrected[i:i + 1].tobytes()
+            assert one[0] == dataclasses.replace(diags[i], index=0)
 
 
 class TestTiltRoute:
