@@ -267,8 +267,9 @@ def read_fit_table(path, model_kind):
     return out
 
 
-def cmd_correct(dataset: ArrayDataset, models, variant="rma"):
-    """Correct every array, in order; returns (corrected tsv, diagnostics tsv).
+def cmd_correct(dataset: ArrayDataset, models, variant="rma", diagnostics=True):
+    """Correct every array, in order; returns (corrected tsv, diagnostics
+    tsv), the diagnostics tsv None without diagnostics.
 
     Both tables are written from the route layer's answer for each array
     (``correct.answer_array``), column by column.
@@ -284,6 +285,8 @@ def cmd_correct(dataset: ArrayDataset, models, variant="rma"):
     lines = ["\t".join(["ProbeID"] + dataset.array_names)]
     lines += map("\t".join, zip(dataset.probe_ids, *cols))
     corrected_tsv = "\n".join(lines) + "\n"
+    if not diagnostics:
+        return corrected_tsv, None
 
     dlines = ["\t".join(["ProbeID", "array", "path", "error"])]
     for name, ans in zip(dataset.array_names, answers):
@@ -426,7 +429,8 @@ def main(argv=None):
             else:
                 parser.exit(EXIT_USAGE,
                             "beadcorr: error: correct needs --params or --fit-table\n")
-            corrected, diags = cmd_correct(dataset, models, variant=args.variant)
+            corrected, diags = cmd_correct(dataset, models, variant=args.variant,
+                                           diagnostics=bool(args.diagnostics))
             _write_text(args.out, corrected)
             if args.diagnostics:
                 _write_text(args.diagnostics, diags)

@@ -174,7 +174,10 @@ def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams, grad=False):
 
 def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     """Grid-convolution marginal (bounded-density shapes); quadrature catches
-    the rest, and the genes whose grid density lies below the floor.
+    the rest: the genes past the model's grid extent
+    (``correct.gamma_normal_extent``), as in the corrector, and the genes
+    whose grid density lies below the floor.  The grid ends at the largest
+    gene within the extent.
 
     With grad, also the derivatives with respect to (alpha, beta, mu, sigma),
     a (4, genes) array: exact for the grid's value
@@ -183,22 +186,27 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     """
     p = np.asarray(p, dtype=float)
     m = GammaNormal(g, b)
+    extent = correct.gamma_normal_extent(g, b)
+    near = p <= extent
     try:
-        dens, peak, *d_dens = correct.gamma_normal_density(p, g, b, float(np.max(p)),
-                                                            grad)
+        dens, peak, *d_dens = correct.gamma_normal_density(
+            p[near], g, b, min(float(np.max(p)), extent), grad)
     except (InvalidParameterError, MemoryError):
         return _quadrature_marginal_log(p, m, grad)
-    faint = ~(dens >= correct.LIKELIHOOD_GRID_FLOOR * peak)
+    off = ~near
+    off[near] = ~(dens >= correct.LIKELIHOOD_GRID_FLOOR * peak)
+    out = np.empty(p.shape)
     with np.errstate(divide="ignore"):
-        out = np.log(np.maximum(dens, 0.0))
+        out[near] = np.log(np.maximum(dens, 0.0))
     if not grad:
-        if faint.any():
-            out[faint] = _quadrature_marginal_log(p[faint], m)
+        if off.any():
+            out[off] = _quadrature_marginal_log(p[off], m)
         return out
+    rows = np.empty((4, p.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = d_dens[0] / dens
-    if faint.any():
-        out[faint], rows[:, faint] = _quadrature_marginal_log(p[faint], m, True)
+        rows[:, near] = d_dens[0] / dens
+    if off.any():
+        out[off], rows[:, off] = _quadrature_marginal_log(p[off], m, True)
     return out, rows
 
 

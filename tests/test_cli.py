@@ -200,6 +200,27 @@ class TestCorrectFromAnswers:
         assert {("error", True), ("quadrature", True), ("quadrature", False),
                 ("closed", False), ("tilt", False), ("grid", False)} <= paths
 
+    def test_no_diagnostics_table_without_the_flag(self, tmp_path, tables, monkeypatch):
+        # without --diagnostics the corrected bytes are those of a run with
+        # it, and no gene's path or note is built
+        obs, neg = tables
+        args = ["correct", str(obs), str(neg), "--model", "gamma_normal",
+                "--params", "alpha=2,beta=50,mu=100,sigma=15"]
+        with_diag = [tmp_path / "with.tsv", tmp_path / "with_diag.tsv"]
+        assert cli.main(args + ["--out", str(with_diag[0]),
+                                "--diagnostics", str(with_diag[1])]) == 0
+
+        def unasked(self):
+            raise AssertionError("diagnostics built without --diagnostics")
+
+        monkeypatch.setattr(correct.ArrayAnswer, "paths", unasked)
+        monkeypatch.setattr(correct.ArrayAnswer, "notes", unasked)
+        without = tmp_path / "without.tsv"
+        assert cli.main(args + ["--out", str(without)]) == 0
+        assert without.read_bytes() == with_diag[0].read_bytes()
+        assert cli.cmd_correct(cli.ingest(obs, neg), cli.parse_inline_params(
+            "gamma_normal", "alpha=2,beta=50,mu=100,sigma=15"), diagnostics=False)[1] is None
+
 
 class TestParserReuse:
     def test_usage_error_then_command_writes_fresh_bytes(self, tmp_path, tables):

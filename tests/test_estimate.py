@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from beadcorr import correct, estimate, oracle, quadrature, series, simulate
 from beadcorr.dists import (MODEL_KINDS, ExpGamma, ExpLognormal, ExpNormal, ExpParams,
@@ -207,6 +208,33 @@ class TestLoglik:
         short = estimate.log_marginal(m, ps)
         long = estimate.log_marginal(m, np.append(ps, 3000.0))[:-1]
         np.testing.assert_allclose(short, long, rtol=1e-12)
+
+    def test_a_gene_past_the_grid_extent_takes_the_engine(self):
+        # one far gene neither stretches the grid past the model's extent
+        # nor sends the array to the engine: the other genes keep their grid
+        # values, and the far gene reads the engine's
+        m = GammaNormal(GammaParams(2.0, 20.0), NormalParams(100.0, 15.0))
+        g, b = m.signal, m.noise
+        ps = np.random.default_rng(0).uniform(60.0, 400.0, 300)
+        far = np.append(ps, 1e6)
+        extent = correct.gamma_normal_extent(g, b)
+        assert ps.max() < extent < far[-1]
+        dens, _ = correct.gamma_normal_density(ps, g, b, extent)
+        for grad in (False, True):
+            short = estimate.log_marginal(m, ps, grad)
+            long = estimate.log_marginal(m, far, grad)
+            engine = estimate._quadrature_marginal_log(far[-1:], m, grad)
+            if grad:
+                (short, short_rows), (long, long_rows) = short, long
+                engine, engine_rows = engine
+                # the rows keep the grid's FFT rounding, which moves with
+                # its length (up to 5e-10 of a row's scale here)
+                scale = np.max(np.abs(short_rows), axis=1, keepdims=True)
+                assert np.all(np.abs(long_rows[:, :-1] - short_rows) <= 1e-8 * scale)
+                np.testing.assert_array_equal(long_rows[:, -1:], engine_rows)
+            np.testing.assert_array_equal(long[:-1], np.log(dens))
+            np.testing.assert_allclose(long[:-1], short, rtol=1e-12)
+            assert math.isfinite(engine[0]) and long[-1] == engine[0]
 
     def test_uncertified_genes_read_minus_inf(self, monkeypatch):
         # shape < 1: every gene takes the engine; a gene whose value it
@@ -549,6 +577,59 @@ def _fd_score(m, prob, rel_step=1e-6):
     return np.array(out)
 
 
+def _twelve_fft_rows(p_max, g, b):
+    """The grid's sums and their derivative rows at every node, with the
+    node held at its index, by the twelve-transform formula that the four
+    convolutions replaced: the reference of ``_Grid._node_rows``."""
+    from scipy import fft
+    h, d_h = correct._grid_step(g, b)
+    n_s = int(max(p_max - b.mu + 12.0 * b.sigma, h) / h) + 1
+    n_b = int(24.0 * b.sigma / h) + 1
+    n_p = n_s + n_b - 1
+    s = np.arange(n_s) * h
+    fs = np.exp(dist_logpdf(g, s))
+    y = np.arange(n_b) * h
+    fb = np.exp(dist_logpdf(b, b.mu - 12.0 * b.sigma + y))
+    n = fft.next_fast_len(n_p, real=True)
+    f_s, f_b = fft.rfft(fs, n), fft.rfft(fb, n)
+    den = fft.irfft(f_s * f_b, n)[:n_p] * h
+    z = y / b.sigma - 12.0
+    log_s = np.log(np.where(s > 0.0, s, 1.0))
+    f_alpha, f_beta, f_slope = fft.rfft(np.stack([
+        fs * (log_s - math.log(g.beta) - special.psi(g.alpha)),
+        fs * (s / g.beta ** 2 - g.alpha / g.beta),
+        fs * ((g.alpha - 1.0) - s / g.beta)]), n)
+    f_sigma, f_step = fft.rfft(np.stack([fb * (z * z + 12.0 * z - 1.0) / b.sigma,
+                                         -fb * z * y / b.sigma]), n)
+    conv = fft.irfft(np.stack([f_alpha * f_b, f_beta * f_b, f_s * f_sigma,
+                               f_slope * f_b + f_s * f_step]), n)[:, :n_p]
+    rows = (np.stack([conv[0], conv[1], np.zeros(n_p), conv[2]]) * h
+            + np.outer(d_h, den / h + conv[3]))
+    return den, rows
+
+
+def _per_gene_endpoint_alpha(p, g, b, h):
+    """d/dalpha of the grid's endpoint terms at every p by the central
+    difference of every gene's weights zeta(1 - alpha - k) psi(0) h^(alpha + k):
+    the reference of the per-order difference in ``_Grid._endpoint_terms``."""
+    k = np.arange(4)
+    a1 = (p - b.mu) / b.sigma ** 2 - 1.0 / g.beta
+    a2 = 0.5 / b.sigma ** 2
+    t = np.stack([np.ones_like(a1), a1, 0.5 * a1 * a1 - a2, a1 ** 3 / 6.0 - a1 * a2])
+    log_h = math.log(h)
+    log_lead = (g.alpha * (log_h - math.log(g.beta)) - special.gammaln(g.alpha)
+                + dist_logpdf(b, p))
+
+    def weights(alpha):
+        log_z, sign = correct._log_zeta_one_minus(alpha + k)
+        return sign[:, None] * np.exp(log_lead + (log_z + k * log_h)[:, None])
+
+    step = 1e-6 * g.alpha
+    d_w = (weights(g.alpha + step) - weights(g.alpha - step)) / (2.0 * step)
+    e = (weights(g.alpha) * t).sum(axis=0)
+    return e * (log_h - math.log(g.beta) - special.psi(g.alpha)) + (d_w * t).sum(axis=0)
+
+
 class TestClosedFormScores:
     """loglik_score against central differences of the likelihood itself."""
 
@@ -580,6 +661,48 @@ class TestClosedFormScores:
         assert value == estimate.loglik(m, prob)
         fd = _fd_score(m, prob)
         np.testing.assert_allclose(score, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+    #: the grid's models: CASES at shape >= 1, a shape near 1, and large
+    #: shapes with the step set by beta
+    GRID_CASES = [m for m in CASES if m.kind == "gamma_normal" and m.signal.alpha >= 1.0] + [
+        GammaNormal(GammaParams(1.05, 20.0), NormalParams(100.0, 20.0)),
+        GammaNormal(GammaParams(30.0, 1.0 / 30.0), NormalParams(100.0, 15.0)),
+        GammaNormal(GammaParams(300.0, 1.0 / 30.0), NormalParams(100.0, 15.0)),
+    ]
+
+    @pytest.mark.parametrize("m", GRID_CASES, ids=lambda m: f"{model_to_values(m)}")
+    def test_grid_rows_from_four_convolutions(self, m):
+        # the derivative rows are linear in four convolutions; they agree
+        # with the twelve-transform rows at every node, and the sums and
+        # densities read the same bits with and without grad
+        g, b = m.signal, m.noise
+        p_max = correct.gamma_normal_extent(g, b)
+        want_den, want = _twelve_fft_rows(p_max, g, b)
+        grid = correct._Grid(np.empty(0), p_max, g, b)
+        den, conv = grid.sums(g.alpha, grad=True)
+        np.testing.assert_array_equal(den, want_den)
+        np.testing.assert_array_equal(grid.sums(g.alpha), den)
+        got = grid._node_rows(g.alpha, conv)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        obs, _, _ = _simulate(m, 300, 1, seed=1)
+        plain = correct.gamma_normal_density(obs, g, b, float(np.max(obs)))
+        graded = correct.gamma_normal_density(obs, g, b, float(np.max(obs)), grad=True)
+        np.testing.assert_array_equal(graded[0], plain[0])
+        assert graded[1] == plain[1]
+
+    @pytest.mark.parametrize("m", GRID_CASES, ids=lambda m: f"{model_to_values(m)}")
+    def test_endpoint_derivative_per_order(self, m):
+        # one central difference per order, times each gene's psi(0) h^alpha,
+        # against the per-gene difference of the weights: both carry the
+        # difference's rounding, up to about 1e-10 of the row's scale
+        g, b = m.signal, m.noise
+        obs, _, _ = _simulate(m, 300, 1, seed=1)
+        grid = correct._Grid(obs, float(np.max(obs)), g, b)
+        e, de = grid._endpoint_terms(g.alpha, True)
+        np.testing.assert_array_equal(e, grid._endpoint_terms(g.alpha, False))
+        want = _per_gene_endpoint_alpha(obs, g, b, grid.h)
+        assert np.all(np.abs(de[0] - want) <= 1e-9 * np.max(np.abs(want)))
 
     def test_exp_lognormal_tilt_scores_its_genes(self):
         # the tilt certifies every gene of the reference model, value and

@@ -30,6 +30,11 @@ MODELS = {
     # shape < 1: the grid refuses the array
     "gamma_normal_edge": GammaNormal(GammaParams(0.7, 50.0), NormalParams(100.0, 15.0)),
     "exp_lognormal_edge": ExpLognormal(ExpParams(0.08), LognormalParams(1.3, 2.5)),
+    # the grid route: a step set by beta (beta < sigma), a shape in (1, 2)
+    # and a large shape
+    "gamma_normal_narrow_beta": GammaNormal(GammaParams(3.0, 5.0), NormalParams(100.0, 15.0)),
+    "gamma_normal_low_shape": GammaNormal(GammaParams(1.5, 40.0), NormalParams(100.0, 15.0)),
+    "gamma_normal_large_shape": GammaNormal(GammaParams(300.0, 1.0), NormalParams(100.0, 15.0)),
 }
 #: below, at and far above every family's domain end, and the exp_lognormal
 #: reference model's genes that its tilt rule does not certify
