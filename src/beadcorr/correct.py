@@ -5,10 +5,11 @@ they exist, series where the model has one (with quadrature outside the
 series convergence region), and quadrature for the gamma-normal model.  The
 public correctors and ``correct_array_series`` take it.
 ``correct_array`` takes the route of ``ROUTES``, the cheapest evaluator that
-meets the family's tolerance: the closed forms, the exponential tilt of the
-lognormal noise for exp_lognormal (``_tilt_values``, one fixed Gauss rule),
-the likelihood's FFT grid for gamma_normal (``_grid_values``), and the
-batched tanh-sinh engine (``quadrature.log_integrals``) for the others.
+meets the family's tolerance: the closed forms, fixed Gauss rules in the
+noise's standard score for exp_lognormal, gamma_lognormal and gb_normal
+(``_tilt_values``), the likelihood's FFT grid for gamma_normal
+(``_grid_values``), and the batched tanh-sinh engine
+(``quadrature.log_integrals``) for gb_gb.
 
 Every entry point, for one gene or an array, answers in arrays
 (``_outcomes``): one vectorized domain check, then the route on the genes
@@ -36,7 +37,7 @@ from . import quadrature, series, specfun
 from .dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                     GammaLognormal, GammaNormal, GammaParams, GBGB, GBNormal,
                     GBParams, LognormalParams, ModelSpec, NormalParams,
-                    dist_logpdf, gb_support_upper)
+                    dist_logpdf, dist_support, gb_support_upper)
 from .errors import (DomainError, InvalidParameterError, NumericUnderflowError,
                      QuadratureError)
 # unused: no production gene reaches QUADPACK, but perfbench/tracing.py
@@ -564,24 +565,36 @@ def _grid_values(ps, m: ModelSpec):
 
 
 # ---------------------------------------------------------------------------
-# The exponential tilt of the noise: the exp_lognormal route
+# Fixed Gauss rules in the noise's z: the tilt route
 # ---------------------------------------------------------------------------
 
 def _tilt_values(ps, m: ModelSpec):
-    """The tilt route: the exp_lognormal posterior mean of every gene of ps
-    by the exponential tilt of the noise (``quadrature.tilt_integrals``), in
+    """The tilt route: the posterior mean of every gene of ps by fixed Gauss
+    rules in the noise's standard score (``quadrature.tilt_integrals``), in
     the route contract (``_outcomes``).
 
-    A gene whose fine Gauss rule the coarse rule does not certify to the
-    engine's target, or whose value falls outside (0, p), goes to the engine.
+    A model the rule does not take (``quadrature.tilt_refusal``: a signal
+    density s^(k - 1) at 0 with k < 1) sends every gene to the engine.  A
+    gene whose fine Gauss rule the coarse rule does not certify to the
+    engine's target, or whose value falls outside (0, p) under lognormal
+    noise, or outside the signal's support under normal noise, goes to the
+    engine.
     """
+    refusal = quadrature.tilt_refusal(m)
+    if refusal:
+        return np.full(ps.shape, math.nan), {}, dict.fromkeys(range(ps.size), refusal)
     res = quadrature.tilt_integrals(ps, m, lambda s, log_s, y: s[None], _REL_TOL)
     values = res.means[0]
     missed = ~res.means_ok
     reasons = {i: f"tilt rule not certified (change {change:.2e})" for i, change
                in zip(np.flatnonzero(missed).tolist(), res.change[missed].tolist())}
-    escaped = np.flatnonzero(res.means_ok & ~((values > 0.0) & (values < ps)))
-    reasons.update(dict.fromkeys(escaped.tolist(), "tilt value escaped (0, p)"))
+    if isinstance(m.noise, LognormalParams):
+        upper, bounds = ps, "(0, p)"
+    else:
+        upper = dist_support(m.signal)[1]
+        bounds = f"(0, {upper})"
+    escaped = np.flatnonzero(res.means_ok & ~((values > 0.0) & (values < upper)))
+    reasons.update(dict.fromkeys(escaped.tolist(), f"tilt value escaped {bounds}"))
     return values, {}, reasons
 
 
@@ -693,18 +706,22 @@ PAPER_ROUTES = {
 
 #: The route ``correct_array`` takes for each family: the cheapest evaluator
 #: that meets the family's tolerance, by measurement on the reference arrays.
-#: No family takes the series.  The tanh-sinh engine answers a
-#: gamma_lognormal, gb_gb or gb_normal array faster than the gate and the
-#: two series kernels, and its gb_normal values integrate the untruncated
-#: normal noise, as the referee does.  exp_lognormal takes the tilt of its
-#: noise (``_tilt_values``): 7.0 ms against the series' 13.5 ms on the seed-7
-#: reference array (1000 genes), within 5.8e-13 of it.  gamma_normal takes the
-#: likelihood's FFT grid (``_grid_values``): 1.4 ms against the engine's
-#: 9.2 ms on the seed-7 reference array (250 genes; medians of 40
-#: interleaved calls on a 2-core x86_64 machine), within 5.1e-9 of it.  The
-#: engine answers the genes the tilt or the grid cannot.
-ROUTES = {**PAPER_ROUTES, "exp_lognormal": "tilt", "gamma_normal": "grid",
-          "gamma_lognormal": "quadrature", "gb_gb": "quadrature", "gb_normal": "quadrature"}
+#: No family takes the series.  ``tilt`` names fixed Gauss rules in the
+#: noise's standard score (``_tilt_values``), the exponential tilt of the
+#: noise where the signal is exponential.  On the seed-7 reference arrays
+#: (medians of 40 interleaved calls on a 2-core x86_64 machine), the tilt
+#: took 5.6 ms against the series' 10.8 ms on exp_lognormal (1000 genes),
+#: within 5.3e-13 of it; 2.3 ms against the tanh-sinh engine's 4.9 ms on
+#: gamma_lognormal (300 genes) and 2.3 ms against 6.4 ms on gb_normal
+#: (250 genes), within 6.6e-16 and 1.8e-15 of it.  gamma_normal takes the
+#: likelihood's FFT grid (``_grid_values``): 1.2 ms against the engine's
+#: 8.8 ms (250 genes), within 5.1e-9 of it.  gb_gb takes the engine: 2.5 ms
+#: against the gate and the two series kernels' 52 ms (250 genes).  The
+#: engine answers the genes the tilt or the grid cannot; its gb_normal
+#: values integrate the untruncated normal noise, as the referee does, and
+#: so does the tilt.
+ROUTES = {**PAPER_ROUTES, "exp_lognormal": "tilt", "gamma_lognormal": "tilt",
+          "gb_normal": "tilt", "gamma_normal": "grid", "gb_gb": "quadrature"}
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ tanh-sinh engine's nodes, every gene the engine answers.  The gamma-normal
 grid value at p is a cubic through the grid nodes less the endpoint terms of
 the generalized Euler-Maclaurin expansion at s = 0
 (``correct.gamma_normal_density``), and its score differentiates exactly
-that.  exp_lognormal takes the exponential tilt of its noise
-(``quadrature.tilt_integrals``), whose nodes give value and score alike, by
-Fisher's identity as on the engine's; the genes the tilt does not certify
-take the engine.  A gene the engine cannot certify reads -inf, and its score
-rows NaN; the referee's QUADPACK answers no gene of the likelihood.
+that.  exp_lognormal, gamma_lognormal and gb_normal take fixed Gauss rules
+in the noise's standard score (``quadrature.tilt_integrals``), whose nodes
+give value and score alike, by Fisher's identity as on the engine's; the
+genes the rules do not certify take the engine.  A gene the engine cannot
+certify reads -inf, and its score rows NaN; the referee's QUADPACK answers
+no gene of the likelihood.
 
 Every family is fitted by BFGS on that score, started from the outer product
 of the per-observation scores: 4 to 7 value-and-gradient evaluations per fit
@@ -251,18 +252,36 @@ def _quadrature_marginal_log(p_vals, m, grad=False):
     reads -inf: never fatal.
 
     With grad, also the score rows in param_names order from the same
-    engine call (``_certified_rows``): NaN where the engine does not certify
-    them, or where Fisher's identity misses a boundary term
-    (``_at_signal_end``), so that an optimizer reads the point as not finite.
+    engine call (``_certified_rows``), NaN where the engine does not certify
+    them, so that an optimizer reads the point as not finite.
     """
     res = quadrature.log_integrals(p_vals, m, _fisher_weights(m) if grad else None,
                                    _LIKELIHOOD_REL_TOL)
     out = np.where(res.ok, res.log_f, -np.inf)
-    if not grad:
-        return out
-    rows = _certified_rows(res)
-    rows[:, _at_signal_end(m, p_vals)] = np.nan
-    return out, rows
+    return (out, _certified_rows(res)) if grad else out
+
+
+def _tilt_marginal_log(p, m, grad=False):
+    """``_quadrature_marginal_log`` by the Gauss rules in the noise's z
+    (``quadrature.tilt_integrals``), whose nodes give value and score alike.
+
+    A model the rule does not take (``quadrature.tilt_refusal``) goes to the
+    engine whole.  A gene whose value the rule does not certify takes the
+    engine's; a gene whose score it does not certify keeps the rule's value
+    and takes the engine's score.
+    """
+    if quadrature.tilt_refusal(m):
+        return _quadrature_marginal_log(p, m, grad)
+    res = quadrature.tilt_integrals(p, m, _fisher_weights(m) if grad else None,
+                                    _LIKELIHOOD_REL_TOL)
+    out, rows = res.log_f.copy(), res.means.copy()
+    rest = np.flatnonzero(~(res.means_ok if grad else res.ok))
+    if rest.size:
+        engine = _quadrature_marginal_log(p[rest], m, grad)
+        if grad:
+            engine, rows[:, rest] = engine
+        out[rest] = np.where(res.ok[rest], out[rest], engine)
+    return (out, rows) if grad else out
 
 
 #: the log marginals of the closed and grid routes, with their scores
@@ -277,31 +296,26 @@ def log_marginal(m: ModelSpec, p, grad=False):
     """log f_P(p) under model m; -inf outside support.  Vectorized over p.
 
     Each family takes its correction's route (``correct.ROUTES``): the
-    closed forms, the gamma-normal grid, the tilt of the noise
-    (exp_lognormal) or the tanh-sinh engine.  The tilt's genes whose value it
-    does not certify go to the engine.
+    closed forms, the gamma-normal grid, the Gauss rules in the noise's z
+    (``_tilt_marginal_log``: exp_lognormal, gamma_lognormal, gb_normal) or
+    the tanh-sinh engine (gb_gb).
 
     With grad, also the derivatives in param_names order, a (parameters,
-    genes) array, from the same route; a tilt gene whose score is not
-    certified to the likelihood's target keeps the tilt's value and takes
-    the engine's score.
+    genes) array, from the same route.  On the tilt and engine routes the
+    rows are NaN where Fisher's identity misses a boundary term
+    (``_at_signal_end``), so that an optimizer reads the point as not
+    finite.
     """
     route = correct.ROUTES[m.kind]
     if route in ("closed", "grid"):
         return _SCORED_MARGINALS[m.kind](p, m.signal, m.noise, grad)
     p = np.asarray(p, dtype=float)
-    if route == "quadrature":
-        return _quadrature_marginal_log(p, m, grad)
-    res = quadrature.tilt_integrals(p, m, _fisher_weights(m) if grad else None,
-                                    _LIKELIHOOD_REL_TOL)
-    out, rows = res.log_f.copy(), res.means.copy()
-    rest = np.flatnonzero(~(res.means_ok if grad else res.ok))
-    if rest.size:
-        engine = _quadrature_marginal_log(p[rest], m, grad)
-        if grad:
-            engine, rows[:, rest] = engine
-        out[rest] = np.where(res.ok[rest], out[rest], engine)
-    return (out, rows) if grad else out
+    marginal = _quadrature_marginal_log if route == "quadrature" else _tilt_marginal_log
+    if not grad:
+        return marginal(p, m)
+    out, rows = marginal(p, m, True)
+    rows[:, _at_signal_end(m, p)] = np.nan
+    return out, rows
 
 
 def noise_loglik(m: ModelSpec, problem: EstimationProblem) -> float:

@@ -452,10 +452,12 @@ class TestSeriesBatchInvariance:
 
 
 class TestEngineRoute:
-    """correct_array answers a gamma_lognormal, gb_gb or gb_normal gene by
-    the tanh-sinh engine: the same bits alone, in any array and in any order,
-    equal to _quadrature_means; genes outside the family's domain stay
-    DomainError rows."""
+    """The tanh-sinh engine answers a gamma_lognormal, gb_gb or gb_normal
+    gene with the same bits alone, in any array and in any order.  gb_gb's
+    route is the engine: correct_array's values equal _quadrature_means, and
+    genes outside the family's domain stay DomainError rows.
+    gamma_lognormal and gb_normal take the tilt and leave the engine the
+    genes it does not certify, so the engine is called directly for them."""
 
     @staticmethod
     def cases(kind):
@@ -474,7 +476,18 @@ class TestEngineRoute:
 
     @pytest.mark.parametrize("kind", ["gamma_lognormal", "gb_gb", "gb_normal"])
     def test_alone_in_any_order_and_engine(self, kind):
-        assert correct.ROUTES[kind] == "quadrature"
+        for m, obs, bad in self.cases(kind):
+            inside = obs[obs != bad]
+            engine, refused = correct._quadrature_means(inside, m, 1e-8)
+            rev, rev_refused = correct._quadrature_means(inside[::-1], m, 1e-8)
+            np.testing.assert_array_equal(rev[::-1], engine)
+            assert sorted(inside.size - 1 - j for j in rev_refused) == sorted(refused)
+            for i, p in enumerate(inside.tolist()):
+                alone, alone_refused = correct._quadrature_means(np.array([p]), m, 1e-8)
+                np.testing.assert_array_equal(alone, engine[i:i + 1])
+                assert bool(alone_refused) == (i in refused)
+        if correct.ROUTES[kind] != "quadrature":
+            return
         for m, obs, bad in self.cases(kind):
             corrected, diags = correct.correct_array(obs, m)
             rev, rev_diags = correct.correct_array(obs[::-1], m)
@@ -583,6 +596,75 @@ class TestTiltRoute:
         assert [d.path for d in diags] == ["tilt", "error", "quadrature", "tilt", "tilt",
                                            "tilt"]
         assert diags[1].error.startswith("DomainError:")
+
+
+    #: the families on the tilt route
+    KINDS = ("exp_lognormal", "gamma_lognormal", "gb_normal")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_family_bits_alone_and_in_any_order(self, kind):
+        # a reference draw over three of the rule's blocks, a gene outside
+        # the domain, one whose marginal underflows and one far above the
+        # noise
+        m = simulate.REFERENCE_MODELS[kind][0]
+        obs = np.concatenate([simulate.simulate_experiment(m, 150, 2, seed=5).observed,
+                              [-1.0, 1e-300, 2000.0]])
+        corrected, diags = correct.correct_array(obs, m)
+        rev, rev_diags = correct.correct_array(obs[::-1], m)
+        np.testing.assert_array_equal(rev[::-1], corrected)
+        for i, p in enumerate(obs.tolist()):
+            j = obs.size - 1 - i
+            assert rev_diags[j] == dataclasses.replace(diags[i], index=j)
+            alone, one = correct.correct_array(np.array([p]), m)
+            np.testing.assert_array_equal(alone, corrected[i:i + 1])
+            assert one[0] == dataclasses.replace(diags[i], index=0)
+        assert {d.path for d in diags[:-3]} == {"tilt"}
+        assert diags[-3].error.startswith("DomainError:")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reference_genes_stay_on_the_rule_near_the_engine(self, kind):
+        m, genes = simulate.REFERENCE_MODELS[kind]
+        for seed in range(8):
+            obs = simulate.simulate_experiment(m, genes, max(genes // 4, 50), seed=seed).observed
+            values, diags = correct.correct_array(obs, m)
+            assert {d.path for d in diags} == {"tilt"}, seed
+            engine, refused = correct._quadrature_means(obs, m, 1e-8)
+            assert not refused
+            np.testing.assert_allclose(values, engine, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_likelihood_matches_the_referee(self, kind):
+        # the likelihood reads the rule's value wherever the rule certifies it
+        m = simulate.REFERENCE_MODELS[kind][0]
+        ps = simulate.simulate_experiment(m, 12, 2, seed=3).observed
+        res = quadrature.tilt_integrals(ps, m, None, estimate._LIKELIHOOD_REL_TOL)
+        assert res.ok.all()
+        got = estimate.log_marginal(m, ps)
+        np.testing.assert_array_equal(got, res.log_f)
+        want = [oracle.marginal_log_pdf_quadrature(float(p), m) for p in ps]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("m", [
+        GammaLognormal(GammaParams(0.7, 5.0), LognormalParams(1.0, 0.5)),
+        GBNormal(GBParams(0.9, 1.0, 20.0, 0.8, 10.0), NormalParams(1.0, 0.3)),
+    ], ids=["gamma_lognormal", "gb_normal"])
+    def test_small_powers_take_the_engine(self, m):
+        # a signal density s^(k - 1) at 0 with k < 1: every gene takes the
+        # engine, with the recorded reason, in one call, as on the engine
+        # route; the likelihood takes the engine whole
+        reason = quadrature.tilt_refusal(m)
+        assert reason.startswith("signal power ")
+        obs = simulate.simulate_experiment(m, 60, 2, seed=4).observed
+        obs = obs[obs > 0]
+        values, diags = correct.correct_array(obs, m)
+        assert {(d.path, d.error) for d in diags} == {("quadrature", reason)}
+        engine, refused = correct._quadrature_means(obs, m, 1e-8)
+        assert not refused
+        np.testing.assert_array_equal(values, engine)
+        lm, rows = estimate.log_marginal(m, obs, grad=True)
+        want, want_rows = estimate._quadrature_marginal_log(obs, m, True)
+        np.testing.assert_array_equal(lm, want)
+        np.testing.assert_array_equal(rows, want_rows)
 
 
 class TestGridRoute:

@@ -298,11 +298,13 @@ class TestLoglik:
 
     @pytest.mark.parametrize("kind", ["gamma_lognormal", "gb_gb", "gb_normal"])
     def test_engine_routed_likelihoods_match_the_referee(self, kind):
-        # the likelihood takes the correction's route: the tanh-sinh engine
-        assert correct.ROUTES[kind] == "quadrature"
+        # the engine's likelihood: gb_gb's route, and for gamma_lognormal and
+        # gb_normal the genes their tilt leaves to it, called directly here
         m = simulate.REFERENCE_MODELS[kind][0]
         ps = simulate.simulate_experiment(m, 12, 2, seed=3).observed
-        got = estimate.log_marginal(m, ps)
+        got = estimate._quadrature_marginal_log(ps, m)
+        if correct.ROUTES[kind] == "quadrature":
+            np.testing.assert_array_equal(estimate.log_marginal(m, ps), got)
         want = [oracle.marginal_log_pdf_quadrature(float(p), m) for p in ps]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
@@ -551,6 +553,20 @@ class TestScores:
             warnings.simplefilter("error")
             score = estimate.score_gb_normal(m, prob)
         assert np.all(np.isfinite(score))
+
+    @pytest.mark.parametrize("kind", ["gamma_lognormal", "gb_normal"])
+    def test_tilt_scores_against_central_differences(self, kind):
+        # every gene of the seed-7 reference array takes its score from the
+        # tilt's Fisher rows; the gradient against central differences of
+        # loglik in every parameter
+        m, genes = simulate.REFERENCE_MODELS[kind]
+        data = simulate.simulate_experiment(m, genes, max(genes // 4, 50), seed=7)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, kind)
+        res = quadrature.tilt_integrals(prob.observed, m, estimate._fisher_weights(m),
+                                        estimate._LIKELIHOOD_REL_TOL)
+        assert res.means_ok.all()
+        _, grad, _ = estimate.loglik_score(m, prob)
+        self._assert_gradient_matches_central_differences(m, prob, grad)
 
     @pytest.mark.parametrize("kind, c", [("gb_gb", 1.0), ("gb_normal", 1.0),
                                          ("gb_gb", 0.0)])
