@@ -3,7 +3,8 @@
 Each family has the paper's method (``PAPER_ROUTES``): closed forms where
 they exist, series where the model has one (with quadrature outside the
 series convergence region), and quadrature for the gamma-normal model.  The
-public correctors and ``correct_array_series`` take it.
+public correctors and ``correct_array_series`` take it.  The series route
+answers one gene at a time (``series.posterior_mean``).
 ``correct_array`` takes the route of ``ROUTES``, the cheapest evaluator that
 meets the family's tolerance: the closed forms, fixed Gauss rules in the
 noise's standard score for exp_lognormal, gamma_lognormal and gb_normal
@@ -39,7 +40,7 @@ from .dists import (ExpGamma, ExpLognormal, ExpNormal, ExpParams,
                     GBParams, LognormalParams, ModelSpec, NormalParams,
                     dist_logpdf, dist_support, gb_support_upper)
 from .errors import (DomainError, InvalidParameterError, NumericUnderflowError,
-                     QuadratureError)
+                     QuadratureError, SeriesError)
 # unused: no production gene reaches QUADPACK, but perfbench/tracing.py
 # wraps correct.quad as well as oracle.quad, so the attribute must exist
 from .oracle import quad  # noqa: F401
@@ -602,68 +603,22 @@ def _tilt_values(ps, m: ModelSpec):
 # Series correctors with quadrature fallback
 # ---------------------------------------------------------------------------
 
-def _exp_lognormal_value(p, lnum, lden, e: ExpParams, l: LognormalParams):
-    return p - np.exp(l.mu + 0.5 * l.sigma ** 2 + lnum - lden)
-
-
-def _ratio_value(p, lnum, lden, signal, noise):
-    return p * np.exp(lnum - lden)
-
-
-def _gb_normal_value(p, lnum, lden, s: GBParams, b: NormalParams):
-    return (p - b.mu) * np.exp(lnum - lden)
-
-
-#: (p array, log num, log den, signal, noise) -> the series' corrected values
-_SERIES_VALUES = {
-    "exp_lognormal": _exp_lognormal_value,
-    "gamma_lognormal": _ratio_value,
-    "gb_gb": _ratio_value,
-    "gb_normal": _gb_normal_value,
-}
-
-
 def _series_values(ps, m: ModelSpec):
-    """The series route: every gene of ps from its series, in the route
-    contract (``_outcomes``).
+    """The series route: every gene of ps from its series
+    (``series.posterior_mean``), in the route contract (``_outcomes``).
 
-    The array gate, one den and one num kernel call on the genes the gate
-    accepts (each on its own box), and the value formula.  Genes outside the
-    convergence region, series that cancel or fail, and values outside
-    (0, p) go to the engine with the reason recorded.  A gene's outcome does
-    not depend on the other genes of the array.
+    A gene the series refuses (outside the convergence region, a sum not
+    confirmed, cancellation, a value outside (0, p)) goes to the engine with
+    the refusal's message as the reason.
     """
     values = np.full(ps.shape, math.nan)
-    verdict = series.gate(m, ps)
-    reasons = dict.fromkeys(np.flatnonzero(~verdict.ok).tolist(),
-                            "outside series convergence region")
-    genes = np.flatnonzero(verdict.ok)
-    lden, sden, refused = series.batch_series(m, ps[genes], 0, verdict.den[verdict.ok])
-    live = _unrefused(genes, refused, reasons)
-    genes, lden, sden = genes[live], lden[live], sden[live]
-    lnum, snum, refused = series.batch_series(m, ps[genes], 1,
-                                              verdict.num[verdict.ok][live])
-    live = _unrefused(genes, refused, reasons)
-    cancel = live & ((sden <= 0) | (snum <= 0))
-    reasons.update(dict.fromkeys(genes[cancel].tolist(), "series cancellation"))
-    live &= ~cancel
-    genes = genes[live]
-    with np.errstate(over="ignore"):
-        values[genes] = _SERIES_VALUES[m.kind](ps[genes], lnum[live], lden[live],
-                                               m.signal, m.noise)
-    escaped = ~((values[genes] > 0.0) & (values[genes] < ps[genes]))
-    reasons.update(dict.fromkeys(genes[escaped].tolist(), "series value escaped (0, p)"))
+    reasons = {}
+    for i, p in enumerate(ps.tolist()):
+        try:
+            values[i] = series.posterior_mean(m, p)
+        except SeriesError as exc:
+            reasons[i] = str(exc)
     return values, {}, reasons
-
-
-def _unrefused(genes, refused, reasons):
-    """The mask of the genes a series kernel did not refuse; the refused
-    ones' reasons go into reasons."""
-    at = genes.tolist()
-    reasons.update((at[j], str(exc)) for j, exc in refused.items())
-    live = np.ones(genes.size, dtype=bool)
-    live[list(refused)] = False
-    return live
 
 
 def correct_exp_lognormal(p, e: ExpParams, l: LognormalParams, with_info=False):
@@ -710,16 +665,17 @@ PAPER_ROUTES = {
 #: noise's standard score (``_tilt_values``), the exponential tilt of the
 #: noise where the signal is exponential.  On the seed-7 reference arrays
 #: (medians of 40 interleaved calls on a 2-core x86_64 machine), the tilt
-#: took 5.6 ms against the series' 10.8 ms on exp_lognormal (1000 genes),
-#: within 5.3e-13 of it; 2.3 ms against the tanh-sinh engine's 4.9 ms on
-#: gamma_lognormal (300 genes) and 2.3 ms against 6.4 ms on gb_normal
-#: (250 genes), within 6.6e-16 and 1.8e-15 of it.  gamma_normal takes the
-#: likelihood's FFT grid (``_grid_values``): 1.2 ms against the engine's
-#: 8.8 ms (250 genes), within 5.1e-9 of it.  gb_gb takes the engine: 2.5 ms
-#: against the gate and the two series kernels' 52 ms (250 genes).  The
-#: engine answers the genes the tilt or the grid cannot; its gb_normal
-#: values integrate the untruncated normal noise, as the referee does, and
-#: so does the tilt.
+#: took 5.6 ms on exp_lognormal (1000 genes), within 5.3e-13 of the series;
+#: 2.3 ms against the tanh-sinh engine's 4.9 ms on gamma_lognormal (300
+#: genes) and 2.3 ms against 6.4 ms on gb_normal (250 genes), within 6.6e-16
+#: and 1.8e-15 of it.  gamma_normal takes the likelihood's FFT grid
+#: (``_grid_values``): 1.2 ms against the engine's 8.8 ms (250 genes),
+#: within 5.1e-9 of it.  gb_gb takes the engine.  The series route, one gene
+#: at a time, took 145 ms on that exp_lognormal array and 169 ms on the
+#: gb_gb one (250 genes), where the tilt took 4.3 ms and the engine 1.9 ms
+#: (medians of 20 interleaved calls).  The engine answers the genes the tilt
+#: or the grid cannot; its gb_normal values integrate the untruncated normal
+#: noise, as the referee does, and so does the tilt.
 ROUTES = {**PAPER_ROUTES, "exp_lognormal": "tilt", "gamma_lognormal": "tilt",
           "gb_normal": "tilt", "gamma_normal": "grid", "gb_gb": "quadrature"}
 

@@ -1,4 +1,4 @@
-"""Truncated evaluation of the convolution series, an array of genes at once.
+"""Truncated evaluation of the convolution series, one gene at a time.
 
 Each convolution model whose marginal/posterior has no closed form is written
 as an infinite sum of binomial-expansion terms, handled as log-magnitude plus
@@ -8,27 +8,29 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
   summed: per summation index, the first index past which the remaining terms
   are below ``REL_TOL`` of the total, judged from closed-form axis values and
   the index's own term magnitudes (exact cutoffs give -inf magnitudes).
-* The gate (``gate``) takes an array of observations: the ratio,
-  cancellation and tail checks run first, then the boxes of the genes they
-  keep, row by row and in slices of genes under a fixed entry budget.  It
-  accepts a gene when every depth of both kernels lies within 85% of the
-  cap.  ``convergence_ok`` is the gate on one observation.
-* Each family has one kernel, which sums its den or num series for an array
-  of genes, each on its own box.  The axis vectors are built on the batch's
-  largest grown box (the confirmation box, one eighth deeper along every
-  index); a gene's are scaled over its own grown box and zero past it, and
-  for the sum on the box also zero past its own box.  Convolutions and
-  contractions are accumulated elementwise in a fixed order of the summed
-  index (no multi-row matrix product), so zero entries add nothing, and each
-  gene's rows are added with ``math.fsum``: a gene's sums have the same bits
-  alone, in any array and in any order.  A gene is confirmed when its two
-  sums differ by less than ``REL_TOL`` and the sum does not overflow.
-* ``batch_series`` runs a kernel on the genes the gate accepts and maps each
-  gene it does not confirm to the error its per-gene evaluator raises; the
-  per-gene evaluators (``*_den_series``, ``*_num_series``) run it on one
-  gene.  The series is the paper's route (``correct.PAPER_ROUTES``): the
-  public correctors, ``correct.correct_array_series`` and validation take
-  it, and neither ``correct.ROUTES`` nor the likelihood does.
+* The convergence gate (``convergence_ok``) runs the family's ratio,
+  cancellation and tail checks, then computes the den and num boxes, and
+  accepts the gene when every depth of both lies within 85% of the cap.
+* Each family has one kernel, which sums its den or num series on the
+  gene's box and on its confirmation box, one eighth deeper along every
+  index.  The axis vectors are built and scaled on the confirmation box; the
+  sum on the box reads their leading entries.  Convolutions and contractions
+  are accumulated elementwise in a fixed order of the summed index (no
+  matrix product), and the gene's row is added with ``math.fsum``.  A sum is
+  confirmed when its two sums differ by less than ``REL_TOL`` and it does
+  not overflow.
+* ``posterior_mean`` is the series corrector of one gene: the gate, both
+  kernels, the cancellation check and the value formula.  It raises a
+  SeriesError that names the step refusing the gene.  The per-gene
+  evaluators (``*_den_series``, ``*_num_series``) run one kernel after the
+  family's domain check.  The series is the paper's route
+  (``correct.PAPER_ROUTES``): the public correctors,
+  ``correct.correct_array_series`` and validation take it, and neither
+  ``correct.ROUTES`` nor the likelihood does.
+
+Internally a gene's observation is a one-element array ``q``, and the
+helpers work row by row on it.  The cached coefficient workspaces serve
+every gene of an array.
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -101,11 +103,6 @@ LN_TAIL_MARGIN = 4.6
 GATE_DEPTH_FRACTION = 0.85
 
 
-#: entries of the genes x terms arrays the gate and the kernels hold at once;
-#: larger batches are taken in slices of genes
-_GRID_BUDGET = 1 << 16
-
-
 def _depth(log_terms, log_limit):
     """Per row of a genes x terms array: the first index past which every
     term is at most the row's log_limit (at least 1).
@@ -119,18 +116,13 @@ def _depth(log_terms, log_limit):
     return np.where(above.any(axis=-1), last, 1)
 
 
-def _grow(boxes):
-    """The confirmation boxes: every index one eighth deeper (at least one)."""
-    return boxes + np.maximum(1, boxes // 8)
+def _grow(box):
+    """The confirmation box: every index one eighth deeper (at least one)."""
+    return tuple(n + max(1, n // 8) for n in box)
 
 
 def _box_tuple(box):
     return tuple(int(n) for n in box)
-
-
-def _below(n, sizes):
-    """genes x n mask of the entries before each gene's size."""
-    return np.arange(n) < np.asarray(sizes)[:, None]
 
 
 def _rising_terms(table: _CoefTable, log_r, n):
@@ -172,11 +164,11 @@ def _max_convolve(a, b):
 
 
 #: first number of exp-lognormal terms the gate scans; it doubles until the
-#: scan has passed every gene's peak and tail
+#: scan has passed the gene's peak and tail
 _LN_SCAN_START = 32
 
 
-def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams):
+def _exp_lognormal_boxes(q, e: ExpParams | None, l: LognormalParams):
     """Positive terms: the tail is judged against the largest one.
 
     log_ndtr is concave with slope above -x, so the ratio of terms k + 1 and
@@ -186,30 +178,27 @@ def _exp_lognormal_boxes(p, e: ExpParams | None, l: LognormalParams):
     and every term above the limit, and gives the depth of the full scan.
     """
     theta = 0.0 if e is None else e.theta
-    log_p = np.log(p)
-    falling = theta * p * math.exp(0.5 * l.sigma ** 2)
+    log_p = np.log(q)[:, None]
+    falling = theta * q[0] * math.exp(0.5 * l.sigma ** 2)
     cap = MAX_TERMS + 1
     boxes = []
     for shift in (0, 1):
-        depth = np.empty(p.size, dtype=int)
-        todo = np.arange(p.size)
         n = _LN_SCAN_START
-        while todo.size:
+        while True:
             n = min(n, cap)
-            lt = _lognormal_weight_terms(log_p[todo, None], theta, l, shift, n)
+            lt = _lognormal_weight_terms(log_p, theta, l, shift, n)
             limit = np.max(lt, axis=1) + math.log(REL_TOL) - TAIL_MARGIN
-            done = (n == cap) | ((falling[todo] < n - 1) & (lt[:, -1] <= limit))
-            depth[todo[done]] = _depth(lt[done], limit[done])
-            todo = todo[~done]
+            if n == cap or (falling < n - 1 and lt[0, -1] <= limit[0]):
+                break
             n *= 2
-        boxes.append(depth[:, None])
+        boxes.append(_depth(lt, limit)[:, None])
     return tuple(boxes)
 
 
-def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams):
+def _gamma_lognormal_boxes(q, g: GammaParams, l: LognormalParams):
     n = MAX_TERMS + 1
     limit = math.log(REL_TOL) - LN_TAIL_MARGIN
-    log_p = np.log(p)[:, None]
+    log_p = np.log(q)[:, None]
     k = np.arange(n, dtype=float)
     # binomial axis: term magnitude with n = 0 against the leading term,
     # allowing for the exp(b/beta) factor (bounded by exp(p/beta)) that the
@@ -217,11 +206,11 @@ def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams):
     lead = _sp.log_ndtr((log_p - l.mu) / l.sigma)
     common = (-k * log_p + k * (l.mu + 0.5 * k * l.sigma ** 2)
               + _sp.log_ndtr((log_p - (l.mu + k * l.sigma ** 2)) / l.sigma)
-              + p[:, None] / g.beta - lead)
+              + q[:, None] / g.beta - lead)
     # factorial axis: sum_n (b/beta)^n / n! against exp(b/beta) leaves at most
     # the Poisson(p/beta) upper tail
     with np.errstate(divide="ignore"):
-        tail = np.log(_sp.pdtrc(k - 1.0, p[:, None] / g.beta))
+        tail = np.log(_sp.pdtrc(k - 1.0, q[:, None] / g.beta))
     tail[:, 0] = 0.0
     depth = _depth(tail, limit)
     return tuple(np.stack([_depth(specfun.gen_binomial_log_array(g.alpha - 1.0 + top, n)[0]
@@ -229,14 +218,14 @@ def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams):
                  for top in (0, 1))
 
 
-def _gb_pair_boxes(p, s: GBParams, b: GBParams):
+def _gb_pair_boxes(q, s: GBParams, b: GBParams):
     # the beta-grid factor decreases along every index, so each axis is
     # judged by its own terms; the num kernel's offsets change no index
     n = MAX_TERMS + 1
     limit = math.log(REL_TOL) - TAIL_MARGIN
     ws = _gb_pair_workspace(s, b, 0)
-    fall1, rise1 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
-    fall2, rise2 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
+    fall1, rise1 = _gb_log_ratios(s, s.a * (np.log(q) - math.log(s.d)))
+    fall2, rise2 = _gb_log_ratios(b, b.a * (np.log(q) - math.log(b.d)))
     box = np.stack([_depth(_falling_terms(ws.fall1, fall1, n), limit),
                     _depth(_falling_terms(ws.fall2, fall2, n), limit),
                     _depth(_rising_terms(ws.rise1, rise1, n), limit),
@@ -244,10 +233,10 @@ def _gb_pair_boxes(p, s: GBParams, b: GBParams):
     return box, box
 
 
-def _gb_normal_boxes(p, s: GBParams, b: NormalParams):
+def _gb_normal_boxes(q, s: GBParams, b: NormalParams):
     n = MAX_TERMS + 1
     limit = math.log(REL_TOL) - TAIL_MARGIN
-    pm = p - b.mu
+    pm = q - b.mu
     fall, rise = _gb_log_ratios(s, s.a * (np.log(pm) - math.log(s.d)))
     lv = _moment_logs(pm, b, n)[0]
     top = np.max(lv, axis=1)
@@ -268,41 +257,21 @@ def _gb_normal_boxes(p, s: GBParams, b: NormalParams):
         growth = row - row[:, :1]
         L = _depth(fall_terms + growth, limit)
         M = _depth(rise_terms + growth, limit)
-        N = np.full(p.shape, n)
-        short = np.flatnonzero(np.maximum(L, M) < n)
-        if short.size:
-            N[short] = _gb_normal_moment_depth(
-                ws, fall_terms[short], rise_terms[short], L[short], M[short],
-                lv[short], row[short, 0] + limit)
+        N = np.full(q.shape, n)
+        if max(L[0], M[0]) < n:
+            N = _gb_normal_moment_depth(ws, fall_terms[:, :L[0]], rise_terms[:, :M[0]],
+                                        lv, row[:, 0] + limit)
         boxes.append(np.stack([L, M, N], axis=1))
     return tuple(boxes)
 
 
-def _gb_normal_moment_depth(ws, fall_terms, rise_terms, L, M, lv, log_limit):
-    """Moment-axis depth of every gene: each (l, m) row of its own box,
-    weighted by its axis terms, bounds the moment column.
-
-    Genes are taken in order of their own row count, in slices under the
-    entry budget, so a slice reads about as many grid rows as its genes
-    need.
-    """
-    weight = _max_convolve(
-        np.where(_below(L.max(), L), fall_terms[:, :L.max()], _NEG_INF),
-        np.where(_below(M.max(), M), rise_terms[:, :M.max()], _NEG_INF))
-    n = lv.shape[1]
-    logs = ws.log_grid(weight.shape[1], n)[0]
-    own = L + M - 1
-    order = np.argsort(own, kind="stable")
-    cols = np.empty(lv.shape)
-    lo = 0
-    while lo < order.size:
-        hi = lo + 1
-        while hi < order.size and (hi + 1 - lo) * int(own[order[hi]]) * n <= _GRID_BUDGET:
-            hi += 1
-        part, rows = order[lo:hi], int(own[order[hi - 1]])
-        cols[part] = np.max(weight[part, :rows, None] + logs[:rows], axis=1)
-        lo = hi
-    return _depth(cols + lv, log_limit)
+def _gb_normal_moment_depth(ws, fall_terms, rise_terms, lv, log_limit):
+    """Moment-axis depth of the gene: each (l, m) row of its box, weighted
+    by its axis terms (fall_terms and rise_terms on the box), bounds the
+    moment column."""
+    weight = _max_convolve(fall_terms, rise_terms)
+    logs = ws.log_grid(weight.shape[1], lv.shape[1])[0]
+    return _depth(np.max(weight[:, :, None] + logs, axis=1) + lv, log_limit)
 
 
 def _boxes(kind, p, signal, noise):
@@ -327,22 +296,11 @@ def _scaled_rows(logs, signs):
         return signs * np.exp(logs - m.reshape(m.shape + (1,) * len(axes))), m
 
 
-def _scaled_axis(logs, signs, sizes):
-    """_scaled_rows of each gene's entries before its own size; zero past it."""
-    return _scaled_rows(np.where(_below(logs.shape[1], sizes), logs, _NEG_INF), signs)
-
-
-def _on_box(v, sizes):
-    """Each gene's row of the genes x terms array v, zero past its own size."""
-    return np.where(_below(v.shape[1], sizes), v, 0.0)
-
-
 def _convolve_rows(a, b):
     """out[g] = np.convolve(a[g], b[g]) for two stacks of vectors.
 
     Each entry is accumulated over a's index in increasing order, whatever
-    the shapes, so a gene's row has the bits it has alone, and zero entries
-    past a gene's own length add nothing.
+    the shapes, so a row's bits do not depend on the other rows.
     """
     out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
     for k in range(a.shape[1]):
@@ -353,8 +311,8 @@ def _convolve_rows(a, b):
 def _contract_rows(x, mat):
     """out[g, i] = sum over j of mat[i, j] * x[g, j], added in order of j.
 
-    Elementwise, not a matrix product: each gene's row has the bits it has
-    alone, and zero entries of x add nothing.
+    Elementwise, not a matrix product: a row's bits do not depend on the
+    other rows, and zero entries of x add nothing.
     """
     cols = np.ascontiguousarray(mat.T)
     out = np.zeros((x.shape[0], mat.shape[0]))
@@ -378,101 +336,60 @@ def _row_fsums(rows):
     return np.array([math.fsum(r) for r in rows.tolist()])
 
 
-def _box_sums(rows, vectors, boxes):
-    """Per-gene sums of rows(vectors) on each gene's box and on its grown box.
+def _box_sums(rows, vectors, box):
+    """The gene's sums of rows(vectors) on its box and on its grown box.
 
-    vectors hold one genes x terms array per summation index, scaled over
-    and zero past each gene's grown box; for the sum on the box, entries
-    past the gene's own box are zeroed as well.  Both sums go through one
-    call of rows, on a stack of the two.
+    vectors hold one 1 x terms array per summation index, scaled over the
+    grown box; the sum on the box reads the leading entries of each.
     """
-    both = [np.concatenate([_on_box(v, boxes[:, k]), v]) for k, v in enumerate(vectors)]
-    sums = _row_fsums(rows(both))
-    return sums[:boxes.shape[0]], sums[boxes.shape[0]:]
+    base = _row_fsums(rows([v[:, :n] for v, n in zip(vectors, box)]))
+    return base[0], _row_fsums(rows(vectors))[0]
 
 
-def _confirmed_batch(base, wide, scale):
-    """Per-gene (log |sum on the grown box|, its sign, ok) from a kernel.
+def _label(family, off):
+    """The name of a family's den (off 0) or num (off 1) evaluator, less
+    "_series": the prefix of its error messages."""
+    return f"{family.label}_{('den', 'num')[off]}"
 
-    base and wide are a kernel's sums on the box and on the grown box, both
-    relative to exp(scale); ok marks genes whose sum is finite, below
-    exp(690) and within REL_TOL of the sum on the box (two zero sums agree).
+
+def _sum(family, q, signal, noise, off, box) -> SeriesValue:
+    """The family's kernel (off 0: den, 1: num) at the gene q on its box,
+    confirmed on the grown box.
+
+    Raises when a depth lies past the cap, when the sum overflows, and when
+    the confirmation box moves the sum by REL_TOL or more.
     """
+    label = _label(family, off)
+    if max(box) > MAX_TERMS:
+        raise SeriesNonConvergenceError(
+            f"{label}: truncation depths {box} lie past the cap ({MAX_TERMS})")
+    base, wide, scale = (float(x) for x in family.kernel(q, signal, noise, off, box))
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs = scale + np.log(np.abs(wide))
-        agree = np.abs(wide - base) < REL_TOL * np.abs(wide)
-    ok = (log_abs <= 690.0) & (agree | ((wide == 0.0) & (base == 0.0)))
-    return log_abs, np.sign(wide), ok
-
-
-def _refusal(label, box, base, wide, log_abs):
-    """The SeriesError of a gene whose kernel sums are not confirmed."""
+        log_abs = float(scale + np.log(abs(wide)))
+    sign = float(np.sign(wide))
     if not (math.isfinite(base) and math.isfinite(wide) and log_abs <= 690.0):
-        return SeriesDivergenceError(
+        raise SeriesDivergenceError(
             f"{label}: partial sums overflowing; expansion outside its "
             f"convergence region")
-    moved = abs(wide - base) / max(abs(wide), 1e-300)
-    partial = SeriesValue(float(log_abs), float(np.sign(wide)), _box_tuple(box), False)
-    return SeriesNonConvergenceError(
-        f"{label}: confirmation box {_box_tuple(_grow(box))} moved the sum by "
-        f"{moved:.2e} relative", partial=partial)
-
-
-def _batch_series(kind, p, signal, noise, off, boxes):
-    """The family's kernel (off 0: den, 1: num) on every gene, each on its
-    own box: (log |sum|, sign, refused), refused mapping the index of each
-    gene whose sum is not confirmed, or whose box lies past the cap, to the
-    SeriesError that refuses it."""
-    family = _family(kind)
-    label = f"{family.label}_{('den', 'num')[off]}"
-    log_abs, sign = np.full(p.shape, _NEG_INF), np.zeros(p.shape)
-    refused = {}
-    deep = boxes.max(axis=1) > MAX_TERMS
-    for i in np.flatnonzero(deep).tolist():
-        refused[i] = SeriesNonConvergenceError(
-            f"{label}: truncation depths {_box_tuple(boxes[i])} lie past the cap "
-            f"({MAX_TERMS})")
-    run = np.flatnonzero(~deep)
-    if run.size:
-        base, wide, scale = family.kernel(p[run], signal, noise, off, boxes[run])
-        log_abs[run], sign[run], ok = _confirmed_batch(base, wide, scale)
-        for j in np.flatnonzero(~ok).tolist():
-            i = int(run[j])
-            refused[i] = _refusal(label, boxes[i], float(base[j]), float(wide[j]),
-                                  float(log_abs[i]))
-    return log_abs, sign, refused
-
-
-def batch_series(m: ModelSpec, p, off, boxes):
-    """The den (off 0) or num (off 1) series of model m at every observation
-    of the array p, each gene summed on its own box (rows of boxes, as
-    ``gate`` returns them) in one kernel call.
-
-    Returns (log |sum|, sign, refused): refused maps the index of every gene
-    whose sum is not confirmed to the SeriesError its per-gene evaluator
-    raises.  A gene's results do not depend on the other genes of the array.
-    """
-    return _batch_series(m.kind, np.asarray(p, dtype=float), m.signal, m.noise, off,
-                         np.asarray(boxes))
+    if not (abs(wide - base) < REL_TOL * abs(wide) or wide == base == 0.0):
+        moved = abs(wide - base) / max(abs(wide), 1e-300)
+        raise SeriesNonConvergenceError(
+            f"{label}: confirmation box {_grow(box)} moved the sum by "
+            f"{moved:.2e} relative", partial=SeriesValue(log_abs, sign, box, False))
+    return SeriesValue(log_abs, sign, box, True)
 
 
 def _evaluate(kind, p, signal, noise, off) -> SeriesValue:
     """The family's kernel on one gene and its own box (off 0: den, 1: num).
 
-    Raises outside the family's domain, when a depth lies past the cap, when
-    the sum overflows, and when the confirmation box moves the sum by
-    REL_TOL or more.
+    Raises outside the family's domain, and as ``_sum`` does.
     """
     family = _FAMILIES[kind]
-    p = np.array([float(p)])
-    refused = family.domain(p, signal, noise, f"{family.label}_{('den', 'num')[off]}")
-    if refused:
-        raise refused[0]
-    boxes = family.boxes(p, signal, noise)[off].astype(int)
-    log_abs, sign, failed = _batch_series(kind, p, signal, noise, off, boxes)
-    if failed:
-        raise failed[0]
-    return SeriesValue(float(log_abs[0]), float(sign[0]), _box_tuple(boxes[0]), True)
+    p = float(p)
+    refusal = family.domain(p, signal, noise, _label(family, off))
+    if refusal:
+        raise DomainError(refusal)
+    return _sum(family, np.array([p]), signal, noise, off, _boxes(kind, p, signal, noise)[off])
 
 
 def _geometric_logs(n, log_ratio):
@@ -638,25 +555,23 @@ def _lognormal_weight_terms(log_p, theta, l: LognormalParams, shift, n):
             + _sp.log_ndtr((log_p - (l.mu + (k + shift) * l.sigma ** 2)) / l.sigma))
 
 
-def _exp_lognormal_kernel(p, e: ExpParams | None, l: LognormalParams, shift, boxes):
+def _exp_lognormal_kernel(q, e: ExpParams | None, l: LognormalParams, shift, box):
     theta = 0.0 if e is None else e.theta
-    grown = _grow(boxes)
-    logs = _lognormal_weight_terms(np.log(p)[:, None], theta, l, shift, int(grown.max()))
-    terms, scale = _scaled_axis(logs, 1.0, grown[:, 0])
-    return (*_box_sums(lambda vectors: vectors[0], (terms,), boxes), scale)
-
-
-def _refusals(bad, p, message):
-    """{index: DomainError(message(p))} of the genes of p that bad marks."""
-    return {i: DomainError(message(float(p[i]))) for i in np.flatnonzero(bad).tolist()}
+    logs = _lognormal_weight_terms(np.log(q)[:, None], theta, l, shift, _grow(box)[0])
+    terms, scale = _scaled_rows(logs, 1.0)
+    return (*_box_sums(lambda vectors: vectors[0], (terms,), box), scale[0])
 
 
 def _positive_domain(p, signal, noise, label):
-    return _refusals(p <= 0, p, lambda q: f"{label} requires p > 0, got {q}")
+    return f"{label} requires p > 0, got {p}" if p <= 0 else None
 
 
 def _exp_lognormal_log_prefactor(e: ExpParams, l: LognormalParams, p):
     return math.log(e.theta) - e.theta * p
+
+
+def _exp_lognormal_value(p, lnum, lden, e: ExpParams, l: LognormalParams):
+    return p - np.exp(l.mu + 0.5 * l.sigma ** 2 + lnum - lden)
 
 
 def exp_lognormal_den_series(p, e: ExpParams, l: LognormalParams) -> SeriesValue:
@@ -673,42 +588,35 @@ def exp_lognormal_num_series(p, e: ExpParams, l: LognormalParams) -> SeriesValue
 # Gamma-lognormal pair (two indices)
 # ---------------------------------------------------------------------------
 
-def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, boxes):
+def _gamma_lognormal_kernel(q, g: GammaParams, l: LognormalParams, top, box):
     """top = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k).
 
-    The (k, n) term grids are summed over n in order of n, then each gene's
-    k-rows with math.fsum; a batch larger than the budget is taken in slices
-    of genes.
+    The (k, n) term grid is summed over n in order of n, then its k-rows
+    with math.fsum.
     """
-    grown = _grow(boxes)
-    K, N = (int(n) for n in grown.max(axis=0))
+    K, N = _grow(box)
     blogs, bsigns = specfun.gen_binomial_log_array(g.alpha - 1.0 + top, K)
     kk = np.arange(K, dtype=float)
     nn = np.arange(N, dtype=float)
     t = np.arange(K + N - 1, dtype=float)
     sk = (bsigns * np.where(kk % 2 == 0, 1.0, -1.0))[:, None]
     bn = -_sp.gammaln(nn + 1.0) - nn * math.log(g.beta)
-    diag = np.arange(K)[:, None] + np.arange(N)
-    base, wide, scale = np.empty(p.size), np.empty(p.size), np.empty(p.size)
-    step = max(1, _GRID_BUDGET // (K * N))
-    for lo in range(0, p.size, step):
-        part = slice(lo, lo + step)
-        log_p = np.log(p[part])[:, None]
-        E = (t * (l.mu + 0.5 * t * l.sigma ** 2)
-             + _sp.log_ndtr((log_p - (l.mu + t * l.sigma ** 2)) / l.sigma))
-        te = (blogs - kk * log_p)[:, :, None] + bn + E[:, diag]
-        own = (_below(K, grown[part, 0])[:, :, None]
-               & _below(N, grown[part, 1])[:, None, :])
-        grid, scale[part] = _scaled_rows(np.where(own, te, _NEG_INF), sk)
-        box = _below(K, boxes[part, 0])[:, :, None] & _below(N, boxes[part, 1])[:, None, :]
-        base[part] = _row_fsums(_sum_last(np.where(box, grid, 0.0)))
-        wide[part] = _row_fsums(_sum_last(grid))
-    return base, wide, scale
+    log_p = np.log(q)[:, None]
+    E = (t * (l.mu + 0.5 * t * l.sigma ** 2)
+         + _sp.log_ndtr((log_p - (l.mu + t * l.sigma ** 2)) / l.sigma))
+    te = (blogs - kk * log_p)[:, :, None] + bn + E[:, np.arange(K)[:, None] + np.arange(N)]
+    grid, scale = _scaled_rows(te, sk)
+    base = _row_fsums(_sum_last(grid[:, :box[0], :box[1]]))
+    return base[0], _row_fsums(_sum_last(grid))[0], scale[0]
 
 
 def _gamma_lognormal_log_prefactor(g: GammaParams, l: LognormalParams, p):
     return ((g.alpha - 1.0) * np.log(p) - p / g.beta
             - g.alpha * math.log(g.beta) - _sp.gammaln(g.alpha))
+
+
+def _ratio_value(p, lnum, lden, signal, noise):
+    return p * np.exp(lnum - lden)
 
 
 def gamma_lognormal_den_series(p, g: GammaParams, l: LognormalParams) -> SeriesValue:
@@ -733,31 +641,25 @@ def _gb_axis_arrays(table, n, log_ratio):
             bsigns * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
 
 
-def _gb_pair_parts(p, s, b, off, grown):
-    """The scaled l, m, n and r axis vectors of every gene, on the largest of
-    the sizes grown = (L, M, N, R) per gene, each scaled over and zero past
-    the gene's own sizes; the scaled beta grid; each gene's log scale."""
+def _gb_pair_kernel(q, s: GBParams, b: GBParams, off, box):
+    """The l, m, n and r axis vectors are built and scaled on the grown box
+    (L, M, N, R), and contracted through the scaled beta grid."""
     ws = _gb_pair_workspace(s, b, off)
-    lg1, lg3 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
-    lg2, lg4 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
-    L, M, N, R = (int(n) for n in grown.max(axis=0))
-    v1, m1 = _scaled_axis(*_gb_axis_arrays(ws.fall1, L, lg1), grown[:, 0])
-    v3, m3 = _scaled_axis(*_gb_axis_arrays(ws.rise1, N, lg3), grown[:, 2])
-    v2, m2 = _scaled_axis(*_gb_axis_arrays(ws.fall2, M, lg2), grown[:, 1])
-    v4, m4 = _scaled_axis(*_gb_axis_arrays(ws.rise2, R, lg4), grown[:, 3])
+    lg1, lg3 = _gb_log_ratios(s, s.a * (np.log(q) - math.log(s.d)))
+    lg2, lg4 = _gb_log_ratios(b, b.a * (np.log(q) - math.log(b.d)))
+    L, M, N, R = _grow(box)
+    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall1, L, lg1))
+    v3, m3 = _scaled_rows(*_gb_axis_arrays(ws.rise1, N, lg3))
+    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.fall2, M, lg2))
+    v4, m4 = _scaled_rows(*_gb_axis_arrays(ws.rise2, R, lg4))
     E, gmax = ws.lbeta_grid_exp(L + N - 1, M + R - 1)
-    return (v1, v2, v3, v4, E), m1 + m3 + m2 + m4 + gmax
-
-
-def _gb_pair_kernel(p, s: GBParams, b: GBParams, off, boxes):
-    (*vectors, E), scale = _gb_pair_parts(p, s, b, off, _grow(boxes))
 
     def rows(vectors):
         v1, v2, v3, v4 = vectors
         conv13, conv24 = _convolve_rows(v1, v3), _convolve_rows(v2, v4)
         return conv13 * _contract_rows(conv24, E[:conv13.shape[1], :conv24.shape[1]])
 
-    return (*_box_sums(rows, vectors, boxes), scale)
+    return (*_box_sums(rows, (v1, v2, v3, v4), box), (m1 + m3 + m2 + m4 + gmax)[0])
 
 
 def _gb_pair_log_prefactor(s: GBParams, b: GBParams, p):
@@ -769,8 +671,9 @@ def _gb_pair_log_prefactor(s: GBParams, b: GBParams, p):
 
 def _gb_pair_domain(p, s: GBParams, b: GBParams, label):
     upper = gb_support_upper(s) + gb_support_upper(b)
-    return _refusals(~((0 < p) & (p < upper)), p, lambda q:
-                     f"{label}: p={q} outside the convolution support (0, {upper})")
+    if not (0 < p and p < upper):
+        return f"{label}: p={p} outside the convolution support (0, {upper})"
+    return None
 
 
 def gb_pair_den_series(p, s: GBParams, b: GBParams) -> SeriesValue:
@@ -787,48 +690,24 @@ def gb_pair_num_series(p, s: GBParams, b: GBParams) -> SeriesValue:
 # GB + normal triple series
 # ---------------------------------------------------------------------------
 
-def _gb_normal_parts(p, s, b: NormalParams, off, grown, moments):
-    """The scaled l and m axis vectors and moment columns t^n I_n of every
-    gene, on the largest of the sizes grown = (L, M, N) per gene, each scaled
-    over and zero past the gene's own sizes; the scaled binomial grid served
-    for the largest request; each gene's log scale.  moments are the genes'
-    _moment_logs on at least N columns."""
+def _gb_normal_kernel(q, s: GBParams, b: NormalParams, off, box):
+    """The l and m axis vectors and the moment column t^n I_n are built and
+    scaled on the grown box (L, M, N), and contracted through the binomial
+    grid block served for it."""
     ws = _gb_normal_workspace(s, off)
-    lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(p - b.mu) - math.log(s.d)))
-    L, M, N = (int(n) for n in grown.max(axis=0))
-    v1, m1 = _scaled_axis(*_gb_axis_arrays(ws.fall, L, lg1), grown[:, 0])
-    v2, m2 = _scaled_axis(*_gb_axis_arrays(ws.rise, M, lg2), grown[:, 1])
-    logs, signs = moments
-    vn, mv = _scaled_axis(logs[:, :N], signs[:, :N], grown[:, 2])
-    grid, gmax = ws.binom_grid_exp(int((grown[:, 0] + grown[:, 1]).max()) - 1, N)
-    return (v1, v2, vn, grid), m1 + m2 + mv + gmax
+    lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(q - b.mu) - math.log(s.d)))
+    L, M, N = _grow(box)
+    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall, L, lg1))
+    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.rise, M, lg2))
+    vn, mv = _scaled_rows(*_moment_logs(q - b.mu, b, N))
+    grid, gmax = ws.binom_grid_exp(L + M - 1, N)
 
+    def rows(vectors):
+        v1, v2, vn = vectors
+        conv12 = _convolve_rows(v1, v2)
+        return conv12 * _contract_rows(vn, grid[:conv12.shape[1], :vn.shape[1]])
 
-def _gb_normal_groups(p, s, b: NormalParams, off, grown):
-    """(indices, _gb_normal_parts) of each group of genes that read the same
-    block of the binomial grid.  binom_grid_exp scales a block by its own
-    largest entry, so each gene reads the block it reads alone."""
-    block = np.array([_GBNormalWorkspace.block_size(n1 + n2 - 1, n3)
-                      for n1, n2, n3 in grown.tolist()])
-    logs, signs = _moment_logs(p - b.mu, b, int(grown[:, 2].max()))
-    for size in np.unique(block).tolist():
-        idx = np.flatnonzero(block == size)
-        yield idx, _gb_normal_parts(p[idx], s, b, off, grown[idx], (logs[idx], signs[idx]))
-
-
-def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, boxes):
-    base, wide, scale = np.empty(p.size), np.empty(p.size), np.empty(p.size)
-    for idx, ((*vectors, grid), part_scale) in _gb_normal_groups(p, s, b, off, _grow(boxes)):
-        scale[idx] = part_scale
-
-        def rows(vectors):
-            v1, v2, vn = vectors
-            # entries past the grid's rows are zero for every gene
-            conv12 = _convolve_rows(v1, v2)[:, :grid.shape[0]]
-            return conv12 * _contract_rows(vn, grid[:conv12.shape[1], :vn.shape[1]])
-
-        base[idx], wide[idx] = _box_sums(rows, vectors, boxes[idx])
-    return base, wide, scale
+    return (*_box_sums(rows, (v1, v2, vn), box), (m1 + m2 + mv + gmax)[0])
 
 
 def _gb_normal_log_prefactor(s: GBParams, b: NormalParams, p):
@@ -837,8 +716,13 @@ def _gb_normal_log_prefactor(s: GBParams, b: NormalParams, p):
 
 
 def _gb_normal_domain(p, s: GBParams, b: NormalParams, label):
-    return _refusals(p <= b.mu, p, lambda q: f"{label}: series formulation requires "
-                     f"p > noise mu, got p={q}, mu={b.mu}")
+    if p <= b.mu:
+        return f"{label}: series formulation requires p > noise mu, got p={p}, mu={b.mu}"
+    return None
+
+
+def _gb_normal_value(p, lnum, lden, s: GBParams, b: NormalParams):
+    return (p - b.mu) * np.exp(lnum - lden)
 
 
 def gb_normal_den_series(p, s: GBParams, b: NormalParams) -> SeriesValue:
@@ -870,9 +754,9 @@ GBN_ENDPOINT_RATIO_MAX = 0.85
 GBN_SIGMA_SEP_MIN = 3.0
 
 
-def _gb_in_region(g: GBParams, p):
-    """Ratio and cancellation checks of a GB expansion at every p > 0."""
-    lx = g.a * (np.log(p) - math.log(g.d))
+def _gb_in_region(g: GBParams, q):
+    """Ratio and cancellation checks of a GB expansion at the gene q > 0."""
+    lx = g.a * (np.log(q) - math.log(g.d))
     finite = lx < 700
     with np.errstate(over="ignore"):
         x = np.exp(np.minimum(lx, 700.0))
@@ -884,16 +768,13 @@ def _gb_in_region(g: GBParams, p):
         spread = (np.where(cx > 0, (g.u + g.v) * (np.log1p(cx) - np.log1p(-cx)), 0.0)
                   + np.where(ox > 0, max(g.v - 1.0, 0.0)
                              * (np.log1p(ox) - np.log1p(-ox)), 0.0))
-    return (np.maximum(cx, ox) <= GB_RATIO_MAX) & (spread <= GB_SPREAD_LOG_MAX)
+    return bool(((np.maximum(cx, ox) <= GB_RATIO_MAX) & (spread <= GB_SPREAD_LOG_MAX))[0])
 
 
-def _gb_normal_in_region(s: GBParams, b: NormalParams, p):
-    ok = (b.mu > 0) & (p > b.mu)
-    q = p[ok]
-    ok[ok] = ((b.mu / (q - b.mu) <= GBN_ENDPOINT_RATIO_MAX)
-              & ((q - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN)
-              & _gb_in_region(s, q))
-    return ok
+def _gb_normal_in_region(s: GBParams, b: NormalParams, q):
+    p = float(q[0])
+    return (b.mu > 0 and p > b.mu and b.mu / (p - b.mu) <= GBN_ENDPOINT_RATIO_MAX
+            and (p - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN and _gb_in_region(s, q))
 
 
 # ---------------------------------------------------------------------------
@@ -903,37 +784,39 @@ def _gb_normal_in_region(s: GBParams, b: NormalParams, p):
 class _Family(NamedTuple):
     #: prefix of the per-gene evaluators' names and of their error messages
     label: str
-    #: summation indices of a box
-    dims: int
-    #: (p array, signal, noise, label) -> {index: DomainError}, the evaluators'
+    #: (p, signal, noise, label) -> the evaluators' DomainError message, or
+    #: None inside the domain
     domain: Callable
-    #: (signal, noise, array of p > 0) -> the gate's other checks, bool array
+    #: (signal, noise, gene q with p > 0) -> the gate's other checks, a bool
     in_region: Callable
-    #: (p array, signal, noise) -> (den boxes, num boxes), genes x dims
-    #: int arrays
+    #: (gene q, signal, noise) -> (den box, num box), 1 x indices int arrays
     boxes: Callable
-    #: (p array, signal, noise, off, boxes) -> per-gene (sum on the box,
-    #: sum on the grown box, log scale of both), each gene on its own box;
-    #: off 0 is den, 1 is num
+    #: (gene q, signal, noise, off, box) -> (sum on the box, sum on the
+    #: grown box, log scale of both); off 0 is den, 1 is num
     kernel: Callable
-    #: (signal, noise, p array) -> log marginal density minus log den sum
+    #: (signal, noise, p) -> log marginal density minus log den sum
     log_prefactor: Callable
+    #: (p, log num sum, log den sum, signal, noise) -> the corrected value
+    value: Callable
 
 
 _FAMILIES = {
-    "exp_lognormal": _Family("exp_lognormal", 1, _positive_domain,
-                             lambda e, l, p: np.full(p.shape, l.sigma <= LN_SIGMA_MAX),
+    "exp_lognormal": _Family("exp_lognormal", _positive_domain,
+                             lambda e, l, q: l.sigma <= LN_SIGMA_MAX,
                              _exp_lognormal_boxes, _exp_lognormal_kernel,
-                             _exp_lognormal_log_prefactor),
-    "gamma_lognormal": _Family("gamma_lognormal", 2, _positive_domain,
-                               lambda g, l, p: (np.log(p) - l.mu) / l.sigma >= LN_TAIL_Z_MIN,
+                             _exp_lognormal_log_prefactor, _exp_lognormal_value),
+    "gamma_lognormal": _Family("gamma_lognormal", _positive_domain,
+                               lambda g, l, q: bool(((np.log(q) - l.mu) / l.sigma)[0]
+                                                    >= LN_TAIL_Z_MIN),
                                _gamma_lognormal_boxes, _gamma_lognormal_kernel,
-                               _gamma_lognormal_log_prefactor),
-    "gb_gb": _Family("gb_pair", 4, _gb_pair_domain,
-                     lambda s, b, p: _gb_in_region(s, p) & _gb_in_region(b, p),
-                     _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor),
-    "gb_normal": _Family("gb_normal", 3, _gb_normal_domain, _gb_normal_in_region,
-                         _gb_normal_boxes, _gb_normal_kernel, _gb_normal_log_prefactor),
+                               _gamma_lognormal_log_prefactor, _ratio_value),
+    "gb_gb": _Family("gb_pair", _gb_pair_domain,
+                     lambda s, b, q: _gb_in_region(s, q) and _gb_in_region(b, q),
+                     _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor,
+                     _ratio_value),
+    "gb_normal": _Family("gb_normal", _gb_normal_domain, _gb_normal_in_region,
+                         _gb_normal_boxes, _gb_normal_kernel, _gb_normal_log_prefactor,
+                         _gb_normal_value),
 }
 
 
@@ -973,64 +856,57 @@ def marginal_gb_normal(p, s: GBParams, b: NormalParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The convergence gate
+# The convergence gate and the series corrector
 # ---------------------------------------------------------------------------
 
-def _in_region(m: ModelSpec, p):
-    """The gate's checks other than the truncation depths, p > 0 among them,
-    at every observation of p (a bool for a float p)."""
-    family = _family(m.kind)
-    p = np.asarray(p, dtype=float)
-    flat = p.reshape(-1)
-    ok = flat > 0
-    ok[ok] = family.in_region(m.signal, m.noise, flat[ok])
-    out = ok.reshape(p.shape)
-    return out if out.ndim else bool(out)
+def _gate(m: ModelSpec, p):
+    """(den box, num box) of model m at the observation p when the
+    convergence gate accepts the gene, else None.
 
-
-class Gate(NamedTuple):
-    """The convergence gate's verdict on an array of observations."""
-
-    #: genes the series may answer
-    ok: np.ndarray
-    #: den and num boxes, genes x summation indices (int); zero where the
-    #: in-region checks refuse the gene, which skips its boxes
-    den: np.ndarray
-    num: np.ndarray
-
-
-def gate(m: ModelSpec, p) -> Gate:
-    """The convergence gate at every observation of the array p.
-
-    The ratio, cancellation and tail checks run first; the truncation boxes
-    are computed only for the genes they keep, in slices of genes under a
-    fixed budget.  A gene is accepted when every depth of both boxes lies
-    within 85% of the index cap.  Each gene's verdict and boxes are computed
-    elementwise, so they do not depend on the other genes of the array.
+    The ratio, cancellation and tail checks, p > 0 among them, run first;
+    a gene they keep is accepted when every depth of both boxes lies within
+    85% of the index cap.
     """
     family = _family(m.kind)
-    p = np.asarray(p, dtype=float)
-    inside = np.asarray(_in_region(m, p), dtype=bool)
-    den = np.zeros((p.size, family.dims), dtype=int)
-    num = np.zeros((p.size, family.dims), dtype=int)
-    idx = np.flatnonzero(inside)
-    step = max(1, _GRID_BUDGET // (MAX_TERMS + 1))
-    for lo in range(0, idx.size, step):
-        part = idx[lo:lo + step]
-        den[part], num[part] = family.boxes(p[part], m.signal, m.noise)
-    limit = int(GATE_DEPTH_FRACTION * MAX_TERMS)
-    ok = inside & (den.max(axis=1, initial=0) <= limit) & (num.max(axis=1, initial=0) <= limit)
-    return Gate(ok, den, num)
+    p = float(p)
+    if not (p > 0 and family.in_region(m.signal, m.noise, np.array([p]))):
+        return None
+    boxes = _boxes(m.kind, p, m.signal, m.noise)
+    return boxes if max(map(max, boxes)) <= int(GATE_DEPTH_FRACTION * MAX_TERMS) else None
 
 
 def convergence_ok(m: ModelSpec, p) -> bool:
     """True when the series expansions for model m converge at observation p
-    within the truncation policy (``REL_TOL``, ``MAX_TERMS``): the array gate
-    (``gate``) on one gene.
+    within the truncation policy (``REL_TOL``, ``MAX_TERMS``).
 
     Beyond the ratio and cancellation checks, every truncation depth of the
     den and num kernels must lie within 85% of the index cap; these are the
     boxes the evaluators then sum on.  Outside this region the series
     evaluators may raise and callers must use the quadrature path.
     """
-    return bool(gate(m, np.array([float(p)])).ok[0])
+    return _gate(m, p) is not None
+
+
+def posterior_mean(m: ModelSpec, p) -> float:
+    """The corrected value of one gene from model m's den and num series.
+
+    In order: the convergence gate (``convergence_ok``), the den and num
+    kernels on the gate's boxes, the cancellation check (either sum's sign
+    at most 0) and the value formula, which must fall in (0, p).  Raises a
+    SeriesError naming the step that refuses the gene; the caller then
+    takes quadrature.
+    """
+    boxes = _gate(m, p)
+    if boxes is None:
+        raise SeriesDivergenceError("outside series convergence region")
+    family, p = _FAMILIES[m.kind], float(p)
+    q = np.array([p])
+    den = _sum(family, q, m.signal, m.noise, 0, boxes[0])
+    num = _sum(family, q, m.signal, m.noise, 1, boxes[1])
+    if den.sign <= 0 or num.sign <= 0:
+        raise SeriesDivergenceError("series cancellation")
+    with np.errstate(over="ignore"):
+        value = float(family.value(p, num.log_abs, den.log_abs, m.signal, m.noise))
+    if not 0.0 < value < p:
+        raise SeriesDivergenceError("series value escaped (0, p)")
+    return value

@@ -115,9 +115,9 @@ def test_only_the_paper_route_and_validation_refer_to_the_series():
 
 def test_the_series_check_sees_every_spelling(tmp_path):
     module = tmp_path / "m.py"
-    for text in ("from . import series\n", "from .series import gate\n",
-                 "from beadcorr.series import gate\n", "import beadcorr.series\n",
-                 "x = series.gate\n"):
+    for text in ("from . import series\n", "from .series import posterior_mean\n",
+                 "from beadcorr.series import posterior_mean\n", "import beadcorr.series\n",
+                 "x = series.posterior_mean\n"):
         module.write_text(text)
         assert _refers_to_series(module), text
     module.write_text("from . import quadrature\nx = quadrature.series_like\n")
