@@ -210,14 +210,16 @@ def correct_exp_gamma(p, e: ExpParams, g: GammaParams) -> float:
 _GAMMA_NORMAL_REL_TOL = 1e-11
 _REL_TOL = 1e-8
 
-_LOG_TINY = math.log(1e-300)
-
 
 def _quadrature_means(ps, m: ModelSpec, rel_tol):
     """Posterior means of the float array ps by the tanh-sinh engine at
     the target rel_tol: (values; {index: the QuadratureError, naming its
     half-step change, of a gene the engine does not certify, or the
-    NumericUnderflowError of a vanishing marginal})."""
+    NumericUnderflowError of a marginal that is 0 even in logs}).
+
+    A mean is a ratio of sums scaled by the gene's own largest log
+    integrand, so a marginal far below the smallest float still gives it.
+    """
     res = quadrature.log_integrals(ps, m, lambda s, log_s, y: s[None], rel_tol)
     missed = ~res.means_ok
     refused = {i: QuadratureError(
@@ -226,7 +228,7 @@ def _quadrature_means(ps, m: ModelSpec, rel_tol):
         for i, p, change in zip(np.flatnonzero(missed).tolist(), ps[missed].tolist(),
                                 res.change[missed].tolist())}
     refused.update(_refused(
-        res.means_ok & (res.log_f < _LOG_TINY), ps, NumericUnderflowError,
+        res.means_ok & (res.log_f == -math.inf), ps, NumericUnderflowError,
         lambda p: f"marginal density underflowed at p={p}; posterior mean "
                   f"undefined in floating point"))
     return res.means[0], refused

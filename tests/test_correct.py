@@ -506,6 +506,24 @@ class TestEngineRoute:
                 assert alone[0] == corrected[i] == engine
 
 
+    def test_marginals_below_the_smallest_float_are_answered(self):
+        # the engine's means are ratios of sums scaled by the gene's own
+        # peak: an exponential signal (alpha = 1) far above normal noise
+        # reads the closed form, and gb_gb near 0 reads the series
+        g, b = GammaParams(1.0, 50.0), NormalParams(100.0, 15.0)
+        ps = np.array([1e5, 1e6])
+        values, diags = correct.correct_array(ps, GammaNormal(g, b))
+        assert [d.path for d in diags] == ["quadrature"] * 2
+        for p, value in zip(ps.tolist(), values.tolist()):
+            assert value == pytest.approx(correct.correct_rma(p, ExpParams(1.0 / g.beta), b),
+                                          rel=1e-9)
+        m = simulate.REFERENCE_MODELS["gb_gb"][0]
+        values, diags = correct.correct_array(np.array([1e-300]), m)
+        assert diags[0].path == "quadrature"
+        assert values[0] == pytest.approx(correct.correct_gb(1e-300, m.signal, m.noise),
+                                          rel=1e-8)
+
+
 class TestBlocks:
     @pytest.mark.parametrize("kind, block", [("gb_gb", "_BLOCK"),
                                              ("exp_lognormal", "_TILT_BLOCK")])
@@ -711,8 +729,9 @@ class TestGridRoute:
         far = np.array([1e6, m.noise.mu - 13.0 * m.noise.sigma])
         batch, diags = correct.correct_array(np.concatenate([far, obs, far]), m)
         assert [d.path for d in diags[2:-2]] == ["grid"] * obs.size
-        # the engine refuses p = 1e6 and answers the gene below the noise
-        assert diags[0].path == "error" and diags[1].path == "quadrature"
+        # the engine answers the gene past the grid's extent and the one
+        # below the noise
+        assert diags[0].path == diags[1].path == "quadrature"
         for i, p in enumerate(obs.tolist()):
             alone, _ = correct.correct_array(np.array([p]), m)
             assert alone[0] == batch[i + 2]
@@ -807,14 +826,15 @@ class TestCorrectArray:
         assert np.all(np.isfinite(corrected))
 
     def test_bad_genes_do_not_poison_the_batch(self):
-        # marginals that underflow, and a GB gene outside the support, are
-        # error rows; every other gene keeps the bits it has alone; the GB
+        # a gene the engine cannot certify, and a GB gene outside the
+        # support, are error rows; every other gene, marginals far below the
+        # smallest float among them, keeps the bits it has alone; the GB
         # genes take the series, as the public corrector does, and the public
         # correctors give the paper's method's bits
         gn = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
         gb = GBGB(GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2))
         for m, obs, bad, cls, apply in [
-                (gn, [150.0, 1e6, 80.0, -4000.0, 300.0], {1, 3}, "NumericUnderflowError",
+                (gn, [150.0, 1e10, 80.0, -4000.0, 300.0, 1e6], {1}, "QuadratureError",
                  correct.correct_array),
                 (gb, [0.5, 5.0, 3.0, 0.8, 3.9], {1}, "DomainError",
                  correct.correct_array_series)]:
