@@ -451,8 +451,8 @@ class _GBPairWorkspace:
     def lbeta_grid_exp(self, imax, jmax):
         """exp(lbeta grid - gmax) cached; returns (slice, gmax).
 
-        The grid grows to the largest request so far: an array asks once for
-        its largest box.
+        The grid grows to the largest request so far, and the genes of an
+        array reuse it.
         """
         g = self._grid
         if g.shape[0] < imax or g.shape[1] < jmax:
@@ -671,7 +671,7 @@ def _gb_pair_log_prefactor(s: GBParams, b: GBParams, p):
 
 def _gb_pair_domain(p, s: GBParams, b: GBParams, label):
     upper = gb_support_upper(s) + gb_support_upper(b)
-    if not (0 < p and p < upper):
+    if not 0 < p < upper:
         return f"{label}: p={p} outside the convolution support (0, {upper})"
     return None
 
@@ -888,7 +888,7 @@ def convergence_ok(m: ModelSpec, p) -> bool:
 
 
 def posterior_mean(m: ModelSpec, p) -> float:
-    """The corrected value of one gene from model m's den and num series.
+    """E[S | P = p] of one gene from model m's den and num series.
 
     In order: the convergence gate (``convergence_ok``), the den and num
     kernels on the gate's boxes, the cancellation check (either sum's sign

@@ -404,8 +404,8 @@ class TestOneBoxPerGene:
             den = series.gb_pair_den_series(p, s, b)
             num = series.gb_pair_num_series(p, s, b)
             assert den.sign > 0 and num.sign > 0
-            assert series.posterior_mean(GBGB(s, b), p) == p * math.exp(
-                num.log_abs - den.log_abs)
+            assert series.posterior_mean(GBGB(s, b), p) == pytest.approx(
+                p * math.exp(num.log_abs - den.log_abs), rel=1e-14)
 
     def test_models_without_a_series_are_refused(self):
         # the gate and the series corrector read one family table; a model
