@@ -539,15 +539,19 @@ def _grid_values(ps, m: ModelSpec):
     E[S | P = p] = alpha beta f_(alpha+1)(p)/f_alpha(p), both read from one
     grid of the model's extent (``gamma_normal_extent``), so a gene's bits
     do not depend on the other genes of the array, and the densities are
-    read only at the genes within it.  Arrays the grid refuses (shape < 1,
-    more than 2^21 nodes), genes past the extent, genes where either density
-    lies below _CORRECTOR_GRID_FLOOR of its grid's peak, and values that are
-    not finite and positive go to the engine.
+    read only at the genes within it, from the grid's first node
+    mu - 12 sigma up to p_max.  Arrays the grid refuses (shape < 1, more
+    than 2^21 nodes), genes below or past that range, genes where either
+    density lies below _CORRECTOR_GRID_FLOOR of its grid's peak, and values
+    that are not finite and positive go to the engine.
     """
     g, b = m.signal, m.noise
     p_max = gamma_normal_extent(g, b)
     values = np.full(ps.shape, math.nan)
-    near = ps <= p_max
+    # below the first node the grid reads 0, and far below it its cubic
+    # weights and Taylor terms overflow
+    low = ps < b.mu - _GRID_WIDTHS * b.sigma
+    near = ~low & (ps <= p_max)
     try:
         grid = _Grid(ps[near], p_max, g, b)
     except InvalidParameterError as exc:
@@ -560,7 +564,8 @@ def _grid_values(ps, m: ModelSpec):
               & (num >= _CORRECTOR_GRID_FLOOR * num_peak))
     at = np.flatnonzero(near)
     # the first reason that applies is the one recorded
-    reasons = dict.fromkeys(np.flatnonzero(~near).tolist(), "past the grid's extent")
+    reasons = dict.fromkeys(np.flatnonzero(low).tolist(), "below the grid's extent")
+    reasons.update(dict.fromkeys(np.flatnonzero(ps > p_max).tolist(), "past the grid's extent"))
     reasons.update(dict.fromkeys(at[faint].tolist(), "grid density below the corrector floor"))
     wrong = ~faint & ~(np.isfinite(values[near]) & (values[near] > 0.0))
     reasons.update(dict.fromkeys(at[wrong].tolist(), "grid value not finite and positive"))
@@ -568,17 +573,17 @@ def _grid_values(ps, m: ModelSpec):
 
 
 # ---------------------------------------------------------------------------
-# Fixed Gauss rules in the noise's z: the tilt route
+# A fixed Gauss-Kronrod pair in the noise's z: the tilt route
 # ---------------------------------------------------------------------------
 
 def _tilt_values(ps, m: ModelSpec):
-    """The tilt route: the posterior mean of every gene of ps by fixed Gauss
-    rules in the noise's standard score (``quadrature.tilt_integrals``), in
-    the route contract (``_outcomes``).
+    """The tilt route: the posterior mean of every gene of ps by a fixed
+    Gauss-Kronrod pair in the noise's standard score
+    (``quadrature.tilt_integrals``), in the route contract (``_outcomes``).
 
     A model the rule does not take (``quadrature.tilt_refusal``: a signal
     density s^(k - 1) at 0 with k < 1) sends every gene to the engine.  A
-    gene whose fine Gauss rule the coarse rule does not certify to the
+    gene whose Kronrod rule the embedded Gauss rule does not certify to the
     engine's target, or whose value falls outside (0, p) under lognormal
     noise, or outside the signal's support under normal noise, goes to the
     engine.
@@ -663,21 +668,22 @@ PAPER_ROUTES = {
 
 #: The route ``correct_array`` takes for each family: the cheapest evaluator
 #: that meets the family's tolerance, by measurement on the reference arrays.
-#: No family takes the series.  ``tilt`` names fixed Gauss rules in the
-#: noise's standard score (``_tilt_values``), the exponential tilt of the
-#: noise where the signal is exponential.  On the seed-7 reference arrays
-#: (medians of 40 interleaved calls on a 2-core x86_64 machine), the tilt
-#: took 5.6 ms on exp_lognormal (1000 genes), within 5.3e-13 of the series;
-#: 2.3 ms against the tanh-sinh engine's 4.9 ms on gamma_lognormal (300
-#: genes) and 2.3 ms against 6.4 ms on gb_normal (250 genes), within 6.6e-16
-#: and 1.8e-15 of it.  gamma_normal takes the likelihood's FFT grid
-#: (``_grid_values``): 1.2 ms against the engine's 8.8 ms (250 genes),
-#: within 5.1e-9 of it.  gb_gb takes the engine.  The series route, one gene
-#: at a time, took 145 ms on that exp_lognormal array and 169 ms on the
-#: gb_gb one (250 genes), where the tilt took 4.3 ms and the engine 1.9 ms
-#: (medians of 20 interleaved calls).  The engine answers the genes the tilt
-#: or the grid cannot; its gb_normal values integrate the untruncated normal
-#: noise, as the referee does, and so does the tilt.
+#: No family takes the series.  ``tilt`` names a fixed Gauss-Kronrod pair
+#: in the noise's standard score (``_tilt_values``), the exponential tilt of
+#: the noise where the signal is exponential.  On the seed-7 reference
+#: arrays (three runs of medians of 40 interleaved calls on a 2-core x86_64
+#: machine), the tilt took 5.5-6.2 ms on exp_lognormal (1000 genes), within
+#: 5.5e-13 of the series; 1.4-1.6 ms against the tanh-sinh engine's
+#: 3.4-3.9 ms on gamma_lognormal (300 genes) and 1.4-1.9 ms against
+#: 4.7-6.2 ms on gb_normal (250 genes), within 1.1e-15 and 1.5e-15 of it.
+#: gamma_normal takes the likelihood's FFT grid (``_grid_values``): 1.2 ms
+#: against the engine's 8.8 ms (250 genes), within 5.1e-9 of it.  gb_gb
+#: takes the engine.  The series route, one gene at a time, took 145 ms on
+#: that exp_lognormal array and 169 ms on the gb_gb one (250 genes), where
+#: the engine took 1.9 ms (medians of 20 interleaved calls).  The engine
+#: answers the genes the tilt or the grid cannot; its gb_normal values
+#: integrate the untruncated normal noise, as the referee does, and so does
+#: the tilt.
 ROUTES = {**PAPER_ROUTES, "exp_lognormal": "tilt", "gamma_lognormal": "tilt",
           "gb_normal": "tilt", "gamma_normal": "grid", "gb_gb": "quadrature"}
 

@@ -38,13 +38,14 @@ exponentially in t, so the trapezoidal rule in t converges geometrically in
 A gene's result depends only on its own p: rows never mix.
 
 ``tilt_integrals`` answers the same question for any signal over normal or
-lognormal noise by fixed Gauss-Legendre rules in the noise's standard score
+lognormal noise by a fixed Gauss-Kronrod pair in the noise's standard score
 z on two panels per gene, the top one graded at s = 0 where the signal
 density behaves there as s^(k - 1) with k != 1; with an exponential signal
 over lognormal noise that integral is the exponential tilt of the noise.
-The change from a rule of half the nodes certifies a gene, and the genes it
-does not certify, and the signals with k < 1 (``tilt_refusal``), are left
-to the engine.
+The 49-node Kronrod rule answers, and its change from the 24-node Gauss
+rule it embeds, summed from the same densities, certifies a gene; the
+genes it does not certify, and the signals with k < 1 (``tilt_refusal``),
+are left to the engine.
 """
 
 from __future__ import annotations
@@ -374,47 +375,99 @@ def _in_blocks(integrate, p, size):
 
 
 # ---------------------------------------------------------------------------
-# Fixed Gauss rules in the noise's z: the tilt
+# A fixed Gauss-Kronrod pair in the noise's z: the tilt
 # ---------------------------------------------------------------------------
 
-#: nodes of the tilt's coarse rule on each of its two panels; the fine rule
-#: has twice as many
+#: n, the nodes of the tilt's Gauss rule on each of its two panels; the
+#: Kronrod rule that answers holds them among its 2n + 1
 _TILT_NODES = 24
 #: the top panel ends no lower than where the log integrand, at its slope
 #: at z_p, has fallen by this much
 _TILT_PEAK = 36.0
 #: a top panel that starts at s = 0 under a signal density s^(k - 1) with
-#: k != 1 takes its nodes at gap = y^g below its top, y on the Gauss rule,
-#: so the integrand s^(k - 1) ds ~ y^(g k - 1) dy is smoother in y.  The
-#: grade g stretches the panel's far end g-fold, where the normal noise's
-#: peak lies for z_p < 12.  Of 300-gene draws at 1e-8, grades 1, 2 and 3
-#: certified 300, 300 and 176-191 genes of the gb_normal reference model and
-#: 212-214, 300 and 187-191 of GB(1.2, 0.5, 2, 1.5, 2) + N(0.5, 0.2); on the
-#: gamma_lognormal reference model grade 3 certified all 300 within 7e-16 of
-#: the engine, grade 2 all 300 within 3e-11, and grade 1 none
+#: k != 1 takes its nodes at gap = y^g below its top, y on the rule's
+#: nodes, so the integrand s^(k - 1) ds ~ y^(g k - 1) dy is smoother in y.
+#: The grade g stretches the panel's far end g-fold, where the normal
+#: noise's peak lies for z_p < 12.  Of 300-gene draws (seeds 0-2) at 1e-8,
+#: grades 1, 2 and 3 certified 300, 300 and 176-191 genes of the gb_normal
+#: reference model and 211-218, 300 and 187-196 of GB(1.2, 0.5, 2, 1.5, 2) +
+#: N(0.5, 0.2); on the gamma_lognormal reference model grade 3 certified all
+#: 300 within 1.3e-15 of the engine, grade 2 all 300 within 4.8e-12, and
+#: grade 1 none
 _TILT_GRADE = {LognormalParams: 3, NormalParams: 2}
-#: genes per block of the tilt
-_TILT_BLOCK = 64
+#: genes per block of the tilt: 94 genes at 2 (2n + 1) = 98 nodes, about
+#: 9,200 values per temporary (``tilt_integrals``)
+_TILT_BLOCK = 94
+
+
+def _gauss_kronrod(n):
+    """The (2n + 1)-node Gauss-Kronrod rule on [-1, 1] that extends the
+    n-node Gauss-Legendre rule: (nodes, ascending; their Kronrod weights;
+    their Gauss weights, nonzero only on the n Gauss nodes, every second
+    node from the second).
+
+    Laurie's algorithm (Math. Comp. 66, 1997, 1133-1145) extends the
+    Legendre recurrence, a_k = 0, b_0 = 2 and b_k = k^2/(4k^2 - 1), to the
+    Jacobi-Kronrod matrix of order 2n + 1: its eigenvalues are the nodes,
+    and b_0 times the squared first components of its eigenvectors the
+    weights (Golub & Welsch 1969).  Its leading n x n block is the Gauss
+    rule's own matrix.  The weight is symmetric, so every a_k stays 0 and
+    only the b_k past ceil(3n/2) are new, from the mixed moments s and t.
+    """
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [0.0] * (2 * n + 1 - len(b))
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for i in range(n - 1):
+        acc = 0.0
+        for k in range((i + 1) // 2, -1, -1):
+            acc += b[k + n + 1] * s[k] - b[i - k] * s[k + 1]
+            s[k + 1] = acc
+        s, t = t, s
+    s[1:] = s[:-1]
+    for i in range(n - 1, 2 * n - 2):
+        acc = 0.0
+        for k in range(i + 1 - n, (i - 1) // 2 + 1):
+            j = n - 1 - i + k
+            acc += b[i - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = acc
+        if i % 2:
+            b[(i + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    root = np.sqrt(b[1:])
+    jacobi = np.diag(root, 1) + np.diag(root, -1)
+    x, v = np.linalg.eigh(jacobi)
+    gauss = np.zeros(2 * n + 1)
+    gauss[1::2] = b[0] * np.linalg.eigh(jacobi[:n, :n])[1][0] ** 2
+    return x, b[0] * v[0] ** 2, gauss
+
+
+_KRONROD_X, _KRONROD_W, _GAUSS_W = _gauss_kronrod(_TILT_NODES)
+#: the Gauss weight over the Kronrod one at every node of both panels
+#: (``_tilt_rules``), 0 off the Gauss nodes
+_TILT_GAUSS = np.tile(_GAUSS_W / _KRONROD_W, 2)
 
 
 def _tilt_rules(grade):
-    """The nodes of the coarse rule on both panels, then of the fine rule,
-    one column each: the rows (upper, full) with d - lo = upper * (the top
-    panel's width) + full * (the full width) at the node, d = z_p - z and lo
-    the range's lower end, whether the node lies on the top panel, and the
-    log of its weight per unit width.  The top panel's nodes sit at
-    gap = y^grade below its top, with weight grade y^(grade - 1), y on the
-    Gauss-Legendre nodes."""
-    from numpy.polynomial import legendre
-    upper, full, top, log_w = [], [], [], []
-    for n in (_TILT_NODES, 2 * _TILT_NODES):
-        x, w = legendre.leggauss(n)
-        gap = (1.0 - x) / 2.0               # the node's place below its panel's top
-        upper += [gap ** grade, 1.0 - gap]
-        full += [np.zeros(n), gap]
-        top += [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]
-        log_w += [np.log(w / 2.0 * grade * gap ** (grade - 1)), np.log(w / 2.0)]
-    return tuple(np.concatenate(rows) for rows in (upper, full, top, log_w))
+    """The nodes of the Kronrod rule on the top panel, then on the bottom
+    one, one column each: the rows (upper, full) with d - lo = upper * (the
+    top panel's width) + full * (the full width) at the node, d = z_p - z
+    and lo the range's lower end, whether the node lies on the top panel,
+    and the log of its Kronrod weight per unit width.  The top panel's
+    nodes sit at gap = y^grade below its top, with weight
+    grade y^(grade - 1), y on the rule's nodes."""
+    gap = (1.0 - _KRONROD_X) / 2.0          # the node's place below its panel's top
+    w = _KRONROD_W / 2.0
+    return (np.concatenate([gap ** grade, 1.0 - gap]),
+            np.concatenate([np.zeros_like(gap), gap]),
+            np.arange(2 * gap.size) < gap.size,
+            np.concatenate([np.log(w * grade * gap ** (grade - 1)), np.log(w)]))
+
+
+def _rule_sums(a):
+    """The Gauss and the Kronrod sums over the last axis of a, its values at
+    the nodes of ``_tilt_rules`` times their Kronrod weights."""
+    return (a * _TILT_GAUSS).sum(axis=-1), a.sum(axis=-1)
 
 
 _TILT_UPPER, _TILT_FULL, _TILT_TOP, _TILT_LOG_W = _tilt_rules(1)
@@ -444,7 +497,6 @@ def _tilt_block(p, m: ModelSpec, weights, rows, rel_tol):
     p of one block."""
     signal, noise = m.signal, m.noise
     sig = noise.sigma
-    coarse, fine = slice(0, 2 * _TILT_NODES), slice(2 * _TILT_NODES, None)
     lognormal = isinstance(noise, LognormalParams)
     if lognormal:
         live = p > 0.0
@@ -491,7 +543,7 @@ def _tilt_block(p, m: ModelSpec, weights, rows, rel_tol):
         logs = np.where(np.isnan(logs), -np.inf, logs)
     top = logs.max(axis=1)
     vals = np.exp(logs - np.where(np.isfinite(top), top, 0.0)[:, None])
-    den = [vals[:, r].sum(axis=1) for r in (coarse, fine)]
+    den = _rule_sums(vals)
     change = np.abs(den[1] - den[0]) / den[1]
     ok = (change <= rel_tol) & live
     # an empty range: no density at p <= 0 under lognormal noise; under
@@ -502,14 +554,14 @@ def _tilt_block(p, m: ModelSpec, weights, rows, rel_tol):
     if rows:
         y = q * np.exp(-sig * d) if lognormal else q - s
         wf = np.asarray(weights(s, None, y)) * vals
-        part = [wf[:, :, r].sum(axis=2) for r in (coarse, fine)]
+        part = _rule_sums(wf)
         if np.isnan(part).any():
             # a weight that is not finite where the integrand underflowed:
             # those nodes add 0
             wf = np.where(vals > 0.0, wf, 0.0)
-            part = [wf[:, :, r].sum(axis=2) for r in (coarse, fine)]
+            part = _rule_sums(wf)
         # E[|w|], equal to E[w] bit for bit where no value is negative
-        spread = np.abs(wf[:, :, fine]).sum(axis=2) / den[1]
+        spread = np.abs(wf).sum(axis=2) / den[1]
         means = part[1] / den[1]
         change = np.maximum(change, (np.abs(means - part[0] / den[0]) / spread).max(axis=0))
         means[:, ~live] = np.nan
@@ -517,8 +569,8 @@ def _tilt_block(p, m: ModelSpec, weights, rows, rel_tol):
 
 
 def tilt_integrals(p, m: ModelSpec, weights=None, rel_tol=1e-8) -> Integrals:
-    """``log_integrals`` by fixed Gauss rules in the noise's standard score
-    z, for any signal over normal or lognormal noise.
+    """``log_integrals`` by a fixed Gauss-Kronrod pair in the noise's
+    standard score z, for any signal over normal or lognormal noise.
 
     With b = p - s the noise's argument, f_P(p) is the integral of
     f_S(p - b(z)) phi(z) dz, taken in d = z_p - z >= 0, the distance below
@@ -535,19 +587,23 @@ def tilt_integrals(p, m: ModelSpec, weights=None, rel_tol=1e-8) -> Integrals:
     density behaves as s^(k - 1) with k != 1 (gamma: alpha; GB: a u), the
     top panel's nodes sit at y^g of its width, g = 3 under lognormal and
     2 under normal noise (``_TILT_GRADE``), so the integrand is smoother
-    in y.  Gauss-Legendre rules of 2n nodes per panel answer, and their
-    change from the rules of n nodes (relative to f_P, and for a mean to
-    E[|w|]) is the certificate; the contract is ``log_integrals``', with
-    log s always None.  Sums are elementwise products reduced per row, so a
-    gene's bits depend on its own p alone.  Genes at p <= 0 under lognormal
-    noise read -inf, with NaN means, and are ok; under normal noise a gene
-    whose range is empty (past a GB signal's support end) reads -inf and is
-    not ok.  Signals with k < 1 are left to the engine by the callers
-    (``tilt_refusal``).
+    in y.  On each panel the Gauss-Kronrod rule of 2n + 1 nodes
+    (n = ``_TILT_NODES``, ``_gauss_kronrod``) answers, and its change from
+    the n-node Gauss rule it embeds (relative to f_P, and for a mean to
+    E[|w|]) is the certificate: the densities and weight rows are evaluated
+    once per node, and the two rules' sums weight the same values.  The
+    contract is ``log_integrals``', with log s always None.  Sums are
+    elementwise products reduced per row, so a gene's bits depend on its
+    own p alone.  Genes at p <= 0 under lognormal noise read -inf, with NaN
+    means, and are ok; under normal noise a gene whose range is empty (past
+    a GB signal's support end) reads -inf and is not ok.  Signals with
+    k < 1 are left to the engine by the callers (``tilt_refusal``).
 
     Genes run in blocks of ``_TILT_BLOCK``: on the 1000 genes of the seed-7
-    exp_lognormal reference array in one block, the score took 1.6 times as
-    long, its temporaries too large for the allocator to reuse freed memory.
+    exp_lognormal reference array the score took 5.2 ms in blocks of 94 and
+    10.5 ms in one block, its temporaries too large for the allocator to
+    reuse freed memory (medians of 15 interleaved calls on a 2-core x86_64
+    machine).
     """
     p = np.asarray(p, dtype=float)
     empty = np.empty((p.size, 0))

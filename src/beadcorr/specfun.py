@@ -220,11 +220,14 @@ def gaussian_moment_table(count, lo, hi):
     z2 = np.where(np.isfinite(lo) & np.isfinite(hi),
                   np.maximum(lo * lo, hi * hi), np.inf)
     n_stable = np.minimum(count, np.floor(np.minimum(z2, count)) + 1.0)
-    # the recurrence runs for every entry up to the largest stable index;
-    # entries past their own are replaced below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, int(np.max(n_stable, initial=2))):
-            table[..., n] = edge[..., n - 1] + (n - 1) * table[..., n - 2]
+    # the recurrence runs over each entry's row in Python floats, the same
+    # IEEE operations as on arrays, up to that entry's stable index
+    for row, e, stop in zip(table.reshape(-1, count), edge.reshape(-1, count - 1).tolist(),
+                            n_stable.ravel().tolist()):
+        t = row.tolist()
+        for n in range(2, int(stop)):
+            t[n] = e[n - 1] + (n - 1) * t[n - 2]
+        row[:] = t
     tail = np.arange(count) >= n_stable[..., None]
     tail[..., :2] = False
     if tail.any():

@@ -761,6 +761,17 @@ class TestGridRoute:
         assert corrected[0] == engine[0] and corrected[2] == engine[2]
         assert corrected[1] == pytest.approx(engine[1], rel=1e-7)
 
+    @pytest.mark.parametrize("far", [-1e300, -1e200, 100.0 - 13.0 * 15.0])
+    def test_genes_below_the_grid_take_the_engine(self, far):
+        # the grid reads no gene below its first node mu - 12 sigma; far
+        # below it, its cubic weights and Taylor terms would overflow
+        m = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
+        corrected, diags = correct.correct_array(np.array([far, 120.0]), m)
+        alone, one = correct.correct_array(np.array([120.0]), m)
+        assert corrected[1] == alone[0] and diags[1] == dataclasses.replace(one[0], index=1)
+        assert diags[0].path == "error" or diags[0] == correct.GeneDiagnostic(
+            0, "quadrature", "below the grid's extent")
+
 
 class TestCorrectArray:
     def test_empty(self):

@@ -194,6 +194,30 @@ def test_tilt_reads_minus_inf_at_p_at_most_zero():
     assert empty.log_f.shape == empty.ok.shape == (0,) and empty.means.shape == (0, 0)
 
 
+def _legendre_moment(d):
+    """The integral of x^d over [-1, 1]."""
+    return 2.0 / (d + 1) if d % 2 == 0 else 0.0
+
+
+def test_gauss_kronrod_rule():
+    # the 15-node rule is QUADPACK's qk15: its tabulated outermost node and
+    # weight
+    x, w, _ = quadrature._gauss_kronrod(7)
+    assert x[-1] == pytest.approx(0.991455371120813, rel=0, abs=1e-15)
+    assert w[-1] == pytest.approx(0.022935322010529, rel=0, abs=1e-15)
+    # the tilt's rule: positive weights, the Gauss nodes every second node,
+    # exact to degree 3n + 1, and its Gauss weights to degree 2n - 1
+    n = 24
+    x, w, gauss = quadrature._gauss_kronrod(n)
+    assert x.size == w.size == gauss.size == 2 * n + 1
+    assert np.all(w > 0.0) and np.all(gauss[1::2] > 0.0) and not gauss[::2].any()
+    np.testing.assert_allclose(x[1::2], np.polynomial.legendre.leggauss(n)[0], rtol=0, atol=1e-15)
+    for d in range(3 * n + 2):
+        assert abs(np.sum(w * x ** d) - _legendre_moment(d)) <= 1e-14, d
+    for d in range(2 * n):
+        assert abs(np.sum(gauss * x ** d) - _legendre_moment(d)) <= 1e-14, d
+
+
 @pytest.mark.parametrize("p, g, b, want", [
     # the mass is at the left end of the mode piece, 0.09 wide
     (196.35, GammaParams(1.92, 1158.0), NormalParams(200.91, 0.667),
