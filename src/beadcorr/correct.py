@@ -161,39 +161,44 @@ def _log_truncated_gamma_integral_nonpositive(a, lam, p):
 def log_truncated_gamma_integral(a, lam, p):
     """log of integral of b^(a-1) exp(-lam*b) over (0, p); lam of any sign.
 
-    p is a float (returns a float) or an array (returns an array).  lam > 0
-    routes through the lower incomplete gamma, one call over all p; p where
-    its regularized form underflows take the log-domain form.  lam <= 0 uses
-    an all-positive-term series (entire in lam*p), switching to an
+    a is a shape or a 1-D array of shapes, p a float or an array; the result
+    has a's shape, then p's.  lam > 0 routes through the lower incomplete
+    gamma, one call over every shape and p; p where its regularized form
+    underflows take the log-domain form.  lam <= 0 uses an
+    all-positive-term series (entire in lam*p), switching to an
     integration-by-parts asymptotic expansion once -lam*p is large; both sum
-    over all p at once.
+    over all p at once, one shape at a time.
     """
-    if a <= 0:
+    shapes = np.asarray(a, dtype=float)
+    if np.any(shapes <= 0):
         raise InvalidParameterError(f"shape must be positive, got {a}")
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0):
         raise DomainError(f"upper limit must be positive, got {arr.min()}")
     flat = arr.ravel()
+    column = shapes.reshape(-1, 1)
     if lam > 0:
         x = lam * flat
-        reg = _sp.gammainc(a, x)
+        reg = _sp.gammainc(column, x)
         with np.errstate(divide="ignore"):
-            out = -a * math.log(lam) + _sp.gammaln(a) + np.log(reg)
+            out = -column * math.log(lam) + _sp.gammaln(column) + np.log(reg)
         low = reg <= 1e-290
         if low.any():
             # deep underflow of the regularized form
-            out[low] = [-a * math.log(lam) + specfun.log_lower_incomplete_gamma(a, xi)
-                        for xi in x[low].tolist()]
+            i, j = np.nonzero(low)
+            out[low] = [-a_i * math.log(lam) + specfun.log_lower_incomplete_gamma(a_i, xi)
+                        for a_i, xi in zip(column[i, 0].tolist(), x[j].tolist())]
     else:
-        out = _log_truncated_gamma_integral_nonpositive(a, lam, flat)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        out = np.array([_log_truncated_gamma_integral_nonpositive(a_i, lam, flat)
+                        for a_i in column[:, 0].tolist()])
+    out = out.reshape(shapes.shape + arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _exp_gamma_kernel(ps, m: ModelSpec):
     e, g = m.signal, m.noise
     lam = 1.0 / g.beta - e.theta
-    num = log_truncated_gamma_integral(g.alpha + 1.0, lam, ps)
-    den = log_truncated_gamma_integral(g.alpha, lam, ps)
+    num, den = log_truncated_gamma_integral([g.alpha + 1.0, g.alpha], lam, ps)
     return ps - np.exp(num - den), {}, {}
 
 
@@ -213,22 +218,24 @@ _REL_TOL = 1e-8
 
 def _quadrature_means(ps, m: ModelSpec, rel_tol):
     """Posterior means of the float array ps by the tanh-sinh engine at
-    the target rel_tol: (values; {index: the QuadratureError, naming its
-    half-step change, of a gene the engine does not certify, or the
-    NumericUnderflowError of a marginal that is 0 even in logs}).
+    the target rel_tol: (values; {index: the NumericUnderflowError of a
+    marginal that is 0 even in logs, whatever the engine's certificate
+    reads, or the QuadratureError, naming its half-step change, of any
+    other gene the engine does not certify}).
 
     A mean is a ratio of sums scaled by the gene's own largest log
     integrand, so a marginal far below the smallest float still gives it.
     """
     res = quadrature.log_integrals(ps, m, lambda s, log_s, y: s[None], rel_tol)
-    missed = ~res.means_ok
+    zero = res.log_f == -math.inf
+    missed = ~res.means_ok & ~zero
     refused = {i: QuadratureError(
         f"the tanh-sinh engine did not certify the posterior mean at p={p} "
         f"(half-step change {change:.2e})")
         for i, p, change in zip(np.flatnonzero(missed).tolist(), ps[missed].tolist(),
                                 res.change[missed].tolist())}
     refused.update(_refused(
-        res.means_ok & (res.log_f == -math.inf), ps, NumericUnderflowError,
+        zero, ps, NumericUnderflowError,
         lambda p: f"marginal density underflowed at p={p}; posterior mean "
                   f"undefined in floating point"))
     return res.means[0], refused
@@ -295,20 +302,32 @@ def gamma_normal_extent(g: GammaParams, b: NormalParams):
             + float(_sp.gammainccinv(g.alpha + 1.0, _GRID_TAIL)) * g.beta)
 
 
-def _lagrange_weights(u):
+def gamma_normal_range(g: GammaParams, b: NormalParams):
+    """(the grid's first node mu - 12 sigma, the model's extent): the genes
+    the grid reads.  Below the first node the grid reads 0, and far below it
+    the cubic weights and Taylor terms of ``_Grid`` overflow."""
+    return b.mu - _GRID_WIDTHS * b.sigma, gamma_normal_extent(g, b)
+
+
+#: the cubic's node at offset j - 1 weighs the product of the factors
+#: u + 1, u, u - 1, u - 2 in column j of _CUBIC_FACTORS over
+#: _CUBIC_DENOMINATORS[j]; its slope in u is
+#: (3 u^2 - _SLOPES[0, j] u + _SLOPES[1, j]) over the same denominator
+_CUBIC_FACTORS = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])
+_CUBIC_DENOMINATORS = np.array([[-6.0], [2.0], [-2.0], [6.0]])
+_SLOPES = np.array([[6.0, 4.0, 2.0, 0.0], [2.0, -1.0, -2.0, -1.0]])[:, :, None]
+
+
+def _lagrange_cubic(u, slopes=False):
     """Weights of the nodes at offsets -1, 0, 1, 2 of the cubic through them,
-    at the fraction u of the step; at u = 0 they are exactly (0, 1, 0, 0)."""
-    return np.array([-u * (u - 1.0) * (u - 2.0) / 6.0,
-                     (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0,
-                     -(u + 1.0) * u * (u - 2.0) / 2.0,
-                     (u + 1.0) * u * (u - 1.0) / 6.0])
-
-
-def _lagrange_slopes(u):
-    """The derivatives in u of ``_lagrange_weights``."""
-    u2 = 3.0 * u * u
-    return np.array([-(u2 - 6.0 * u + 2.0) / 6.0, (u2 - 4.0 * u - 1.0) / 2.0,
-                     -(u2 - 2.0 * u - 2.0) / 2.0, (u2 - 1.0) / 6.0])
+    at the fraction u of the step, and with slopes their derivatives in u: a
+    (1 or 2, 4, genes) array.  At u = 0 the weights are exactly (0, 1, 0, 0)."""
+    f = (u + np.array([[1.0], [0.0], [-1.0], [-2.0]])).take(_CUBIC_FACTORS, axis=0)
+    out = np.empty((1 + slopes,) + f.shape[1:])
+    np.multiply(f[0] * f[1], f[2], out=out[0])
+    if slopes:
+        np.add(3.0 * u * u - _SLOPES[0] * u, _SLOPES[1], out=out[1])
+    return np.divide(out, _CUBIC_DENOMINATORS, out=out)
 
 
 def _log_zeta_one_minus(s):
@@ -335,7 +354,7 @@ def _log_zeta_one_minus(s):
 
 class _Grid:
     """The gamma-normal grid of one scale beta, noise and extent p_max,
-    read at the genes p.
+    read at the genes p, with grad also for its score.
 
     Spacing h = min(sigma, beta)/48.  The noise grid spans mu +- 12 sigma;
     the signal grid s starts at 0 and ends at max(p_max - mu + 12 sigma, h).
@@ -345,7 +364,7 @@ class _Grid:
     requested point.  Node i sits at p_i = mu - 12 sigma + i h and holds the
     Riemann sum h sum_{k >= 1} f_S(kh) f_B(p_i - kh) (the s = 0 node reads
     0).  Only the signal column depends on the shape, so the grids of every
-    shape share the step, the nodes, the noise column and its transform,
+    shape share the step, the nodes, the noise rows and their transform,
     each gene's four stencil nodes and cubic weights, and the shape-free
     parts of its endpoint terms: the corrector reads its densities at alpha
     and alpha + 1 from one grid.  Raises InvalidParameterError below
@@ -353,7 +372,7 @@ class _Grid:
     convolution would exceed 2^21 nodes.
     """
 
-    def __init__(self, p, p_max, g: GammaParams, b: NormalParams):
+    def __init__(self, p, p_max, g: GammaParams, b: NormalParams, grad=False):
         if g.alpha < 1.0:
             raise InvalidParameterError(
                 "gamma-normal grid requires gamma shape >= 1 (bounded density)")
@@ -369,27 +388,38 @@ class _Grid:
         if self.n_p > _GRID_MAX_POINTS:
             raise InvalidParameterError(
                 f"gamma-normal grid would exceed {_GRID_MAX_POINTS} nodes")
-        self.s = np.arange(n_s) * h
+        offsets = np.arange(float(max(n_s, n_b))) * h
+        self.s, y = offsets[:n_s], offsets[:n_b]
+        # log s, for the signal density and its alpha row (0 at s = 0)
+        self.log_s = np.zeros(n_s)
+        np.log(self.s[1:], out=self.log_s[1:])
         self.start = b.mu - _GRID_WIDTHS * b.sigma
-        self.y = np.arange(n_b) * h
-        self.fb = np.exp(dist_logpdf(b, self.start + self.y))
-        # full linear convolution, zero-padded to a fast real-FFT length
-        self.n_fft = fft.next_fast_len(self.n_p, real=True)
-        self.f_b = fft.rfft(self.fb, self.n_fft)
-        # the cubic through the four nodes around each p
+        # the noise's standard log density at its nodes and at every p
         p = np.asarray(p, dtype=float)
+        self.c = p - b.mu
+        log_phi = specfun.std_normal_logpdf(
+            np.concatenate([self.start + y - b.mu, self.c]) / b.sigma)
+        self.log_noise = log_phi[n_b:]
+        # the noise rows f_B and, with grad, z (z + 12) f_B (``sums``), in
+        # one transform, zero-padded to a fast real-FFT length for the full
+        # linear convolution
+        self.n_fft = fft.next_fast_len(self.n_p, real=True)
+        noise = np.zeros((1 + grad, self.n_fft))
+        fb = np.exp(log_phi[:n_b] - math.log(b.sigma), out=noise[0, :n_b])
+        if grad:
+            z = y / b.sigma - _GRID_WIDTHS
+            np.multiply(fb, z * (z + _GRID_WIDTHS), out=noise[1, :n_b])
+        self.f_noise = fft.rfft(noise)
+        # the cubic through the four nodes around each p, and with grad its
+        # slopes; below the second node it would extrapolate, and reads 0
         self.t = (p - self.start) / h
-        i0 = np.clip(np.floor(self.t), 1, self.n_p - 3).astype(int)
-        self.u = self.t - i0
-        self.w = _lagrange_weights(self.u)
-        # below the second node the cubic would extrapolate: read 0 there
-        self.below = self.t < 1.0
-        self.w[:, self.below] = 0.0
+        i0 = np.minimum(np.maximum(self.t, 1.0), self.n_p - 3).astype(int)
+        self.cubic = _lagrange_cubic(self.t - i0, grad)
+        self.cubic[:, :, self.t < 1.0] = 0.0
         self.idx = i0 + np.arange(-1, 3)[:, None]
         # the endpoint terms' integrand is s^(alpha-1) psi(s) with
         # psi(s)/psi(0) = exp(a1 s - a2 s^2), whose Taylor coefficients are
         # polynomials in a1 = (p - mu)/sigma^2 - 1/beta and a2 = 1/(2 sigma^2)
-        self.c = p - b.mu
         self.sig2 = b.sigma ** 2
         self.a1 = self.c / self.sig2 - 1.0 / g.beta
         self.a2 = 0.5 / self.sig2
@@ -397,30 +427,32 @@ class _Grid:
                                 0.5 * self.a1 * self.a1 - self.a2,
                                 self.a1 ** 3 / 6.0 - self.a1 * self.a2])
         self.log_h = math.log(h)
-        self.log_noise = specfun.std_normal_logpdf(self.c / b.sigma)
 
     def sums(self, alpha, grad=False):
-        """The Riemann sums at every node under Gamma(alpha, beta) and, with
-        grad, the four convolutions their derivatives are linear in, a
-        (4, nodes) array (``_node_rows``): R = f_S * f_B, the sums over h;
-        L = (f_S (log s - log beta - psi(alpha))) * f_B; S = (s f_S) * f_B;
-        and Q = f_S * (z (z + 12) f_B), z = y/sigma - 12 the noise node's
-        standard score."""
+        """The convolutions at every node under Gamma(alpha, beta), a (rows,
+        nodes) array: R = f_S * f_B, the Riemann sums over h, and with grad
+        (on a grid built with grad) the three their derivatives are linear
+        in (``_node_rows``): L = (f_S (log s - log beta - psi(alpha))) * f_B;
+        S = (s f_S) * f_B; and Q = f_S * (z (z + 12) f_B), z = y/sigma - 12
+        the noise node's standard score.  The signal rows take one transform,
+        the products one inverse."""
         from scipy import fft
 
-        n = self.n_fft
-        fs = np.exp(dist_logpdf(GammaParams(alpha, self.beta), self.s))
-        f_s = fft.rfft(fs, n)
-        raw = fft.irfft(f_s * self.f_b, n)[:self.n_p]
-        if not grad:
-            return raw * self.h
-        log_s = np.log(np.where(self.s > 0.0, self.s, 1.0))
-        f_signal = fft.rfft(np.array([
-            fs * (log_s - math.log(self.beta) - _sp.psi(alpha)), self.s * fs]), n)
-        z = self.y / self.noise.sigma - _GRID_WIDTHS
-        f_square = fft.rfft(self.fb * (z * (z + _GRID_WIDTHS)), n)
-        conv = fft.irfft(np.concatenate([f_signal * self.f_b, (f_s * f_square)[None]]), n)
-        return raw * self.h, np.concatenate([raw[None], conv[:, :self.n_p]])
+        n_s, log_beta = self.s.size, math.log(self.beta)
+        log_fs = ((alpha - 1.0) * self.log_s - self.s / self.beta
+                  - alpha * log_beta - _sp.gammaln(alpha))
+        log_fs[0] = -np.inf
+        signal = np.zeros((1 + 2 * grad, self.n_fft))
+        fs = np.exp(log_fs, out=signal[0, :n_s])
+        if grad:
+            np.multiply(fs, self.log_s - log_beta - _sp.psi(alpha), out=signal[1, :n_s])
+            np.multiply(self.s, fs, out=signal[2, :n_s])
+        f_signal = fft.rfft(signal)
+        products = np.empty((len(signal) + grad, f_signal.shape[1]), dtype=complex)
+        np.multiply(f_signal, self.f_noise[0], out=products[:len(signal)])
+        if grad:
+            np.multiply(f_signal[0], self.f_noise[1], out=products[3])
+        return fft.irfft(products, self.n_fft)[:, :self.n_p]
 
     def _node_rows(self, alpha, conv):
         """The derivatives of the sums with respect to (alpha, beta, mu,
@@ -438,9 +470,9 @@ class _Grid:
         beta, h = self.beta, self.h
         rows = np.array([h * L, h * (S / beta ** 2 - alpha / beta * R),
                          np.zeros_like(R), h * (Q - R) / self.noise.sigma])
-        return rows + np.outer(self.d_h, alpha * R - S / beta - Q)
+        return rows + self.d_h[:, None] * (alpha * R - S / beta - Q)
 
-    def _endpoint_terms(self, alpha, grad):
+    def _endpoint_terms(self, alpha, grad=False):
         """Endpoint terms of the grid's Riemann sum at every p, and with grad
         their derivatives at fixed p and h with respect to (alpha, beta, mu,
         sigma) and h, a (5, genes) array.
@@ -457,29 +489,30 @@ class _Grid:
         # log of psi(0) h^alpha
         log_lead = (alpha * (log_h - math.log(beta)) - _sp.gammaln(alpha)
                     + self.log_noise - math.log(self.noise.sigma))
-        orders = alpha + _ENDPOINT_ORDERS
-        if grad:
-            step = _ZETA_STEP * alpha
-            orders = np.array([orders, alpha + step + _ENDPOINT_ORDERS,
-                               alpha - step + _ENDPOINT_ORDERS])
-        log_z, sign = _log_zeta_one_minus(orders)
+        step = _ZETA_STEP * alpha
+        shapes = np.array([alpha, alpha + step, alpha - step] if grad else [alpha])
+        log_z, sign = _log_zeta_one_minus(shapes[:, None] + _ENDPOINT_ORDERS)
         log_zh = log_z + _ENDPOINT_ORDERS * log_h
         if not grad:
-            w = sign[:, None] * np.exp(log_lead + log_zh[:, None])
+            w = sign[0][:, None] * np.exp(log_lead + log_zh[0][:, None])
             return (w * t).sum(axis=0)
-        w = sign[0][:, None] * np.exp(log_lead + log_zh[0][:, None])
-        e = (w * t).sum(axis=0)
         # the central difference of zeta(1 - alpha - k) h^k in alpha, one
         # scalar per order scaled by the largest term, times each gene's
         # psi(0) h^alpha held at alpha
-        shift = np.max(log_zh[1:])
-        d_zeta = (sign[1] * np.exp(log_zh[1] - shift)
-                  - sign[2] * np.exp(log_zh[2] - shift)) / (2.0 * step)
-        c, sig2, sigma, a1, a2 = self.c, self.sig2, self.noise.sigma, self.a1, self.a2
-        s_a1 = w[1] + w[2] * a1 + w[3] * t[2]
-        s_a2 = -(w[2] + w[3] * a1)
+        logs = np.empty((5, 1))
+        logs[:4, 0] = log_zh[0]
+        shift = logs[4, 0] = log_zh[1:].max()
+        scaled = np.exp(log_lead + logs)
+        w = sign[0][:, None] * scaled[:4]
+        e = (w * t).sum(axis=0)
+        ends = sign[1:] * np.exp(log_zh[1:] - shift)
+        d_zeta = (ends[0] - ends[1]) / (2.0 * step)
+        c, sig2, sigma, a1 = self.c, self.sig2, self.noise.sigma, self.a1
+        # w[1] + w[2] a1 + w[3] t[2] and -(w[2] + w[3] a1)
+        pairs = w[1:3] + w[2:4] * a1
+        s_a1, s_a2 = pairs[0] + w[3] * t[2], -pairs[1]
         d_alpha = (e * (log_h - math.log(beta) - _sp.psi(alpha))
-                   + np.exp(log_lead + shift) * (d_zeta @ t))
+                   + scaled[4] * (d_zeta @ t))
         d_beta = -alpha / beta * e + s_a1 / beta ** 2
         d_mu = c / sig2 * e - s_a1 / sig2
         d_sigma = ((c * c / sig2 - 1.0) / sigma * e - 2.0 * c / (sig2 * sigma) * s_a1
@@ -490,25 +523,25 @@ class _Grid:
     def density(self, alpha, grad=False):
         """The density at every p under Gamma(alpha, beta) + noise: the cubic
         through the four grid nodes around p, less the endpoint terms at p.
-        Returns (densities, largest grid value) and, with grad, their exact
-        derivatives with respect to (alpha, beta, mu, sigma), a (4, genes)
-        array: the nodes' own derivatives, the grid's motion under the
-        interpolation weights, and the endpoint terms' derivatives."""
+        Returns (densities, largest grid value) and, with grad (on a grid
+        built with grad), their exact derivatives with respect to (alpha,
+        beta, mu, sigma), a (4, genes) array: the nodes' own derivatives,
+        the grid's motion under the interpolation weights, and the endpoint
+        terms' derivatives.  One gather reads every row of ``sums`` at the
+        genes' stencil nodes."""
+        conv = self.sums(alpha, grad)
+        stencil = conv[:, self.idx]
+        nodes = stencil[0] * self.h
+        peak = conv[0].max() * self.h
         if not grad:
-            den = self.sums(alpha)
-            return ((self.w * den[self.idx]).sum(axis=0) - self._endpoint_terms(alpha, False),
-                    np.max(den))
-        den, conv = self.sums(alpha, True)
-        nodes = den[self.idx]
+            return (self.cubic[0] * nodes).sum(axis=0) - self._endpoint_terms(alpha), peak
         e, de = self._endpoint_terms(alpha, True)
         # the node under p moves with the grid start and with h
-        d_t = -(_START_MOTION[:, None] + self.t * self.d_h[:, None]) / self.h
-        dw = _lagrange_slopes(self.u)
-        dw[:, self.below] = 0.0
-        slope = (dw * nodes).sum(axis=0)
-        rows = self._node_rows(alpha, (self.w * conv[:, self.idx]).sum(axis=1))
-        d_val = rows + slope * d_t - de[:4] - de[4] * self.d_h[:, None]
-        return (self.w * nodes).sum(axis=0) - e, np.max(den), d_val
+        d_h = self.d_h[:, None]
+        d_t = (_START_MOTION[:, None] + self.t * d_h) / -self.h
+        value, slope = (self.cubic * nodes).sum(axis=1)
+        rows = self._node_rows(alpha, (self.cubic[0] * stencil).sum(axis=1))
+        return value - e, peak, rows + slope * d_t - de[:4] - de[4] * d_h
 
 
 def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams):
@@ -516,7 +549,7 @@ def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams):
     (p grid, the Riemann sums on it); ``gamma_normal_density`` adds the
     endpoint terms.  Raises as ``_Grid`` does."""
     grid = _Grid(np.empty(0), p_max, g, b)
-    return grid.start + np.arange(grid.n_p) * grid.h, grid.sums(g.alpha)
+    return grid.start + np.arange(grid.n_p) * grid.h, grid.sums(g.alpha)[0] * grid.h
 
 
 def gamma_normal_density(p, g: GammaParams, b: NormalParams, p_max, grad=False):
@@ -528,7 +561,7 @@ def gamma_normal_density(p, g: GammaParams, b: NormalParams, p_max, grad=False):
     with grad, their exact derivatives with respect to (alpha, beta, mu,
     sigma), a (4, genes) array.  Raises as the grid does.
     """
-    return _Grid(p, p_max, g, b).density(g.alpha, grad)
+    return _Grid(p, p_max, g, b, grad).density(g.alpha, grad)
 
 
 def _grid_values(ps, m: ModelSpec):
@@ -546,11 +579,9 @@ def _grid_values(ps, m: ModelSpec):
     that are not finite and positive go to the engine.
     """
     g, b = m.signal, m.noise
-    p_max = gamma_normal_extent(g, b)
+    start, p_max = gamma_normal_range(g, b)
     values = np.full(ps.shape, math.nan)
-    # below the first node the grid reads 0, and far below it its cubic
-    # weights and Taylor terms overflow
-    low = ps < b.mu - _GRID_WIDTHS * b.sigma
+    low = ps < start
     near = ~low & (ps <= p_max)
     try:
         grid = _Grid(ps[near], p_max, g, b)
@@ -676,8 +707,8 @@ PAPER_ROUTES = {
 #: 5.5e-13 of the series; 1.4-1.6 ms against the tanh-sinh engine's
 #: 3.4-3.9 ms on gamma_lognormal (300 genes) and 1.4-1.9 ms against
 #: 4.7-6.2 ms on gb_normal (250 genes), within 1.1e-15 and 1.5e-15 of it.
-#: gamma_normal takes the likelihood's FFT grid (``_grid_values``): 1.2 ms
-#: against the engine's 8.8 ms (250 genes), within 5.1e-9 of it.  gb_gb
+#: gamma_normal takes the likelihood's FFT grid (``_grid_values``): 0.59-0.61
+#: ms against the engine's 6.9-7.2 ms (250 genes), within 5.1e-9 of it.  gb_gb
 #: takes the engine.  The series route, one gene at a time, took 145 ms on
 #: that exp_lognormal array and 169 ms on the gb_gb one (250 genes), where
 #: the engine took 1.9 ms (medians of 20 interleaved calls).  The engine

@@ -283,11 +283,13 @@ def exp_logpdf(x, p: ExpParams):
     return out if out.ndim else float(out)
 
 
-def gamma_logpdf(x, p: GammaParams):
+def gamma_logpdf(x, p: GammaParams, log_x=None):
+    """log f(x) at every x; log_x, when given, stands for log x."""
     x = np.asarray(x, dtype=float)
     # every node at once; x <= 0 reads -inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x > 0, (p.alpha - 1.0) * np.log(x) - x / p.beta
+        log_x = np.log(x) if log_x is None else log_x
+        out = np.where(x > 0, (p.alpha - 1.0) * log_x - x / p.beta
                        - p.alpha * math.log(p.beta) - _sp.gammaln(p.alpha), -np.inf)
     return out if out.ndim else float(out)
 

@@ -38,8 +38,9 @@ from scipy import special as _sp
 from . import correct, quadrature, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBParams,
                     LognormalParams, MODEL_KINDS, MODEL_TYPES, ModelSpec,
-                    NormalParams, dist_logpdf, gb_from_gamma, gb_support_upper,
-                    model_from_values, model_to_values, param_names)
+                    NormalParams, dist_logpdf, gamma_logpdf, gb_from_gamma,
+                    gb_support_upper, model_from_values, model_to_values,
+                    param_names)
 from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
                      InvalidParameterError, QuadratureError, UnsupportedMethodError)
 
@@ -115,27 +116,26 @@ def _log_marginal_exp_normal(p, e: ExpParams, b: NormalParams, grad=False):
     densities over that difference (Mills ratios) in logs.
     """
     p = np.asarray(p, dtype=float)
-    mu_sp = p - b.mu - b.sigma ** 2 * e.theta
-    a = mu_sp / b.sigma
-    bb = (p - mu_sp) / b.sigma
-    la = _sp.log_ndtr(a)
-    lmb = _sp.log_ndtr(-bb)
+    c = p - b.mu
+    mu_sp = c - b.sigma ** 2 * e.theta
+    # a and bb, in one array: the normal cdf reads (a, -bb)
+    ab = np.array([mu_sp, p - mu_sp]) / b.sigma
+    la, lmb = _sp.log_ndtr(ab * [[1.0], [-1.0]])
     with np.errstate(divide="ignore", invalid="ignore"):
         ldiff = la + np.log(-np.expm1(np.minimum(lmb - la, 0.0)))
     ldiff = np.where(np.isnan(ldiff), -np.inf, ldiff)
-    out = (math.log(e.theta) + e.theta ** 2 * b.sigma ** 2 / 2.0
-           - (p - b.mu) * e.theta + ldiff)
+    out = (math.log(e.theta) + e.theta ** 2 * b.sigma ** 2 / 2.0 - c * e.theta + ldiff)
     if not grad:
         return out
     with np.errstate(over="ignore", invalid="ignore"):
-        ra = np.exp(specfun.std_normal_logpdf(a) - ldiff)
-        rb = np.exp(specfun.std_normal_logpdf(bb) - ldiff)
+        ra, rb = np.exp(specfun.std_normal_logpdf(ab) - ldiff)
+    diff = ra - rb
     # a and -bb move alike in theta and mu and apart in sigma
-    rows = np.stack([
-        1.0 / e.theta + e.theta * b.sigma ** 2 - (p - b.mu) - b.sigma * (ra - rb),
-        e.theta - (ra - rb) / b.sigma,
-        e.theta ** 2 * b.sigma - ra * ((p - b.mu) / b.sigma ** 2 + e.theta)
-        - rb * (b.mu / b.sigma ** 2 - e.theta)])
+    rows = np.empty((3, p.size))
+    rows[0] = 1.0 / e.theta + e.theta * b.sigma ** 2 - c - b.sigma * diff
+    rows[1] = e.theta - diff / b.sigma
+    rows[2] = (e.theta ** 2 * b.sigma - ra * (c / b.sigma ** 2 + e.theta)
+               - rb * (b.mu / b.sigma ** 2 - e.theta))
     return out, rows
 
 
@@ -157,15 +157,17 @@ def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams, grad=False):
     out = np.full(p.shape, -np.inf)
     pos = p > 0
     pp = p[pos]
-    log_l = correct.log_truncated_gamma_integral(g.alpha, lam, pp)
+    step = _ALPHA_STEP * g.alpha
+    # log L at alpha and, with grad, at alpha + 1 and alpha +- step, in one call
+    shapes = [g.alpha, g.alpha + 1.0, g.alpha + step, g.alpha - step] if grad else [g.alpha]
+    log_l, *others = correct.log_truncated_gamma_integral(shapes, lam, pp)
     out[pos] = (math.log(e.theta) - e.theta * pp - g.alpha * math.log(g.beta)
                 - _sp.gammaln(g.alpha) + log_l)
     if not grad:
         return out
-    mean = np.exp(correct.log_truncated_gamma_integral(g.alpha + 1.0, lam, pp) - log_l)
-    step = _ALPHA_STEP * g.alpha
-    d_log_l = (correct.log_truncated_gamma_integral(g.alpha + step, lam, pp)
-               - correct.log_truncated_gamma_integral(g.alpha - step, lam, pp)) / (2.0 * step)
+    log_up, log_plus, log_minus = others
+    mean = np.exp(log_up - log_l)
+    d_log_l = (log_plus - log_minus) / (2.0 * step)
     rows = np.zeros((3, p.size))
     rows[:, pos] = [1.0 / e.theta - pp + mean,
                     d_log_l - math.log(g.beta) - _sp.psi(g.alpha),
@@ -175,10 +177,11 @@ def _log_marginal_exp_gamma(p, e: ExpParams, g: GammaParams, grad=False):
 
 def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     """Grid-convolution marginal (bounded-density shapes); quadrature catches
-    the rest: the genes past the model's grid extent
-    (``correct.gamma_normal_extent``), as in the corrector, and the genes
-    whose grid density lies below the floor.  The grid ends at the largest
-    gene within the extent.
+    the rest: as in the corrector, the genes below the grid's first node
+    mu - 12 sigma and past the model's grid extent
+    (``correct.gamma_normal_extent``), and the genes whose grid density
+    lies below the floor.  The grid ends at the largest gene within the
+    extent.
 
     With grad, also the derivatives with respect to (alpha, beta, mu, sigma),
     a (4, genes) array: exact for the grid's value
@@ -187,8 +190,8 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     """
     p = np.asarray(p, dtype=float)
     m = GammaNormal(g, b)
-    extent = correct.gamma_normal_extent(g, b)
-    near = p <= extent
+    start, extent = correct.gamma_normal_range(g, b)
+    near = (p >= start) & (p <= extent)
     try:
         dens, peak, *d_dens = correct.gamma_normal_density(
             p[near], g, b, min(float(np.max(p)), extent), grad)
@@ -371,11 +374,21 @@ def _density_rows(dist, x, log_x=None):
 def _controls_score(params: ModelSpec, problem: EstimationProblem):
     """(``noise_loglik``, its gradient in param_names order, the
     per-control scores): a (parameters, controls) array, zero in the
-    signal's rows."""
-    noise_rows = _density_rows(params.noise, problem.negatives)
-    rows = np.zeros((len(param_names(params.kind)), problem.negatives.size))
-    rows[-noise_rows.shape[0]:] = noise_rows
-    return noise_loglik(params, problem), rows.sum(axis=1), rows
+    signal's rows.  Normal noise reads the log densities and the rows from
+    one standard score, gamma noise from one log x."""
+    noise, x = params.noise, problem.negatives
+    rows = np.zeros((len(param_names(params.kind)), x.size))
+    if isinstance(noise, NormalParams):
+        z = (x - noise.mu) / noise.sigma
+        log_f = specfun.std_normal_logpdf(z) - math.log(noise.sigma)
+        np.divide([z, z * z - 1.0], noise.sigma, out=rows[-2:])
+    else:
+        log_x = np.log(x)
+        log_f = (gamma_logpdf(x, noise, log_x) if isinstance(noise, GammaParams)
+                 else dist_logpdf(noise, x))
+        noise_rows = _density_rows(noise, x, log_x)
+        rows[-noise_rows.shape[0]:] = noise_rows
+    return float(log_f.sum()), rows.sum(axis=1), rows
 
 
 def loglik_score(params: ModelSpec, problem: EstimationProblem):

@@ -16,6 +16,7 @@ from beadcorr.dists import (ExpLognormal, ExpNormal, ExpParams,
                             GammaLognormal, GammaNormal, GammaParams, GBGB,
                             GBNormal, GBParams, LognormalParams, NormalParams,
                             dist_sample, gb_from_gamma, gb_support_upper)
+from conftest import child_env
 
 Q = oracle.QuadConfig()
 UNIFORM = GBParams(1, 0, 1, 1, 1)
@@ -455,7 +456,7 @@ class TestCriterion9PipelineDeterminism:
     def test_byte_identical_runs_and_thread_counts(self, tmp_path):
         def run(*args):
             r = subprocess.run([sys.executable, "-m", "beadcorr.cli"] + list(args),
-                               capture_output=True, text=True)
+                               capture_output=True, text=True, env=child_env())
             assert r.returncode == 0, r.stderr
             return r
 

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from beadcorr import cli, correct, estimate, simulate
 from beadcorr.errors import DataFormatError, InvalidParameterError
+from conftest import child_env
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "beadcorr.cli"] + list(args),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 def write(path, text):

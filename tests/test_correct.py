@@ -773,6 +773,19 @@ class TestGridRoute:
             0, "quadrature", "below the grid's extent")
 
 
+    def test_a_marginal_zero_in_logs_is_an_underflow(self):
+        # every log integrand of the two genes far below the noise is -inf:
+        # the engine's certificate reads NaN there, and the error names the
+        # zero marginal, not the certificate
+        m = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
+        corrected, diags = correct.correct_array(np.array([-1e300, -1e200, 120.0]), m)
+        for d, p in zip(diags[:2], ("-1e+300", "-1e+200")):
+            assert d.path == "error" and d.error == (
+                f"NumericUnderflowError: marginal density underflowed at p={p}; "
+                f"posterior mean undefined in floating point")
+        assert np.isnan(corrected[:2]).all() and diags[2].path == "grid"
+
+
 class TestCorrectArray:
     def test_empty(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))

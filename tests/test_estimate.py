@@ -694,10 +694,10 @@ class TestClosedFormScores:
         g, b = m.signal, m.noise
         p_max = correct.gamma_normal_extent(g, b)
         want_den, want = _twelve_fft_rows(p_max, g, b)
-        grid = correct._Grid(np.empty(0), p_max, g, b)
-        den, conv = grid.sums(g.alpha, grad=True)
-        np.testing.assert_array_equal(den, want_den)
-        np.testing.assert_array_equal(grid.sums(g.alpha), den)
+        grid = correct._Grid(np.empty(0), p_max, g, b, grad=True)
+        conv = grid.sums(g.alpha, grad=True)
+        np.testing.assert_array_equal(conv[0] * grid.h, want_den)
+        np.testing.assert_array_equal(grid.sums(g.alpha)[0], conv[0])
         got = grid._node_rows(g.alpha, conv)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -762,6 +762,58 @@ class TestClosedFormScores:
             np.array([495.0, 505.0, 500.0]), "gamma_normal")
         _, score, _ = estimate.loglik_score(m, prob)
         np.testing.assert_allclose(score, _fd_score(m, prob), rtol=1e-6)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("far", [-1e300, -1e200, -1e100, 100.0 - 13.0 * 15.0])
+    def test_gamma_normal_genes_below_the_grid_take_the_engine(self, far, grad):
+        # the likelihood's grid reads no gene below its first node
+        # mu - 12 sigma, where its cubic weights and Taylor terms overflowed:
+        # the engine reads such a gene, -inf where its marginal is 0 even in
+        # logs, and the gene on the grid keeps its bits
+        m = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
+        parts = [estimate.log_marginal(m, np.array([far, 120.0]), grad),
+                 estimate._quadrature_marginal_log(np.array([far]), m, grad),
+                 estimate.log_marginal(m, np.array([120.0]), grad)]
+        got, engine, on_grid = parts if grad else [[part] for part in parts]
+        for got_part, engine_part, grid_part in zip(got, engine, on_grid):
+            np.testing.assert_array_equal(got_part[..., :1], engine_part)
+            np.testing.assert_array_equal(got_part[..., 1:], grid_part)
+        assert got[0][0] == -np.inf or far > -1e99
+
+    @pytest.mark.parametrize("m, ps", [
+        # lam > 0, and p where the regularized gamma underflows below 1e-290
+        (ExpGamma(ExpParams(0.5), GammaParams(50.0, 1.0)), [1e-5, 2e-5, 40.0, 60.0, -1.0]),
+        (ExpGamma(ExpParams(0.05), GammaParams(2.0, 4.0)), [5.0, 20.0, 60.0]),
+        # lam < 0: the series and the asymptotic expansion
+        (ExpGamma(ExpParams(0.5), GammaParams(2.0, 4.0)), [5.0, 30.0, 3000.0, 0.0]),
+    ])
+    def test_exp_gamma_score_from_four_integrals(self, m, ps):
+        # log L at alpha, alpha + 1 and alpha +- step in one call gives the
+        # bits of four separate calls, one shape each
+        e, g = m.signal, m.noise
+        p = np.array(ps)
+        lam, pos = 1.0 / g.beta - e.theta, p > 0
+        pp = p[pos]
+        if g.alpha == 50.0:
+            reg = special.gammainc(g.alpha, lam * pp)
+            assert np.any(reg <= 1e-290) and np.any(reg > 1e-290)
+        step = estimate._ALPHA_STEP * g.alpha
+        log_l, log_up, log_plus, log_minus = (
+            correct.log_truncated_gamma_integral(a, lam, pp)
+            for a in (g.alpha, g.alpha + 1.0, g.alpha + step, g.alpha - step))
+        want = np.full(p.shape, -np.inf)
+        want[pos] = (math.log(e.theta) - e.theta * pp - g.alpha * math.log(g.beta)
+                     - special.gammaln(g.alpha) + log_l)
+        mean = np.exp(log_up - log_l)
+        want_rows = np.zeros((3, p.size))
+        want_rows[:, pos] = [1.0 / e.theta - pp + mean,
+                             (log_plus - log_minus) / (2.0 * step) - math.log(g.beta)
+                             - special.psi(g.alpha),
+                             mean / g.beta ** 2 - g.alpha / g.beta]
+        out, rows = estimate._log_marginal_exp_gamma(p, e, g, grad=True)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(estimate._log_marginal_exp_gamma(p, e, g), want)
 
     def test_noise_score_is_zero_at_the_control_fit(self):
         neg = np.array([90.0, 97.0, 104.0, 111.0, 125.0])

@@ -14,12 +14,14 @@ import numpy as np
 from beadcorr import correct, oracle, simulate
 from beadcorr.dists import (ExpLognormal, ExpParams, LognormalParams,
                             model_to_values, param_names)
+from conftest import child_env
 
 DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.fft")
 
 
 def run_python(code):
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=child_env())
     assert r.returncode == 0, r.stderr
     return r.stdout
 
