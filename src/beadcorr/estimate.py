@@ -16,8 +16,9 @@ genes the rules do not certify take the engine.  A gene the engine cannot
 certify reads -inf, and its score rows NaN; the referee's QUADPACK answers
 no gene of the likelihood.
 
-Every family is fitted by BFGS on that score, started from the outer product
-of the per-observation scores: 4 to 7 value-and-gradient evaluations per fit
+Every family is fitted by BFGS on that score (``bfgs.minimize``: SciPy's
+update and Moré-Thuente line search), started from the outer product of the
+per-observation scores: 4 to 7 value-and-gradient evaluations per fit
 of a 100-gene, 200-control exp_normal, exp_gamma or gamma_normal reference
 array (5.4 on average), against 7 to 22 (15.3) from the identity.  For the GB
 families the printed likelihood equations estimate the noise block from the
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from . import correct, quadrature, specfun
+from . import bfgs, correct, quadrature, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBParams,
                     LognormalParams, MODEL_KINDS, MODEL_TYPES, ModelSpec,
                     NormalParams, dist_logpdf, gamma_logpdf, gb_from_gamma,
@@ -628,20 +629,21 @@ def _opg_inverse(rows, n):
 
 
 def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
-    """Multi-start BFGS on -objective/scale; objective(x) -> (value,
-    gradient, per-observation score rows).
+    """Multi-start BFGS (``bfgs.minimize``: SciPy's BFGS update and
+    Moré-Thuente line search, without SciPy's ``line_search_wolfe2``
+    fallback) on -objective/scale; objective(x) -> (value, gradient,
+    per-observation score rows).
 
     Dividing by the number of observations makes the gradient tolerance a
     per-observation one.  Each start's own evaluation gives BFGS its first
     inverse Hessian (``_opg_inverse``; the identity where that fails), and
     BFGS reads that evaluation back rather than repeating it.  A point where
-    the objective raises or is not finite reads +inf, and the line search
-    steps back from it.  Returns the winning result, the first inverse
-    Hessian ('opg' or 'identity') and the evaluations of every start, and
+    the objective raises or is not finite reads +inf, which fails the line
+    search's sufficient-decrease test.  The start with the least -objective
+    wins.  Returns the winning result, and for every start its first inverse
+    Hessian ('opg' or 'identity'), its evaluations and its stop reason, and
     (value, gradient) of the objective at the winner.
     """
-    from scipy import optimize as _opt
-
     seen = {}
 
     def evaluate(x):
@@ -658,19 +660,18 @@ def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
         v, g = seen.get(x.tobytes()) or evaluate(x)[:2]
         return -v / scale, -g / scale
 
-    best, hessians, nfevs = None, [], []
+    best, hessians, nfevs, stops = None, [], [], []
     for start in _starts(x0, bounds, budget, rng):
         rows = evaluate(start)[2]
         h0 = None if rows is None else _opg_inverse(rows, scale)
-        res = _opt.minimize(neg, start, method="BFGS", jac=True,
-                            options={"maxiter": budget.max_iter, "gtol": _GTOL,
-                                     "hess_inv0": h0})
+        res = bfgs.minimize(neg, start, _GTOL, budget.max_iter, h0)
         hessians.append("identity" if h0 is None else "opg")
-        nfevs.append(int(res.nfev))
+        nfevs.append(res.nfev)
+        stops.append(res.stop)
         if best is None or res.fun < best.fun:
             best = res
     v, g = seen.get(best.x.tobytes()) or evaluate(best.x)[:2]
-    return best, tuple(hessians), tuple(nfevs), (v, g)
+    return best, tuple(hessians), tuple(nfevs), tuple(stops), (v, g)
 
 
 def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitResult:
@@ -682,6 +683,14 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     block from the gene marginals.  A GB fit reports the norm of
     ``score_gb`` as its gradient norm, and is not converged with a parameter
     at a cap or the clip (``at_cap``).
+
+    The BFGS is ``bfgs.minimize``, the in-house port of SciPy's BFGS and its
+    Moré-Thuente line search, without SciPy's ``line_search_wolfe2``
+    fallback: a start whose line search fails ends at its last accepted
+    point, not converged.  The diagnostics give, per start in stage order,
+    the first inverse Hessian (``start_hessian``), the evaluations
+    (``start_nfev``) and why it stopped (``start_stop``: "gtol",
+    "line_search", "max_iter" or "not_finite").
     """
     rng = np.random.default_rng(budget.seed)
     kind = problem.model_kind
@@ -695,7 +704,7 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
                ("signal", every[:n_signal], loglik_score, n_obs)]
               if kind in ("gb_gb", "gb_normal") else [("joint", every, loglik_score, n_obs)])
 
-    converged, at_cap, hessians, nfevs = True, [], (), ()
+    converged, at_cap, hessians, nfevs, stops = True, [], (), (), ()
     for label, free, score, scale in stages:
         to_vec, from_vec, bounds = _codec([names[i] for i in free])
 
@@ -707,13 +716,13 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
             # chain rule of the codec
             return v, grad[free] * factor, rows[free] * factor[:, None]
 
-        best, h0, nfev, (ll, grad) = _bfgs_maximize(
+        best, h0, nfev, stop, (ll, grad) = _bfgs_maximize(
             objective, to_vec(values[free]), bounds, budget, rng, scale)
         values[free] = from_vec(best.x)[0]
-        converged = converged and bool(best.success)
+        converged = converged and best.success
         if isinstance(getattr(start, label, None), GBParams):
             at_cap += _at_cap(best.x, label)
-        hessians, nfevs = hessians + h0, nfevs + nfev
+        hessians, nfevs, stops = hessians + h0, nfevs + nfev, stops + stop
 
     params = model_from_values(kind, values)
     gb = kind in ("gb_gb", "gb_normal")
@@ -725,7 +734,8 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     return FitResult(params=params, loglik=ll, converged=converged and not at_cap,
                      iterations=sum(nfevs), method="mle", gradient_norm=grad_norm,
                      diagnostics={"local_method": "BFGS", "start_hessian": hessians,
-                                  "start_nfev": nfevs, "at_cap": tuple(at_cap)})
+                                  "start_nfev": nfevs, "start_stop": stops,
+                                  "at_cap": tuple(at_cap)})
 
 
 def fit_moments(problem: EstimationProblem) -> FitResult:

@@ -986,11 +986,25 @@ class TestFitMle:
         assert fit.converged
         assert fit.diagnostics["start_hessian"] == ("opg",)
         assert fit.diagnostics["start_nfev"] == (fit.iterations,)
+        assert fit.diagnostics["start_stop"] == ("gtol",)
         assert fit.iterations <= 12
         monkeypatch.setattr(estimate, "_opg_inverse", lambda rows, n: None)
         plain = estimate.fit_mle(prob, budget)
         assert plain.diagnostics["start_hessian"] == ("identity",)
         assert fit.loglik >= plain.loglik - 1e-6
+
+    def test_starts_that_end_on_a_failed_line_search_say_so(self):
+        # on the seed-7 gb_normal reference array three of the signal
+        # stage's five starts end where the line search finds no step
+        # (SciPy's "precision loss"), the winner among them, so the fit is
+        # not converged although no parameter sits at a cap
+        m, genes = simulate.REFERENCE_MODELS["gb_normal"]
+        data = simulate.simulate_experiment(m, genes, max(genes // 4, 50), seed=7)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, "gb_normal")
+        fit = estimate.fit_mle(prob)
+        assert fit.diagnostics["start_stop"] == ("gtol",) * 6 + ("line_search",) * 3 + ("gtol",)
+        assert len(fit.diagnostics["start_nfev"]) == 10
+        assert not fit.converged and fit.diagnostics["at_cap"] == ()
 
     def test_opg_inverse_refuses_a_singular_product(self):
         rows = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])

@@ -1,9 +1,10 @@
 """Cold start: what importing the CLI loads, and the traced quad boundary.
 
-Importing beadcorr loads numpy and scipy.special only; scipy.optimize,
-scipy.integrate and scipy.fft load where they are first used, so a
-``correct`` that never fits or calls QUADPACK never pays for them, and
-nothing imports scipy.interpolate.
+Importing beadcorr loads numpy and scipy.special only; scipy.integrate and
+scipy.fft load where they are first used, so a ``correct`` that never calls
+QUADPACK never pays for the first, nor one without a gamma-normal grid for
+the second.  Nothing imports scipy.interpolate, and nothing in the package
+imports scipy.optimize: the fit runs on the package's own BFGS.
 """
 
 import subprocess
@@ -45,6 +46,24 @@ def test_correct_with_inline_params_never_loads_the_optimizer(tmp_path):
         "print(code, 'scipy.optimize' in sys.modules)")
     assert out.split() == ["0", "False"]
     assert len(dest.read_text().splitlines()) == 4
+
+
+def test_fit_never_loads_the_scipy_optimizer(tmp_path):
+    m = simulate.REFERENCE_MODELS["exp_normal"][0]
+    data = simulate.simulate_experiment(m, 60, 40, seed=3)
+    obs, neg, dest = (tmp_path / n for n in ("observed.tsv", "negatives.tsv", "fit.tsv"))
+    obs.write_text("ProbeID\tA1\n" + "".join(
+        f"p{i}\t{v!r}\n" for i, v in enumerate(data.observed.tolist())))
+    neg.write_text("ProbeID\tA1\n" + "".join(
+        f"n{i}\t{v!r}\n" for i, v in enumerate(data.negatives.tolist())))
+    out = run_python(
+        "import sys\n"
+        "from beadcorr import cli\n"
+        f"code = cli.main(['fit', {str(obs)!r}, {str(neg)!r}, '--model', 'exp_normal', "
+        f"'--method', 'mle', '--out', {str(dest)!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)")
+    assert out.split() == ["0", "False"]
+    assert len(dest.read_text().splitlines()) == 2
 
 
 def test_gb_simulation_loads_no_deferred_scipy_module():
