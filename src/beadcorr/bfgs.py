@@ -1,7 +1,7 @@
 """BFGS with the Moré-Thuente line search, step for step as SciPy takes it.
 
 ``minimize`` follows SciPy's ``minimize(method="BFGS", jac=True)``
-(SciPy's ``_minimize_bfgs`` with ``line_search_wolfe1``), in the same
+(SciPy's ``_minimize_bfgs`` and its ``_line_search_wolfe12``), in the same
 floating-point order, so that it visits the same points and returns the same
 bits:
 
@@ -13,19 +13,21 @@ bits:
 * the line search of Moré & Thuente (ACM TOMS 20 (1994) 286-307), a port of
   MINPACK-2's ``dcsrch`` and ``dcstep`` with c1 = 1e-4, c2 = 0.9,
   xtol = 1e-14, steps in [1e-100, 1e100] and at most 100 trials;
-* the stops: max |g| <= gtol, the iteration budget, and a value that is not
-  finite.  SciPy's step tolerance xrtol, 0 by default, stops only on a
-  step whose length underflows to 0; it is left out.
+* where that search fails, SciPy's fallback ``scalar_search_wolfe2``:
+  Nocedal & Wright's Algorithm 3.5, doubling the step up to 10 times, with
+  its zoom (Algorithm 3.6) by cubic, quadratic or bisection steps over at
+  most 11 trials;
+* the stops: max |g| <= gtol, the iteration budget, a value that is not
+  finite, and a search that fails both ways.  SciPy's step tolerance xrtol,
+  0 by default, stops only on a step whose length underflows to 0; it is
+  left out.
 
 A trial at +inf fails the Armijo test, and since its cubic step is not
-finite, the search fails there unless its interval has stalled (then it
-bisects), as SciPy's ``dcsrch`` does.  Where the line search fails, the
-minimization ends at the last accepted point, as SciPy's does on "precision
-loss".  SciPy's fallback to ``line_search_wolfe2`` is not ported: where SciPy
-rescues a failed search with it, SciPy goes on and ``minimize`` stops; where
-that fallback fails too, both stop at the same point, ``minimize`` with
-fewer evaluations.  NumPy only; the objective is evaluated once per new
-point, where SciPy would evaluate it.
+finite, the Moré-Thuente search fails there unless its interval has stalled
+(then it bisects), as SciPy's ``dcsrch`` does; the fallback then bisects
+back from it.  Where both searches fail, the minimization ends at
+the last accepted point, as SciPy's does on "precision loss".  NumPy only;
+the objective is evaluated once per new point, where SciPy would evaluate it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,17 @@ import numpy as np
 _C1, _C2, _XTOL = 1e-4, 0.9, 1e-14
 _STPMIN, _STPMAX = 1e-100, 1e100
 _MAX_TRIALS = 100
+#: the fallback's step doublings and zoom trials, and its zoom's margins for
+#: a cubic and a quadratic step (SciPy's ``scalar_search_wolfe2``)
+_MAX_DOUBLINGS, _MAX_ZOOM = 10, 11
+_CUBIC_MARGIN, _QUAD_MARGIN = 0.2, 0.1
 
 
 @dataclass(frozen=True)
 class Result:
     """The last accepted point x, its value fun, the objective's evaluations
     nfev, the iterations nit, and why the minimization stopped: "gtol",
-    "line_search", "max_iter" or "not_finite"."""
+    "line_search" (both searches failed), "max_iter" or "not_finite"."""
 
     x: np.ndarray
     fun: float
@@ -84,7 +90,8 @@ def minimize(fun, x0, gtol, max_iter, hess_inv0=None) -> Result:
     gnorm, k, stop = np.amax(np.abs(g)), 0, None
     while gnorm > gtol and k < max_iter:
         p = -np.dot(h, g)
-        step = _line_search(evaluate, x, p, f, g, f_prev)
+        step = (_line_search(evaluate, x, p, f, g, f_prev)
+                or _fallback_search(evaluate, x, p, f, g, f_prev))
         if step is None:
             stop = "line_search"
             break
@@ -169,6 +176,111 @@ def _line_search(evaluate, x, p, f0, g0, f_prev):
         f, g = evaluate(x + stp * p)
         d = float(np.dot(g, p))
     return None
+
+
+def _fallback_search(evaluate, x, p, f0, g0, f_prev):
+    """SciPy's ``scalar_search_wolfe2`` along p from x, where the
+    Moré-Thuente search failed: (step, value, gradient), or None where it
+    fails too.  After 10 doublings without a bracket it takes the last step,
+    Wolfe or not, as SciPy does."""
+
+    def phi(a):
+        return evaluate(x + a * p)[0]
+
+    def dphi(a):
+        return np.dot(evaluate(x + a * p)[1], p)
+
+    d0 = np.dot(g0, p)
+    a1 = 1.0
+    if d0 != 0:
+        a1 = min(1.0, 1.01 * 2 * (f0 - f_prev) / d0)
+    if a1 < 0:
+        a1 = 1.0
+    a1 = min(a1, _STPMAX)
+    a0, fa0, da0 = 0, f0, d0
+    fa1 = phi(a1)
+    for i in range(_MAX_DOUBLINGS):
+        if a1 == 0 or a0 > _STPMAX:
+            return None
+        if fa1 > f0 + _C1 * a1 * d0 or (fa1 >= fa0 and i > 0):
+            a1 = _zoom(phi, dphi, a0, a1, fa0, fa1, da0, f0, d0)
+            break
+        da1 = dphi(a1)
+        if abs(da1) <= -_C2 * d0:
+            break
+        if da1 >= 0:
+            a1 = _zoom(phi, dphi, a1, a0, fa1, fa0, da1, f0, d0)
+            break
+        a0, a1 = a1, min(2 * a1, _STPMAX)
+        fa0, fa1, da0 = fa1, phi(a1), da1
+    if a1 is None:
+        return None
+    return (a1, *evaluate(x + a1 * p))
+
+
+def _zoom(phi, dphi, a_lo, a_hi, f_lo, f_hi, d_lo, f0, d0):
+    """The fallback's zoom into [a_lo, a_hi]: a step that satisfies the
+    strong Wolfe conditions, or None after 11 trials."""
+    f_rec, a_rec = f0, 0
+    for i in range(_MAX_ZOOM):
+        width = a_hi - a_lo
+        a, b = (a_hi, a_lo) if width < 0 else (a_lo, a_hi)
+        if i > 0:
+            margin = _CUBIC_MARGIN * width
+            a_j = _cubicmin(a_lo, f_lo, d_lo, a_hi, f_hi, a_rec, f_rec)
+        if i == 0 or a_j is None or a_j > b - margin or a_j < a + margin:
+            margin = _QUAD_MARGIN * width
+            a_j = _quadmin(a_lo, f_lo, d_lo, a_hi, f_hi)
+            if a_j is None or a_j > b - margin or a_j < a + margin:
+                a_j = a_lo + 0.5 * width
+        f_j = phi(a_j)
+        if f_j > f0 + _C1 * a_j * d0 or f_j >= f_lo:
+            f_rec, a_rec = f_hi, a_hi
+            a_hi, f_hi = a_j, f_j
+        else:
+            d_j = dphi(a_j)
+            if abs(d_j) <= -_C2 * d0:
+                return a_j
+            if d_j * (a_hi - a_lo) >= 0:
+                f_rec, a_rec = f_hi, a_hi
+                a_hi, f_hi = a_lo, f_lo
+            else:
+                f_rec, a_rec = f_lo, a_lo
+            a_lo, f_lo, d_lo = a_j, f_j, d_j
+    return None
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """The minimizer of the cubic through (a, fa) with slope fpa, (b, fb)
+    and (c, fc), or None where it is not finite or any step of it divides
+    by zero, overflows or is undefined."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db, dc = b - a, c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0], d1[0, 1] = dc ** 2, -db ** 2
+            d1[1, 0], d1[1, 1] = -dc ** 3, db ** 3
+            q, r = np.dot(d1, np.asarray([fb - fa - fpa * db, fc - fa - fpa * dc]).flatten())
+            q /= denom
+            r /= denom
+            xmin = a + (-r + np.sqrt(r * r - 3 * q * fpa)) / (3 * q)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """The minimizer of the parabola through (a, fa) with slope fpa and
+    (b, fb), or None as for ``_cubicmin``."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a * 1.0
+            q = (fb - fa - fpa * db) / (db * db)
+            xmin = a - fpa / (2.0 * q)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):

@@ -629,10 +629,10 @@ def _opg_inverse(rows, n):
 
 
 def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
-    """Multi-start BFGS (``bfgs.minimize``: SciPy's BFGS update and
-    Moré-Thuente line search, without SciPy's ``line_search_wolfe2``
-    fallback) on -objective/scale; objective(x) -> (value, gradient,
-    per-observation score rows).
+    """Multi-start BFGS (``bfgs.minimize``: SciPy's BFGS update, its
+    Moré-Thuente line search and that search's fallback) on
+    -objective/scale; objective(x) -> (value, gradient, per-observation
+    score rows).
 
     Dividing by the number of observations makes the gradient tolerance a
     per-observation one.  Each start's own evaluation gives BFGS its first
@@ -684,10 +684,9 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     ``score_gb`` as its gradient norm, and is not converged with a parameter
     at a cap or the clip (``at_cap``).
 
-    The BFGS is ``bfgs.minimize``, the in-house port of SciPy's BFGS and its
-    Moré-Thuente line search, without SciPy's ``line_search_wolfe2``
-    fallback: a start whose line search fails ends at its last accepted
-    point, not converged.  The diagnostics give, per start in stage order,
+    The BFGS is ``bfgs.minimize``, the in-house port of SciPy's BFGS, its
+    Moré-Thuente line search and that search's fallback: a start whose line
+    search fails both ways ends at its last accepted point, not converged.  The diagnostics give, per start in stage order,
     the first inverse Hessian (``start_hessian``), the evaluations
     (``start_nfev``) and why it stopped (``start_stop``: "gtol",
     "line_search", "max_iter" or "not_finite").

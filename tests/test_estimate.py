@@ -995,7 +995,7 @@ class TestFitMle:
 
     def test_starts_that_end_on_a_failed_line_search_say_so(self):
         # on the seed-7 gb_normal reference array three of the signal
-        # stage's five starts end where the line search finds no step
+        # stage's five starts end where both line searches find no step
         # (SciPy's "precision loss"), the winner among them, so the fit is
         # not converged although no parameter sits at a cap
         m, genes = simulate.REFERENCE_MODELS["gb_normal"]
