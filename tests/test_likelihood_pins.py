@@ -3,9 +3,10 @@
 ``likelihood_pins.json`` holds, per model, the SHA-256 of
 ``estimate.loglik_score`` at the model itself (``repr`` of the value, then
 the bytes of the gradient and of the per-observation rows) on the draws of
-seeds 0-2: 100 genes and 50 controls each.  The models are the exp_normal
-and exp_gamma reference models and the five gamma_normal models of the
-route pins.  Regenerate with ``PYTHONPATH=src python tests/test_likelihood_pins.py``.
+seeds 0-2: 100 genes and 50 controls each.  The models are the exp_normal,
+exp_gamma, exp_lognormal, gamma_lognormal, gb_normal and gb_gb reference
+models and the five gamma_normal models of the route pins.  Regenerate
+with ``PYTHONPATH=src python tests/test_likelihood_pins.py``.
 """
 
 import hashlib
@@ -18,7 +19,8 @@ from beadcorr import estimate, simulate
 from test_route_pins import MODELS
 
 PIN_FILE = Path(__file__).parent / "data" / "likelihood_pins.json"
-CASES = ["exp_normal", "exp_gamma"] + sorted(k for k in MODELS if k.startswith("gamma_normal"))
+CASES = (["exp_normal", "exp_gamma", "exp_lognormal", "gamma_lognormal", "gb_normal", "gb_gb"]
+         + sorted(k for k in MODELS if k.startswith("gamma_normal")))
 SEEDS, GENES, CONTROLS = (0, 1, 2), 100, 50
 
 
