@@ -12,9 +12,12 @@ the generalized Euler-Maclaurin expansion at s = 0
 that.  exp_lognormal, gamma_lognormal and gb_normal take fixed Gauss rules
 in the noise's standard score (``quadrature.tilt_integrals``), whose nodes
 give value and score alike, by Fisher's identity as on the engine's; the
-genes the rules do not certify take the engine.  A gene the engine cannot
-certify reads -inf, and its score rows NaN; the referee's QUADPACK answers
-no gene of the likelihood.
+genes the rules do not certify take the engine.  One function
+(``_integrals``) makes that choice for every integral of the likelihood and
+of the GB score's gene block (``score_gb``), so the gene block takes the
+likelihood's route: the tilt for gb_normal, the engine for gb_gb.  A gene
+the engine cannot certify reads -inf, and its score rows NaN; the referee's
+QUADPACK answers no gene of the likelihood.
 
 Every family is fitted by BFGS on that score (``bfgs.minimize``: SciPy's
 update and Moré-Thuente line search), started from the outer product of the
@@ -187,32 +190,33 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     With grad, also the derivatives with respect to (alpha, beta, mu, sigma),
     a (4, genes) array: exact for the grid's value
     (``correct.gamma_normal_density``), by Fisher's identity on the engine's
-    nodes for the rest, from the same engine call as their value.
+    nodes for the rest, from the same engine call as their value
+    (``_integrals``).  None where the grid refuses the array (shape below 1,
+    or no memory for it): ``log_marginal`` then takes the engine for every
+    gene.
     """
     p = np.asarray(p, dtype=float)
-    m = GammaNormal(g, b)
     start, extent = correct.gamma_normal_range(g, b)
     near = (p >= start) & (p <= extent)
     try:
         dens, peak, *d_dens = correct.gamma_normal_density(
             p[near], g, b, min(float(np.max(p)), extent), grad)
     except (InvalidParameterError, MemoryError):
-        return _quadrature_marginal_log(p, m, grad)
+        return None
     off = ~near
     off[near] = ~(dens >= correct.LIKELIHOOD_GRID_FLOOR * peak)
-    out = np.empty(p.shape)
-    with np.errstate(divide="ignore"):
-        out[near] = np.log(np.maximum(dens, 0.0))
-    if not grad:
-        if off.any():
-            out[off] = _quadrature_marginal_log(p[off], m)
-        return out
-    rows = np.empty((4, p.size))
+    out, rows = np.empty(p.shape), np.empty((4, p.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows[:, near] = d_dens[0] / dens
+        out[near] = np.log(np.maximum(dens, 0.0))
+        if grad:
+            rows[:, near] = d_dens[0] / dens
     if off.any():
-        out[off], rows[:, off] = _quadrature_marginal_log(p[off], m, True)
-    return out, rows
+        m = GammaNormal(g, b)
+        res = _integrals(p[off], m, _fisher_weights(m) if grad else None)
+        out[off] = np.where(res.ok, res.log_f, -np.inf)
+        if grad:
+            rows[:, off] = np.where(res.means_ok, res.means, np.nan)
+    return (out, rows) if grad else out
 
 
 #: the target of the engine and of the tilt in the likelihood
@@ -246,46 +250,30 @@ def _at_signal_end(m: ModelSpec, p):
     return dist_logpdf(m.noise, p - gb_support_upper(m.signal)) > -np.inf
 
 
-def _certified_rows(res):
-    """The engine's means, NaN for the genes whose means it does not certify."""
-    return np.where(res.means_ok, res.means, np.nan)
+def _integrals(p, m: ModelSpec, weights=None) -> quadrature.Integrals:
+    """The likelihood's ``quadrature.Integrals`` of the genes p under m, at
+    ``_LIKELIHOOD_REL_TOL``: the one path by which its value and its Fisher
+    rows are integrated.
 
-
-def _quadrature_marginal_log(p_vals, m, grad=False):
-    """log f_P at every p by the tanh-sinh engine; a gene it cannot certify
-    reads -inf: never fatal.
-
-    With grad, also the score rows in param_names order from the same
-    engine call (``_certified_rows``), NaN where the engine does not certify
-    them, so that an optimizer reads the point as not finite.
+    A tilt family (``correct.ROUTES``) takes the Gauss rules in the noise's z
+    (``quadrature.tilt_integrals``) unless ``quadrature.tilt_refusal`` leaves
+    it to the tanh-sinh engine, as every other model is.  A gene whose means
+    the rule does not certify takes the engine's, and its value too unless
+    the rule certifies that.
     """
-    res = quadrature.log_integrals(p_vals, m, _fisher_weights(m) if grad else None,
-                                   _LIKELIHOOD_REL_TOL)
-    out = np.where(res.ok, res.log_f, -np.inf)
-    return (out, _certified_rows(res)) if grad else out
-
-
-def _tilt_marginal_log(p, m, grad=False):
-    """``_quadrature_marginal_log`` by the Gauss rules in the noise's z
-    (``quadrature.tilt_integrals``), whose nodes give value and score alike.
-
-    A model the rule does not take (``quadrature.tilt_refusal``) goes to the
-    engine whole.  A gene whose value the rule does not certify takes the
-    engine's; a gene whose score it does not certify keeps the rule's value
-    and takes the engine's score.
-    """
-    if quadrature.tilt_refusal(m):
-        return _quadrature_marginal_log(p, m, grad)
-    res = quadrature.tilt_integrals(p, m, _fisher_weights(m) if grad else None,
-                                    _LIKELIHOOD_REL_TOL)
-    out, rows = res.log_f.copy(), res.means.copy()
-    rest = np.flatnonzero(~(res.means_ok if grad else res.ok))
-    if rest.size:
-        engine = _quadrature_marginal_log(p[rest], m, grad)
-        if grad:
-            engine, rows[:, rest] = engine
-        out[rest] = np.where(res.ok[rest], out[rest], engine)
-    return (out, rows) if grad else out
+    if correct.ROUTES[m.kind] != "tilt" or quadrature.tilt_refusal(m):
+        return quadrature.log_integrals(p, m, weights, _LIKELIHOOD_REL_TOL)
+    res = quadrature.tilt_integrals(p, m, weights, _LIKELIHOOD_REL_TOL)
+    rest = np.flatnonzero(~res.means_ok)
+    if not rest.size:
+        return res
+    engine = quadrature.log_integrals(p[rest], m, weights, _LIKELIHOOD_REL_TOL)
+    log_f, means, change, ok, means_ok = (a.copy() for a in res)
+    kept = ok[rest]
+    log_f[rest] = np.where(kept, log_f[rest], engine.log_f)
+    ok[rest] = kept | engine.ok
+    means[:, rest], change[rest], means_ok[rest] = engine.means, engine.change, engine.means_ok
+    return quadrature.Integrals(log_f, means, change, ok, means_ok)
 
 
 #: the log marginals of the closed and grid routes, with their scores
@@ -301,8 +289,9 @@ def log_marginal(m: ModelSpec, p, grad=False):
 
     Each family takes its correction's route (``correct.ROUTES``): the
     closed forms, the gamma-normal grid, the Gauss rules in the noise's z
-    (``_tilt_marginal_log``: exp_lognormal, gamma_lognormal, gb_normal) or
-    the tanh-sinh engine (gb_gb).
+    (exp_lognormal, gamma_lognormal, gb_normal) or the tanh-sinh engine
+    (gb_gb, and a gamma-normal model the grid refuses), the last two by
+    ``_integrals``; a gene the engine cannot certify reads -inf: never fatal.
 
     With grad, also the derivatives in param_names order, a (parameters,
     genes) array, from the same route.  On the tilt and engine routes the
@@ -310,14 +299,16 @@ def log_marginal(m: ModelSpec, p, grad=False):
     (``_at_signal_end``), so that an optimizer reads the point as not
     finite.
     """
-    route = correct.ROUTES[m.kind]
-    if route in ("closed", "grid"):
-        return _SCORED_MARGINALS[m.kind](p, m.signal, m.noise, grad)
+    if correct.ROUTES[m.kind] in ("closed", "grid"):
+        marginal = _SCORED_MARGINALS[m.kind](p, m.signal, m.noise, grad)
+        if marginal is not None:
+            return marginal
     p = np.asarray(p, dtype=float)
-    marginal = _quadrature_marginal_log if route == "quadrature" else _tilt_marginal_log
+    res = _integrals(p, m, _fisher_weights(m) if grad else None)
+    out = np.where(res.ok, res.log_f, -np.inf)
     if not grad:
-        return marginal(p, m)
-    out, rows = marginal(p, m, True)
+        return out
+    rows = np.where(res.means_ok, res.means, np.nan)
     rows[:, _at_signal_end(m, p)] = np.nan
     return out, rows
 
@@ -411,31 +402,6 @@ def loglik_score(params: ModelSpec, problem: EstimationProblem):
 # Scores of the GB families
 # ---------------------------------------------------------------------------
 
-def _gene_score(m: ModelSpec, p):
-    """The signal block of a GB model: d log f_P/d(a, c, d, u, v) summed
-    over the genes p, by Fisher's identity in one engine call at the
-    likelihood's target.
-
-    Raises DomainError for the first gene, in array order, outside the
-    support, and QuadratureError for the first whose score the engine does
-    not certify.
-    """
-    res = quadrature.log_integrals(p, m, _fisher_weights(m, noise=False),
-                                   _LIKELIHOOD_REL_TOL)
-    rows = _certified_rows(res)
-    at_end = _at_signal_end(m, p)
-    # an empty range reads -inf with NaN means
-    for i in np.flatnonzero(np.isnan(rows).any(axis=0) | at_end).tolist():
-        if res.log_f[i] == -np.inf:
-            raise DomainError(f"p={p[i]} lies outside the support of {m.kind}")
-        reason = (f"its integral reaches the signal's support end, where v={m.signal.v} "
-                  f"leaves Fisher's identity a boundary term" if at_end[i] else
-                  f"half-step change {res.change[i]:.2e}")
-        raise QuadratureError(f"gene {i} (p={p[i]}): the tanh-sinh engine did not "
-                              f"certify its score ({reason})")
-    return np.array([math.fsum(row) for row in rows.tolist()])
-
-
 def score_gb(params: ModelSpec, problem: EstimationProblem) -> np.ndarray:
     """The likelihood equations of a GB-signal model, ordered noise block
     then signal block: gb_gb (a2, c2, d2, u2, v2, a1, c1, d1, u1, v1),
@@ -444,13 +410,25 @@ def score_gb(params: ModelSpec, problem: EstimationProblem) -> np.ndarray:
     The noise block differentiates the negative-control sum (as printed; for
     normal noise, closed-form zeros at the control mean and biased
     variance); the signal block differentiates the gene-marginal sum, each
-    gene by Fisher's identity on the tanh-sinh engine's nodes
-    (``_gene_score``), the route ``log_marginal`` takes, gb_normal genes at
-    or below mu included.  Raises QuadratureError naming the first gene
-    whose score the engine does not certify.
+    gene by Fisher's identity on the route ``log_marginal`` takes
+    (``_integrals``: the tilt for gb_normal, the engine for gb_gb), gb_normal
+    genes at or below mu included.  Raises DomainError for the first gene,
+    in array order, outside the support, and QuadratureError for the first
+    whose score is not certified.
     """
+    p = problem.observed
+    res = _integrals(p, params, _fisher_weights(params, noise=False))
+    at_end = _at_signal_end(params, p)
+    # an empty range reads -inf with NaN means
+    for i in np.flatnonzero(~res.means_ok | np.isnan(res.means).any(axis=0) | at_end).tolist():
+        if res.log_f[i] == -np.inf:
+            raise DomainError(f"p={p[i]} lies outside the support of {params.kind}")
+        reason = (f"its integral reaches the signal's support end, where v={params.signal.v} "
+                  f"leaves Fisher's identity a boundary term" if at_end[i] else
+                  f"its certificate's change {res.change[i]:.2e} misses the target")
+        raise QuadratureError(f"gene {i} (p={p[i]}): its score is not certified ({reason})")
     return np.concatenate([_density_rows(params.noise, problem.negatives).sum(axis=1),
-                           _gene_score(params, problem.observed)])
+                           [math.fsum(row) for row in res.means.tolist()]])
 
 
 #: the gb_normal name of ``score_gb``
@@ -680,16 +658,18 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     parameters in one stage, except that GB families estimate the noise
     block from the controls first (as the likelihood equations prescribe; a
     normal noise starts at its control MLE and stays there), then the signal
-    block from the gene marginals.  A GB fit reports the norm of
-    ``score_gb`` as its gradient norm, and is not converged with a parameter
-    at a cap or the clip (``at_cap``).
+    block from the gene marginals.  The gradient norm is that of the score
+    in the model's parameters at the fit: ``score_gb`` for a GB fit, the
+    winner's gradient less the codec's chain-rule factor otherwise.  A GB
+    fit is not converged with a parameter at a cap or the clip (``at_cap``).
 
     The BFGS is ``bfgs.minimize``, the in-house port of SciPy's BFGS, its
     Moré-Thuente line search and that search's fallback: a start whose line
-    search fails both ways ends at its last accepted point, not converged.  The diagnostics give, per start in stage order,
-    the first inverse Hessian (``start_hessian``), the evaluations
-    (``start_nfev``) and why it stopped (``start_stop``: "gtol",
-    "line_search", "max_iter" or "not_finite").
+    search fails both ways ends at its last accepted point, not converged.
+    The diagnostics give, per start in stage order, the first inverse
+    Hessian (``start_hessian``), the evaluations (``start_nfev``) and why it
+    stopped (``start_stop``: "gtol", "line_search", "max_iter" or
+    "not_finite").
     """
     rng = np.random.default_rng(budget.seed)
     kind = problem.model_kind
@@ -717,7 +697,7 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
 
         best, h0, nfev, stop, (ll, grad) = _bfgs_maximize(
             objective, to_vec(values[free]), bounds, budget, rng, scale)
-        values[free] = from_vec(best.x)[0]
+        values[free], factor = from_vec(best.x)
         converged = converged and best.success
         if isinstance(getattr(start, label, None), GBParams):
             at_cap += _at_cap(best.x, label)
@@ -726,9 +706,10 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     params = model_from_values(kind, values)
     gb = kind in ("gb_gb", "gb_normal")
     try:
-        grad_norm = float(np.linalg.norm(score_gb(params, problem) if gb else grad))
+        # the score in the model's parameters, less the codec's chain rule
+        grad_norm = float(np.linalg.norm(score_gb(params, problem) if gb else grad / factor))
     except (BeadcorrError, FloatingPointError):
-        # wherever the engine does not certify a gene's score
+        # wherever a gene's score is not certified
         grad_norm = None
     return FitResult(params=params, loglik=ll, converged=converged and not at_cap,
                      iterations=sum(nfevs), method="mle", gradient_norm=grad_norm,

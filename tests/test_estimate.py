@@ -51,6 +51,17 @@ def _safe_gb_obs(m, n, rng):
     return np.array(out)
 
 
+def engine_marginal(ps, m, grad=False):
+    """log f_P at every p by the tanh-sinh engine at the likelihood's target,
+    -inf where it does not certify the value, and with grad the Fisher rows,
+    NaN where it does not certify them."""
+    res = quadrature.log_integrals(np.asarray(ps, dtype=float), m,
+                                   estimate._fisher_weights(m) if grad else None,
+                                   estimate._LIKELIHOOD_REL_TOL)
+    out = np.where(res.ok, res.log_f, -np.inf)
+    return (out, np.where(res.means_ok, res.means, np.nan)) if grad else out
+
+
 #: (model, p values, abs tolerance in log) against the quadrature referee
 _MARGINAL_CASES = [
     # exp_gamma, lam = 1/beta - theta > 0: regularized incomplete gamma
@@ -223,7 +234,7 @@ class TestLoglik:
         for grad in (False, True):
             short = estimate.log_marginal(m, ps, grad)
             long = estimate.log_marginal(m, far, grad)
-            engine = estimate._quadrature_marginal_log(far[-1:], m, grad)
+            engine = engine_marginal(far[-1:], m, grad)
             if grad:
                 (short, short_rows), (long, long_rows) = short, long
                 engine, engine_rows = engine
@@ -302,7 +313,7 @@ class TestLoglik:
         # gb_normal the genes their tilt leaves to it, called directly here
         m = simulate.REFERENCE_MODELS[kind][0]
         ps = simulate.simulate_experiment(m, 12, 2, seed=3).observed
-        got = estimate._quadrature_marginal_log(ps, m)
+        got = engine_marginal(ps, m)
         if correct.ROUTES[kind] == "quadrature":
             np.testing.assert_array_equal(estimate.log_marginal(m, ps), got)
         want = [oracle.marginal_log_pdf_quadrature(float(p), m) for p in ps]
@@ -451,6 +462,20 @@ class TestScores:
         score = estimate.score_gb_normal(m, prob)
         assert np.all(np.isfinite(score))
         self._assert_blocks_match_central_differences(m, prob, score)
+
+    @pytest.mark.parametrize("kind", ["gb_normal", "gb_gb"])
+    def test_gb_score_is_the_likelihoods_gradient_on_its_route(self, kind):
+        # score_gb's signal block and loglik_score's signal gradient average
+        # the same Fisher rows on the same route, the tilt for gb_normal and
+        # the engine for gb_gb: they differ in the order of the sum alone
+        m, genes = simulate.REFERENCE_MODELS[kind]
+        for seed in (0, 1, 2, 7):
+            data = simulate.simulate_experiment(m, genes, max(genes // 4, 50), seed)
+            prob = estimate.EstimationProblem(data.observed, data.negatives, kind)
+            _, grad, rows = estimate.loglik_score(m, prob)
+            scale = np.abs(rows[:5, :data.observed.size]).sum(axis=1)
+            gap = np.abs(estimate.score_gb(m, prob)[-5:] - grad[:5])
+            assert np.all(gap <= 1e-15 * scale), (seed, gap / scale)
 
     def test_gb_score_takes_genes_past_the_series_cap(self):
         m, prob = self._reference_problem("gb_gb", 0.999, 0.999)
@@ -732,7 +757,7 @@ class TestClosedFormScores:
         lm, rows = estimate.log_marginal(m, obs, grad=True)
         np.testing.assert_array_equal(lm, res.log_f)
         np.testing.assert_array_equal(rows, res.means)
-        _, engine = estimate._quadrature_marginal_log(obs, m, True)
+        _, engine = engine_marginal(obs, m, True)
         np.testing.assert_allclose(rows, engine, rtol=1e-5, atol=1e-6 * np.max(np.abs(rows)))
 
     def test_exp_lognormal_genes_the_tilt_does_not_certify_take_the_engine(self):
@@ -747,7 +772,7 @@ class TestClosedFormScores:
         assert res.ok.tolist() == [True, False, True, True, True]
         assert res.means_ok.tolist() == [True, False, True, False, True]
         lm, rows = estimate.log_marginal(m, obs, grad=True)
-        engine, engine_rows = estimate._quadrature_marginal_log(obs[[1, 3]], m, True)
+        engine, engine_rows = engine_marginal(obs[[1, 3]], m, True)
         assert lm[1] == engine[0] and lm[3] == res.log_f[3]
         np.testing.assert_array_equal(rows[:, [1, 3]], engine_rows)
         np.testing.assert_array_equal(rows[:, [0, 4]], res.means[:, [0, 4]])
@@ -772,7 +797,7 @@ class TestClosedFormScores:
         # logs, and the gene on the grid keeps its bits
         m = GammaNormal(GammaParams(2.0, 50.0), NormalParams(100.0, 15.0))
         parts = [estimate.log_marginal(m, np.array([far, 120.0]), grad),
-                 estimate._quadrature_marginal_log(np.array([far]), m, grad),
+                 engine_marginal(np.array([far]), m, grad),
                  estimate.log_marginal(m, np.array([120.0]), grad)]
         got, engine, on_grid = parts if grad else [[part] for part in parts]
         for got_part, engine_part, grid_part in zip(got, engine, on_grid):
@@ -971,8 +996,23 @@ class TestFitMle:
             assert fit.iterations < 60
             assert fit.loglik == estimate.loglik(fit.params, prob)
             assert fit.loglik >= estimate.loglik(m, prob)
-            # BFGS stops below 1e-6 per observation in every coordinate
+            # BFGS stops below 1e-6 per observation in every coordinate of
+            # its log scale (mu as is); the score in the model's parameters
+            # divides those by alpha, beta and sigma, none below 0.7 here,
+            # and its norm stays below 2e-6 per observation
             assert fit.gradient_norm < 2e-6 * (obs.size + neg.size)
+
+    @pytest.mark.parametrize("kind", ["exp_normal", "exp_gamma", "gamma_normal",
+                                      "exp_lognormal", "gamma_lognormal"])
+    def test_gradient_norm_is_the_score_norm_in_the_model_parameters(self, kind):
+        # as for the GB families, the norm of loglik's gradient in the
+        # model's own parameters at the fit, not in the optimizer's log scale
+        m = simulate.REFERENCE_MODELS[kind][0]
+        data = simulate.simulate_experiment(m, 100, 200, seed=7)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, kind)
+        fit = estimate.fit_mle(prob, estimate.FitBudget(n_starts=1))
+        want = np.linalg.norm(estimate.loglik_score(fit.params, prob)[1])
+        assert fit.gradient_norm == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["exp_normal", "exp_gamma", "gamma_normal"])
     def test_opg_start_matches_the_identity_start(self, kind, monkeypatch):

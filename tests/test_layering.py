@@ -10,6 +10,11 @@ The series' truncation policy is its own.  Only ``series`` refers to its two
 constants (``REL_TOL``, ``MAX_TERMS``), so no caller steers the truncation,
 and no module refers to the removed ``SeriesConfig``.
 
+The likelihood integrates on one path.  In ``estimate`` only ``_integrals``
+refers to the quadrature module's integrators (``log_integrals``,
+``tilt_integrals``), so the likelihood's value, its score and the GB score's
+gene block choose between the tilt and the engine in one place.
+
 The series is the paper's route alone.  Only ``correct`` (for
 ``PAPER_ROUTES``), ``validation`` and the package's re-exports refer to the
 ``series`` module, so the likelihood never sums one, and no route of
@@ -27,6 +32,7 @@ REFEREE_USERS = {"oracle.py", "validation.py"}
 RE_EXPORTS = {"__init__.py"}
 TRUNCATION = {"REL_TOL", "MAX_TERMS"}
 SERIES_USERS = {"correct.py", "validation.py"}
+INTEGRATORS = {"log_integrals", "tilt_integrals"}
 
 
 def _referee_names(path, imports=True):
@@ -90,6 +96,38 @@ def test_the_identifier_check_sees_every_spelling(tmp_path):
                  "class SeriesConfig:\n    pass\n"):
         module.write_text(text)
         assert _identifiers(module) & (TRUNCATION | {"SeriesConfig"}), text
+
+
+def _integrator_users(path):
+    """The top-level definitions of a module that refer to an integrator of
+    the quadrature module, as quadrature.<name> or by an imported name;
+    "<module>" for a reference outside any definition."""
+    users = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr in INTEGRATORS
+                 and isinstance(node.value, ast.Name) and node.value.id == "quadrature")
+                    or (isinstance(node, ast.Name) and node.id in INTEGRATORS)
+                    or (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").split(".")[-1] == "quadrature"
+                        and any(a.name in INTEGRATORS for a in node.names))):
+                users.add(getattr(top, "name", "<module>"))
+    return users
+
+
+def test_only_one_function_of_the_likelihood_integrates():
+    assert _integrator_users(PACKAGE / "estimate.py") == {"_integrals"}
+
+
+def test_the_integrator_check_sees_every_spelling(tmp_path):
+    module = tmp_path / "m.py"
+    for text, users in (("def f(p):\n    return quadrature.log_integrals(p)\n", {"f"}),
+                        ("from .quadrature import tilt_integrals as t\n", {"<module>"}),
+                        ("def g(p):\n    return log_integrals(p)\n", {"g"}),
+                        ("class C:\n    run = quadrature.tilt_integrals\n", {"C"}),
+                        ("def h(p):\n    return quadrature.Integrals(p)\n", set())):
+        module.write_text(text)
+        assert _integrator_users(module) == users, text
 
 
 def _refers_to_series(path):
