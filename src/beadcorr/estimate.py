@@ -23,18 +23,21 @@ Every family is fitted by BFGS on that score (``bfgs.minimize``: SciPy's
 update and Moré-Thuente line search), started from the outer product of the
 per-observation scores: 4 to 7 value-and-gradient evaluations per fit
 of a 100-gene, 200-control exp_normal, exp_gamma or gamma_normal reference
-array (5.4 on average), against 7 to 22 (15.3) from the identity.  For the GB
-families the printed likelihood equations estimate the noise block from the
-negative controls alone, so their fit runs in two stages: noise from the
-controls, then signal from the gene marginals with noise fixed.
+array (5.4 on average), against 7 to 22 (15.3) from the identity.  Each
+parameter moves on its class's chart (``_CHARTS``): the optimizer's
+coordinate, its inverse and chain-rule factor, and the box the coordinate
+is clipped to.  For the GB families the printed likelihood equations
+estimate the noise block from the negative controls alone, so their fit
+runs in two stages: noise from the controls, then signal from the gene
+marginals with noise fixed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 from scipy import special as _sp
@@ -42,11 +45,12 @@ from scipy import special as _sp
 from . import bfgs, correct, quadrature, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBParams,
                     LognormalParams, MODEL_KINDS, MODEL_TYPES, ModelSpec,
-                    NormalParams, dist_logpdf, gamma_logpdf, gb_from_gamma,
+                    NormalParams, dist_logpdf, dist_support, gb_from_gamma,
                     gb_support_upper, model_from_values, model_to_values,
                     param_names)
 from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
-                     InvalidParameterError, QuadratureError, UnsupportedMethodError)
+                     InvalidParameterError, NumericUnderflowError, QuadratureError,
+                     UnsupportedMethodError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,8 +320,6 @@ def log_marginal(m: ModelSpec, p, grad=False):
 def noise_loglik(m: ModelSpec, problem: EstimationProblem) -> float:
     """Negative-control part of the likelihood (the printed noise equations
     are derivatives of exactly this sum)."""
-    if problem.negatives.size == 0:
-        return 0.0
     return float(np.sum(dist_logpdf(m.noise, problem.negatives)))
 
 
@@ -366,21 +368,12 @@ def _density_rows(dist, x, log_x=None):
 def _controls_score(params: ModelSpec, problem: EstimationProblem):
     """(``noise_loglik``, its gradient in param_names order, the
     per-control scores): a (parameters, controls) array, zero in the
-    signal's rows.  Normal noise reads the log densities and the rows from
-    one standard score, gamma noise from one log x."""
+    signal's rows."""
     noise, x = params.noise, problem.negatives
     rows = np.zeros((len(param_names(params.kind)), x.size))
-    if isinstance(noise, NormalParams):
-        z = (x - noise.mu) / noise.sigma
-        log_f = specfun.std_normal_logpdf(z) - math.log(noise.sigma)
-        np.divide([z, z * z - 1.0], noise.sigma, out=rows[-2:])
-    else:
-        log_x = np.log(x)
-        log_f = (gamma_logpdf(x, noise, log_x) if isinstance(noise, GammaParams)
-                 else dist_logpdf(noise, x))
-        noise_rows = _density_rows(noise, x, log_x)
-        rows[-noise_rows.shape[0]:] = noise_rows
-    return float(log_f.sum()), rows.sum(axis=1), rows
+    noise_rows = _density_rows(noise, x)
+    rows[-noise_rows.shape[0]:] = noise_rows
+    return float(dist_logpdf(noise, x).sum()), rows.sum(axis=1), rows
 
 
 def loglik_score(params: ModelSpec, problem: EstimationProblem):
@@ -451,26 +444,27 @@ def _control_moments(problem):
     return m, v
 
 
-def _noise_block(problem, kind):
-    m, v = _control_moments(problem)
-    neg = problem.negatives
-    if kind in ("exp_normal", "gamma_normal", "gb_normal"):
+def _moment_block(ptype, m, v, sample):
+    """The block of class ptype with mean m and variance v, a GB block near
+    the gamma law's; a lognormal block takes the log moments of sample."""
+    if ptype is ExpParams:
+        return ExpParams(1.0 / m)
+    if ptype is NormalParams:
         return NormalParams(m, math.sqrt(v))
-    if kind == "exp_gamma":
-        return GammaParams(alpha=m * m / v, beta=v / m)
-    if kind in ("exp_lognormal", "gamma_lognormal"):
-        logs = np.log(neg)
+    if ptype is LognormalParams:
+        logs = np.log(sample)
         sd = float(np.std(logs))
         if sd <= 0:
             raise DegenerateControlsError("log negative controls have zero variance")
         return LognormalParams(float(np.mean(logs)), sd)
-    if kind == "gb_gb":
-        return gb_from_gamma(GammaParams(alpha=m * m / v, beta=v / m), v_big=1e3)
-    raise InvalidParameterError(f"unknown model kind {kind!r}")
+    gamma = GammaParams(alpha=m * m / v, beta=v / m)
+    return gamma if ptype is GammaParams else gb_from_gamma(gamma, v_big=1e3)
 
 
-def _signal_block(problem, kind):
-    m, _ = _control_moments(problem)
+def init_params(problem: EstimationProblem) -> ModelSpec:
+    """Starting parameters: noise from control moments, signal from the
+    control-mean-subtracted observations (floored at the 1% quantile)."""
+    m, v = _control_moments(problem)
     diffs = problem.observed - m
     pos = diffs[diffs > 0]
     # floor at the 1% quantile of the positive differences so the shifted
@@ -479,86 +473,76 @@ def _signal_block(problem, kind):
     shifted = np.maximum(diffs, eps)
     sm = float(np.mean(shifted))
     sv = max(float(np.var(shifted)), 1e-12 * sm * sm)
-    if kind in ("exp_normal", "exp_gamma", "exp_lognormal"):
-        return ExpParams(1.0 / sm)
-    if kind in ("gamma_normal", "gamma_lognormal"):
-        return GammaParams(alpha=sm * sm / sv, beta=sv / sm)
-    if kind in ("gb_gb", "gb_normal"):
-        return gb_from_gamma(GammaParams(alpha=sm * sm / sv, beta=sv / sm), v_big=1e3)
-    raise InvalidParameterError(f"unknown model kind {kind!r}")
-
-
-def init_params(problem: EstimationProblem) -> ModelSpec:
-    """Starting parameters: noise from control moments, signal from the
-    control-mean-subtracted observations (floored at the 1% quantile)."""
-    kind = problem.model_kind
-    return MODEL_TYPES[kind](_signal_block(problem, kind),
-                             _noise_block(problem, kind))
+    model = MODEL_TYPES[problem.model_kind]
+    hints = get_type_hints(model)
+    return model(_moment_block(hints["signal"], sm, sv, shifted),
+                 _moment_block(hints["noise"], m, v, problem.negatives))
 
 
 # ---------------------------------------------------------------------------
-# Parameter vector transforms for the optimizer
+# The optimizer's coordinates: one chart per parameter
 # ---------------------------------------------------------------------------
 
-_LOGIT_CLIP = 6.9  # c confined to ~(0.001, 0.999)
+#: one parameter's coordinate x for the optimizer: x for a value (to_x), the
+#: value and d value/dx at x (at), and the box [lo, hi] that x is clipped to
+_Chart = namedtuple("_Chart", "to_x at lo hi", defaults=(-math.inf, math.inf))
 
 
-def _logit(c):
+def _log_odds(c):
     c = min(max(c, 1e-3), 1.0 - 1e-3)
     return math.log(c / (1.0 - c))
 
 
-_GB_BOUNDS = [(math.log(0.02), math.log(50.0)), (-_LOGIT_CLIP, _LOGIT_CLIP),
-              (-math.inf, math.inf), (math.log(1e-2), math.log(1e4)),
-              (math.log(1e-2), math.log(1e4))]
+def _expit(x):
+    c = 1.0 / (1.0 + math.exp(-x))
+    return c, c * (1.0 - c)
 
-#: a GB parameter this close to a bound, in the optimizer's coordinates, or
-#: past it (where its coordinate no longer moves the model), sits at it
+
+_SAME = _Chart(lambda v: v, lambda x: (x, 1.0))
+_LOG = _Chart(math.log, lambda x: (math.exp(x),) * 2)
+_SHAPE = _LOG._replace(lo=math.log(1e-2), hi=math.log(1e4))
+
+#: the charts of each parameter class, one per field in field order: mu as
+#: is; c by its logit, c clipped to [1e-3, 1 - 1e-3] and x to +-6.9; every
+#: other parameter on the log scale, GB's a boxed to [0.02, 50] and u and v
+#: to [1e-2, 1e4]
+_CHARTS = {
+    NormalParams: (_SAME, _LOG),
+    LognormalParams: (_SAME, _LOG),
+    ExpParams: (_LOG,),
+    GammaParams: (_LOG, _LOG),
+    GBParams: (_LOG._replace(lo=math.log(0.02), hi=math.log(50.0)),
+               _Chart(_log_odds, _expit, -6.9, 6.9), _LOG, _SHAPE, _SHAPE),
+}
+
+#: a parameter this close to a finite end of its chart's box, in the
+#: optimizer's coordinates, or past it (where its coordinate no longer moves
+#: the model), sits at it
 _CAP_DISTANCE = 1e-6
 
 
-def _at_cap(x, label):
-    """The GB parameters of the vector x that sit at a cap or a clip of
-    ``_GB_BOUNDS``, named label.a, label.c, ..."""
-    return [f"{label}.{name}" for name, xi, (lo, hi) in zip("acduv", x, _GB_BOUNDS)
-            if not lo + _CAP_DISTANCE < xi < hi - _CAP_DISTANCE]
+def _at_cap(x, charts, labels):
+    """The labels of the parameters of the vector x that sit at an end of
+    their charts' boxes."""
+    return [label for label, xi, ch in zip(labels, x, charts)
+            if xi <= ch.lo + _CAP_DISTANCE or xi >= ch.hi - _CAP_DISTANCE]
 
 
-def _codec(names):
+def _codec(charts):
     """(to_vec(values) -> list, from_vec(x) -> (values, d values/dx), bounds)
-    for the parameters names, in the optimizer's coordinates.
-
-    A parameter is keyed by its name less the GB block suffix: mu as is, c
-    through the logit, the others on the log scale.  The GB parameters' x
-    are clipped to their ``_GB_BOUNDS``, and the chain-rule factor d
-    value/dx is 0 past a bound, where x no longer moves the value; the
-    bounds also clip the jittered starts.
-    """
-    keys = [name.rstrip("12") for name in names]
-    gb_bounds = dict(zip("acduv", _GB_BOUNDS))
-    bounds = [gb_bounds.get(k, (-math.inf, math.inf)) for k in keys]
-
+    for parameters on the given charts (``_CHARTS``).  Each x is clipped to
+    its chart's box, and the chain-rule factor d value/dx is 0 past the box,
+    where x no longer moves the value; the boxes also clip the jittered
+    starts."""
     def to_vec(values):
-        return [min(max(v if k == "mu" else _logit(v) if k == "c" else math.log(v), lo), hi)
-                for k, v, (lo, hi) in zip(keys, values, bounds)]
+        return [min(max(ch.to_x(v), ch.lo), ch.hi) for ch, v in zip(charts, values)]
 
     def from_vec(x):
-        out = []
-        for k, xi, (lo, hi) in zip(keys, x, bounds):
-            inside = lo <= xi <= hi
-            xi = min(max(xi, lo), hi)
-            if k == "mu":
-                out.append((xi, 1.0))
-            elif k == "c":
-                c = 1.0 / (1.0 + math.exp(-xi))
-                out.append((c, c * (1.0 - c) if inside else 0.0))
-            else:
-                v = math.exp(xi)
-                out.append((v, v if inside else 0.0))
-        values, factor = zip(*out)
-        return list(values), np.array(factor)
+        at = [ch.at(min(max(xi, ch.lo), ch.hi)) + (ch.lo <= xi <= ch.hi,)
+              for ch, xi in zip(charts, x)]
+        return [v for v, _, _ in at], np.array([d if inside else 0.0 for _, d, inside in at])
 
-    return to_vec, from_vec, bounds
+    return to_vec, from_vec, [(ch.lo, ch.hi) for ch in charts]
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +601,9 @@ def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
     inverse Hessian (``_opg_inverse``; the identity where that fails), and
     BFGS reads that evaluation back rather than repeating it.  A point where
     the objective raises or is not finite reads +inf, which fails the line
-    search's sufficient-decrease test.  The start with the least -objective
-    wins.  Returns the winning result, and for every start its first inverse
+    search's sufficient-decrease test; a start that reads +inf itself stops
+    there ("not_finite").  The start with the least -objective wins.
+    Returns the winning result, and for every start its first inverse
     Hessian ('opg' or 'identity'), its evaluations and its stop reason, and
     (value, gradient) of the objective at the winner.
     """
@@ -638,54 +623,72 @@ def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
         v, g = seen.get(x.tobytes()) or evaluate(x)[:2]
         return -v / scale, -g / scale
 
-    best, hessians, nfevs, stops = None, [], [], []
+    hessians, results = [], []
     for start in _starts(x0, bounds, budget, rng):
-        rows = evaluate(start)[2]
+        v, _, rows = evaluate(start)
         h0 = None if rows is None else _opg_inverse(rows, scale)
-        res = bfgs.minimize(neg, start, _GTOL, budget.max_iter, h0)
         hessians.append("identity" if h0 is None else "opg")
-        nfevs.append(res.nfev)
-        stops.append(res.stop)
-        if best is None or res.fun < best.fun:
-            best = res
+        results.append(bfgs.minimize(neg, start, _GTOL, budget.max_iter, h0) if v > -math.inf
+                       else bfgs.Result(start, math.inf, 1, 0, "not_finite"))
+    best = min(results, key=lambda res: res.fun)
     v, g = seen.get(best.x.tobytes()) or evaluate(best.x)[:2]
-    return best, tuple(hessians), tuple(nfevs), tuple(stops), (v, g)
+    return (best, tuple(hessians), tuple(res.nfev for res in results),
+            tuple(res.stop for res in results), (v, g))
+
+
+def _refusal(stage, m: ModelSpec, problem: EstimationProblem, genes):
+    """The error of a fit stage whose winner m reads -inf: for the first gene
+    (where the stage reads them) or control whose log density is -inf at m,
+    a DomainError outside m's support, else a NumericUnderflowError."""
+    (s_lo, s_hi), (lo, hi) = dist_support(m.signal), dist_support(m.noise)
+    points = ([("gene", problem.observed, log_marginal(m, problem.observed), s_lo + lo, s_hi + hi)]
+              if genes else [])
+    points.append(("control", problem.negatives, dist_logpdf(m.noise, problem.negatives), lo, hi))
+    head = f"every start of the {stage} stage reads -inf"
+    for what, x, log_f, lo, hi in points:
+        for i in np.flatnonzero(log_f == -np.inf)[:1].tolist():
+            side = "inside" if lo < x[i] < hi else "outside"
+            return (NumericUnderflowError if side == "inside" else DomainError)(
+                f"{head}: {what} {i} (x={x[i]}) has log density -inf {side} the support "
+                f"({lo}, {hi}) of {m}")
+    return BeadcorrError(f"{head}: its likelihood or score is not finite at {m}")
 
 
 def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitResult:
-    """Maximize the likelihood from the moment-based start by BFGS on its
-    score (``loglik_score``) in the coordinates of ``_codec``, all
-    parameters in one stage, except that GB families estimate the noise
-    block from the controls first (as the likelihood equations prescribe; a
-    normal noise starts at its control MLE and stays there), then the signal
-    block from the gene marginals.  The gradient norm is that of the score
-    in the model's parameters at the fit: ``score_gb`` for a GB fit, the
-    winner's gradient less the codec's chain-rule factor otherwise.  A GB
-    fit is not converged with a parameter at a cap or the clip (``at_cap``).
-
-    The BFGS is ``bfgs.minimize``, the in-house port of SciPy's BFGS, its
-    Moré-Thuente line search and that search's fallback: a start whose line
-    search fails both ways ends at its last accepted point, not converged.
-    The diagnostics give, per start in stage order, the first inverse
-    Hessian (``start_hessian``), the evaluations (``start_nfev``) and why it
-    stopped (``start_stop``: "gtol", "line_search", "max_iter" or
-    "not_finite").
+    """Maximize the likelihood from the moment-based start by multi-start
+    BFGS on its score (``loglik_score``, ``_bfgs_maximize``), each parameter
+    on its class's chart (``_CHARTS``), all parameters in one stage, except
+    that GB families estimate the noise block from the controls first (as
+    the likelihood equations prescribe; a normal noise starts at its control
+    MLE and stays there), then the signal block from the gene marginals.
+    The gradient norm is that of the score in the model's parameters at the
+    fit: ``score_gb`` for a GB fit, the winner's gradient less the codec's
+    chain-rule factor otherwise.  A fit is not converged where a stage's
+    winner stopped short of the gradient tolerance, or with a parameter at
+    an end of its chart's box (``at_cap``: signal.a, noise.c, ...).  A
+    stage whose every start reads -inf raises (``_refusal``).  The
+    diagnostics give, per start in stage order, the first inverse Hessian
+    (``start_hessian``), the evaluations (``start_nfev``) and why it stopped
+    (``start_stop``: "gtol", "line_search", "max_iter" or "not_finite").
     """
     rng = np.random.default_rng(budget.seed)
     kind = problem.model_kind
     start = init_params(problem)
-    names = param_names(kind)
     values = np.array(model_to_values(start))
-    every = np.arange(len(names))
-    n_signal = len(dataclasses.fields(start.signal))
+    blocks = (("signal", start.signal), ("noise", start.noise))
+    charts = [ch for _, block in blocks for ch in _CHARTS[type(block)]]
+    labels = [f"{label}.{f.name}" for label, block in blocks for f in fields(block)]
+    every, n_signal = np.arange(len(charts)), len(fields(start.signal))
     n_obs = problem.observed.size + problem.negatives.size
+    gb = kind in ("gb_gb", "gb_normal")
     stages = ([("noise", every[n_signal:], _controls_score, problem.negatives.size),
                ("signal", every[:n_signal], loglik_score, n_obs)]
-              if kind in ("gb_gb", "gb_normal") else [("joint", every, loglik_score, n_obs)])
+              if gb else [("joint", every, loglik_score, n_obs)])
 
     converged, at_cap, hessians, nfevs, stops = True, [], (), (), ()
     for label, free, score, scale in stages:
-        to_vec, from_vec, bounds = _codec([names[i] for i in free])
+        stage_charts = [charts[i] for i in free]
+        to_vec, from_vec, bounds = _codec(stage_charts)
 
         def objective(x):
             block, factor = from_vec(x)
@@ -698,13 +701,14 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
         best, h0, nfev, stop, (ll, grad) = _bfgs_maximize(
             objective, to_vec(values[free]), bounds, budget, rng, scale)
         values[free], factor = from_vec(best.x)
+        if ll == -math.inf:
+            raise _refusal(label, model_from_values(kind, values), problem,
+                           genes=score is loglik_score)
         converged = converged and best.success
-        if isinstance(getattr(start, label, None), GBParams):
-            at_cap += _at_cap(best.x, label)
+        at_cap += _at_cap(best.x, stage_charts, [labels[i] for i in free])
         hessians, nfevs, stops = hessians + h0, nfevs + nfev, stops + stop
 
     params = model_from_values(kind, values)
-    gb = kind in ("gb_gb", "gb_normal")
     try:
         # the score in the model's parameters, less the codec's chain rule
         grad_norm = float(np.linalg.norm(score_gb(params, problem) if gb else grad / factor))
@@ -737,21 +741,15 @@ def fit_moments(problem: EstimationProblem) -> FitResult:
     if dv <= 0:
         dv, clamped = eps_m ** 2, True
 
-    if kind in ("exp_normal", "exp_gamma", "exp_lognormal"):
-        signal = ExpParams(1.0 / dm)
-    else:
-        signal = GammaParams(alpha=dm * dm / dv, beta=dv / dm)
-
-    neg = problem.negatives
-    if kind in ("exp_normal", "gamma_normal"):
-        noise = NormalParams(mB, math.sqrt(vB))
-    elif kind == "exp_gamma":
-        noise = GammaParams(alpha=mB * mB / vB, beta=vB / mB)
-    else:
+    model = MODEL_TYPES[kind]
+    hints = get_type_hints(model)
+    signal = _moment_block(hints["signal"], dm, dv, None)
+    if hints["noise"] is LognormalParams:
         sig2 = math.log1p(vB / (mB * mB))
         noise = LognormalParams(math.log(mB) - sig2 / 2.0, math.sqrt(sig2))
-
-    params = MODEL_TYPES[kind](signal, noise)
+    else:
+        noise = _moment_block(hints["noise"], mB, vB, None)
+    params = model(signal, noise)
     return FitResult(params=params, loglik=loglik(params, problem),
                      converged=True, iterations=0, method="moments",
                      diagnostics={"variance_clamped": clamped})

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from beadcorr import cli, correct, estimate, simulate
+from beadcorr.dists import GBParams
 from beadcorr.errors import DataFormatError, InvalidParameterError
-from conftest import child_env
+from conftest import child_env, gb_charts_ending_below
 
 
 def run_cli(*args):
@@ -489,6 +490,17 @@ class TestPipeline:
         assert r.returncode == 2
         # rows are still emitted
         assert len(open(tmp_path / "fit.tsv").read().strip().split("\n")) == 2
+
+    def test_fit_whose_every_start_reads_minus_inf_exits_70(self, tmp_path, monkeypatch,
+                                                            capsys):
+        out = tmp_path / "sim"
+        cli.cmd_simulate(simulate.REFERENCE_MODELS["gb_gb"][0], 100, 50, 7, str(out))
+        obs, neg = str(out / "observed.tsv"), str(out / "negatives.tsv")
+        top = float(cli.ingest(obs, neg).negatives.max())
+        monkeypatch.setitem(estimate._CHARTS, GBParams, gb_charts_ending_below(top))
+        code = cli.main(["fit", obs, neg, "--model", "gb_gb", "--out", str(tmp_path / "fit.tsv")])
+        assert code == cli.EXIT_NUMERIC == 70
+        assert "every start of the noise stage reads -inf: control " in capsys.readouterr().err
 
     def test_inputs_not_mutated(self, tables):
         obs, neg = tables

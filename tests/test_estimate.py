@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,9 +14,10 @@ from beadcorr.dists import (MODEL_KINDS, ExpGamma, ExpLognormal, ExpNormal, ExpP
                             GBNormal, GBParams, LognormalParams, NormalParams,
                             dist_logpdf, dist_sample, gb_support_upper,
                             model_from_values, model_to_values, param_names)
-from beadcorr.errors import (BeadcorrError, DegenerateControlsError,
+from beadcorr.errors import (BeadcorrError, DegenerateControlsError, DomainError,
                              InvalidParameterError, QuadratureError,
                              SeriesNonConvergenceError, UnsupportedMethodError)
+from conftest import gb_charts_ending_below
 
 
 
@@ -908,7 +910,26 @@ class TestClosedFormScores:
         np.testing.assert_allclose(np.log(dens), want, rtol=0, atol=1e-8)
 
 
+def _charts(*classes):
+    return [chart for cls in classes for chart in estimate._CHARTS[cls]]
+
+
+def _labels(label, cls):
+    return [f"{label}.{f.name}" for f in dataclasses.fields(cls)]
+
+
+#: the logit clip of c
+CLIP = 6.9
+
+
 class TestJointCodec:
+    def test_one_chart_per_field_of_every_parameter_class(self):
+        classes = {type(b) for m, _ in simulate.REFERENCE_MODELS.values()
+                   for b in (m.signal, m.noise)}
+        assert set(estimate._CHARTS) == classes
+        for cls in classes:
+            assert len(estimate._CHARTS[cls]) == len(dataclasses.fields(cls)), cls
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_round_trip(self, kind):
         m = simulate.REFERENCE_MODELS[kind][0]
@@ -916,14 +937,14 @@ class TestJointCodec:
         inside = GBParams(1.1, 0.4, 1.3, 1.8, 2.7)
         m = type(m)(*(inside if isinstance(g, GBParams) else g for g in (m.signal, m.noise)))
         names, values = param_names(kind), model_to_values(m)
-        to_vec, from_vec, bounds = estimate._codec(names)
+        to_vec, from_vec, bounds = estimate._codec(_charts(type(m.signal), type(m.noise)))
         x = to_vec(values)
         assert len(x) == len(bounds) == len(names)
         # mu is optimized as is, c through the logit, every other parameter
         # on the log scale
         for name, xi, v in zip(names, x, values):
             key = name.rstrip("12")
-            assert xi == (v if key == "mu" else estimate._logit(v) if key == "c"
+            assert xi == (v if key == "mu" else math.log(v / (1.0 - v)) if key == "c"
                           else math.log(v))
         back, factor = from_vec(x)
         assert back == pytest.approx(values, rel=1e-14)
@@ -936,26 +957,26 @@ class TestJointCodec:
             assert factor[i] == pytest.approx(fd, rel=1e-6), names[i]
 
     def test_factor_vanishes_past_a_cap(self):
-        to_vec, from_vec, _ = estimate._codec(param_names("gb_normal"))
-        clip = estimate._LOGIT_CLIP
+        to_vec, from_vec, _ = estimate._codec(_charts(GBParams, NormalParams))
         # past the upper ends of a, c and v, and below the lower end of u
-        x = [math.log(60.0), clip + 0.5, 0.0, math.log(5e-3), math.log(2e4), 1.0, 0.0]
+        x = [math.log(60.0), CLIP + 0.5, 0.0, math.log(5e-3), math.log(2e4), 1.0, 0.0]
         values, factor = from_vec(x)
-        assert values[:5] == pytest.approx([50.0, 1.0 / (1.0 + math.exp(-clip)), 1.0, 1e-2, 1e4],
+        assert values[:5] == pytest.approx([50.0, 1.0 / (1.0 + math.exp(-CLIP)), 1.0, 1e-2, 1e4],
                                            rel=1e-14)
         assert factor[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 0.0, 0.0]
         assert factor[[2, 5, 6]].tolist() == [1.0, 1.0, 1.0]
         # below the lower ends of a, c and v, and past the upper end of u
-        x = [math.log(0.01), -clip - 0.5, 0.0, math.log(2e4), math.log(5e-3), 1.0, 0.0]
+        x = [math.log(0.01), -CLIP - 0.5, 0.0, math.log(2e4), math.log(5e-3), 1.0, 0.0]
         values, factor = from_vec(x)
-        assert values[:5] == pytest.approx([0.02, 1.0 / (1.0 + math.exp(clip)), 1.0, 1e4, 1e-2],
+        assert values[:5] == pytest.approx([0.02, 1.0 / (1.0 + math.exp(CLIP)), 1.0, 1e4, 1e-2],
                                            rel=1e-14)
         assert factor[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 0.0, 0.0]
         # to_vec clips into the bounds, which _at_cap then reports
         x = to_vec([60.0, 0.9999, 1.0, 5e-3, 2e4, 1.0, 1.0])
-        assert x[:5] == pytest.approx([math.log(50.0), clip, 0.0, math.log(1e-2), math.log(1e4)])
-        assert estimate._at_cap(x[:5], "signal") == ["signal.a", "signal.c", "signal.u",
-                                                     "signal.v"]
+        assert x[:5] == pytest.approx([math.log(50.0), CLIP, 0.0, math.log(1e-2), math.log(1e4)])
+        assert estimate._at_cap(x, _charts(GBParams, NormalParams),
+                                _labels("signal", GBParams) + _labels("noise", NormalParams)) == [
+            "signal.a", "signal.c", "signal.u", "signal.v"]
 
 
 class TestFitMle:
@@ -1046,6 +1067,63 @@ class TestFitMle:
         assert len(fit.diagnostics["start_nfev"]) == 10
         assert not fit.converged and fit.diagnostics["at_cap"] == ()
 
+    def test_a_start_that_reads_minus_inf_stops_there(self):
+        # BFGS takes no step from a start whose own evaluation is not finite
+        def objective(x):
+            return -math.inf, np.zeros(2), None
+
+        best, hessians, nfev, stop, (value, _) = estimate._bfgs_maximize(
+            objective, [0.0, 0.0], [(-math.inf, math.inf)] * 2,
+            estimate.FitBudget(n_starts=2), np.random.default_rng(0), 10)
+        assert stop == ("not_finite", "not_finite") and nfev == (1, 1)
+        assert hessians == ("identity", "identity")
+        assert not best.success and value == -math.inf
+
+    def test_a_fit_start_that_reads_minus_inf_is_not_finite(self, monkeypatch):
+        # the first start reads -inf and stops there; the second one fits
+        m = simulate.REFERENCE_MODELS["exp_normal"][0]
+        data = simulate.simulate_experiment(m, 100, 200, seed=3)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, "exp_normal")
+        score, calls = estimate.loglik_score, []
+
+        def first_refused(params, problem):
+            calls.append(params)
+            value, grad, rows = score(params, problem)
+            return (-math.inf if len(calls) == 1 else value), grad, rows
+
+        monkeypatch.setattr(estimate, "loglik_score", first_refused)
+        fit = estimate.fit_mle(prob, estimate.FitBudget(n_starts=2))
+        assert fit.diagnostics["start_stop"] == ("not_finite", "gtol")
+        assert fit.diagnostics["start_nfev"][0] == 1
+        assert fit.converged and math.isfinite(fit.loglik)
+
+    def test_a_stage_whose_every_start_reads_minus_inf_raises(self, monkeypatch):
+        # the score reads -inf everywhere: no fit is returned
+        m = simulate.REFERENCE_MODELS["exp_normal"][0]
+        data = simulate.simulate_experiment(m, 2000, 500, seed=3)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, "exp_normal")
+        monkeypatch.setattr(estimate, "loglik_score",
+                            lambda params, problem: (-math.inf, np.zeros(3), np.zeros((3, 1))))
+        with pytest.raises(BeadcorrError, match="every start of the joint stage reads -inf: "
+                                                "its likelihood or score is not finite"):
+            estimate.fit_mle(prob, estimate.FitBudget(n_starts=2))
+
+    def test_a_gb_noise_below_the_controls_names_the_first_one_outside(self, monkeypatch):
+        # charts that let no start's GB noise reach the largest control: the
+        # noise stage raises for the first control outside the support
+        m = simulate.REFERENCE_MODELS["gb_gb"][0]
+        data = simulate.simulate_experiment(m, 100, 50, seed=7)
+        neg = data.negatives
+        monkeypatch.setitem(estimate._CHARTS, GBParams, gb_charts_ending_below(neg.max()))
+        prob = estimate.EstimationProblem(data.observed, neg, "gb_gb")
+        with pytest.raises(DomainError, match=r"every start of the noise stage reads -inf: "
+                                              r"control \d+ .* outside the support") as info:
+            estimate.fit_mle(prob)
+        i = int(re.search(r"control (\d+)", str(info.value)).group(1))
+        end = float(re.search(r"support \(0\.0, ([^)]+)\)", str(info.value)).group(1))
+        assert end <= neg.max() / 2.0
+        assert neg[i] >= end and np.all(neg[:i] < end)
+
     def test_opg_inverse_refuses_a_singular_product(self):
         rows = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         assert estimate._opg_inverse(rows, 3) is None
@@ -1054,16 +1132,21 @@ class TestFitMle:
         np.testing.assert_allclose(inv, np.eye(2))
 
     def test_gb_parameters_at_a_cap_are_listed(self):
+        def at_cap(x, label):
+            return estimate._at_cap(x, _charts(GBParams), _labels(label, GBParams))
+
         # a at 50, c at the logit clip, u and v at 1e-2 or 1e4
-        top = [math.log(50.0), estimate._LOGIT_CLIP, 3.0, 0.0, math.log(1e4)]
-        assert estimate._at_cap(top, "signal") == ["signal.a", "signal.c", "signal.v"]
-        bottom = [0.0, -estimate._LOGIT_CLIP, -3.0, math.log(1e-2), 1.0]
-        assert estimate._at_cap(bottom, "noise") == ["noise.c", "noise.u"]
-        assert estimate._at_cap([0.0, 6.8, 40.0, 9.2, 9.2], "signal") == []
+        top = [math.log(50.0), CLIP, 3.0, 0.0, math.log(1e4)]
+        assert at_cap(top, "signal") == ["signal.a", "signal.c", "signal.v"]
+        bottom = [0.0, -CLIP, -3.0, math.log(1e-2), 1.0]
+        assert at_cap(bottom, "noise") == ["noise.c", "noise.u"]
+        assert at_cap([0.0, 6.8, 40.0, 9.2, 9.2], "signal") == []
         # a coordinate a hair short of a bound, or past it, sits at it
-        assert estimate._at_cap([0.0, 7.5, 0.0, 0.0, 10.0], "signal") == ["signal.c",
-                                                                          "signal.v"]
-        assert estimate._at_cap([0.0, 6.8999999997, 0.0, 0.0, 0.0], "signal") == ["signal.c"]
+        assert at_cap([0.0, 7.5, 0.0, 0.0, 10.0], "signal") == ["signal.c", "signal.v"]
+        assert at_cap([0.0, 6.8999999997, 0.0, 0.0, 0.0], "signal") == ["signal.c"]
+        # a parameter whose box has no finite end is never at a cap
+        assert estimate._at_cap([-1e300, 1e300], _charts(NormalParams),
+                                _labels("noise", NormalParams)) == []
 
     def test_determinism(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
@@ -1114,6 +1197,60 @@ class TestFitMle:
         assert not (fit.converged and fit.diagnostics["at_cap"])
         # noise block is the closed-form control fit
         assert fit.params.noise.mu == pytest.approx(float(np.mean(neg)))
+
+
+#: each exp family and the gamma family it is at alpha = 1, beta = 1/theta
+NESTS = {"exp_normal": GammaNormal, "exp_lognormal": GammaLognormal}
+
+
+def _nested_arrays(exp_kind):
+    """(exp model, gamma model equal to it, exp problem, gamma problem) on
+    seeds 0-9 of the exp reference model: 250 genes and 62 controls, a
+    quarter as many."""
+    m = simulate.REFERENCE_MODELS[exp_kind][0]
+    gamma = NESTS[exp_kind](GammaParams(1.0, 1.0 / m.signal.theta), m.noise)
+    for seed in range(10):
+        data = simulate.simulate_experiment(m, 250, 62, seed)
+        yield m, gamma, *(estimate.EstimationProblem(data.observed, data.negatives, kind)
+                          for kind in (exp_kind, gamma.kind))
+
+
+class TestNesting:
+    """The exp families are the gamma families at alpha = 1: referees of the
+    likelihood and its score that need no quadrature."""
+
+    @staticmethod
+    def exp_score(gamma_score, theta):
+        # the theta score from the beta score, beta = 1/theta; alpha has none
+        return np.concatenate([[-gamma_score[1] / theta ** 2], gamma_score[2:]])
+
+    def test_exp_normal_is_gamma_normal_at_shape_one(self):
+        # the gamma-normal grid reads exp_normal's closed form within
+        # 3.54e-11 relative, and its score within 2.14e-9 of the score's norm
+        for m, gamma, exp_prob, gamma_prob in _nested_arrays("exp_normal"):
+            value, score, _ = estimate.loglik_score(m, exp_prob)
+            g_value, g_score, _ = estimate.loglik_score(gamma, gamma_prob)
+            assert abs(g_value - value) <= 4e-11 * abs(value)
+            assert (np.max(np.abs(self.exp_score(g_score, m.signal.theta) - score))
+                    <= 2.5e-9 * np.linalg.norm(score))
+
+    def test_exp_lognormal_is_gamma_lognormal_at_shape_one(self):
+        # both take the tilt: the same value, and scores within 2.09e-14 of
+        # the score's norm
+        for m, gamma, exp_prob, gamma_prob in _nested_arrays("exp_lognormal"):
+            value, score, _ = estimate.loglik_score(m, exp_prob)
+            g_value, g_score, _ = estimate.loglik_score(gamma, gamma_prob)
+            assert g_value == value
+            assert (np.max(np.abs(self.exp_score(g_score, m.signal.theta) - score))
+                    <= 2.5e-14 * np.linalg.norm(score))
+
+    @pytest.mark.parametrize("exp_kind", NESTS)
+    def test_the_gamma_fit_ends_at_or_above_the_exp_fit(self, exp_kind):
+        # one start each; the gamma fits end 2.6e-6 to 3.5 nats above
+        budget = estimate.FitBudget(n_starts=1)
+        for _, _, exp_prob, gamma_prob in _nested_arrays(exp_kind):
+            floor = estimate.fit_mle(exp_prob, budget).loglik
+            assert estimate.fit_mle(gamma_prob, budget).loglik >= floor - 1e-6
 
 
 class TestMomentsAndPlugin:
