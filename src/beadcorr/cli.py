@@ -8,8 +8,13 @@ arrays was measured slower than this loop on tables of 30-80 genes per array
 (a ``correct --params`` pass over gb_gb, gb_normal, exp_lognormal and
 gamma_lognormal tables of three arrays each: 0.033 s serial against 0.041 s
 in reference seconds), because the threads contend for the interpreter lock
-between their NumPy calls.  The parser is built once per process, on the
-first ``main`` call.  Exit codes: 0 ok, 2 partial convergence, 3 unsupported
+between their NumPy calls.  The same holds for ``fit``: the three one-start
+``fit --method mle`` commands of 6-array exp_normal, exp_gamma and
+gamma_normal tables of 100 genes and 200 controls took 47 ms serial
+(interquartile range 40-60 ms), against 70 ms (65-75) on a two-thread pool
+over the arrays and 59 ms (55-67) split between two forked processes
+(medians of 30 interleaved in-process runs on a 2-core x86_64 machine).  The
+parser is built once per process, on the first ``main`` call.  Exit codes: 0 ok, 2 partial convergence, 3 unsupported
 method, 64 usage error, 65 data format error, 70 internal numeric failure.
 """
 

@@ -170,10 +170,10 @@ def log_truncated_gamma_integral(a, lam, p):
     over all p at once, one shape at a time.
     """
     shapes = np.asarray(a, dtype=float)
-    if np.any(shapes <= 0):
+    if (shapes <= 0).any():
         raise InvalidParameterError(f"shape must be positive, got {a}")
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0):
+    if (arr <= 0).any():
         raise DomainError(f"upper limit must be positive, got {arr.min()}")
     flat = arr.ravel()
     column = shapes.reshape(-1, 1)
@@ -309,10 +309,12 @@ def gamma_normal_range(g: GammaParams, b: NormalParams):
     return b.mu - _GRID_WIDTHS * b.sigma, gamma_normal_extent(g, b)
 
 
-#: the cubic's node at offset j - 1 weighs the product of the factors
-#: u + 1, u, u - 1, u - 2 in column j of _CUBIC_FACTORS over
-#: _CUBIC_DENOMINATORS[j]; its slope in u is
+#: the cubic's node at offset j - 1 (``_STENCIL``) weighs the product of
+#: the factors u + 1, u, u - 1, u - 2 (u + _CUBIC_SHIFTS) in column j of
+#: _CUBIC_FACTORS over _CUBIC_DENOMINATORS[j]; its slope in u is
 #: (3 u^2 - _SLOPES[0, j] u + _SLOPES[1, j]) over the same denominator
+_STENCIL = np.arange(-1, 3)[:, None]
+_CUBIC_SHIFTS = np.array([[1.0], [0.0], [-1.0], [-2.0]])
 _CUBIC_FACTORS = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])
 _CUBIC_DENOMINATORS = np.array([[-6.0], [2.0], [-2.0], [6.0]])
 _SLOPES = np.array([[6.0, 4.0, 2.0, 0.0], [2.0, -1.0, -2.0, -1.0]])[:, :, None]
@@ -322,7 +324,7 @@ def _lagrange_cubic(u, slopes=False):
     """Weights of the nodes at offsets -1, 0, 1, 2 of the cubic through them,
     at the fraction u of the step, and with slopes their derivatives in u: a
     (1 or 2, 4, genes) array.  At u = 0 the weights are exactly (0, 1, 0, 0)."""
-    f = (u + np.array([[1.0], [0.0], [-1.0], [-2.0]])).take(_CUBIC_FACTORS, axis=0)
+    f = (u + _CUBIC_SHIFTS).take(_CUBIC_FACTORS, axis=0)
     out = np.empty((1 + slopes,) + f.shape[1:])
     np.multiply(f[0] * f[1], f[2], out=out[0])
     if slopes:
@@ -400,32 +402,37 @@ class _Grid:
         log_phi = specfun.std_normal_logpdf(
             np.concatenate([self.start + y - b.mu, self.c]) / b.sigma)
         self.log_noise = log_phi[n_b:]
-        # the noise rows f_B and, with grad, z (z + 12) f_B (``sums``), in
-        # one transform, zero-padded to a fast real-FFT length for the full
-        # linear convolution
+        # the noise rows f_B and, with grad, z (z + 12) f_B (``sums``),
+        # zero-padded to a fast real-FFT length for the full linear
+        # convolution, below the rows of the first ``sums`` signal, so that
+        # one transform takes both
         self.n_fft = fft.next_fast_len(self.n_p, real=True)
-        noise = np.zeros((1 + grad, self.n_fft))
+        self.n_noise = 1 + grad
+        self.first_rows = np.zeros((1 + 2 * grad + self.n_noise, self.n_fft))
+        noise = self.first_rows[1 + 2 * grad:]
         fb = np.exp(log_phi[:n_b] - math.log(b.sigma), out=noise[0, :n_b])
         if grad:
             z = y / b.sigma - _GRID_WIDTHS
             np.multiply(fb, z * (z + _GRID_WIDTHS), out=noise[1, :n_b])
-        self.f_noise = fft.rfft(noise)
+        self.f_noise = None
         # the cubic through the four nodes around each p, and with grad its
         # slopes; below the second node it would extrapolate, and reads 0
         self.t = (p - self.start) / h
         i0 = np.minimum(np.maximum(self.t, 1.0), self.n_p - 3).astype(int)
         self.cubic = _lagrange_cubic(self.t - i0, grad)
         self.cubic[:, :, self.t < 1.0] = 0.0
-        self.idx = i0 + np.arange(-1, 3)[:, None]
+        self.idx = i0 + _STENCIL
         # the endpoint terms' integrand is s^(alpha-1) psi(s) with
         # psi(s)/psi(0) = exp(a1 s - a2 s^2), whose Taylor coefficients are
         # polynomials in a1 = (p - mu)/sigma^2 - 1/beta and a2 = 1/(2 sigma^2)
         self.sig2 = b.sigma ** 2
-        self.a1 = self.c / self.sig2 - 1.0 / g.beta
+        self.c_sig2 = self.c / self.sig2
+        a1 = self.a1 = self.c_sig2 - 1.0 / g.beta
         self.a2 = 0.5 / self.sig2
-        self.taylor = np.array([np.ones_like(self.a1), self.a1,
-                                0.5 * self.a1 * self.a1 - self.a2,
-                                self.a1 ** 3 / 6.0 - self.a1 * self.a2])
+        self.taylor = t = np.empty((4, p.size))
+        t[0], t[1] = 1.0, a1
+        np.subtract(0.5 * a1 * a1, self.a2, out=t[2])
+        np.subtract(a1 ** 3 / 6.0, a1 * self.a2, out=t[3])
         self.log_h = math.log(h)
 
     def sums(self, alpha, grad=False):
@@ -435,21 +442,26 @@ class _Grid:
         in (``_node_rows``): L = (f_S (log s - log beta - psi(alpha))) * f_B;
         S = (s f_S) * f_B; and Q = f_S * (z (z + 12) f_B), z = y/sigma - 12
         the noise node's standard score.  The signal rows take one transform,
-        the products one inverse."""
+        with the noise rows' on the grid's first call, and the products one
+        inverse."""
         from scipy import fft
 
-        n_s, log_beta = self.s.size, math.log(self.beta)
+        n_s, log_beta, n_rows = self.s.size, math.log(self.beta), 1 + 2 * grad
+        first = self.f_noise is None
+        signal = (self.first_rows[len(self.first_rows) - self.n_noise - n_rows:] if first
+                  else np.zeros((n_rows, self.n_fft)))
         log_fs = ((alpha - 1.0) * self.log_s - self.s / self.beta
                   - alpha * log_beta - _sp.gammaln(alpha))
         log_fs[0] = -np.inf
-        signal = np.zeros((1 + 2 * grad, self.n_fft))
         fs = np.exp(log_fs, out=signal[0, :n_s])
         if grad:
             np.multiply(fs, self.log_s - log_beta - _sp.psi(alpha), out=signal[1, :n_s])
             np.multiply(self.s, fs, out=signal[2, :n_s])
         f_signal = fft.rfft(signal)
-        products = np.empty((len(signal) + grad, f_signal.shape[1]), dtype=complex)
-        np.multiply(f_signal, self.f_noise[0], out=products[:len(signal)])
+        if first:
+            f_signal, self.f_noise = f_signal[:n_rows], f_signal[n_rows:]
+        products = np.empty((n_rows + grad, f_signal.shape[1]), dtype=complex)
+        np.multiply(f_signal, self.f_noise[0], out=products[:n_rows])
         if grad:
             np.multiply(f_signal[0], self.f_noise[1], out=products[3])
         return fft.irfft(products, self.n_fft)[:, :self.n_p]
@@ -468,9 +480,13 @@ class _Grid:
         """
         R, L, S, Q = conv
         beta, h = self.beta, self.h
-        rows = np.array([h * L, h * (S / beta ** 2 - alpha / beta * R),
-                         np.zeros_like(R), h * (Q - R) / self.noise.sigma])
-        return rows + self.d_h[:, None] * (alpha * R - S / beta - Q)
+        rows = np.empty(conv.shape)
+        np.multiply(h, L, out=rows[0])
+        np.multiply(h, S / beta ** 2 - alpha / beta * R, out=rows[1])
+        rows[2] = 0.0
+        np.divide(h * (Q - R), self.noise.sigma, out=rows[3])
+        rows += self.d_h[:, None] * (alpha * R - S / beta - Q)
+        return rows
 
     def _endpoint_terms(self, alpha, grad=False):
         """Endpoint terms of the grid's Riemann sum at every p, and with grad
@@ -514,7 +530,7 @@ class _Grid:
         d_alpha = (e * (log_h - math.log(beta) - _sp.psi(alpha))
                    + scaled[4] * (d_zeta @ t))
         d_beta = -alpha / beta * e + s_a1 / beta ** 2
-        d_mu = c / sig2 * e - s_a1 / sig2
+        d_mu = self.c_sig2 * e - s_a1 / sig2
         d_sigma = ((c * c / sig2 - 1.0) / sigma * e - 2.0 * c / (sig2 * sigma) * s_a1
                    - s_a2 / (sig2 * sigma))
         d_h = ((alpha + _ENDPOINT_ORDERS)[:, None] * w * t).sum(axis=0) / self.h
@@ -541,15 +557,10 @@ class _Grid:
         d_t = (_START_MOTION[:, None] + self.t * d_h) / -self.h
         value, slope = (self.cubic * nodes).sum(axis=1)
         rows = self._node_rows(alpha, (self.cubic[0] * stencil).sum(axis=1))
-        return value - e, peak, rows + slope * d_t - de[:4] - de[4] * d_h
-
-
-def gamma_normal_grid(p_max, g: GammaParams, b: NormalParams):
-    """Gamma-normal marginal density on a uniform grid of p, by FFT (``_Grid``):
-    (p grid, the Riemann sums on it); ``gamma_normal_density`` adds the
-    endpoint terms.  Raises as ``_Grid`` does."""
-    grid = _Grid(np.empty(0), p_max, g, b)
-    return grid.start + np.arange(grid.n_p) * grid.h, grid.sums(g.alpha)[0] * grid.h
+        rows += slope * d_t
+        rows -= de[:4]
+        rows -= de[4] * d_h
+        return value - e, peak, rows
 
 
 def gamma_normal_density(p, g: GammaParams, b: NormalParams, p_max, grad=False):

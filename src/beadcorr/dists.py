@@ -180,8 +180,9 @@ MODEL_KINDS = tuple(MODEL_TYPES)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _layout(kind):
-    """((parameter class, field names, name suffix) for signal, then noise).
+def layout(kind):
+    """((parameter class, field names, name suffix) for signal, then noise),
+    built once per kind.
 
     GB blocks carry the suffix 1 as signal and 2 as noise, so the two blocks
     of gb_gb get distinct names.
@@ -199,21 +200,21 @@ def _layout(kind):
 
 def param_names(kind):
     """Parameter names of a model kind: signal fields, then noise fields."""
-    return tuple(name + suffix for _, names, suffix in _layout(kind)
+    return tuple(name + suffix for _, names, suffix in layout(kind)
                  for name in names)
 
 
 def model_to_values(m: ModelSpec):
     """Parameter values of a model, in param_names(m.kind) order."""
     return [getattr(component, name)
-            for component, (_, names, _) in zip((m.signal, m.noise), _layout(m.kind))
+            for component, (_, names, _) in zip((m.signal, m.noise), layout(m.kind))
             for name in names]
 
 
 def model_from_values(kind, values):
     """Model of the given kind from values in param_names(kind) order."""
     values = [float(x) for x in values]
-    (signal_type, signal_names, _), (noise_type, _, _) = _layout(kind)
+    (signal_type, signal_names, _), (noise_type, _, _) = layout(kind)
     n = len(signal_names)
     return MODEL_TYPES[kind](signal_type(*values[:n]), noise_type(*values[n:]))
 

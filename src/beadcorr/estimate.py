@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
-from typing import Optional, get_type_hints
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
@@ -46,8 +46,7 @@ from . import bfgs, correct, quadrature, specfun
 from .dists import (ExpParams, GammaNormal, GammaParams, GBParams,
                     LognormalParams, MODEL_KINDS, MODEL_TYPES, ModelSpec,
                     NormalParams, dist_logpdf, dist_support, gb_from_gamma,
-                    gb_support_upper, model_from_values, model_to_values,
-                    param_names)
+                    gb_support_upper, layout, model_from_values, model_to_values)
 from .errors import (BeadcorrError, DegenerateControlsError, DomainError,
                      InvalidParameterError, NumericUnderflowError, QuadratureError,
                      UnsupportedMethodError)
@@ -126,16 +125,16 @@ def _log_marginal_exp_normal(p, e: ExpParams, b: NormalParams, grad=False):
     p = np.asarray(p, dtype=float)
     c = p - b.mu
     mu_sp = c - b.sigma ** 2 * e.theta
-    # a and bb, in one array: the normal cdf reads (a, -bb)
-    ab = np.array([mu_sp, p - mu_sp]) / b.sigma
-    la, lmb = _sp.log_ndtr(ab * [[1.0], [-1.0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a and -bb in one array, which the normal cdf reads; the normal
+    # density reads -bb as it would bb
+    ab = np.array([mu_sp, mu_sp - p]) / b.sigma
+    la, lmb = _sp.log_ndtr(ab)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ldiff = la + np.log(-np.expm1(np.minimum(lmb - la, 0.0)))
-    ldiff = np.where(np.isnan(ldiff), -np.inf, ldiff)
-    out = (math.log(e.theta) + e.theta ** 2 * b.sigma ** 2 / 2.0 - c * e.theta + ldiff)
-    if not grad:
-        return out
-    with np.errstate(over="ignore", invalid="ignore"):
+        ldiff = np.where(np.isnan(ldiff), -np.inf, ldiff)
+        out = (math.log(e.theta) + e.theta ** 2 * b.sigma ** 2 / 2.0 - c * e.theta + ldiff)
+        if not grad:
+            return out
         ra, rb = np.exp(specfun.std_normal_logpdf(ab) - ldiff)
     diff = ra - rb
     # a and -bb move alike in theta and mu and apart in sigma
@@ -204,7 +203,7 @@ def _log_marginal_gamma_normal(p, g: GammaParams, b: NormalParams, grad=False):
     near = (p >= start) & (p <= extent)
     try:
         dens, peak, *d_dens = correct.gamma_normal_density(
-            p[near], g, b, min(float(np.max(p)), extent), grad)
+            p[near], g, b, min(float(p.max()), extent), grad)
     except (InvalidParameterError, MemoryError):
         return None
     off = ~near
@@ -338,15 +337,15 @@ def _density_rows(dist, x, log_x=None):
     """
     if isinstance(dist, NormalParams):
         z = (x - dist.mu) / dist.sigma
-        return np.stack([z / dist.sigma, (z * z - 1.0) / dist.sigma])
+        return np.array([z / dist.sigma, (z * z - 1.0) / dist.sigma])
     if isinstance(dist, ExpParams):
         return (1.0 / dist.theta - x)[None]
     log_x = np.log(x) if log_x is None else log_x
     if isinstance(dist, LognormalParams):
         z = (log_x - dist.mu) / dist.sigma
-        return np.stack([z / dist.sigma, (z * z - 1.0) / dist.sigma])
+        return np.array([z / dist.sigma, (z * z - 1.0) / dist.sigma])
     if isinstance(dist, GammaParams):
-        return np.stack([log_x - math.log(dist.beta) - _sp.psi(dist.alpha),
+        return np.array([log_x - math.log(dist.beta) - _sp.psi(dist.alpha),
                          x / dist.beta ** 2 - dist.alpha / dist.beta])
     a, c, d, u, v = dist.a, dist.c, dist.d, dist.u, dist.v
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -357,7 +356,7 @@ def _density_rows(dist, x, log_x=None):
         fall = (1.0 - c) * t
         r = fall / (1.0 - fall)
         psi_uv = _sp.psi(u + v)
-        return np.stack([
+        return np.array([
             1.0 / a + l * (u - (v - 1.0) * r - (u + v) * q),
             (v - 1.0) * t / (1.0 - fall) - (u + v) * t * np.exp(-log_rise),
             (a / d) * ((v - 1.0) * r + (u + v) * q - u),
@@ -368,12 +367,17 @@ def _density_rows(dist, x, log_x=None):
 def _controls_score(params: ModelSpec, problem: EstimationProblem):
     """(``noise_loglik``, its gradient in param_names order, the
     per-control scores): a (parameters, controls) array, zero in the
-    signal's rows."""
+    signal's rows.  The gradient sums the noise's rows alone; its signal
+    entries are 0."""
     noise, x = params.noise, problem.negatives
-    rows = np.zeros((len(param_names(params.kind)), x.size))
     noise_rows = _density_rows(noise, x)
-    rows[-noise_rows.shape[0]:] = noise_rows
-    return float(dist_logpdf(noise, x).sum()), rows.sum(axis=1), rows
+    (_, signal_names, _), _ = layout(params.kind)
+    n_signal = len(signal_names)
+    score = np.zeros(n_signal + len(noise_rows))
+    score[n_signal:] = noise_rows.sum(axis=1)
+    rows = np.zeros((score.size, x.size))
+    rows[n_signal:] = noise_rows
+    return float(dist_logpdf(noise, x).sum()), score, rows
 
 
 def loglik_score(params: ModelSpec, problem: EstimationProblem):
@@ -385,7 +389,7 @@ def loglik_score(params: ModelSpec, problem: EstimationProblem):
     """
     lm, gene_rows = log_marginal(params, problem.observed, grad=True)
     noise_ll, noise_score, noise_rows = _controls_score(params, problem)
-    total = float(np.sum(lm)) + noise_ll
+    total = float(lm.sum()) + noise_ll
     return ((total if not math.isnan(total) else -math.inf),
             gene_rows.sum(axis=1) + noise_score,
             np.concatenate([gene_rows, noise_rows], axis=1))
@@ -432,13 +436,29 @@ score_gb_normal = score_gb
 # Initialization
 # ---------------------------------------------------------------------------
 
+def _quantile(x, q):
+    """The q quantile of the 1-D array x, linear between order statistics:
+    the bits of ``np.quantile(x, q)`` (its default method) from one
+    partition, at under a tenth of its cost on 100 values."""
+    k = (x.size - 1) * q
+    lo = math.floor(k)
+    hi = min(lo + 1, x.size - 1)
+    part = np.partition(x, (lo, hi))
+    below, above, frac = float(part[lo]), float(part[hi]), k - lo
+    # NumPy's interpolation: up from below short of the midpoint, down from
+    # above past it
+    if frac < 0.5:
+        return below + (above - below) * frac
+    return above - (above - below) * (1.0 - frac)
+
+
 def _control_moments(problem):
     neg = problem.negatives
     if neg.size < 2:
         raise DegenerateControlsError(
             f"need at least 2 negative controls, got {neg.size}")
-    m = float(np.mean(neg))
-    v = float(np.var(neg))
+    m = float(neg.mean())
+    v = float(neg.var())
     if v <= 0.0:
         raise DegenerateControlsError("negative controls have zero variance")
     return m, v
@@ -469,14 +489,13 @@ def init_params(problem: EstimationProblem) -> ModelSpec:
     pos = diffs[diffs > 0]
     # floor at the 1% quantile of the positive differences so the shifted
     # sample stays positive without distorting its moments
-    eps = float(np.quantile(pos, 0.01)) if pos.size else 1e-3 * float(np.mean(problem.observed))
+    eps = _quantile(pos, 0.01) if pos.size else 1e-3 * float(np.mean(problem.observed))
     shifted = np.maximum(diffs, eps)
-    sm = float(np.mean(shifted))
-    sv = max(float(np.var(shifted)), 1e-12 * sm * sm)
-    model = MODEL_TYPES[problem.model_kind]
-    hints = get_type_hints(model)
-    return model(_moment_block(hints["signal"], sm, sv, shifted),
-                 _moment_block(hints["noise"], m, v, problem.negatives))
+    sm = float(shifted.mean())
+    sv = max(float(shifted.var()), 1e-12 * sm * sm)
+    (signal_type, _, _), (noise_type, _, _) = layout(problem.model_kind)
+    return MODEL_TYPES[problem.model_kind](_moment_block(signal_type, sm, sv, shifted),
+                                           _moment_block(noise_type, m, v, problem.negatives))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +558,7 @@ def _codec(charts):
 
     def from_vec(x):
         at = [ch.at(min(max(xi, ch.lo), ch.hi)) + (ch.lo <= xi <= ch.hi,)
-              for ch, xi in zip(charts, x)]
+              for ch, xi in zip(charts, np.asarray(x).tolist())]
         return [v for v, _, _ in at], np.array([d if inside else 0.0 for _, d, inside in at])
 
     return to_vec, from_vec, [(ch.lo, ch.hi) for ch in charts]
@@ -550,12 +569,14 @@ def _codec(charts):
 # ---------------------------------------------------------------------------
 
 def _starts(x0, bounds, budget, rng):
-    """The optimizer starts: x0, then x0 plus normal offsets, clipped to bounds."""
-    starts = [np.asarray(x0, dtype=float)]
-    for _ in range(budget.n_starts - 1):
-        starts.append(np.asarray(x0) + rng.normal(0.0, _START_JITTER, len(x0)))
+    """The optimizer starts: x0, which lies within bounds, then x0 plus
+    normal offsets, clipped to bounds."""
+    x0 = np.asarray(x0, dtype=float)
+    if budget.n_starts == 1:
+        return [x0]
     lo, hi = np.array(bounds).T
-    return [np.clip(st, lo, hi) for st in starts]
+    return [x0] + [np.clip(x0 + rng.normal(0.0, _START_JITTER, len(x0)), lo, hi)
+                   for _ in range(budget.n_starts - 1)]
 
 
 #: BFGS stops when every gradient entry per observation is below this
@@ -577,24 +598,24 @@ def _opg_inverse(rows, n):
     """
     with np.errstate(all="ignore"):
         info = rows @ rows.T / n
-    if not np.all(np.isfinite(info)):
-        return None
-    try:
-        inv = np.linalg.inv(info)
-        inv = (inv + inv.T) / 2.0
-        np.linalg.cholesky(inv)
-    except np.linalg.LinAlgError:
-        return None
-    with np.errstate(all="ignore"):
+        if not np.isfinite(info).all():
+            return None
+        try:
+            inv = np.linalg.inv(info)
+            inv = (inv + inv.T) / 2.0
+            np.linalg.cholesky(inv)
+        except np.linalg.LinAlgError:
+            return None
         step = inv @ rows.sum(axis=1) / n
-    return inv if np.all(np.abs(step) <= _OPG_STEP_MAX) else None
+    return inv if (np.abs(step) <= _OPG_STEP_MAX).all() else None
 
 
 def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
     """Multi-start BFGS (``bfgs.minimize``: SciPy's BFGS update, its
     Moré-Thuente line search and that search's fallback) on
-    -objective/scale; objective(x) -> (value, gradient, per-observation
-    score rows).
+    -objective/scale; objective(x) -> (value, gradient, a function of no
+    arguments that gives the per-observation score rows), so that only the
+    starts form the rows.
 
     Dividing by the number of observations makes the gradient tolerance a
     per-observation one.  Each start's own evaluation gives BFGS its first
@@ -614,7 +635,7 @@ def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
             v, g, rows = objective(x)
         except (BeadcorrError, OverflowError, FloatingPointError):
             v, g, rows = -math.inf, None, None
-        if not (math.isfinite(v) and np.all(np.isfinite(g))):
+        if not (math.isfinite(v) and np.isfinite(g).all()):
             v, g, rows = -math.inf, np.zeros(len(x)), None
         seen[x.tobytes()] = v, g
         return v, g, rows
@@ -626,7 +647,7 @@ def _bfgs_maximize(objective, x0, bounds, budget, rng, scale):
     hessians, results = [], []
     for start in _starts(x0, bounds, budget, rng):
         v, _, rows = evaluate(start)
-        h0 = None if rows is None else _opg_inverse(rows, scale)
+        h0 = None if rows is None else _opg_inverse(rows(), scale)
         hessians.append("identity" if h0 is None else "opg")
         results.append(bfgs.minimize(neg, start, _GTOL, budget.max_iter, h0) if v > -math.inf
                        else bfgs.Result(start, math.inf, 1, 0, "not_finite"))
@@ -654,6 +675,25 @@ def _refusal(stage, m: ModelSpec, problem: EstimationProblem, genes):
     return BeadcorrError(f"{head}: its likelihood or score is not finite at {m}")
 
 
+def _stages(kind):
+    """The fit stages of a model kind, in order: (label, the slice of its
+    free parameters in param_names order, their charts, their labels
+    (signal.a, noise.c, ...), their codec).  A GB family fits its noise
+    block, then its signal block; every other family fits all its
+    parameters in one stage.  The charts are read from ``_CHARTS`` at
+    every call, so a table patched for a test is never outlived by a
+    cached codec."""
+    (signal_type, signal_names, _), (noise_type, noise_names, _) = layout(kind)
+    charts = _CHARTS[signal_type] + _CHARTS[noise_type]
+    labels = (tuple(f"signal.{name}" for name in signal_names)
+              + tuple(f"noise.{name}" for name in noise_names))
+    n = len(signal_names)
+    blocks = ((("noise", slice(n, None)), ("signal", slice(n)))
+              if kind in ("gb_gb", "gb_normal") else (("joint", slice(None)),))
+    return tuple((label, free, charts[free], labels[free], _codec(charts[free]))
+                 for label, free in blocks)
+
+
 def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitResult:
     """Maximize the likelihood from the moment-based start by multi-start
     BFGS on its score (``loglik_score``, ``_bfgs_maximize``), each parameter
@@ -671,24 +711,16 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
     (``start_hessian``), the evaluations (``start_nfev``) and why it stopped
     (``start_stop``: "gtol", "line_search", "max_iter" or "not_finite").
     """
-    rng = np.random.default_rng(budget.seed)
+    # the extra starts' offsets; a one-start fit draws none
+    rng = np.random.default_rng(budget.seed) if budget.n_starts > 1 else None
     kind = problem.model_kind
-    start = init_params(problem)
-    values = np.array(model_to_values(start))
-    blocks = (("signal", start.signal), ("noise", start.noise))
-    charts = [ch for _, block in blocks for ch in _CHARTS[type(block)]]
-    labels = [f"{label}.{f.name}" for label, block in blocks for f in fields(block)]
-    every, n_signal = np.arange(len(charts)), len(fields(start.signal))
+    values = model_to_values(init_params(problem))
     n_obs = problem.observed.size + problem.negatives.size
-    gb = kind in ("gb_gb", "gb_normal")
-    stages = ([("noise", every[n_signal:], _controls_score, problem.negatives.size),
-               ("signal", every[:n_signal], loglik_score, n_obs)]
-              if gb else [("joint", every, loglik_score, n_obs)])
 
     converged, at_cap, hessians, nfevs, stops = True, [], (), (), ()
-    for label, free, score, scale in stages:
-        stage_charts = [charts[i] for i in free]
-        to_vec, from_vec, bounds = _codec(stage_charts)
+    for label, free, charts, labels, (to_vec, from_vec, bounds) in _stages(kind):
+        score, scale = ((_controls_score, problem.negatives.size) if label == "noise"
+                        else (loglik_score, n_obs))
 
         def objective(x):
             block, factor = from_vec(x)
@@ -696,7 +728,7 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
             trial[free] = block
             v, grad, rows = score(model_from_values(kind, trial), problem)
             # chain rule of the codec
-            return v, grad[free] * factor, rows[free] * factor[:, None]
+            return v, grad[free] * factor, lambda: rows[free] * factor[:, None]
 
         best, h0, nfev, stop, (ll, grad) = _bfgs_maximize(
             objective, to_vec(values[free]), bounds, budget, rng, scale)
@@ -705,13 +737,15 @@ def fit_mle(problem: EstimationProblem, budget: FitBudget = FitBudget()) -> FitR
             raise _refusal(label, model_from_values(kind, values), problem,
                            genes=score is loglik_score)
         converged = converged and best.success
-        at_cap += _at_cap(best.x, stage_charts, [labels[i] for i in free])
+        at_cap += _at_cap(best.x, charts, labels)
         hessians, nfevs, stops = hessians + h0, nfevs + nfev, stops + stop
 
     params = model_from_values(kind, values)
     try:
         # the score in the model's parameters, less the codec's chain rule
-        grad_norm = float(np.linalg.norm(score_gb(params, problem) if gb else grad / factor))
+        # (only a GB fit ends on its signal stage)
+        grad_norm = float(np.linalg.norm(score_gb(params, problem) if label == "signal"
+                                         else grad / factor))
     except (BeadcorrError, FloatingPointError):
         # wherever a gene's score is not certified
         grad_norm = None
@@ -735,21 +769,20 @@ def fit_moments(problem: EstimationProblem) -> FitResult:
     dm = float(np.mean(obs)) - mB
     dv = float(np.var(obs)) - vB
     clamped = False
-    eps_m = float(np.quantile(obs, 0.01))
+    eps_m = _quantile(obs, 0.01)
     if dm <= 0:
         dm, clamped = eps_m, True
     if dv <= 0:
         dv, clamped = eps_m ** 2, True
 
-    model = MODEL_TYPES[kind]
-    hints = get_type_hints(model)
-    signal = _moment_block(hints["signal"], dm, dv, None)
-    if hints["noise"] is LognormalParams:
+    (signal_type, _, _), (noise_type, _, _) = layout(kind)
+    signal = _moment_block(signal_type, dm, dv, None)
+    if noise_type is LognormalParams:
         sig2 = math.log1p(vB / (mB * mB))
         noise = LognormalParams(math.log(mB) - sig2 / 2.0, math.sqrt(sig2))
     else:
-        noise = _moment_block(hints["noise"], mB, vB, None)
-    params = model(signal, noise)
+        noise = _moment_block(noise_type, mB, vB, None)
+    params = MODEL_TYPES[kind](signal, noise)
     return FitResult(params=params, loglik=loglik(params, problem),
                      converged=True, iterations=0, method="moments",
                      diagnostics={"variance_clamped": clamped})

@@ -154,6 +154,16 @@ class TestInitParams:
         init = estimate.init_params(prob)
         assert abs(init.signal.theta - 0.01) / 0.01 < 0.2
 
+    def test_low_quantile_has_the_bits_of_numpys(self):
+        # one partition and NumPy's interpolation, on both sides of the
+        # midpoint between order statistics, from one value up
+        rng = np.random.default_rng(5)
+        for n in list(range(1, 260)) + [1000, 4999]:
+            x = rng.gamma(2.0, 10.0, n) * 10.0 ** rng.integers(-3, 6)
+            for q in (0.01, 0.5, 0.93, 1.0):
+                want = float(np.quantile(x, q))
+                assert estimate._quantile(x, q) == want, (n, q)
+
     def test_single_control_degenerate(self):
         prob = estimate.EstimationProblem(np.array([120.0, 130.0]),
                                           np.array([100.0]), "exp_normal")
@@ -194,7 +204,9 @@ class TestLoglik:
         # nodes and the likelihood neither raises nor reads NaN
         g, b = GammaParams(2.0, 50.0), NormalParams(500.0, 10.0)
         ps = np.array([100.0, 200.0, 300.0])
-        p_grid, den = correct.gamma_normal_grid(300.0, g, b)
+        grid = correct._Grid(np.empty(0), 300.0, g, b)
+        p_grid = grid.start + np.arange(grid.n_p) * grid.h
+        den = grid.sums(g.alpha)[0] * grid.h
         assert p_grid.size == den.size > 0
         assert p_grid[0] == b.mu - 12.0 * b.sigma
         got = estimate.log_marginal(GammaNormal(g, b), ps)
@@ -877,6 +889,26 @@ class TestClosedFormScores:
         assert np.all(rows[:2, obs.size:] == 0.0)
         np.testing.assert_allclose(rows.sum(axis=1), score, rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["exp_normal", "exp_gamma", "exp_lognormal", "gb_gb"])
+    def test_gradient_sums_the_rows_bit_for_bit(self, kind):
+        # one family per noise class (normal, gamma, lognormal, GB): the
+        # controls' score is their rows' sums, zero in the signal's entries,
+        # and the gradient is the gene rows' sums, as log_marginal lays them
+        # out, plus that score
+        m = simulate.REFERENCE_MODELS[kind][0]
+        data = simulate.simulate_experiment(m, 40, 25, seed=4)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, kind)
+        noise_ll, noise_score, control_rows = estimate._controls_score(m, prob)
+        n_signal = len(dataclasses.fields(m.signal))
+        assert noise_ll == estimate.noise_loglik(m, prob)
+        assert noise_score.tobytes() == control_rows.sum(axis=1).tobytes()
+        assert not noise_score[:n_signal].any() and not control_rows[:n_signal].any()
+        value, grad, rows = estimate.loglik_score(m, prob)
+        _, gene_rows = estimate.log_marginal(m, prob.observed, grad=True)
+        assert grad.tobytes() == (gene_rows.sum(axis=1) + noise_score).tobytes()
+        assert rows.tobytes() == np.concatenate([gene_rows, control_rows], axis=1).tobytes()
+        assert value == estimate.loglik(m, prob)
+
     def test_one_engine_call_per_gamma_normal_evaluation(self, monkeypatch):
         # shape < 1: the grid refuses the array, and one engine call gives
         # every gene's value and score
@@ -980,6 +1012,24 @@ class TestJointCodec:
 
 
 class TestFitMle:
+    @pytest.mark.parametrize("kind", ["exp_normal", "exp_gamma", "gamma_normal"])
+    def test_a_one_start_fit_evaluates_once_per_counted_evaluation(self, kind, monkeypatch):
+        # the start's evaluation serves BFGS and the OPG start, and the
+        # winner's value and gradient are read back: no evaluation is hidden
+        m = simulate.REFERENCE_MODELS[kind][0]
+        data = simulate.simulate_experiment(m, 100, 200, seed=2)
+        prob = estimate.EstimationProblem(data.observed, data.negatives, kind)
+        score, calls = estimate.loglik_score, []
+
+        def counted(params, problem):
+            calls.append(params)
+            return score(params, problem)
+
+        monkeypatch.setattr(estimate, "loglik_score", counted)
+        fit = estimate.fit_mle(prob, estimate.FitBudget(n_starts=1))
+        assert fit.diagnostics["start_hessian"] == ("opg",)
+        assert len(calls) == fit.iterations == fit.diagnostics["start_nfev"][0] > 1
+
     def test_exp_normal_recovery(self):
         m = ExpNormal(ExpParams(0.01), NormalParams(100.0, 15.0))
         obs, neg, _ = _simulate(m, 5000, 1000, seed=42)
