@@ -256,13 +256,18 @@ def read_fit_table(path, model_kind):
     if header[:len(expected)] != expected:
         raise DataFormatError(
             f"{path}: fit table header {header} does not start with {expected}")
-    out = {}
+    out, first_line = {}, {}
     for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) < len(expected):
             raise DataFormatError(
                 f"{path}:{lineno}: expected at least {len(expected)} columns, "
                 f"got {len(cells)}")
+        if cells[0] in first_line:
+            raise DataFormatError(
+                f"{path}:{lineno}: array {cells[0]!r} already has a row on line "
+                f"{first_line[cells[0]]}")
+        first_line[cells[0]] = lineno
         try:
             values = [float(cell) for cell in cells[1:len(expected)]]
         except ValueError as exc:

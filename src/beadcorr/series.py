@@ -16,8 +16,8 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
   index.  The axis vectors are built and scaled on the confirmation box; the
   sum on the box reads their leading entries.  Convolutions and contractions
   are accumulated elementwise in a fixed order of the summed index (no
-  matrix product), and the gene's row is added with ``math.fsum``.  A sum is
-  confirmed when its two sums differ by less than ``REL_TOL`` and it does
+  matrix product), and the gene's terms are added with ``math.fsum``.  A sum
+  is confirmed when its two sums differ by less than ``REL_TOL`` and it does
   not overflow.
 * ``posterior_mean`` is the series corrector of one gene: the gate, both
   kernels, the cancellation check and the value formula.  It raises a
@@ -28,9 +28,10 @@ sign because the coefficients mix huge gamma factors with tiny geometric ones.
   ``correct.correct_array_series`` and validation take it, and neither
   ``correct.ROUTES`` nor the likelihood does.
 
-Internally a gene's observation is a one-element array ``q``, and the
-helpers work row by row on it.  The cached coefficient workspaces serve
-every gene of an array.
+Every helper takes the gene's observation as one float ``p`` and works on
+1-D vectors, one entry per index of a summation axis; a box is a tuple of
+ints, one depth per axis.  The cached coefficient workspaces serve every
+gene of an array.
 
 Naming: the ``*_den`` series is the marginal-density kernel of a model, the
 ``*_num`` series the posterior-numerator kernel; corrected intensities are
@@ -71,8 +72,9 @@ MAX_TERMS = 200
 class SeriesValue:
     """Confirmed (or partial) sum in log-magnitude + sign form.
 
-    terms_used is the truncation box; the value is the sum on its
-    confirmation box, one eighth deeper along every index.
+    terms_used is the truncation box, a tuple of ints (one depth per
+    summation index); the value is the sum on its confirmation box, one
+    eighth deeper along every index.
     """
 
     log_abs: float
@@ -104,16 +106,13 @@ GATE_DEPTH_FRACTION = 0.85
 
 
 def _depth(log_terms, log_limit):
-    """Per row of a genes x terms array: the first index past which every
-    term is at most the row's log_limit (at least 1).
+    """The first index past which every term is at most log_limit (at least 1).
 
-    log_limit is one value or one per row.  Terms past an exact cutoff are
-    -inf.  The depth equals the row length when its last term is still above
-    the limit: it then lies past them.
+    Terms past an exact cutoff are -inf.  The depth equals the number of
+    terms when the last one is still above the limit: it then lies past them.
     """
-    above = ~(log_terms <= np.asarray(log_limit, dtype=float)[..., None])
-    last = log_terms.shape[-1] - np.argmax(above[..., ::-1], axis=-1)
-    return np.where(above.any(axis=-1), last, 1)
+    above = np.flatnonzero(~(log_terms <= log_limit))
+    return int(above[-1]) + 1 if above.size else 1
 
 
 def _grow(box):
@@ -121,30 +120,22 @@ def _grow(box):
     return tuple(n + max(1, n // 8) for n in box)
 
 
-def _box_tuple(box):
-    return tuple(int(n) for n in box)
-
-
 def _rising_terms(table: _CoefTable, log_r, n):
-    """log |C(q+k-1, k) r^k| relative to the axis value (1+r)^(-q), k < n,
-    one row per entry of the log_r array."""
-    log_r = np.asarray(log_r, dtype=float)
+    """log |C(q+k-1, k) r^k| relative to the axis value (1+r)^(-q), k < n."""
     return (table.get(n)[0] + _geometric_logs(n, log_r)
-            + table.arg * np.logaddexp(0.0, log_r)[..., None])
+            + table.arg * np.logaddexp(0.0, log_r))
 
 
 def _falling_terms(table: _CoefTable, log_r, n):
-    """log |C(v-1, l) r^l| relative to the axis value (1-r)^(v-1), l < n,
-    one row per entry of the log_r array.
+    """log |C(v-1, l) r^l| relative to the axis value (1-r)^(v-1), l < n.
 
     Past the expansion radius (r >= 1) the value gives no scale, and the raw
     magnitudes are returned; they then grow unless v is an integer.
     """
-    log_r = np.asarray(log_r, dtype=float)
     with np.errstate(divide="ignore"):
         axis = table.arg * np.log1p(-np.exp(np.minimum(log_r, 0.0)))
     return (table.get(n)[0] + _geometric_logs(n, log_r)
-            - np.where(log_r < 0.0, axis, 0.0)[..., None])
+            - (axis if log_r < 0.0 else 0.0))
 
 
 def _gb_log_ratios(g: GBParams, log_x):
@@ -154,12 +145,11 @@ def _gb_log_ratios(g: GBParams, log_x):
 
 
 def _max_convolve(a, b):
-    """out[g, i] = max over j + k = i of a[g, j] + b[g, k], row by row
-    (log-magnitude convolution)."""
-    out = np.full((a.shape[0], a.shape[1] + b.shape[1] - 1), _NEG_INF)
-    for j in range(a.shape[1]):
-        part = out[:, j:j + b.shape[1]]
-        np.maximum(part, a[:, j:j + 1] + b, out=part)
+    """out[i] = max over j + k = i of a[j] + b[k] (log-magnitude convolution)."""
+    out = np.full(a.size + b.size - 1, _NEG_INF)
+    for j in range(a.size):
+        part = out[j:j + b.size]
+        np.maximum(part, a[j] + b, out=part)
     return out
 
 
@@ -168,7 +158,7 @@ def _max_convolve(a, b):
 _LN_SCAN_START = 32
 
 
-def _exp_lognormal_boxes(q, e: ExpParams | None, l: LognormalParams):
+def _exp_lognormal_boxes(p, e: ExpParams, l: LognormalParams):
     """Positive terms: the tail is judged against the largest one.
 
     log_ndtr is concave with slope above -x, so the ratio of terms k + 1 and
@@ -177,28 +167,27 @@ def _exp_lognormal_boxes(q, e: ExpParams | None, l: LognormalParams):
     point and on a term below the limit therefore holds the largest term
     and every term above the limit, and gives the depth of the full scan.
     """
-    theta = 0.0 if e is None else e.theta
-    log_p = np.log(q)[:, None]
-    falling = theta * q[0] * math.exp(0.5 * l.sigma ** 2)
+    log_p = np.log(p)
+    falling = e.theta * p * math.exp(0.5 * l.sigma ** 2)
     cap = MAX_TERMS + 1
     boxes = []
     for shift in (0, 1):
         n = _LN_SCAN_START
         while True:
             n = min(n, cap)
-            lt = _lognormal_weight_terms(log_p, theta, l, shift, n)
-            limit = np.max(lt, axis=1) + math.log(REL_TOL) - TAIL_MARGIN
-            if n == cap or (falling < n - 1 and lt[0, -1] <= limit[0]):
+            lt = _lognormal_weight_terms(log_p, e.theta, l, shift, n)
+            limit = np.max(lt) + math.log(REL_TOL) - TAIL_MARGIN
+            if n == cap or (falling < n - 1 and lt[-1] <= limit):
                 break
             n *= 2
-        boxes.append(_depth(lt, limit)[:, None])
+        boxes.append((_depth(lt, limit),))
     return tuple(boxes)
 
 
-def _gamma_lognormal_boxes(q, g: GammaParams, l: LognormalParams):
+def _gamma_lognormal_boxes(p, g: GammaParams, l: LognormalParams):
     n = MAX_TERMS + 1
     limit = math.log(REL_TOL) - LN_TAIL_MARGIN
-    log_p = np.log(q)[:, None]
+    log_p = np.log(p)
     k = np.arange(n, dtype=float)
     # binomial axis: term magnitude with n = 0 against the leading term,
     # allowing for the exp(b/beta) factor (bounded by exp(p/beta)) that the
@@ -206,42 +195,42 @@ def _gamma_lognormal_boxes(q, g: GammaParams, l: LognormalParams):
     lead = _sp.log_ndtr((log_p - l.mu) / l.sigma)
     common = (-k * log_p + k * (l.mu + 0.5 * k * l.sigma ** 2)
               + _sp.log_ndtr((log_p - (l.mu + k * l.sigma ** 2)) / l.sigma)
-              + q[:, None] / g.beta - lead)
+              + p / g.beta - lead)
     # factorial axis: sum_n (b/beta)^n / n! against exp(b/beta) leaves at most
     # the Poisson(p/beta) upper tail
     with np.errstate(divide="ignore"):
-        tail = np.log(_sp.pdtrc(k - 1.0, q[:, None] / g.beta))
-    tail[:, 0] = 0.0
+        tail = np.log(_sp.pdtrc(k - 1.0, p / g.beta))
+    tail[0] = 0.0
     depth = _depth(tail, limit)
-    return tuple(np.stack([_depth(specfun.gen_binomial_log_array(g.alpha - 1.0 + top, n)[0]
-                                  + common, limit), depth], axis=1)
+    return tuple((_depth(specfun.gen_binomial_log_array(g.alpha - 1.0 + top, n)[0] + common,
+                         limit), depth)
                  for top in (0, 1))
 
 
-def _gb_pair_boxes(q, s: GBParams, b: GBParams):
+def _gb_pair_boxes(p, s: GBParams, b: GBParams):
     # the beta-grid factor decreases along every index, so each axis is
     # judged by its own terms; the num kernel's offsets change no index
     n = MAX_TERMS + 1
     limit = math.log(REL_TOL) - TAIL_MARGIN
     ws = _gb_pair_workspace(s, b, 0)
-    fall1, rise1 = _gb_log_ratios(s, s.a * (np.log(q) - math.log(s.d)))
-    fall2, rise2 = _gb_log_ratios(b, b.a * (np.log(q) - math.log(b.d)))
-    box = np.stack([_depth(_falling_terms(ws.fall1, fall1, n), limit),
-                    _depth(_falling_terms(ws.fall2, fall2, n), limit),
-                    _depth(_rising_terms(ws.rise1, rise1, n), limit),
-                    _depth(_rising_terms(ws.rise2, rise2, n), limit)], axis=1)
+    fall1, rise1 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
+    fall2, rise2 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
+    box = (_depth(_falling_terms(ws.fall1, fall1, n), limit),
+           _depth(_falling_terms(ws.fall2, fall2, n), limit),
+           _depth(_rising_terms(ws.rise1, rise1, n), limit),
+           _depth(_rising_terms(ws.rise2, rise2, n), limit))
     return box, box
 
 
-def _gb_normal_boxes(q, s: GBParams, b: NormalParams):
+def _gb_normal_boxes(p, s: GBParams, b: NormalParams):
     n = MAX_TERMS + 1
     limit = math.log(REL_TOL) - TAIL_MARGIN
-    pm = q - b.mu
+    pm = p - b.mu
     fall, rise = _gb_log_ratios(s, s.a * (np.log(pm) - math.log(s.d)))
     lv = _moment_logs(pm, b, n)[0]
-    top = np.max(lv, axis=1)
+    top = np.max(lv)
     with np.errstate(under="ignore"):
-        ev = np.exp(lv - top[:, None])
+        ev = np.exp(lv - top)
     ws = _gb_normal_workspace(s, 0)
     fall_terms = _falling_terms(ws.fall, fall, n)
     rise_terms = _rising_terms(ws.rise, rise, n)
@@ -251,17 +240,16 @@ def _gb_normal_boxes(q, s: GBParams, b: NormalParams):
         # row i = l + m carries the moment sum over n, which grows with i;
         # the sum of its term magnitudes stands for it (one matrix-vector
         # product per gene)
-        logs, scaled, peak = ws.log_grid(n, n)
+        _, scaled, peak = ws.log_grid(n, n)
         with np.errstate(divide="ignore"):
-            row = np.log(np.matmul(scaled, ev[:, :, None])[:, :, 0]) + peak + top[:, None]
-        growth = row - row[:, :1]
+            row = np.log(np.matmul(scaled, ev[:, None])[:, 0]) + peak + top
+        growth = row - row[0]
         L = _depth(fall_terms + growth, limit)
         M = _depth(rise_terms + growth, limit)
-        N = np.full(q.shape, n)
-        if max(L[0], M[0]) < n:
-            N = _gb_normal_moment_depth(ws, fall_terms[:, :L[0]], rise_terms[:, :M[0]],
-                                        lv, row[:, 0] + limit)
-        boxes.append(np.stack([L, M, N], axis=1))
+        N = n
+        if max(L, M) < n:
+            N = _gb_normal_moment_depth(ws, fall_terms[:L], rise_terms[:M], lv, row[0] + limit)
+        boxes.append((L, M, N))
     return tuple(boxes)
 
 
@@ -270,80 +258,64 @@ def _gb_normal_moment_depth(ws, fall_terms, rise_terms, lv, log_limit):
     by its axis terms (fall_terms and rise_terms on the box), bounds the
     moment column."""
     weight = _max_convolve(fall_terms, rise_terms)
-    logs = ws.log_grid(weight.shape[1], lv.shape[1])[0]
-    return _depth(np.max(weight[:, :, None] + logs, axis=1) + lv, log_limit)
-
-
-def _boxes(kind, p, signal, noise):
-    """(den box, num box) of a series family at one observation p, as tuples."""
-    return tuple(_box_tuple(box[0]) for box in
-                 _FAMILIES[kind].boxes(np.array([float(p)]), signal, noise))
+    logs = ws.log_grid(weight.size, lv.size)[0]
+    return _depth(np.max(weight[:, None] + logs, axis=0) + lv, log_limit)
 
 
 # ---------------------------------------------------------------------------
 # Summation on a box
 # ---------------------------------------------------------------------------
 
-def _scaled_rows(logs, signs):
-    """(signs * exp(logs - scale), scale), gene by gene along the first axis.
-
-    A gene's scale is the largest of its logs (0 when they are all -inf).
-    """
-    axes = tuple(range(1, logs.ndim))
-    m = np.max(logs, axis=axes)
-    m = np.where(m == _NEG_INF, 0.0, m)
+def _scaled(logs, signs):
+    """(signs * exp(logs - scale), scale); the scale is the largest of the
+    logs (0 when they are all -inf)."""
+    m = np.max(logs)
+    if m == _NEG_INF:
+        m = 0.0
     with np.errstate(under="ignore"):
-        return signs * np.exp(logs - m.reshape(m.shape + (1,) * len(axes))), m
+        return signs * np.exp(logs - m), m
 
 
-def _convolve_rows(a, b):
-    """out[g] = np.convolve(a[g], b[g]) for two stacks of vectors.
-
-    Each entry is accumulated over a's index in increasing order, whatever
-    the shapes, so a row's bits do not depend on the other rows.
-    """
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
-    for k in range(a.shape[1]):
-        out[:, k:k + b.shape[1]] += a[:, k:k + 1] * b
+def _convolve(a, b):
+    """np.convolve(a, b), each entry accumulated over a's index in
+    increasing order."""
+    out = np.zeros(a.size + b.size - 1)
+    for k in range(a.size):
+        out[k:k + b.size] += a[k] * b
     return out
 
 
-def _contract_rows(x, mat):
-    """out[g, i] = sum over j of mat[i, j] * x[g, j], added in order of j.
+def _contract(x, mat):
+    """out[i] = sum over j of mat[i, j] * x[j], added in order of j.
 
-    Elementwise, not a matrix product: a row's bits do not depend on the
-    other rows, and zero entries of x add nothing.
+    Elementwise, not a matrix product: the order of the additions is fixed,
+    and zero entries of x add nothing.
     """
     cols = np.ascontiguousarray(mat.T)
-    out = np.zeros((x.shape[0], mat.shape[0]))
+    out = np.zeros(mat.shape[0])
     term = np.empty_like(out)
-    for j in range(x.shape[1]):
-        np.multiply(x[:, j:j + 1], cols[j], out=term)
+    for j in range(x.size):
+        np.multiply(x[j], cols[j], out=term)
         out += term
     return out
 
 
-def _sum_last(x):
-    """Sum over the last axis, added in order of its index (as _contract_rows)."""
-    out = np.zeros(x.shape[:-1])
-    for j in range(x.shape[-1]):
-        out += x[..., j]
+def _sum_columns(x):
+    """Sum of the columns of a 2-D array, added in order of the column."""
+    out = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        out += x[:, j]
     return out
 
 
-def _row_fsums(rows):
-    """math.fsum of each gene's row of a genes x terms array."""
-    return np.array([math.fsum(r) for r in rows.tolist()])
+def _box_sums(terms, vectors, box):
+    """The gene's sums of terms(vectors) on its box and on its grown box.
 
-
-def _box_sums(rows, vectors, box):
-    """The gene's sums of rows(vectors) on its box and on its grown box.
-
-    vectors hold one 1 x terms array per summation index, scaled over the
-    grown box; the sum on the box reads the leading entries of each.
+    vectors hold one vector per summation index, scaled over the grown box;
+    the sum on the box reads the leading entries of each.
     """
-    base = _row_fsums(rows([v[:, :n] for v, n in zip(vectors, box)]))
-    return base[0], _row_fsums(rows(vectors))[0]
+    base = math.fsum(terms([v[:n] for v, n in zip(vectors, box)]).tolist())
+    return base, math.fsum(terms(vectors).tolist())
 
 
 def _label(family, off):
@@ -352,8 +324,8 @@ def _label(family, off):
     return f"{family.label}_{('den', 'num')[off]}"
 
 
-def _sum(family, q, signal, noise, off, box) -> SeriesValue:
-    """The family's kernel (off 0: den, 1: num) at the gene q on its box,
+def _sum(family, p, signal, noise, off, box) -> SeriesValue:
+    """The family's kernel (off 0: den, 1: num) at the gene p on its box,
     confirmed on the grown box.
 
     Raises when a depth lies past the cap, when the sum overflows, and when
@@ -363,7 +335,7 @@ def _sum(family, q, signal, noise, off, box) -> SeriesValue:
     if max(box) > MAX_TERMS:
         raise SeriesNonConvergenceError(
             f"{label}: truncation depths {box} lie past the cap ({MAX_TERMS})")
-    base, wide, scale = (float(x) for x in family.kernel(q, signal, noise, off, box))
+    base, wide, scale = (float(x) for x in family.kernel(p, signal, noise, off, box))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = float(scale + np.log(abs(wide)))
     sign = float(np.sign(wide))
@@ -389,14 +361,14 @@ def _evaluate(kind, p, signal, noise, off) -> SeriesValue:
     refusal = family.domain(p, signal, noise, _label(family, off))
     if refusal:
         raise DomainError(refusal)
-    return _sum(family, np.array([p]), signal, noise, off, _boxes(kind, p, signal, noise)[off])
+    return _sum(family, p, signal, noise, off, family.boxes(p, signal, noise)[off])
 
 
 def _geometric_logs(n, log_ratio):
-    """k * log_ratio for k < n, 0 at k = 0; an array of ratios gives a row each."""
+    """k * log_ratio for k < n, 0 at k = 0."""
     with np.errstate(invalid="ignore"):
-        out = np.arange(n, dtype=float) * np.asarray(log_ratio, dtype=float)[..., None]
-    out[..., 0] = 0.0
+        out = np.arange(n, dtype=float) * log_ratio
+    out[0] = 0.0
     return out
 
 
@@ -501,11 +473,6 @@ class _GBNormalWorkspace:
                 self._log_grid = (logs, np.exp(logs - peak[:, None]), peak)
         return tuple(part[:imax] for part in self._log_grid)
 
-    @staticmethod
-    def block_size(imax, nmax):
-        """Side of the block binom_grid_exp serves an imax x nmax request from."""
-        return max(16, 1 << (max(int(imax), int(nmax)) - 1).bit_length())
-
     def binom_grid_exp(self, imax, nmax):
         """(signs * exp(log grid - gmax), gmax) over the leading imax x nmax block.
 
@@ -514,7 +481,7 @@ class _GBNormalWorkspace:
         The result therefore depends only on the request, not on how far
         earlier genes grew the grid, and no entry overflows.
         """
-        size = self.block_size(imax, nmax)
+        size = max(16, 1 << (max(imax, nmax) - 1).bit_length())
         hit = self._blocks.get(size)
         if hit is None:
             logs, signs = self._rows(np.arange(size), size)
@@ -526,13 +493,12 @@ class _GBNormalWorkspace:
 
 
 def _moment_logs(pm, b: NormalParams, n):
-    """(log |t^k I_k|, sign I_k), k < n, one row per entry of the array pm:
-    t = sigma/(p - mu) times the Gaussian moments I_k over
-    [-(p - mu)/sigma, mu/sigma].  A row does not depend on n past its length
-    nor on the other rows."""
+    """(log |t^k I_k|, sign I_k), k < n, at pm = p - mu: t = sigma/(p - mu)
+    times the Gaussian moments I_k over [-(p - mu)/sigma, mu/sigma].  An
+    entry does not depend on n past it."""
     table = specfun.gaussian_moment_table(n, -pm / b.sigma, b.mu / b.sigma)
     with np.errstate(divide="ignore"):
-        logs = (np.arange(n) * (math.log(b.sigma) - np.log(pm))[:, None]
+        logs = (np.arange(n) * (math.log(b.sigma) - np.log(pm))
                 + np.log(np.abs(table)))
     return logs, np.sign(table)
 
@@ -546,7 +512,6 @@ def _lognormal_weight_terms(log_p, theta, l: LognormalParams, shift, n):
 
     shift = 0 gives the marginal kernel, shift = 1 the posterior-numerator
     kernel (its common factor exp(mu + sigma^2/2) is applied by the caller).
-    A column of log p values gives one row of terms per gene.
     """
     k = np.arange(n, dtype=float)
     lam = math.log(theta) if theta > 0 else _NEG_INF
@@ -555,11 +520,10 @@ def _lognormal_weight_terms(log_p, theta, l: LognormalParams, shift, n):
             + _sp.log_ndtr((log_p - (l.mu + (k + shift) * l.sigma ** 2)) / l.sigma))
 
 
-def _exp_lognormal_kernel(q, e: ExpParams | None, l: LognormalParams, shift, box):
-    theta = 0.0 if e is None else e.theta
-    logs = _lognormal_weight_terms(np.log(q)[:, None], theta, l, shift, _grow(box)[0])
-    terms, scale = _scaled_rows(logs, 1.0)
-    return (*_box_sums(lambda vectors: vectors[0], (terms,), box), scale[0])
+def _exp_lognormal_kernel(p, e: ExpParams, l: LognormalParams, shift, box):
+    logs = _lognormal_weight_terms(np.log(p), e.theta, l, shift, _grow(box)[0])
+    terms, scale = _scaled(logs, 1.0)
+    return (*_box_sums(lambda vectors: vectors[0], (terms,), box), scale)
 
 
 def _positive_domain(p, signal, noise, label):
@@ -588,7 +552,7 @@ def exp_lognormal_num_series(p, e: ExpParams, l: LognormalParams) -> SeriesValue
 # Gamma-lognormal pair (two indices)
 # ---------------------------------------------------------------------------
 
-def _gamma_lognormal_kernel(q, g: GammaParams, l: LognormalParams, top, box):
+def _gamma_lognormal_kernel(p, g: GammaParams, l: LognormalParams, top, box):
     """top = 0 uses C(alpha-1, k) (marginal), 1 uses C(alpha, k).
 
     The (k, n) term grid is summed over n in order of n, then its k-rows
@@ -601,13 +565,13 @@ def _gamma_lognormal_kernel(q, g: GammaParams, l: LognormalParams, top, box):
     t = np.arange(K + N - 1, dtype=float)
     sk = (bsigns * np.where(kk % 2 == 0, 1.0, -1.0))[:, None]
     bn = -_sp.gammaln(nn + 1.0) - nn * math.log(g.beta)
-    log_p = np.log(q)[:, None]
+    log_p = np.log(p)
     E = (t * (l.mu + 0.5 * t * l.sigma ** 2)
          + _sp.log_ndtr((log_p - (l.mu + t * l.sigma ** 2)) / l.sigma))
-    te = (blogs - kk * log_p)[:, :, None] + bn + E[:, np.arange(K)[:, None] + np.arange(N)]
-    grid, scale = _scaled_rows(te, sk)
-    base = _row_fsums(_sum_last(grid[:, :box[0], :box[1]]))
-    return base[0], _row_fsums(_sum_last(grid))[0], scale[0]
+    te = (blogs - kk * log_p)[:, None] + bn + E[np.arange(K)[:, None] + np.arange(N)]
+    grid, scale = _scaled(te, sk)
+    return (math.fsum(_sum_columns(grid[:box[0], :box[1]]).tolist()),
+            math.fsum(_sum_columns(grid).tolist()), scale)
 
 
 def _gamma_lognormal_log_prefactor(g: GammaParams, l: LognormalParams, p):
@@ -634,32 +598,31 @@ def gamma_lognormal_num_series(p, g: GammaParams, l: LognormalParams) -> SeriesV
 # ---------------------------------------------------------------------------
 
 def _gb_axis_arrays(table, n, log_ratio):
-    """Signed, geometric-folded coefficient arrays for one GB expansion axis,
-    one row per entry of the log_ratio array."""
+    """Signed, geometric-folded coefficient vectors for one GB expansion axis."""
     blogs, bsigns = table.get(n)
     return (blogs + _geometric_logs(n, log_ratio),
             bsigns * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
 
 
-def _gb_pair_kernel(q, s: GBParams, b: GBParams, off, box):
+def _gb_pair_kernel(p, s: GBParams, b: GBParams, off, box):
     """The l, m, n and r axis vectors are built and scaled on the grown box
     (L, M, N, R), and contracted through the scaled beta grid."""
     ws = _gb_pair_workspace(s, b, off)
-    lg1, lg3 = _gb_log_ratios(s, s.a * (np.log(q) - math.log(s.d)))
-    lg2, lg4 = _gb_log_ratios(b, b.a * (np.log(q) - math.log(b.d)))
+    lg1, lg3 = _gb_log_ratios(s, s.a * (np.log(p) - math.log(s.d)))
+    lg2, lg4 = _gb_log_ratios(b, b.a * (np.log(p) - math.log(b.d)))
     L, M, N, R = _grow(box)
-    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall1, L, lg1))
-    v3, m3 = _scaled_rows(*_gb_axis_arrays(ws.rise1, N, lg3))
-    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.fall2, M, lg2))
-    v4, m4 = _scaled_rows(*_gb_axis_arrays(ws.rise2, R, lg4))
+    v1, m1 = _scaled(*_gb_axis_arrays(ws.fall1, L, lg1))
+    v3, m3 = _scaled(*_gb_axis_arrays(ws.rise1, N, lg3))
+    v2, m2 = _scaled(*_gb_axis_arrays(ws.fall2, M, lg2))
+    v4, m4 = _scaled(*_gb_axis_arrays(ws.rise2, R, lg4))
     E, gmax = ws.lbeta_grid_exp(L + N - 1, M + R - 1)
 
-    def rows(vectors):
+    def terms(vectors):
         v1, v2, v3, v4 = vectors
-        conv13, conv24 = _convolve_rows(v1, v3), _convolve_rows(v2, v4)
-        return conv13 * _contract_rows(conv24, E[:conv13.shape[1], :conv24.shape[1]])
+        conv13, conv24 = _convolve(v1, v3), _convolve(v2, v4)
+        return conv13 * _contract(conv24, E[:conv13.size, :conv24.size])
 
-    return (*_box_sums(rows, (v1, v2, v3, v4), box), (m1 + m3 + m2 + m4 + gmax)[0])
+    return (*_box_sums(terms, (v1, v2, v3, v4), box), m1 + m3 + m2 + m4 + gmax)
 
 
 def _gb_pair_log_prefactor(s: GBParams, b: GBParams, p):
@@ -690,24 +653,24 @@ def gb_pair_num_series(p, s: GBParams, b: GBParams) -> SeriesValue:
 # GB + normal triple series
 # ---------------------------------------------------------------------------
 
-def _gb_normal_kernel(q, s: GBParams, b: NormalParams, off, box):
+def _gb_normal_kernel(p, s: GBParams, b: NormalParams, off, box):
     """The l and m axis vectors and the moment column t^n I_n are built and
     scaled on the grown box (L, M, N), and contracted through the binomial
     grid block served for it."""
     ws = _gb_normal_workspace(s, off)
-    lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(q - b.mu) - math.log(s.d)))
+    lg1, lg2 = _gb_log_ratios(s, s.a * (np.log(p - b.mu) - math.log(s.d)))
     L, M, N = _grow(box)
-    v1, m1 = _scaled_rows(*_gb_axis_arrays(ws.fall, L, lg1))
-    v2, m2 = _scaled_rows(*_gb_axis_arrays(ws.rise, M, lg2))
-    vn, mv = _scaled_rows(*_moment_logs(q - b.mu, b, N))
+    v1, m1 = _scaled(*_gb_axis_arrays(ws.fall, L, lg1))
+    v2, m2 = _scaled(*_gb_axis_arrays(ws.rise, M, lg2))
+    vn, mv = _scaled(*_moment_logs(p - b.mu, b, N))
     grid, gmax = ws.binom_grid_exp(L + M - 1, N)
 
-    def rows(vectors):
+    def terms(vectors):
         v1, v2, vn = vectors
-        conv12 = _convolve_rows(v1, v2)
-        return conv12 * _contract_rows(vn, grid[:conv12.shape[1], :vn.shape[1]])
+        conv12 = _convolve(v1, v2)
+        return conv12 * _contract(vn, grid[:conv12.size, :vn.size])
 
-    return (*_box_sums(rows, (v1, v2, vn), box), (m1 + m2 + mv + gmax)[0])
+    return (*_box_sums(terms, (v1, v2, vn), box), m1 + m2 + mv + gmax)
 
 
 def _gb_normal_log_prefactor(s: GBParams, b: NormalParams, p):
@@ -754,27 +717,25 @@ GBN_ENDPOINT_RATIO_MAX = 0.85
 GBN_SIGMA_SEP_MIN = 3.0
 
 
-def _gb_in_region(g: GBParams, q):
-    """Ratio and cancellation checks of a GB expansion at the gene q > 0."""
-    lx = g.a * (np.log(q) - math.log(g.d))
-    finite = lx < 700
-    with np.errstate(over="ignore"):
-        x = np.exp(np.minimum(lx, 700.0))
-    cx = np.where(finite, g.c * x, np.inf)
-    ox = np.where(finite, (1.0 - g.c) * x, np.inf)
+def _gb_in_region(g: GBParams, p):
+    """Ratio and cancellation checks of a GB expansion at the gene p > 0."""
+    lx = g.a * (np.log(p) - math.log(g.d))
+    if not lx < 700:
+        # x = e^lx lies far past the ratio ceiling on one axis or both
+        return False
+    x = np.exp(lx)
+    cx, ox = g.c * x, (1.0 - g.c) * x
+    if max(cx, ox) > GB_RATIO_MAX:
+        return False
     # alternating-sum cancellation: sum |terms| / |sum| per expansion axis
-    # (past the ratio ceiling the logs are NaN, and the gene is refused)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spread = (np.where(cx > 0, (g.u + g.v) * (np.log1p(cx) - np.log1p(-cx)), 0.0)
-                  + np.where(ox > 0, max(g.v - 1.0, 0.0)
-                             * (np.log1p(ox) - np.log1p(-ox)), 0.0))
-    return bool(((np.maximum(cx, ox) <= GB_RATIO_MAX) & (spread <= GB_SPREAD_LOG_MAX))[0])
+    spread = (((g.u + g.v) * (np.log1p(cx) - np.log1p(-cx)) if cx > 0 else 0.0)
+              + (max(g.v - 1.0, 0.0) * (np.log1p(ox) - np.log1p(-ox)) if ox > 0 else 0.0))
+    return bool(spread <= GB_SPREAD_LOG_MAX)
 
 
-def _gb_normal_in_region(s: GBParams, b: NormalParams, q):
-    p = float(q[0])
+def _gb_normal_in_region(s: GBParams, b: NormalParams, p):
     return (b.mu > 0 and p > b.mu and b.mu / (p - b.mu) <= GBN_ENDPOINT_RATIO_MAX
-            and (p - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN and _gb_in_region(s, q))
+            and (p - b.mu) / b.sigma >= GBN_SIGMA_SEP_MIN and _gb_in_region(s, p))
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +748,13 @@ class _Family(NamedTuple):
     #: (p, signal, noise, label) -> the evaluators' DomainError message, or
     #: None inside the domain
     domain: Callable
-    #: (signal, noise, gene q with p > 0) -> the gate's other checks, a bool
+    #: (signal, noise, p > 0) -> the gate's other checks, a bool
     in_region: Callable
-    #: (gene q, signal, noise) -> (den box, num box), 1 x indices int arrays
+    #: (p, signal, noise) -> (den box, num box), each a tuple of ints, one
+    #: depth per summation index
     boxes: Callable
-    #: (gene q, signal, noise, off, box) -> (sum on the box, sum on the
-    #: grown box, log scale of both); off 0 is den, 1 is num
+    #: (p, signal, noise, off, box) -> (sum on the box, sum on the grown
+    #: box, log scale of both), floats; off 0 is den, 1 is num
     kernel: Callable
     #: (signal, noise, p) -> log marginal density minus log den sum
     log_prefactor: Callable
@@ -802,16 +764,16 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     "exp_lognormal": _Family("exp_lognormal", _positive_domain,
-                             lambda e, l, q: l.sigma <= LN_SIGMA_MAX,
+                             lambda e, l, p: l.sigma <= LN_SIGMA_MAX,
                              _exp_lognormal_boxes, _exp_lognormal_kernel,
                              _exp_lognormal_log_prefactor, _exp_lognormal_value),
     "gamma_lognormal": _Family("gamma_lognormal", _positive_domain,
-                               lambda g, l, q: bool(((np.log(q) - l.mu) / l.sigma)[0]
+                               lambda g, l, p: bool((np.log(p) - l.mu) / l.sigma
                                                     >= LN_TAIL_Z_MIN),
                                _gamma_lognormal_boxes, _gamma_lognormal_kernel,
                                _gamma_lognormal_log_prefactor, _ratio_value),
     "gb_gb": _Family("gb_pair", _gb_pair_domain,
-                     lambda s, b, q: _gb_in_region(s, q) and _gb_in_region(b, q),
+                     lambda s, b, p: _gb_in_region(s, p) and _gb_in_region(b, p),
                      _gb_pair_boxes, _gb_pair_kernel, _gb_pair_log_prefactor,
                      _ratio_value),
     "gb_normal": _Family("gb_normal", _gb_normal_domain, _gb_normal_in_region,
@@ -869,9 +831,9 @@ def _gate(m: ModelSpec, p):
     """
     family = _family(m.kind)
     p = float(p)
-    if not (p > 0 and family.in_region(m.signal, m.noise, np.array([p]))):
+    if not (p > 0 and family.in_region(m.signal, m.noise, p)):
         return None
-    boxes = _boxes(m.kind, p, m.signal, m.noise)
+    boxes = family.boxes(p, m.signal, m.noise)
     return boxes if max(map(max, boxes)) <= int(GATE_DEPTH_FRACTION * MAX_TERMS) else None
 
 
@@ -900,9 +862,8 @@ def posterior_mean(m: ModelSpec, p) -> float:
     if boxes is None:
         raise SeriesDivergenceError("outside series convergence region")
     family, p = _FAMILIES[m.kind], float(p)
-    q = np.array([p])
-    den = _sum(family, q, m.signal, m.noise, 0, boxes[0])
-    num = _sum(family, q, m.signal, m.noise, 1, boxes[1])
+    den = _sum(family, p, m.signal, m.noise, 0, boxes[0])
+    num = _sum(family, p, m.signal, m.noise, 1, boxes[1])
     if den.sign <= 0 or num.sign <= 0:
         raise SeriesDivergenceError("series cancellation")
     with np.errstate(over="ignore"):

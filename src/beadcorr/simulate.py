@@ -91,14 +91,3 @@ def benchmark_mse(d: SimDataset, corrected) -> MseReport:
     decile = tuple(float(np.mean(err[b] ** 2)) if b.size else math.nan
                    for b in bins)
     return MseReport(mse=mse, bias=bias, decile_mse=decile)
-
-
-def benchmark_report_tsv(reports: dict) -> str:
-    """TSV text for {method name: MseReport} with per-decile columns."""
-    cols = ["method", "mse", "bias"] + [f"decile_{i}" for i in range(1, 11)]
-    lines = ["\t".join(cols)]
-    for name, rep in reports.items():
-        row = [name, repr(rep.mse), repr(rep.bias)]
-        row += [repr(v) for v in rep.decile_mse]
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"

@@ -13,37 +13,13 @@ from scipy import special as _sp
 
 from .errors import DomainError
 
-#: Euler-Mascheroni constant (psi(1) = -EULER_GAMMA).
-EULER_GAMMA = 0.5772156649015328606
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    if np.any(np.asarray(x) <= 0):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return _sp.gammaln(x)
-
-
-def beta_fn(u, v):
-    """Beta function B(u, v) = Gamma(u)Gamma(v)/Gamma(u+v), computed in log space."""
-    if u <= 0 or v <= 0:
-        raise DomainError(f"beta_fn requires positive arguments, got ({u}, {v})")
-    return math.exp(log_beta(u, v))
 
 
 def log_beta(u, v):
     """log B(u, v); arguments may be scalars or arrays of positive reals."""
     return _sp.gammaln(u) + _sp.gammaln(v) - _sp.gammaln(u + v)
-
-
-def digamma(x):
-    """Digamma psi(x) for x > 0."""
-    if np.any(np.asarray(x) <= 0):
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    return _sp.psi(x)
 
 
 def log_lower_incomplete_gamma(s, x):
@@ -84,12 +60,6 @@ def std_normal_pdf(z):
     with np.errstate(over="ignore"):
         out = np.exp(-0.5 * z * z) / _SQRT_2PI
     return out if out.ndim else float(out)
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF."""
-    out = _sp.ndtr(z)
-    return out if np.ndim(out) else float(out)
 
 
 def std_normal_logpdf(z):
@@ -157,44 +127,38 @@ def gaussian_moment_integral(n, lo, hi):
     """
     if n < 0 or n != int(n):
         raise DomainError(f"gaussian_moment_integral requires integer n >= 0, got {n}")
-    if lo > hi:
-        raise DomainError(f"gaussian_moment_integral requires lo <= hi, got ({lo}, {hi})")
     return gaussian_moment_table(int(n) + 1, lo, hi)[-1]
 
 
 def _boundary_powers(z, nmax):
-    """z^(n-1) * exp(-z^2/2) for n = 1..nmax-1, overflow-safe via logs.
-
-    z is a float or an array; an array gives one row per entry.
-    """
-    z = np.asarray(z, dtype=float)[..., None]
+    """z^(n-1) * exp(-z^2/2) for n = 1..nmax-1, overflow-safe via logs."""
     n = np.arange(1, max(nmax, 1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = (n - 1) * np.log(np.abs(z)) - 0.5 * z * z
-        out = np.sign(z) ** (n - 1) * np.exp(logs)
     # z = 0 enters only at n = 1 (z^0 e^0); an infinite z contributes nothing
-    out = np.where(z == 0.0, (n == 1).astype(float), out)
-    return np.where(np.isfinite(z), out, 0.0)
+    if z == 0.0:
+        return (n == 1).astype(float)
+    if not math.isfinite(z):
+        return np.zeros(n.size)
+    with np.errstate(over="ignore"):
+        logs = (n - 1) * np.log(abs(z)) - 0.5 * z * z
+        return np.sign(z) ** (n - 1) * np.exp(logs)
 
 
 def _log_half_moment(n, t):
-    """log of integral of z^n e^(-z^2/2) over (0, t), t >= 0; -inf at t <= 0.
+    """log of integral of z^n e^(-z^2/2) over (0, t), one entry per entry of
+    the array n; -inf at t <= 0.
 
-    Equals 2^((n-1)/2) * (lower incomplete gamma at ((n+1)/2, t^2/2)).  n and
-    t broadcast against each other.
+    Equals 2^((n-1)/2) * (lower incomplete gamma at ((n+1)/2, t^2/2)).
     """
-    n, t = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(t, dtype=float))
-    out = np.full(n.shape, -np.inf)
-    live = t > 0.0
-    n, t = n[live], t[live]
+    n = np.asarray(n, dtype=float)
+    if not t > 0.0:
+        return np.full(n.shape, -np.inf)
     s = 0.5 * (n + 1.0)
     x = 0.5 * t * t
     reg = _sp.gammainc(s, x)
-    vals = 0.5 * (n - 1.0) * math.log(2.0) + _sp.gammaln(s) + np.log(
+    out = 0.5 * (n - 1.0) * math.log(2.0) + _sp.gammaln(s) + np.log(
         np.where(reg > 0, reg, 1.0))
     for i in np.flatnonzero(reg <= 0.0).tolist():
-        vals[i] = 0.5 * (n[i] - 1.0) * math.log(2.0) + log_lower_incomplete_gamma(s[i], x[i])
-    out[live] = vals
+        out[i] = 0.5 * (n[i] - 1.0) * math.log(2.0) + log_lower_incomplete_gamma(s[i], x)
     return out
 
 
@@ -204,41 +168,32 @@ def gaussian_moment_table(count, lo, hi):
     The two-term recurrence is exact but amplifies rounding error once
     n exceeds max(lo^2, hi^2); past that point each half-line piece is
     evaluated through the incomplete gamma function with its sign made
-    explicit by splitting the range at zero.  lo and hi may be arrays, which
-    broadcast and give one table per entry; each entry's table is computed
-    elementwise, so it does not depend on the others.
+    explicit by splitting the range at zero.  lo and hi are floats.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if np.any(lo > hi):
+    lo, hi = float(lo), float(hi)
+    if lo > hi:
         raise DomainError(f"gaussian moment limits out of order: ({lo}, {hi})")
-    table = np.zeros(lo.shape + (count,))
-    table[..., 0] = _SQRT_2PI * (_sp.ndtr(hi) - _sp.ndtr(lo))
+    table = np.zeros(count)
+    table[0] = _SQRT_2PI * (_sp.ndtr(hi) - _sp.ndtr(lo))
     if count == 1:
         return table
-    edge = _boundary_powers(lo, count) - _boundary_powers(hi, count)
-    table[..., 1] = edge[..., 0]
-    z2 = np.where(np.isfinite(lo) & np.isfinite(hi),
-                  np.maximum(lo * lo, hi * hi), np.inf)
-    n_stable = np.minimum(count, np.floor(np.minimum(z2, count)) + 1.0)
-    # the recurrence runs over each entry's row in Python floats, the same
-    # IEEE operations as on arrays, up to that entry's stable index
-    for row, e, stop in zip(table.reshape(-1, count), edge.reshape(-1, count - 1).tolist(),
-                            n_stable.ravel().tolist()):
-        t = row.tolist()
-        for n in range(2, int(stop)):
-            t[n] = e[n - 1] + (n - 1) * t[n - 2]
-        row[:] = t
-    tail = np.arange(count) >= n_stable[..., None]
-    tail[..., :2] = False
-    if tail.any():
-        at = np.nonzero(tail)
-        n_tail, lo_t, hi_t = at[-1], lo[at[:-1]], hi[at[:-1]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a half-line piece is zero unless its end lies past zero, so one
-            # formula covers lo >= 0, hi <= 0 and a range straddling zero
-            table[at] = ((np.exp(_log_half_moment(n_tail, hi_t))
-                          - np.exp(_log_half_moment(n_tail, lo_t)))
+    edge = (_boundary_powers(lo, count) - _boundary_powers(hi, count)).tolist()
+    table[1] = edge[0]
+    z2 = max(lo * lo, hi * hi) if math.isfinite(lo) and math.isfinite(hi) else math.inf
+    n_stable = min(count, math.floor(min(z2, count)) + 1)
+    # the recurrence runs in Python floats, the same IEEE operations as on
+    # arrays, up to the stable index
+    t = table.tolist()
+    for n in range(2, n_stable):
+        t[n] = edge[n - 1] + (n - 1) * t[n - 2]
+    table[:] = t
+    n_tail = np.arange(max(n_stable, 2), count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a half-line piece is zero unless its end lies past zero, so one
+        # formula covers lo >= 0, hi <= 0 and a range straddling zero
+        table[n_tail] = ((np.exp(_log_half_moment(n_tail, hi))
+                          - np.exp(_log_half_moment(n_tail, lo)))
                          + (-1.0) ** n_tail
-                         * (np.exp(_log_half_moment(n_tail, -lo_t))
-                            - np.exp(_log_half_moment(n_tail, -hi_t))))
+                         * (np.exp(_log_half_moment(n_tail, -lo))
+                            - np.exp(_log_half_moment(n_tail, -hi))))
     return table

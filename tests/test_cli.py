@@ -366,7 +366,10 @@ class TestReadFitTable:
         # a blank line 3 is skipped, and the bad cell is still on line 4
         (HEADER + "A1\t0.01\t100.0\t15.0\t-5.0\t1\n\nA2\t0.01\tlots\t15.0\t-5.0\t1\n",
          "fit.tsv:4: non-numeric"),
-    ], ids=["short_row", "non_numeric_cell", "empty", "after_blank_line"])
+        # a second row for one array would silently replace the first
+        (HEADER + "A\t0.01\t100.0\t15.0\t-5.0\t1\nB\t0.02\t90.0\t10.0\t-5.0\t1\n"
+         "A\t0.03\t80.0\t12.0\t-5.0\t1\n", "fit.tsv:4: array 'A' already has a row on line 2"),
+    ], ids=["short_row", "non_numeric_cell", "empty", "after_blank_line", "repeated_array"])
     def test_malformed_table_rejected(self, tmp_path, text, match):
         path = tmp_path / "fit.tsv"
         write(path, text)

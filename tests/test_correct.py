@@ -299,9 +299,11 @@ class TestSeriesCorrectors:
     def test_exp_lognormal_theta_collapse_paths_agree(self):
         l = LognormalParams(1.0, 0.6)
         got = correct.correct_exp_lognormal(40.0, ExpParams(1e-12), l)
-        den = series.exp_lognormal_den_series(40.0, None, l)
-        num = series.exp_lognormal_num_series(40.0, None, l)
-        collapsed = 40.0 - math.exp(1.0 + 0.18 + num.log_abs - den.log_abs)
+        # at rate 0 only the k = 0 terms of the den and num series remain:
+        # the lognormal CDF at p, and at p under the sigma^2-shifted law
+        den = special.ndtr((math.log(40.0) - 1.0) / 0.6)
+        num = special.ndtr((math.log(40.0) - 1.0 - 0.36) / 0.6)
+        collapsed = 40.0 - math.exp(1.0 + 0.18) * num / den
         assert got == pytest.approx(collapsed, rel=1e-9)
 
     def test_exp_lognormal_range(self):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
-from beadcorr import oracle, specfun
+from beadcorr import oracle
 from beadcorr.dists import (ExpGamma, ExpNormal, ExpParams, GammaNormal,
                             GammaParams, GBGB, GBParams, NormalParams,
                             gb_support_upper)
@@ -17,8 +18,7 @@ UNIFORM = GBParams(1, 0, 1, 1, 1)
 def exp_normal_marginal_closed(p, theta, mu, sigma):
     mu_sp = p - mu - sigma ** 2 * theta
     return (theta * math.exp(theta ** 2 * sigma ** 2 / 2 - (p - mu) * theta)
-            * (specfun.std_normal_cdf(mu_sp / sigma)
-               + specfun.std_normal_cdf((p - mu_sp) / sigma) - 1.0))
+            * (ndtr(mu_sp / sigma) + ndtr((p - mu_sp) / sigma) - 1.0))
 
 
 class TestMarginal:

@@ -11,7 +11,7 @@ from beadcorr.dists import (ExpParams, GammaParams, GBGB, GBNormal, GBParams,
 from beadcorr.errors import (DomainError, InvalidParameterError, SeriesDivergenceError,
                              SeriesError, SeriesNonConvergenceError)
 from beadcorr.oracle import QuadConfig, marginal_pdf_quadrature
-from beadcorr.specfun import gaussian_moment_table, std_normal_cdf
+from beadcorr.specfun import gaussian_moment_table
 
 UNIFORM = GBParams(a=1, c=0, d=1, u=1, v=1)
 
@@ -63,22 +63,20 @@ class TestExpLognormalSeries:
         assert val.value == pytest.approx(ref, rel=1e-10)
 
     def test_theta_zero_collapse(self):
-        # rate exactly zero: only the k = 0 term survives (0^0 = 1)
+        # a vanishingly small rate: only the k = 0 term counts, the lognormal
+        # CDF at p
         l = LognormalParams(0.2, 0.7)
-        val = series.exp_lognormal_den_series(5.0, None, l)
+        val = series.exp_lognormal_den_series(5.0, ExpParams(1e-300), l)
         assert val.terms_used == (1,)
         assert val.converged
-        assert val.value == pytest.approx(
-            std_normal_cdf((math.log(5.0) - 0.2) / 0.7), rel=1e-12)
-        # a vanishingly small positive rate agrees with the collapsed value
-        near = series.exp_lognormal_den_series(5.0, ExpParams(1e-300), l)
-        assert near.value == pytest.approx(val.value, rel=1e-14)
+        assert val.value == pytest.approx(sp.ndtr((math.log(5.0) - 0.2) / 0.7), rel=1e-12)
 
     def test_num_theta_zero_collapse(self):
         l = LognormalParams(0.2, 0.7)
-        val = series.exp_lognormal_num_series(5.0, None, l)
+        val = series.exp_lognormal_num_series(5.0, ExpParams(1e-300), l)
+        assert val.terms_used == (1,)
         assert val.value == pytest.approx(
-            std_normal_cdf((math.log(5.0) - 0.2 - 0.49) / 0.7), rel=1e-12)
+            sp.ndtr((math.log(5.0) - 0.2 - 0.49) / 0.7), rel=1e-12)
 
     def test_truncation_depth(self):
         val = series.exp_lognormal_den_series(10.0, ExpParams(0.1),
@@ -301,8 +299,8 @@ class TestArrayGate:
                     with pytest.raises(SeriesError, match=re.escape(str(exc))):
                         series.posterior_mean(m, q)
                     continue
-                assert (den.terms_used, num.terms_used) == series._boxes(
-                    kind, q, m.signal, m.noise)
+                assert (den.terms_used, num.terms_used) == family.boxes(
+                    q, m.signal, m.noise)
                 with np.errstate(over="ignore", invalid="ignore"):
                     want = float(family.value(q, num.log_abs, den.log_abs, m.signal, m.noise))
                 if den.sign > 0 and num.sign > 0 and 0.0 < want < q:
@@ -327,13 +325,12 @@ class TestOneBoxPerGene:
         limit = int(series.GATE_DEPTH_FRACTION * series.MAX_TERMS)
         refused_by_depth = 0
         for kind, kernels in self.FAMILIES.items():
+            family = series._FAMILIES[kind]
             for _ in range(12):
                 m, p = validation.draw_case(kind, rng)
                 for q in (p, 2.0 * p, 4.0 * p):
-                    in_region = q > 0 and series._FAMILIES[kind].in_region(
-                        m.signal, m.noise, np.array([q]))
-                    boxes = (series._boxes(kind, q, m.signal, m.noise)
-                             if in_region else ())
+                    in_region = q > 0 and family.in_region(m.signal, m.noise, q)
+                    boxes = family.boxes(q, m.signal, m.noise) if in_region else ()
                     fits = all(max(box) <= limit for box in boxes)
                     assert series.convergence_ok(m, q) == (in_region and fits)
                     refused_by_depth += in_region and not fits
@@ -364,10 +361,10 @@ class TestOneBoxPerGene:
         def full_scan(p, e, l):
             out = []
             for shift in (0, 1):
-                lt = series._lognormal_weight_terms(np.log(p)[:, None], e.theta, l, shift,
+                lt = series._lognormal_weight_terms(np.log(p), e.theta, l, shift,
                                                     series.MAX_TERMS + 1)
-                limit = np.max(lt, axis=1) + math.log(series.REL_TOL) - series.TAIL_MARGIN
-                out.append(series._depth(lt, limit)[:, None])
+                limit = np.max(lt) + math.log(series.REL_TOL) - series.TAIL_MARGIN
+                out.append((series._depth(lt, limit),))
             return tuple(out)
 
         rng = np.random.default_rng(5)
@@ -380,11 +377,9 @@ class TestOneBoxPerGene:
         for cap in (series.MAX_TERMS, 20):
             monkeypatch.setattr(series, "MAX_TERMS", cap)
             for m, p in models:
-                want = full_scan(p, m.signal, m.noise)
-                for i, q in enumerate(p.tolist()):
-                    got = series._exp_lognormal_boxes(np.array([q]), m.signal, m.noise)
-                    for g, w in zip(got, want):
-                        np.testing.assert_array_equal(g, w[i:i + 1])
+                for q in p.tolist():
+                    assert (series._exp_lognormal_boxes(q, m.signal, m.noise)
+                            == full_scan(q, m.signal, m.noise))
 
     def test_depth_past_the_cap_raises(self, monkeypatch):
         s, b = GBParams(1, 0.5, 1, 2, 3), GBParams(1, 0.5, 1, 1, 2)

@@ -64,16 +64,6 @@ class TestBenchmark:
         assert len(rep.decile_mse) == 10
         assert all(math.isfinite(v) for v in rep.decile_mse)
 
-    def test_report_tsv_shape(self):
-        d = simulate.simulate_experiment(MODEL, 100, 50, seed=4)
-        rep = simulate.benchmark_mse(d, d.observed)
-        text = simulate.benchmark_report_tsv({"identity": rep})
-        lines = text.strip().split("\n")
-        assert lines[0].split("\t") == (
-            ["method", "mse", "bias"] + [f"decile_{i}" for i in range(1, 11)])
-        assert len(lines) == 2
-        assert len(lines[1].split("\t")) == 13
-
 
 class TestModelMatchedDominance:
     def test_corrector_beats_naive_exp_normal(self):
